@@ -12,8 +12,7 @@ workers.
 
 Clustering is pure data-structure work over ``DueEntry`` value objects:
 this module knows nothing about the manager or the scheduler (enforced
-by replint L404), mirroring the shard-worker isolation of L403 — a
-cohort is fully described by its key and member names, so nothing else
+by replint L404) — a cohort is fully described by its key and member names, so nothing else
 can leak into the pass that serves it.
 """
 

@@ -63,7 +63,8 @@ ablation benchmark measures them):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro import sanitize
 from repro.core.messages import (
@@ -92,11 +93,6 @@ from repro.storage.rid import Rid
 from repro.storage.summary import PageQualInfo
 from repro.table import PREVADDR, TIMESTAMP, Table
 from repro.txn.clock import WatermarkBracket
-
-if TYPE_CHECKING:
-    # Runtime import would be circular: core.shard builds on this
-    # module's scan machinery.
-    from repro.core.shard import ShardExecutor
 
 Send = Callable[[RefreshMessage], None]
 
@@ -162,9 +158,10 @@ class RefreshResult:
     ``messages_sent``, ``bytes_sent``, ``scanned``,
     ``entries_evaluated``, ``pages_scanned``, ``pages_skipped`` /
     ``pages_fast_forwarded`` — describe this snapshot's share, while the
-    pass-level scan costs (``rows_decoded``, ``fixup_writes``, buffer
-    traffic) live on the group's pass result: they were paid once for
-    the whole group, so attributing them to each cursor would overcount.
+    pass-level scan costs (:data:`PASS_FIELDS`: ``rows_decoded``,
+    ``fixup_writes``, buffer traffic, ...) were paid once for the whole
+    group and read the same on every member's result: take them once
+    per pass, never sum them over the members.
     """
 
     __slots__ = (
@@ -192,10 +189,6 @@ class RefreshResult:
         "chunks_scanned",
         "interleaved_writes",
         "pages_repaired",
-        "shards",
-        "shard_stats",
-        "merge_wall",
-        "shard_skew",
     )
 
     def __init__(self) -> None:
@@ -241,7 +234,8 @@ class RefreshResult:
         #: path's analogue of ``rows_decoded``, which it leaves at the
         #: per-row path's count so the decode saving stays visible.
         self.rows_materialized = 0
-        #: Watermark-bracketed chunks a chunked scan ran (0 = monolithic).
+        #: Watermark-bracketed chunks a scan under a :class:`ScanPlan`
+        #: ran (0 = one uninterrupted lock hold).
         self.chunks_scanned = 0
         #: Committed writes observed while the scan had the table lock
         #: released at a chunk boundary.
@@ -250,17 +244,6 @@ class RefreshResult:
         #: chunked scan because a writer touched them after their chunk's
         #: high watermark.
         self.pages_repaired = 0
-        #: RID-range shards the scan ran as (1 = monolithic).
-        self.shards = 1
-        #: Per-shard :class:`~repro.core.shard.ShardStats` records, in
-        #: shard (address) order; empty for a monolithic scan.
-        self.shard_stats: "tuple[object, ...]" = ()
-        #: Wall-clock the deterministic merge spent replaying per-shard
-        #: streams (0.0 unless a timer was injected).
-        self.merge_wall = 0.0
-        #: Work imbalance across shards: max over mean of per-shard
-        #: entries scanned (1.0 = perfectly balanced, 0.0 = no shards).
-        self.shard_skew = 0.0
 
     @property
     def buffer_hit_rate(self) -> float:
@@ -277,6 +260,36 @@ class RefreshResult:
             f"decoded={self.rows_decoded}, "
             f"hit_rate={self.buffer_hit_rate:.2f})"
         )
+
+
+#: Costs of the pass, paid once however many cursors rode it:
+#: :func:`run_refresh_scan` copies them from the pass result onto every
+#: cursor's own result, so a per-snapshot result reports the work of the
+#: pass that served it whether it rode alone or in a group.
+PASS_FIELDS = (
+    "rows_decoded",
+    "fixup_writes",
+    "deletions_detected",
+    "buffer_hits",
+    "buffer_misses",
+    "group_cursors",
+    "pages_batch_decoded",
+    "batches_reused",
+    "rows_materialized",
+    "chunks_scanned",
+    "interleaved_writes",
+    "pages_repaired",
+)
+
+#: Per-cursor counters the pass result reports as totals over its cursors.
+CURSOR_TOTAL_FIELDS = (
+    "qualified",
+    "entries_sent",
+    "messages_sent",
+    "bytes_sent",
+    "entries_evaluated",
+    "pages_fast_forwarded",
+)
 
 
 class _LazyEntry:
@@ -363,12 +376,8 @@ class RefreshCursor:
         self.name = name
         self.value_schema = projection.schema
         self.last_qual = Rid.BEGIN
-        #: Figure 3's pending ``Deletion`` flag.  Always a plain bool
-        #: here; shard-worker cursors (``core/shard.py``) substitute
-        #: symbolic placeholders for boundary state they cannot know
-        #: yet, which is why the scan consults :attr:`skip_blocked`
-        #: rather than this attribute directly.
-        self.deletion: object = False
+        #: Figure 3's pending ``Deletion`` flag.
+        self.deletion = False
         self.result = RefreshResult()
         #: Set when this cursor's channel failed mid-pass; the scan
         #: continues for the other cursors.
@@ -392,17 +401,6 @@ class RefreshCursor:
     def fail(self, error: BaseException) -> None:
         self.failed = True
         self.error = error
-
-    @property
-    def skip_blocked(self) -> bool:
-        """Whether a pending ``Deletion`` flag forbids page skipping.
-
-        A page may only be fast-forwarded when the flag is *known*
-        clear; shard-worker cursors override this so an unknown carried
-        flag blocks the skip (the page is scanned and the decision
-        deferred) instead of silently dropping a pending deletion.
-        """
-        return bool(self.deletion)
 
     # -- page lifecycle ------------------------------------------------------
 
@@ -452,7 +450,7 @@ class RefreshCursor:
         sparse: "list[object]",
         orig_ts: object,
         pure_insert: bool,
-        anomaly: "Optional[bool]",
+        anomaly: bool,
     ) -> None:
         """Apply one scanned entry to this cursor's refresh state.
 
@@ -462,11 +460,6 @@ class RefreshCursor:
         with fix-up folded in as "the value changed" (insert/update,
         per-cursor) or "a deletion was detected just before this entry"
         (anomaly stamp, a property of the scan shared by every cursor).
-
-        ``anomaly`` is ``None`` only when the pass could not resolve the
-        verdict locally (a shard worker at its boundary entry); plain
-        cursors never receive it — only the shard-worker override in
-        ``core/shard.py`` handles the deferred case.
         """
         result = self.result
         result.scanned += 1
@@ -619,9 +612,45 @@ class RefreshCursor:
         if old is not None:
             self._staged_values.setdefault(rid.page_no, {})[rid] = old
 
-    def finish(self, new_time: int) -> None:
-        """Deletions at the end of the base table, then the new SnapTime."""
+    def finish(
+        self,
+        new_time: int,
+        repair_pages: "Iterable[tuple[int, list[tuple[Rid, Row]]]]" = (),
+    ) -> None:
+        """End of scan, interleave repairs, then the new ``SnapTime``.
+
+        ``EndOfScan`` covers deletions at the end of the base table.
+        Each of ``repair_pages`` — ``(page_no, live rows)`` of a page a
+        writer touched after the scan read it — is then re-transmitted:
+        the receiver's image of the page is wiped (the open-interval
+        delete excludes both endpoints, so slot 0 gets its own delete)
+        and every *currently* qualifying row is upserted back, so the
+        committed page equals the base restriction at commit time no
+        matter what interleaved.  The staged value mirror is repointed
+        to the repaired truth, since later per-column deltas merge
+        against whatever the repair left at the receiver.
+        """
         self.transmit(EndOfScanMessage(self.last_qual))
+        for page_no, rows in repair_pages:
+            self.transmit(
+                DeleteRangeMessage(Rid(page_no, 0), Rid(page_no + 1, 0))
+            )
+            self.transmit(DeleteMessage(Rid(page_no, 0)))
+            page_values: "dict[Rid, tuple]" = {}
+            for rid, row in rows:
+                if not self.restriction(row.values):
+                    continue
+                projected = self.projection(row)
+                value_bytes = len(encode_row(self.value_schema, projected))
+                self.transmit(
+                    UpsertMessage(rid, projected.values, value_bytes)
+                )
+                page_values[rid] = projected.values
+            if self._staged_values is not None:
+                if page_values:
+                    self._staged_values[page_no] = page_values
+                else:
+                    self._staged_values.pop(page_no, None)
         self.transmit(SnapTimeMessage(new_time))
         self.result.new_snap_time = new_time
         if self.value_cache is not None:
@@ -640,13 +669,10 @@ class _ScanPass:
 
     Owns the per-pass scan state — the fix-up's ``ExpectPrev`` /
     ``last_addr``, the probe layout, the pass-level counters, the
-    fix-up timestamp — so the page loop can be driven either in one
-    sweep (:func:`run_refresh_scan`) or in watermark-bracketed chunks
-    with the table lock released in between
-    (:func:`run_chunked_refresh_scan`).  ``scan_pages`` serves a
-    half-open page range and leaves the state positioned for the next
-    range; behavior over ``[0, page_count)`` in one call is exactly the
-    historical monolithic scan.
+    fix-up timestamp — so :func:`run_refresh_scan` can drive the page
+    loop one chunk at a time.  ``scan_pages`` serves a half-open page
+    range and leaves the state positioned for the next range; one call
+    over ``[0, page_count)`` is the paper's uninterrupted scan.
     """
 
     __slots__ = (
@@ -656,7 +682,6 @@ class _ScanPass:
         "summaries",
         "fixup",
         "batch_mode",
-        "isolate_failures",
         "probe_positions",
         "probe_prev",
         "probe_ts",
@@ -665,10 +690,6 @@ class _ScanPass:
         "fixup_time",
         "expect_prev",
         "last_addr",
-        "completed",
-        "deferred_first_insert",
-        "deferred_d",
-        "deferred_pages",
         "_hits_before",
         "_misses_before",
     )
@@ -679,16 +700,12 @@ class _ScanPass:
         cursors: "Sequence[RefreshCursor]",
         fixup: Optional[bool],
         use_page_summaries: bool,
-        isolate_failures: bool,
         batch_mode: bool,
-        fixup_time: Optional[int] = None,
-        boundary_known: bool = True,
     ) -> None:
         if fixup is None:
             fixup = table.annotation_mode == "lazy"
         self.table = table
         self.fixup = fixup
-        self.isolate_failures = isolate_failures
         schema = table.schema
         self.schema = schema
         # The batch extractor reads annotations as a fixed record tail; a
@@ -721,50 +738,23 @@ class _ScanPass:
         pool_stats = self.heap.pool.stats
         self._hits_before = pool_stats.hits
         self._misses_before = pool_stats.misses
-        # A sharded pass ticks the clock once and injects the shared
-        # value into every worker, so all shards stamp one fix-up time.
-        if fixup_time is None:
-            fixup_time = table.db.clock.tick()
-        self.fixup_time = fixup_time
-
-        #: With ``boundary_known`` (the monolithic pass, or the first
-        #: shard) the fix-up state starts at the table's beginning.  A
-        #: shard worker starting mid-table sets both to ``None``: the
-        #: values are carried in from the preceding shard and resolved
-        #: only at merge time, so the worker *defers* the (at most two)
-        #: fix-up writes that depend on them — the first entry's insert
-        #: chain link and the first non-insert entry's anomaly verdict.
-        self.expect_prev: "Optional[Rid]" = (
-            Rid.BEGIN if boundary_known else None
-        )
-        self.last_addr: "Optional[Rid]" = (
-            Rid.BEGIN if boundary_known else None
-        )
-        self.completed = True  # whether the pass reached the heap's end
-        #: Deferred fix-up: the shard's first entry when it is a pure
-        #: insert (its PrevAddr must point at the carried last address).
-        self.deferred_first_insert: "Optional[Rid]" = None
-        #: Deferred fix-up: the shard's first non-insert entry as
-        #: ``(rid, prev, ts_is_null, last_addr_before)`` — its anomaly
-        #: verdict needs the carried ``ExpectPrev``.
-        self.deferred_d: "Optional[tuple[Rid, Rid, bool, Optional[Rid]]]" = (
-            None
-        )
-        #: Pages holding a deferred write: their cached
-        #: :class:`PageQualInfo` would describe pre-merge bytes, so the
-        #: worker drops those (at most two) cache entries instead.
-        self.deferred_pages: "set[int]" = set()
+        self.fixup_time = table.db.clock.tick()
+        self.expect_prev = Rid.BEGIN
+        self.last_addr = Rid.BEGIN
 
     def scan_pages(
         self, cursors: "Sequence[RefreshCursor]", start: int, stop: int
-    ) -> None:
-        """Serve every cursor over heap pages ``[start, stop)``."""
+    ) -> int:
+        """Serve every cursor over heap pages ``[start, stop)``.
+
+        Returns the first page not served: ``stop``, or earlier when
+        every output has failed and nothing is left to serve.
+        """
         table = self.table
         schema = self.schema
         heap = self.heap
         summaries = self.summaries
         fixup = self.fixup
-        isolate_failures = self.isolate_failures
         probe_positions = self.probe_positions
         probe_prev = self.probe_prev
         probe_ts = self.probe_ts
@@ -774,11 +764,12 @@ class _ScanPass:
         expect_prev = self.expect_prev
         last_addr = self.last_addr
 
+        reached = stop
         for page_no in range(start, stop):
             live = [cursor for cursor in cursors if not cursor.failed]
             if not live:
-                self.completed = False
-                break  # every output failed; nothing left to serve
+                reached = page_no
+                break
 
             scanning: "list[RefreshCursor]" = []
             skipping: "list[tuple[RefreshCursor, PageQualInfo]]" = []
@@ -786,7 +777,7 @@ class _ScanPass:
             for cursor in live:
                 if (
                     summary is not None
-                    and not cursor.skip_blocked
+                    and not cursor.deletion
                     and summary.skippable(cursor.snap_time)
                 ):
                     info = (
@@ -805,15 +796,9 @@ class _ScanPass:
                             # (last_addr != expect_prev) would need this
                             # page's first PrevAddr repointed, and a
                             # first_prev mismatch is precisely a deletion
-                            # anomaly hiding on this page.  A shard
-                            # worker whose boundary state is still
-                            # unresolved (None) cannot prove either, so
-                            # it scans the page instead — byte-identical
-                            # for a skippable page, which by definition
-                            # holds nothing to transmit.
+                            # anomaly hiding on this page.
                             or (
-                                last_addr is not None
-                                and last_addr == expect_prev
+                                last_addr == expect_prev
                                 and (
                                     info.first_prev is None
                                     or info.first_prev == expect_prev
@@ -857,7 +842,6 @@ class _ScanPass:
                         not fixup
                         or (
                             batch.chain_ok
-                            and last_addr is not None
                             and last_addr == expect_prev
                             and (
                                 batch.count == 0
@@ -876,13 +860,10 @@ class _ScanPass:
                         for cursor in scanning:
                             if cursor.failed:
                                 continue
-                            if isolate_failures:
-                                try:
-                                    cursor.serve_batch(batch)
-                                except ChannelError as error:
-                                    cursor.fail(error)
-                            else:
+                            try:
                                 cursor.serve_batch(batch)
+                            except ChannelError as error:
+                                cursor.fail(error)
                         stats.rows_materialized += (
                             batch.materializations - decodes_before
                         )
@@ -916,32 +897,16 @@ class _ScanPass:
                 orig_ts = ts
                 final_prev = prev
                 pure_insert = False
-                anomaly: "Optional[bool]" = False
+                anomaly = False
                 if fixup:
                     if prev is NULL:
                         # Inserted since the last fix-up.
                         pure_insert = True
-                        if last_addr is None:
-                            # Shard boundary: the chain link points at
-                            # the preceding shard's last entry — write
-                            # deferred to the merge.
-                            self.deferred_first_insert = rid
-                            self.deferred_pages.add(page_no)
-                        else:
-                            final_prev = last_addr
-                            table.set_annotations(
-                                rid, prev=last_addr, ts=fixup_time
-                            )
-                            stats.fixup_writes += 1
-                    elif expect_prev is None:
-                        # Shard boundary: this entry's anomaly verdict
-                        # compares against the carried ExpectPrev.  The
-                        # merge performs the comparison and any write;
-                        # cursors get the deferred-anomaly sentinel.
-                        self.deferred_d = (rid, prev, ts is NULL, last_addr)
-                        self.deferred_pages.add(page_no)
-                        anomaly = None
-                        expect_prev = rid
+                        final_prev = last_addr
+                        table.set_annotations(
+                            rid, prev=last_addr, ts=fixup_time
+                        )
+                        stats.fixup_writes += 1
                     else:
                         new_prev: "Optional[Rid]" = None
                         stamp = False
@@ -988,30 +953,17 @@ class _ScanPass:
                 for cursor in scanning:
                     if cursor.failed:
                         continue
-                    if isolate_failures:
-                        try:
-                            cursor.observe(
-                                rid,
-                                entry,
-                                sparse,
-                                orig_ts,
-                                pure_insert,
-                                anomaly,
-                            )
-                        except ChannelError as error:
-                            cursor.fail(error)
-                    else:
+                    try:
                         cursor.observe(
                             rid, entry, sparse, orig_ts, pure_insert, anomaly
                         )
+                    except ChannelError as error:
+                        cursor.fail(error)
 
-            if summaries is not None and page_no not in self.deferred_pages:
+            if summaries is not None:
                 # Version read after the fix-up writes above, so the
                 # cache entry describes the page bytes as this scan left
-                # them.  Pages holding a deferred boundary write are not
-                # cached: the merge's write would immediately stale the
-                # entry, so the next refresh re-scans those (at most
-                # two) pages instead.
+                # them.
                 version: Optional[int] = None
                 for cursor in scanning:
                     if cursor.failed or cursor.cache is None:
@@ -1026,28 +978,37 @@ class _ScanPass:
 
         self.expect_prev = expect_prev
         self.last_addr = last_addr
+        return reached
 
-    def finish_cursors(self, cursors: "Sequence[RefreshCursor]") -> None:
-        """The quiescent finish: EndOfScan + SnapTime per live cursor."""
-        for cursor in cursors:
-            if cursor.failed:
-                continue
-            if self.isolate_failures:
-                try:
-                    cursor.finish(self.fixup_time)
-                except ChannelError as error:
-                    cursor.fail(error)
-            else:
-                cursor.finish(self.fixup_time)
+    def live_rows(
+        self, pages: "Sequence[int]"
+    ) -> "Iterator[tuple[int, list[tuple[Rid, Row]]]]":
+        """``(page_no, live rows)`` of each page, decoded one page at a time."""
+        for page_no in pages:
+            yield page_no, [
+                (Rid(page_no, slot_no), decode_row(self.schema, body))
+                for slot_no, body in self.heap.page_entries(page_no)
+            ]
 
-    def seal(self, cursors: "Sequence[RefreshCursor]") -> RefreshResult:
-        """Finalize pass-level counters and run the sanitizer hook."""
+    def seal(
+        self, cursors: "Sequence[RefreshCursor]", completed: bool
+    ) -> RefreshResult:
+        """Finalize the pass result, merge it into every cursor's own.
+
+        ``completed`` says the pass reached the heap's end, so the
+        sanitizer may hold the whole table to the fix-up postcondition.
+
+        The one fold between the two kinds of counter: per-cursor
+        traffic (:data:`CURSOR_TOTAL_FIELDS`) is totalled onto the pass
+        result, and the costs paid once per pass (:data:`PASS_FIELDS`)
+        are copied onto each cursor's result.
+        """
         stats = self.stats
         stats.new_snap_time = self.fixup_time
         pool_stats = self.heap.pool.stats
         stats.buffer_hits = pool_stats.hits - self._hits_before
         stats.buffer_misses = pool_stats.misses - self._misses_before
-        if self.completed and sanitize.enabled():
+        if completed and sanitize.enabled():
             if stats.interleaved_writes:
                 # Writes that committed inside a chunk boundary
                 # legitimately leave NULL annotations (a torn chain)
@@ -1058,13 +1019,37 @@ class _ScanPass:
                 sanitize.check_after_refresh_scan(self.table, self.fixup)
         for cursor in cursors:
             result = cursor.result
-            stats.qualified += result.qualified
-            stats.entries_sent += result.entries_sent
-            stats.messages_sent += result.messages_sent
-            stats.bytes_sent += result.bytes_sent
-            stats.entries_evaluated += result.entries_evaluated
-            stats.pages_fast_forwarded += result.pages_fast_forwarded
+            for field in CURSOR_TOTAL_FIELDS:
+                setattr(
+                    stats, field, getattr(stats, field) + getattr(result, field)
+                )
+            for field in PASS_FIELDS:
+                setattr(result, field, getattr(stats, field))
         return stats
+
+
+@dataclass(frozen=True)
+class ScanPlan:
+    """Where a refresh scan hands the table lock back to writers.
+
+    The scan runs ``chunk_pages`` heap pages per lock hold.  At each
+    chunk boundary the driver calls ``release()``, then
+    ``on_chunk_boundary(next_chunk)`` — the deterministic simulation's
+    stand-in for concurrent writer commits, which is where a writer
+    thread's commits would land — then ``acquire()``.  The caller holds
+    the lock when it calls :func:`run_refresh_scan` and again when the
+    call returns; a caller that manages no lock (a single-threaded
+    test) leaves the two hooks unset.
+    """
+
+    chunk_pages: int = 4
+    on_chunk_boundary: "Optional[Callable[[int], None]]" = None
+    acquire: "Optional[Callable[[], None]]" = None
+    release: "Optional[Callable[[], None]]" = None
+
+    def __post_init__(self) -> None:
+        if self.chunk_pages < 1:
+            raise RefreshMethodError("chunk_pages must be at least 1")
 
 
 def run_refresh_scan(
@@ -1072,8 +1057,8 @@ def run_refresh_scan(
     cursors: "Sequence[RefreshCursor]",
     fixup: Optional[bool] = None,
     use_page_summaries: bool = False,
-    isolate_failures: bool = False,
     batch_mode: bool = False,
+    plan: Optional[ScanPlan] = None,
 ) -> RefreshResult:
     """One combined fix-up + refresh pass serving every cursor.
 
@@ -1081,7 +1066,8 @@ def run_refresh_scan(
     pages and rows were read once no matter how many cursors rode along,
     fix-up was applied to the base table exactly once, and each entry
     was partial-decoded once over the union of all cursors' restriction
-    columns.  Per-cursor traffic lands on each cursor's own ``result``.
+    columns.  Per-cursor traffic lands on each cursor's own ``result``,
+    which also receives a copy of the pass-level costs.
 
     Page skipping is decided per cursor with exactly the solo scan's
     conditions — including the shared fix-up state at the page boundary
@@ -1106,167 +1092,95 @@ def run_refresh_scan(
     while ineligible pages (and tables without trailing annotations)
     fall back to the per-row path unchanged.
 
-    With ``isolate_failures`` a :class:`~repro.errors.ChannelError` on
-    one cursor's output marks that cursor failed and the pass continues
-    for the rest; otherwise (the solo path) the error propagates.  The
-    caller is responsible for holding the table-level lock.
-    """
-    scan = _ScanPass(
-        table, cursors, fixup, use_page_summaries, isolate_failures, batch_mode
-    )
-    scan.scan_pages(cursors, 0, scan.heap.page_count)
-    scan.finish_cursors(cursors)
-    return scan.seal(cursors)
+    A :class:`~repro.errors.ChannelError` on one cursor's output marks
+    that cursor failed (``cursor.error``) and the pass continues for the
+    rest; a caller with a single cursor re-raises it.  The caller holds
+    the table-level lock.
 
-
-def _repair_page(
-    scan: _ScanPass, cursor: RefreshCursor, page_no: int
-) -> None:
-    """Re-transmit one interleave-dirtied page for one cursor.
-
-    The receiver's image of the page is wiped — the open-interval
-    delete excludes both endpoints, so slot 0 gets its own delete —
-    and every *currently* qualifying live row is upserted back, so the
-    committed page equals the base restriction at commit time no matter
-    what sequence of inserts/updates/deletes interleaved after the
-    chunk's high watermark.  The cursor's staged value mirror is
-    repointed to the repaired truth, since later per-column deltas
-    merge against whatever this repair left at the receiver.
-    """
-    lo = Rid(page_no, 0)
-    hi = Rid(page_no + 1, 0)
-    cursor.transmit(DeleteRangeMessage(lo, hi))
-    cursor.transmit(DeleteMessage(lo))
-    page_values: "dict[Rid, tuple]" = {}
-    for slot_no, body in scan.heap.page_entries(page_no):
-        rid = Rid(page_no, slot_no)
-        row = decode_row(scan.schema, body)
-        if not cursor.restriction(row.values):
-            continue
-        projected = cursor.projection(row)
-        value_bytes = len(encode_row(cursor.value_schema, projected))
-        cursor.transmit(
-            UpsertMessage(rid, projected.values, value_bytes)
-        )
-        page_values[rid] = projected.values
-    if cursor._staged_values is not None:
-        if page_values:
-            cursor._staged_values[page_no] = page_values
-        else:
-            cursor._staged_values.pop(page_no, None)
-
-
-def run_chunked_refresh_scan(
-    table: Table,
-    cursors: "Sequence[RefreshCursor]",
-    fixup: Optional[bool] = None,
-    use_page_summaries: bool = False,
-    isolate_failures: bool = False,
-    batch_mode: bool = False,
-    chunk_pages: int = 4,
-    on_chunk_boundary: "Optional[Callable[[int], None]]" = None,
-    acquire: "Optional[Callable[[], None]]" = None,
-    release: "Optional[Callable[[], None]]" = None,
-) -> RefreshResult:
-    """Writer-concurrent refresh: the scan in watermark-bracketed chunks.
-
-    The DBLog "virtual cuts" construction over the paper's scan: the
-    address-order pass runs ``chunk_pages`` heap pages at a time, each
-    chunk bracketed by low/high readings of a monotone write watermark
-    (a :class:`~repro.txn.clock.WatermarkBracket` over the heap
-    write-observer's sequence number).  Between chunks the table lock is
-    *released* — ``release()`` / ``on_chunk_boundary(next_chunk)`` /
-    ``acquire()`` — so committed writers proceed while the refresh is in
-    flight; the deterministic simulation drives the "racing writer"
-    through the boundary callback, which is where a concurrent thread's
-    commits would land.
-
+    **Chunks.**  Without a ``plan`` the whole heap is one chunk scanned
+    under the caller's lock — the paper's scan.  With a
+    :class:`ScanPlan` the same loop is the DBLog "virtual cuts"
+    construction: each chunk is bracketed by low/high readings of a
+    monotone write watermark (a
+    :class:`~repro.txn.clock.WatermarkBracket` over the heap
+    write-observer's sequence number) and the lock is released between
+    chunks so committed writers proceed while the refresh is in flight.
     Every write is recorded against its page with the sequence number
     it happened at; after a chunk completes, its pages' *scanned*
     watermark is recorded (after the chunk, so the scan's own fix-up
     writes never count as interleave).  A page whose last write
     sequence exceeds its scanned watermark was modified **after** the
-    scan read it — the interleave buffer.  Under the final lock hold
-    those dirty pages are merged into the differential stream: per
-    cursor, after ``EndOfScan``, each dirty page is wiped and its
-    currently-qualifying rows re-upserted (:func:`_repair_page`), so
-    the committed receiver state is identical to what a quiescent scan
-    of the final base table would have produced.  With no interleaved
-    writes the emitted stream is byte-for-byte the monolithic scan's.
-
-    Returns with the table lock *held* (via ``acquire``): the caller
-    sends ``RefreshCommit`` under that hold so no write can slip
-    between the repair and the commit, then releases.  Writes observed
-    while the lock was released are counted in
+    scan read it; under the final lock hold those pages are merged into
+    each stream by :meth:`RefreshCursor.finish`, so the committed
+    receiver state is identical to what a quiescent scan of the final
+    base table would have produced.  With no interleaved writes the
+    emitted stream is byte-for-byte the one-chunk scan's.  The caller
+    sends ``RefreshCommit`` under the hold it gets back, so no write
+    can slip between the repair and the commit.  Writes observed while
+    the lock was released are counted in
     ``RefreshResult.interleaved_writes``; repaired pages in
     ``pages_repaired``; chunks in ``chunks_scanned``.
     """
-    if chunk_pages < 1:
-        raise RefreshMethodError("chunk_pages must be at least 1")
     heap = table.heap
-
     # The write watermark: one monotone sequence number per physical
     # record write, with the latest sequence seen per heap page.
-    seq = [0]
+    seq = 0
+    interleaved = 0
+    in_window = False
     last_write_seq: "dict[int, int]" = {}
-    in_window = [False]
-    interleaved = [0]
+    scanned_seq: "dict[int, int]" = {}
 
     def watch(kind: str, rid: Rid) -> None:
-        seq[0] += 1
-        last_write_seq[rid.page_no] = seq[0]
-        if in_window[0]:
-            interleaved[0] += 1
+        nonlocal seq, interleaved
+        seq += 1
+        last_write_seq[rid.page_no] = seq
+        if in_window:
+            interleaved += 1
 
-    unsubscribe = heap.observe_writes(watch)
-    if acquire is not None:
-        acquire()
+    unsubscribe: "Optional[Callable[[], None]]" = None
+    if plan is not None:
+        # Bare names on purpose: a bare ``acquire()``/``release()`` is
+        # the seam the lint lock model reads as the table lock (L602).
+        acquire, release = plan.acquire, plan.release
+        # Subscribed with the caller's lock already held: nothing that
+        # can fail stands between here and the ``finally`` below.
+        unsubscribe = heap.observe_writes(watch)
     try:
-        scan = _ScanPass(
-            table,
-            cursors,
-            fixup,
-            use_page_summaries,
-            isolate_failures,
-            batch_mode,
-        )
+        scan = _ScanPass(table, cursors, fixup, use_page_summaries, batch_mode)
         stats = scan.stats
-        scanned_seq: "dict[int, int]" = {}
         next_page = 0
-        chunk_index = 0
-        while True:
-            # Re-read under the lock: pages appended by interleaved
-            # inserts extend the scan instead of escaping it.
-            page_count = heap.page_count
-            if next_page >= page_count:
-                break
-            stop = min(next_page + chunk_pages, page_count)
-            bracket = WatermarkBracket(chunk_index, seq[0])
-            scan.scan_pages(cursors, next_page, stop)
-            bracket.close(seq[0])
-            for page_no in range(next_page, stop):
-                # Recorded after the chunk: the chunk's own fix-up
-                # writes fall at or below the high watermark and are
-                # covered, not interleaved.
-                scanned_seq[page_no] = bracket.high
-            next_page = stop
-            chunk_index += 1
-            stats.chunks_scanned += 1
-            if not any(not cursor.failed for cursor in cursors):
-                break
-            if next_page >= heap.page_count:
-                break  # final chunk: keep the lock, no writer window
-            if release is not None:
-                release()
-            in_window[0] = True
-            try:
-                if on_chunk_boundary is not None:
-                    on_chunk_boundary(chunk_index)
-            finally:
-                in_window[0] = False
-                if acquire is not None:
-                    acquire()
-        stats.interleaved_writes = interleaved[0]
+        # The bound is re-read under the lock: pages appended by
+        # interleaved inserts extend the scan instead of escaping it.
+        while next_page < heap.page_count and not all(
+            cursor.failed for cursor in cursors
+        ):
+            stop = heap.page_count
+            if plan is not None:
+                if next_page:
+                    # A chunk boundary: writers get the lock.
+                    if release is not None:
+                        release()
+                    in_window = True
+                    try:
+                        if plan.on_chunk_boundary is not None:
+                            plan.on_chunk_boundary(stats.chunks_scanned)
+                    finally:
+                        in_window = False
+                        if acquire is not None:
+                            acquire()
+                stop = min(next_page + plan.chunk_pages, heap.page_count)
+            bracket = WatermarkBracket(stats.chunks_scanned, seq)
+            reached = scan.scan_pages(cursors, next_page, stop)
+            bracket.close(seq)
+            if plan is not None:
+                for page_no in range(next_page, stop):
+                    # Recorded after the chunk: the chunk's own fix-up
+                    # writes fall at or below the high watermark and are
+                    # covered, not interleaved.
+                    scanned_seq[page_no] = bracket.high
+                stats.chunks_scanned += 1
+            next_page = reached
+        stats.interleaved_writes = interleaved
 
         # The interleave buffer: pages written after their chunk's high
         # watermark (deletes included — an empty dirty page still wipes
@@ -1277,25 +1191,17 @@ def run_chunked_refresh_scan(
             if written > scanned_seq.get(page_no, 0)
         )
         stats.pages_repaired = len(dirty)
-
         for cursor in cursors:
             if cursor.failed:
                 continue
             try:
-                cursor.transmit(EndOfScanMessage(cursor.last_qual))
-                for page_no in dirty:
-                    _repair_page(scan, cursor, page_no)
-                cursor.transmit(SnapTimeMessage(scan.fixup_time))
-                cursor.result.new_snap_time = scan.fixup_time
-                if cursor.value_cache is not None:
-                    cursor.value_cache.stage(cursor._staged_values)
+                cursor.finish(scan.fixup_time, scan.live_rows(dirty))
             except ChannelError as error:
-                if not isolate_failures:
-                    raise
                 cursor.fail(error)
-        return scan.seal(cursors)
+        return scan.seal(cursors, next_page >= heap.page_count)
     finally:
-        unsubscribe()
+        if unsubscribe is not None:
+            unsubscribe()
 
 
 class DifferentialRefresher:
@@ -1319,15 +1225,11 @@ class DifferentialRefresher:
         use_page_summaries: bool = False,
         delta_updates: bool = False,
         batch_mode: bool = False,
-        shards: int = 1,
-        shard_executor: "Optional[ShardExecutor]" = None,
     ) -> None:
         if not table.has_annotations:
             raise RefreshMethodError(
                 f"differential refresh requires annotations on {table.name!r}"
             )
-        if shards < 1:
-            raise RefreshMethodError("shards must be at least 1")
         self.table = table
         self.optimize_deletes = optimize_deletes
         self.suppress_pure_inserts = suppress_pure_inserts
@@ -1338,17 +1240,6 @@ class DifferentialRefresher:
         #: default so a directly constructed refresher keeps the
         #: per-row baseline; the manager turns it on.
         self.batch_mode = batch_mode
-        #: RID-range shards per scan (1 = the monolithic pass).  With
-        #: ``shards > 1``, :meth:`refresh` runs the partitioned scan of
-        #: :func:`repro.core.shard.run_sharded_refresh_scan` —
-        #: byte-identical stream, parallel page loop.
-        #: :meth:`refresh_chunked` intentionally stays single-threaded:
-        #: its watermark brackets order chunks in time, which is exactly
-        #: what the shard merge's address order would scramble.
-        self.shards = shards
-        #: Optional :class:`repro.core.shard.ShardExecutor` override
-        #: (default: the process-wide shared worker pool).
-        self.shard_executor = shard_executor
         # Fallback caches for callers that do not thread per-snapshot
         # caches through `refresh(cache=..., value_cache=...)`; valid
         # only for one restriction (i.e. one snapshot) at a time.
@@ -1365,8 +1256,9 @@ class DifferentialRefresher:
         fixup: Optional[bool] = None,
         cache: "Optional[dict[int, PageQualInfo]]" = None,
         value_cache: "Optional[ValueCache]" = None,
+        plan: Optional[ScanPlan] = None,
     ) -> RefreshResult:
-        """One combined fix-up + refresh scan.
+        """One combined fix-up + refresh scan: a group pass of one cursor.
 
         ``fixup`` defaults by annotation mode: lazy tables repair as they
         scan; eager tables trust their annotations (pure Figure 3).
@@ -1377,10 +1269,10 @@ class DifferentialRefresher:
         per-snapshot transmitted-values mirror; when the caller passes
         one, *the caller* commits or aborts it from the epoch outcome —
         with the internal fallback the stage is committed here, right
-        after the synchronous scan.  The caller is responsible for
-        holding the table-level lock.
+        after the synchronous scan.  ``plan`` makes the scan
+        writer-concurrent (see :class:`ScanPlan`).  The caller is
+        responsible for holding the table-level lock.
         """
-        table = self.table
         if self.use_page_summaries and cache is None or (
             self.delta_updates and value_cache is None
         ):
@@ -1405,117 +1297,19 @@ class DifferentialRefresher:
             suppress_pure_inserts=self.suppress_pure_inserts,
             value_cache=value_cache if self.delta_updates else None,
         )
-        if self.shards > 1:
-            from repro.core.shard import run_sharded_refresh_scan
-
-            stats = run_sharded_refresh_scan(
-                table,
-                (cursor,),
-                shards=self.shards,
-                fixup=fixup,
-                use_page_summaries=self.use_page_summaries,
-                batch_mode=self.batch_mode,
-                executor=self.shard_executor,
-            )
-        else:
-            stats = run_refresh_scan(
-                table,
-                (cursor,),
-                fixup=fixup,
-                use_page_summaries=self.use_page_summaries,
-                batch_mode=self.batch_mode,
-            )
-        if own_value_cache:
-            value_cache.commit()
-        return self._fold_pass(cursor, stats)
-
-    def refresh_chunked(
-        self,
-        snap_time: int,
-        restriction: Restriction,
-        projection: Projection,
-        send: Send,
-        fixup: Optional[bool] = None,
-        cache: "Optional[dict[int, PageQualInfo]]" = None,
-        value_cache: "Optional[ValueCache]" = None,
-        chunk_pages: int = 4,
-        on_chunk_boundary: "Optional[Callable[[int], None]]" = None,
-        acquire: "Optional[Callable[[], None]]" = None,
-        release: "Optional[Callable[[], None]]" = None,
-    ) -> RefreshResult:
-        """A writer-concurrent refresh scan (chunked watermark scan).
-
-        Same contract as :meth:`refresh` except the table lock is
-        *managed here* through the ``acquire``/``release`` closures: the
-        scan holds it per chunk, releases it at each chunk boundary
-        (running ``on_chunk_boundary`` while writers may proceed), and
-        returns with it held so the caller can commit the epoch before
-        releasing.  See
-        :func:`~repro.core.differential.run_chunked_refresh_scan`.
-        """
-        table = self.table
-        if self.use_page_summaries and cache is None or (
-            self.delta_updates and value_cache is None
-        ):
-            if self._cache_restriction != restriction.text:
-                self._page_cache.clear()
-                self._value_cache = ValueCache()
-                self._cache_restriction = restriction.text
-        if self.use_page_summaries and cache is None:
-            cache = self._page_cache
-        own_value_cache = False
-        if self.delta_updates and value_cache is None:
-            value_cache = self._value_cache
-            own_value_cache = True
-
-        cursor = RefreshCursor(
-            snap_time,
-            restriction,
-            projection,
-            send,
-            cache=cache,
-            optimize_deletes=self.optimize_deletes,
-            suppress_pure_inserts=self.suppress_pure_inserts,
-            value_cache=value_cache if self.delta_updates else None,
-        )
-        stats = run_chunked_refresh_scan(
-            table,
+        run_refresh_scan(
+            self.table,
             (cursor,),
             fixup=fixup,
             use_page_summaries=self.use_page_summaries,
             batch_mode=self.batch_mode,
-            chunk_pages=chunk_pages,
-            on_chunk_boundary=on_chunk_boundary,
-            acquire=acquire,
-            release=release,
+            plan=plan,
         )
+        if cursor.error is not None:
+            raise cursor.error
         if own_value_cache:
             value_cache.commit()
-        return self._fold_pass(cursor, stats)
-
-    def _fold_pass(
-        self, cursor: RefreshCursor, stats: RefreshResult
-    ) -> RefreshResult:
-        # A solo refresh owns its whole pass: fold the pass-level scan
-        # costs into the cursor's result (per-cursor fields are already
-        # there, and equal the pass totals for one cursor).
-        result = cursor.result
-        result.rows_decoded = stats.rows_decoded
-        result.fixup_writes = stats.fixup_writes
-        result.deletions_detected = stats.deletions_detected
-        result.buffer_hits = stats.buffer_hits
-        result.buffer_misses = stats.buffer_misses
-        result.pages_batch_decoded = stats.pages_batch_decoded
-        result.batches_reused = stats.batches_reused
-        result.rows_materialized = stats.rows_materialized
-        result.chunks_scanned = stats.chunks_scanned
-        result.interleaved_writes = stats.interleaved_writes
-        result.pages_repaired = stats.pages_repaired
-        result.shards = stats.shards
-        result.shard_stats = stats.shard_stats
-        result.merge_wall = stats.merge_wall
-        result.shard_skew = stats.shard_skew
-        return result
+        return cursor.result
 
 
 def base_refresh(

@@ -34,27 +34,26 @@ fast-forwards precisely when its own solo run would have skipped, and
 a validly skipped page is provably one the shared fix-up will not
 touch.
 
-The :class:`~repro.core.manager.SnapshotManager` drives group passes
-from ``refresh_all``/``refresh_many`` (with per-snapshot epochs, so a
-failed cursor aborts only its own epoch), and the scheduler's
+The :class:`~repro.core.manager.SnapshotManager` runs the same driver
+(:func:`~repro.core.differential.run_refresh_scan`) for every
+differential refresh — ``refresh`` is a pass of one cursor,
+``refresh_all``/``refresh_many`` a pass of N with per-snapshot epochs,
+so a failed cursor aborts only its own epoch — and the scheduler's
 coalescing window batches almost-due snapshots onto one pass.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.differential import (
     RefreshCursor,
     RefreshResult,
-    run_chunked_refresh_scan,
+    ScanPlan,
     run_refresh_scan,
 )
 from repro.errors import RefreshMethodError
 from repro.table import Table
-
-if TYPE_CHECKING:
-    from repro.core.shard import ShardExecutor
 
 
 class GroupRefreshResult:
@@ -123,133 +122,49 @@ class GroupRefresher:
         table: Table,
         use_page_summaries: bool = False,
         batch_mode: bool = False,
-        shards: int = 1,
-        shard_executor: "Optional[ShardExecutor]" = None,
     ) -> None:
         if not table.has_annotations:
             raise RefreshMethodError(
                 f"group differential refresh requires annotations on "
                 f"{table.name!r}"
             )
-        if shards < 1:
-            raise RefreshMethodError("shards must be at least 1")
         self.table = table
         self.use_page_summaries = use_page_summaries
         #: Serve eligible pages through the columnar batch path (see
         #: :func:`~repro.core.differential.run_refresh_scan`).
         self.batch_mode = batch_mode
-        #: RID-range shards per group pass (1 = monolithic; see
-        #: :func:`repro.core.shard.run_sharded_refresh_scan`).  The
-        #: chunked writer-concurrent path stays single-threaded.
-        self.shards = shards
-        self.shard_executor = shard_executor
 
     def refresh_group(
         self,
         cursors: "Sequence[RefreshCursor]",
         fixup: Optional[bool] = None,
+        plan: Optional[ScanPlan] = None,
     ) -> GroupRefreshResult:
         """One combined fix-up + refresh pass serving every cursor.
 
         Channel failures are isolated per cursor: the failed cursor is
         reported under ``errors`` (its epoch is the caller's to abort)
-        and the pass keeps serving the rest.  The caller is responsible
-        for holding the table-level lock.
+        and the pass keeps serving the rest.  ``plan`` makes the pass
+        writer-concurrent (see
+        :class:`~repro.core.differential.ScanPlan`).  The caller is
+        responsible for holding the table-level lock.
         """
         outcome = GroupRefreshResult()
         if not cursors:
             return outcome
-        if self.shards > 1:
-            from repro.core.shard import run_sharded_refresh_scan
-
-            outcome.pass_result = run_sharded_refresh_scan(
-                self.table,
-                list(cursors),
-                shards=self.shards,
-                fixup=fixup,
-                use_page_summaries=self.use_page_summaries,
-                isolate_failures=True,
-                batch_mode=self.batch_mode,
-                executor=self.shard_executor,
-            )
-        else:
-            outcome.pass_result = run_refresh_scan(
-                self.table,
-                list(cursors),
-                fixup=fixup,
-                use_page_summaries=self.use_page_summaries,
-                isolate_failures=True,
-                batch_mode=self.batch_mode,
-            )
-        return self._fold(outcome, cursors)
-
-    def refresh_group_chunked(
-        self,
-        cursors: "Sequence[RefreshCursor]",
-        fixup: Optional[bool] = None,
-        chunk_pages: int = 4,
-        on_chunk_boundary: "Optional[Callable[[int], None]]" = None,
-        acquire: "Optional[Callable[[], None]]" = None,
-        release: "Optional[Callable[[], None]]" = None,
-    ) -> GroupRefreshResult:
-        """A writer-concurrent shared-scan pass (chunked watermark scan).
-
-        Same cursor semantics as :meth:`refresh_group`, but the scan
-        runs in watermark-bracketed chunks with the table lock released
-        at chunk boundaries (see
-        :func:`~repro.core.differential.run_chunked_refresh_scan`).
-        Returns with the lock *held* via ``acquire`` so the caller can
-        commit each cursor's epoch before any further write lands.
-        """
-        outcome = GroupRefreshResult()
-        if not cursors:
-            return outcome
-        outcome.pass_result = run_chunked_refresh_scan(
+        outcome.pass_result = run_refresh_scan(
             self.table,
-            list(cursors),
+            cursors,
             fixup=fixup,
             use_page_summaries=self.use_page_summaries,
-            isolate_failures=True,
             batch_mode=self.batch_mode,
-            chunk_pages=chunk_pages,
-            on_chunk_boundary=on_chunk_boundary,
-            acquire=acquire,
-            release=release,
+            plan=plan,
         )
-        return self._fold(outcome, cursors)
-
-    def _fold(
-        self, outcome: GroupRefreshResult, cursors: "Sequence[RefreshCursor]"
-    ) -> GroupRefreshResult:
-        """Copy pass-level costs onto every cursor's own result."""
-        stats = outcome.pass_result
         snap_times = [cursor.snap_time for cursor in cursors]
-        outcome.snap_time_spread = (
-            max(snap_times) - min(snap_times) if snap_times else 0
-        )
+        outcome.snap_time_spread = max(snap_times) - min(snap_times)
         for index, cursor in enumerate(cursors):
             name = cursor.name if cursor.name is not None else str(index)
-            result = cursor.result
-            result.group_cursors = len(cursors)
-            # Pass-level costs, paid once however many cursors rode: a
-            # per-snapshot result reports the work of the pass that
-            # served it, exactly as a solo refresh result does.
-            result.rows_decoded = stats.rows_decoded
-            result.fixup_writes = stats.fixup_writes
-            result.deletions_detected = stats.deletions_detected
-            result.buffer_hits = stats.buffer_hits
-            result.buffer_misses = stats.buffer_misses
-            result.pages_batch_decoded = stats.pages_batch_decoded
-            result.batches_reused = stats.batches_reused
-            result.rows_materialized = stats.rows_materialized
-            result.chunks_scanned = stats.chunks_scanned
-            result.interleaved_writes = stats.interleaved_writes
-            result.pages_repaired = stats.pages_repaired
-            result.shards = stats.shards
-            result.shard_stats = stats.shard_stats
-            result.merge_wall = stats.merge_wall
-            result.shard_skew = stats.shard_skew
-            if cursor.failed:
+            if cursor.error is not None:
                 outcome.errors[name] = cursor.error
             else:
                 outcome.per_snapshot[name] = cursor.result

@@ -33,10 +33,11 @@ from repro.core.differential import (
     DifferentialRefresher,
     RefreshCursor,
     RefreshResult,
+    ScanPlan,
     ValueCache,
+    run_refresh_scan,
 )
 from repro.core.full import FullRefresher
-from repro.core.group import GroupRefresher
 from repro.core.ideal import IdealRefresher
 from repro.core.logbased import LogRefresher
 from repro.core.messages import RefreshBeginMessage, RefreshCommitMessage
@@ -199,6 +200,23 @@ class Snapshot:
         )
 
 
+class _Epoch:
+    """One snapshot's open refresh epoch: its number and a counting send."""
+
+    __slots__ = ("handle", "number", "sent")
+
+    def __init__(self, handle: Snapshot, number: int) -> None:
+        self.handle = handle
+        self.number = number
+        #: Stream messages sent so far; ``RefreshCommit`` carries the
+        #: total so the receiver detects a lossy link.
+        self.sent = 0
+
+    def send(self, message: Any) -> None:
+        self.handle.channel.send(message)
+        self.sent += 1
+
+
 class SnapshotManager:
     """Snapshot DDL and refresh execution for one base database."""
 
@@ -247,7 +265,6 @@ class SnapshotManager:
         frame_messages: int = 64,
         frame_bytes: Optional[int] = None,
         delta_updates: bool = False,
-        shards: int = 1,
     ) -> Snapshot:
         """Compile, materialize, and (by default) initially populate.
 
@@ -273,12 +290,6 @@ class SnapshotManager:
         sends per-column :class:`~repro.core.messages.UpdateDeltaMessage`
         deltas whenever the snapshot's value cache knows the previously
         transmitted row.
-        ``shards=N`` (differential method only) partitions each refresh
-        scan into N contiguous RID-range shards run by parallel workers
-        with a deterministic merge — the transmitted stream stays
-        byte-identical to the monolithic scan (see
-        :func:`repro.core.shard.run_sharded_refresh_scan`); per-shard
-        stats land on ``RefreshResult.shard_stats``.
         """
         from repro.core.snapshot import STORAGE_PREFIX
 
@@ -324,7 +335,6 @@ class SnapshotManager:
                 use_page_summaries=self.use_page_summaries,
                 delta_updates=delta_updates,
                 batch_mode=self.batch_mode,
-                shards=shards,
             )
         elif plan.method is RefreshMethod.FULL:
             refresher = FullRefresher(table)
@@ -339,11 +349,6 @@ class SnapshotManager:
             raise SnapshotError(
                 f"snapshot {name!r}: delta_updates requires the "
                 f"differential refresh method (got {plan.method.value})"
-            )
-        if shards > 1 and not isinstance(refresher, DifferentialRefresher):
-            raise SnapshotError(
-                f"snapshot {name!r}: shards requires the differential "
-                f"refresh method (got {plan.method.value})"
             )
 
         site = target_db if target_db is not None else self.db
@@ -413,13 +418,13 @@ class SnapshotManager:
         handle = self.snapshot(name)
         policy = retry if retry is not None else self.retry_policy
         if policy is None:
-            return self._execute(handle, handle.refresher)
+            return self._refresh_once(handle)
         attempts = 0
         waited = 0.0
         while True:
             attempts += 1
             try:
-                result = self._execute(handle, handle.refresher)
+                result = self._refresh_once(handle)
             except RETRYABLE_ERRORS as error:
                 if attempts >= policy.max_attempts:
                     raise RetryExhaustedError(
@@ -445,73 +450,71 @@ class SnapshotManager:
             result.retry_wait = waited
             return result
 
+    def _refresh_once(self, handle: Snapshot) -> RefreshResult:
+        """One attempt at the stored plan, by the method it names."""
+        if isinstance(handle.refresher, DifferentialRefresher):
+            return self._solo_pass(handle)
+        return self._execute(handle, handle.refresher)
+
     def _execute(self, handle: Snapshot, refresher: Any) -> RefreshResult:
+        """One epoch of a full, ideal, log or join refresh."""
         info = handle.info
         plan = info.plan
         owner = ("refresh", info.name)
         resource = ("table", info.base_table)
         with self.db.locks.locking(owner, resource, LockMode.X):
-            epoch = self.db.clock.tick()
-            sent = 0
-
-            def send(message: Any) -> None:
-                nonlocal sent
-                handle.channel.send(message)
-                sent += 1
-
             try:
-                handle.channel.send(RefreshBeginMessage(epoch))
+                epoch = self._begin_epoch(handle)
+                args = (
+                    info.snap_time,
+                    plan.restriction,
+                    plan.projection,
+                    epoch.send,
+                )
                 if isinstance(refresher, LogRefresher):
                     result = refresher.refresh(
-                        info.snap_time,
-                        plan.restriction,
-                        plan.projection,
-                        send,
-                        from_lsn=info.last_refresh_lsn,
-                    )
-                elif isinstance(refresher, DifferentialRefresher):
-                    result = refresher.refresh(
-                        info.snap_time,
-                        plan.restriction,
-                        plan.projection,
-                        send,
-                        cache=handle.page_cache,
-                        value_cache=(
-                            handle.value_cache
-                            if refresher.delta_updates
-                            else None
-                        ),
+                        *args, from_lsn=info.last_refresh_lsn
                     )
                 else:
-                    result = refresher.refresh(
-                        info.snap_time,
-                        plan.restriction,
-                        plan.projection,
-                        send,
-                    )
-                handle.channel.send(RefreshCommitMessage(epoch, sent))
-                handle.channel.flush()
+                    result = refresher.refresh(*args)
+                self._commit_epoch(epoch, result.new_snap_time)
             except Exception:
                 self._abort_attempt(handle)
                 raise
-            if info.snapshot_table.last_committed_epoch != epoch:
-                # The stream "arrived" without error but the commit never
-                # applied — a lossy link swallowed it.  Abort and report.
-                self._abort_attempt(handle)
-                raise EpochError(
-                    f"snapshot {info.name!r}: epoch {epoch} was never "
-                    f"committed at the receiver (stream lost in transit)"
-                )
-            # The receiver applied the epoch: the transmitted values we
-            # staged this attempt are now truly its contents.
-            if handle.value_cache.commit() and sanitize.enabled():
-                sanitize.check_value_cache(
-                    handle.value_cache, info.snapshot_table
-                )
-            info.last_refresh_lsn = self.db.wal.next_lsn
-        info.snap_time = result.new_snap_time
-        info.refresh_count += 1
         return result
+
+    # -- epochs ----------------------------------------------------------------
+
+    def _begin_epoch(self, handle: Snapshot) -> _Epoch:
+        """Open a receiver epoch; the caller already holds the table lock."""
+        epoch = _Epoch(handle, self.db.clock.tick())
+        handle.channel.send(RefreshBeginMessage(epoch.number))
+        return epoch
+
+    def _commit_epoch(self, epoch: _Epoch, new_snap_time: int) -> None:
+        """Send ``RefreshCommit`` and verify the receiver applied it.
+
+        Raises on any doubt; the caller rolls back with
+        :meth:`_abort_attempt`.
+        """
+        handle = epoch.handle
+        info = handle.info
+        handle.channel.send(RefreshCommitMessage(epoch.number, epoch.sent))
+        handle.channel.flush()
+        if info.snapshot_table.last_committed_epoch != epoch.number:
+            # The stream "arrived" without error but the commit never
+            # applied — a lossy link swallowed it.
+            raise EpochError(
+                f"snapshot {info.name!r}: epoch {epoch.number} was never "
+                f"committed at the receiver (stream lost in transit)"
+            )
+        # The receiver applied the epoch: the transmitted values we
+        # staged this attempt are now truly its contents.
+        if handle.value_cache.commit() and sanitize.enabled():
+            sanitize.check_value_cache(handle.value_cache, info.snapshot_table)
+        info.last_refresh_lsn = self.db.wal.next_lsn
+        info.snap_time = new_snap_time
+        info.refresh_count += 1
 
     def _abort_attempt(self, handle: Snapshot) -> None:
         """Roll back a failed refresh attempt on both sides of the link.
@@ -530,7 +533,139 @@ class SnapshotManager:
         handle.value_cache.abort()
         handle.info.snapshot_table.abort_epoch()
 
-    # -- writer-concurrent refresh -------------------------------------------
+    # -- the differential pass -------------------------------------------------
+
+    def _run_pass(
+        self,
+        handles: "list[Snapshot]",
+        chunk_pages: Optional[int] = None,
+        on_chunk_boundary: "Optional[Callable[[int], None]]" = None,
+    ) -> "tuple[dict[str, RefreshResult], dict[str, BaseException]]":
+        """One differential pass over snapshots of one base table.
+
+        Every differential refresh is this routine: take the table lock,
+        open one epoch per snapshot, build one cursor per epoch, run the
+        scan driver, then commit and verify each epoch under the same
+        hold.  Each snapshot keeps its own epoch, so a channel failure
+        anywhere between its RefreshBegin and its verified commit aborts
+        only that snapshot — the pass completes for the others and the
+        failure is returned in the error map.  ``chunk_pages`` makes the
+        pass writer-concurrent: the lock is released between chunks and
+        taken back before the commits.
+
+        The lock comes first in every mode, so a conflicting writer
+        costs nothing on the channel: no Begin to roll back, no write
+        observer to unhook.
+        """
+        base_table = handles[0].info.base_table
+        if len(handles) == 1:
+            owner: "tuple[str, str]" = ("refresh", handles[0].name)
+        else:
+            owner = ("refresh-group", base_table)
+        resource = ("table", base_table)
+        locks = self.db.locks
+        held = False
+
+        def acquire() -> None:
+            nonlocal held
+            if not held:
+                locks.acquire(owner, resource, LockMode.X)
+                held = True
+
+        def release() -> None:
+            nonlocal held
+            if held:
+                locks.release(owner, resource)
+                held = False
+
+        plan = None
+        if chunk_pages is not None:
+            plan = ScanPlan(chunk_pages, on_chunk_boundary, acquire, release)
+        results: "dict[str, RefreshResult]" = {}
+        errors: "dict[str, BaseException]" = {}
+        acquire()
+        try:
+            epochs: "list[_Epoch]" = []
+            cursors: "list[RefreshCursor]" = []
+            try:
+                for handle in handles:
+                    try:
+                        epoch = self._begin_epoch(handle)
+                    except ChannelError as error:
+                        self._abort_attempt(handle)
+                        errors[handle.name] = error
+                        continue
+                    refresher = handle.refresher
+                    epochs.append(epoch)
+                    cursors.append(
+                        RefreshCursor(
+                            handle.info.snap_time,
+                            handle.restriction,
+                            handle.projection,
+                            epoch.send,
+                            cache=(
+                                handle.page_cache
+                                if refresher.use_page_summaries
+                                else None
+                            ),
+                            optimize_deletes=refresher.optimize_deletes,
+                            suppress_pure_inserts=(
+                                refresher.suppress_pure_inserts
+                            ),
+                            name=handle.name,
+                            value_cache=(
+                                handle.value_cache
+                                if refresher.delta_updates
+                                else None
+                            ),
+                        )
+                    )
+                if cursors:
+                    run_refresh_scan(
+                        self.db.table(base_table),
+                        cursors,
+                        use_page_summaries=any(
+                            cursor.cache is not None for cursor in cursors
+                        ),
+                        batch_mode=self.batch_mode,
+                        plan=plan,
+                    )
+            except Exception:
+                for handle in handles:
+                    self._abort_attempt(handle)
+                raise
+            # The scan returns with the lock held: each commit goes out
+            # before any further write can land, so an epoch's contents
+            # are exactly its (repaired) stream.
+            for epoch, cursor in zip(epochs, cursors):
+                error = cursor.error
+                if error is None:
+                    try:
+                        self._commit_epoch(epoch, cursor.result.new_snap_time)
+                    except ChannelError as commit_error:
+                        error = commit_error
+                if error is None:
+                    results[epoch.handle.name] = cursor.result
+                else:
+                    self._abort_attempt(epoch.handle)
+                    errors[epoch.handle.name] = error
+        finally:
+            release()
+        return results, errors
+
+    def _solo_pass(
+        self,
+        handle: Snapshot,
+        chunk_pages: Optional[int] = None,
+        on_chunk_boundary: "Optional[Callable[[int], None]]" = None,
+    ) -> RefreshResult:
+        """A pass of one: the snapshot's error is raised, not returned."""
+        results, errors = self._run_pass(
+            [handle], chunk_pages, on_chunk_boundary
+        )
+        for error in errors.values():
+            raise error
+        return results[handle.name]
 
     def refresh_online(
         self,
@@ -548,81 +683,15 @@ class SnapshotManager:
         watermark and merged into the differential stream before the
         epoch commits, so the committed snapshot equals what a quiescent
         refresh of the final base table would have produced (see
-        :func:`~repro.core.differential.run_chunked_refresh_scan`).
+        :func:`~repro.core.differential.run_refresh_scan`).
         """
         handle = self.snapshot(name)
-        info = handle.info
-        refresher = handle.refresher
-        if not isinstance(refresher, DifferentialRefresher):
+        if not isinstance(handle.refresher, DifferentialRefresher):
             raise SnapshotError(
-                f"snapshot {name!r} uses {info.plan.method.value!r} refresh; "
+                f"snapshot {name!r} uses {handle.method.value!r} refresh; "
                 f"online (chunked) refresh requires the differential method"
             )
-        owner = ("refresh", info.name)
-        resource = ("table", info.base_table)
-        locks = self.db.locks
-        held = [False]
-
-        def acquire() -> None:
-            if not held[0]:
-                locks.acquire(owner, resource, LockMode.X)
-                held[0] = True
-
-        def release() -> None:
-            if held[0]:
-                locks.release(owner, resource)
-                held[0] = False
-
-        epoch = self.db.clock.tick()
-        sent = 0
-
-        def send(message: Any) -> None:
-            nonlocal sent
-            handle.channel.send(message)
-            sent += 1
-
-        plan = info.plan
-        try:
-            try:
-                handle.channel.send(RefreshBeginMessage(epoch))
-                result = refresher.refresh_chunked(
-                    info.snap_time,
-                    plan.restriction,
-                    plan.projection,
-                    send,
-                    cache=handle.page_cache,
-                    value_cache=(
-                        handle.value_cache if refresher.delta_updates else None
-                    ),
-                    chunk_pages=chunk_pages,
-                    on_chunk_boundary=on_chunk_boundary,
-                    acquire=acquire,
-                    release=release,
-                )
-                # The scan returns with the lock held: the commit goes
-                # out before any further write can land, so the epoch's
-                # contents are exactly the repaired stream.
-                handle.channel.send(RefreshCommitMessage(epoch, sent))
-                handle.channel.flush()
-            except Exception:
-                self._abort_attempt(handle)
-                raise
-            if info.snapshot_table.last_committed_epoch != epoch:
-                self._abort_attempt(handle)
-                raise EpochError(
-                    f"snapshot {info.name!r}: epoch {epoch} was never "
-                    f"committed at the receiver (stream lost in transit)"
-                )
-            if handle.value_cache.commit() and sanitize.enabled():
-                sanitize.check_value_cache(
-                    handle.value_cache, info.snapshot_table
-                )
-            info.last_refresh_lsn = self.db.wal.next_lsn
-        finally:
-            release()
-        info.snap_time = result.new_snap_time
-        info.refresh_count += 1
-        return result
+        return self._solo_pass(handle, chunk_pages, on_chunk_boundary)
 
     # -- anti-entropy --------------------------------------------------------
 
@@ -702,115 +771,6 @@ class SnapshotManager:
 
     # -- group refresh -----------------------------------------------------------
 
-    def _execute_group(
-        self, base_table: str, handles: "list[Snapshot]"
-    ) -> "tuple[dict[str, RefreshResult], dict[str, BaseException]]":
-        """One shared-scan pass over every handle, under one table lock.
-
-        Each snapshot keeps its own epoch: RefreshBegin is sent per
-        channel before the pass, RefreshCommit per channel after it, and
-        a channel failure anywhere in between aborts only that
-        snapshot's epoch — the pass completes for the others, exactly as
-        a solo failure leaves unrelated snapshots untouched.
-        """
-        table = self.db.table(base_table)
-        results: "dict[str, RefreshResult]" = {}
-        errors: "dict[str, BaseException]" = {}
-        owner = ("refresh-group", base_table)
-        resource = ("table", base_table)
-        with self.db.locks.locking(owner, resource, LockMode.X):
-            cursors: "list[RefreshCursor]" = []
-            states: "dict[str, tuple[Snapshot, int, list]]" = {}
-            for handle in handles:
-                epoch = self.db.clock.tick()
-                try:
-                    handle.channel.send(RefreshBeginMessage(epoch))
-                except ChannelError as error:
-                    self._abort_attempt(handle)
-                    errors[handle.name] = error
-                    continue
-                sent = [0]
-
-                def send(
-                    message: Any, channel: Any = handle.channel, sent: list = sent
-                ) -> None:
-                    channel.send(message)
-                    sent[0] += 1
-
-                refresher = handle.refresher
-                cursors.append(
-                    RefreshCursor(
-                        handle.info.snap_time,
-                        handle.restriction,
-                        handle.projection,
-                        send,
-                        cache=(
-                            handle.page_cache
-                            if refresher.use_page_summaries
-                            else None
-                        ),
-                        optimize_deletes=refresher.optimize_deletes,
-                        suppress_pure_inserts=refresher.suppress_pure_inserts,
-                        name=handle.name,
-                        value_cache=(
-                            handle.value_cache
-                            if refresher.delta_updates
-                            else None
-                        ),
-                    )
-                )
-                states[handle.name] = (handle, epoch, sent)
-
-            group = GroupRefresher(
-                table,
-                use_page_summaries=any(
-                    cursor.cache is not None for cursor in cursors
-                ),
-                batch_mode=self.batch_mode,
-                # The widest member sets the pass's shard count: shards
-                # only partition the page loop, so serving a shards=1
-                # snapshot from a sharded pass changes none of its bytes.
-                shards=max(
-                    (
-                        getattr(handle.refresher, "shards", 1)
-                        for handle, _epoch, _sent in states.values()
-                    ),
-                    default=1,
-                ),
-            )
-            group.refresh_group(cursors)
-
-            for cursor in cursors:
-                handle, epoch, sent = states[cursor.name]
-                info = handle.info
-                if cursor.failed:
-                    self._abort_attempt(handle)
-                    errors[handle.name] = cursor.error
-                    continue
-                try:
-                    handle.channel.send(RefreshCommitMessage(epoch, sent[0]))
-                    handle.channel.flush()
-                except ChannelError as error:
-                    self._abort_attempt(handle)
-                    errors[handle.name] = error
-                    continue
-                if info.snapshot_table.last_committed_epoch != epoch:
-                    self._abort_attempt(handle)
-                    errors[handle.name] = EpochError(
-                        f"snapshot {info.name!r}: epoch {epoch} was never "
-                        f"committed at the receiver (stream lost in transit)"
-                    )
-                    continue
-                if handle.value_cache.commit() and sanitize.enabled():
-                    sanitize.check_value_cache(
-                        handle.value_cache, info.snapshot_table
-                    )
-                info.last_refresh_lsn = self.db.wal.next_lsn
-                info.snap_time = cursor.result.new_snap_time
-                info.refresh_count += 1
-                results[handle.name] = cursor.result
-        return results, errors
-
     def refresh_many(
         self,
         names: "Sequence[str]",
@@ -857,7 +817,7 @@ class SnapshotManager:
                 failed[name] = retry_error
 
         for base, handles in by_base.items():
-            results, errors = self._execute_group(base, handles)
+            results, errors = self._run_pass(handles)
             done.update(results)
             for name, error in errors.items():
                 retry_solo(name, error)

@@ -27,9 +27,8 @@ the reclaimed refresh is the first and only one the receiver applies.
 Completion is fenced: a zombie worker completing after its lease expired
 is rejected, so counters never double-count a reclaimed cohort.
 
-This module is deliberately manager- and scheduler-blind (replint L404,
-mirroring the shard-worker rule L403): it hands out names and takes back
-outcomes, so no orchestration state can leak into a claim.
+This module is deliberately manager- and scheduler-blind (replint
+L404): it hands out names and takes back outcomes, so no orchestration state can leak into a claim.
 """
 
 from __future__ import annotations

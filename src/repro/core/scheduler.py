@@ -137,13 +137,6 @@ class RefreshScheduler:
         self.coalesced_refreshes = 0
         #: Group-pass casualties immediately re-armed solo (and healed).
         self.rearmed_solo = 0
-        #: Scheduled refreshes served by a sharded scan (shards >= 2).
-        self.sharded_passes = 0
-        #: Sum and max of those passes' shard skew (max/mean per-shard
-        #: entries; see :attr:`RefreshResult.shard_skew`) — the running
-        #: evidence for whether the shard plan keeps workers balanced.
-        self.shard_skew_total = 0.0
-        self.shard_skew_max = 0.0
         self._listener = self._on_commit
         manager.db.txns.on_commit(self._listener)
 
@@ -223,21 +216,6 @@ class RefreshScheduler:
             self._record_failure(member, group_error or error)
             return None
 
-    def _note_sharding(self, result: RefreshResult) -> None:
-        """Fold one refresh result's shard telemetry into scheduler stats."""
-        if result.shards < 2:
-            return
-        self.sharded_passes += 1
-        self.shard_skew_total += result.shard_skew
-        self.shard_skew_max = max(self.shard_skew_max, result.shard_skew)
-
-    @property
-    def average_shard_skew(self) -> float:
-        """Mean shard skew over the sharded scheduled refreshes."""
-        if self.sharded_passes == 0:
-            return 0.0
-        return self.shard_skew_total / self.sharded_passes
-
     def _record_failure(
         self, entry: ScheduleEntry, error: "BaseException | None"
     ) -> None:
@@ -258,7 +236,6 @@ class RefreshScheduler:
             self.registry.mark_refreshed(
                 entry.snapshot.name, shipped=result.entries_sent
             )
-            self._note_sharding(result)
             return
         # Due refreshes within the batch window ride the same pass.
         results = self.manager.refresh_many(
@@ -285,7 +262,6 @@ class RefreshScheduler:
             self.registry.mark_refreshed(
                 member.snapshot.name, shipped=result.entries_sent
             )
-            self._note_sharding(result)
             if member is not entry:
                 self.coalesced_refreshes += 1
 

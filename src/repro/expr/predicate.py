@@ -34,7 +34,7 @@ class Restriction:
     #: Compiled-restriction memo: (text, schema) -> Restriction.
     _parse_cache: "dict[tuple[str, Schema], Restriction]" = {}
     _parse_cache_limit = 512
-    #: Guards the memo and its hit counter: shard workers parse
+    #: Guards the memo and its hit counter: drain workers parse
     #: concurrently, and an unguarded clear-then-insert could lose
     #: entries or tear the hit count.
     _parse_lock = threading.Lock()

@@ -37,12 +37,6 @@ sections behind them):
 **L4 — concurrency discipline**
     ``L401``  Locks acquired against the global table-before-row order.
     ``L402``  Lock resource uses an unknown hierarchy level.
-    ``L403``  Shard-worker code (``core/shard.py``) references manager
-              or scheduler state.  Workers may communicate only through
-              their returned per-shard streams: a worker that reaches
-              into :class:`SnapshotManager` or the scheduler races the
-              very epoch state the deterministic merge exists to
-              serialize.
     ``L404``  Registry/cohort code (``core/registry.py``,
               ``core/cohort.py``) references manager or scheduler
               internals.  The registry is a pure scheduling data
@@ -70,9 +64,9 @@ sections behind them):
               while another is held, across function boundaries,
               including the release-between-chunks reacquisitions of
               the chunked scan — contains a cycle.
-    ``L603``  A worker-local object (shard cursors, per-worker scan
-              state) is stored into a shared field on a thread path
-              before the sequential merge.
+    ``L603``  A worker-local object (a drain worker's refresh cursors,
+              its scan state) is stored into a shared field on a thread
+              path.
 """
 
 from __future__ import annotations
@@ -84,14 +78,11 @@ from repro.lint.engine import SourceFile, Violation
 from repro.lint.concurrency.reports import ConcurrencyChecker
 
 #: Modules allowed to write the hidden annotation fields: the lazy/eager
-#: write hooks (table.py), the Figure-7 fix-up passes, and the sharded
-#: merge (which performs the at-most-two boundary fix-up writes each
-#: shard worker defers).
+#: write hooks (table.py) and the Figure-7 fix-up passes.
 ANNOTATION_WRITERS = {
     "table.py",
     "core/fixup.py",
     "core/differential.py",
-    "core/shard.py",
 }
 
 #: The only module that may mutate PageSummary change state directly.
@@ -137,22 +128,6 @@ DATETIME_NOW_CALLS = {"now", "utcnow", "today"}
 #: levels within one function body.
 LOCK_LEVELS = {"table": 0, "row": 1}
 
-#: Modules that run inside shard workers: they may not reach into the
-#: manager/scheduler layer (L403) — workers communicate only through
-#: the per-shard streams they return to the merge.
-SHARD_ISOLATED_MODULES = {"core/shard.py"}
-
-#: The manager/scheduler modules shard workers must not import.
-SHARD_FORBIDDEN_IMPORTS = {"repro.core.manager", "repro.core.scheduler"}
-
-#: Manager/scheduler names shard workers must not reference.
-SHARD_FORBIDDEN_NAMES = {
-    "SnapshotManager",
-    "RefreshScheduler",
-    "ScheduleEntry",
-    "Snapshot",
-}
-
 #: The registry layer (L404): pure scheduling state shared by drain
 #: workers — it must not reach back into the orchestration layer above.
 REGISTRY_ISOLATED_MODULES = {"core/registry.py", "core/cohort.py"}
@@ -183,7 +158,6 @@ RULES = {
     "L305": "per-field codec call inside a designated batch-path module",
     "L401": "lock acquired against the global table-before-row order",
     "L402": "lock resource with an unknown hierarchy level",
-    "L403": "shard-worker module references manager/scheduler state",
     "L404": "registry/cohort module references manager/scheduler internals",
     "L501": "bare assert in library code (stripped under python -O)",
     "L502": "replint suppression whose rule no longer fires on that line",
@@ -662,98 +636,7 @@ def _walk_shallow(func: ast.AST) -> "Iterator[ast.AST]":
         stack.extend(reversed(children))
 
 
-class LayerIsolationChecker(Checker):
-    """Base: a set of modules may not reference a layer above them.
-
-    Both isolation rules have the same shape — a module whose
-    correctness argument depends on having **no side channel** to the
-    orchestration layer, enforced as "no import of, and no name from,
-    these modules".  Subclasses fill in the rule ID, the guarded module
-    set, the forbidden imports/names, and the one-line rationale used
-    in messages.
-    """
-
-    rule = ""
-    isolated_modules: "Set[str]" = set()
-    forbidden_imports: "Set[str]" = set()
-    forbidden_names: "Set[str]" = set()
-    role = ""  # e.g. "shard-worker"
-    rationale = ""  # appended to every message
-
-    def check(self, source: SourceFile) -> "Iterator[Violation]":
-        if source.logical not in self.isolated_modules:
-            return
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in self.forbidden_imports:
-                        yield Violation(
-                            self.rule,
-                            source.path,
-                            node.lineno,
-                            node.col_offset,
-                            f"{self.role} module imports {alias.name}; "
-                            f"{self.rationale}",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module in self.forbidden_imports:
-                    yield Violation(
-                        self.rule,
-                        source.path,
-                        node.lineno,
-                        node.col_offset,
-                        f"{self.role} module imports from {node.module}; "
-                        f"{self.rationale}",
-                    )
-            elif isinstance(node, ast.Name):
-                if node.id in self.forbidden_names:
-                    yield Violation(
-                        self.rule,
-                        source.path,
-                        node.lineno,
-                        node.col_offset,
-                        f"{self.role} module references {node.id}; "
-                        f"{self.rationale}",
-                    )
-            elif isinstance(node, ast.Attribute):
-                if node.attr in self.forbidden_names:
-                    yield Violation(
-                        self.rule,
-                        source.path,
-                        node.lineno,
-                        node.col_offset,
-                        f"{self.role} module references .{node.attr}; "
-                        f"{self.rationale}",
-                    )
-
-
-class ShardIsolationChecker(LayerIsolationChecker):
-    """L403: shard-worker modules stay isolated from the manager layer.
-
-    The sharded refresh's correctness argument leans on one structural
-    fact: workers have **no side channel**.  Everything a worker learns
-    or decides travels in its returned per-shard outcome, and only the
-    single-threaded merge touches epoch state (channels, value caches,
-    the snapshot registry, scheduler bookkeeping).  An import of the
-    manager or scheduler — or any reference to their classes — inside
-    ``core/shard.py`` would let a worker mutate shared epoch state from
-    a pool thread, which no byte-identity test reliably catches (it
-    races).  So the boundary is enforced statically.
-    """
-
-    rules = ("L403",)
-    rule = "L403"
-    isolated_modules = SHARD_ISOLATED_MODULES
-    forbidden_imports = SHARD_FORBIDDEN_IMPORTS
-    forbidden_names = SHARD_FORBIDDEN_NAMES
-    role = "shard-worker"
-    rationale = (
-        "workers communicate only via returned per-shard streams; "
-        "manager and scheduler state is off-limits"
-    )
-
-
-class RegistryIsolationChecker(LayerIsolationChecker):
+class RegistryIsolationChecker(Checker):
     """L404: registry/cohort modules stay below the orchestration layer.
 
     The registry is a pure scheduling data structure shared by N drain
@@ -764,21 +647,46 @@ class RegistryIsolationChecker(LayerIsolationChecker):
     ``complete`` provably has no side effects anywhere.  If registry or
     cohort code called into the manager or scheduler it could fire a
     refresh while holding the registry lock (deadlock with the commit
-    hook) or double-apply an outcome the fence just rejected.  Mirror
-    of L403, enforced statically for the same reason: the failure it
-    prevents is a race no test reliably reproduces.
+    hook) or double-apply an outcome the fence just rejected.  Enforced
+    statically — "no import of, and no name from, these modules" —
+    because the failure it prevents is a race no test reliably
+    reproduces.
     """
 
     rules = ("L404",)
-    rule = "L404"
-    isolated_modules = REGISTRY_ISOLATED_MODULES
-    forbidden_imports = REGISTRY_FORBIDDEN_IMPORTS
-    forbidden_names = REGISTRY_FORBIDDEN_NAMES
-    role = "registry"
     rationale = (
         "the registry hands out names and takes back outcomes; "
         "manager and scheduler internals are off-limits"
     )
+
+    def check(self, source: SourceFile) -> "Iterator[Violation]":
+        if source.logical not in REGISTRY_ISOLATED_MODULES:
+            return
+        for node in ast.walk(source.tree):
+            found: "List[str]" = []
+            if isinstance(node, ast.Import):
+                found = [
+                    f"imports {alias.name}"
+                    for alias in node.names
+                    if alias.name in REGISTRY_FORBIDDEN_IMPORTS
+                ]
+            elif isinstance(node, ast.ImportFrom):
+                if node.module in REGISTRY_FORBIDDEN_IMPORTS:
+                    found = [f"imports from {node.module}"]
+            elif isinstance(node, ast.Name):
+                if node.id in REGISTRY_FORBIDDEN_NAMES:
+                    found = [f"references {node.id}"]
+            elif isinstance(node, ast.Attribute):
+                if node.attr in REGISTRY_FORBIDDEN_NAMES:
+                    found = [f"references .{node.attr}"]
+            for what in found:
+                yield Violation(
+                    "L404",
+                    source.path,
+                    node.lineno,
+                    node.col_offset,
+                    f"registry module {what}; {self.rationale}",
+                )
 
 
 class BareAssertChecker(Checker):
@@ -805,7 +713,6 @@ ALL_CHECKERS: "List[Checker]" = [
     CodecParityChecker(),
     BatchPathChecker(),
     LockOrderChecker(),
-    ShardIsolationChecker(),
     RegistryIsolationChecker(),
     BareAssertChecker(),
     ConcurrencyChecker(),

@@ -27,7 +27,7 @@ Locks are named abstract resources:
   starts with a known level name (``"table"``/``"row"``), exactly the
   shape rule L401 checks per-site.
 - **Chunk hooks**: a call to a *bare, unresolvable* ``acquire()`` /
-  ``release()`` (the ``run_chunked_refresh_scan`` callback parameters)
+  ``release()`` (the :class:`~repro.core.differential.ScanPlan` lock hooks)
   reacquires / releases the ``table`` lock — this is what creates the
   release-between-chunks edges in the L602 acquisition graph.
 """
@@ -147,26 +147,22 @@ GUARDED_FIELDS: "Dict[str, Dict[str, str]]" = {
 #: worker-local state stored into an attribute of one of these.
 SHARED_CLASSES: "FrozenSet[str]" = frozenset(GUARDED_FIELDS)
 
-#: Classes whose instances are private to one shard/drain worker until
-#: the sequential merge.  Storing one of these into a shared class (or
-#: a module global) from root-reachable code is a thread escape (L603).
+#: Classes whose instances are private to the drain worker running one
+#: refresh pass.  Storing one of these into a shared class (or a module
+#: global) from root-reachable code is a thread escape (L603).
 WORKER_LOCAL_CLASSES: "FrozenSet[str]" = frozenset(
-    {"_ShardCursor", "_ShardOutcome", "WatermarkBracket"}
+    {"RefreshCursor", "_ScanPass", "WatermarkBracket"}
 )
 
 #: Thread-entry roots the call-site inference cannot see, declared as
-#: ``(logical module path, function qualname)``.  ``_scan_shard`` is
-#: submitted through the ``ShardExecutor.run`` seam (the task closures
-#: are built by a factory, so no ``submit(<name>)`` site exists), and
-#: the scheduler hook is registered through a ``self._listener``
-#: indirection.
+#: ``(logical module path, function qualname)``: the scheduler hook is
+#: registered through a ``self._listener`` indirection.
 DECLARED_THREAD_ROOTS: "Set[Tuple[str, str]]" = {
-    ("core/shard.py", "_scan_shard"),
     ("core/scheduler.py", "RefreshScheduler._on_commit"),
 }
 
 #: Bare zero-argument calls that manage the base-table lock through
-#: the chunked-scan callback seam: a call to an *unresolved* name below
+#: the scan-plan hook seam: a call to an *unresolved* name below
 #: acquires/releases the named database lock.
 CHUNK_HOOKS: "Dict[str, Tuple[str, str]]" = {
     "acquire": ("acquire", "table"),

@@ -96,8 +96,8 @@ class BufferPool:
         # lookup with a newer page version is a miss and the caller's
         # store replaces the stale batch.
         self._batches: "OrderedDict[int, object]" = OrderedDict()
-        # Guards both LRUs and the stats counters: sharded refresh
-        # workers pin/lookup concurrently, and OrderedDict move_to_end /
+        # Guards both LRUs and the stats counters: drain workers
+        # refreshing different tables pin/lookup concurrently, and OrderedDict move_to_end /
         # eviction are not atomic.  The lock is leaf-level — it is never
         # held while calling out to table or row locks, so it slots
         # below the L401/L402 lock-order discipline rather than into it.

@@ -93,8 +93,8 @@ class HeapFile:
         # observer's sequence numbers).
         self._write_observers: "list[Callable[[str, Rid], None]]" = []
         # Guards the write counters, record count, and observer
-        # notification order: sharded refresh workers repair annotations
-        # on disjoint pages concurrently, and the read-modify-write
+        # notification order: drain workers' fix-up writes can run
+        # beside a writer thread, and the read-modify-write
         # counter bumps (and observer sequence numbering) must stay
         # exact.  Leaf lock — never held across a pin or a table lock.
         self._write_mutex = threading.Lock()
@@ -266,8 +266,7 @@ class HeapFile:
         try:
             page.update(rid.slot_no, record)
             # Benign race: the free-space hint is advisory — a torn or
-            # lost update only costs a later writer one extra pin probe,
-            # and shard fix-up writers touch disjoint pages anyway.
+            # lost update only costs a later writer one extra pin probe.
             self._free_hint[rid.page_no] = (  # replint: ignore[L601]
                 page.contiguous_free() + page.reclaimable()
             )

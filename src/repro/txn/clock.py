@@ -123,10 +123,9 @@ def wall_timer() -> "Callable[[], float]":
 
     Core modules are barred from reading wall time directly (replint
     L201 keeps scans deterministic); code that genuinely needs to
-    *measure* durations — the sharded refresh's per-worker wall-clock
-    stats, benchmarks — takes an optional ``timer`` callable instead
-    and callers obtain one here, from the clock module the determinism
-    rule already exempts.
+    *measure* durations — phase timers, benchmarks — takes an optional
+    ``timer`` callable instead and callers obtain one here, from the
+    clock module the determinism rule already exempts.
     """
     return time.perf_counter
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.e2e import adapter as e2e_adapter
 from repro.catalog.compiler import RefreshMethod
 from repro.core.manager import SnapshotManager
 from repro.database import Database
@@ -108,6 +109,42 @@ class TestRefresh:
         txn.commit()
         snap.refresh()  # succeeds once the lock is gone
 
+    def test_blocked_online_refresh_leaks_no_write_observer(self, env):
+        """The write observer is subscribed only once the lock is held."""
+        db, table, manager = env
+        snap = manager.create_snapshot("s", "emp", method="differential")
+        txn = db.txns.begin()
+        table.insert(["held", 1], txn=txn)  # holds IX on the table
+        for _ in range(3):
+            with pytest.raises(LockTimeoutError):
+                manager.refresh_online("s", chunk_pages=1)
+        assert table.heap._write_observers == []
+        txn.commit()
+        manager.refresh_online("s", chunk_pages=1)
+        assert table.heap._write_observers == []
+        assert snap.as_map() == {
+            rid: row.values for rid, row in table.scan(visible=True)
+        }
+
+    def test_blocked_online_refresh_leaves_channel_untouched(self, env):
+        """Lock first in every mode: a conflict costs no Begin + abort."""
+        db, table, manager = env
+        snap = manager.create_snapshot("s", "emp", method="differential")
+        txn = db.txns.begin()
+        table.insert(["held", 1], txn=txn)
+        traffic = snap.channel.stats.snapshot()
+        aborted = snap.table.aborted_epochs
+        with pytest.raises(LockTimeoutError):
+            manager.refresh_online("s", chunk_pages=1)
+        assert snap.channel.stats.snapshot() == traffic
+        assert snap.table.aborted_epochs == aborted
+        assert not snap.table.epoch_open
+        txn.commit()
+        manager.refresh_online("s", chunk_pages=1)
+        assert snap.as_map() == {
+            rid: row.values for rid, row in table.scan(visible=True)
+        }
+
     def test_lock_released_after_refresh(self, env):
         db, table, manager = env
         snap = manager.create_snapshot("s", "emp", method="differential")
@@ -200,3 +237,43 @@ class TestDrop:
         _, _, manager = env
         with pytest.raises(SnapshotError):
             manager.drop_snapshot("ghost")
+
+
+class TestResultContract:
+    """What ``benchmarks/e2e/adapter.py`` reads off a ``RefreshResult``."""
+
+    def test_every_entry_point_exposes_the_folded_attributes(self, env):
+        db, table, manager = env
+        table.bulk_load([[f"x{i}", i % 20] for i in range(400)])  # > 1 page
+        for name in ("a", "b", "c"):
+            manager.create_snapshot(
+                name, "emp", where="salary < 10", method="differential"
+            )
+        rids = list(table.heap.scan_rids())
+        table.update(rids[3], {"salary": 2})
+        shared = manager.refresh_all("emp")
+        assert not shared.errors and len(shared) == 3
+        table.update(rids[4], {"salary": 3})
+        solo = manager.refresh("a")
+        table.update(rids[5], {"salary": 4})
+        online = manager.refresh_online("a", chunk_pages=1)
+
+        folded = (
+            e2e_adapter._CURSOR_FIELDS
+            + e2e_adapter._PASS_FIELDS
+            + ("group_cursors",)
+        )
+        for result in [solo, online, *shared.values()]:
+            for field in folded:
+                assert isinstance(getattr(result, field), int), field
+        assert solo.group_cursors == online.group_cursors == 1
+        assert online.chunks_scanned > 1 and solo.chunks_scanned == 0
+        # Pass-level costs were paid once: every member of the shared
+        # pass reports the same value, so a reader takes them once.
+        members = list(shared.values())
+        for field in e2e_adapter._PASS_FIELDS + ("group_cursors",):
+            assert {getattr(m, field) for m in members} == {
+                getattr(members[0], field)
+            }, field
+        assert members[0].group_cursors == 3
+        assert members[0].rows_decoded > 0

@@ -1,18 +1,18 @@
-"""Seeded L603: a worker-local cursor escapes to the shared registry.
+"""Seeded L603: a drain worker's cursor escapes to the shared registry.
 
 Publication happens *under the registry lock*, so no L601 fires — the
 escape is the defect: another root can observe the worker's private
-cursor before the sequential merge.  ``merge`` builds the same cursor
-on a main-only path and is clean.
+cursor while its pass is still running.  ``solo`` builds the same
+cursor on a main-only path and is clean.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 
-class _ShardCursor:
-    def __init__(self, shard_no: int) -> None:
-        self.shard_no = shard_no
+class RefreshCursor:
+    def __init__(self, claim_no: int) -> None:
+        self.claim_no = claim_no
         self.rows = []
 
 
@@ -22,19 +22,19 @@ class SnapshotRegistry:
         self._claims = {}
 
 
-def scan_worker(registry: SnapshotRegistry, shard_no: int) -> list:
-    cursor = _ShardCursor(shard_no)
+def drain_worker(registry: SnapshotRegistry, claim_no: int) -> list:
+    cursor = RefreshCursor(claim_no)
     with registry._lock:
-        registry._claims[shard_no] = cursor  # line 28: L603
+        registry._claims[claim_no] = cursor  # line 28: L603
     return cursor.rows
 
 
-def merge(registry: SnapshotRegistry, shard_no: int) -> "_ShardCursor":
-    cursor = _ShardCursor(shard_no)
+def solo(registry: SnapshotRegistry, claim_no: int) -> "RefreshCursor":
+    cursor = RefreshCursor(claim_no)
     return cursor
 
 
 def run(registry: SnapshotRegistry) -> None:
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(scan_worker, registry, 0)
-    merge(registry, 1)
+        pool.submit(drain_worker, registry, 0)
+    solo(registry, 1)

@@ -63,7 +63,7 @@ class TestThreadEscape:
         # The store happens under the registry lock (no L601) — the
         # escape of worker-local state is the defect.
         assert fired(violations) == [("L603", 28)]
-        assert "_ShardCursor" in violations[0].message
+        assert "RefreshCursor" in violations[0].message
 
 
 class TestStaleSuppressions:

@@ -113,26 +113,6 @@ class TestLockOrder:
         assert fired(violations) == [("L401", 6), ("L402", 10)]
 
 
-class TestShardIsolation:
-    def test_manager_references_fire_in_shard_module(self):
-        violations = lint_sources(
-            [fixture("shardiso.py", "core/shard.py")]
-        )
-        assert fired(violations) == [
-            ("L403", 2),
-            ("L403", 3),
-            ("L403", 7),
-            ("L403", 8),
-            ("L403", 9),
-        ]
-
-    def test_other_modules_are_exempt(self):
-        violations = lint_sources(
-            [fixture("shardiso.py", "core/manager.py")]
-        )
-        assert [v.rule for v in violations] == []
-
-
 class TestRegistryIsolation:
     def test_manager_references_fire_in_registry_modules(self):
         for logical in ("core/registry.py", "core/cohort.py"):
@@ -169,7 +149,7 @@ class TestEngine:
             "L101", "L102", "L103",
             "L201", "L202", "L203",
             "L301", "L302", "L303", "L304", "L305",
-            "L401", "L402", "L403", "L404",
+            "L401", "L402", "L404",
             "L501", "L502",
             "L601", "L602", "L603",
         }

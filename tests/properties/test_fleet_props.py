@@ -6,9 +6,9 @@ shared-scan pass.  The invariant that makes claim-based scheduling safe:
 for ANY base-table history, every member of a claimed cohort receives a
 stream **byte-identical** to a solo
 :class:`~repro.core.differential.DifferentialRefresher` run at the same
-``SnapTime`` — across page summaries on/off, the columnar batch path,
-and sharded passes.  Clustering and claiming decide only *which* members
-ride *together*; never what any of them is sent.
+``SnapTime`` — across page summaries on/off and the columnar batch
+path.  Clustering and claiming decide only *which* members ride
+*together*; never what any of them is sent.
 
 Same twin-world shape as ``test_group_props``: replay one deterministic
 history twice, end world A with a registry claim + cohort pass and each
@@ -100,7 +100,7 @@ class _FleetWorld:
             elif op == "refresh":
                 self.solo_refresh(index % fleet_size)
 
-    def cohort_refresh(self, claim, batch: bool, shards: int):
+    def cohort_refresh(self, claim, batch: bool):
         members = [int(name) for name in claim.cohort.members]
         streams: "dict[int, list[object]]" = {i: [] for i in members}
         cursors = []
@@ -124,7 +124,6 @@ class _FleetWorld:
             self.table,
             use_page_summaries=self.summaries,
             batch_mode=batch,
-            shards=shards,
         ).refresh_group(cursors)
         assert not outcome.errors
         for i in members:
@@ -147,7 +146,7 @@ class _FleetWorld:
         }
 
 
-def run_cohorts(script, summaries: bool, batch: bool, shards: int, fleet_size: int):
+def run_cohorts(script, summaries: bool, batch: bool, fleet_size: int):
     # World A: history, then claim ONE cohort from the registry and ride
     # it on one shared pass.  (Only the first claim is byte-compared:
     # its pass happens at the same clock position as world B's solo
@@ -160,18 +159,18 @@ def run_cohorts(script, summaries: bool, batch: bool, shards: int, fleet_size: i
     # Cohort invariants: one base table, members claimed exactly once.
     assert claim.cohort.key.base_table == "t"
     assert len(set(claim.cohort.members)) == len(claim.cohort.members)
-    cohort_streams, _ = world.cohort_refresh(claim, batch, shards)
+    cohort_streams, _ = world.cohort_refresh(claim, batch)
 
     for i in sorted(cohort_streams):
         # World B_i: identical history, then member i refreshed solo by
-        # a plain unsharded, unbatched DifferentialRefresher.
+        # a plain unbatched DifferentialRefresher.
         solo = _FleetWorld(summaries, fleet_size)
         solo.replay(script, fleet_size)
         solo_stream = solo.solo_refresh(i)
 
         assert [repr(m) for m in cohort_streams[i]] == [
             repr(m) for m in solo_stream
-        ], f"member {i} diverged (summaries={summaries}, batch={batch}, shards={shards})"
+        ], f"member {i} diverged (summaries={summaries}, batch={batch})"
         assert sum(m.wire_size() for m in cohort_streams[i]) == sum(
             m.wire_size() for m in solo_stream
         )
@@ -183,7 +182,7 @@ def run_cohorts(script, summaries: bool, batch: bool, shards: int, fleet_size: i
         claim = world.registry.claim_cohort("prop-worker")
         if claim is None:
             break
-        world.cohort_refresh(claim, batch, shards)
+        world.cohort_refresh(claim, batch)
     assert world.registry.due() == []
 
 
@@ -195,7 +194,7 @@ class TestCohortByteIdentity:
     )
     @given(script=operations, fleet_size=st.integers(2, 4))
     def test_summaries_on(self, script, fleet_size):
-        run_cohorts(script, True, False, 1, fleet_size)
+        run_cohorts(script, True, False, fleet_size)
 
     @settings(
         max_examples=15,
@@ -204,16 +203,7 @@ class TestCohortByteIdentity:
     )
     @given(script=operations, fleet_size=st.integers(2, 4))
     def test_batch_path(self, script, fleet_size):
-        run_cohorts(script, False, True, 1, fleet_size)
-
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(script=operations, fleet_size=st.integers(2, 4))
-    def test_sharded_pass(self, script, fleet_size):
-        run_cohorts(script, True, False, 2, fleet_size)
+        run_cohorts(script, False, True, fleet_size)
 
     @settings(
         max_examples=10,
@@ -221,8 +211,8 @@ class TestCohortByteIdentity:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(script=operations, fleet_size=st.integers(2, 4))
-    def test_batch_sharded_summaries(self, script, fleet_size):
-        run_cohorts(script, True, True, 2, fleet_size)
+    def test_batch_summaries(self, script, fleet_size):
+        run_cohorts(script, True, True, fleet_size)
 
 
 class TestCanonicalSignaturesCluster:
@@ -247,4 +237,4 @@ class TestCanonicalSignaturesCluster:
             if len(bands) == 1:
                 claim = world.registry.claim_cohort("prop-worker")
                 assert sorted(claim.cohort.members) == ["0", "1"]
-                world.cohort_refresh(claim, False, 1)
+                world.cohort_refresh(claim, False)

@@ -1,6 +1,7 @@
 """Writer-concurrent chunked refresh: the convergence property.
 
-Two invariants of :func:`~repro.core.differential.run_chunked_refresh_scan`:
+Two invariants of :func:`~repro.core.differential.run_refresh_scan`
+under a :class:`~repro.core.differential.ScanPlan`:
 
 1. **Quiescent byte-identity** — with no writer at the boundaries, the
    chunked scan's output stream is byte-for-byte the monolithic scan's,
@@ -15,7 +16,11 @@ Two invariants of :func:`~repro.core.differential.run_chunked_refresh_scan`:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.differential import DifferentialRefresher, RefreshCursor
+from repro.core.differential import (
+    DifferentialRefresher,
+    RefreshCursor,
+    ScanPlan,
+)
 from repro.core.group import GroupRefresher
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
@@ -71,24 +76,14 @@ class _World:
             messages.append(message)
             self.receiver.apply(message)
 
-        if chunked:
-            result = self.refresher.refresh_chunked(
-                self.snap_time,
-                self.restriction,
-                self.projection,
-                deliver,
-                cache=self.cache,
-                chunk_pages=chunk_pages,
-                on_chunk_boundary=boundary,
-            )
-        else:
-            result = self.refresher.refresh(
-                self.snap_time,
-                self.restriction,
-                self.projection,
-                deliver,
-                cache=self.cache,
-            )
+        result = self.refresher.refresh(
+            self.snap_time,
+            self.restriction,
+            self.projection,
+            deliver,
+            cache=self.cache,
+            plan=ScanPlan(chunk_pages, boundary) if chunked else None,
+        )
         self.snap_time = result.new_snap_time
         return messages, result
 
@@ -224,8 +219,8 @@ class TestGroupChunked:
                 apply_op(op)
             del queue[:3]
 
-        outcome = GroupRefresher(table).refresh_group_chunked(
-            cursors, chunk_pages=1, on_chunk_boundary=writer
+        outcome = GroupRefresher(table).refresh_group(
+            cursors, plan=ScanPlan(1, writer)
         )
         assert not outcome.errors
         for i, restriction in enumerate(restrictions):
