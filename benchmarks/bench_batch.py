@@ -3,9 +3,9 @@
 PR 6 rewrites the two inner loops that dominated profiles: the wire
 codec decodes a whole frame through one generated flat-cursor pass
 (``net/wirebatch.py``) instead of one ``_decode_one`` call per message,
-and the refresh scan serves eligible pages from a cached columnar
-:class:`~repro.storage.batch.PageBatch` instead of decoding a
-``_LazyEntry`` per record.  Both rewrites are pinned byte-identical to
+and the refresh scan serves pages from a columnar
+:class:`~repro.storage.batch.PageBatch` (cached by page version)
+instead of decoding a ``_LazyEntry`` per record.  Both rewrites are pinned byte-identical to
 the per-row reference paths by hypothesis properties; this bench
 measures what the identity tests cannot — that the batch paths are
 actually *faster*:
@@ -16,9 +16,16 @@ actually *faster*:
   (same machine, same process, so the ratio is hardware-independent);
 - **scan**: refresh rows/s with ``batch_mode`` on vs off over a
   clustered-update workload on an eager-annotated table, asserting the
-  message streams agree round for round.
+  message streams agree round for round;
+- **written pages**: the same comparison where it used to be lost — a
+  *lazy* table with 1 % uniform updates between refreshes and page
+  summaries on, so every page the scan reads carries NULL annotations
+  and needs the Figure-7 fix-up.  Since PR 14 the fix-up runs on the
+  batch's annotation columns, so these pages are batch-served too.
 
-The acceptance ratios are ≥5x codec decode and ≥3x scan throughput.
+The acceptance ratios are ≥5x codec decode, ≥3x scan throughput on
+write-free pages and ≥1.5x on written pages (enforced at every size,
+the CI smoke included).
 Absolute numbers land in ``BENCH_refresh.json`` under
 ``batch_hot_path`` together with a regression floor (half the recorded
 decode rate); when the section already exists, the current run must
@@ -64,6 +71,10 @@ REPEATS = 15
 SCAN_ROUNDS = 4
 SCAN_FRACTION = 0.01
 SEED = 1986
+#: Written-pages cell: rounds of 1 % uniform updates, and the floor the
+#: batch path must hold over the per-row path at every size.
+WRITTEN_ROUNDS = 8
+WRITTEN_FLOOR = 1.5
 
 #: PR-4 recorded wire decode rate (BENCH_refresh.json at the time the
 #: issue was filed) — the "~122k msgs/s" the ≥5x target is quoted
@@ -177,7 +188,7 @@ def _scan_mode(n: int, batch_mode: bool):
     """Refresh rounds over a clustered-update workload, one scan mode.
 
     Eager annotations keep every page free of NULL annotation fields,
-    so in batch mode every page is batch-eligible; summaries stay off
+    so in batch mode every page is write-free; summaries stay off
     for the *skip* logic so each refresh really walks all n rows — the
     quantity being measured is scan cost per row, not pages avoided
     (that is A13's subject).
@@ -243,6 +254,91 @@ def _scan_throughput(n: int) -> dict:
     }
 
 
+class _WrittenWorld:
+    """A lazy table refreshed after rounds of uniform updates, one mode.
+
+    Page summaries are on, so clean pages are skipped in both modes and
+    what is timed is the written page: extraction, fix-up, predicate,
+    transmit decision.  The restriction column lies in the record's
+    fixed-width suffix (as in A21's workloads), which is what the
+    compiled probe needs.
+    """
+
+    def __init__(self, n: int, batch_mode: bool) -> None:
+        db = Database("bench", buffer_capacity=1024)
+        self.table = db.create_table("t", _schema(), annotations="lazy")
+        self.rids = self.table.bulk_load(
+            [[i, f"name-{i:05d}", i * 100, i % 13, i % 97] for i in range(n)]
+        )
+        self.restriction = Restriction.parse("branch < 4", self.table.schema)
+        self.projection = Projection(self.table.schema)
+        self.refresher = DifferentialRefresher(
+            self.table, use_page_summaries=True, batch_mode=batch_mode
+        )
+        self.cache: dict = {}
+        self.rng = random.Random(SEED)
+        self.snap_time = 0
+        self.elapsed = 0.0
+        self.rows = self.pages = self.batch_pages = self.fixup_writes = 0
+        self.streams: list = []
+        self.refresh(timed=False)
+
+    def refresh(self, timed: bool = True) -> None:
+        messages: list = []
+        begin = time.perf_counter()
+        result = self.refresher.refresh(
+            self.snap_time,
+            self.restriction,
+            self.projection,
+            messages.append,
+            cache=self.cache,
+        )
+        spent = time.perf_counter() - begin
+        self.snap_time = result.new_snap_time
+        if timed:
+            self.elapsed += spent
+            self.rows += result.scanned
+            self.pages += result.pages_scanned
+            self.batch_pages += result.pages_batch_decoded
+            self.fixup_writes += result.fixup_writes
+            self.streams.append([repr(m) for m in messages])
+
+    def round(self) -> None:
+        n = len(self.rids)
+        for _ in range(max(1, int(n * SCAN_FRACTION))):
+            self.table.update(
+                self.rids[self.rng.randrange(n)],
+                {"v": self.rng.randrange(1_000_000)},
+            )
+        self.refresh()
+
+
+def _written_throughput(n: int) -> dict:
+    row, batch = _WrittenWorld(n, False), _WrittenWorld(n, True)
+    # Rounds interleaved, so a slow system window penalizes both modes.
+    for _ in range(WRITTEN_ROUNDS):
+        row.round()
+        batch.round()
+    assert batch.streams == row.streams, (
+        "batch-mode stream diverged on written pages"
+    )
+    assert batch.fixup_writes == row.fixup_writes
+    return {
+        "n": n,
+        "rounds": WRITTEN_ROUNDS,
+        "fraction": SCAN_FRACTION,
+        "pages_scanned": batch.pages,
+        "pages_batch_decoded": batch.batch_pages,
+        "fixup_writes": batch.fixup_writes,
+        "seconds_row": row.elapsed,
+        "seconds_batch": batch.elapsed,
+        "rows_per_sec_row": row.rows / row.elapsed,
+        "rows_per_sec_batch": batch.rows / batch.elapsed,
+        "speedup": row.elapsed / batch.elapsed,
+        "floor_speedup": WRITTEN_FLOOR,
+    }
+
+
 def _recorded_floor() -> "float | None":
     """The decode floor recorded by the last full run, if any."""
     path = os.path.join(REPO_ROOT, "BENCH_refresh.json")
@@ -259,7 +355,13 @@ def _recorded_floor() -> "float | None":
     return float(floor) if floor else None
 
 
-def _check(throughput: dict, scan: dict, n: int, floor: "float | None") -> None:
+def _check(
+    throughput: dict,
+    scan: dict,
+    written: dict,
+    n: int,
+    floor: "float | None",
+) -> None:
     # Machine-independent guard: the generated decoder must stay well
     # clear of per-message speed.  (The per-message reference itself got
     # ~30% faster in this PR from the shared varint tables, so the
@@ -287,8 +389,18 @@ def _check(throughput: dict, scan: dict, n: int, floor: "float | None") -> None:
         )
     assert scan["pages_batch_decoded"] > 0, scan
     assert scan["batches_reused"] > 0, scan
-    # Batch pages decode full rows only for transmitted entries.
+    # A reused batch extracts nothing; the per-row path probes every row.
     assert scan["rows_decoded_batch"] < scan["rows_decoded_row"], scan
+    # Written pages: all of them batch-served, and faster at every size
+    # (this is the floor the BATCH_N=2000 CI smoke enforces).
+    assert written["pages_batch_decoded"] == written["pages_scanned"] > 0, (
+        written
+    )
+    assert written["fixup_writes"] > 0, written
+    assert written["speedup"] >= WRITTEN_FLOOR, (
+        f"written pages: batch only {written['speedup']:.2f}x the per-row "
+        f"path (floor {WRITTEN_FLOOR}x)"
+    )
     # Wall time is only trustworthy at realistic sizes.
     if n >= 8_000:
         assert scan["speedup"] >= 3, (
@@ -300,6 +412,7 @@ def run(n: int = N):
     floor = _recorded_floor()
     throughput = _codec_throughput()
     scan = _scan_throughput(n)
+    written = _written_throughput(n)
     emit(
         "batch_hot_path",
         f"A17: batch vs per-row hot paths (codec {CODEC_MESSAGES} msgs, "
@@ -324,6 +437,12 @@ def run(n: int = N):
                 f"{scan['rows_per_sec_batch']:,.0f}",
                 f"{scan['speedup']:.1f}x",
             ],
+            [
+                "written pages rows/s",
+                f"{written['rows_per_sec_row']:,.0f}",
+                f"{written['rows_per_sec_batch']:,.0f}",
+                f"{written['speedup']:.1f}x",
+            ],
         ],
     )
     print(
@@ -333,9 +452,10 @@ def run(n: int = N):
         f"scan reuse {scan['batches_reused']}/{scan['pages_batch_decoded']} "
         f"pages, {scan['rows_materialized']} rows materialized"
     )
-    emit_json("batch_hot_path", {"throughput": throughput, "scan": scan})
-    _check(throughput, scan, n, floor)
-    return {"throughput": throughput, "scan": scan}
+    sections = {"throughput": throughput, "scan": scan, "written": written}
+    emit_json("batch_hot_path", sections)
+    _check(throughput, scan, written, n, floor)
+    return sections
 
 
 def test_batch_hot_path():

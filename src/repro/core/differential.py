@@ -21,10 +21,11 @@ which is exactly Figure 3 (:func:`base_refresh`).
 The scan itself goes beyond the paper in two cost dimensions (without
 changing a single transmitted byte):
 
-*Partial decode.*  Each scanned entry is probed with
-:func:`~repro.relation.row.decode_fields` for just its annotations and
-the restriction's columns; the full row is decoded only when the entry is
-actually transmitted.
+*Partial decode.*  Each scanned entry is probed for just its annotations
+and the restriction's columns — per entry with
+:func:`~repro.relation.row.decode_fields`, or per page as the columns of
+a :class:`~repro.storage.batch.PageBatch` (``batch_mode``); the full row
+is decoded only when the entry is actually transmitted.
 
 *Page skipping* (``use_page_summaries``).  With
 :class:`~repro.storage.summary.PageSummary` maintenance attached to the
@@ -63,8 +64,9 @@ ablation benchmark measures them):
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro import sanitize
 from repro.core.messages import (
@@ -89,12 +91,17 @@ from repro.relation.row import (
 )
 from repro.relation.schema import Schema
 from repro.relation.types import NULL
+from repro.storage.batch import PREV_NULL_PAGE, TS_NULL, PageBatch
 from repro.storage.rid import Rid
 from repro.storage.summary import PageQualInfo
 from repro.table import PREVADDR, TIMESTAMP, Table
 from repro.txn.clock import WatermarkBracket
 
 Send = Callable[[RefreshMessage], None]
+
+#: Effective timestamp of an entry found with a NULL annotation: newer
+#: than every ``SnapTime`` (the largest value the i64 column holds).
+TS_INFINITY = 2**63 - 1
 
 
 class ValueCache:
@@ -202,6 +209,12 @@ class RefreshResult:
         self.deletions_detected = 0
         self.pages_scanned = 0
         self.pages_skipped = 0
+        #: Records whose fields this pass extracted from page bytes: one
+        #: per entry the per-row path probed, or every entry of each
+        #: :class:`~repro.storage.batch.PageBatch` the pass had to
+        #: extract (scan and repair alike).  A batch reused from the
+        #: buffer pool's cache decodes nothing, so with ``batch_mode``
+        #: this can be less than ``scanned``.
         self.rows_decoded = 0
         self.buffer_hits = 0
         self.buffer_misses = 0
@@ -212,10 +225,10 @@ class RefreshResult:
         #: Cursors served by the pass that produced this result (1 for a
         #: solo refresh; N for every result of an N-snapshot group pass).
         self.group_cursors = 1
-        #: Restriction evaluations performed for this snapshot.  A group
-        #: pass decodes each entry once and evaluates it per cursor, so
-        #: the pass-level ``entries_evaluated / rows_decoded`` ratio is
-        #: the decode-once saving.
+        #: Entries whose qualification this snapshot's cursor consumed.
+        #: A group pass decodes each entry at most once and serves it to
+        #: every cursor, so the pass-level ``entries_evaluated /
+        #: rows_decoded`` ratio is the decode-once saving.
         self.entries_evaluated = 0
         #: Pages this snapshot's cursor fast-forwarded from its
         #: :class:`~repro.storage.summary.PageQualInfo` cache instead of
@@ -223,16 +236,16 @@ class RefreshResult:
         #: page for other cursors.  Equals ``pages_skipped`` for a solo
         #: refresh.
         self.pages_fast_forwarded = 0
-        #: Pages served through the columnar batch path (a subset of
-        #: ``pages_scanned``; the remainder took the per-row path).
+        #: Pages served from their columnar batch: every scanned page
+        #: with ``batch_mode``, written or not; none without it.
         self.pages_batch_decoded = 0
         #: Of the batch-served pages, how many reused a cached
         #: :class:`~repro.storage.batch.PageBatch` (same page version)
         #: instead of re-extracting under a pin.
         self.batches_reused = 0
-        #: Full-row decodes charged to batch-served pages — the batch
-        #: path's analogue of ``rows_decoded``, which it leaves at the
-        #: per-row path's count so the decode saving stays visible.
+        #: Full rows decoded from a batch: only entries actually
+        #: transmitted or repaired, each once however many cursors
+        #: sent it.
         self.rows_materialized = 0
         #: Watermark-bracketed chunks a scan under a :class:`ScanPlan`
         #: ran (0 = one uninterrupted lock hold).
@@ -266,6 +279,9 @@ class RefreshResult:
 #: :func:`run_refresh_scan` copies them from the pass result onto every
 #: cursor's own result, so a per-snapshot result reports the work of the
 #: pass that served it whether it rode alone or in a group.
+#: ``rows_decoded`` counts field extraction (per-row probes, or whole
+#: batches the pass had to extract), ``rows_materialized`` full rows
+#: built from a batch; both are zero for work a cached batch saved.
 PASS_FIELDS = (
     "rows_decoded",
     "fixup_writes",
@@ -497,18 +513,29 @@ class RefreshCursor:
                     # "Updated entry ==> may have qualified before".
                     self.deletion = True
 
-    def serve_batch(self, batch) -> None:
-        """Apply one *eligible* page's columnar batch to this cursor.
+    def serve_batch(
+        self,
+        batch: PageBatch,
+        eff_ts: "Sequence[int]",
+        max_ts: int,
+        pure_inserts: "Sequence[int]" = (),
+        anomalies: "Sequence[int]" = (),
+    ) -> None:
+        """Apply one page's columnar batch to this cursor.
 
         Equivalent to calling :meth:`observe` for every live entry in
-        slot order, specialized for the facts the scan's eligibility
-        test proved about the page: no entry is a pure insert or
-        carries a NULL annotation, and the scan performs no fix-up
-        write on it (so ``anomaly`` is False throughout).  The Figure-3
-        inputs that remain — each entry's timestamp and qualification —
-        come from the batch's columnar array and memoized
-        qualification index instead of per-row probes, and full rows
-        are materialized only for entries actually transmitted.
+        slot order, with the per-entry inputs handed over as columns:
+        ``eff_ts`` is each entry's *effective* timestamp — its own, or
+        :data:`TS_INFINITY` when the entry was found with a NULL
+        annotation (inserted or updated since the last fix-up), so
+        "the value changed for this snapshot" is ``eff_ts[i] >
+        SnapTime`` — and ``max_ts`` its maximum; ``pure_inserts`` and
+        ``anomalies`` index the entries the fix-up found newly inserted
+        (NULL ``PrevAddr``) or preceded by a detected deletion.  A page
+        the scan did not have to write is the no-flags case (``eff_ts``
+        is the batch's own timestamp column).  Qualification comes from
+        the batch's memoized index and full rows are materialized only
+        for entries actually transmitted.
         """
         result = self.result
         count = batch.count
@@ -517,55 +544,65 @@ class RefreshCursor:
         qual = batch.qualifying(self.restriction)
         nqual = len(qual)
         snap_time = self.snap_time
-        ts = batch.ts
-        if not nqual:
-            # Unqualified-but-changed entries still arm the Deletion
-            # flag ("may have qualified before") for the next page.
-            if not self.deletion and batch.max_live_ts > snap_time:
-                self.deletion = True
-            return
-        result.qualified += nqual
         page_no = batch.page_no
         slots = batch.slots
-        self._page_qual_count += nqual
-        if self._page_first_qual is None:
-            self._page_first_qual = Rid(page_no, slots[qual[0]])
-        last_qual_rid = Rid(page_no, slots[qual[nqual - 1]])
-        self._page_last_qual = last_qual_rid
-        if batch.max_live_ts <= snap_time and not self.deletion:
-            # Nothing on the page is newer than SnapTime and no
-            # deletion is pending: every qualified entry is carried
-            # unchanged and the flag cannot arm mid-page.
-            if self._staged_values is not None:
-                for qi in qual:
-                    self._carry_value(Rid(page_no, slots[qi]))
-            self.last_qual = last_qual_rid
-            return
-        qi = 0
-        next_qual = qual[0]
-        for index in range(count):
-            changed = ts[index] > snap_time
-            if index == next_qual:
-                rid = Rid(page_no, slots[index])
-                if changed or self.deletion:
-                    if self.optimize_deletes and not changed:
-                        self.transmit(DeleteRangeMessage(self.last_qual, rid))
-                        self._carry_value(rid)
-                    else:
-                        projected = self.projection(batch.row(index))
-                        self.transmit(self._value_message(rid, projected))
-                        if self._staged_values is not None:
-                            self._staged_values.setdefault(page_no, {})[
-                                rid
-                            ] = projected.values
-                else:
-                    self._carry_value(rid)
-                self.last_qual = rid
-                self.deletion = False
-                qi += 1
-                next_qual = qual[qi] if qi < nqual else -1
-            elif changed:
+        if nqual:
+            result.qualified += nqual
+            self._page_qual_count += nqual
+            if self._page_first_qual is None:
+                self._page_first_qual = Rid(page_no, slots[qual[0]])
+            self._page_last_qual = Rid(page_no, slots[qual[nqual - 1]])
+        # A pure insert matters only to a cursor that suppresses them.
+        suppressed = pure_inserts if self.suppress_pure_inserts else ()
+        if not anomalies and not suppressed:
+            if not nqual:
+                # Unqualified-but-changed entries still arm the Deletion
+                # flag ("may have qualified before") for the next page.
+                if max_ts > snap_time:
+                    self.deletion = True
+                return
+            if max_ts <= snap_time and not self.deletion:
+                # Nothing on the page is newer than SnapTime and no
+                # deletion is pending: every qualified entry is carried
+                # unchanged and the flag cannot arm mid-page.
+                if self._staged_values is not None:
+                    for qi in qual:
+                        self._carry_value(Rid(page_no, slots[qi]))
+                self.last_qual = self._page_last_qual
+                return
+        # Only two kinds of entry can move the cursor: qualifiers, and
+        # unqualified entries that arm the Deletion flag — changed for
+        # this snapshot ("may have qualified before") unless a
+        # suppressed pure insert, or preceded by a detected deletion.
+        changed = {
+            index for index, stamp in enumerate(eff_ts) if stamp > snap_time
+        }
+        arming = changed.difference(suppressed).union(anomalies)
+        qualifiers = set(qual)
+        for index in sorted(arming | qualifiers):
+            if index not in qualifiers:
                 self.deletion = True
+                continue
+            if index in anomalies:
+                # The deletion was detected just before this entry: the
+                # flag is armed whatever the entry's own timestamp.
+                self.deletion = True
+            rid = Rid(page_no, slots[index])
+            if index in changed or self.deletion:
+                if self.optimize_deletes and index not in changed:
+                    self.transmit(DeleteRangeMessage(self.last_qual, rid))
+                    self._carry_value(rid)
+                else:
+                    projected = self.projection(batch.row(index))
+                    self.transmit(self._value_message(rid, projected))
+                    if self._staged_values is not None:
+                        self._staged_values.setdefault(page_no, {})[
+                            rid
+                        ] = projected.values
+            else:
+                self._carry_value(rid)
+            self.last_qual = rid
+            self.deletion = False
 
     def _value_message(self, rid: Rid, projected: Row) -> RefreshMessage:
         """Full entry, or a per-column delta when the mirror allows it.
@@ -612,45 +649,42 @@ class RefreshCursor:
         if old is not None:
             self._staged_values.setdefault(rid.page_no, {})[rid] = old
 
-    def finish(
-        self,
-        new_time: int,
-        repair_pages: "Iterable[tuple[int, list[tuple[Rid, Row]]]]" = (),
-    ) -> None:
-        """End of scan, interleave repairs, then the new ``SnapTime``.
-
-        ``EndOfScan`` covers deletions at the end of the base table.
-        Each of ``repair_pages`` — ``(page_no, live rows)`` of a page a
-        writer touched after the scan read it — is then re-transmitted:
-        the receiver's image of the page is wiped (the open-interval
-        delete excludes both endpoints, so slot 0 gets its own delete)
-        and every *currently* qualifying row is upserted back, so the
-        committed page equals the base restriction at commit time no
-        matter what interleaved.  The staged value mirror is repointed
-        to the repaired truth, since later per-column deltas merge
-        against whatever the repair left at the receiver.
-        """
+    def end_scan(self) -> None:
+        """``EndOfScan``: covers deletions at the end of the base table."""
         self.transmit(EndOfScanMessage(self.last_qual))
-        for page_no, rows in repair_pages:
-            self.transmit(
-                DeleteRangeMessage(Rid(page_no, 0), Rid(page_no + 1, 0))
-            )
-            self.transmit(DeleteMessage(Rid(page_no, 0)))
-            page_values: "dict[Rid, tuple]" = {}
-            for rid, row in rows:
-                if not self.restriction(row.values):
-                    continue
-                projected = self.projection(row)
-                value_bytes = len(encode_row(self.value_schema, projected))
-                self.transmit(
-                    UpsertMessage(rid, projected.values, value_bytes)
-                )
-                page_values[rid] = projected.values
-            if self._staged_values is not None:
-                if page_values:
-                    self._staged_values[page_no] = page_values
-                else:
-                    self._staged_values.pop(page_no, None)
+
+    def repair_page(self, batch: PageBatch) -> None:
+        """Re-transmit a page a writer touched after the scan read it.
+
+        Sent between :meth:`end_scan` and :meth:`finish`.  The
+        receiver's image of the page is wiped (the open-interval delete
+        excludes both endpoints, so slot 0 gets its own delete) and
+        every *currently* qualifying row is upserted back, so the
+        committed page equals the base restriction at commit time no
+        matter what interleaved.  Only qualifiers are decoded, from the
+        page's batch, which every cursor of the pass shares.  The staged
+        value mirror is repointed to the repaired truth, since later
+        per-column deltas merge against whatever the repair left at the
+        receiver.
+        """
+        page_no = batch.page_no
+        self.transmit(DeleteRangeMessage(Rid(page_no, 0), Rid(page_no + 1, 0)))
+        self.transmit(DeleteMessage(Rid(page_no, 0)))
+        page_values: "dict[Rid, tuple]" = {}
+        for index in batch.qualifying(self.restriction):
+            rid = Rid(page_no, batch.slots[index])
+            projected = self.projection(batch.row(index))
+            value_bytes = len(encode_row(self.value_schema, projected))
+            self.transmit(UpsertMessage(rid, projected.values, value_bytes))
+            page_values[rid] = projected.values
+        if self._staged_values is not None:
+            if page_values:
+                self._staged_values[page_no] = page_values
+            else:
+                self._staged_values.pop(page_no, None)
+
+    def finish(self, new_time: int) -> None:
+        """The new ``SnapTime``, sent last; stages the value mirror."""
         self.transmit(SnapTimeMessage(new_time))
         self.result.new_snap_time = new_time
         if self.value_cache is not None:
@@ -750,26 +784,14 @@ class _ScanPass:
         Returns the first page not served: ``stop``, or earlier when
         every output has failed and nothing is left to serve.
         """
-        table = self.table
-        schema = self.schema
-        heap = self.heap
         summaries = self.summaries
         fixup = self.fixup
-        probe_positions = self.probe_positions
-        probe_prev = self.probe_prev
-        probe_ts = self.probe_ts
-        width = self.width
         stats = self.stats
-        fixup_time = self.fixup_time
-        expect_prev = self.expect_prev
-        last_addr = self.last_addr
 
-        reached = stop
         for page_no in range(start, stop):
             live = [cursor for cursor in cursors if not cursor.failed]
             if not live:
-                reached = page_no
-                break
+                return page_no
 
             scanning: "list[RefreshCursor]" = []
             skipping: "list[tuple[RefreshCursor, PageQualInfo]]" = []
@@ -798,10 +820,10 @@ class _ScanPass:
                             # first_prev mismatch is precisely a deletion
                             # anomaly hiding on this page.
                             or (
-                                last_addr == expect_prev
+                                self.last_addr == self.expect_prev
                                 and (
                                     info.first_prev is None
-                                    or info.first_prev == expect_prev
+                                    or info.first_prev == self.expect_prev
                                 )
                             )
                         )
@@ -820,148 +842,20 @@ class _ScanPass:
                 stats.pages_skipped += 1
                 info = skipping[0][1]
                 if info.last_live is not None:
-                    last_addr = info.last_live
-                    expect_prev = info.last_live
+                    self.last_addr = info.last_live
+                    self.expect_prev = info.last_live
                 continue
 
             stats.pages_scanned += 1
             for cursor in scanning:
                 cursor.begin_page()
-
-            if self.batch_mode and heap.summaries is not None:
-                # A summary reporting NULL slots dooms eligibility before
-                # extraction; don't build (and cache) a batch the fix-up
-                # pass is about to invalidate anyway.
-                if heap.summaries.get_or_create(page_no).null_slots:
-                    looked = None
-                else:
-                    looked = heap.page_batch(page_no, schema)
-                if looked is not None:
-                    batch, reused = looked
-                    if not batch.has_nulls and (
-                        not fixup
-                        or (
-                            batch.chain_ok
-                            and last_addr == expect_prev
-                            and (
-                                batch.count == 0
-                                or batch.first_prev == expect_prev
-                            )
-                        )
-                    ):
-                        # The batch proves the scan writes nothing here
-                        # and detects no anomaly: serve every cursor
-                        # columnar.
-                        stats.pages_batch_decoded += 1
-                        if reused:
-                            stats.batches_reused += 1
-                        stats.scanned += batch.count
-                        decodes_before = batch.materializations
-                        for cursor in scanning:
-                            if cursor.failed:
-                                continue
-                            try:
-                                cursor.serve_batch(batch)
-                            except ChannelError as error:
-                                cursor.fail(error)
-                        stats.rows_materialized += (
-                            batch.materializations - decodes_before
-                        )
-                        last = batch.last_rid()
-                        if last is not None:
-                            last_addr = last
-                            expect_prev = last
-                        if summaries is not None:
-                            for cursor in scanning:
-                                if cursor.failed or cursor.cache is None:
-                                    continue
-                                cursor.record_page(
-                                    page_no,
-                                    batch.version,
-                                    batch.first_prev,
-                                    last,
-                                )
-                        continue
-
-            page_first_prev: "Optional[Rid]" = None
-            page_last_live: "Optional[Rid]" = None
-            first_on_page = True
-
-            for slot_no, body in heap.page_entries(page_no):
-                rid = Rid(page_no, slot_no)
-                stats.scanned += 1
-                stats.rows_decoded += 1
-                probed = decode_fields(schema, body, probe_positions)
-                prev = probed[probe_prev]
-                ts = probed[probe_ts]
-                orig_ts = ts
-                final_prev = prev
-                pure_insert = False
-                anomaly = False
-                if fixup:
-                    if prev is NULL:
-                        # Inserted since the last fix-up.
-                        pure_insert = True
-                        final_prev = last_addr
-                        table.set_annotations(
-                            rid, prev=last_addr, ts=fixup_time
-                        )
-                        stats.fixup_writes += 1
-                    else:
-                        new_prev: "Optional[Rid]" = None
-                        stamp = False
-                        if ts is NULL:
-                            # Updated since the last fix-up.
-                            stamp = True
-                        if prev != expect_prev:
-                            # Deletion(s) detected before this entry.
-                            new_prev = last_addr
-                            stamp = True
-                            anomaly = True
-                            stats.deletions_detected += 1
-                        elif prev != last_addr:
-                            # Insertions (only) before this entry.
-                            new_prev = last_addr
-                        if new_prev is not None or stamp:
-                            fields: "dict[str, object]" = {}
-                            if new_prev is not None:
-                                fields["prev"] = new_prev
-                                final_prev = new_prev
-                            if stamp:
-                                fields["ts"] = fixup_time
-                            table.set_annotations(rid, **fields)
-                            stats.fixup_writes += 1
-                        expect_prev = rid
-                else:
-                    if ts is NULL:
-                        raise RefreshMethodError(
-                            f"entry {rid} has a NULL timestamp but fix-up "
-                            f"is disabled; run base_fixup first or use a "
-                            f"lazy table"
-                        )
-                last_addr = rid
-                if first_on_page:
-                    page_first_prev = final_prev
-                    first_on_page = False
-                page_last_live = rid
-
-                # Decode once, decide per cursor (Figure 3 per snapshot).
-                sparse: "list[object]" = [None] * width
-                for position, value in zip(probe_positions, probed):
-                    sparse[position] = value
-                entry = _LazyEntry(schema, body)
-                for cursor in scanning:
-                    if cursor.failed:
-                        continue
-                    try:
-                        cursor.observe(
-                            rid, entry, sparse, orig_ts, pure_insert, anomaly
-                        )
-                    except ChannelError as error:
-                        cursor.fail(error)
+            if self.batch_mode:
+                first_prev, last_live = self._serve_batch(page_no, scanning)
+            else:
+                first_prev, last_live = self._serve_rows(page_no, scanning)
 
             if summaries is not None:
-                # Version read after the fix-up writes above, so the
+                # Version read after any fix-up write above, so the
                 # cache entry describes the page bytes as this scan left
                 # them.
                 version: Optional[int] = None
@@ -972,23 +866,238 @@ class _ScanPass:
                         version = summaries.get_or_create(
                             page_no
                         ).page_version
-                    cursor.record_page(
-                        page_no, version, page_first_prev, page_last_live
+                    cursor.record_page(page_no, version, first_prev, last_live)
+        return stop
+
+    def _serve_batch(
+        self, page_no: int, scanning: "Sequence[RefreshCursor]"
+    ) -> "tuple[object, Optional[Rid]]":
+        """Serve one page from its columnar :class:`PageBatch`.
+
+        Returns the first entry's ``PrevAddr`` as the scan leaves it and
+        the last live address (both ``None`` on an empty page).  Fix-up
+        runs over the batch's annotation columns *before* any cursor is
+        served, so a channel failure mid-page never leaves the page half
+        repaired.
+        """
+        stats = self.stats
+        batch, reused = self.heap.page_batch(page_no, self.schema)
+        stats.pages_batch_decoded += 1
+        if reused:
+            stats.batches_reused += 1
+        else:
+            stats.rows_decoded += batch.count
+        stats.scanned += batch.count
+
+        eff_ts: "Sequence[int]" = batch.ts
+        max_ts = batch.max_live_ts
+        pure_inserts: "Sequence[int]" = ()
+        anomalies: "Sequence[int]" = ()
+        first_prev = batch.first_prev
+        last = batch.last_rid()
+        if not self.fixup:
+            if batch.has_nulls:
+                if TS_NULL in batch.ts:
+                    rid = Rid(page_no, batch.slots[batch.ts.index(TS_NULL)])
+                    raise RefreshMethodError(
+                        f"entry {rid} has a NULL timestamp but fix-up "
+                        f"is disabled; run base_fixup first or use a "
+                        f"lazy table"
                     )
+                max_ts = max(batch.ts)
+            if last is not None:
+                self.last_addr = last
+        elif not batch.count or (
+            not batch.has_nulls
+            and batch.chain_ok
+            and self.last_addr == self.expect_prev
+            and first_prev == self.expect_prev
+        ):
+            # The batch proves the scan writes nothing here and detects
+            # no anomaly: the no-flags case.
+            if last is not None:
+                self.last_addr = last
+                self.expect_prev = last
+        else:
+            eff_ts, pure_inserts, anomalies, first_prev = self._fix_up(batch)
+            max_ts = max(eff_ts)
+
+        decodes_before = batch.materializations
+        for cursor in scanning:
+            if cursor.failed:
+                continue
+            try:
+                cursor.serve_batch(
+                    batch, eff_ts, max_ts, pure_inserts, anomalies
+                )
+            except ChannelError as error:
+                cursor.fail(error)
+        stats.rows_materialized += batch.materializations - decodes_before
+        return first_prev, last
+
+    def _fix_up(
+        self, batch: PageBatch
+    ) -> "tuple[array[int], list[int], list[int], Rid]":
+        """Figure 7 over one page's annotation columns.
+
+        Walks ``prev_pages/prev_slots/ts`` with exactly the per-row
+        loop's decisions and writes only the records that need it.
+        Returns the effective-timestamp column (NULL stamp or pure
+        insert ⇒ :data:`TS_INFINITY`), the pure-insert and anomaly
+        indices, and the first entry's ``PrevAddr`` as repaired; the
+        page is known to hold at least one entry (an empty page is
+        write-free).
+        """
+        table = self.table
+        stats = self.stats
+        fixup_time = self.fixup_time
+        page_no = batch.page_no
+        slots = batch.slots
+        prev_pages = batch.prev_pages
+        prev_slots = batch.prev_slots
+        eff_ts = array("q", batch.ts)
+        pure_inserts: "list[int]" = []
+        anomalies: "list[int]" = []
+        # ExpectPrev / last_addr as plain (page, slot) pairs: an address
+        # object is only built for the few records that get written.
+        expect = self.expect_prev.key()
+        last = self.last_addr.key()
+        first_prev = self.last_addr
+        for index in range(batch.count):
+            prev = (prev_pages[index], prev_slots[index])
+            here = (page_no, slots[index])
+            if prev[0] == PREV_NULL_PAGE:
+                # Inserted since the last fix-up.
+                pure_inserts.append(index)
+                eff_ts[index] = TS_INFINITY
+                table.set_annotations(
+                    Rid(*here), prev=Rid(*last), ts=fixup_time
+                )
+                stats.fixup_writes += 1
+            else:
+                fields: "dict[str, object]" = {}
+                if eff_ts[index] == TS_NULL:
+                    # Updated since the last fix-up.
+                    eff_ts[index] = TS_INFINITY
+                    fields["ts"] = fixup_time
+                if prev != expect:
+                    # Deletion(s) detected before this entry.
+                    fields["prev"] = Rid(*last)
+                    fields["ts"] = fixup_time
+                    anomalies.append(index)
+                    stats.deletions_detected += 1
+                elif prev != last:
+                    # Insertions (only) before this entry.
+                    fields["prev"] = Rid(*last)
+                if fields:
+                    table.set_annotations(Rid(*here), **fields)
+                    stats.fixup_writes += 1
+                if not index and "prev" not in fields:
+                    first_prev = Rid(*prev)
+                expect = here
+            last = here
+        self.expect_prev = Rid(*expect)
+        self.last_addr = Rid(*last)
+        return eff_ts, pure_inserts, anomalies, first_prev
+
+    def _serve_rows(
+        self, page_no: int, scanning: "Sequence[RefreshCursor]"
+    ) -> "tuple[object, Optional[Rid]]":
+        """Serve one page entry by entry: the paper's loop, verbatim.
+
+        The ``batch_mode=False`` baseline and the oracle the
+        batch-vs-row properties compare :meth:`_serve_batch` against.
+        Returns what :meth:`_serve_batch` returns.
+        """
+        table = self.table
+        schema = self.schema
+        fixup = self.fixup
+        probe_positions = self.probe_positions
+        probe_prev = self.probe_prev
+        probe_ts = self.probe_ts
+        width = self.width
+        stats = self.stats
+        fixup_time = self.fixup_time
+        expect_prev = self.expect_prev
+        last_addr = self.last_addr
+        page_first_prev: object = None
+        page_last_live: "Optional[Rid]" = None
+        first_on_page = True
+
+        for slot_no, body in self.heap.page_entries(page_no):
+            rid = Rid(page_no, slot_no)
+            stats.scanned += 1
+            stats.rows_decoded += 1
+            probed = decode_fields(schema, body, probe_positions)
+            prev = probed[probe_prev]
+            ts = probed[probe_ts]
+            orig_ts = ts
+            final_prev = prev
+            pure_insert = False
+            anomaly = False
+            if fixup:
+                if prev is NULL:
+                    # Inserted since the last fix-up.
+                    pure_insert = True
+                    final_prev = last_addr
+                    table.set_annotations(rid, prev=last_addr, ts=fixup_time)
+                    stats.fixup_writes += 1
+                else:
+                    new_prev: "Optional[Rid]" = None
+                    stamp = False
+                    if ts is NULL:
+                        # Updated since the last fix-up.
+                        stamp = True
+                    if prev != expect_prev:
+                        # Deletion(s) detected before this entry.
+                        new_prev = last_addr
+                        stamp = True
+                        anomaly = True
+                        stats.deletions_detected += 1
+                    elif prev != last_addr:
+                        # Insertions (only) before this entry.
+                        new_prev = last_addr
+                    if new_prev is not None or stamp:
+                        fields: "dict[str, object]" = {}
+                        if new_prev is not None:
+                            fields["prev"] = new_prev
+                            final_prev = new_prev
+                        if stamp:
+                            fields["ts"] = fixup_time
+                        table.set_annotations(rid, **fields)
+                        stats.fixup_writes += 1
+                    expect_prev = rid
+            else:
+                if ts is NULL:
+                    raise RefreshMethodError(
+                        f"entry {rid} has a NULL timestamp but fix-up "
+                        f"is disabled; run base_fixup first or use a "
+                        f"lazy table"
+                    )
+            last_addr = rid
+            if first_on_page:
+                page_first_prev = final_prev
+                first_on_page = False
+            page_last_live = rid
+
+            # Decode once, decide per cursor (Figure 3 per snapshot).
+            sparse: "list[object]" = [None] * width
+            for position, value in zip(probe_positions, probed):
+                sparse[position] = value
+            entry = _LazyEntry(schema, body)
+            for cursor in scanning:
+                if cursor.failed:
+                    continue
+                try:
+                    cursor.observe(
+                        rid, entry, sparse, orig_ts, pure_insert, anomaly
+                    )
+                except ChannelError as error:
+                    cursor.fail(error)
 
         self.expect_prev = expect_prev
         self.last_addr = last_addr
-        return reached
-
-    def live_rows(
-        self, pages: "Sequence[int]"
-    ) -> "Iterator[tuple[int, list[tuple[Rid, Row]]]]":
-        """``(page_no, live rows)`` of each page, decoded one page at a time."""
-        for page_no in pages:
-            yield page_no, [
-                (Rid(page_no, slot_no), decode_row(self.schema, body))
-                for slot_no, body in self.heap.page_entries(page_no)
-            ]
+        return page_first_prev, page_last_live
 
     def seal(
         self, cursors: "Sequence[RefreshCursor]", completed: bool
@@ -1065,8 +1174,7 @@ def run_refresh_scan(
     The returned :class:`RefreshResult` holds the *pass-level* counters:
     pages and rows were read once no matter how many cursors rode along,
     fix-up was applied to the base table exactly once, and each entry
-    was partial-decoded once over the union of all cursors' restriction
-    columns.  Per-cursor traffic lands on each cursor's own ``result``,
+    was partial-decoded at most once for the whole pass.  Per-cursor traffic lands on each cursor's own ``result``,
     which also receives a copy of the pass-level costs.
 
     Page skipping is decided per cursor with exactly the solo scan's
@@ -1078,19 +1186,27 @@ def run_refresh_scan(
     others performs no fix-up writes and cannot invalidate the skipper's
     cached state.
 
-    With ``batch_mode`` a page that must be read is first offered as a
+    With ``batch_mode`` every page that must be read is served from its
     columnar :class:`~repro.storage.batch.PageBatch` (cached on the
-    buffer pool by page version).  A page is *eligible* when the batch
-    proves the scan would neither write to it nor detect an anomaly at
-    it: no NULL annotations anywhere, and under fix-up an intact
-    intra-page chain whose first ``PrevAddr`` equals the scan's
-    ``ExpectPrev`` with no trailing insert pending
-    (``last_addr == expect_prev``).  Eligible pages are served to every
-    scanning cursor from the batch's arrays — byte-identical streams,
-    since every :meth:`RefreshCursor.observe` input is then determined
-    by the timestamp column and the memoized qualification index —
-    while ineligible pages (and tables without trailing annotations)
-    fall back to the per-row path unchanged.
+    buffer pool by page version while the page has no NULL
+    annotations).  When the batch proves the scan would neither write
+    to the page nor detect an anomaly at it — no NULL annotations, and
+    under fix-up an intact intra-page chain whose first ``PrevAddr``
+    equals the scan's ``ExpectPrev`` with no trailing insert pending
+    (``last_addr == expect_prev``) — the cursors are served straight
+    from the batch's timestamp column.  Otherwise the Figure-7 fix-up
+    runs first, over the batch's annotation columns, with exactly the
+    per-row loop's decisions: only the records that need it are
+    written, and the cursors receive the same columns with the
+    per-entry facts filled in (an *effective* timestamp of +inf for
+    entries found with NULL annotations, the pure-insert indices, the
+    anomaly indices) through the same
+    :meth:`RefreshCursor.serve_batch`.  Streams, base-table annotation
+    bytes and ``fixup_writes``/``deletions_detected`` are identical to
+    the per-row path, which remains as the ``batch_mode=False``
+    baseline — the paper's loop, and the oracle the batch-vs-row
+    properties compare against — and for tables without trailing
+    annotations.
 
     A :class:`~repro.errors.ChannelError` on one cursor's output marks
     that cursor failed (``cursor.error``) and the pass continues for the
@@ -1110,8 +1226,10 @@ def run_refresh_scan(
     watermark is recorded (after the chunk, so the scan's own fix-up
     writes never count as interleave).  A page whose last write
     sequence exceeds its scanned watermark was modified **after** the
-    scan read it; under the final lock hold those pages are merged into
-    each stream by :meth:`RefreshCursor.finish`, so the committed
+    scan read it; under the final lock hold each of those pages is
+    extracted once and merged into every stream by
+    :meth:`RefreshCursor.repair_page` (between the cursor's
+    ``EndOfScan`` and its new ``SnapTime``), so the committed
     receiver state is identical to what a quiescent scan of the final
     base table would have produced.  With no interleaved writes the
     emitted stream is byte-for-byte the one-chunk scan's.  The caller
@@ -1191,13 +1309,27 @@ def run_refresh_scan(
             if written > scanned_seq.get(page_no, 0)
         )
         stats.pages_repaired = len(dirty)
-        for cursor in cursors:
-            if cursor.failed:
-                continue
-            try:
-                cursor.finish(scan.fixup_time, scan.live_rows(dirty))
-            except ChannelError as error:
-                cursor.fail(error)
+
+        def each_live(step: "Callable[[RefreshCursor], None]") -> None:
+            for cursor in cursors:
+                if cursor.failed:
+                    continue
+                try:
+                    step(cursor)
+                except ChannelError as error:
+                    cursor.fail(error)
+
+        each_live(RefreshCursor.end_scan)
+        for page_no in dirty:
+            # One extraction per dirty page, shared by every cursor and
+            # dropped before the next page is read.
+            batch, reused = heap.page_batch(page_no, table.schema)
+            if not reused:
+                stats.rows_decoded += batch.count
+            decodes_before = batch.materializations
+            each_live(lambda cursor: cursor.repair_page(batch))
+            stats.rows_materialized += batch.materializations - decodes_before
+        each_live(lambda cursor: cursor.finish(scan.fixup_time))
         return scan.seal(cursors, next_page >= heap.page_count)
     finally:
         if unsubscribe is not None:
@@ -1236,9 +1368,9 @@ class DifferentialRefresher:
         self.use_page_summaries = use_page_summaries
         #: Send per-column UpdateDeltaMessages on value-cache hits.
         self.delta_updates = delta_updates
-        #: Serve eligible pages through the columnar batch path.  Off by
-        #: default so a directly constructed refresher keeps the
-        #: per-row baseline; the manager turns it on.
+        #: Serve scanned pages (fix-up included) from columnar page
+        #: batches.  Off by default so a directly constructed refresher
+        #: keeps the per-row baseline; the manager turns it on.
         self.batch_mode = batch_mode
         # Fallback caches for callers that do not thread per-snapshot
         # caches through `refresh(cache=..., value_cache=...)`; valid

@@ -130,8 +130,8 @@ class GroupRefresher:
             )
         self.table = table
         self.use_page_summaries = use_page_summaries
-        #: Serve eligible pages through the columnar batch path (see
-        #: :func:`~repro.core.differential.run_refresh_scan`).
+        #: Serve scanned pages (fix-up included) from columnar page
+        #: batches (see :func:`~repro.core.differential.run_refresh_scan`).
         self.batch_mode = batch_mode
 
     def refresh_group(

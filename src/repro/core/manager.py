@@ -234,9 +234,9 @@ class SnapshotManager:
         #: full-scan baseline is reproduced by passing False (or by
         #: constructing a DifferentialRefresher directly).
         self.use_page_summaries = use_page_summaries
-        #: Serve eligible pages through the columnar batch path.  On by
-        #: default (streams are byte-identical either way); pass False
-        #: to measure the per-row baseline.
+        #: Serve scanned pages (fix-up included) from columnar page
+        #: batches.  On by default (streams are byte-identical either
+        #: way); pass False to measure the per-row baseline.
         self.batch_mode = batch_mode
         #: When set, every refresh retries link/epoch failures under this
         #: policy instead of raising them (overridable per call).

@@ -15,18 +15,21 @@ arrays of slot numbers, raw timestamps, and ``PrevAddr`` components
 (both annotation types are fixed 8-byte inline-NULL encodings at the
 end of every record, so a single ``Struct("<iIq")`` read per record
 captures all three), plus one ``bytes`` body per record.  Alongside the
-arrays the extractor computes the page-level facts the scan's
-eligibility test needs in O(1):
+arrays the extractor computes the page-level facts that tell the scan,
+in O(1), whether it must write to the page:
 
 ``has_nulls``
     Some live entry has a NULL annotation — a lazy insert or update
-    awaiting fix-up.  Such a page always takes the per-row path, which
-    is where fix-up writes happen.
+    awaiting fix-up.  The scan repairs such a page by walking the
+    annotation columns below and writing only the records that need it
+    (:meth:`repro.core.differential._ScanPass._fix_up`); the cursors are
+    then served from the same batch.
 
 ``chain_ok``
     Every entry after the first points at its live predecessor on the
     page.  A broken intra-page chain means a deletion anomaly or an
-    insert repoint hides here; the per-row path detects and repairs it.
+    insert repoint hides here; the same column walk detects and
+    repairs it.
 
 ``first_prev`` / ``max_live_ts``
     The boundary inputs: the first entry's ``PrevAddr`` (checked against
@@ -34,13 +37,22 @@ eligibility test needs in O(1):
     (``<= snap_time`` means no entry on the page can be value-changed
     for that cursor).
 
+A page with no NULLs, an intact chain and a matching boundary is
+*write-free*: the scan serves it without touching the base table.
+
 Batches are cached on the buffer pool keyed by the page's summary
 version (the repo's LSN stand-in: it bumps on *every* record write, see
 :class:`~repro.storage.summary.PageSummary`), so an unchanged page is
-never re-decoded across refreshes — and the per-batch caches below make
-the *derived* work reusable too:
+never re-decoded across refreshes; a page with NULL annotations is not
+cached, because the scan that reads it is about to rewrite it (see
+:meth:`repro.storage.heap.HeapFile.page_batch`).  The per-batch caches
+below make the *derived* work reusable too:
 
-- :meth:`probe_values` memoizes partial decodes per position tuple;
+- :meth:`probe_values` memoizes partial decodes per position tuple, and
+  reads columns of the record's fixed-width suffix with one precompiled
+  ``Struct`` per ``(schema, positions)`` — a written page has a new
+  version, so its qualification index is always rebuilt and this is the
+  per-record cost that remains;
 - :meth:`qualifying` memoizes each restriction's qualifying entries
   (the Figure-3 qualification test, evaluated once per page version per
   predicate instead of once per record per refresh);
@@ -56,6 +68,7 @@ from __future__ import annotations
 
 import struct
 from array import array
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import StorageError
@@ -71,8 +84,8 @@ if TYPE_CHECKING:  # predicate compilation is a client-layer concern
 #: The two annotation sentinels (see ``repro.relation.types``): a
 #: ``$PREVADDR$`` page of ``-2**31`` and a ``$TIMESTAMP$`` of ``-2**63``
 #: both mean SQL NULL, encoded inline so record sizes never change.
-_PREV_NULL_PAGE = -(2**31)
-_TS_NULL = -(2**63)
+PREV_NULL_PAGE = -(2**31)
+TS_NULL = -(2**63)
 
 #: The trailing 16 bytes of every annotated record: PrevAddr page (i32),
 #: PrevAddr slot (u32), timestamp (i64) — read in one call per record.
@@ -83,6 +96,39 @@ _SLOT_COUNT = struct.Struct("<H")
 #: Minimum record size that can carry the trailing annotations (one
 #: NULL-bitmap byte plus the two fixed 8-byte annotation fields).
 _MIN_ANNOTATED = 17
+
+
+@lru_cache(maxsize=256)
+def _suffix_probe(
+    schema: Schema, positions: "Tuple[int, ...]"
+) -> "Optional[struct.Struct]":
+    """One precompiled read of ``positions`` from a record's tail.
+
+    When every column from the first wanted one to the end of the
+    schema is fixed-width (the record's *fixed-width suffix*, which the
+    trailing annotations always close) and each wanted column is a
+    plain ``struct`` field, a record whose NULL bitmap is all zero
+    holds them at fixed distances from its end: one ``Struct`` — pad
+    bytes over the unwanted columns — unpacks them in ``positions``
+    order from offset ``len(record) - size``.  ``None`` when the layout
+    does not allow it (a variable-width column in between, an
+    inline-NULL type wanted, positions not ascending).
+    """
+    if not positions or list(positions) != sorted(set(positions)):
+        return None
+    wanted = set(positions)
+    codes = []
+    for position in range(positions[0], len(schema)):
+        ctype = schema.columns[position].ctype
+        if ctype.fixed_size is None:
+            return None
+        if position in wanted:
+            if ctype.struct_code is None:
+                return None
+            codes.append(ctype.struct_code)
+        else:
+            codes.append(f"{ctype.fixed_size}x")
+    return struct.Struct("<" + "".join(codes))
 
 
 class PageBatch:
@@ -173,13 +219,34 @@ class PageBatch:
     def probe_values(
         self, positions: "Tuple[int, ...]"
     ) -> "List[Tuple[object, ...]]":
-        """Partial decodes of every entry over ``positions``, memoized."""
+        """Partial decodes of every entry over ``positions``, memoized.
+
+        A page that was written has a new version, so this runs once
+        per written page per pass: columns in the fixed-width suffix
+        are read with one precompiled :func:`_suffix_probe` unpack per
+        record, and only a record with a bitmap NULL (which shifts the
+        suffix) or a layout without such a probe pays
+        :func:`~repro.relation.row.decode_fields`.
+        """
         cached = self._probe_cache.get(positions)
         if cached is None:
             schema = self._schema
-            cached = [
-                decode_fields(schema, body, positions) for body in self.bodies
-            ]
+            probe = _suffix_probe(schema, positions)
+            if probe is None:
+                cached = [
+                    decode_fields(schema, body, positions)
+                    for body in self.bodies
+                ]
+            else:
+                read = probe.unpack_from
+                size = probe.size
+                no_nulls = bytes((len(schema) + 7) // 8)
+                cached = [
+                    read(body, len(body) - size)
+                    if body.startswith(no_nulls)
+                    else decode_fields(schema, body, positions)
+                    for body in self.bodies
+                ]
             self._probe_cache[positions] = cached
         return cached
 
@@ -255,6 +322,8 @@ def extract_page_batch(
     max_live_ts = 0
     first_prev: object = None
     tail_read = _TAIL.unpack_from
+    # One immutable copy of the page: each body is then a single slice.
+    image = bytes(buf)
     for slot_no in range(slot_count):
         offset = directory[2 * slot_no]
         if offset == 0:
@@ -265,16 +334,16 @@ def extract_page_batch(
                 f"page {page_no} slot {slot_no}: record of {length} bytes "
                 f"cannot carry trailing annotations"
             )
-        prev_page, prev_slot, stamp = tail_read(buf, offset + length - 16)
+        prev_page, prev_slot, stamp = tail_read(image, offset + length - 16)
         if bodies:
             if prev_page != page_no or prev_slot != slots[-1]:
                 chain_ok = False
         else:
-            if prev_page == _PREV_NULL_PAGE:
+            if prev_page == PREV_NULL_PAGE:
                 first_prev = NULL
             else:
                 first_prev = Rid(prev_page, prev_slot)
-        if stamp == _TS_NULL or prev_page == _PREV_NULL_PAGE:
+        if stamp == TS_NULL or prev_page == PREV_NULL_PAGE:
             has_nulls = True
         elif stamp > max_live_ts:
             max_live_ts = stamp
@@ -282,7 +351,7 @@ def extract_page_batch(
         ts.append(stamp)
         prev_pages.append(prev_page)
         prev_slots.append(prev_slot)
-        bodies.append(bytes(buf[offset : offset + length]))
+        bodies.append(image[offset : offset + length])
     return PageBatch(
         page_no,
         version,

@@ -264,12 +264,15 @@ class HeapFile:
         """
         page = self._pin(rid.page_no)
         try:
-            page.update(rid.slot_no, record)
-            # Benign race: the free-space hint is advisory — a torn or
-            # lost update only costs a later writer one extra pin probe.
-            self._free_hint[rid.page_no] = (  # replint: ignore[L601]
-                page.contiguous_free() + page.reclaimable()
-            )
+            if page.update(rid.slot_no, record):
+                # Only a layout change can move the hint: a same-length
+                # overwrite (every annotation repair, most updates)
+                # skips the O(slots) directory walk.  Benign race: the
+                # hint is advisory — a torn or lost update only costs a
+                # later writer one extra pin probe.
+                self._free_hint[rid.page_no] = (  # replint: ignore[L601]
+                    page.contiguous_free() + page.reclaimable()
+                )
             if self.summaries is not None:
                 self.summaries.note_update(rid, record)
         finally:
@@ -330,15 +333,23 @@ class HeapFile:
         pool's version-keyed cache already held the batch (no pin taken,
         one batch stat) — or ``None`` when the heap has no summaries to
         version batches by.  On a miss the page is pinned once, the
-        batch extracted and cached, and the pin released; the page
-        hit/miss stat for that single pin is the only frame traffic.
+        batch extracted, and the pin released; the page hit/miss stat
+        for that single pin is the only frame traffic.
+
+        A batch is cached only while its page has no NULL annotations:
+        the scan that reads a page awaiting fix-up rewrites it (bumping
+        the version) before anyone could reuse the batch, so caching it
+        would only hold a dead copy of the page until the LRU turned
+        over (measured on A21: +5.7 % peak RSS on ``sparse_uniform``
+        and +11 % on ``churn_fanout``, against a 5 % bound).
         """
         from repro.storage.batch import extract_page_batch
 
         summaries = self.summaries
         if summaries is None:
             return None
-        version = summaries.get_or_create(heap_page).page_version
+        summary = summaries.get_or_create(heap_page)
+        version = summary.page_version
         physical = self._physical(heap_page)
         cached = self._pool.batch_lookup(physical, version)
         if cached is not None:
@@ -348,7 +359,8 @@ class HeapFile:
             batch = extract_page_batch(heap_page, frame, schema, version)
         finally:
             self._pool.unpin(physical, dirty=False)
-        self._pool.batch_store(physical, batch)
+        if not summary.null_slots:
+            self._pool.batch_store(physical, batch)
         return batch, False
 
     def scan_rids(self) -> "Iterator[Rid]":

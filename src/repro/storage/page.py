@@ -203,7 +203,7 @@ class SlottedPage:
         self._set_slot(slot_no, 0, 0)
         self._write_header(slot_count, free_data_offset, live_count - 1)
 
-    def update(self, slot_no: int, record: bytes) -> None:
+    def update(self, slot_no: int, record: bytes) -> bool:
         """Replace the record in ``slot_no`` in place (same address).
 
         Shrinking reuses the old space; growing allocates fresh space,
@@ -211,14 +211,20 @@ class SlottedPage:
         :class:`PageFullError` when the grown record genuinely cannot fit,
         in which case the caller (the table layer) falls back to
         delete+reinsert at a new address.
+
+        Returns whether the page's layout changed: a record of exactly
+        the old length is overwritten where it lies, so neither
+        :meth:`contiguous_free` nor :meth:`reclaimable` can have moved.
         """
         if not self.is_live(slot_no):
             raise RecordNotFoundError(f"slot {slot_no} is empty")
         offset, length = self._slot(slot_no)
         if len(record) <= length:
             self._buf[offset : offset + len(record)] = record
+            if len(record) == length:
+                return False
             self._set_slot(slot_no, offset, len(record))
-            return
+            return True
         # Grow: temporarily drop the old copy so compaction can reclaim it.
         _, slot_count, free_data_offset, live_count, _ = self._read_header()
         self._set_slot(slot_no, 0, 0)
@@ -234,6 +240,7 @@ class SlottedPage:
         self._buf[new_offset : new_offset + len(record)] = record
         self._write_header(slot_count, new_offset, live_count)
         self._set_slot(slot_no, new_offset, len(record))
+        return True
 
     def compact(self) -> None:
         """Re-pack live record bodies toward the page end, squeezing holes."""

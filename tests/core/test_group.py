@@ -142,10 +142,22 @@ class TestGroupStats:
         churn(emp, rids)
         results = manager.refresh_all()
         # Pass-level decode work is shared: each cursor evaluated every
-        # decoded entry, but the union decode happened once per entry.
+        # live entry, but no entry's fields were extracted more than
+        # once for the pass (less, where a cached batch was reused) —
+        # and every member reports that one pass-level count.
+        assert len({r.rows_decoded for r in results.values()}) == 1
         for result in results.values():
-            assert result.entries_evaluated == result.rows_decoded
+            assert result.entries_evaluated == emp.row_count
+            assert 0 < result.rows_decoded <= result.entries_evaluated
             assert result.group_cursors == 3
+        # The per-row oracle decodes exactly once per entry.
+        _, emp2, rids2, manager2, _ = build_fleet(
+            n=3, use_page_summaries=False, batch_mode=False
+        )
+        churn(emp2, rids2)
+        for result in manager2.refresh_all().values():
+            assert result.rows_decoded == result.entries_evaluated
+            assert result.pages_batch_decoded == 0
 
     def test_stale_cursor_does_not_rescan_for_fresh_ones(self):
         hq, emp, rids, manager, snaps = build_fleet(

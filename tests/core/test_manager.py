@@ -276,4 +276,8 @@ class TestResultContract:
                 getattr(members[0], field)
             }, field
         assert members[0].group_cursors == 3
-        assert members[0].rows_decoded > 0
+        # Every pass here read at least the written page: its fields
+        # were extracted (once), through the batch path.
+        for result in [solo, online, members[0]]:
+            assert 0 < result.rows_decoded <= result.entries_evaluated
+            assert result.pages_batch_decoded == result.pages_scanned > 0

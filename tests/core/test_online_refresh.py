@@ -131,6 +131,76 @@ class TestRacingWriter:
         assert result.pages_repaired >= 1
         assert contents(snap) == truth(table)
 
+    def test_repairs_decode_only_qualifiers_once_for_all_cursors(
+        self, monkeypatch
+    ):
+        """Repair rows come from the page's batch, shared by the pass."""
+        import repro.core.differential as differential
+        import repro.storage.batch as batch_module
+        from repro.core.differential import RefreshCursor, ScanPlan
+        from repro.core.group import GroupRefresher
+        from repro.core.messages import EntryMessage, UpsertMessage
+        from repro.expr.predicate import Projection, Restriction
+
+        db = Database("hq")
+        table = db.create_table(
+            "emp", [("name", "string"), ("salary", "int")], annotations="lazy"
+        )
+        table.bulk_load([[f"e{i}", i % 20] for i in range(900)])
+        assert table.heap.page_count >= 4
+        scanned_rids = list(table.heap.scan_rids())
+        projection = Projection(table.schema)
+        sents = [[], [], []]
+        cursors = [
+            RefreshCursor(
+                0,
+                Restriction.parse(where, table.schema),
+                projection,
+                sents[index].append,
+                name=f"s{index}",
+            )
+            for index, where in enumerate(
+                ("salary < 10", "salary < 10", "salary >= 18")
+            )
+        ]
+
+        def writer(chunk):
+            if chunk == 1:  # dirty page 0, which every cursor has passed
+                table.update(scanned_rids[0], {"salary": 3})
+
+        decodes = []
+        for module in (differential, batch_module):
+            original = module.decode_row
+
+            def counting(schema, body, _original=original):
+                decodes.append(body)
+                return _original(schema, body)
+
+            monkeypatch.setattr(module, "decode_row", counting)
+
+        outcome = GroupRefresher(table).refresh_group(
+            cursors, plan=ScanPlan(1, writer)
+        )
+        assert not outcome.errors
+        assert outcome.pass_result.pages_repaired == 1
+        upserts = [
+            [m for m in sent if isinstance(m, UpsertMessage)] for sent in sents
+        ]
+        assert upserts[0] and upserts[2]
+        assert [repr(m) for m in upserts[0]] == [repr(m) for m in upserts[1]]
+        repaired = {m.addr for sent in upserts for m in sent}
+        # The scan itself runs per row here (batch_mode off) and decodes
+        # a full row per transmitted entry: one per qualifier of any
+        # cursor.  The repair adds one decode per *distinct* repaired
+        # row — not one per row of the dirty page per cursor.
+        transmitted = {
+            m.addr
+            for sent in sents
+            for m in sent
+            if isinstance(m, EntryMessage)
+        }
+        assert len(decodes) == len(transmitted) + len(repaired)
+
     def test_followup_refresh_heals_interleaved_annotations(self):
         """Interleaved inserts leave NULL annotations; the next pass fixes."""
         db, table, manager, snap = build()

@@ -11,11 +11,17 @@ A17 experiment:
 2. **Scan parity** — a refresh scan with ``batch_mode`` on emits
    exactly the message stream of the per-row scan from the same
    ``SnapTime``: same types, same addresses, same values, same modeled
-   sizes — for arbitrary workloads, lazy and eager annotations, page
-   summaries on and off, solo and group passes, delete optimization
-   and per-column deltas on and off.
+   sizes — for arbitrary workloads over a multi-page table (emptied
+   pages and address reuse included), lazy and eager annotations, page
+   summaries on and off, solo and group passes, delete optimization,
+   pure-insert suppression and per-column deltas on and off.  The
+   batch path also does the Figure-7 fix-up on written pages, so after
+   every refresh the two base tables must hold byte-identical heap
+   records (annotations included) and report the same
+   ``fixup_writes``/``deletions_detected``.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,17 +32,46 @@ from repro.core.differential import (
 )
 from repro.core.group import GroupRefresher
 from repro.database import Database
+from repro.errors import ChannelError
 from repro.expr.predicate import Projection, Restriction
 from repro.net.wire import WireCodec
+from repro.relation.types import NULL
+from repro.storage.rid import Rid
 
 from tests.properties.test_wire_props import (
     _STREAM_SCHEMA,
     assert_streams_identical,
     message_strategy,
-    workload,
 )
 
 PREDICATES = ("v < 50", "v >= 20")
+
+#: 256-byte pages hold 8 of the 25-byte ``(v, PrevAddr, TimeStamp)``
+#: records, so the 36 seed rows span 5 pages and every script crosses
+#: page boundaries.
+PAGE_SIZE = 256
+ROWS_PER_PAGE = 8
+SEED_ROWS = 36
+
+#: ``delete_page`` empties one whole page (its addresses are reused by
+#: later first-fit inserts); the rest is the wire properties' workload.
+workload = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "insert",
+                "update",
+                "delete",
+                "delete_page",
+                "refresh",
+                "refresh_all",
+            ]
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=99),
+    ),
+    max_size=40,
+)
 
 
 class TestBatchCodecParity:
@@ -70,15 +105,21 @@ class _ScanWorld:
 
     Streams are captured as message-object lists per snapshot, so the
     batch/row comparison sees every transmitted field — not just final
-    snapshot state.
+    snapshot state; ``fixups`` records each pass's
+    ``(fixup_writes, deletions_detected)``.
     """
 
-    def __init__(self, batch_mode, summaries, mode, group, delta, opt):
-        self.db = Database("prop-batch")
+    def __init__(
+        self, batch_mode, summaries, mode, group, delta, opt, suppress=False
+    ):
+        self.db = Database("prop-batch", page_size=PAGE_SIZE)
         self.table = self.db.create_table(
             "t", [("v", "int")], annotations=mode
         )
-        self.live = [self.table.insert([v]) for v in range(0, 100, 9)]
+        self.live = [
+            self.table.insert([(v * 7) % 100]) for v in range(SEED_ROWS)
+        ]
+        assert self.table.heap.page_count >= 4
         self.summaries = summaries
         self.group = group
         self.delta = delta
@@ -88,20 +129,27 @@ class _ScanWorld:
             batch_mode=batch_mode,
             delta_updates=delta,
             optimize_deletes=opt,
+            suppress_pure_inserts=suppress,
         )
         self.group_refresher = GroupRefresher(
             self.table, use_page_summaries=summaries, batch_mode=batch_mode
         )
         self.opt = opt
+        self.suppress = suppress
         self.snap_times = [0 for _ in PREDICATES]
         self.caches = [{} for _ in PREDICATES] if summaries else None
         self.value_caches = (
             [ValueCache() for _ in PREDICATES] if delta else None
         )
         self.streams = [[] for _ in PREDICATES]
+        self.fixups = []
 
     def _restriction(self, index):
         return Restriction.parse(PREDICATES[index], self.table.schema)
+
+    def heap_image(self):
+        """Every stored record, byte for byte, annotations included."""
+        return list(self.table.heap.scan())
 
     def refresh_one(self, index):
         sent = []
@@ -113,11 +161,12 @@ class _ScanWorld:
             cache=self.caches[index] if self.summaries else None,
             value_cache=self.value_caches[index] if self.delta else None,
         )
-        assert result.pages_batch_decoded <= result.pages_scanned
+        assert result.pages_batch_decoded in (0, result.pages_scanned)
         if self.delta:
             self.value_caches[index].commit()
         self.snap_times[index] = result.new_snap_time
         self.streams[index].extend(sent)
+        self.fixups.append((result.fixup_writes, result.deletions_detected))
 
     def refresh_all(self):
         if not self.group:
@@ -133,6 +182,7 @@ class _ScanWorld:
                 sents[index].append,
                 cache=self.caches[index] if self.summaries else None,
                 optimize_deletes=self.opt,
+                suppress_pure_inserts=self.suppress,
                 name=f"s{index}",
                 value_cache=(
                     self.value_caches[index] if self.delta else None
@@ -142,36 +192,58 @@ class _ScanWorld:
         ]
         outcome = self.group_refresher.refresh_group(cursors)
         assert not outcome.errors
+        stats = outcome.pass_result
+        self.fixups.append((stats.fixup_writes, stats.deletions_detected))
         for index, cursor in enumerate(cursors):
             if self.delta:
                 self.value_caches[index].commit()
             self.snap_times[index] = cursor.result.new_snap_time
             self.streams[index].extend(sents[index])
 
-    def replay(self, script):
-        for op, index, value in script:
-            if op == "insert":
-                self.live.append(self.table.insert([value]))
-            elif op == "update" and self.live:
-                self.table.update(
-                    self.live[index % len(self.live)], {"v": value}
-                )
-            elif op == "delete" and self.live:
-                self.table.delete(self.live.pop(index % len(self.live)))
-            elif op == "refresh":
-                self.refresh_one(index % len(PREDICATES))
-            elif op == "refresh_all":
-                self.refresh_all()
-        self.refresh_all()
+    def apply(self, step):
+        """One script step; True when it refreshed."""
+        op, index, value = step
+        if op == "insert":
+            self.live.append(self.table.insert([value]))
+        elif op == "update" and self.live:
+            self.table.update(
+                self.live[index % len(self.live)], {"v": value}
+            )
+        elif op == "delete" and self.live:
+            self.table.delete(self.live.pop(index % len(self.live)))
+        elif op == "delete_page":
+            page_no = index % self.table.heap.page_count
+            for rid in [r for r in self.live if r.page_no == page_no]:
+                self.table.delete(rid)
+                self.live.remove(rid)
+        elif op == "refresh":
+            self.refresh_one(index % len(PREDICATES))
+            return True
+        elif op == "refresh_all":
+            self.refresh_all()
+            return True
+        return False
 
 
-def run_scan_worlds(script, summaries, mode, group, delta=False, opt=False):
-    row = _ScanWorld(False, summaries, mode, group, delta, opt)
-    batch = _ScanWorld(True, summaries, mode, group, delta, opt)
-    row.replay(script)
-    batch.replay(script)
+def assert_worlds_agree(row, batch):
+    """Same base-table bytes, same fix-up work, same streams so far."""
+    assert batch.heap_image() == row.heap_image()
+    assert batch.fixups == row.fixups
     for row_stream, batch_stream in zip(row.streams, batch.streams):
         assert_streams_identical(batch_stream, row_stream)
+
+
+def run_scan_worlds(
+    script, summaries, mode, group, delta=False, opt=False, suppress=False
+):
+    row = _ScanWorld(False, summaries, mode, group, delta, opt, suppress)
+    batch = _ScanWorld(True, summaries, mode, group, delta, opt, suppress)
+    for step in list(script) + [("refresh_all", 0, 0)]:
+        refreshed = row.apply(step)
+        batch.apply(step)
+        if refreshed:
+            assert_worlds_agree(row, batch)
+    return row, batch
 
 
 class TestScanParity:
@@ -214,3 +286,214 @@ class TestScanParity:
     @given(script=workload)
     def test_group_eager_summaries_off(self, script):
         run_scan_worlds(script, summaries=False, mode="eager", group=True)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(script=workload, group=st.booleans(), opt=st.booleans())
+    def test_lazy_suppress_pure_inserts(self, script, group, opt):
+        run_scan_worlds(
+            script,
+            summaries=False,
+            mode="lazy",
+            group=group,
+            opt=opt,
+            suppress=True,
+        )
+
+
+# -- written pages: the fix-up cases the batch path must get right ------------
+
+
+def _page_rids(world, page_no):
+    return [rid for rid in world.live if rid.page_no == page_no]
+
+
+def _both():
+    """A per-row and a batch world: lazy, summaries on, solo refreshes."""
+    return [
+        _ScanWorld(batch_mode, True, "lazy", False, False, False)
+        for batch_mode in (False, True)
+    ]
+
+
+class TestWrittenPages:
+    """Deterministic boundary cases of fix-up on the batch's columns."""
+
+    def test_every_scanned_page_is_batch_served(self):
+        row, batch = _both()
+        for world in (row, batch):
+            world.refresh_one(0)
+            world.table.update(world.live[3], {"v": 1})
+            world.live.append(world.table.insert([2]))
+        row_result = row.refresher.refresh(
+            row.snap_times[0], row._restriction(0),
+            Projection(row.table.schema), lambda message: None,
+        )
+        batch_result = batch.refresher.refresh(
+            batch.snap_times[0], batch._restriction(0),
+            Projection(batch.table.schema), lambda message: None,
+        )
+        assert row_result.pages_batch_decoded == 0
+        assert batch_result.pages_scanned > 0
+        assert batch_result.pages_batch_decoded == batch_result.pages_scanned
+        assert batch_result.fixup_writes == row_result.fixup_writes == 2
+
+    def test_trailing_pure_insert_repoints_next_pages_first_entry(self):
+        row, batch = _both()
+        for world in (row, batch):
+            world.refresh_all()
+            # Free the last slot of page 1, then reuse it: the insert is
+            # the last entry of page 1 and page 2's first entry (whose
+            # PrevAddr named the deleted record's predecessor chain)
+            # must be repointed at it.
+            victim = _page_rids(world, 1)[-1]
+            world.table.delete(victim)
+            world.live.remove(victim)
+            world.refresh_all()
+            reused = world.table.insert([5])
+            assert reused == victim
+            world.live.append(reused)
+            world.refresh_all()
+            first_of_next = min(
+                _page_rids(world, 2), key=lambda rid: rid.slot_no
+            )
+            prev, ts = world.table.annotations(first_of_next)
+            assert prev == reused and ts is not NULL
+        assert_worlds_agree(row, batch)
+        # The repoint is a write without a stamp: no anomaly detected.
+        assert batch.fixups[-2:] == [(2, 0), (0, 0)]
+
+    def test_anomaly_on_a_pages_first_entry(self):
+        row, batch = _both()
+        for world in (row, batch):
+            world.refresh_all()
+            victim = _page_rids(world, 1)[-1]
+            world.table.delete(victim)
+            world.live.remove(victim)
+            world.refresh_all()
+            first_of_next = min(
+                _page_rids(world, 2), key=lambda rid: rid.slot_no
+            )
+            prev, _ = world.table.annotations(first_of_next)
+            assert prev == _page_rids(world, 1)[-1]
+        assert_worlds_agree(row, batch)
+        assert batch.fixups[-2:] == [(1, 1), (0, 0)]
+
+    def test_emptied_page_between_two_written_pages(self):
+        row, batch = _both()
+        for world in (row, batch):
+            world.refresh_all()
+            world.apply(("delete_page", 2, 0))
+            assert not _page_rids(world, 2)
+            world.table.update(_page_rids(world, 1)[0], {"v": 60})
+            world.table.update(_page_rids(world, 3)[-1], {"v": 10})
+            world.refresh_all()
+            first_after = min(
+                _page_rids(world, 3), key=lambda rid: rid.slot_no
+            )
+            prev, _ = world.table.annotations(first_after)
+            assert prev == _page_rids(world, 1)[-1]
+        assert_worlds_agree(row, batch)
+        # Two stamps plus the anomaly repair at page 3's first entry.
+        assert batch.fixups[-2:] == [(3, 1), (0, 0)]
+
+    def test_three_cursors_one_fast_forwards_what_the_others_scan(self):
+        """Different ``SnapTime``s on one pass.
+
+        A page that needs a fix-up write is never skippable for anyone
+        (NULL annotations or a boundary mismatch both veto the skip), so
+        the mix is: the fresh cursor fast-forwards the pages the stale
+        ones are served from the batch, and all three ride the fix-up of
+        the page written since.
+        """
+        streams = []
+        images = []
+        for batch_mode in (False, True):
+            world = _ScanWorld(
+                batch_mode, True, "lazy", True, False, False
+            )
+            table = world.table
+            schema = table.schema
+            predicates = ("v < 50", "v >= 20", "v < 90")
+            caches = [{} for _ in predicates]
+            snap_times = [0, 0, 0]
+            sents = [[] for _ in predicates]
+
+            def cursors(indices):
+                return [
+                    RefreshCursor(
+                        snap_times[index],
+                        Restriction.parse(predicates[index], schema),
+                        Projection(schema),
+                        sents[index].append,
+                        cache=caches[index],
+                        name=f"s{index}",
+                    )
+                    for index in indices
+                ]
+
+            def refresh(indices):
+                group = cursors(indices)
+                outcome = world.group_refresher.refresh_group(group)
+                assert not outcome.errors
+                for index, cursor in zip(indices, group):
+                    snap_times[index] = cursor.result.new_snap_time
+                return outcome, group
+
+            refresh([0, 1, 2])
+            table.update(_page_rids(world, 1)[2], {"v": 33})
+            refresh([0])  # cursor 0 is now fresh for every page
+            table.update(_page_rids(world, 3)[1], {"v": 44})
+            outcome, group = refresh([0, 1, 2])
+            fresh, stale_a, stale_b = (cursor.result for cursor in group)
+            assert fresh.pages_fast_forwarded > stale_a.pages_fast_forwarded
+            assert stale_a.pages_scanned == stale_b.pages_scanned >= 2
+            assert fresh.pages_scanned == 1
+            assert outcome.pass_result.fixup_writes == 1
+            if batch_mode:
+                stats = outcome.pass_result
+                assert stats.pages_batch_decoded == stats.pages_scanned
+            streams.append(sents)
+            images.append(world.heap_image())
+        assert images[0] == images[1]
+        for row_sent, batch_sent in zip(*streams):
+            assert_streams_identical(batch_sent, row_sent)
+
+    @pytest.mark.parametrize("batch_mode", [False, True])
+    def test_channel_failure_mid_page_still_completes_its_fix_up(
+        self, batch_mode
+    ):
+        world = _ScanWorld(batch_mode, False, "lazy", False, False, False)
+        reference = _ScanWorld(False, False, "lazy", False, False, False)
+        budget = [3]
+
+        def dying(message):
+            if not budget[0]:
+                raise ChannelError("link down")
+            budget[0] -= 1
+
+        with pytest.raises(ChannelError):
+            world.refresher.refresh(
+                0, world._restriction(0), Projection(world.table.schema), dying
+            )
+        # The stream died on page 0 (every seed row is a NULL-annotated
+        # insert, and > 3 of its 8 rows qualify), yet the page's fix-up
+        # ran to its last entry — and no further.
+        for rid in world.live:
+            prev, ts = world.table.annotations(rid)
+            if rid.page_no == 0:
+                assert prev is not NULL and ts is not NULL
+            else:
+                assert prev is NULL and ts is NULL
+        assert world.table.annotations(Rid(0, 0))[0] == Rid.BEGIN
+        # A clean retry leaves exactly the annotations an undisturbed
+        # per-row refresh leaves (only the stamp values differ in time).
+        world.refresh_one(0)
+        reference.refresh_one(0)
+        for rid in world.live:
+            prev, ts = world.table.annotations(rid)
+            assert prev == reference.table.annotations(rid)[0]
+            assert ts is not NULL

@@ -117,6 +117,64 @@ class TestUpdate:
         assert heap.read(rid) == b"a"
 
 
+class TestFreeHint:
+    """``_free_hint`` tracks ``contiguous_free() + reclaimable()``."""
+
+    @staticmethod
+    def _assert_hint_exact(heap):
+        for page_no in range(heap.page_count):
+            page = heap._pin(page_no)
+            try:
+                expected = page.contiguous_free() + page.reclaimable()
+            finally:
+                heap._unpin(page_no, dirty=False)
+            assert heap._free_hint[page_no] == expected, page_no
+
+    def test_exact_after_same_length_shrinking_and_growing_updates(self, heap):
+        rids = [heap.insert(bytes([65 + i]) * 20) for i in range(16)]
+        assert heap.page_count > 1
+        self._assert_hint_exact(heap)
+        for step, rid in enumerate(rids):
+            if step % 3 == 0:
+                heap.update(rid, b"s" * 20)  # same length: layout untouched
+            elif step % 3 == 1:
+                heap.update(rid, b"k" * 7)  # shrink: leaves a hole
+            else:
+                heap.update(rid, b"g" * 31)  # grow: fresh space, may compact
+            self._assert_hint_exact(heap)
+        heap.delete(rids[2])
+        heap.update(rids[3], b"z" * 20)
+        self._assert_hint_exact(heap)
+
+    def test_same_length_update_skips_the_directory_walk(self, heap, monkeypatch):
+        from repro.storage.page import SlottedPage
+
+        rids = [heap.insert(b"a" * 20) for _ in range(5)]
+        walks = []
+        original = SlottedPage.reclaimable
+
+        def counting(page):
+            walks.append(1)
+            return original(page)
+
+        monkeypatch.setattr(SlottedPage, "reclaimable", counting)
+        for rid in rids:
+            heap.update(rid, b"b" * 20)
+        assert not walks
+        heap.update(rids[0], b"c" * 5)
+        assert walks
+
+    def test_page_update_reports_layout_change(self):
+        from repro.storage.page import SlottedPage
+
+        page = SlottedPage.empty(256)
+        slot = page.insert(b"a" * 10)
+        assert page.update(slot, b"b" * 10) is False
+        assert page.update(slot, b"c" * 4) is True
+        assert page.update(slot, b"d" * 30) is True
+        assert page.read(slot) == b"d" * 30
+
+
 class TestWriteCounters:
     def test_counts_by_kind(self, heap):
         rid = heap.insert(b"a")
