@@ -10,7 +10,7 @@ the per-row reference paths by hypothesis properties; this bench
 measures what the identity tests cannot — that the batch paths are
 actually *faster*:
 
-- **codec**: encode/decode throughput of ``encode_batch``/``decode_batch``
+- **codec**: encode/decode throughput of ``encode_frame``/``decode_frame``
   against the reference ``encode_frame_per_message``/
   ``decode_frame_per_message`` over the A16 synthetic entry stream
   (same machine, same process, so the ratio is hardware-independent);
@@ -130,13 +130,13 @@ def _codec_throughput(n_messages: int = CODEC_MESSAGES) -> dict:
         for i in range(0, len(messages), FRAME_SIZE)
     ]
 
-    frames = [codec.encode_batch(chunk) for chunk in chunks]
+    frames = [codec.encode_frame(chunk) for chunk in chunks]
     reference = [codec.encode_frame_per_message(chunk) for chunk in chunks]
     for batch_frame, ref_frame in zip(frames, reference):
         assert batch_frame.data == ref_frame.data, (
             "batch encoder diverged from the per-message reference"
         )
-    assert [repr(m) for m in codec.decode_batch(frames[0])] == [
+    assert [repr(m) for m in codec.decode_frame(frames[0])] == [
         repr(m) for m in codec.decode_frame_per_message(frames[0])
     ]
 
@@ -144,7 +144,7 @@ def _codec_throughput(n_messages: int = CODEC_MESSAGES) -> dict:
     # keep every decoded message alive and time the GC, not the codec.
     def encode_all() -> None:
         for chunk in chunks:
-            codec.encode_batch(chunk)
+            codec.encode_frame(chunk)
 
     def encode_ref_all() -> None:
         for chunk in chunks:
@@ -152,7 +152,7 @@ def _codec_throughput(n_messages: int = CODEC_MESSAGES) -> dict:
 
     def decode_all() -> None:
         for frame in frames:
-            codec.decode_batch(frame)
+            codec.decode_frame(frame)
 
     def decode_ref_all() -> None:
         for frame in frames:

@@ -10,6 +10,14 @@ accounting still includes everything.
 
 Sizes: one type byte; addresses are 8-byte RIDs; timestamps 8 bytes;
 entry values cost their real row encoding.
+
+Each concrete message also declares its binary wire format, once:
+``TAG`` is the type byte and ``LAYOUT`` the ordered ``(attribute, kind)``
+fields that follow it.  :mod:`repro.net.wire` builds its tag table from
+these declarations at import and interprets ``LAYOUT`` field by field;
+nothing else in the tree restates a message's layout.  Attribute names
+equal constructor parameter names, so a decoded message is
+``cls(**fields)``.
 """
 
 from __future__ import annotations
@@ -24,11 +32,33 @@ _TIME_BYTES = 8
 #: Segment bounds are bare page numbers — half a Rid on the wire.
 _PAGE_BYTES = 4
 
+# -- LAYOUT kinds: the closed set net/wire.py has an encoder/decoder for -----
+#: A RID (or ``None``), delta-encoded against the frame's previous address.
+ADDR = "addr"
+#: A clock reading, zigzag delta against the frame's previous time.
+TIME = "time"
+#: An unsigned varint (counts, page numbers, column masks).
+UVARINT = "uvarint"
+#: Every value-schema column: NULL bitmap + compact values.  Decoding
+#: also yields the modeled ``value_bytes``.
+ROW = "row"
+#: Only the columns the message's ``mask`` (the field before it) names.
+MASKED_ROW = "masked_row"
+#: Length-prefixed raw bytes.
+DIGEST = "digest"
+#: A count, then that many ``(slot uvarint, digest)`` pairs.
+DIGEST_LIST = "digest_list"
+
 
 class RefreshMessage:
     """Base class: every refresh message is sized and classified."""
 
     counts_as_entry = True
+
+    #: Wire type byte and field layout; every concrete class in this
+    #: module declares both (net/wire.py refuses to import otherwise).
+    TAG: int
+    LAYOUT: "Tuple[Tuple[str, str], ...]"
 
     def wire_size(self) -> int:
         raise NotImplementedError
@@ -42,6 +72,8 @@ class EntryMessage(RefreshMessage):
     them), and the projected value.
     """
 
+    TAG = 1
+    LAYOUT = (("addr", ADDR), ("prev_qual", ADDR), ("values", ROW))
     __slots__ = ("addr", "prev_qual", "values", "value_bytes")
 
     def __init__(
@@ -79,6 +111,13 @@ class UpdateDeltaMessage(RefreshMessage):
     partial row (NULL sub-bitmap + changed values).
     """
 
+    TAG = 11
+    LAYOUT = (
+        ("addr", ADDR),
+        ("prev_qual", ADDR),
+        ("mask", UVARINT),
+        ("values", MASKED_ROW),
+    )
     __slots__ = ("addr", "prev_qual", "mask", "values", "value_bytes")
 
     def __init__(
@@ -134,6 +173,8 @@ class EndOfScanMessage(RefreshMessage):
 
     counts_as_entry = False
 
+    TAG = 2
+    LAYOUT = (("last_qual", ADDR),)
     __slots__ = ("last_qual",)
 
     def __init__(self, last_qual: Rid) -> None:
@@ -151,6 +192,8 @@ class SnapTimeMessage(RefreshMessage):
 
     counts_as_entry = False
 
+    TAG = 3
+    LAYOUT = (("time", TIME),)
     __slots__ = ("time",)
 
     def __init__(self, time: int) -> None:
@@ -176,6 +219,8 @@ class RefreshBeginMessage(RefreshMessage):
 
     counts_as_entry = False
 
+    TAG = 4
+    LAYOUT = (("epoch", TIME),)
     __slots__ = ("epoch",)
 
     def __init__(self, epoch: int) -> None:
@@ -199,6 +244,8 @@ class RefreshCommitMessage(RefreshMessage):
 
     counts_as_entry = False
 
+    TAG = 5
+    LAYOUT = (("epoch", TIME), ("count", UVARINT))
     __slots__ = ("epoch", "count")
 
     def __init__(self, epoch: int, count: int) -> None:
@@ -220,6 +267,8 @@ class DeleteRangeMessage(RefreshMessage):
     empty-region receiver.  ``hi=None`` means "to the end of the table".
     """
 
+    TAG = 6
+    LAYOUT = (("lo", ADDR), ("hi", ADDR))
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Rid, hi: Optional[Rid]) -> None:
@@ -236,6 +285,8 @@ class DeleteRangeMessage(RefreshMessage):
 class UpsertMessage(RefreshMessage):
     """Ideal/ASAP: insert-or-update one snapshot entry by base address."""
 
+    TAG = 7
+    LAYOUT = (("addr", ADDR), ("values", ROW))
     __slots__ = ("addr", "values", "value_bytes")
 
     def __init__(self, addr: Rid, values: Tuple, value_bytes: int) -> None:
@@ -253,6 +304,8 @@ class UpsertMessage(RefreshMessage):
 class DeleteMessage(RefreshMessage):
     """Ideal/ASAP: delete one snapshot entry by base address."""
 
+    TAG = 8
+    LAYOUT = (("addr", ADDR),)
     __slots__ = ("addr",)
 
     def __init__(self, addr: Rid) -> None:
@@ -270,6 +323,9 @@ class ClearMessage(RefreshMessage):
 
     counts_as_entry = False
 
+    TAG = 9
+    LAYOUT = ()
+
     def wire_size(self) -> int:
         return _TYPE_BYTE
 
@@ -280,6 +336,8 @@ class ClearMessage(RefreshMessage):
 class FullRowMessage(RefreshMessage):
     """Full refresh: one qualified entry of the re-transmitted table."""
 
+    TAG = 10
+    LAYOUT = (("addr", ADDR), ("values", ROW))
     __slots__ = ("addr", "values", "value_bytes")
 
     def __init__(self, addr: Rid, values: Tuple, value_bytes: int) -> None:
@@ -307,6 +365,8 @@ class SegmentHashRequestMessage(RefreshMessage):
 
     counts_as_entry = False
 
+    TAG = 12
+    LAYOUT = (("lo", UVARINT), ("hi", UVARINT))
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: int, hi: int) -> None:
@@ -330,6 +390,13 @@ class SegmentHashResponseMessage(RefreshMessage):
 
     counts_as_entry = False
 
+    TAG = 13
+    LAYOUT = (
+        ("lo", UVARINT),
+        ("hi", UVARINT),
+        ("digest", DIGEST),
+        ("count", UVARINT),
+    )
     __slots__ = ("lo", "hi", "digest", "count")
 
     def __init__(self, lo: int, hi: int, digest: bytes, count: int) -> None:
@@ -362,6 +429,8 @@ class RowDigestsMessage(RefreshMessage):
 
     counts_as_entry = False
 
+    TAG = 14
+    LAYOUT = (("page_no", UVARINT), ("entries", DIGEST_LIST))
     __slots__ = ("page_no", "entries")
 
     def __init__(

@@ -17,16 +17,14 @@ sections behind them):
               module.
     ``L203``  Unseeded ``random`` use in a deterministic module.
 
-**L3 — wire-codec parity**
-    ``L301``  A refresh message class has no encode branch in
-              ``WireCodec.encode_into``.
-    ``L302``  A refresh message class is never constructed in
-              ``WireCodec._decode_one``.
-    ``L303``  A refresh message class defines no ``wire_size``.
-    ``L304``  The number of ``_TAG_`` wire-type constants does not match
-              the number of concrete message classes.
+**L3 — wire codec (batch hot path)**
+    Message-vs-codec parity needs no rule: each message class declares
+    its ``TAG`` and ``LAYOUT`` once, ``net/wire.py`` builds its tables
+    from those declarations at import (refusing a missing or duplicate
+    tag) and interprets them, and
+    ``tests/net/test_wire.py::TestEveryRegisteredMessage`` round-trips
+    every registered class through both codecs.
 
-**L3 — wire-codec parity (batch hot path)**
     ``L305``  Per-field codec call (``write_uvarint``, ``_encode_value``,
               bare ``struct.pack``/``unpack`` …) inside a designated
               batch-path module: those modules promise whole-frame
@@ -72,7 +70,7 @@ sections behind them):
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Iterator, List, Sequence
 
 from repro.lint.engine import SourceFile, Violation
 from repro.lint.concurrency.reports import ConcurrencyChecker
@@ -151,10 +149,6 @@ RULES = {
     "L201": "wall-clock read outside txn/clock.py in a deterministic module",
     "L202": "datetime.now/utcnow/today in a deterministic module",
     "L203": "unseeded random use in a deterministic module",
-    "L301": "message class has no encode branch in WireCodec.encode_into",
-    "L302": "message class is never constructed in WireCodec._decode_one",
-    "L303": "message class defines no wire_size",
-    "L304": "wire type-tag count does not match message class count",
     "L305": "per-field codec call inside a designated batch-path module",
     "L401": "lock acquired against the global table-before-row order",
     "L402": "lock resource with an unknown hierarchy level",
@@ -339,166 +333,6 @@ class DeterminismChecker(Checker):
                         f"datetime.{base.attr}.{attr}() in a deterministic "
                         "module; read the site clock (txn/clock.py) instead",
                     )
-
-
-def _message_classes(tree: ast.Module) -> "Dict[str, ast.ClassDef]":
-    """Concrete refresh-message classes: transitive RefreshMessage subs."""
-    classes: "Dict[str, ast.ClassDef]" = {}
-    bases: "Dict[str, List[str]]" = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            classes[node.name] = node
-            bases[node.name] = [
-                base.id for base in node.bases if isinstance(base, ast.Name)
-            ]
-    derived: "Dict[str, ast.ClassDef]" = {}
-
-    def is_message(name: str, seen: "Set[str]") -> bool:
-        if name == "RefreshMessage":
-            return True
-        if name in seen or name not in bases:
-            return False
-        seen.add(name)
-        return any(is_message(base, seen) for base in bases[name])
-
-    for name, node in classes.items():
-        if name != "RefreshMessage" and is_message(name, set()):
-            derived[name] = node
-    return derived
-
-
-def _defines_wire_size(
-    name: str, classes: "Dict[str, ast.ClassDef]"
-) -> bool:
-    node = classes.get(name)
-    if node is None:
-        return False
-    for item in node.body:
-        if isinstance(item, ast.FunctionDef) and item.name == "wire_size":
-            return True
-    for base in node.bases:
-        if (
-            isinstance(base, ast.Name)
-            and base.id != "RefreshMessage"
-            and _defines_wire_size(base.id, classes)
-        ):
-            return True
-    return False
-
-
-def _find_function(
-    tree: ast.Module, class_name: str, func_name: str
-) -> "Optional[ast.FunctionDef]":
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == func_name:
-                    return item
-    return None
-
-
-class CodecParityChecker(Checker):
-    """L3: every message class is registered end-to-end with the codec."""
-
-    project_level = True
-    rules = ("L301", "L302", "L303", "L304")
-
-    MESSAGES_MODULE = "core/messages.py"
-    WIRE_MODULE = "net/wire.py"
-
-    def check_project(
-        self, sources: "Sequence[SourceFile]"
-    ) -> "Iterator[Violation]":
-        by_logical = {source.logical: source for source in sources}
-        messages = by_logical.get(self.MESSAGES_MODULE)
-        wire = by_logical.get(self.WIRE_MODULE)
-        if messages is None or wire is None:
-            return  # partial file set: parity is unknowable, not wrong
-
-        message_classes = _message_classes(messages.tree)
-        all_classes = {
-            node.name: node
-            for node in messages.tree.body
-            if isinstance(node, ast.ClassDef)
-        }
-
-        encode = _find_function(wire.tree, "WireCodec", "encode_into")
-        encoded: "Set[str]" = set()
-        if encode is not None:
-            for node in ast.walk(encode):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance"
-                    and len(node.args) == 2
-                ):
-                    encoded.update(_class_names(node.args[1]))
-
-        decode = _find_function(wire.tree, "WireCodec", "_decode_one")
-        decoded: "Set[str]" = set()
-        if decode is not None:
-            for node in ast.walk(decode):
-                if isinstance(node, ast.Call):
-                    decoded.update(_class_names(node.func))
-
-        tag_lines = [
-            node.lineno
-            for node in wire.tree.body
-            if isinstance(node, ast.Assign)
-            and any(
-                isinstance(target, ast.Name) and target.id.startswith("_TAG_")
-                for target in node.targets
-            )
-        ]
-
-        for name in sorted(message_classes):
-            node = message_classes[name]
-            if name not in encoded:
-                yield Violation(
-                    "L301",
-                    messages.path,
-                    node.lineno,
-                    node.col_offset,
-                    f"{name} has no isinstance branch in "
-                    "WireCodec.encode_into",
-                )
-            if name not in decoded:
-                yield Violation(
-                    "L302",
-                    messages.path,
-                    node.lineno,
-                    node.col_offset,
-                    f"{name} is never constructed in WireCodec._decode_one",
-                )
-            if not _defines_wire_size(name, all_classes):
-                yield Violation(
-                    "L303",
-                    messages.path,
-                    node.lineno,
-                    node.col_offset,
-                    f"{name} defines no wire_size (byte accounting would "
-                    "fall through to NotImplementedError)",
-                )
-        if tag_lines and len(tag_lines) != len(message_classes):
-            yield Violation(
-                "L304",
-                wire.path,
-                tag_lines[0],
-                0,
-                f"{len(tag_lines)} _TAG_ constants for "
-                f"{len(message_classes)} message classes",
-            )
-
-
-def _class_names(node: ast.AST) -> "Iterator[str]":
-    """Class names referenced by an isinstance arm or constructor call."""
-    if isinstance(node, ast.Tuple):
-        for element in node.elts:
-            yield from _class_names(element)
-    elif isinstance(node, ast.Attribute):
-        yield node.attr
-    elif isinstance(node, ast.Name):
-        yield node.id
 
 
 #: Modules that promise whole-frame/whole-page cursor work: their hot
@@ -710,7 +544,6 @@ class BareAssertChecker(Checker):
 ALL_CHECKERS: "List[Checker]" = [
     MutationDisciplineChecker(),
     DeterminismChecker(),
-    CodecParityChecker(),
     BatchPathChecker(),
     LockOrderChecker(),
     RegistryIsolationChecker(),

@@ -135,7 +135,8 @@ class Channel:
         """Switch this channel to binary frame transport under ``codec``.
 
         Must be called before a receiver is attached (the receiver wrap
-        happens at attach time).  Both ends share the codec — exactly as
+        happens at attach time) and before anything is queued (a queued
+        object message is not a frame).  Both ends share the codec — exactly as
         both ends of a real replication link share the row format.
         """
         if self._receiver is not None:
@@ -144,6 +145,11 @@ class Channel:
             )
         if self._writer is not None:
             raise ChannelError(f"{self.name}: wire transport already enabled")
+        if self._queue:
+            raise ChannelError(
+                f"{self.name}: enable_wire with {len(self._queue)} object "
+                "messages queued (the frame decoder cannot deliver them)"
+            )
         from repro.net.wire import FrameWriter
 
         self._codec = codec

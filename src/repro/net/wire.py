@@ -5,7 +5,13 @@ was only *modeled* by ``wire_size()``; the paper's whole premise — the
 snapshot is remote, refresh quality is bytes on the link — deserves an
 actual serialization.  This module is that wire:
 
-- **One type tag per message** (a single varint byte).
+- **One type tag per message** (a single byte), then the message's
+  fields.  Tag and field layout are declared once, on the message class
+  (``TAG``/``LAYOUT`` in :mod:`repro.core.messages`); this module
+  derives its tag table from the declarations at import and the
+  reference codec (:meth:`WireCodec.encode_into` /
+  :meth:`WireCodec._decode_one`) interprets them with one put/get pair
+  per layout kind.
 - **Varint integers** everywhere a count or length crosses the wire.
 - **Delta-encoded addresses**: refresh emits in address order, so each
   RID is encoded against the previous address in the frame — the common
@@ -37,11 +43,22 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Callable, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 from repro.core import messages as msg
 from repro.errors import WireError
 from repro.net import wirebatch
+from repro.net.blocking import FRAME_OVERHEAD
 from repro.relation.row import encoded_fields_size
 from repro.relation.schema import Schema
 from repro.relation.types import (
@@ -229,92 +246,211 @@ def _decode_fields(
     return tuple(values), offset
 
 
-# -- stateful address/time deltas -------------------------------------------
+# -- layout kinds ------------------------------------------------------------
+
+#: A decoded value and the offset just past it.
+_Got = Tuple[Any, int]
+#: The fields of the message being decoded, in layout order so far.
+_Fields = Dict[str, Any]
 
 
 class _WireState:
-    """Per-frame delta state: last address and last time encoded."""
+    """Per-frame codec state, and the one put/get pair per ``LAYOUT`` kind.
 
-    __slots__ = ("prev_page", "prev_slot", "prev_time")
+    The registers are the frame's delta state: the last address and the
+    last time encoded.  Every kind of :mod:`repro.core.messages` has one
+    ``put_<kind>(out, value, message)`` that appends ``value`` and one
+    ``get_<kind>(data, offset, fields)`` that returns ``(value, new
+    offset)`` — one signature, so the codec walks a layout without
+    knowing which message it belongs to.  ``message``/``fields`` let the
+    row kinds reach their sibling fields (a delta's ``mask``, the
+    modeled ``value_bytes``).
+    """
 
-    def __init__(self, base_time: int = 0) -> None:
+    __slots__ = ("schema", "all_positions", "prev_page", "prev_slot", "prev_time")
+
+    def __init__(self, codec: "WireCodec") -> None:
+        self.schema = codec.value_schema
+        self.all_positions = codec._all_positions
         self.prev_page = 0
         self.prev_slot = 0
-        self.prev_time = base_time
+        self.prev_time = codec.base_time
 
+    def put_addr(self, out: bytearray, rid: Optional[Rid], message: Any) -> None:
+        if rid is None:
+            out.append(_ADDR_NONE)
+            return
+        if rid == Rid.BEGIN:
+            out.append(_ADDR_BEGIN)
+            return
+        if rid.page_no == self.prev_page:
+            out.append(_ADDR_SAME_PAGE)
+            write_svarint(out, rid.slot_no - self.prev_slot)
+        else:
+            out.append(_ADDR_NEW_PAGE)
+            write_svarint(out, rid.page_no - self.prev_page)
+            write_uvarint(out, rid.slot_no)
+        self.prev_page = rid.page_no
+        self.prev_slot = rid.slot_no
 
-def _encode_addr(out: bytearray, rid: Optional[Rid], state: _WireState) -> None:
-    if rid is None:
-        out.append(_ADDR_NONE)
-        return
-    if rid == Rid.BEGIN:
-        out.append(_ADDR_BEGIN)
-        return
-    if rid.page_no == state.prev_page:
-        out.append(_ADDR_SAME_PAGE)
-        write_svarint(out, rid.slot_no - state.prev_slot)
-    else:
-        out.append(_ADDR_NEW_PAGE)
-        write_svarint(out, rid.page_no - state.prev_page)
-        write_uvarint(out, rid.slot_no)
-    state.prev_page = rid.page_no
-    state.prev_slot = rid.slot_no
+    def get_addr(self, data: bytes, offset: int, fields: _Fields) -> _Got:
+        try:
+            head = data[offset]
+        except IndexError:
+            raise WireError("truncated address") from None
+        offset += 1
+        if head == _ADDR_NONE:
+            return None, offset
+        if head == _ADDR_BEGIN:
+            return Rid.BEGIN, offset
+        if head == _ADDR_SAME_PAGE:
+            delta, offset = read_svarint(data, offset)
+            page_no = self.prev_page
+            slot_no = self.prev_slot + delta
+        elif head == _ADDR_NEW_PAGE:
+            delta, offset = read_svarint(data, offset)
+            page_no = self.prev_page + delta
+            slot_no, offset = read_uvarint(data, offset)
+        else:
+            raise WireError(f"unknown address head {head}")
+        self.prev_page = page_no
+        self.prev_slot = slot_no
+        return Rid(page_no, slot_no), offset
 
+    def put_time(self, out: bytearray, time: int, message: Any) -> None:
+        write_svarint(out, time - self.prev_time)
+        self.prev_time = time
 
-def _decode_addr(
-    data: bytes, offset: int, state: _WireState
-) -> "tuple[Optional[Rid], int]":
-    try:
-        head = data[offset]
-    except IndexError:
-        raise WireError("truncated address") from None
-    offset += 1
-    if head == _ADDR_NONE:
-        return None, offset
-    if head == _ADDR_BEGIN:
-        return Rid.BEGIN, offset
-    if head == _ADDR_SAME_PAGE:
+    def get_time(self, data: bytes, offset: int, fields: _Fields) -> _Got:
         delta, offset = read_svarint(data, offset)
-        page_no = state.prev_page
-        slot_no = state.prev_slot + delta
-    elif head == _ADDR_NEW_PAGE:
-        delta, offset = read_svarint(data, offset)
-        page_no = state.prev_page + delta
-        slot_no, offset = read_uvarint(data, offset)
-    else:
-        raise WireError(f"unknown address head {head}")
-    state.prev_page = page_no
-    state.prev_slot = slot_no
-    return Rid(page_no, slot_no), offset
+        self.prev_time += delta
+        return self.prev_time, offset
+
+    def put_uvarint(self, out: bytearray, value: int, message: Any) -> None:
+        write_uvarint(out, value)
+
+    def get_uvarint(self, data: bytes, offset: int, fields: _Fields) -> _Got:
+        return read_uvarint(data, offset)
+
+    def put_row(self, out: bytearray, values: Sequence[Any], message: Any) -> None:
+        _encode_fields(out, self.schema, self.all_positions, values)
+
+    def get_row(
+        self,
+        data: bytes,
+        offset: int,
+        fields: _Fields,
+        positions: Optional[Sequence[int]] = None,
+    ) -> _Got:
+        """The columns at ``positions`` (default: all) plus ``value_bytes``."""
+        if positions is None:
+            positions = self.all_positions
+        values, offset = _decode_fields(self.schema, positions, data, offset)
+        fields["value_bytes"] = encoded_fields_size(self.schema, positions, values)
+        return values, offset
+
+    def put_masked_row(
+        self, out: bytearray, values: Sequence[Any], message: Any
+    ) -> None:
+        _encode_fields(out, self.schema, message.positions(), values)
+
+    def get_masked_row(self, data: bytes, offset: int, fields: _Fields) -> _Got:
+        mask = fields["mask"]
+        if mask >> len(self.schema):
+            raise WireError(
+                f"update-delta mask {mask:#x} exceeds the "
+                f"{len(self.schema)}-column value schema"
+            )
+        positions = [
+            index for index in range(mask.bit_length()) if mask >> index & 1
+        ]
+        return self.get_row(data, offset, fields, positions)
+
+    def put_digest(self, out: bytearray, digest: bytes, message: Any) -> None:
+        write_uvarint(out, len(digest))
+        out += digest
+
+    def get_digest(self, data: bytes, offset: int, fields: _Fields) -> _Got:
+        length, offset = read_uvarint(data, offset)
+        end = offset + length
+        if end > len(data):
+            raise WireError("truncated frame: digest cut short")
+        return bytes(data[offset:end]), end
+
+    def put_digest_list(
+        self, out: bytearray, entries: "Sequence[Tuple[int, bytes]]", message: Any
+    ) -> None:
+        write_uvarint(out, len(entries))
+        for slot, digest in entries:
+            write_uvarint(out, slot)
+            self.put_digest(out, digest, message)
+
+    def get_digest_list(self, data: bytes, offset: int, fields: _Fields) -> _Got:
+        count, offset = read_uvarint(data, offset)
+        entries: "list[tuple[int, bytes]]" = []
+        for _ in range(count):
+            slot, offset = read_uvarint(data, offset)
+            digest, offset = self.get_digest(data, offset, fields)
+            entries.append((slot, digest))
+        return tuple(entries), offset
 
 
-def _encode_time(out: bytearray, time: int, state: _WireState) -> None:
-    write_svarint(out, time - state.prev_time)
-    state.prev_time = time
+_KINDS: "Dict[str, Tuple[Callable[..., None], Callable[..., _Got]]]" = {
+    msg.ADDR: (_WireState.put_addr, _WireState.get_addr),
+    msg.TIME: (_WireState.put_time, _WireState.get_time),
+    msg.UVARINT: (_WireState.put_uvarint, _WireState.get_uvarint),
+    msg.ROW: (_WireState.put_row, _WireState.get_row),
+    msg.MASKED_ROW: (_WireState.put_masked_row, _WireState.get_masked_row),
+    msg.DIGEST: (_WireState.put_digest, _WireState.get_digest),
+    msg.DIGEST_LIST: (_WireState.put_digest_list, _WireState.get_digest_list),
+}
 
 
-def _decode_time(data: bytes, offset: int, state: _WireState) -> "tuple[int, int]":
-    delta, offset = read_svarint(data, offset)
-    state.prev_time += delta
-    return state.prev_time, offset
+# -- message registry --------------------------------------------------------
 
 
-# -- message codec -----------------------------------------------------------
+def message_registry(namespace: "Mapping[str, Any]") -> "Dict[int, Type[Any]]":
+    """Tag -> class for every concrete refresh message in ``namespace``.
 
-_TAG_ENTRY = 1
-_TAG_END_OF_SCAN = 2
-_TAG_SNAP_TIME = 3
-_TAG_BEGIN = 4
-_TAG_COMMIT = 5
-_TAG_DELETE_RANGE = 6
-_TAG_UPSERT = 7
-_TAG_DELETE = 8
-_TAG_CLEAR = 9
-_TAG_FULL_ROW = 10
-_TAG_UPDATE_DELTA = 11
-_TAG_SEGMENT_HASH_REQUEST = 12
-_TAG_SEGMENT_HASH_RESPONSE = 13
-_TAG_ROW_DIGESTS = 14
+    Run over :mod:`repro.core.messages` at import, so a message class
+    that forgot its ``TAG``/``LAYOUT``, reused a tag or named a kind
+    this module cannot encode stops the program here rather than at its
+    first send.
+    """
+    by_tag: "Dict[int, Type[Any]]" = {}
+    for cls in namespace.values():
+        if (
+            not isinstance(cls, type)
+            or not issubclass(cls, msg.RefreshMessage)
+            or cls is msg.RefreshMessage
+        ):
+            continue
+        tag = getattr(cls, "TAG", None)
+        layout = getattr(cls, "LAYOUT", None)
+        if tag is None or layout is None:
+            raise WireError(f"{cls.__name__} declares no TAG and LAYOUT")
+        if tag in by_tag:
+            raise WireError(
+                f"{cls.__name__} and {by_tag[tag].__name__} both declare "
+                f"TAG {tag}"
+            )
+        for attribute, kind in layout:
+            if kind not in _KINDS:
+                raise WireError(
+                    f"{cls.__name__}.{attribute}: unknown layout kind {kind!r}"
+                )
+        by_tag[tag] = cls
+    return by_tag
+
+
+#: The wire's type table, derived from the message declarations.
+CLASS_BY_TAG = message_registry(vars(msg))
+
+#: Per class, its layout resolved to ``(attribute, put, get)``.
+_FIELDS = {
+    cls: tuple((attribute,) + _KINDS[kind] for attribute, kind in cls.LAYOUT)
+    for cls in CLASS_BY_TAG.values()
+}
 
 
 class WireFrame:
@@ -356,6 +492,12 @@ class WireCodec:
     subscription's row format.  ``base_time`` seeds the time-delta state
     (the snapshot's SnapTime is the natural choice); any shared value
     works because every delta chain starts fresh per frame.
+
+    :meth:`encode_into`/:meth:`_decode_one` are the *reference* codec:
+    an interpreter over each message's declared ``LAYOUT``.  It is the
+    oracle the byte-identity properties compare against and the
+    production path for every message :mod:`repro.net.wirebatch` does
+    not inline (everything but entries and update deltas).
     """
 
     def __init__(
@@ -375,211 +517,63 @@ class WireCodec:
 
     def _new_state(self) -> _WireState:
         """A fresh per-frame delta state seeded from ``base_time``."""
-        return _WireState(self.base_time)
+        return _WireState(self)
 
     # -- one message ---------------------------------------------------------
 
     def encode_into(self, out: bytearray, message: Any, state: _WireState) -> None:
-        schema = self.value_schema
-        if isinstance(message, msg.EntryMessage):
-            out.append(_TAG_ENTRY)
-            _encode_addr(out, message.addr, state)
-            _encode_addr(out, message.prev_qual, state)
-            _encode_fields(out, schema, self._all_positions, message.values)
-        elif isinstance(message, msg.UpdateDeltaMessage):
-            out.append(_TAG_UPDATE_DELTA)
-            _encode_addr(out, message.addr, state)
-            _encode_addr(out, message.prev_qual, state)
-            write_uvarint(out, message.mask)
-            _encode_fields(out, schema, message.positions(), message.values)
-        elif isinstance(message, msg.EndOfScanMessage):
-            out.append(_TAG_END_OF_SCAN)
-            _encode_addr(out, message.last_qual, state)
-        elif isinstance(message, msg.SnapTimeMessage):
-            out.append(_TAG_SNAP_TIME)
-            _encode_time(out, message.time, state)
-        elif isinstance(message, msg.RefreshBeginMessage):
-            out.append(_TAG_BEGIN)
-            _encode_time(out, message.epoch, state)
-        elif isinstance(message, msg.RefreshCommitMessage):
-            out.append(_TAG_COMMIT)
-            _encode_time(out, message.epoch, state)
-            write_uvarint(out, message.count)
-        elif isinstance(message, msg.DeleteRangeMessage):
-            out.append(_TAG_DELETE_RANGE)
-            _encode_addr(out, message.lo, state)
-            _encode_addr(out, message.hi, state)
-        elif isinstance(message, msg.UpsertMessage):
-            out.append(_TAG_UPSERT)
-            _encode_addr(out, message.addr, state)
-            _encode_fields(out, schema, self._all_positions, message.values)
-        elif isinstance(message, msg.DeleteMessage):
-            out.append(_TAG_DELETE)
-            _encode_addr(out, message.addr, state)
-        elif isinstance(message, msg.ClearMessage):
-            out.append(_TAG_CLEAR)
-        elif isinstance(message, msg.FullRowMessage):
-            out.append(_TAG_FULL_ROW)
-            _encode_addr(out, message.addr, state)
-            _encode_fields(out, schema, self._all_positions, message.values)
-        elif isinstance(message, msg.SegmentHashRequestMessage):
-            out.append(_TAG_SEGMENT_HASH_REQUEST)
-            write_uvarint(out, message.lo)
-            write_uvarint(out, message.hi)
-        elif isinstance(message, msg.SegmentHashResponseMessage):
-            out.append(_TAG_SEGMENT_HASH_RESPONSE)
-            write_uvarint(out, message.lo)
-            write_uvarint(out, message.hi)
-            write_uvarint(out, len(message.digest))
-            out.extend(message.digest)
-            write_uvarint(out, message.count)
-        elif isinstance(message, msg.RowDigestsMessage):
-            out.append(_TAG_ROW_DIGESTS)
-            write_uvarint(out, message.page_no)
-            write_uvarint(out, len(message.entries))
-            for slot, digest in message.entries:
-                write_uvarint(out, slot)
-                write_uvarint(out, len(digest))
-                out.extend(digest)
-        else:
+        fields = _FIELDS.get(message.__class__)
+        if fields is None:
             raise WireError(f"no wire encoding for {message!r}")
+        out.append(message.TAG)
+        for attribute, put, _ in fields:
+            put(state, out, getattr(message, attribute), message)
 
     def _decode_one(
         self, data: bytes, offset: int, state: _WireState
     ) -> "tuple[Any, int]":
-        schema = self.value_schema
         try:
             tag = data[offset]
         except IndexError:
             raise WireError("truncated frame: missing message tag") from None
+        cls = CLASS_BY_TAG.get(tag)
+        if cls is None:
+            raise WireError(f"unknown message tag {tag}")
         offset += 1
-        if tag == _TAG_ENTRY:
-            addr, offset = _decode_addr(data, offset, state)
-            prev, offset = _decode_addr(data, offset, state)
-            values, offset = _decode_fields(
-                schema, self._all_positions, data, offset
-            )
-            value_bytes = encoded_fields_size(schema, self._all_positions, values)
-            return msg.EntryMessage(addr, prev, values, value_bytes), offset
-        if tag == _TAG_UPDATE_DELTA:
-            addr, offset = _decode_addr(data, offset, state)
-            prev, offset = _decode_addr(data, offset, state)
-            mask, offset = read_uvarint(data, offset)
-            if mask >> len(schema):
-                raise WireError(
-                    f"update-delta mask {mask:#x} exceeds the "
-                    f"{len(schema)}-column value schema"
-                )
-            positions = [
-                index for index in range(mask.bit_length()) if mask >> index & 1
-            ]
-            values, offset = _decode_fields(schema, positions, data, offset)
-            value_bytes = encoded_fields_size(schema, positions, values)
-            return (
-                msg.UpdateDeltaMessage(addr, prev, mask, values, value_bytes),
-                offset,
-            )
-        if tag == _TAG_END_OF_SCAN:
-            last, offset = _decode_addr(data, offset, state)
-            return msg.EndOfScanMessage(last), offset
-        if tag == _TAG_SNAP_TIME:
-            time, offset = _decode_time(data, offset, state)
-            return msg.SnapTimeMessage(time), offset
-        if tag == _TAG_BEGIN:
-            epoch, offset = _decode_time(data, offset, state)
-            return msg.RefreshBeginMessage(epoch), offset
-        if tag == _TAG_COMMIT:
-            epoch, offset = _decode_time(data, offset, state)
-            count, offset = read_uvarint(data, offset)
-            return msg.RefreshCommitMessage(epoch, count), offset
-        if tag == _TAG_DELETE_RANGE:
-            lo, offset = _decode_addr(data, offset, state)
-            hi, offset = _decode_addr(data, offset, state)
-            return msg.DeleteRangeMessage(lo, hi), offset
-        if tag == _TAG_UPSERT:
-            addr, offset = _decode_addr(data, offset, state)
-            values, offset = _decode_fields(
-                schema, self._all_positions, data, offset
-            )
-            value_bytes = encoded_fields_size(schema, self._all_positions, values)
-            return msg.UpsertMessage(addr, values, value_bytes), offset
-        if tag == _TAG_DELETE:
-            addr, offset = _decode_addr(data, offset, state)
-            return msg.DeleteMessage(addr), offset
-        if tag == _TAG_CLEAR:
-            return msg.ClearMessage(), offset
-        if tag == _TAG_FULL_ROW:
-            addr, offset = _decode_addr(data, offset, state)
-            values, offset = _decode_fields(
-                schema, self._all_positions, data, offset
-            )
-            value_bytes = encoded_fields_size(schema, self._all_positions, values)
-            return msg.FullRowMessage(addr, values, value_bytes), offset
-        if tag == _TAG_SEGMENT_HASH_REQUEST:
-            lo, offset = read_uvarint(data, offset)
-            hi, offset = read_uvarint(data, offset)
-            return msg.SegmentHashRequestMessage(lo, hi), offset
-        if tag == _TAG_SEGMENT_HASH_RESPONSE:
-            lo, offset = read_uvarint(data, offset)
-            hi, offset = read_uvarint(data, offset)
-            length, offset = read_uvarint(data, offset)
-            digest = bytes(data[offset : offset + length])
-            if len(digest) != length:
-                raise WireError("truncated frame: segment digest cut short")
-            offset += length
-            count, offset = read_uvarint(data, offset)
-            return msg.SegmentHashResponseMessage(lo, hi, digest, count), offset
-        if tag == _TAG_ROW_DIGESTS:
-            page_no, offset = read_uvarint(data, offset)
-            count, offset = read_uvarint(data, offset)
-            entries: "list[tuple[int, bytes]]" = []
-            for _ in range(count):
-                slot, offset = read_uvarint(data, offset)
-                length, offset = read_uvarint(data, offset)
-                digest = bytes(data[offset : offset + length])
-                if len(digest) != length:
-                    raise WireError("truncated frame: row digest cut short")
-                offset += length
-                entries.append((slot, digest))
-            return msg.RowDigestsMessage(page_no, tuple(entries)), offset
-        raise WireError(f"unknown message tag {tag}")
+        fields: _Fields = {}
+        for attribute, _, get in _FIELDS[cls]:
+            fields[attribute], offset = get(state, data, offset, fields)
+        return cls(**fields), offset
 
     # -- whole frames --------------------------------------------------------
 
     def encode_frame(self, messages: "Sequence[Any]") -> WireFrame:
         """Encode a batch of logical messages into one physical frame.
 
-        Delegates to :meth:`encode_batch` (the flat-cursor hot path);
-        :meth:`encode_frame_per_message` is the reference implementation
-        the byte-identity property pins the batch path against.
+        The production path: :func:`wirebatch.encode_batch_into` writes
+        the whole frame through one flat cursor.
+        :meth:`encode_frame_per_message` is the reference the
+        byte-identity property pins it against.
         """
-        return self.encode_batch(messages)
-
-    def encode_batch(self, messages: "Sequence[Any]") -> WireFrame:
-        """Batch hot path: one flat bytearray cursor for the whole frame."""
-        state = _WireState(self.base_time)
         payload = bytearray()
-        wirebatch.encode_batch_into(self, payload, messages, state)
-        modeled = 0
-        for message in messages:
-            modeled += message.wire_size()
-        from repro.net.blocking import FRAME_OVERHEAD
-
-        return self._seal(bytes(payload), len(messages), modeled + FRAME_OVERHEAD)
+        wirebatch.encode_batch_into(self, payload, messages, self._new_state())
+        return self._seal(
+            payload, len(messages), sum(m.wire_size() for m in messages)
+        )
 
     def encode_frame_per_message(self, messages: "Sequence[Any]") -> WireFrame:
         """Reference path: one :meth:`encode_into` call per message."""
-        state = _WireState(self.base_time)
+        state = self._new_state()
         payload = bytearray()
-        modeled = 0
         for message in messages:
             self.encode_into(payload, message, state)
-            modeled += message.wire_size()
-        from repro.net.blocking import FRAME_OVERHEAD
+        return self._seal(
+            payload, len(messages), sum(m.wire_size() for m in messages)
+        )
 
-        return self._seal(bytes(payload), len(messages), modeled + FRAME_OVERHEAD)
-
-    def _seal(self, payload: bytes, count: int, modeled_size: int) -> WireFrame:
+    def _seal(self, body: bytearray, count: int, modeled_size: int) -> WireFrame:
+        """Header + (deflated only when smaller) payload as one frame."""
+        payload = bytes(body)
         flags = 0
         if self.compress:
             deflated = zlib.compress(payload, 6)
@@ -588,7 +582,9 @@ class WireCodec:
                 flags |= FLAG_DEFLATE
         header = bytearray((flags,))
         write_uvarint(header, count)
-        return WireFrame(bytes(header) + payload, count, modeled_size)
+        return WireFrame(
+            bytes(header) + payload, count, modeled_size + FRAME_OVERHEAD
+        )
 
     def _open_frame(self, frame: "WireFrame | bytes") -> "tuple[bytes, int]":
         """Strip the frame header; returns (inflated payload, count)."""
@@ -596,6 +592,8 @@ class WireCodec:
         if not data:
             raise WireError("empty frame")
         flags = data[0]
+        if flags & ~FLAG_DEFLATE:
+            raise WireError(f"unknown frame flags {flags:#04x}")
         count, offset = read_uvarint(data, 1)
         payload = data[offset:]
         if flags & FLAG_DEFLATE:
@@ -608,14 +606,10 @@ class WireCodec:
     def decode_frame(self, frame: "WireFrame | bytes") -> "List[Any]":
         """Inverse of :meth:`encode_frame`: the exact message sequence.
 
-        Delegates to :meth:`decode_batch` (the flat-cursor hot path);
-        :meth:`decode_frame_per_message` is the reference implementation
-        the byte-identity property pins the batch path against.
+        The production path: the schema-specialized generated decoder of
+        :mod:`repro.net.wirebatch`.  :meth:`decode_frame_per_message` is
+        the reference the byte-identity property pins it against.
         """
-        return self.decode_batch(frame)
-
-    def decode_batch(self, frame: "WireFrame | bytes") -> "List[Any]":
-        """Batch hot path: one inlined cursor pass over the payload."""
         payload, count = self._open_frame(frame)
         messages, offset = wirebatch.decode_batch_payload(self, payload, count)
         if offset != len(payload):
@@ -632,7 +626,7 @@ class WireCodec:
     def decode_frame_per_message(self, frame: "WireFrame | bytes") -> "List[Any]":
         """Reference path: one :meth:`_decode_one` call per message."""
         payload, count = self._open_frame(frame)
-        state = _WireState(self.base_time)
+        state = self._new_state()
         messages: "List[Any]" = []
         offset = 0
         for _ in range(count):
@@ -685,7 +679,7 @@ class FrameWriter:
         self._payload = bytearray()
         self._count = 0
         self._modeled = 0
-        self._state = _WireState(codec.base_time)
+        self._state = codec._new_state()
         #: Frames shipped over this writer's lifetime.
         self.frames_sent = 0
 
@@ -699,9 +693,17 @@ class FrameWriter:
         return len(self._payload)
 
     def send(self, message: Any) -> None:
-        wirebatch.encode_batch_into(
-            self.codec, self._payload, (message,), self._state
-        )
+        payload, state = self._payload, self._state
+        mark = (len(payload), state.prev_page, state.prev_slot, state.prev_time)
+        try:
+            wirebatch.encode_batch_into(self.codec, payload, (message,), state)
+        except BaseException:
+            # A message that cannot be encoded leaves nothing behind:
+            # neither its partial bytes nor the deltas it advanced, so
+            # the pending frame still decodes.
+            del payload[mark[0] :]
+            state.prev_page, state.prev_slot, state.prev_time = mark[1:]
+            raise
         self._count += 1
         self._modeled += message.wire_size()
         if (
@@ -717,11 +719,7 @@ class FrameWriter:
     def flush(self) -> None:
         if not self._count:
             return
-        from repro.net.blocking import FRAME_OVERHEAD
-
-        frame = self.codec._seal(
-            bytes(self._payload), self._count, self._modeled + FRAME_OVERHEAD
-        )
+        frame = self.codec._seal(self._payload, self._count, self._modeled)
         self._reset()
         self.frames_sent += 1
         self.sink(frame)
@@ -736,4 +734,4 @@ class FrameWriter:
         self._payload = bytearray()
         self._count = 0
         self._modeled = 0
-        self._state = _WireState(self.codec.base_time)
+        self._state = self.codec._new_state()

@@ -1,13 +1,24 @@
-"""Batch wire codec: whole frames through one flat byte cursor.
+"""Batch wire codec: the two measured hot shapes through one flat cursor.
 
-The per-message codec in :mod:`repro.net.wire` is the *reference*
-implementation — small, obviously correct, and the thing replint's
-L301–L304 parity rules are anchored to.  It is also slow: profiling a
-refresh stream shows ~40 Python calls per decoded message
-(``_decode_addr`` → ``read_svarint`` → ``read_uvarint`` → …), which caps
-decode throughput around 10⁵ messages per second regardless of I/O.
+The reference codec in :mod:`repro.net.wire` interprets each message's
+declared ``LAYOUT`` (:mod:`repro.core.messages`) — small, obviously
+correct, and the only place a message's wire format is written down.
+It is also slow: ~40 Python calls per decoded entry (``get_addr`` →
+``read_svarint`` → ``read_uvarint`` → …) cap decode throughput around
+10⁵ messages per second regardless of I/O.
 
-This module is the production path, in two halves.
+This module inlines only what the traffic justifies.  On the four A21
+workloads :class:`~repro.core.messages.EntryMessage` and
+:class:`~repro.core.messages.UpdateDeltaMessage` are 99.0–99.6 % of a
+differential refresh's messages (EXPERIMENTS A21 has the mix), and no
+value schema carries anything but int/string/float columns — so those
+two shapes over those three column kinds are hand-inlined here, with
+their tags read from the classes, and *every other message* (control,
+deletes, upserts, full rows, anti-entropy) and every other column type
+is handed to the reference codec mid-frame with the delta state passed
+across.  The two paths are therefore byte-identical by construction on
+everything but the inlined branch, and the batch round-trip hypothesis
+property plus ``TestEveryRegisteredMessage`` pin that branch.
 
 **Encode** (:func:`encode_batch_into`) appends a whole frame to one
 ``bytearray`` with the varint, address-delta, and column-value codecs
@@ -39,13 +50,6 @@ binding a decoder to a new codec is a cheap ``exec`` of the cached code
 object.  Generation is a pure function of the plan — no clocks, no
 randomness — so the decoder for a given schema is deterministic.
 
-Messages outside the refresh hot path (upserts, full rows, unknown
-subclasses) fall back to the reference codec mid-frame with the delta
-state handed across, so the two paths are byte-identical *by
-construction* on every input — and the batch round-trip hypothesis
-property pins that for random message mixes, compression and per-column
-deltas included.
-
 replint's L305 rule guards the premise: inside this module (and the
 storage-side batch extractor) any reappearance of the per-field helpers
 or bare ``struct.pack``/``unpack`` calls is flagged, because one stray
@@ -61,7 +65,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -69,14 +72,7 @@ from typing import (
 from repro.core import messages as msg
 from repro.errors import WireError
 from repro.relation.schema import Schema
-from repro.relation.types import (
-    NULL,
-    FloatType,
-    IntType,
-    RidType,
-    StringType,
-    TimestampType,
-)
+from repro.relation.types import NULL, FloatType, IntType, StringType
 from repro.storage.rid import Rid
 
 if TYPE_CHECKING:  # runtime import would be circular: wire.py imports us
@@ -84,14 +80,18 @@ if TYPE_CHECKING:  # runtime import would be circular: wire.py imports us
 
 _FLOAT = struct.Struct("<d")
 
+#: The two tags whose decode is inlined, read from their declarations.
+_ENTRY_TAG = msg.EntryMessage.TAG
+_DELTA_TAG = msg.UpdateDeltaMessage.TAG
+
 # Column kind codes: one small int per schema column, so the per-value
 # loop dispatches on an integer compare instead of isinstance chains.
 _K_INT = 0
 _K_STRING = 1
 _K_FLOAT = 2
-_K_TIME = 3
-_K_RID = 4
-_K_OTHER = 5
+#: Everything else (timestamp and rid columns included — no measured
+#: workload's value schema has one): the reference per-value codec.
+_K_OTHER = 3
 
 #: A compiled schema plan: (kind codes, column types, NULL-bitmap bytes).
 Plan = Tuple[Tuple[int, ...], Tuple[Any, ...], int]
@@ -122,10 +122,6 @@ def compile_plan(schema: Schema) -> Plan:
             kind = _K_STRING
         elif isinstance(ctype, FloatType):
             kind = _K_FLOAT
-        elif isinstance(ctype, TimestampType):
-            kind = _K_TIME
-        elif isinstance(ctype, RidType):
-            kind = _K_RID
         else:
             kind = _K_OTHER
         kinds.append(kind)
@@ -142,31 +138,26 @@ def encode_batch_into(
     """Append the exact wire encoding of ``messages`` to ``out``.
 
     Byte-identical to running ``codec.encode_into`` per message with the
-    same ``state``; the state object is synchronized on entry/exit (and
-    around reference-codec fallbacks), so callers may freely interleave
-    both paths within one frame.
+    same ``state``.  Only the two measured hot shapes — entries and
+    update deltas over int/string/float columns — are inlined here;
+    every other message goes to the reference codec.  The state's
+    address registers are synchronized on entry/exit and around those
+    hand-offs (the time register is only ever touched by the reference
+    codec), so callers may freely interleave both paths within one frame.
     """
     kinds, ctypes, bitmap_size = codec._plan
     append = out.append
     prev_page = state.prev_page
     prev_slot = state.prev_slot
-    prev_time = state.prev_time
     null = NULL
     entry_cls = msg.EntryMessage
     delta_cls = msg.UpdateDeltaMessage
-    end_cls = msg.EndOfScanMessage
-    snap_cls = msg.SnapTimeMessage
-    begin_cls = msg.RefreshBeginMessage
-    commit_cls = msg.RefreshCommitMessage
-    delrange_cls = msg.DeleteRangeMessage
-    delete_cls = msg.DeleteMessage
-    clear_cls = msg.ClearMessage
 
     for message in messages:
         cls = message.__class__
         if cls is entry_cls or cls is delta_cls:
             is_delta = cls is delta_cls
-            append(11 if is_delta else 1)
+            append(cls.TAG)
             # -- two delta-encoded addresses (addr, prev_qual) ------------
             for rid in (message.addr, message.prev_qual):
                 if rid is None:
@@ -268,46 +259,7 @@ def encode_batch_into(
                         bitmap |= 1 << index
                     else:
                         out += _FLOAT.pack(float(value))
-                elif kind == 3:  # timestamp: inline-NULL head byte
-                    if value is null:
-                        append(0)
-                    else:
-                        append(1)
-                        if value < 0:
-                            raise WireError(
-                                f"uvarint cannot encode negative value "
-                                f"{value}"
-                            )
-                        while value >= 0x80:
-                            append(value & 0x7F | 0x80)
-                            value >>= 7
-                        append(value)
-                elif kind == 4:  # rid column value: absolute coordinates
-                    if value is null:
-                        append(0)
-                    elif value.page_no == -1 and value.slot_no == 0:
-                        append(1)
-                    else:
-                        append(3)
-                        page = value.page_no - 0  # svarint of the page itself
-                        page = (
-                            page << 1 if page >= 0 else ((-page) << 1) - 1
-                        )
-                        while page >= 0x80:
-                            append(page & 0x7F | 0x80)
-                            page >>= 7
-                        append(page)
-                        slot = value.slot_no
-                        if slot < 0:
-                            raise WireError(
-                                f"uvarint cannot encode negative value "
-                                f"{slot}"
-                            )
-                        while slot >= 0x80:
-                            append(slot & 0x7F | 0x80)
-                            slot >>= 7
-                        append(slot)
-                else:  # unknown column type: reference per-value encoding
+                else:  # any other column type: reference per-value encoding
                     position = positions[index] if is_delta else index
                     if value is null and not ctypes[position].inline_null:
                         bitmap |= 1 << index
@@ -323,92 +275,17 @@ def encode_batch_into(
                     out[mark : mark + sub_bitmap] = bitmap.to_bytes(
                         sub_bitmap, "little"
                     )
-        elif cls is snap_cls or cls is begin_cls or cls is commit_cls:
-            is_commit = cls is commit_cls
-            append(5 if is_commit else (3 if cls is snap_cls else 4))
-            time = message.time if cls is snap_cls else message.epoch
-            value = time - prev_time
-            prev_time = time
-            value = value << 1 if value >= 0 else ((-value) << 1) - 1
-            while value >= 0x80:
-                append(value & 0x7F | 0x80)
-                value >>= 7
-            append(value)
-            if is_commit:
-                value = message.count
-                if value < 0:
-                    raise WireError(
-                        f"uvarint cannot encode negative value {value}"
-                    )
-                while value >= 0x80:
-                    append(value & 0x7F | 0x80)
-                    value >>= 7
-                append(value)
-        elif cls is end_cls or cls is delrange_cls or cls is delete_cls:
-            if cls is end_cls:
-                append(2)
-                rids: "Tuple[Optional[Rid], ...]" = (message.last_qual,)
-            elif cls is delrange_cls:
-                append(6)
-                rids = (message.lo, message.hi)
-            else:
-                append(8)
-                rids = (message.addr,)
-            for rid in rids:
-                if rid is None:
-                    append(0)
-                    continue
-                page = rid.page_no
-                slot = rid.slot_no
-                if page == -1 and slot == 0:
-                    append(1)
-                elif page == prev_page:
-                    append(2)
-                    value = slot - prev_slot
-                    value = (
-                        value << 1 if value >= 0 else ((-value) << 1) - 1
-                    )
-                    while value >= 0x80:
-                        append(value & 0x7F | 0x80)
-                        value >>= 7
-                    append(value)
-                    prev_slot = slot
-                else:
-                    append(3)
-                    value = page - prev_page
-                    value = (
-                        value << 1 if value >= 0 else ((-value) << 1) - 1
-                    )
-                    while value >= 0x80:
-                        append(value & 0x7F | 0x80)
-                        value >>= 7
-                    append(value)
-                    value = slot
-                    if value < 0:
-                        raise WireError(
-                            f"uvarint cannot encode negative value {value}"
-                        )
-                    while value >= 0x80:
-                        append(value & 0x7F | 0x80)
-                        value >>= 7
-                    append(value)
-                    prev_page = page
-                    prev_slot = slot
-        elif cls is clear_cls:
-            append(9)
         else:
-            # Cold path (upserts, full rows, message subclasses): the
-            # reference codec encodes with the delta state handed across.
+            # Every other message (control, upserts, deletes, full rows,
+            # anti-entropy): the reference codec interprets its LAYOUT,
+            # with the delta state handed across.
             state.prev_page = prev_page
             state.prev_slot = prev_slot
-            state.prev_time = prev_time
             codec.encode_into(out, message, state)
             prev_page = state.prev_page
             prev_slot = state.prev_slot
-            prev_time = state.prev_time
     state.prev_page = prev_page
     state.prev_slot = prev_slot
-    state.prev_time = prev_time
 
 
 # -- batch decode: per-schema generated decoders -----------------------------
@@ -419,13 +296,13 @@ def encode_batch_into(
 #   d / size     payload bytes and len(payload)
 #   o            the single read cursor
 #   pp / ps      address delta state (prev page / prev slot)
-#   pt           time delta state
 #   lap/las/lar  previous entry's addr (page, slot, Rid object), kept
 #                for prev_qual reuse
 #   b, u, s, h   varint scratch (byte, value, shift, head byte)
 #   vN / lnN     column N's decoded value / a string column's byte length
 #   vb / vbx     value_bytes accumulator / exotic-column extra bytes
-#   fbs          lazily-created reference-codec state for cold fallbacks
+#   fbs          reference-codec state for hand-offs; it alone holds the
+#                frame's time delta
 
 
 def _lines(pad: int, text: str) -> "List[str]":
@@ -557,14 +434,6 @@ else:
 """
 
 
-def _time_src() -> str:
-    newline = chr(10)
-    return f"""
-{_uvarint_src("u").strip(newline)}
-pt += (u >> 1) ^ -(u & 1)
-"""
-
-
 def _value_fast_src(index: int, kind: int) -> "Tuple[str, str]":
     """(snippet, value_bytes term) for column ``index``, no-NULLs path."""
     var = f"v{index}"
@@ -591,37 +460,6 @@ o = e
             f"""
 {var} = _FUP(d, o)[0]
 o += 8
-""",
-            "",
-        )
-    if kind == _K_TIME:
-        return (
-            f"""
-h = d[o]
-o += 1
-if h == 0:
-    {var} = _NULL
-else:
-{_indent_block(_uvarint_src(var), 1)}
-""",
-            "",
-        )
-    if kind == _K_RID:
-        return (
-            f"""
-h = d[o]
-o += 1
-if h == 0:
-    {var} = _NULL
-elif h == 1:
-    {var} = _BEGIN
-else:
-{_indent_block(_uvarint_src("u"), 1)}
-    pg = (u >> 1) ^ -(u & 1)
-{_indent_block(_uvarint_src("u"), 1)}
-    {var} = _RN(_R)
-    {var}.page_no = pg
-    {var}.slot_no = u
 """,
             "",
         )
@@ -668,11 +506,6 @@ else:
     o += 8
     vb += 8
 """
-    if kind in (_K_TIME, _K_RID):
-        # Inline-NULL head byte: the bitmap never covers these columns,
-        # and they always model eight bytes, present or NULL.
-        code, _ = _value_fast_src(index, kind)
-        return f"{code.strip(newline)}\nvb += 8\n"
     return f"""
 if bitmap >> {index} & 1 and not _CTYPES[{index}].inline_null:
     {var} = _NULL
@@ -688,7 +521,7 @@ def _render_decoder_source(kinds: "Tuple[int, ...]", bitmap_size: int) -> str:
     has_other = _K_OTHER in kinds
     fixed_bytes = (
         bitmap_size
-        + sum(8 for k in kinds if k in (_K_INT, _K_FLOAT, _K_TIME, _K_RID))
+        + sum(8 for k in kinds if k in (_K_INT, _K_FLOAT))
         + sum(2 for k in kinds if k == _K_STRING)
     )
 
@@ -737,7 +570,7 @@ append(m)
     # entry would not contain.
     if bitmap_size == 1:
         speculative = f"""
-if tag == 1 and d[o+1] == 2 and (s1 := d[o+2]) < 0x80 and d[o+3] == 2 and (s2 := d[o+4]) < 0x80 and d[o+5] == 0:
+if tag == {_ENTRY_TAG} and d[o+1] == 2 and (s1 := d[o+2]) < 0x80 and d[o+3] == 2 and (s2 := d[o+4]) < 0x80 and d[o+5] == 0:
     ps += _ZZ[s1]
     addr = _RN(_R)
     addr.page_no = pp
@@ -790,27 +623,25 @@ else:
     return f"""
 def _decode(d, count, _E=_E, _EN=_EN, _UD=_UD, _UDN=_UDN, _R=_R, _RN=_RN,
             _BEGIN=_BEGIN, _NULL=_NULL, _ZZ=_ZZ, _ZZ2=_ZZ2, _FUP=_FUP,
-            _EOS=_EOS, _ST=_ST, _RB=_RB, _RC=_RC, _DR=_DR, _DM=_DM,
-            _CM=_CM, _KINDS=_KINDS, _CTYPES=_CTYPES, _DV=_DV,
-            _CODEC=_CODEC, _WE=_WE, _SE=_SE, _BT=_BT):
+            _KINDS=_KINDS, _CTYPES=_CTYPES, _DV=_DV, _CODEC=_CODEC,
+            _WE=_WE, _SE=_SE):
     out = []
     append = out.append
     o = 0
     pp = 0
     ps = 0
-    pt = _BT
     lap = None
     las = -1
     lar = None
-    fbs = None
+    fbs = _CODEC._new_state()
     size = len(d)
     try:
         for _ in range(count):
             tag = d[o]
 {speculative_block}            o += 1
-            if tag == 1:
+            if tag == {_ENTRY_TAG}:
 {_indent_block(entry_block, 4)}
-            elif tag == 11:
+            elif tag == {_DELTA_TAG}:
 {_indent_block(_addr_src("addr", reuse=False), 4)}
 {_indent_block(_addr_src("prevq", reuse=True), 4)}
                 if addr is not None and addr is not _BEGIN:
@@ -848,14 +679,14 @@ def _decode(d, count, _E=_E, _EN=_EN, _UD=_UD, _UDN=_UDN, _R=_R, _RN=_RN,
                 i = 0
                 for p in positions:
                     k = _KINDS[p]
-                    if k == 0:
+                    if k == {_K_INT}:
                         if bitmap >> i & 1:
                             va(_NULL)
                         else:
 {_indent_block(_uvarint_src("u"), 7)}
                             va((u >> 1) ^ -(u & 1))
                             vb += 8
-                    elif k == 1:
+                    elif k == {_K_STRING}:
                         if bitmap >> i & 1:
                             va(_NULL)
                         else:
@@ -866,38 +697,13 @@ def _decode(d, count, _E=_E, _EN=_EN, _UD=_UD, _UDN=_UDN, _R=_R, _RN=_RN,
                             va(d[o:e].decode())
                             o = e
                             vb += 2 + ln
-                    elif k == 2:
+                    elif k == {_K_FLOAT}:
                         if bitmap >> i & 1:
                             va(_NULL)
                         else:
                             va(_FUP(d, o)[0])
                             o += 8
                             vb += 8
-                    elif k == 3:
-                        h = d[o]
-                        o += 1
-                        if h == 0:
-                            va(_NULL)
-                        else:
-{_indent_block(_uvarint_src("u"), 7)}
-                            va(u)
-                        vb += 8
-                    elif k == 4:
-                        h = d[o]
-                        o += 1
-                        if h == 0:
-                            va(_NULL)
-                        elif h == 1:
-                            va(_BEGIN)
-                        else:
-{_indent_block(_uvarint_src("u"), 7)}
-                            pg = (u >> 1) ^ -(u & 1)
-{_indent_block(_uvarint_src("u"), 7)}
-                            r = _RN(_R)
-                            r.page_no = pg
-                            r.slot_no = u
-                            va(r)
-                        vb += 8
                     else:
                         ct = _CTYPES[p]
                         if bitmap >> i & 1 and not ct.inline_null:
@@ -914,37 +720,14 @@ def _decode(d, count, _E=_E, _EN=_EN, _UD=_UD, _UDN=_UDN, _R=_R, _RN=_RN,
                 m.values = tuple(vals)
                 m.value_bytes = vb
                 append(m)
-            elif tag == 3 or tag == 4 or tag == 5:
-{_indent_block(_time_src(), 4)}
-                if tag == 3:
-                    append(_ST(pt))
-                elif tag == 4:
-                    append(_RB(pt))
-                else:
-{_indent_block(_uvarint_src("u"), 5)}
-                    append(_RC(pt, u))
-            elif tag == 2:
-{_indent_block(_addr_src("last", reuse=True), 4)}
-                append(_EOS(last))
-            elif tag == 6:
-{_indent_block(_addr_src("lo", reuse=True), 4)}
-{_indent_block(_addr_src("hi", reuse=True), 4)}
-                append(_DR(lo, hi))
-            elif tag == 8:
-{_indent_block(_addr_src("adr", reuse=True), 4)}
-                append(_DM(adr))
-            elif tag == 9:
-                append(_CM())
             else:
-                if fbs is None:
-                    fbs = _CODEC._new_state()
+                # Any other message: the reference codec interprets its
+                # LAYOUT, with the address deltas handed across.
                 fbs.prev_page = pp
                 fbs.prev_slot = ps
-                fbs.prev_time = pt
                 m, o = _CODEC._decode_one(d, o - 1, fbs)
                 pp = fbs.prev_page
                 ps = fbs.prev_slot
-                pt = fbs.prev_time
                 append(m)
     except IndexError:
         raise _WE("truncated frame payload") from None
@@ -978,20 +761,12 @@ def _build_decoder(codec: "WireCodec") -> Decoder:
         "_ZZ": _ZZ,
         "_ZZ2": _ZZ2,
         "_FUP": _FLOAT.unpack_from,
-        "_EOS": msg.EndOfScanMessage,
-        "_ST": msg.SnapTimeMessage,
-        "_RB": msg.RefreshBeginMessage,
-        "_RC": msg.RefreshCommitMessage,
-        "_DR": msg.DeleteRangeMessage,
-        "_DM": msg.DeleteMessage,
-        "_CM": msg.ClearMessage,
         "_KINDS": kinds,
         "_CTYPES": ctypes,
         "_DV": _decode_value,
         "_CODEC": codec,
         "_WE": WireError,
         "_SE": struct.error,
-        "_BT": codec.base_time,
     }
     exec(code, namespace)  # noqa: S102 — source rendered from the plan above
     decoder: Decoder = namespace["_decode"]

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from repro.lint import RULES, lint_paths, lint_sources, load_source
-from repro.lint.engine import collect_sources, logical_path
+from repro.lint.engine import logical_path
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -51,20 +51,6 @@ class TestDeterminism:
     def test_non_deterministic_dirs_are_exempt(self):
         violations = lint_sources([fixture("clock.py", "workload/gen.py")])
         assert violations == []
-
-
-class TestCodecParity:
-    def test_orphan_message_and_tag_mismatch(self):
-        codec_root = os.path.join(FIXTURES, "codec")
-        violations = lint_sources(
-            collect_sources([codec_root], package_root=codec_root)
-        )
-        assert fired(violations) == [
-            ("L301", 16),
-            ("L302", 16),
-            ("L303", 16),
-            ("L304", 5),
-        ]
 
 
 class TestBatchPath:
@@ -148,7 +134,7 @@ class TestEngine:
         assert set(RULES) == {
             "L101", "L102", "L103",
             "L201", "L202", "L203",
-            "L301", "L302", "L303", "L304", "L305",
+            "L305",
             "L401", "L402", "L404",
             "L501", "L502",
             "L601", "L602", "L603",

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.messages import SnapTimeMessage
 from repro.errors import ChannelError, LinkDownError
 from repro.net.channel import Channel, Link
+from repro.net.wire import WireCodec
+from repro.relation.schema import Column, Schema
+from repro.relation.types import IntType
 
 
 class Msg:
@@ -58,6 +62,27 @@ class TestChannel:
         channel.send(Msg())
         assert len(channel.drain()) == 2
         assert channel.queued == 0
+
+    def test_enable_wire_over_queued_objects_rejected(self):
+        # Regression: this used to succeed, and the later attach popped
+        # (lost) the queued object and died in the frame decoder with a
+        # bare TypeError.
+        channel = Channel()
+        queued = SnapTimeMessage(5)
+        channel.send(queued)
+        codec = WireCodec(Schema([Column("v", IntType())]))
+        with pytest.raises(ChannelError, match="queued"):
+            channel.enable_wire(codec)
+        assert not channel.wire_enabled
+        received = []
+        channel.attach(received.append)
+        assert received == [queued]
+        # Draining first makes the switch legal.
+        other = Channel()
+        other.send(queued)
+        other.drain()
+        other.enable_wire(codec)
+        assert other.wire_enabled
 
 
 class TestStats:

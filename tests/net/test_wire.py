@@ -1,5 +1,9 @@
 """WireCodec: varints, address deltas, frames, and channel integration."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import messages as msg
@@ -9,9 +13,10 @@ from repro.errors import ChannelError, WireError
 from repro.net.blocking import BlockingChannel
 from repro.net.channel import Channel
 from repro.net.wire import (
+    CLASS_BY_TAG,
     FrameWriter,
     WireCodec,
-    WireFrame,
+    message_registry,
     read_svarint,
     read_uvarint,
     write_svarint,
@@ -214,6 +219,153 @@ class TestMessageRoundTrip:
         with pytest.raises(WireError):
             WireCodec(value_schema()).encode_frame([object()])
 
+    def test_unknown_flag_bits_rejected(self):
+        # Regression: a flags byte of 0x02 used to decode silently.
+        codec = WireCodec(value_schema(), compress=True)
+        frame = codec.encode_frame(
+            [entry(Rid(0, i), Rid.BEGIN, (i, "a" * 40, 0.0)) for i in range(8)]
+        )
+        assert frame.data[0] == 0x01  # deflated: the one known bit passes
+        assert len(codec.decode_frame(frame)) == 8
+        for flags in (0x02, 0x03, 0x80):
+            data = bytes((flags,)) + frame.data[1:]
+            for decode in (codec.decode_frame, codec.decode_frame_per_message):
+                with pytest.raises(WireError, match="unknown frame flags"):
+                    decode(data)
+
+
+def sample_of(cls):
+    """An instance of ``cls`` built from nothing but its ``LAYOUT``.
+
+    Every field gets a distinct value (so swapped attributes show), and
+    a row kind also fills the modeled ``value_bytes`` — exactly the two
+    things a layout kind may touch.
+    """
+    schema = value_schema()
+    row = (7, "seven", NULL)
+    fields = {}
+    for attribute, kind in cls.LAYOUT:
+        nth = len(fields)
+        if kind in (msg.ROW, msg.MASKED_ROW):
+            positions = [
+                i for i in range(3) if kind == msg.ROW or fields["mask"] >> i & 1
+            ]
+            fields[attribute] = tuple(row[i] for i in positions)
+            fields["value_bytes"] = encoded_fields_size(
+                schema, positions, fields[attribute]
+            )
+        else:
+            fields[attribute] = {
+                msg.ADDR: Rid(3, 4 + nth),
+                msg.TIME: 1000 + nth,
+                # A delta's mask is its third field: 0b101 of 3 columns.
+                msg.UVARINT: 3 + nth,
+                msg.DIGEST: bytes(range(8)),
+                msg.DIGEST_LIST: ((0, b"\x01\x02\x03\x04"), (7, b"\xaa\xbb")),
+            }[kind]
+    return cls(**fields)
+
+
+def assert_same_messages(decoded, original):
+    assert [type(m) for m in decoded] == [type(m) for m in original]
+    for copy, source in zip(decoded, original):
+        for attribute, _ in source.LAYOUT:
+            assert getattr(copy, attribute) == getattr(source, attribute)
+        assert copy.wire_size() == source.wire_size()
+
+
+class TestEveryRegisteredMessage:
+    """Driven by the tag table: a new message class is covered unedited.
+
+    This is what holds "one layout per message" now that no lint rule
+    compares hand-written codec copies: the batch and reference paths
+    agree byte for byte on every class the wire knows.
+    """
+
+    @pytest.mark.parametrize(
+        "cls", list(CLASS_BY_TAG.values()), ids=lambda cls: cls.__name__
+    )
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_both_codecs_agree_and_reject_truncation(self, cls, compress):
+        codec = WireCodec(value_schema(), compress=compress, base_time=990)
+        hot = entry(Rid(3, 1), Rid.BEGIN, (1, "n", 0.5))
+        # Hot-path neighbours on both sides exercise the delta-state
+        # hand-off into and out of the reference codec.
+        stream = [hot, sample_of(cls), sample_of(cls), hot]
+        frame = codec.encode_frame(stream)
+        assert frame.data == codec.encode_frame_per_message(stream).data
+        assert frame.modeled_size == 64 + sum(m.wire_size() for m in stream)
+        for decode in (codec.decode_frame, codec.decode_frame_per_message):
+            assert_same_messages(decode(frame), stream)
+            for cut in range(len(frame.data)):
+                with pytest.raises(WireError):
+                    decode(frame.data[:cut])
+
+
+class TestRegistry:
+    def test_table_is_exactly_the_declared_classes(self):
+        declared = {
+            cls
+            for cls in vars(msg).values()
+            if isinstance(cls, type)
+            and issubclass(cls, msg.RefreshMessage)
+            and cls is not msg.RefreshMessage
+        }
+        assert set(CLASS_BY_TAG.values()) == declared
+        assert all(cls.TAG == tag for tag, cls in CLASS_BY_TAG.items())
+
+    def test_duplicate_tag_rejected(self):
+        class Twin(msg.RefreshMessage):
+            TAG = msg.ClearMessage.TAG
+            LAYOUT = ()
+
+        with pytest.raises(WireError, match="both declare TAG 9"):
+            message_registry({**vars(msg), "Twin": Twin})
+
+    def test_subclass_without_layout_rejected(self):
+        class Bare(msg.RefreshMessage):
+            TAG = 99
+
+        with pytest.raises(WireError, match="Bare declares no TAG and LAYOUT"):
+            message_registry({"Bare": Bare})
+
+    def test_inherited_declaration_is_a_duplicate(self):
+        class Child(msg.DeleteMessage):
+            pass
+
+        with pytest.raises(WireError, match="both declare TAG"):
+            message_registry({**vars(msg), "Child": Child})
+
+    def test_unknown_kind_rejected(self):
+        class Odd(msg.RefreshMessage):
+            TAG = 99
+            LAYOUT = (("x", "float128"),)
+
+        with pytest.raises(WireError, match="unknown layout kind 'float128'"):
+            message_registry({"Odd": Odd})
+
+    def test_undeclared_class_fails_at_import_not_at_first_send(self):
+        script = (
+            "import repro.core.messages as m\n"
+            "class Bare(m.RefreshMessage):\n"
+            "    pass\n"
+            "m.Bare = Bare\n"
+            # The package import above already loaded the wire module;
+            # run its body again now that the class exists.
+            "import importlib, repro.net.wire\n"
+            "importlib.reload(repro.net.wire)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode != 0
+        assert "WireError: Bare declares no TAG and LAYOUT" in result.stderr
+
 
 class TestFrameWriter:
     def make(self, **kwargs):
@@ -267,6 +419,41 @@ class TestFrameWriter:
         later = codec.decode_frame(frames[2])  # decoded without frames 0-1
         assert later[0].addr == Rid(3, 4)
         assert later[0].prev_qual == Rid(3, 3)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # int in a string column: AttributeError inside the hot path,
+            # after the tag and both addresses were appended.
+            msg.EntryMessage(Rid(5, 0), Rid(0, 0), (1, 2, 0.0), 0),
+            # Negative slot on a new page: WireError mid-address.
+            msg.EntryMessage(Rid(5, -1), Rid(0, 0), (1, "n", 0.0), 0),
+            # Reference path: the address advances the delta state, then
+            # the row fails.
+            msg.UpsertMessage(Rid(5, 0), (1, 2, 0.0), 0),
+        ],
+        ids=["hot-value", "hot-address", "reference-value"],
+    )
+    def test_failed_send_leaves_no_torn_frame(self, bad):
+        # Regression: the partial bytes of a message whose encode raised
+        # stayed in the pending payload (8 B -> 15 B), and the next
+        # flush shipped a frame the receiver rejected ("7 trailing
+        # bytes").
+        writer, frames, codec = self.make(flush_messages=1000)
+        first = entry(Rid(0, 0), Rid.BEGIN, (1, "n", 0.0))
+        writer.send(first)
+        before = writer.pending_bytes
+        with pytest.raises((AttributeError, WireError)):
+            writer.send(bad)
+        assert (writer.pending, writer.pending_bytes) == (1, before)
+        # The delta state rolled back too: the next address still
+        # decodes against the last message that made it into the frame.
+        second = entry(Rid(0, 1), Rid(0, 0), (2, "n", 0.0))
+        writer.send(second)
+        writer.flush()
+        (frame,) = frames
+        assert frame.data == codec.encode_frame([first, second]).data
+        assert [m.addr for m in codec.decode_frame(frame)] == [Rid(0, 0), Rid(0, 1)]
 
     def test_bad_thresholds_rejected(self):
         codec = WireCodec(value_schema())

@@ -19,7 +19,7 @@ from repro.net.wire import (
     write_uvarint,
 )
 from repro.net.wire import _decode_value, _encode_value
-from repro.relation.row import Row, encode_row
+from repro.relation.row import Row, encode_row, encoded_fields_size
 from repro.relation.schema import Column, Schema
 from repro.relation.types import (
     NULL,
@@ -145,16 +145,16 @@ class TestFrameTruncation:
     ):
         schema = make_schema()
         codec = WireCodec(schema, compress=compress, base_time=7)
-        frame = codec.encode_batch(sample_messages(schema))
+        frame = codec.encode_frame(sample_messages(schema))
         data = frame.data
         assert same_stream(
             schema,
-            codec.decode_batch(data),
+            codec.decode_frame(data),
             codec.decode_frame_per_message(data),
         )
         for cut in range(len(data)):
             with pytest.raises(WireError):
-                codec.decode_batch(data[:cut])
+                codec.decode_frame(data[:cut])
 
     def test_reference_decoder_rejects_every_truncation(
         self, make_schema, compress
@@ -170,41 +170,41 @@ class TestFrameTruncation:
 class TestFrameMalformations:
     def test_trailing_garbage_rejected(self):
         codec = WireCodec(value_schema())
-        frame = codec.encode_batch(sample_messages(value_schema()))
+        frame = codec.encode_frame(sample_messages(value_schema()))
         with pytest.raises(WireError):
-            codec.decode_batch(frame.data + b"\x00")
+            codec.decode_frame(frame.data + b"\x00")
 
     def test_unknown_tag_rejected(self):
         codec = WireCodec(value_schema())
-        frame = codec.encode_batch([msg.SnapTimeMessage(5)])
+        frame = codec.encode_frame([msg.SnapTimeMessage(5)])
         with pytest.raises(WireError):
-            codec.decode_batch(frame.data[:-2] + b"\xee" + frame.data[-1:])
+            codec.decode_frame(frame.data[:-2] + b"\xee" + frame.data[-1:])
 
     def test_delta_mask_beyond_schema_rejected(self):
         schema = value_schema()
         codec = WireCodec(schema)
         delta = msg.UpdateDeltaMessage(Rid(0, 1), Rid.BEGIN, 0b1, (5,), 1)
-        frame = codec.encode_batch([delta])
+        frame = codec.encode_frame([delta])
         # The mask is a uvarint right after the two addresses; widen it
         # past the 3-column schema and both decoders must refuse.
         payload = bytearray(frame.data)
         index = payload.index(0b1, 2)
         payload[index] = 0b1000
-        for decode in (codec.decode_batch, codec.decode_frame_per_message):
+        for decode in (codec.decode_frame, codec.decode_frame_per_message):
             with pytest.raises(WireError):
                 decode(bytes(payload))
 
     def test_bad_deflate_payload_rejected(self):
         codec = WireCodec(value_schema(), compress=True)
-        frame = codec.encode_batch(sample_messages(value_schema()))
+        frame = codec.encode_frame(sample_messages(value_schema()))
         if frame.data[0] & 0x1:
             with pytest.raises(WireError):
-                codec.decode_batch(frame.data[:2] + b"not deflate")
+                codec.decode_frame(frame.data[:2] + b"not deflate")
 
     def test_empty_frame_rejected(self):
         codec = WireCodec(value_schema())
         with pytest.raises(WireError):
-            codec.decode_batch(b"")
+            codec.decode_frame(b"")
 
 
 class TestBatchEncoderParity:
@@ -212,7 +212,51 @@ class TestBatchEncoderParity:
         schema = wide_schema()
         codec = WireCodec(schema, base_time=3)
         messages = sample_messages(schema)
-        batch = codec.encode_batch(messages)
+        batch = codec.encode_frame(messages)
         reference = codec.encode_frame_per_message(messages)
         assert batch.data == reference.data
-        assert same_stream(schema, codec.decode_batch(batch.data), messages)
+        assert same_stream(schema, codec.decode_frame(batch.data), messages)
+
+    def test_timestamp_and_rid_columns_take_the_per_value_fallback(self):
+        # No measured workload has such a column, so the batch codec no
+        # longer inlines them: they ride the reference per-value codec
+        # inside the inlined entry/delta branch, inline NULLs included.
+        schema = Schema(
+            [
+                Column("id", IntType(), nullable=True),
+                Column("seen", TimestampType(), nullable=True),
+                Column("at", RidType(), nullable=True),
+            ]
+        )
+        codec = WireCodec(schema, base_time=3)
+        rows = [
+            (1, 2**33, Rid(123456, 42)),
+            (NULL, NULL, NULL),
+            (-5, 0, Rid.BEGIN),
+        ]
+        messages = [
+            entry(schema, Rid(0, i), Rid(0, i - 1) if i else Rid.BEGIN, row)
+            for i, row in enumerate(rows)
+        ]
+        for mask, values in ((0b110, (7, Rid(1, 1))), (0b010, (NULL,))):
+            positions = [i for i in range(3) if mask >> i & 1]
+            messages.append(
+                msg.UpdateDeltaMessage(
+                    Rid(0, 1),
+                    Rid(0, 0),
+                    mask,
+                    values,
+                    encoded_fields_size(schema, positions, values),
+                )
+            )
+        batch = codec.encode_frame(messages)
+        assert batch.data == codec.encode_frame_per_message(messages).data
+        for decode in (codec.decode_frame, codec.decode_frame_per_message):
+            decoded = decode(batch.data)
+            assert [m.values for m in decoded] == [m.values for m in messages]
+            assert [m.wire_size() for m in decoded] == [
+                m.wire_size() for m in messages
+            ]
+            for cut in range(len(batch.data)):
+                with pytest.raises(WireError):
+                    decode(batch.data[:cut])

@@ -3,7 +3,7 @@
 Two families of invariants pin the batch hot path introduced for the
 A17 experiment:
 
-1. **Codec parity** — ``encode_batch``/``decode_batch`` (one flat
+1. **Codec parity** — ``encode_frame``/``decode_frame`` (one flat
    cursor per frame, schema-specialized generated decoder) are
    byte-identical to the per-message reference paths for arbitrary
    message mixes, compression on and off.
@@ -87,11 +87,11 @@ class TestBatchCodecParity:
         codec = WireCodec(
             _STREAM_SCHEMA, compress=compress, base_time=base_time
         )
-        batch = codec.encode_batch(stream)
+        batch = codec.encode_frame(stream)
         reference = codec.encode_frame_per_message(stream)
         assert batch.data == reference.data
         assert batch.modeled_size == reference.modeled_size
-        assert_streams_identical(codec.decode_batch(batch), stream)
+        assert_streams_identical(codec.decode_frame(batch), stream)
         assert_streams_identical(
             codec.decode_frame_per_message(reference), stream
         )
