@@ -177,9 +177,11 @@ def check_after_refresh_scan(table: Any, fixup_ran: bool) -> None:
 def visible_fingerprint(snapshot: Any) -> "Tuple[int, int, int, int, int]":
     """A cheap digest of the snapshot's *visible* state.
 
-    Any message reaching storage changes at least one component (every
-    apply path bumps an ``applied_*`` counter), so an unchanged
-    fingerprint across an open epoch means nothing staged leaked.
+    Every storage write the receiver performs bumps an ``applied_*``
+    counter (a cleared table's rows count as deletes), so an unchanged
+    fingerprint across an open epoch means nothing staged leaked.  A
+    skipped no-op upsert bumps none of them — it wrote nothing, so
+    nothing visible moved.
     """
     return (
         len(snapshot),

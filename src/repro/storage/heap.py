@@ -24,9 +24,9 @@ from __future__ import annotations
 import threading
 from typing import Callable, Iterator, Optional
 
-from repro.errors import RecordNotFoundError, StorageError
+from repro.errors import PageFullError, RecordNotFoundError, StorageError
 from repro.storage.buffer import BufferPool
-from repro.storage.page import SLOT_SIZE, SlottedPage
+from repro.storage.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
 from repro.storage.rid import Rid
 
 
@@ -74,7 +74,9 @@ class HeapFile:
         # component is an *index* into this list, so heaps sharing a pager
         # still have dense, comparable addresses.
         self._pages: "list[int]" = []
-        # Approximate free bytes per heap page; refreshed on every touch.
+        # Free bytes per heap page, ``contiguous_free() + reclaimable()``
+        # exactly: inserts and deletes adjust it by the bytes they used
+        # or freed, an update that changes the layout recounts.
         self._free_hint: "list[int]" = []
         self._record_count = 0
         #: Physical operation counters (benchmarks read these to compare
@@ -143,7 +145,7 @@ class HeapFile:
         SlottedPage(frame, initialize=True)
         self._pool.unpin(physical, dirty=True)
         self._pages.append(physical)
-        self._free_hint.append(len(frame))
+        self._free_hint.append(len(frame) - HEADER_SIZE)
         return len(self._pages) - 1
 
     @property
@@ -170,74 +172,57 @@ class HeapFile:
 
     def insert(self, record: bytes) -> Rid:
         """Store ``record`` per the insert policy; return its address."""
-        if self.insert_policy == "first_fit":
-            candidates: "Iterator[int]" = iter(range(len(self._pages)))
-        else:
-            last = len(self._pages) - 1
-            candidates = iter([last] if last >= 0 else [])
+        pages = len(self._pages)
+        first = 0 if self.insert_policy == "first_fit" else max(pages - 1, 0)
         need = len(record) + SLOT_SIZE
-        for heap_page in candidates:
-            if self._free_hint[heap_page] < need:
-                continue
-            page = self._pin(heap_page)
-            reuse = page.lowest_free_slot() is not None
-            if page.free_for_insert(len(record), reuse):
-                slot_no = page.insert(record)
-                self._free_hint[heap_page] = (
-                    page.contiguous_free() + page.reclaimable()
-                )
-                rid = Rid(heap_page, slot_no)
-                if self.summaries is not None:
-                    self.summaries.note_insert(rid, record)
-                self._unpin(heap_page, dirty=True)
-                with self._write_mutex:
-                    self._record_count += 1
-                    self.writes.inserts += 1
-                    if self._write_observers:
-                        self._notify_write("insert", rid)
-                return rid
-            self._free_hint[heap_page] = page.contiguous_free() + page.reclaimable()
-            self._unpin(heap_page, dirty=False)
-        heap_page = self._grow()
-        page = self._pin(heap_page)
-        slot_no = page.insert(record)
-        self._free_hint[heap_page] = page.contiguous_free() + page.reclaimable()
-        rid = Rid(heap_page, slot_no)
-        if self.summaries is not None:
-            self.summaries.note_insert(rid, record)
-        self._unpin(heap_page, dirty=True)
-        with self._write_mutex:
-            self._record_count += 1
-            self.writes.inserts += 1
-            if self._write_observers:
-                self._notify_write("insert", rid)
-        return rid
+        for heap_page in range(first, pages):
+            # The hint is exact, so the first page it admits holds the
+            # record, with or without a free slot to reuse.
+            if self._free_hint[heap_page] >= need:
+                return self._place(heap_page, None, record)
+        return self._place(self._grow(), None, record)
 
     def insert_at(self, rid: Rid, record: bytes) -> None:
         """Re-insert a record at a specific (currently free) address.
 
         Used by transaction undo to restore a deleted record at its
         original address; raises when the address is occupied or the
-        page does not exist.
+        page does not exist.  Undo restores carry whatever (possibly
+        stale) annotations the record had; the re-appearance counts as
+        structural so the next refresh re-examines the page.
         """
-        page = self._pin(rid.page_no)
+        self._place(rid.page_no, rid.slot_no, record)
+
+    def _place(
+        self, heap_page: int, slot_no: Optional[int], record: bytes
+    ) -> Rid:
+        """Write ``record`` into ``heap_page`` (``slot_no=None``: lowest
+        free slot, else a new one) and do an insert's bookkeeping."""
+        page = self._pin(heap_page)
         try:
-            page.insert(record, slot_no=rid.slot_no)
-            self._free_hint[rid.page_no] = (
+            slots_before = page.slot_count
+            rid = Rid(heap_page, page.insert(record, slot_no))
+            # The record's bytes plus whatever directory entries the
+            # page had to add for it: no O(slots) recount.
+            used = len(record) + (page.slot_count - slots_before) * SLOT_SIZE
+            if self.summaries is not None:
+                self.summaries.note_insert(
+                    rid, record, structural=slot_no is not None
+                )
+        except PageFullError:  # the directory may have grown regardless
+            self._free_hint[heap_page] = (
                 page.contiguous_free() + page.reclaimable()
             )
-            if self.summaries is not None:
-                # Undo restores carry whatever (possibly stale) annotations
-                # the record had; treat the re-appearance as structural so
-                # the next refresh re-examines the page.
-                self.summaries.note_insert(rid, record, structural=True)
+            raise
         finally:
-            self._unpin(rid.page_no, dirty=True)
+            self._unpin(heap_page, dirty=True)
         with self._write_mutex:
+            self._free_hint[heap_page] -= used
             self._record_count += 1
             self.writes.inserts += 1
             if self._write_observers:
                 self._notify_write("insert", rid)
+        return rid
 
     def read(self, rid: Rid) -> bytes:
         """Return the record at ``rid`` (raises if the address is empty)."""
@@ -286,15 +271,13 @@ class HeapFile:
         """Free the address ``rid`` for reuse."""
         page = self._pin(rid.page_no)
         try:
-            page.delete(rid.slot_no)
-            self._free_hint[rid.page_no] = (
-                page.contiguous_free() + page.reclaimable()
-            )
+            freed = page.delete(rid.slot_no)  # a hole compaction can reclaim
             if self.summaries is not None:
                 self.summaries.note_delete(rid, page)
         finally:
             self._unpin(rid.page_no, dirty=True)
         with self._write_mutex:
+            self._free_hint[rid.page_no] += freed
             self._record_count -= 1
             self.writes.deletes += 1
             if self._write_observers:

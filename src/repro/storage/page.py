@@ -195,13 +195,19 @@ class SlottedPage:
         offset, _ = self._slot(slot_no)
         return offset != 0
 
-    def delete(self, slot_no: int) -> None:
-        """Free ``slot_no`` (directory entry is kept for reuse)."""
+    def delete(self, slot_no: int) -> int:
+        """Free ``slot_no`` (directory entry is kept for reuse).
+
+        Returns the freed body's length: the hole it leaves is exactly
+        what :meth:`reclaimable` grows by.
+        """
         if not self.is_live(slot_no):
             raise RecordNotFoundError(f"slot {slot_no} is empty")
+        _, length = self._slot(slot_no)
         _, slot_count, free_data_offset, live_count, _ = self._read_header()
         self._set_slot(slot_no, 0, 0)
         self._write_header(slot_count, free_data_offset, live_count - 1)
+        return length
 
     def update(self, slot_no: int, record: bytes) -> bool:
         """Replace the record in ``slot_no`` in place (same address).

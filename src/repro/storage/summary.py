@@ -232,6 +232,9 @@ class PageSummaryMap:
         summary.page_version += 1
         summary.null_slots.discard(rid.slot_no)
         self._mark_structural(summary)
+        first, last = summary.first_live_slot, summary.last_live_slot
+        if first is not None and last is not None and first < rid.slot_no < last:
+            return  # an interior slot: the live bounds stand, skip the walk
         bounds = page.live_bounds()
         if bounds is None:
             summary.first_live_slot = None

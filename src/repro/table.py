@@ -551,35 +551,57 @@ class Table(UndoInterface):
         self.stats.inserts += 1
         return rid
 
-    def system_update(self, rid: Rid, changes: "dict[str, Any]") -> Rid:
-        """Update any non-annotation columns in place; returns the address
-        (a new one when the grown record had to relocate)."""
-        for name in changes:
-            if name in (PREVADDR, TIMESTAMP):
-                raise SchemaError("use set_annotations for annotation fields")
-        row = self._decode(self.heap.read(rid))
-        new_row = row.replace(self.schema, **changes)
-        if self.annotation_mode == "lazy":
-            new_row = new_row.replace(self.schema, **{TIMESTAMP: NULL})
-        body = encode_row(self.schema, new_row)
+    def system_update(
+        self, rid: Rid, changes: "dict[str, Any]"
+    ) -> Optional[Rid]:
+        """Set non-annotation columns of the row at ``rid``, from one read
+        of the stored record.
+
+        Returns ``None``, having written nothing, when the row already
+        holds these values: a non-change leaves no NULL-``TimeStamp``
+        breadcrumb for a cascaded snapshot to chase.  Otherwise returns
+        the row's address (a new one when the grown record relocated).
+        """
+        if self.annotation_mode == "eager":
+            raise CatalogError("system operations require none/lazy mode")
+        if PREVADDR in changes or TIMESTAMP in changes:
+            raise SchemaError("use set_annotations for annotation fields")
+        before = self.heap.read(rid)
+        # The annotations, when present, are the schema's last two columns
+        # and the record's last two 8-byte fields (see set_annotations).
+        columns = self.schema.columns[: -2 if self.has_annotations else None]
+        partial = len(changes) < len(columns)
+        old_values = None
+        if partial or self._indexes:
+            old_values = self._decode(before).values
+        if partial:
+            values = list(old_values[: len(columns)])
+            for name, value in changes.items():
+                values[self.schema.position(name)] = value
+        else:  # every column is named: nothing to decode
+            values = [changes[column.name] for column in columns]
+        row = Row(values + [NULL, NULL] if self.has_annotations else values)
+        fresh = body = encode_row(self.schema, row)
+        if self.has_annotations:
+            # Compare what precedes the annotations, then apply the lazy
+            # update rule: PrevAddr stays as stored, TimeStamp goes NULL.
+            if fresh[:-16] == before[:-16]:
+                return None
+            body = fresh[:-16] + before[-16:-8] + fresh[-8:]
+        elif body == before:
+            return None
         self.stats.updates += 1
         try:
             self.heap.update(rid, body)
-            self._notify_update(rid, row.values, rid, new_row.values)
+            if self._indexes:
+                self._notify_update(rid, old_values, rid, row.values)
             return rid
-        except PageFullError:
+        except PageFullError:  # relocate: a delete plus a fresh insert
             self.heap.delete(rid)
-            if self._live is not None:
-                self._live.delete(rid.key())
-            self._notify_delete(rid, row.values)
-            if self.annotation_mode == "lazy":
-                new_row = new_row.replace(
-                    self.schema, **{PREVADDR: NULL, TIMESTAMP: NULL}
-                )
-            new_rid = self.heap.insert(encode_row(self.schema, new_row))
-            if self._live is not None:
-                self._live.insert(new_rid.key(), new_rid)
-            self._notify_insert(new_rid, new_row.values)
+            new_rid = self.heap.insert(fresh)
+            if self._indexes:
+                self._notify_delete(rid, old_values)
+                self._notify_insert(new_rid, row.values)
             return new_rid
 
     def system_delete(self, rid: Rid) -> None:

@@ -13,6 +13,7 @@ from repro.core.antientropy import (
     verify_snapshot_table,
 )
 from repro.core.manager import SnapshotManager
+from repro.core.messages import DeleteMessage
 from repro.database import Database
 from repro.errors import SnapshotError
 
@@ -54,7 +55,7 @@ class TestVerify:
     def test_verify_detects_drift(self):
         db, table, manager, snap = build()
         addr = snap.table.base_addrs()[5]
-        snap.table._delete_addr(addr)
+        snap.table._apply_now([DeleteMessage(addr)])
         in_sync, _ = manager.verify_snapshot("low")
         assert not in_sync
 
@@ -79,7 +80,7 @@ class TestResync:
         db, table, manager, snap = build()
         addrs = snap.table.base_addrs()
         for addr in addrs[10:14]:
-            snap.table._delete_addr(addr)
+            snap.table._apply_now([DeleteMessage(addr)])
         snap.table._upsert(addrs[100], ("corrupt", -1))
         stats = manager.resync_snapshot("low")
         assert stats.in_sync
@@ -116,7 +117,7 @@ class TestResync:
         db, table, manager, snap = build(n_rows=600)
         handle = manager.snapshot("low")
         addrs = snap.table.base_addrs()
-        snap.table._delete_addr(addrs[3])
+        snap.table._apply_now([DeleteMessage(addrs[3])])
 
         repairs = []
 
@@ -140,7 +141,8 @@ class TestResync:
 
     def test_resync_does_not_advance_snap_time(self):
         db, table, manager, snap = build()
-        snap.table._delete_addr(snap.table.base_addrs()[0])
+        first = snap.table.base_addrs()[0]
+        snap.table._apply_now([DeleteMessage(first)])
         before = manager.snapshot("low").snap_time
         manager.resync_snapshot("low")
         assert manager.snapshot("low").snap_time == before
@@ -171,7 +173,7 @@ class TestCost:
         db, table, manager, snap = build(n_rows=4000)
         addrs = snap.table.base_addrs()
         for addr in addrs[:: len(addrs) // 2][:2]:  # 2 of ~2000 rows
-            snap.table._delete_addr(addr)
+            snap.table._apply_now([DeleteMessage(addr)])
         stats = manager.resync_snapshot("low")
         assert contents(snap) == truth(table)
         full_bytes = sum(
@@ -182,7 +184,8 @@ class TestCost:
 
     def test_bisection_prunes_clean_segments(self):
         db, table, manager, snap = build(n_rows=4000)
-        snap.table._delete_addr(snap.table.base_addrs()[0])
+        first = snap.table.base_addrs()[0]
+        snap.table._apply_now([DeleteMessage(first)])
         stats = manager.resync_snapshot("low")
         # One dirty leaf: hashed segments ~ log2(pages), not pages.
         assert stats.leaves_repaired == 1

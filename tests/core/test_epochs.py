@@ -5,7 +5,7 @@ import pytest
 from repro.core import messages as msg
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
-from repro.errors import EpochError
+from repro.errors import EpochError, SnapshotError
 from repro.relation.schema import Schema
 from repro.storage.rid import Rid
 
@@ -43,10 +43,79 @@ class TestEpochCommit:
         snapshot.snap_time = 50
         snapshot.apply(msg.RefreshBeginMessage(1))
         snapshot.apply(msg.SnapTimeMessage(9))
-        from repro.errors import SnapshotError
-
         with pytest.raises(SnapshotError):
             snapshot.apply(msg.RefreshCommitMessage(1, 1))
+
+
+def image(snapshot):
+    return list(snapshot.storage.heap.scan())
+
+
+class TestNoTornCommit:
+    """What the stage alone decides is checked before the first write."""
+
+    @pytest.fixture
+    def committed(self, snapshot):
+        snapshot.apply(msg.RefreshBeginMessage(1))
+        snapshot.apply(upsert(0, 10))
+        snapshot.apply(upsert(1, 11))
+        snapshot.apply(msg.SnapTimeMessage(50))
+        snapshot.apply(msg.RefreshCommitMessage(1, 3))
+        return snapshot
+
+    def assert_epoch_one_still_visible(self, snapshot, before):
+        assert image(snapshot) == before
+        assert snapshot.as_map() == {Rid(0, 0): (10,), Rid(0, 1): (11,)}
+        assert snapshot.snap_time == 50
+        assert snapshot.last_committed_epoch == 1
+        assert snapshot.aborted_epochs == 1
+        assert not snapshot.epoch_open
+
+    def test_backward_snap_time_sent_last(self, committed):
+        before = image(committed)
+        committed.apply(msg.RefreshBeginMessage(2))
+        committed.apply(upsert(0, 99))
+        committed.apply(msg.DeleteMessage(Rid(0, 1)))
+        committed.apply(msg.SnapTimeMessage(9))
+        with pytest.raises(SnapshotError, match="backward"):
+            committed.apply(msg.RefreshCommitMessage(2, 3))
+        self.assert_epoch_one_still_visible(committed, before)
+
+    def test_unknown_kind_in_the_stage(self, committed):
+        before = image(committed)
+        committed.apply(msg.RefreshBeginMessage(2))
+        committed.apply(upsert(0, 99))
+        committed.apply(msg.SegmentHashRequestMessage(0, 1))
+        with pytest.raises(SnapshotError, match="unknown"):
+            committed.apply(msg.RefreshCommitMessage(2, 2))
+        self.assert_epoch_one_still_visible(committed, before)
+
+    def test_count_mismatch(self, committed):
+        before = image(committed)
+        committed.apply(msg.RefreshBeginMessage(2))
+        committed.apply(upsert(0, 99))
+        with pytest.raises(EpochError):
+            committed.apply(msg.RefreshCommitMessage(2, 2))
+        self.assert_epoch_one_still_visible(committed, before)
+
+    def test_explicit_abort(self, committed):
+        before = image(committed)
+        committed.apply(msg.RefreshBeginMessage(2))
+        committed.apply(msg.ClearMessage())
+        assert committed.abort_epoch()
+        self.assert_epoch_one_still_visible(committed, before)
+
+    def test_retry_after_a_failed_validation_commits(self, committed):
+        committed.apply(msg.RefreshBeginMessage(2))
+        committed.apply(msg.SnapTimeMessage(9))
+        with pytest.raises(SnapshotError):
+            committed.apply(msg.RefreshCommitMessage(2, 1))
+        committed.apply(msg.RefreshBeginMessage(3))
+        committed.apply(upsert(0, 99))
+        committed.apply(msg.SnapTimeMessage(60))
+        committed.apply(msg.RefreshCommitMessage(3, 2))
+        assert committed.as_map() == {Rid(0, 0): (99,), Rid(0, 1): (11,)}
+        assert (committed.snap_time, committed.last_committed_epoch) == (60, 3)
 
 
 class TestEpochAbort:

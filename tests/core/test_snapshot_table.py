@@ -9,9 +9,13 @@ from repro.core.messages import (
     EndOfScanMessage,
     EntryMessage,
     FullRowMessage,
+    RefreshBeginMessage,
+    RefreshCommitMessage,
     SnapTimeMessage,
+    UpdateDeltaMessage,
     UpsertMessage,
 )
+from repro.core.manager import SnapshotManager
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import SnapshotError
@@ -133,3 +137,88 @@ class TestReads:
         snap.apply(DeleteMessage(addr(1)))
         assert snap.applied_upserts == 1
         assert snap.applied_deletes == 1
+
+    def test_clear_counts_its_deletes(self, snap):
+        preload(snap, {1: ("a", 1), 2: ("b", 2)})
+        snap.apply(ClearMessage())
+        assert snap.applied_deletes == 2
+        assert snap.storage.row_count == 0
+
+
+def image(snap):
+    """Every stored record, byte for byte, with its heap address."""
+    return list(snap.storage.heap.scan())
+
+
+def commit(snap, epoch, messages):
+    snap.apply(RefreshBeginMessage(epoch))
+    for message in messages:
+        snap.apply(message)
+    snap.apply(RefreshCommitMessage(epoch, len(messages)))
+
+
+class TestNetChange:
+    """The receiver writes what changed, not what was sent."""
+
+    def cascaded(self, snap):
+        down = SnapshotManager(snap.db).create_snapshot(
+            "down", snap.name, method="differential", target_db=Database("leaf")
+        )
+        return down
+
+    def test_noop_upsert_writes_nothing(self, snap):
+        preload(snap, {1: ("a", 1), 2: ("b", 2)})
+        down = self.cascaded(snap)  # its fix-up stamps every stored row
+        before = image(snap)
+        snap.apply(UpsertMessage(addr(1), ("a", 1), 10))
+        snap.apply(EntryMessage(addr(2), addr(1), ("b", 2), 10))
+        assert image(snap) == before
+        assert snap.skipped_upserts == 2
+        assert snap.applied_upserts == 2  # the preload's two inserts
+        assert down.refresh().entries_sent == 0
+
+    def test_changed_upsert_is_sent_downstream(self, snap):
+        preload(snap, {1: ("a", 1), 2: ("b", 2)})
+        down = self.cascaded(snap)
+        snap.apply(UpsertMessage(addr(1), ("a", 7), 10))
+        assert snap.skipped_upserts == 0
+        assert down.refresh().entries_sent == 1
+        assert sorted(down.as_map().values()) == [("a", 7), ("b", 2)]
+
+    def test_revived_row_keeps_its_heap_rid(self, snap):
+        preload(snap, {0: ("z", 0), 1: ("a", 1), 2: ("b", 2)})
+        heap_rids = dict(snap._index.items())
+        before = image(snap)
+        # refresh_online's repair block: wipe the page, upsert it back.
+        commit(snap, 1, [
+            DeleteRangeMessage(Rid(0, 0), Rid(1, 0)),
+            DeleteMessage(Rid(0, 0)),
+            UpsertMessage(addr(0), ("z", 0), 10),
+            UpsertMessage(addr(2), ("b", 20), 10),
+        ])
+        assert snap.as_map() == {addr(0): ("z", 0), addr(2): ("b", 20)}
+        assert snap._index.get(addr(0).key()) == heap_rids[addr(0).key()]
+        assert snap._index.get(addr(2).key()) == heap_rids[addr(2).key()]
+        # One row rewritten, one deleted, one not touched at all.
+        assert (snap.applied_upserts, snap.applied_deletes) == (3 + 1, 1)
+        assert snap.skipped_upserts == 1
+        assert image(snap)[0] == before[0]
+        assert snap.storage.row_count == 2
+
+    def test_delta_for_a_row_deleted_in_the_same_epoch(self, snap):
+        preload(snap, {1: ("a", 1)})
+        with pytest.raises(SnapshotError, match="no entry exists"):
+            commit(snap, 1, [
+                DeleteMessage(addr(1)),
+                UpdateDeltaMessage(addr(1), Rid.BEGIN, 0b10, (5,), 4),
+            ])
+        assert not snap.epoch_open
+        assert snap.last_committed_epoch == 0
+        assert snap.storage.row_count == len(snap) == 0  # no orphan row
+
+    def test_empty_delta_is_skipped_unread(self, snap):
+        preload(snap, {1: ("a", 1)})
+        before = image(snap)
+        snap.apply(UpdateDeltaMessage(addr(1), Rid.BEGIN, 0, (), 1))
+        assert image(snap) == before
+        assert (snap.skipped_upserts, snap.applied_merges) == (1, 0)

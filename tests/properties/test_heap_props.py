@@ -3,9 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import PageFullError
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 from repro.storage.pager import InMemoryPager
+from tests.storage.test_heap import TestFreeHint as _UnitFreeHint
+
+assert_hint_exact = _UnitFreeHint._assert_hint_exact
 
 scripts = st.lists(
     st.tuples(
@@ -82,3 +86,45 @@ class TestAgainstModel:
                 victim = live.pop(pick % len(live))
                 heap.delete(victim)
                 freed.append(victim)
+
+
+class TestFreeHint:
+    """The per-page hint is maintained arithmetically, never recounted."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        script=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "update", "insert_at"]),
+                st.integers(min_value=0, max_value=10_000),
+                st.binary(min_size=1, max_size=120),
+            ),
+            max_size=150,
+        )
+    )
+    def test_hint_is_exact_after_every_op(self, script):
+        heap = fresh_heap()
+        live, freed = [], []
+        for op, pick, body in script:
+            try:
+                if op == "insert":
+                    rid = heap.insert(body)
+                    live.append(rid)
+                    if rid in freed:
+                        freed.remove(rid)
+                elif op == "delete" and live:
+                    freed.append(live.pop(pick % len(live)))
+                    heap.delete(freed[-1])
+                elif op == "update" and live:
+                    heap.update(live[pick % len(live)], body)
+                elif op == "insert_at" and freed:
+                    # Undo's restore; may raise when the page filled up
+                    # since, possibly after growing the slot directory.
+                    rid = freed[pick % len(freed)]
+                    heap.insert_at(rid, body)
+                    freed.remove(rid)
+                    live.append(rid)
+            except PageFullError:
+                pass
+            assert_hint_exact(heap)
+        assert sorted(rid for rid, _ in heap.scan()) == sorted(live)

@@ -5,6 +5,7 @@ import pytest
 from repro import sanitize
 from repro.core.manager import SnapshotManager
 from repro.core.messages import (
+    DeleteMessage,
     RefreshBeginMessage,
     RefreshCommitMessage,
     UpsertMessage,
@@ -125,14 +126,14 @@ class TestEpochIsolation:
         snap.apply(RefreshBeginMessage(1))
         # Simulate a staging bug: a message reaches visible storage
         # while the epoch is still open.
-        snap._apply_now(UpsertMessage(Rid(0, 0), ("leak", 1), 8))
+        snap._apply_now([UpsertMessage(Rid(0, 0), ("leak", 1), 8)])
         with pytest.raises(SanitizerError, match="leaked"):
             snap.rows()
 
     def test_staged_leak_is_caught_at_commit(self):
         snap = self._snapshot()
         snap.apply(RefreshBeginMessage(1))
-        snap._apply_now(UpsertMessage(Rid(0, 0), ("leak", 1), 8))
+        snap._apply_now([UpsertMessage(Rid(0, 0), ("leak", 1), 8)])
         with pytest.raises(SanitizerError, match="leaked"):
             snap.apply(RefreshCommitMessage(1, 0))
 
@@ -168,6 +169,6 @@ class TestValueCacheMirror:
         doomed = next(
             rid for rid in rids if snap.table.lookup(rid) is not None
         )
-        snap.table._delete_addr(doomed)
+        snap.table._apply_now([DeleteMessage(doomed)])
         with pytest.raises(SanitizerError, match="no such entry"):
             sanitize.check_value_cache(snap.value_cache, snap.table)

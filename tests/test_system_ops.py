@@ -53,6 +53,27 @@ class TestSystemUpdate:
         _, ts = table.annotations(rid)
         assert ts is NULL
 
+    def test_unchanged_values_write_nothing(self, table):
+        rid = next(r for r, _ in table.scan())
+        table.set_annotations(rid, prev=NULL, ts=5)
+        before = table.heap.read(rid)
+        updates = table.stats.updates
+        assert table.system_update(rid, {"v": table.read(rid).values[0]}) is None
+        assert table.heap.read(rid) == before  # TimeStamp 5 still there
+        assert table.stats.updates == updates
+
+    def test_keeps_the_stored_prevaddr(self, table):
+        first, second = [r for r, _ in table.scan()][:2]
+        table.set_annotations(second, prev=first, ts=5)
+        assert table.system_update(second, {"v": 99}) == second
+        assert table.annotations(second) == (first, NULL)
+
+    def test_rejected_on_eager(self, db):
+        t = db.create_table("e", [("v", "int")], annotations="eager")
+        rid = t.insert([1])
+        with pytest.raises(CatalogError):
+            t.system_update(rid, {"v": 2})
+
     def test_rejects_annotation_fields(self, table):
         rid = next(r for r, _ in table.scan())
         with pytest.raises(SchemaError):
