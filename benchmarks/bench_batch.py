@@ -18,10 +18,16 @@ actually *faster*:
   clustered-update workload on an eager-annotated table, asserting the
   message streams agree round for round;
 - **written pages**: the same comparison where it used to be lost — a
-  *lazy* table with 1 % uniform updates between refreshes and page
+  *lazy* table with 1 % uniform churn between refreshes and page
   summaries on, so every page the scan reads carries NULL annotations
   and needs the Figure-7 fix-up.  Since PR 14 the fix-up runs on the
   batch's annotation columns, so these pages are batch-served too.
+  The churn is *structural* — each round deletes rows, inserts rows
+  (first-fit, so into the holes) and updates their neighbours —
+  because since PR 17 a page that took nothing but in-place updates
+  never reaches the fix-up walk: it is a changed-slot visit (A21
+  times those).  The cell asserts that most pages it timed did take
+  the batch fix-up.
 
 The acceptance ratios are ≥5x codec decode, ≥3x scan throughput on
 write-free pages and ≥1.5x on written pages (enforced at every size,
@@ -71,8 +77,9 @@ REPEATS = 15
 SCAN_ROUNDS = 4
 SCAN_FRACTION = 0.01
 SEED = 1986
-#: Written-pages cell: rounds of 1 % uniform updates, and the floor the
-#: batch path must hold over the per-row path at every size.
+#: Written-pages cell: rounds of 1 % uniform insert/update/delete churn,
+#: and the floor the batch path must hold over the per-row path at
+#: every size.
 WRITTEN_ROUNDS = 8
 WRITTEN_FLOOR = 1.5
 
@@ -255,7 +262,7 @@ def _scan_throughput(n: int) -> dict:
 
 
 class _WrittenWorld:
-    """A lazy table refreshed after rounds of uniform updates, one mode.
+    """A lazy table refreshed after rounds of uniform churn, one mode.
 
     Page summaries are on, so clean pages are skipped in both modes and
     what is timed is the written page: extraction, fix-up, predicate,
@@ -280,6 +287,8 @@ class _WrittenWorld:
         self.snap_time = 0
         self.elapsed = 0.0
         self.rows = self.pages = self.batch_pages = self.fixup_writes = 0
+        self.visited_pages = 0
+        self.next_id = n
         self.streams: list = []
         self.refresh(timed=False)
 
@@ -300,16 +309,27 @@ class _WrittenWorld:
             self.rows += result.scanned
             self.pages += result.pages_scanned
             self.batch_pages += result.pages_batch_decoded
+            # Solo: fast-forwarded but not skipped = changed-slot visit.
+            self.visited_pages += (
+                result.pages_fast_forwarded - result.pages_skipped
+            )
             self.fixup_writes += result.fixup_writes
             self.streams.append([repr(m) for m in messages])
 
     def round(self) -> None:
-        n = len(self.rids)
-        for _ in range(max(1, int(n * SCAN_FRACTION))):
-            self.table.update(
-                self.rids[self.rng.randrange(n)],
-                {"v": self.rng.randrange(1_000_000)},
+        rng, rids = self.rng, self.rids
+        for _ in range(max(1, int(len(rids) * SCAN_FRACTION / 3))):
+            # A delete, an insert (first-fit: into the hole just made)
+            # and an update of the neighbouring row, so the page that
+            # takes the update also carries a structural change.
+            at = rng.randrange(1, len(rids))
+            self.table.delete(rids[at])
+            i = self.next_id
+            self.next_id += 1
+            rids[at] = self.table.insert(
+                [i, f"name-{i:05d}", i * 100, i % 13, i % 97]
             )
+            self.table.update(rids[at - 1], {"v": rng.randrange(1_000_000)})
         self.refresh()
 
 
@@ -329,6 +349,7 @@ def _written_throughput(n: int) -> dict:
         "fraction": SCAN_FRACTION,
         "pages_scanned": batch.pages,
         "pages_batch_decoded": batch.batch_pages,
+        "pages_visited": batch.visited_pages,
         "fixup_writes": batch.fixup_writes,
         "seconds_row": row.elapsed,
         "seconds_batch": batch.elapsed,
@@ -397,6 +418,9 @@ def _check(
         written
     )
     assert written["fixup_writes"] > 0, written
+    # ... and most of them through the fix-up walk this cell is about,
+    # not the changed-slot visit that update-only pages take.
+    assert 2 * written["pages_visited"] < written["pages_scanned"], written
     assert written["speedup"] >= WRITTEN_FLOOR, (
         f"written pages: batch only {written['speedup']:.2f}x the per-row "
         f"path (floor {WRITTEN_FLOOR}x)"

@@ -29,18 +29,17 @@ is decoded only when the entry is actually transmitted.
 
 *Page skipping* (``use_page_summaries``).  With
 :class:`~repro.storage.summary.PageSummary` maintenance attached to the
-heap, a page whose summary proves it unchanged since ``snap_time`` — no
-NULL annotations, ``max_ts <= snap_time``, no structural change — can be
-skipped wholesale.  Correctness requires more than cleanliness, because
-the receiver (Figure 4) deletes everything in ``(prev_qual, addr)`` when
-an entry arrives: the scan must know the skipped page's qualified
-addresses to fast-forward ``LastQual``, and in fix-up mode it must know
-that no ``PrevAddr`` anomaly (a deletion detected *at* this page) hides
-there.  Both come from a per-snapshot cache of
-:class:`~repro.storage.summary.PageQualInfo`, valid while the page's
-version is unchanged; on any doubt the scan falls back to scanning that
-one page.  A pending ``Deletion`` flag at a page boundary always forces
-a scan of the next page.
+heap, a page whose summary proves nothing changed since ``snap_time`` —
+``max_ts <= snap_time``, no structural change — outside the slots it
+names (``null_slots``) is *fast-forwarded*: skipped unread when it names
+none, else visited for just those slots (``batch_mode``).  Correctness
+requires more than cleanliness, because the receiver (Figure 4) deletes
+everything in ``(prev_qual, addr)`` when an entry arrives: the scan must
+know the page's qualified addresses to carry ``LastQual`` across, and
+in fix-up mode it must know that no ``PrevAddr`` anomaly (a deletion
+detected *at* this page) hides there.  Both come from a per-snapshot
+cache of :class:`~repro.storage.summary.PageQualInfo`; on any doubt the
+scan falls back to scanning that one page.
 
 Two optimizations the paper invites the reader to discover are available
 as flags (off by default so the baseline matches the paper; the A1
@@ -85,7 +84,6 @@ from repro.relation.row import (
     Row,
     decode_fields,
     decode_row,
-    encode_row,
     encoded_fields_size,
     encoded_size,
 )
@@ -93,7 +91,7 @@ from repro.relation.schema import Schema
 from repro.relation.types import NULL
 from repro.storage.batch import PREV_NULL_PAGE, TS_NULL, PageBatch
 from repro.storage.rid import Rid
-from repro.storage.summary import PageQualInfo
+from repro.storage.summary import PageQualInfo, PageSummary
 from repro.table import PREVADDR, TIMESTAMP, Table
 from repro.txn.clock import WatermarkBracket
 
@@ -209,12 +207,12 @@ class RefreshResult:
         self.deletions_detected = 0
         self.pages_scanned = 0
         self.pages_skipped = 0
-        #: Records whose fields this pass extracted from page bytes: one
-        #: per entry the per-row path probed, or every entry of each
-        #: :class:`~repro.storage.batch.PageBatch` the pass had to
-        #: extract (scan and repair alike).  A batch reused from the
-        #: buffer pool's cache decodes nothing, so with ``batch_mode``
-        #: this can be less than ``scanned``.
+        #: Records this pass read from page bytes: one per entry the
+        #: per-row path probed, every entry of each
+        #: :class:`~repro.storage.batch.PageBatch` it had to extract
+        #: (scan and repair alike), the changed slots of a visited page
+        #: plus any unchanged qualifier a Deletion flag forced out.  A
+        #: batch reused from the pool's cache reads nothing.
         self.rows_decoded = 0
         self.buffer_hits = 0
         self.buffer_misses = 0
@@ -232,12 +230,12 @@ class RefreshResult:
         self.entries_evaluated = 0
         #: Pages this snapshot's cursor fast-forwarded from its
         #: :class:`~repro.storage.summary.PageQualInfo` cache instead of
-        #: evaluating — whether or not the shared scan still read the
-        #: page for other cursors.  Equals ``pages_skipped`` for a solo
-        #: refresh.
+        #: evaluating whole: those it skipped (``pages_skipped``, read
+        #: or not for other cursors) plus those it visited for their
+        #: changed slots (counted in ``pages_scanned``).
         self.pages_fast_forwarded = 0
-        #: Pages served from their columnar batch: every scanned page
-        #: with ``batch_mode``, written or not; none without it.
+        #: Pages served from a columnar batch — whole, or the partial
+        #: one of a visit: every scanned page with ``batch_mode``.
         self.pages_batch_decoded = 0
         #: Of the batch-served pages, how many reused a cached
         #: :class:`~repro.storage.batch.PageBatch` (same page version)
@@ -358,9 +356,7 @@ class RefreshCursor:
         "result",
         "failed",
         "error",
-        "_page_first_qual",
-        "_page_last_qual",
-        "_page_qual_count",
+        "_page_quals",
         "_staged_values",
     )
 
@@ -399,9 +395,8 @@ class RefreshCursor:
         #: continues for the other cursors.
         self.failed = False
         self.error: Optional[BaseException] = None
-        self._page_first_qual: "Optional[Rid]" = None
-        self._page_last_qual: "Optional[Rid]" = None
-        self._page_qual_count = 0
+        #: Qualifying slots of the page being scanned, ascending.
+        self._page_quals: "array[int]" = array("H")
         #: Next refresh's value mirror, built as the scan walks.
         self._staged_values: "Optional[dict[int, dict[Rid, tuple]]]" = (
             {} if value_cache is not None else None
@@ -422,9 +417,7 @@ class RefreshCursor:
 
     def begin_page(self) -> None:
         self.result.pages_scanned += 1
-        self._page_first_qual = None
-        self._page_last_qual = None
-        self._page_qual_count = 0
+        self._page_quals = array("H")
 
     def record_page(
         self,
@@ -435,27 +428,69 @@ class RefreshCursor:
     ) -> None:
         """Cache this page's qualification layout for future skips."""
         self.cache[page_no] = PageQualInfo(
-            page_version,
-            first_prev,
-            self._page_first_qual,
-            self._page_last_qual,
-            self._page_qual_count,
-            last_live,
+            page_version, first_prev, self._page_quals, last_live
         )
 
+    def must_visit(self, info: PageQualInfo, changed: object) -> bool:
+        """Whether crossing a page from ``info`` takes reading some of it:
+        slots ``changed``, or a pending Deletion flag meets a qualifier."""
+        return bool(changed or (self.deletion and info.qual_slots))
+
     def fast_forward(self, page_no: int, info: PageQualInfo) -> None:
-        """Advance across a page from its cached qualification info."""
+        """Skip a page nothing on which concerns this cursor, in O(1)."""
         self.result.pages_fast_forwarded += 1
         self.result.pages_skipped += 1
-        if info.qual_count:
-            self.result.qualified += info.qual_count
-            self.last_qual = info.last_qual
+        if info.qual_slots:
+            self.result.qualified += len(info.qual_slots)
+            self.last_qual = Rid(page_no, info.qual_slots[-1])
         if self._staged_values is not None:
             # The page is unchanged since this snapshot's SnapTime, so
-            # the receiver still holds exactly the mirrored values.
+            # the receiver still holds exactly the mirrored values.  The
+            # committed page dict is shared; no path ever writes to one.
             page_values = self.value_cache.page(page_no)
             if page_values:
                 self._staged_values[page_no] = page_values
+
+    def visit(
+        self,
+        page_no: int,
+        info: PageQualInfo,
+        delta: "Optional[PageBatch]",
+        row_at: "Callable[[int], Row]",
+    ) -> "array[int]":
+        """Cross a page from ``info``, looking only at what changed.
+
+        ``delta`` is the partial batch of the slots that changed since
+        the info was recorded, already stamped (``None``: none did);
+        every other entry is as the info describes it.  The restriction
+        runs on the changed records only and the Figure-3 decision over
+        changed ∪ qualifying slots, a pending ``Deletion`` flag its
+        initial state; ``row_at(slot_no)`` also reads an unchanged
+        qualifier the flag forces out.  Returns the page's qualifying
+        slots as they now stand.
+        """
+        result = self.result
+        result.pages_fast_forwarded += 1
+        result.pages_scanned += 1
+        quals = info.qual_slots
+        qualifiers = set(quals)
+        changed: "set[int]" = set()
+        if delta is not None:
+            slots = delta.slots
+            result.scanned += delta.count
+            result.entries_evaluated += delta.count
+            changed.update(slots)
+            qualifiers -= changed
+            qualifiers.update(
+                slots[index] for index in delta.qualifying(self.restriction)
+            )
+            quals = array("H", sorted(qualifiers))
+        result.qualified += len(quals)
+        # A changed entry arms the flag unless it qualifies.  Values are
+        # staged into a page dict of this pass's own, so an aborted
+        # epoch leaves the committed mirror as the receiver has it.
+        self._decide(page_no, qualifiers, changed, changed, (), row_at)
+        return quals
 
     # -- the Figure-3 transmit decision --------------------------------------
 
@@ -486,10 +521,7 @@ class RefreshCursor:
             value_changed = orig_ts > self.snap_time
         if self.restriction(sparse):
             result.qualified += 1
-            self._page_qual_count += 1
-            if self._page_first_qual is None:
-                self._page_first_qual = rid
-            self._page_last_qual = rid
+            self._page_quals.append(rid.slot_no)
             if value_changed or anomaly or self.deletion:
                 if self.optimize_deletes and not value_changed:
                     # Entry itself unchanged; only the preceding region
@@ -530,32 +562,29 @@ class RefreshCursor:
         annotation (inserted or updated since the last fix-up), so
         "the value changed for this snapshot" is ``eff_ts[i] >
         SnapTime`` — and ``max_ts`` its maximum; ``pure_inserts`` and
-        ``anomalies`` index the entries the fix-up found newly inserted
-        (NULL ``PrevAddr``) or preceded by a detected deletion.  A page
-        the scan did not have to write is the no-flags case (``eff_ts``
-        is the batch's own timestamp column).  Qualification comes from
-        the batch's memoized index and full rows are materialized only
-        for entries actually transmitted.
+        ``anomalies`` are the slots of the entries the fix-up found
+        newly inserted (NULL ``PrevAddr``) or preceded by a detected
+        deletion.  A page the scan did not have to write is the
+        no-flags case (``eff_ts`` is the batch's own timestamp column).
+        Qualification comes from the batch's memoized index and full
+        rows are materialized only for entries actually transmitted.
         """
         result = self.result
         count = batch.count
         result.scanned += count
         result.entries_evaluated += count
-        qual = batch.qualifying(self.restriction)
-        nqual = len(qual)
         snap_time = self.snap_time
         page_no = batch.page_no
         slots = batch.slots
-        if nqual:
-            result.qualified += nqual
-            self._page_qual_count += nqual
-            if self._page_first_qual is None:
-                self._page_first_qual = Rid(page_no, slots[qual[0]])
-            self._page_last_qual = Rid(page_no, slots[qual[nqual - 1]])
+        quals = array(
+            "H", [slots[index] for index in batch.qualifying(self.restriction)]
+        )
+        self._page_quals = quals
+        result.qualified += len(quals)
         # A pure insert matters only to a cursor that suppresses them.
         suppressed = pure_inserts if self.suppress_pure_inserts else ()
         if not anomalies and not suppressed:
-            if not nqual:
+            if not quals:
                 # Unqualified-but-changed entries still arm the Deletion
                 # flag ("may have qualified before") for the next page.
                 if max_ts > snap_time:
@@ -566,34 +595,53 @@ class RefreshCursor:
                 # deletion is pending: every qualified entry is carried
                 # unchanged and the flag cannot arm mid-page.
                 if self._staged_values is not None:
-                    for qi in qual:
-                        self._carry_value(Rid(page_no, slots[qi]))
-                self.last_qual = self._page_last_qual
+                    for slot_no in quals:
+                        self._carry_value(Rid(page_no, slot_no))
+                self.last_qual = Rid(page_no, quals[-1])
                 return
-        # Only two kinds of entry can move the cursor: qualifiers, and
-        # unqualified entries that arm the Deletion flag — changed for
-        # this snapshot ("may have qualified before") unless a
-        # suppressed pure insert, or preceded by a detected deletion.
         changed = {
-            index for index, stamp in enumerate(eff_ts) if stamp > snap_time
+            slot_no
+            for slot_no, stamp in zip(slots, eff_ts)
+            if stamp > snap_time
         }
         arming = changed.difference(suppressed).union(anomalies)
-        qualifiers = set(qual)
-        for index in sorted(arming | qualifiers):
-            if index not in qualifiers:
+        self._decide(
+            page_no, set(quals), changed, arming, anomalies, batch.row_at
+        )
+
+    def _decide(
+        self,
+        page_no: int,
+        qualifiers: "set[int]",
+        changed: "set[int]",
+        arming: "set[int]",
+        anomalies: "Sequence[int]",
+        row_at: "Callable[[int], Row]",
+    ) -> None:
+        """Figure 3's transmit decision over one page, keyed by slot.
+
+        Only two kinds of entry can move the cursor: ``qualifiers``, and
+        ``arming`` entries not among them — changed for this snapshot
+        ("may have qualified before") unless a suppressed pure insert,
+        or preceded by a detected deletion (``anomalies``).  ``row_at``
+        is called only for entries transmitted.  The one implementation
+        behind :meth:`serve_batch` and :meth:`visit`.
+        """
+        for slot_no in sorted(arming | qualifiers):
+            if slot_no not in qualifiers:
                 self.deletion = True
                 continue
-            if index in anomalies:
+            if slot_no in anomalies:
                 # The deletion was detected just before this entry: the
                 # flag is armed whatever the entry's own timestamp.
                 self.deletion = True
-            rid = Rid(page_no, slots[index])
-            if index in changed or self.deletion:
-                if self.optimize_deletes and index not in changed:
+            rid = Rid(page_no, slot_no)
+            if slot_no in changed or self.deletion:
+                if self.optimize_deletes and slot_no not in changed:
                     self.transmit(DeleteRangeMessage(self.last_qual, rid))
                     self._carry_value(rid)
                 else:
-                    projected = self.projection(batch.row(index))
+                    projected = self.projection(row_at(slot_no))
                     self.transmit(self._value_message(rid, projected))
                     if self._staged_values is not None:
                         self._staged_values.setdefault(page_no, {})[
@@ -638,7 +686,7 @@ class RefreshCursor:
                         tuple(values[index] for index in positions),
                         delta_bytes,
                     )
-        value_bytes = len(encode_row(self.value_schema, projected))
+        value_bytes = encoded_size(self.value_schema, projected)
         return EntryMessage(rid, self.last_qual, values, value_bytes)
 
     def _carry_value(self, rid: Rid) -> None:
@@ -674,7 +722,7 @@ class RefreshCursor:
         for index in batch.qualifying(self.restriction):
             rid = Rid(page_no, batch.slots[index])
             projected = self.projection(batch.row(index))
-            value_bytes = len(encode_row(self.value_schema, projected))
+            value_bytes = encoded_size(self.value_schema, projected)
             self.transmit(UpsertMessage(rid, projected.values, value_bytes))
             page_values[rid] = projected.values
         if self._staged_values is not None:
@@ -742,9 +790,7 @@ class _ScanPass:
         self.fixup = fixup
         schema = table.schema
         self.schema = schema
-        # The batch extractor reads annotations as a fixed record tail; a
-        # schema without that layout always takes the per-row path.
-        self.batch_mode = batch_mode and table._ann_trailing
+        self.batch_mode = batch_mode
         prev_pos = schema.position(PREVADDR)
         ts_pos = schema.position(TIMESTAMP)
 
@@ -785,7 +831,6 @@ class _ScanPass:
         every output has failed and nothing is left to serve.
         """
         summaries = self.summaries
-        fixup = self.fixup
         stats = self.stats
 
         for page_no in range(start, stop):
@@ -793,57 +838,41 @@ class _ScanPass:
             if not live:
                 return page_no
 
-            scanning: "list[RefreshCursor]" = []
-            skipping: "list[tuple[RefreshCursor, PageQualInfo]]" = []
             summary = summaries.get(page_no) if summaries is not None else None
+            scanning: "list[RefreshCursor]" = []
+            forwarding: "list[tuple[RefreshCursor, PageQualInfo]]" = []
+            work = bool(summary is not None and summary.null_slots)
             for cursor in live:
-                if (
-                    summary is not None
-                    and not cursor.deletion
-                    and summary.skippable(cursor.snap_time)
-                ):
-                    info = (
-                        cursor.cache.get(page_no)
-                        if cursor.cache is not None
-                        else None
-                    )
-                    if (
-                        info is not None
-                        and info.page_version == summary.page_version
-                        and (
-                            not fixup
-                            # At the boundary the scan state must look
-                            # exactly like it did when the cache was
-                            # filled: a trailing pure insert
-                            # (last_addr != expect_prev) would need this
-                            # page's first PrevAddr repointed, and a
-                            # first_prev mismatch is precisely a deletion
-                            # anomaly hiding on this page.
-                            or (
-                                self.last_addr == self.expect_prev
-                                and (
-                                    info.first_prev is None
-                                    or info.first_prev == self.expect_prev
-                                )
-                            )
-                        )
-                    ):
-                        skipping.append((cursor, info))
-                        continue
-                scanning.append(cursor)
-
-            for cursor, info in skipping:
-                cursor.fast_forward(page_no, info)
-            if not scanning:
-                # Every live cursor proved the page unchanged for itself:
-                # never read it.  Any valid skip implies the page needs
-                # no fix-up, so the shared fix-up state advances exactly
-                # as a scan would have left it.
+                info = (
+                    self._cached_info(cursor, summary)
+                    if summary is not None
+                    else None
+                )
+                if info is None:
+                    scanning.append(cursor)
+                else:
+                    forwarding.append((cursor, info))
+                    work = work or cursor.deletion
+            if scanning:
+                # Someone reads the whole page: whoever has work on it —
+                # changed slots, or a pending Deletion flag one of its
+                # qualifiers must answer — rides that scan, so a page is
+                # stamped once, for all.  The rest skip it.
+                for cursor, info in forwarding:
+                    if cursor.must_visit(info, summary.null_slots):
+                        scanning.append(cursor)
+                    else:
+                        cursor.fast_forward(page_no, info)
+            elif work:
+                if self._fast_forward(page_no, summary, forwarding):
+                    continue
+                scanning = live  # a changed slot is an insert: Figure 7's job
+            else:
+                # Nothing changed, nothing pending: the page is never read.
+                for cursor, info in forwarding:
+                    cursor.fast_forward(page_no, info)
                 stats.pages_skipped += 1
-                info = skipping[0][1]
-                if info.last_live is not None:
-                    self.last_addr = info.last_live
-                    self.expect_prev = info.last_live
+                self._advance(info)
                 continue
 
             stats.pages_scanned += 1
@@ -868,6 +897,130 @@ class _ScanPass:
                         ).page_version
                     cursor.record_page(page_no, version, first_prev, last_live)
         return stop
+
+    def _cached_info(
+        self, cursor: RefreshCursor, summary: PageSummary
+    ) -> "Optional[PageQualInfo]":
+        """The cursor's cached layout of the page, if it may fast-forward.
+
+        Nothing outside the summary's ``null_slots`` may have changed
+        after the cursor's ``SnapTime``.  With none named the cached
+        version must still be the page's; with some, it moved by
+        definition and the summary alone is the proof ("summary
+        completeness", ``docs/invariants.md``).  Work on the page —
+        changed slots, a ``Deletion`` flag carried in — takes a visit,
+        which the per-row oracle and a scan without fix-up never do.
+        """
+        info = cursor.cache.get(summary.page_no) if cursor.cache else None
+        work = bool(summary.null_slots or cursor.deletion)
+        if (
+            info is not None
+            and summary.settled(cursor.snap_time)
+            and (not work or (self.batch_mode and self.fixup))
+            and (summary.null_slots or info.page_version == summary.page_version)
+            # At the boundary the scan state must look exactly like it
+            # did when the cache was filled: a trailing pure insert
+            # (last_addr != expect_prev) would need this page's first
+            # PrevAddr repointed, and a first_prev mismatch is precisely
+            # a deletion anomaly hiding on this page.
+            and (
+                not self.fixup
+                or self.last_addr == self.expect_prev
+                and info.first_prev in (None, self.expect_prev)
+            )
+        ):
+            return info
+        return None
+
+    def _fast_forward(
+        self,
+        page_no: int,
+        summary: PageSummary,
+        forwarding: "Sequence[tuple[RefreshCursor, PageQualInfo]]",
+    ) -> bool:
+        """Advance every live cursor across a page from its cached layout.
+
+        Reads only what it must: the slots the summary says changed (one
+        pin, a partial batch) and any unchanged qualifier a ``Deletion``
+        flag retransmits; a page with neither is skipped unpinned.  A
+        changed slot must be a plain update — ``PrevAddr`` set,
+        ``TimeStamp`` NULL, the page's first ``PrevAddr`` still the
+        boundary's — so that all Figure 7 does is stamp it: the ts-only
+        write of :meth:`_fix_up`, done before any cursor is served.
+        Anything else returns False *having written nothing*, and the
+        page takes the batch scan.
+        """
+        stats = self.stats
+        heap = self.heap
+        changed = sorted(summary.null_slots)
+        delta: "Optional[PageBatch]" = None
+        if changed:
+            delta, _ = heap.page_batch(page_no, self.schema, only=changed)
+            stats.rows_decoded += delta.count  # read, whatever comes of it
+            if (
+                delta.count != len(changed)
+                or PREV_NULL_PAGE in delta.prev_pages
+                or delta.ts.count(TS_NULL) != delta.count
+                or delta.first_prev != self.expect_prev
+            ):
+                return False
+            for slot_no in changed:
+                self.table.set_annotations(
+                    Rid(page_no, slot_no), ts=self.fixup_time
+                )
+            stats.fixup_writes += delta.count
+            stats.scanned += delta.count
+        forced: "dict[int, Row]" = {}
+
+        def row_at(slot_no: int) -> Row:
+            if delta is not None and slot_no in changed:
+                return delta.row_at(slot_no)
+            if slot_no not in forced:
+                body = heap.read(Rid(page_no, slot_no))
+                forced[slot_no] = decode_row(self.schema, body)
+            return forced[slot_no]
+
+        visited = False
+        for cursor, info in forwarding:
+            if not cursor.must_visit(info, changed):
+                cursor.fast_forward(page_no, info)
+                continue
+            visited = True
+            try:
+                quals = cursor.visit(page_no, info, delta, row_at)
+            except ChannelError as error:
+                cursor.fail(error)
+                continue
+            if delta is not None:
+                # The page as the stamps left it: same layout, new
+                # version, this cursor's qualifiers patched.
+                cursor.cache[page_no] = PageQualInfo(
+                    summary.page_version, info.first_prev, quals, info.last_live
+                )
+        if visited:
+            stats.pages_scanned += 1
+            stats.pages_batch_decoded += 1
+            stats.rows_decoded += len(forced)
+            stats.rows_materialized += len(forced)
+        else:
+            stats.pages_skipped += 1
+        if delta is not None:
+            stats.rows_materialized += delta.materializations
+            if sanitize.enabled():
+                sanitize.check_changed_slot_visit(
+                    self.table,
+                    page_no,
+                    delta,
+                    [c for c, _ in forwarding if not c.failed],
+                )
+        self._advance(forwarding[0][1])
+        return True
+
+    def _advance(self, info: PageQualInfo) -> None:
+        """Cross a page nobody scanned: it needs no (further) fix-up, so
+        the shared fix-up state moves exactly as a scan would leave it."""
+        if info.last_live is not None:
+            self.last_addr = self.expect_prev = info.last_live
 
     def _serve_batch(
         self, page_no: int, scanning: "Sequence[RefreshCursor]"
@@ -944,7 +1097,7 @@ class _ScanPass:
         loop's decisions and writes only the records that need it.
         Returns the effective-timestamp column (NULL stamp or pure
         insert ⇒ :data:`TS_INFINITY`), the pure-insert and anomaly
-        indices, and the first entry's ``PrevAddr`` as repaired; the
+        slots, and the first entry's ``PrevAddr`` as repaired; the
         page is known to hold at least one entry (an empty page is
         write-free).
         """
@@ -968,7 +1121,7 @@ class _ScanPass:
             here = (page_no, slots[index])
             if prev[0] == PREV_NULL_PAGE:
                 # Inserted since the last fix-up.
-                pure_inserts.append(index)
+                pure_inserts.append(here[1])
                 eff_ts[index] = TS_INFINITY
                 table.set_annotations(
                     Rid(*here), prev=Rid(*last), ts=fixup_time
@@ -984,7 +1137,7 @@ class _ScanPass:
                     # Deletion(s) detected before this entry.
                     fields["prev"] = Rid(*last)
                     fields["ts"] = fixup_time
-                    anomalies.append(index)
+                    anomalies.append(here[1])
                     stats.deletions_detected += 1
                 elif prev != last:
                     # Insertions (only) before this entry.
@@ -1174,39 +1327,32 @@ def run_refresh_scan(
     The returned :class:`RefreshResult` holds the *pass-level* counters:
     pages and rows were read once no matter how many cursors rode along,
     fix-up was applied to the base table exactly once, and each entry
-    was partial-decoded at most once for the whole pass.  Per-cursor traffic lands on each cursor's own ``result``,
-    which also receives a copy of the pass-level costs.
+    was partial-decoded at most once for the whole pass.  Per-cursor
+    traffic lands on each cursor's own ``result``, which also receives a
+    copy of the pass-level costs.
 
-    Page skipping is decided per cursor with exactly the solo scan's
-    conditions — including the shared fix-up state at the page boundary
-    — so a cursor fast-forwards precisely when its own solo run would
-    have skipped.  Only when *every* live cursor can skip is the page
-    not read at all; a page any cursor validly skips is provably clean
-    (no NULL annotations, no boundary anomaly), so scanning it for the
-    others performs no fix-up writes and cannot invalidate the skipper's
-    cached state.
+    **Three outcomes per page** (``use_page_summaries``).  Each cursor
+    either holds a cached layout it may fast-forward from
+    (:meth:`_ScanPass._cached_info`: exactly the solo scan's conditions,
+    the shared fix-up state at the page boundary included) or must scan.
+    If every live cursor can fast-forward, the page is *skipped* —
+    never pinned — when no slot changed and no pending ``Deletion`` flag
+    meets a qualifier, else *visited*: only the changed slots are read
+    and stamped (:meth:`_ScanPass._fast_forward`).  Otherwise the page
+    is *scanned* once for everyone with work on it, and a cursor for
+    which it is clean still skips: a page any cursor validly skips has
+    no NULL annotation and no boundary anomaly, so scanning it for the
+    others writes nothing and cannot invalidate the skipper's cache.
 
-    With ``batch_mode`` every page that must be read is served from its
-    columnar :class:`~repro.storage.batch.PageBatch` (cached on the
-    buffer pool by page version while the page has no NULL
-    annotations).  When the batch proves the scan would neither write
-    to the page nor detect an anomaly at it — no NULL annotations, and
-    under fix-up an intact intra-page chain whose first ``PrevAddr``
-    equals the scan's ``ExpectPrev`` with no trailing insert pending
-    (``last_addr == expect_prev``) — the cursors are served straight
-    from the batch's timestamp column.  Otherwise the Figure-7 fix-up
-    runs first, over the batch's annotation columns, with exactly the
-    per-row loop's decisions: only the records that need it are
-    written, and the cursors receive the same columns with the
-    per-entry facts filled in (an *effective* timestamp of +inf for
-    entries found with NULL annotations, the pure-insert indices, the
-    anomaly indices) through the same
-    :meth:`RefreshCursor.serve_batch`.  Streams, base-table annotation
-    bytes and ``fixup_writes``/``deletions_detected`` are identical to
-    the per-row path, which remains as the ``batch_mode=False``
-    baseline — the paper's loop, and the oracle the batch-vs-row
-    properties compare against — and for tables without trailing
-    annotations.
+    With ``batch_mode`` a scanned page is served from its columnar
+    :class:`~repro.storage.batch.PageBatch`, straight from the timestamp
+    column when the batch proves the scan would neither write nor find
+    an anomaly, else after the Figure-7 fix-up has run over its
+    annotation columns (:meth:`_ScanPass._serve_batch`).  Streams,
+    base-table annotation bytes and ``fixup_writes``/
+    ``deletions_detected`` are identical to the per-row path, which
+    remains as the ``batch_mode=False`` baseline: the paper's loop, and
+    the oracle the batch-vs-row properties compare against.
 
     A :class:`~repro.errors.ChannelError` on one cursor's output marks
     that cursor failed (``cursor.error``) and the pass continues for the

@@ -532,6 +532,8 @@ class SnapshotManager:
         handle.channel.abort()
         handle.value_cache.abort()
         handle.info.snapshot_table.abort_epoch()
+        if sanitize.enabled():  # the mirror is still what the receiver has
+            sanitize.check_value_cache(handle.value_cache, handle.table)
 
     # -- the differential pass -------------------------------------------------
 

@@ -5,7 +5,9 @@ type system cannot express (see ``docs/invariants.md`` for the paper
 sections behind them):
 
 **L1 — annotation/summary mutation discipline**
-    ``L101``  ``set_annotations`` called outside the fix-up machinery.
+    ``L101``  ``set_annotations`` — or the heap primitive under it,
+              ``write_annotations`` — called outside the fix-up
+              machinery.
     ``L102``  :class:`~repro.storage.summary.PageSummary` change state
               mutated outside ``storage/summary.py``.
     ``L103``  Page-summary write hooks invoked outside the heap layer.
@@ -75,6 +77,10 @@ from typing import Iterator, List, Sequence
 from repro.lint.engine import SourceFile, Violation
 from repro.lint.concurrency.reports import ConcurrencyChecker
 
+#: The calls that write the hidden annotation fields: the fix-up
+#: primitive and the in-place heap overwrite it is built on.
+ANNOTATION_WRITES = {"set_annotations", "write_annotations"}
+
 #: Modules allowed to write the hidden annotation fields: the lazy/eager
 #: write hooks (table.py) and the Figure-7 fix-up passes.
 ANNOTATION_WRITERS = {
@@ -100,7 +106,13 @@ SUMMARY_STATE_FIELDS = {
 }
 
 #: The page-summary maintenance entry points (heap write hooks).
-SUMMARY_HOOKS = {"note_insert", "note_update", "note_delete", "attach_summaries"}
+SUMMARY_HOOKS = {
+    "note_insert",
+    "note_update",
+    "note_annotations",
+    "note_delete",
+    "attach_summaries",
+}
 
 #: Module prefixes whose behaviour must be a function of the site clock.
 DETERMINISTIC_PREFIXES = ("core/", "net/", "storage/", "txn/")
@@ -143,7 +155,7 @@ REGISTRY_FORBIDDEN_NAMES = {
 }
 
 RULES = {
-    "L101": "set_annotations call outside the annotation-writer whitelist",
+    "L101": "annotation write outside the annotation-writer whitelist",
     "L102": "PageSummary change state mutated outside storage/summary.py",
     "L103": "page-summary write hook called outside the heap layer",
     "L201": "wall-clock read outside txn/clock.py in a deterministic module",
@@ -192,13 +204,13 @@ class MutationDisciplineChecker(Checker):
                 node.func, ast.Attribute
             ):
                 attr = node.func.attr
-                if attr == "set_annotations" and logical not in ANNOTATION_WRITERS:
+                if attr in ANNOTATION_WRITES and logical not in ANNOTATION_WRITERS:
                     yield Violation(
                         "L101",
                         source.path,
                         node.lineno,
                         node.col_offset,
-                        "set_annotations may only be called from "
+                        f"{attr} may only be called from "
                         f"{sorted(ANNOTATION_WRITERS)} (TimeStamp/PrevAddr "
                         "are owned by the fix-up machinery)",
                     )

@@ -13,12 +13,15 @@ paper's algorithm depends on:
 - **page-summary dominance** — each page's ``max_ts`` bounds every
   timestamp on the page and ``null_slots`` covers every NULL
   annotation, so a summary can never justify skipping a changed page;
+- **changed-slot visits** — a page the scan fast-forwarded reading only
+  the slots its summary named is, read whole, exactly what the scan
+  recorded of it (summary completeness);
 - **epoch isolation** — between ``RefreshBegin`` and the matching
   commit, nothing staged may reach the visible snapshot contents;
-- **value-cache mirroring** — after a committed refresh, every value
-  the sender's cache remembers transmitting is exactly what the
-  receiver holds for that address (the precondition of every
-  ``UpdateDeltaMessage``).
+- **value-cache mirroring** — after a committed refresh, and after an
+  aborted one, every value the sender's cache remembers transmitting
+  is exactly what the receiver holds for that address (the
+  precondition of every ``UpdateDeltaMessage``).
 
 Every check raises :class:`~repro.errors.SanitizerError` on violation
 and is observation-neutral: heap reads performed by a check save and
@@ -29,7 +32,7 @@ on hit/miss statistics behave identically with the sanitizer on.
 from __future__ import annotations
 
 import os
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import SanitizerError
 from repro.relation.row import decode_fields
@@ -169,6 +172,47 @@ def check_after_refresh_scan(table: Any, fixup_ran: bool) -> None:
         check_annotation_chain(table)
     check_page_summaries(table)
     check_buffer_bounds(table.heap.pool)
+
+
+def check_changed_slot_visit(
+    table: Any, page_no: int, delta: Any, cursors: "Sequence[Any]"
+) -> None:
+    """After a changed-slot visit: the page is as a full scan leaves it.
+
+    The visit read and stamped only the slots the summary named and
+    trusted the rest to be as cached ("summary completeness").  The
+    whole page must show what the batch path establishes: no NULL
+    annotation, an intact chain, and the first ``PrevAddr`` and
+    qualifying slots each visiting cursor just recorded.  Nor may
+    ``delta``, the partial batch the visit read, sit in the pool's
+    batch cache, where a scan could take it for the page.
+    """
+    from repro.storage.batch import extract_page_batch
+
+    heap = table.heap
+    physical = heap.physical_pages()[page_no]
+    with _StatsGuard(heap):
+        frame = heap.pool.pin(physical)
+        try:
+            batch = extract_page_batch(page_no, frame, table.schema, 0)
+        finally:
+            heap.pool.unpin(physical)
+    where = f"table {table.name!r} page {page_no}: a changed-slot visit"
+    if batch.has_nulls or not batch.chain_ok:
+        raise SanitizerError(
+            f"{where} left NULL annotations or a broken PrevAddr chain"
+        )
+    for cursor in cursors:
+        info = cursor.cache[page_no]
+        quals = [batch.slots[i] for i in batch.qualifying(cursor.restriction)]
+        if info.first_prev != batch.first_prev or list(info.qual_slots) != quals:
+            raise SanitizerError(
+                f"{where} recorded first PrevAddr {info.first_prev} and "
+                f"qualifying slots {list(info.qual_slots)}; the page holds "
+                f"{batch.first_prev} and {quals}"
+            )
+    if heap.pool.batch_peek(physical) is delta:
+        raise SanitizerError(f"{where} cached its partial batch as the page")
 
 
 # -- snapshot epoch isolation -------------------------------------------------

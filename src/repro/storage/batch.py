@@ -59,6 +59,11 @@ below make the *derived* work reusable too:
 - :meth:`row` memoizes full-row materialization, so fan-out and repeat
   transmissions never decode an entry twice.
 
+A page that took nothing but in-place updates is not extracted whole:
+the scan asks for a *partial* batch of just the changed slots
+(``only=``), which serves the same probes and rows for those records
+and is never cached.
+
 Everything here is read-only with respect to the page: extraction runs
 under a single pin and copies what it keeps, so a cached batch never
 aliases buffer-pool frames that may be evicted or rewritten.
@@ -69,7 +74,7 @@ from __future__ import annotations
 import struct
 from array import array
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relation.row import Row, decode_fields, decode_row
@@ -89,7 +94,7 @@ TS_NULL = -(2**63)
 
 #: The trailing 16 bytes of every annotated record: PrevAddr page (i32),
 #: PrevAddr slot (u32), timestamp (i64) — read in one call per record.
-_TAIL = struct.Struct("<iIq")
+ANNOTATION_TAIL = struct.Struct("<iIq")
 
 _SLOT_COUNT = struct.Struct("<H")
 
@@ -216,6 +221,10 @@ class PageBatch:
             self.materializations += 1
         return row
 
+    def row_at(self, slot_no: int) -> Row:
+        """Full row of the entry in ``slot_no`` (see :meth:`row`)."""
+        return self.row(self.slots.index(slot_no))
+
     def probe_values(
         self, positions: "Tuple[int, ...]"
     ) -> "List[Tuple[object, ...]]":
@@ -288,19 +297,32 @@ class PageBatch:
         )
 
 
+def _prev_addr(prev_page: int, prev_slot: int) -> object:
+    """A ``PrevAddr`` off the record tail: ``NULL`` or a :class:`Rid`."""
+    return NULL if prev_page == PREV_NULL_PAGE else Rid(prev_page, prev_slot)
+
+
 def extract_page_batch(
     page_no: int,
     buf: bytearray,
     schema: Schema,
     version: int,
+    only: "Optional[Sequence[int]]" = None,
 ) -> PageBatch:
     """Extract a :class:`PageBatch` from a pinned page image.
 
     One pass over the slot directory (unpacked in a single call) and
-    one :data:`_TAIL` read per live record; the caller holds the pin
-    for the duration and the batch copies every byte it keeps.  The
-    schema must have the annotation columns appended last (the table
-    layer's ``_ann_trailing`` invariant) — callers gate on that.
+    one :data:`ANNOTATION_TAIL` read per live record; the caller holds
+    the pin for the duration and the batch copies every byte it keeps.
+    The schema's last two columns are the annotations (see
+    :meth:`repro.table.Table.enable_annotations`).
+
+    With ``only`` — slot numbers, ascending — the batch is *partial*:
+    just those records (fewer when a slot is empty), at their cost.
+    ``first_prev`` is still the page's (the scan's boundary test needs
+    it whichever entries it reads); ``has_nulls`` and ``max_live_ts``
+    cover the extracted records and ``chain_ok`` is False, not proven.
+    A partial batch must never enter the version-keyed cache.
     """
     (slot_count,) = _SLOT_COUNT.unpack_from(buf, 2)
     # One unpack for the whole slot directory; the format is sized by
@@ -321,10 +343,13 @@ def extract_page_batch(
     chain_ok = True
     max_live_ts = 0
     first_prev: object = None
-    tail_read = _TAIL.unpack_from
+    tail_read = ANNOTATION_TAIL.unpack_from
     # One immutable copy of the page: each body is then a single slice.
     image = bytes(buf)
-    for slot_no in range(slot_count):
+    wanted: "Sequence[int]" = range(slot_count)
+    if only is not None:
+        wanted = [slot_no for slot_no in only if slot_no < slot_count]
+    for slot_no in wanted:
         offset = directory[2 * slot_no]
         if offset == 0:
             continue
@@ -339,10 +364,7 @@ def extract_page_batch(
             if prev_page != page_no or prev_slot != slots[-1]:
                 chain_ok = False
         else:
-            if prev_page == PREV_NULL_PAGE:
-                first_prev = NULL
-            else:
-                first_prev = Rid(prev_page, prev_slot)
+            first_prev = _prev_addr(prev_page, prev_slot)
         if stamp == TS_NULL or prev_page == PREV_NULL_PAGE:
             has_nulls = True
         elif stamp > max_live_ts:
@@ -352,6 +374,13 @@ def extract_page_batch(
         prev_pages.append(prev_page)
         prev_slots.append(prev_slot)
         bodies.append(image[offset : offset + length])
+    if only is not None:
+        # The loop read its chain facts off the extracted records alone.
+        chain_ok = False
+        first = next((s for s in range(slot_count) if directory[2 * s]), None)
+        if first is not None:
+            end = directory[2 * first] + directory[2 * first + 1]
+            first_prev = _prev_addr(*tail_read(image, end - 16)[:2])
     return PageBatch(
         page_no,
         version,

@@ -232,6 +232,10 @@ class BufferPool:
                     dropped += 1
         return dropped
 
+    def batch_peek(self, page_no: int) -> "object | None":
+        """Cached batch of any version: no stat, no LRU touch (sanitizer)."""
+        return self._batches.get(page_no)
+
     def batch_entries(self) -> int:
         """Number of cached batch entries (diagnostic / sanitizer)."""
         return len(self._batches)

@@ -251,15 +251,41 @@ class HeapFile:
         try:
             if page.update(rid.slot_no, record):
                 # Only a layout change can move the hint: a same-length
-                # overwrite (every annotation repair, most updates)
-                # skips the O(slots) directory walk.  Benign race: the
-                # hint is advisory — a torn or lost update only costs a
-                # later writer one extra pin probe.
-                self._free_hint[rid.page_no] = (  # replint: ignore[L601]
+                # overwrite (most updates) skips the O(slots) directory
+                # walk.  Only writers come through here (annotation
+                # repairs are write_annotations).
+                self._free_hint[rid.page_no] = (
                     page.contiguous_free() + page.reclaimable()
                 )
             if self.summaries is not None:
                 self.summaries.note_update(rid, record)
+        finally:
+            self._unpin(rid.page_no, dirty=True)
+        with self._write_mutex:
+            self.writes.updates += 1
+            if self._write_observers:
+                self._notify_write("update", rid)
+
+    def write_annotations(
+        self, rid: Rid, prev: Optional[bytes], ts: Optional[bytes]
+    ) -> None:
+        """Overwrite the annotation fields of the record at ``rid`` in place.
+
+        An annotated record ends in two fixed 8-byte fields, ``PrevAddr``
+        then ``TimeStamp``, so a repair is an 8- or 16-byte overwrite
+        under one pin (pins nest, so also inside one the caller holds):
+        no record copy, no layout change, no decode.  ``None`` keeps a
+        field.  Counted, observed and summarized as the update it is.
+        """
+        page = self._pin(rid.page_no)
+        try:
+            tail = page.tail(rid.slot_no, 16)
+            if prev is not None:
+                tail[:8] = prev
+            if ts is not None:
+                tail[8:] = ts
+            if self.summaries is not None:
+                self.summaries.note_annotations(rid, tail)
         finally:
             self._unpin(rid.page_no, dirty=True)
         with self._write_mutex:
@@ -309,7 +335,9 @@ class HeapFile:
         finally:
             self._unpin(heap_page, dirty=False)
 
-    def page_batch(self, heap_page: int, schema) -> "tuple[object, bool] | None":
+    def page_batch(
+        self, heap_page: int, schema, only: "Optional[list[int]]" = None
+    ) -> "tuple[object, bool] | None":
         """Columnar :class:`~repro.storage.batch.PageBatch` of one page.
 
         Returns ``(batch, reused)`` — ``reused`` is True when the buffer
@@ -325,6 +353,10 @@ class HeapFile:
         would only hold a dead copy of the page until the LRU turned
         over (measured on A21: +5.7 % peak RSS on ``sparse_uniform``
         and +11 % on ``churn_fanout``, against a 5 % bound).
+
+        ``only`` (ascending slot numbers) reads just those records: a
+        *partial* batch, which neither comes from the cache nor enters
+        it — it does not describe the page.
         """
         from repro.storage.batch import extract_page_batch
 
@@ -334,15 +366,16 @@ class HeapFile:
         summary = summaries.get_or_create(heap_page)
         version = summary.page_version
         physical = self._physical(heap_page)
-        cached = self._pool.batch_lookup(physical, version)
-        if cached is not None:
-            return cached, True
+        if only is None:
+            cached = self._pool.batch_lookup(physical, version)
+            if cached is not None:
+                return cached, True
         frame = self._pool.pin(physical)
         try:
-            batch = extract_page_batch(heap_page, frame, schema, version)
+            batch = extract_page_batch(heap_page, frame, schema, version, only)
         finally:
             self._pool.unpin(physical, dirty=False)
-        if not summary.null_slots:
+        if only is None and not summary.null_slots:
             self._pool.batch_store(physical, batch)
         return batch, False
 

@@ -189,6 +189,16 @@ class SlottedPage:
             raise RecordNotFoundError(f"slot {slot_no} is empty")
         return bytes(self._buf[offset : offset + length])
 
+    def tail(self, slot_no: int, size: int) -> memoryview:
+        """A writable view of the last ``size`` bytes of the record in
+        ``slot_no``: fixed-width trailing fields are patched where they lie."""
+        if not self.is_live(slot_no):
+            raise RecordNotFoundError(f"slot {slot_no} is empty")
+        offset, length = self._slot(slot_no)
+        if length < size:
+            raise PageFormatError(f"slot {slot_no}: no {size}-byte tail")
+        return memoryview(self._buf)[offset + length - size : offset + length]
+
     def is_live(self, slot_no: int) -> bool:
         if slot_no >= self.slot_count:
             return False

@@ -29,14 +29,16 @@ the page, that nothing on it needs repairing or transmitting:
 
 ``page_version``
     Bumped on *every* record write to the page (including annotation
-    repairs).  A cached per-snapshot :class:`PageQualInfo` is valid only
-    while the version matches, i.e. while the page bytes are exactly
-    what the caching scan saw.
+    repairs).  While it matches a cached per-snapshot
+    :class:`PageQualInfo`, the page bytes are exactly what the caching
+    scan saw.
 
-A page is *skippable* for ``snap_time`` iff it has no NULL annotations,
-``max_ts <= snap_time``, and no structural change after ``snap_time``
-(see :class:`repro.core.differential.DifferentialRefresher` for the
-additional scan-state conditions at page boundaries).
+A page is *settled* for ``snap_time`` iff ``max_ts <= snap_time`` and no
+structural change came after ``snap_time``: then only its ``null_slots``
+can differ from what a snapshot with that ``SnapTime`` last saw, and a
+refresh may skip it (none named) or visit just those slots (see
+:func:`repro.core.differential.run_refresh_scan` for the additional
+scan-state conditions at page boundaries).
 
 Summaries are keyed by ``(page, slot)`` — never by byte offsets — so
 :meth:`repro.storage.page.SlottedPage.compact` cannot invalidate them.
@@ -44,11 +46,13 @@ Summaries are keyed by ``(page, slot)`` — never by byte offsets — so
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.relation.row import decode_fields
 from repro.relation.schema import Schema
 from repro.relation.types import NULL
+from repro.storage.batch import ANNOTATION_TAIL, PREV_NULL_PAGE, TS_NULL
 from repro.storage.rid import Rid
 
 if TYPE_CHECKING:  # imported lazily: heap.py is a client of this module
@@ -94,11 +98,11 @@ class PageSummary:
             return None
         return Rid(self.page_no, self.last_live_slot)
 
-    def skippable(self, snap_time: int) -> bool:
-        """Content condition: nothing on this page changed after ``snap_time``."""
+    def settled(self, snap_time: int) -> bool:
+        """Content condition: nothing outside ``null_slots`` changed after
+        ``snap_time`` — no newer stamp, no delete or undo re-insert."""
         return (
-            not self.null_slots
-            and self.max_ts <= snap_time
+            self.max_ts <= snap_time
             and self.structural_changed_at <= snap_time
         )
 
@@ -114,31 +118,25 @@ class PageSummary:
 class PageQualInfo:
     """Per-snapshot cache of one page's qualified-address layout.
 
-    Populated when a refresh scans the page; valid while the page's
-    version is unchanged.  On a valid hit the refresh fast-forwards its
-    ``LastQual``/``ExpectPrev``/``LastAddr`` state across the page
-    without decoding a single record, which preserves the Figure-4
-    receiver contract: the next transmitted entry carries
+    Populated when a refresh reads the page.  While the page's version
+    is unchanged — or the summary names the only slots that changed
+    since (``null_slots``, with ``max_ts`` and ``structural_changed_at``
+    no later than the snapshot's ``SnapTime``: "summary completeness",
+    ``docs/invariants.md``) — the refresh fast-forwards its
+    ``LastQual``/``ExpectPrev``/``LastAddr`` state across the page from
+    this record, decoding nothing but the changed slots.  That preserves
+    the Figure-4 receiver contract: the next transmitted entry carries
     ``prev_qual = last_qual`` of the skipped page, so its deletion range
     cannot wipe out the skipped page's snapshot rows.
     """
 
-    __slots__ = (
-        "page_version",
-        "first_prev",
-        "first_qual",
-        "last_qual",
-        "qual_count",
-        "last_live",
-    )
+    __slots__ = ("page_version", "first_prev", "qual_slots", "last_live")
 
     def __init__(
         self,
         page_version: int,
         first_prev: Optional[Rid],
-        first_qual: Optional[Rid],
-        last_qual: Optional[Rid],
-        qual_count: int,
+        qual_slots: "array[int]",
         last_live: Optional[Rid],
     ) -> None:
         self.page_version = page_version
@@ -147,16 +145,15 @@ class PageQualInfo:
         #: ``ExpectPrev`` at the boundary, which is what catches
         #: deletions whose anomaly lives on this page.
         self.first_prev = first_prev
-        self.first_qual = first_qual
-        self.last_qual = last_qual
-        self.qual_count = qual_count
+        #: Slot numbers of the page's qualifying entries, ascending
+        #: (``array('H')``): the last one is the page's ``LastQual``.
+        self.qual_slots = qual_slots
         self.last_live = last_live
 
     def __repr__(self) -> str:
         return (
             f"PageQualInfo(v={self.page_version}, first_prev={self.first_prev}, "
-            f"qual=[{self.first_qual}..{self.last_qual}]x{self.qual_count}, "
-            f"last_live={self.last_live})"
+            f"qual_slots={list(self.qual_slots)}, last_live={self.last_live})"
         )
 
 
@@ -226,6 +223,19 @@ class PageSummaryMap:
         summary = self.get_or_create(rid.page_no)
         summary.page_version += 1
         self._absorb(summary, rid.slot_no, body)
+
+    def note_annotations(self, rid: Rid, tail: bytes) -> None:
+        """:meth:`note_update` for an annotation repair, given only the
+        record's trailing ``(PrevAddr, TimeStamp)`` bytes as they stand."""
+        summary = self.get_or_create(rid.page_no)
+        summary.page_version += 1
+        prev_page, _, ts = ANNOTATION_TAIL.unpack(tail)
+        if prev_page == PREV_NULL_PAGE or ts == TS_NULL:
+            summary.null_slots.add(rid.slot_no)
+        else:
+            summary.null_slots.discard(rid.slot_no)
+        if ts != TS_NULL and ts > summary.max_ts:
+            summary.max_ts = ts
 
     def note_delete(self, rid: Rid, page: "SlottedPage") -> None:
         summary = self.get_or_create(rid.page_no)

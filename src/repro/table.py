@@ -100,7 +100,6 @@ class Table(UndoInterface):
         self._live: Optional[BPlusTree] = None
         self._prev_pos: Optional[int] = None
         self._ts_pos: Optional[int] = None
-        self._ann_trailing = False
         # Secondary indexes (repro.query.indexes); notified on mutation.
         self._indexes: "list[Any]" = []
 
@@ -188,12 +187,12 @@ class Table(UndoInterface):
         self.schema = new_schema
         self._prev_pos = new_schema.position(PREVADDR)
         self._ts_pos = new_schema.position(TIMESTAMP)
-        # Annotations are appended, so they are the record's trailing two
-        # fixed 8-byte fields; set_annotations patches them in place.
-        self._ann_trailing = (
-            self._prev_pos == len(new_schema) - 2
-            and self._ts_pos == len(new_schema) - 1
-        )
+        # THE annotation layout, taken as given below the table layer:
+        # the two columns were appended just above and both types are
+        # fixed 8-byte inline-NULL encodings, so every record ends in
+        # PrevAddr then TimeStamp.  Repairs overwrite that tail in place
+        # (HeapFile.write_annotations), batches and summaries read it
+        # with one struct (ANNOTATION_TAIL), system_update slices it.
         self.annotation_mode = mode
         # Page summaries decode the annotation fields, so they can only
         # exist from this point on; rebuild covers pre-existing rows.
@@ -248,34 +247,19 @@ class Table(UndoInterface):
 
         Accepts ``prev`` and/or ``ts``; writes in place without logging —
         annotation repair is maintenance, not a user update, and must not
-        itself look like a base-table modification.
+        itself look like a base-table modification.  The rest of the
+        record is neither read nor rewritten.
         """
         self._require_annotations()
         unknown = set(fields) - {"prev", "ts"}
         if unknown:
             raise SchemaError(f"unknown annotation fields: {sorted(unknown)}")
-        body = self.heap.read(rid)
-        if self._ann_trailing:
-            # Both annotation fields use fixed-width inline-NULL encodings
-            # at the end of the record, so fix-up can patch the bytes
-            # without decoding (or re-encoding) the rest of the row.
-            patched = bytearray(body)
-            if "prev" in fields:
-                prev_type = self.schema.columns[self._prev_pos].ctype
-                patched[-16:-8] = prev_type.encode(fields["prev"])
-            if "ts" in fields:
-                ts_type = self.schema.columns[self._ts_pos].ctype
-                patched[-8:] = ts_type.encode(fields["ts"])
-            self.heap.update(rid, bytes(patched))
-            return
-        row = decode_row(self.schema, body)
-        updates: "dict[str, Any]" = {}
-        if "prev" in fields:
-            updates[PREVADDR] = fields["prev"]
-        if "ts" in fields:
-            updates[TIMESTAMP] = fields["ts"]
-        new_row = row.replace(self.schema, **updates)
-        self.heap.update(rid, encode_row(self.schema, new_row))
+        prev_column, ts_column = self.schema.columns[-2:]
+        self.heap.write_annotations(
+            rid,
+            prev_column.ctype.encode(fields["prev"]) if "prev" in fields else None,
+            ts_column.ctype.encode(fields["ts"]) if "ts" in fields else None,
+        )
 
     def _require_annotations(self) -> None:
         if not self.has_annotations:
@@ -568,7 +552,7 @@ class Table(UndoInterface):
             raise SchemaError("use set_annotations for annotation fields")
         before = self.heap.read(rid)
         # The annotations, when present, are the schema's last two columns
-        # and the record's last two 8-byte fields (see set_annotations).
+        # and the record's last two 8-byte fields (see enable_annotations).
         columns = self.schema.columns[: -2 if self.has_annotations else None]
         partial = len(changes) < len(columns)
         old_values = None

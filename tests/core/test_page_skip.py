@@ -7,12 +7,19 @@ anomaly silently keeps deleted data.  These tests drive exactly those
 boundaries.
 """
 
+import copy
+
 import pytest
 
+from repro import sanitize
 from repro.core.differential import DifferentialRefresher
+from repro.core.manager import SnapshotManager
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
+from repro.errors import ChannelError
 from repro.expr.predicate import Projection, Restriction
+from repro.net.faults import FaultyLink
+from repro.relation.types import NULL
 
 
 def build(db, rows=12, pad=900):
@@ -200,3 +207,315 @@ class TestCacheInvalidation:
         # to addresses that do not qualify under this predicate).
         assert result.pages_scanned == table.heap.page_count
         assert snapshot.as_map() == truth_map(table, 5)
+
+
+# -- changed-slot visits -------------------------------------------------------
+#
+# With batch_mode a page whose summary names the slots that changed — and
+# proves the rest unchanged — is fast-forwarded from the cached layout,
+# reading only those slots.  Every case runs in a visiting (batch) world
+# and in the per-row oracle and requires the same stream and heap bytes.
+
+
+class _World:
+    """A lazy table with one snapshot behind a summaries-on refresher."""
+
+    def __init__(self, batch_mode, cutoff=100):
+        self.db = Database("hq")
+        self.table, self.rids = build(self.db)
+        self.pages = {}
+        for rid in self.rids:
+            self.pages.setdefault(rid.page_no, []).append(rid)
+        self.restriction = Restriction.parse(
+            f"v < {cutoff}", self.table.schema
+        )
+        self.projection = Projection(self.table.schema)
+        self.cutoff = cutoff
+        self.batch_mode = batch_mode
+        self._new_snapshot("remote")
+
+    def _new_snapshot(self, site):
+        self.snapshot = SnapshotTable(
+            Database(site), "s", self.projection.schema
+        )
+        self.refresher = DifferentialRefresher(
+            self.table, use_page_summaries=True, batch_mode=self.batch_mode
+        )
+        self.snap_time = 0
+        self.streams = []
+
+    def sibling(self):
+        """A second snapshot of the same table: its own refresher (hence
+        page cache), receiver, SnapTime and streams."""
+        other = copy.copy(self)
+        other._new_snapshot("remote2")
+        return other
+
+    def refresh(self):
+        result, messages = refresh_into(
+            self.refresher,
+            self.snapshot,
+            self.snap_time,
+            self.restriction,
+            self.projection,
+        )
+        self.snap_time = result.new_snap_time
+        self.streams.append(messages)
+        assert self.snapshot.as_map() == truth_map(self.table, self.cutoff)
+        return result
+
+    def page_size(self, page_no):
+        return len(self.table.heap.page_entries(page_no))
+
+
+def twin(script, cutoff=100):
+    """Run ``script(world)`` in the visiting world and the per-row oracle;
+    return the visiting world's return value."""
+    visiting, oracle = _World(True, cutoff), _World(False, cutoff)
+    outcome = script(visiting)
+    script(oracle)
+    assert visiting.streams == oracle.streams
+    assert list(visiting.table.heap.scan()) == list(oracle.table.heap.scan())
+    return outcome
+
+
+class TestChangedSlotVisit:
+    def test_one_update_reads_one_record_not_the_page(self):
+        def script(w):
+            w.refresh()
+            w.table.update(w.rids[1], {"v": 50})
+            result = w.refresh()
+            _, ts = w.table.annotations(w.rids[1])
+            assert ts == result.new_snap_time
+            return w, result
+
+        w, result = twin(script)
+        page_count = w.table.heap.page_count
+        assert result.rows_decoded == 1
+        assert result.scanned == result.entries_evaluated == 1
+        assert result.fixup_writes == 1 and result.entries_sent == 1
+        assert result.pages_scanned == result.pages_batch_decoded == 1
+        # Fast-forwarded across every page, the one it read included.
+        assert result.pages_fast_forwarded == page_count
+        assert result.pages_skipped == page_count - 1
+        # The page's cached layout was re-recorded: a quiet refresh
+        # skips it without a pin.
+        quiet = w.refresh()
+        assert quiet.pages_skipped == page_count and quiet.rows_decoded == 0
+
+    def test_insert_among_the_changed_slots_falls_back_before_any_write(self):
+        def script(w):
+            w.refresh()
+            victim = w.pages[1][2]
+            w.table.delete(victim)
+            w.refresh()  # settled again: the free slot is just a hole
+            w.table.update(w.pages[1][0], {"v": 50})
+            assert w.table.insert([7, "y" * 900]) == victim
+            events = []
+            heap = w.table.heap
+            original = heap.page_batch
+
+            def page_batch(page_no, schema, only=None):
+                events.append(("partial" if only else "full", page_no))
+                return original(page_no, schema, only)
+
+            heap.page_batch = page_batch
+            unsubscribe = heap.observe_writes(
+                lambda kind, rid: events.append((kind, rid.page_no))
+            )
+            try:
+                result = w.refresh()
+            finally:
+                unsubscribe()
+                del heap.page_batch
+            return w, result, events
+
+        w, result, events = twin(script)
+        # Two NULL slots, read as such; the insert sends the page down
+        # the batch path with the heap untouched in between.
+        assert events[:2] == [("partial", 1), ("full", 1)]
+        assert events[2:] == [("update", 1)] * 3  # stamp, chain, repoint
+        assert result.fixup_writes == 3
+        assert result.rows_decoded == 2 + w.page_size(1)
+        assert result.pages_fast_forwarded == result.pages_skipped
+
+    def test_delete_on_the_page_falls_back(self):
+        def script(w):
+            w.refresh()
+            w.table.update(w.pages[1][0], {"v": 50})
+            w.table.delete(w.pages[1][2])
+            return w, w.refresh()
+
+        w, result = twin(script)
+        # The structural mark vetoes the visit outright: nothing partial
+        # is read, the batch scan finds the anomaly.
+        assert result.deletions_detected == 1
+        assert result.rows_decoded == w.page_size(1)
+        assert result.pages_fast_forwarded == result.pages_skipped
+
+    def test_another_snapshots_earlier_fix_up_falls_back(self):
+        def script(w):
+            other = w.sibling()
+            w.refresh()
+            other.refresh()
+            w.table.update(w.rids[1], {"v": 50})
+            first = other.refresh()  # visits, stamps above w's SnapTime
+            second = w.refresh()
+            w.streams.extend(other.streams)
+            return w, first, second
+
+        w, first, second = twin(script)
+        assert first.rows_decoded == 1 and first.fixup_writes == 1
+        # max_ts > SnapTime: the page is not settled for this snapshot.
+        assert second.fixup_writes == 0 and second.entries_sent == 1
+        assert second.rows_decoded == w.page_size(0)
+        assert second.pages_fast_forwarded == second.pages_skipped
+
+    def test_first_prevaddr_repointed_under_the_cache_falls_back(self):
+        """Another snapshot's pass repoints page 2's first entry at a
+        trailing insert on page 1 (a write that stamps nothing), the
+        insert is deleted again, and page 2 takes an update.  This
+        snapshot's cached ``first_prev`` equals ``ExpectPrev`` once
+        more, but the page itself says otherwise: only reading the
+        first ``PrevAddr`` off the page finds the anomaly."""
+
+        def script(w):
+            other = w.sibling()
+            hole = w.pages[1][-1]
+            w.table.delete(hole)
+            w.refresh()
+            other.refresh()
+            assert w.table.insert([7, "y" * 900]) == hole
+            other.refresh()  # chains the insert, repoints page 2's first
+            first_of_next = w.pages[2][0]
+            assert w.table.annotations(first_of_next)[0] == hole
+            w.table.delete(hole)
+            w.table.update(w.pages[2][1], {"v": 50})
+            result = w.refresh()
+            assert w.table.annotations(first_of_next)[0] == w.pages[1][-2]
+            w.streams.extend(other.streams)
+            return w, result
+
+        w, result = twin(script)
+        assert result.deletions_detected == 1
+        assert result.fixup_writes == 2  # the stamp and the anomaly repair
+        assert result.pages_fast_forwarded == result.pages_skipped
+
+    def test_unqualified_last_entry_arms_the_flag_into_the_next_page(self):
+        def script(w):
+            w.refresh()
+            victim = w.pages[0][-1]
+            w.table.update(victim, {"v": 1000})  # was qualified, is not
+            result = w.refresh()
+            assert victim not in w.snapshot.as_map()
+            return w, result
+
+        w, result = twin(script)
+        # Page 0: the changed record.  Page 1 is clean, but its first
+        # qualifier carries the deletion range: that one record is read.
+        assert result.rows_decoded == 2 and result.fixup_writes == 1
+        assert result.pages_scanned == result.pages_batch_decoded == 2
+        assert result.entries_sent == 1
+        assert result.pages_skipped == w.table.heap.page_count - 2
+
+    @pytest.mark.parametrize("batch_mode", [False, True])
+    def test_channel_failure_mid_visit_leaves_the_page_fully_stamped(
+        self, batch_mode
+    ):
+        w = _World(batch_mode)
+        w.refresh()
+        changed = [w.pages[1][0], w.pages[1][2], w.pages[2][1]]
+        for rid in changed:
+            w.table.update(rid, {"v": 50})
+
+        def dying(message):
+            raise ChannelError("link down")
+
+        with pytest.raises(ChannelError):
+            w.refresher.refresh(
+                w.snap_time, w.restriction, w.projection, dying
+            )
+        # The stream died on page 1's first changed entry; the page's
+        # fix-up had already run to its last changed slot — and the
+        # scan went no further.
+        stamps = [w.table.annotations(rid)[1] for rid in changed]
+        assert stamps[0] == stamps[1] and stamps[0] is not NULL
+        assert stamps[2] is NULL
+        w.refresh()  # a clean retry converges (checked against the truth)
+
+    def test_aborted_refresh_after_a_visit_retries_through_the_batch_path(self):
+        db = Database("hq")
+        table = db.create_table("t", [("v", "int"), ("pad", "string")])
+        table.bulk_load([[i, "x" * 900] for i in range(12)])
+        link = FaultyLink()
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot(
+            "s",
+            "t",
+            where="v < 100",
+            method="differential",
+            channel=link,
+            delta_updates=True,
+        )
+        rids = list(table.heap.scan_rids())
+        table.update(rids[1], {"v": 50})
+        table.update(rids[9], {"v": 60})
+        # Begin, page 0's delta (its visit done, its record stamped),
+        # then the second delta dies: the epoch aborts.
+        link.fail_at(2)
+        with pytest.raises(ChannelError):
+            snap.refresh()
+        # Both visits had stamped their record before serving it.
+        assert table.annotations(rids[1])[1] is not NULL
+        assert table.annotations(rids[9])[1] is not NULL
+        # SnapTime and the value mirror are where they were: the visit
+        # staged its values, it did not patch the committed page dicts.
+        sanitize.check_value_cache(snap.value_cache, snap.table)
+        assert snap.value_cache.lookup(rids[1]) == (1, "x" * 900)
+        # The torn attempt's stamps are newer than SnapTime, so the retry
+        # reads both pages whole and resends both rows as deltas.
+        result = snap.refresh()
+        assert result.pages_fast_forwarded == result.pages_skipped
+        assert result.pages_scanned == 2 and result.entries_sent == 2
+        assert result.fixup_writes == 0 and result.bytes_sent < 900
+        truth = {rid: row.values for rid, row in table.scan(visible=True)}
+        assert snap.as_map() == truth
+        sanitize.check_value_cache(snap.value_cache, snap.table)
+        assert snap.refresh().entries_sent == 0
+
+    def test_interleaved_write_to_a_visited_page_is_repaired_then_visited(self):
+        db = Database("hq", buffer_capacity=64)
+        table = db.create_table("t", [("v", "int"), ("pad", "string")])
+        table.bulk_load([[i, "x" * 900] for i in range(12)])
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot(
+            "s", "t", where="v < 100", method="differential"
+        )
+        rids = list(table.heap.scan_rids())
+
+        def truth():
+            return {
+                rid: row.values
+                for rid, row in table.scan(visible=True)
+                if row.values[0] < 100
+            }
+
+        table.update(rids[1], {"v": 50})
+
+        def writer(chunk):
+            if chunk == 1:  # page 0 was visited in chunk 0
+                table.update(rids[2], {"v": 70})
+
+        online = manager.refresh_online(
+            "s", chunk_pages=1, on_chunk_boundary=writer
+        )
+        assert online.interleaved_writes == 1 and online.pages_repaired == 1
+        assert online.fixup_writes == 1
+        assert snap.as_map() == truth()
+        # The repair resent page 0 but stamped nothing: the interleaved
+        # update is still a NULL slot, which the next refresh visits.
+        following = manager.refresh("s")
+        assert following.rows_decoded == 1 and following.fixup_writes == 1
+        assert following.pages_fast_forwarded > following.pages_skipped
+        assert snap.as_map() == truth()
+        assert manager.refresh("s").entries_sent == 0

@@ -16,3 +16,7 @@ def rogue_hook_call(summaries, rid, body):
 
 def waived_annotation_write(table, rid):
     table.set_annotations(rid, prev=None)  # replint: ignore[L101]
+
+
+def rogue_heap_annotation_write(heap, rid):
+    heap.write_annotations(rid, None, bytes(8))  # line 22: L101

@@ -110,14 +110,28 @@ class _ScanWorld:
     """
 
     def __init__(
-        self, batch_mode, summaries, mode, group, delta, opt, suppress=False
+        self,
+        batch_mode,
+        summaries,
+        mode,
+        group,
+        delta,
+        opt,
+        suppress=False,
+        pad=False,
     ):
         self.db = Database("prop-batch", page_size=PAGE_SIZE)
+        #: ``pad`` puts a variable-width column before ``v`` so that an
+        #: update can outgrow its page (``grow``); ``v`` stays in the
+        #: record's fixed-width suffix either way.
+        self.pad = pad
+        columns = [("pad", "string")] if pad else []
         self.table = self.db.create_table(
-            "t", [("v", "int")], annotations=mode
+            "t", columns + [("v", "int")], annotations=mode
         )
         self.live = [
-            self.table.insert([(v * 7) % 100]) for v in range(SEED_ROWS)
+            self.table.insert(self._row((v * 7) % 100))
+            for v in range(SEED_ROWS)
         ]
         assert self.table.heap.page_count >= 4
         self.summaries = summaries
@@ -143,6 +157,15 @@ class _ScanWorld:
         )
         self.streams = [[] for _ in PREDICATES]
         self.fixups = []
+        #: Passes on which some cursor fast-forwarded a page it also had
+        #: to read: a changed-slot visit.
+        self.visits = 0
+
+    def _row(self, value):
+        return ["", value] if self.pad else [value]
+
+    def _note(self, result):
+        self.visits += result.pages_fast_forwarded > result.pages_skipped
 
     def _restriction(self, index):
         return Restriction.parse(PREDICATES[index], self.table.schema)
@@ -162,6 +185,7 @@ class _ScanWorld:
             value_cache=self.value_caches[index] if self.delta else None,
         )
         assert result.pages_batch_decoded in (0, result.pages_scanned)
+        self._note(result)
         if self.delta:
             self.value_caches[index].commit()
         self.snap_times[index] = result.new_snap_time
@@ -199,15 +223,28 @@ class _ScanWorld:
                 self.value_caches[index].commit()
             self.snap_times[index] = cursor.result.new_snap_time
             self.streams[index].extend(sents[index])
+            self._note(cursor.result)
 
     def apply(self, step):
         """One script step; True when it refreshed."""
         op, index, value = step
         if op == "insert":
-            self.live.append(self.table.insert([value]))
+            self.live.append(self.table.insert(self._row(value)))
         elif op == "update" and self.live:
             self.table.update(
                 self.live[index % len(self.live)], {"v": value}
+            )
+        elif op == "abort" and self.live:
+            # Undo restores the record byte for byte, version bumped.
+            txn = self.db.txns.begin()
+            rid = self.live[index % len(self.live)]
+            self.table.update(rid, {"v": value}, txn=txn)
+            txn.abort()
+        elif op == "grow" and self.live:
+            # Outgrows a full page: delete here, insert elsewhere.
+            at = index % len(self.live)
+            self.live[at] = self.table.update(
+                self.live[at], {"pad": "x" * (60 + value)}
             )
         elif op == "delete" and self.live:
             self.table.delete(self.live.pop(index % len(self.live)))
@@ -302,6 +339,65 @@ class TestScanParity:
             opt=opt,
             suppress=True,
         )
+
+
+#: At least 60 % in-place updates (13 of 20), so most written pages
+#: carry nothing else and the batch world serves them as changed-slot
+#: visits; ``abort`` and ``grow`` are the two writes that move a page's
+#: version without leaving a plain NULL-TimeStamp update behind.
+update_heavy = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["update"] * 13
+            + ["abort", "grow", "insert", "delete"]
+            + ["refresh", "refresh", "refresh_all"]
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=99),
+    ),
+    max_size=50,
+)
+
+#: Every script opens the same way: both cursors record every page, one
+#: row is updated, and cursor 0 refreshes alone — a visit, whose stamp
+#: is then newer than cursor 1's ``SnapTime``.
+VISIT_PROLOGUE = [("refresh_all", 0, 0), ("update", 3, 7), ("refresh", 0, 0)]
+
+
+class TestChangedSlotVisits:
+    """Update-heavy scripts: the visit changes no byte either.
+
+    Three worlds run each script — batch with summaries (the one that
+    visits), per-row with summaries, per-row without — and must agree
+    on streams, heap bytes and fix-up counts after every refresh.
+    """
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        script=update_heavy,
+        group=st.booleans(),
+        delta=st.booleans(),
+        opt=st.booleans(),
+        suppress=st.booleans(),
+    )
+    def test_visits_agree_with_both_per_row_worlds(
+        self, script, group, delta, opt, suppress
+    ):
+        flags = ("lazy", group, delta, opt, suppress, True)
+        visiting = _ScanWorld(True, True, *flags)
+        oracles = [_ScanWorld(False, True, *flags), _ScanWorld(False, False, *flags)]
+        for step in VISIT_PROLOGUE + list(script) + [("refresh_all", 0, 0)]:
+            refreshed = visiting.apply(step)
+            for oracle in oracles:
+                oracle.apply(step)
+                if refreshed:
+                    assert_worlds_agree(oracle, visiting)
+        assert visiting.visits > 0
+        assert not any(oracle.visits for oracle in oracles)
 
 
 # -- written pages: the fix-up cases the batch path must get right ------------

@@ -53,7 +53,9 @@ class TestMaintenance:
         rid = lazy.insert([1])
         summary = lazy.heap.summaries.get(rid.page_no)
         assert rid.slot_no in summary.null_slots
-        assert not summary.skippable(snap_time=10**9)
+        # Settled for any SnapTime — nothing *outside* null_slots moved —
+        # but the named slot keeps the page from being skipped unread.
+        assert summary.settled(snap_time=10**9) and summary.null_slots
 
     def test_fixup_write_clears_dirty_state(self, lazy):
         rid = lazy.insert([1])
@@ -63,8 +65,8 @@ class TestMaintenance:
         summary = lazy.heap.summaries.get(rid.page_no)
         assert rid.slot_no not in summary.null_slots
         assert summary.max_ts >= 7
-        assert summary.skippable(snap_time=7)
-        assert not summary.skippable(snap_time=6)
+        assert summary.settled(snap_time=7) and not summary.null_slots
+        assert not summary.settled(snap_time=6)
 
     def test_update_redirties(self, lazy):
         rid = lazy.insert([1])

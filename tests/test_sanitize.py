@@ -172,3 +172,64 @@ class TestValueCacheMirror:
         snap.table._apply_now([DeleteMessage(doomed)])
         with pytest.raises(SanitizerError, match="no such entry"):
             sanitize.check_value_cache(snap.value_cache, snap.table)
+
+
+class TestChangedSlotVisit:
+    """The visit trusts the summary for every slot it does not read."""
+
+    def _visited(self):
+        db, table, rids = build()
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot("s", "items", where="v < 5")
+        return db, table, rids, snap
+
+    def test_clean_visit_passes_and_is_observation_neutral(self, monkeypatch):
+        observed = []
+        for flag in ("1", "0"):
+            monkeypatch.setenv("REPRO_SANITIZE", flag)
+            db, table, rids, snap = self._visited()
+            table.update(rids[3], {"v": 1})
+            result = snap.refresh()
+            assert result.pages_fast_forwarded > result.pages_skipped
+            stats = table.heap.pool.stats
+            observed.append(
+                (
+                    result.rows_decoded,
+                    result.buffer_hits,
+                    result.buffer_misses,
+                    stats.batch_hits,
+                    stats.batch_misses,
+                    table.heap.pool.batch_entries(),
+                )
+            )
+        assert observed[0] == observed[1]
+        assert observed[0][0] == 1
+
+    def test_unmarked_change_outside_null_slots_is_caught(self):
+        from repro.relation.row import encode_row
+
+        db, table, rids, snap = self._visited()
+        # A write that leaves no mark: the row stops qualifying, but its
+        # annotations stay set, so the summary does not name its slot.
+        row = table.read(rids[2], visible=False)
+        forged = row.replace(table.schema, v=6)
+        table.heap.update(rids[2], encode_row(table.schema, forged))
+        table.update(rids[3], {"v": 1})  # same page: it gets a visit
+        with pytest.raises(SanitizerError, match="qualifying slots"):
+            snap.refresh()
+
+    def test_cached_partial_batch_is_caught(self):
+        db, table, rids, snap = self._visited()
+        heap = table.heap
+        original = heap.page_batch
+
+        def caching(page_no, schema, only=None):
+            batch, reused = original(page_no, schema, only)
+            if only is not None:  # the bug: a partial read enters the cache
+                heap.pool.batch_store(heap.physical_pages()[page_no], batch)
+            return batch, reused
+
+        heap.page_batch = caching
+        table.update(rids[3], {"v": 1})
+        with pytest.raises(SanitizerError, match="partial batch"):
+            snap.refresh()
