@@ -7,8 +7,14 @@ measure one refresh of each algorithm.  Entries transmitted are reported
 as a percentage of the *current* base-table size, next to the analytical
 model's prediction for the same point.
 
-Every cell also validates correctness: after its measured refresh, the
-differential snapshot must hold exactly the qualified rows.
+``differential`` runs on the paper's path — a manager with
+``use_page_summaries=False``: no page cache, Figure 3's own arming rule.
+``mirrored`` is the same snapshot through the manager's defaults, which
+arm the ``Deletion`` flag from what the page cache says the snapshot
+holds: this system's curve, inside the paper's gap to *ideal*.
+
+Every cell also validates correctness: after its measured refresh,
+every snapshot must hold exactly the qualified rows.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from repro.analysis.model import (
     full_fraction,
     ideal_fraction,
 )
-from repro.catalog.compiler import RefreshMethod
 from repro.core.manager import SnapshotManager
 from repro.errors import ReproError
 from repro.workload.generator import MixedWorkload, WorkloadMix
@@ -124,42 +129,36 @@ def _run_cell(
         preserve_qualification=preserve_qualification,
     )
     manager = SnapshotManager(workload.db)
+    paper = SnapshotManager(workload.db, use_page_summaries=False)
     table_name = workload.table.name
     where = workload.restriction_text
 
-    differential = manager.create_snapshot(
-        "sweep_differential",
-        table_name,
-        where=where,
-        method=RefreshMethod.DIFFERENTIAL,
-        optimize_deletes=optimize_deletes,
-        suppress_pure_inserts=suppress_pure_inserts,
-    )
-    ideal = manager.create_snapshot(
-        "sweep_ideal", table_name, where=where, method=RefreshMethod.IDEAL
-    )
-    full = manager.create_snapshot(
-        "sweep_full", table_name, where=where, method=RefreshMethod.FULL
-    )
+    snapshots = {
+        name: (paper if name == "differential" else manager).create_snapshot(
+            f"sweep_{name}",
+            table_name,
+            where=where,
+            method="differential" if name == "mirrored" else name,
+            optimize_deletes=optimize_deletes,  # differential methods only
+            suppress_pure_inserts=suppress_pure_inserts,
+        )
+        for name in ("differential", "mirrored", "ideal", "full")
+    }
 
     workload.apply_activity(activity)
 
     cell = SweepCell(selectivity, activity)
-    for name, snapshot in (
-        ("differential", differential),
-        ("ideal", ideal),
-        ("full", full),
-    ):
+    for name, snapshot in snapshots.items():
         result = snapshot.refresh()
         cell.entries[name] = result.entries_sent
         cell.bytes[name] = result.bytes_sent
-        if name == "differential":
+        if name == "differential":  # the first refresh: it does the fix-up
             cell.fixup_writes = result.fixup_writes
     cell.base_size = workload.live_count
 
     if validate:
         truth = workload.qualified_map()
-        for snapshot in (differential, ideal, full):
+        for snapshot in snapshots.values():
             got = snapshot.as_map()
             if got != truth:
                 raise ReproError(

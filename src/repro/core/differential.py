@@ -18,8 +18,8 @@ that simultaneously
 Over an eagerly annotated table the same scan runs with fix-up disabled,
 which is exactly Figure 3 (:func:`base_refresh`).
 
-The scan itself goes beyond the paper in two cost dimensions (without
-changing a single transmitted byte):
+The scan itself goes beyond the paper in two cost dimensions (changing
+no transmitted byte) and one arming rule (which only *omits* messages):
 
 *Partial decode.*  Each scanned entry is probed for just its annotations
 and the restriction's columns — per entry with
@@ -40,6 +40,16 @@ in fix-up mode it must know that no ``PrevAddr`` anomaly (a deletion
 detected *at* this page) hides there.  Both come from a per-snapshot
 cache of :class:`~repro.storage.summary.PageQualInfo`; on any doubt the
 scan falls back to scanning that one page.
+
+*Address mirror* (``batch_mode``).  That cache changes only when the
+receiver commits (a pass stages its records, as the value cache does)
+and every path that publishes to the snapshot — scan, visit, online
+repair, resync — writes it, so its ``qual_slots`` are the addresses the
+snapshot holds.  Where a cursor has an entry for the page the
+``Deletion`` flag arms at exactly the held slots that no longer qualify,
+not at every changed non-qualifier that "may have qualified before":
+the same stream less Figure 9's superfluous messages.  Without an entry,
+and on the per-row path, the paper's rule runs (``docs/invariants.md``).
 
 Two optimizations the paper invites the reader to discover are available
 as flags (off by default so the baseline matches the paper; the A1
@@ -65,7 +75,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro import sanitize
 from repro.core.messages import (
@@ -152,6 +162,21 @@ class ValueCache:
 
     def __len__(self) -> int:
         return sum(len(page) for page in self.pages.values())
+
+
+def adopt_holdings(
+    cache: "dict[int, PageQualInfo]",
+    held: "dict[int, dict[Rid, tuple]]",
+    page_count: int,
+) -> None:
+    """A repairing resync left the snapshot holding exactly ``held``: every
+    entry's ``qual_slots`` follow (its layout fields stand), and a page
+    never recorded gets a *holdings-only* entry (no version) — it may
+    arm the ``Deletion`` flag but never fast-forwards."""
+    for page_no in range(page_count):
+        slots = array("H", [rid.slot_no for rid in held.get(page_no, ())])
+        info = cache.setdefault(page_no, PageQualInfo(None, None, slots, None))
+        info.qual_slots = slots
 
 
 class RefreshResult:
@@ -334,10 +359,11 @@ class RefreshCursor:
     ``Deletion`` flag, the compiled restriction/projection, the output
     channel — plus the per-snapshot :class:`PageQualInfo` cache that
     lets it fast-forward over pages proven unchanged since *its*
-    ``SnapTime``.  The scan itself (fix-up, partial decode) is shared:
-    :func:`run_refresh_scan` drives any number of cursors over one pass
-    and each cursor's output stream is byte-identical to a solo
-    :class:`DifferentialRefresher` run from the same ``SnapTime``.
+    ``SnapTime`` and, mirroring what the snapshot holds, arm the flag
+    (:meth:`_decide`).  The scan itself (fix-up, partial decode) is
+    shared: :func:`run_refresh_scan` drives any number of cursors over
+    one pass and each cursor's output stream is byte-identical to a solo
+    :class:`DifferentialRefresher` run from the same ``SnapTime`` and cache.
     """
 
     __slots__ = (
@@ -358,6 +384,7 @@ class RefreshCursor:
         "error",
         "_page_quals",
         "_staged_values",
+        "staged_pages",
     )
 
     def __init__(
@@ -376,9 +403,14 @@ class RefreshCursor:
         self.restriction = restriction
         self.projection = projection
         self.send = send
-        #: Per-snapshot page-qualification cache; ``None`` disables page
-        #: skipping for this cursor even when the scan has summaries.
+        #: Per-snapshot page-qualification cache as of the last
+        #: *committed* refresh, so ``qual_slots`` are the addresses the
+        #: snapshot holds; ``None`` disables page skipping (and the
+        #: mirror's arming rule) even when the scan has summaries.
         self.cache = cache
+        #: This pass's records; :meth:`commit_pages` merges them into
+        #: :attr:`cache` once the receiver has the stream.
+        self.staged_pages: "dict[int, PageQualInfo]" = {}
         #: Per-snapshot mirror of previously transmitted values; when
         #: set, retransmissions of changed entries become per-column
         #: :class:`UpdateDeltaMessage`\ s on cache hits.
@@ -426,10 +458,15 @@ class RefreshCursor:
         first_prev: Optional[Rid],
         last_live: Optional[Rid],
     ) -> None:
-        """Cache this page's qualification layout for future skips."""
-        self.cache[page_no] = PageQualInfo(
+        """Stage this page's qualification layout for future skips."""
+        self.staged_pages[page_no] = PageQualInfo(
             page_version, first_prev, self._page_quals, last_live
         )
+
+    def commit_pages(self) -> None:
+        """The receiver applied this pass's stream: adopt what it staged."""
+        if self.cache is not None:
+            self.cache.update(self.staged_pages)
 
     def must_visit(self, info: PageQualInfo, changed: object) -> bool:
         """Whether crossing a page from ``info`` takes reading some of it:
@@ -473,23 +510,24 @@ class RefreshCursor:
         result.pages_fast_forwarded += 1
         result.pages_scanned += 1
         quals = info.qual_slots
-        qualifiers = set(quals)
+        held = set(quals)
+        now = held
         changed: "set[int]" = set()
         if delta is not None:
             slots = delta.slots
             result.scanned += delta.count
             result.entries_evaluated += delta.count
             changed.update(slots)
-            qualifiers -= changed
-            qualifiers.update(
+            now = held - changed
+            now.update(
                 slots[index] for index in delta.qualifying(self.restriction)
             )
-            quals = array("H", sorted(qualifiers))
+            quals = array("H", sorted(now))
         result.qualified += len(quals)
-        # A changed entry arms the flag unless it qualifies.  Values are
+        # ``info`` is a committed entry: the mirror's rule.  Values are
         # staged into a page dict of this pass's own, so an aborted
         # epoch leaves the committed mirror as the receiver has it.
-        self._decide(page_no, qualifiers, changed, changed, (), row_at)
+        self._decide(page_no, now, changed, row_at, held)
         return quals
 
     # -- the Figure-3 transmit decision --------------------------------------
@@ -581,54 +619,70 @@ class RefreshCursor:
         )
         self._page_quals = quals
         result.qualified += len(quals)
+        # The mirror's rule given a committed entry, else the paper's.
+        # ``still``: no address left the snapshot here, as each knows it.
+        info = self.cache.get(page_no) if self.cache else None
         # A pure insert matters only to a cursor that suppresses them.
         suppressed = pure_inserts if self.suppress_pure_inserts else ()
-        if not anomalies and not suppressed:
-            if not quals:
+        if info is not None:
+            still = info.qual_slots == quals
+        else:
+            still = not anomalies and not suppressed
+            if still and not quals:
                 # Unqualified-but-changed entries still arm the Deletion
                 # flag ("may have qualified before") for the next page.
                 if max_ts > snap_time:
                     self.deletion = True
                 return
-            if max_ts <= snap_time and not self.deletion:
-                # Nothing on the page is newer than SnapTime and no
-                # deletion is pending: every qualified entry is carried
-                # unchanged and the flag cannot arm mid-page.
-                if self._staged_values is not None:
-                    for slot_no in quals:
-                        self._carry_value(Rid(page_no, slot_no))
+        if still and max_ts <= snap_time and not self.deletion:
+            # Nothing on the page is newer than SnapTime and no deletion
+            # is pending: every qualified entry is carried unchanged and
+            # the flag cannot arm mid-page.
+            if self._staged_values is not None:
+                for slot_no in quals:
+                    self._carry_value(Rid(page_no, slot_no))
+            if quals:
                 self.last_qual = Rid(page_no, quals[-1])
-                return
+            return
         changed = {
             slot_no
             for slot_no, stamp in zip(slots, eff_ts)
             if stamp > snap_time
         }
+        held = set(info.qual_slots) if info is not None else None
         arming = changed.difference(suppressed).union(anomalies)
         self._decide(
-            page_no, set(quals), changed, arming, anomalies, batch.row_at
+            page_no, set(quals), changed, batch.row_at, held, arming, anomalies
         )
 
     def _decide(
         self,
         page_no: int,
-        qualifiers: "set[int]",
+        now: "set[int]",
         changed: "set[int]",
-        arming: "set[int]",
-        anomalies: "Sequence[int]",
         row_at: "Callable[[int], Row]",
+        held: "Optional[set[int]]",
+        arming: "Iterable[int]" = (),
+        anomalies: "Sequence[int]" = (),
     ) -> None:
         """Figure 3's transmit decision over one page, keyed by slot.
 
-        Only two kinds of entry can move the cursor: ``qualifiers``, and
-        ``arming`` entries not among them — changed for this snapshot
-        ("may have qualified before") unless a suppressed pure insert,
-        or preceded by a detected deletion (``anomalies``).  ``row_at``
-        is called only for entries transmitted.  The one implementation
-        behind :meth:`serve_batch` and :meth:`visit`.
+        Only two kinds of entry can move the cursor: the qualifiers
+        (``now``), and entries not among them that arm the ``Deletion``
+        flag.  Under the paper's rule (``held`` is None) those are
+        ``arming``: changed for this snapshot ("may have qualified
+        before") unless a suppressed pure insert, or preceded by a
+        detected deletion (``anomalies``).  With the slots the snapshot
+        ``held`` known they are exactly ``held - now``, and a qualifier
+        new to it (``now - held``) is sent like a changed one.
+        ``row_at`` is called only for entries transmitted.  The one
+        implementation behind :meth:`serve_batch` and :meth:`visit`.
         """
-        for slot_no in sorted(arming | qualifiers):
-            if slot_no not in qualifiers:
+        if held is not None:
+            arming, anomalies = held - now, ()
+            changed = changed | (now - held)
+        for slot_no in sorted(now.union(arming)):
+            if slot_no not in now:
                 self.deletion = True
                 continue
             if slot_no in anomalies:
@@ -710,10 +764,10 @@ class RefreshCursor:
         every *currently* qualifying row is upserted back, so the
         committed page equals the base restriction at commit time no
         matter what interleaved.  Only qualifiers are decoded, from the
-        page's batch, which every cursor of the pass shares.  The staged
-        value mirror is repointed to the repaired truth, since later
-        per-column deltas merge against whatever the repair left at the
-        receiver.
+        page's batch, which every cursor of the pass shares.  Both
+        staged mirrors are repointed to the repaired truth: later
+        per-column deltas merge against, and the next ``Deletion`` flag
+        is armed from, whatever the repair left at the receiver.
         """
         page_no = batch.page_no
         self.transmit(DeleteRangeMessage(Rid(page_no, 0), Rid(page_no + 1, 0)))
@@ -730,6 +784,14 @@ class RefreshCursor:
                 self._staged_values[page_no] = page_values
             else:
                 self._staged_values.pop(page_no, None)
+        info = self.staged_pages.get(page_no) or (self.cache or {}).get(page_no)
+        if info is not None:
+            # What was just published is what the snapshot holds; the
+            # layout stands (the writer's marks route the next scan).
+            quals = array("H", [rid.slot_no for rid in page_values])
+            self.staged_pages[page_no] = PageQualInfo(
+                info.page_version, info.first_prev, quals, info.last_live
+            )
 
     def finish(self, new_time: int) -> None:
         """The new ``SnapTime``, sent last; stages the value mirror."""
@@ -885,17 +947,14 @@ class _ScanPass:
 
             if summaries is not None:
                 # Version read after any fix-up write above, so the
-                # cache entry describes the page bytes as this scan left
-                # them.
-                version: Optional[int] = None
+                # entry describes the page bytes as this scan left them
+                # (staged: a cursor that failed on the page never commits).
+                version = summaries.get_or_create(page_no).page_version
                 for cursor in scanning:
-                    if cursor.failed or cursor.cache is None:
-                        continue
-                    if version is None:
-                        version = summaries.get_or_create(
-                            page_no
-                        ).page_version
-                    cursor.record_page(page_no, version, first_prev, last_live)
+                    if cursor.cache is not None:
+                        cursor.record_page(
+                            page_no, version, first_prev, last_live
+                        )
         return stop
 
     def _cached_info(
@@ -915,6 +974,7 @@ class _ScanPass:
         work = bool(summary.null_slots or cursor.deletion)
         if (
             info is not None
+            and info.page_version is not None  # holdings only: no layout
             and summary.settled(cursor.snap_time)
             and (not work or (self.batch_mode and self.fixup))
             and (summary.null_slots or info.page_version == summary.page_version)
@@ -994,7 +1054,7 @@ class _ScanPass:
             if delta is not None:
                 # The page as the stamps left it: same layout, new
                 # version, this cursor's qualifiers patched.
-                cursor.cache[page_no] = PageQualInfo(
+                cursor.staged_pages[page_no] = PageQualInfo(
                     summary.page_version, info.first_prev, quals, info.last_live
                 )
         if visited:
@@ -1348,11 +1408,14 @@ def run_refresh_scan(
     :class:`~repro.storage.batch.PageBatch`, straight from the timestamp
     column when the batch proves the scan would neither write nor find
     an anomaly, else after the Figure-7 fix-up has run over its
-    annotation columns (:meth:`_ScanPass._serve_batch`).  Streams,
-    base-table annotation bytes and ``fixup_writes``/
-    ``deletions_detected`` are identical to the per-row path, which
-    remains as the ``batch_mode=False`` baseline: the paper's loop, and
-    the oracle the batch-vs-row properties compare against.
+    annotation columns (:meth:`_ScanPass._serve_batch`).  Base-table
+    annotation bytes and ``fixup_writes``/``deletions_detected`` are
+    identical to the per-row path, which remains as the
+    ``batch_mode=False`` baseline: the paper's loop, and the oracle the
+    batch-vs-row properties compare against.  So are the streams of a
+    cursor without a cache; one with a cache arms its ``Deletion`` flag
+    from it (:meth:`RefreshCursor._decide`) and sends the per-row
+    stream with the superfluous messages left out.
 
     A :class:`~repro.errors.ChannelError` on one cursor's output marks
     that cursor failed (``cursor.error``) and the pass continues for the
@@ -1585,6 +1648,7 @@ class DifferentialRefresher:
         )
         if cursor.error is not None:
             raise cursor.error
+        cursor.commit_pages()  # the synchronous stream completed
         if own_value_cache:
             value_cache.commit()
         return cursor.result

@@ -167,5 +167,6 @@ class GroupRefresher:
             if cursor.error is not None:
                 outcome.errors[name] = cursor.error
             else:
+                cursor.commit_pages()  # its synchronous stream completed
                 outcome.per_snapshot[name] = cursor.result
         return outcome

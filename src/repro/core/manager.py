@@ -35,6 +35,7 @@ from repro.core.differential import (
     RefreshResult,
     ScanPlan,
     ValueCache,
+    adopt_holdings,
     run_refresh_scan,
 )
 from repro.core.full import FullRefresher
@@ -140,9 +141,10 @@ class Snapshot:
         self.refresher = refresher
         self.channel = channel
         #: Per-snapshot page-qualification cache (page_no -> PageQualInfo);
-        #: lets the differential refresher fast-forward over clean pages.
-        #: Survives failed refresh attempts, so a retry resumes past the
-        #: pages the first attempt already proved clean.
+        #: lets the differential refresher fast-forward over clean pages
+        #: and — the sender's mirror of the addresses the snapshot holds
+        #: — arm its ``Deletion`` flag only where one was lost.  A pass's
+        #: records merge in when its epoch commits, never before.
         self.page_cache: "dict[int, Any]" = {}
         #: Per-snapshot mirror of transmitted values; lets the refresher
         #: send per-column update deltas.  Staged during a refresh and
@@ -235,8 +237,8 @@ class SnapshotManager:
         #: constructing a DifferentialRefresher directly).
         self.use_page_summaries = use_page_summaries
         #: Serve scanned pages (fix-up included) from columnar page
-        #: batches.  On by default (streams are byte-identical either
-        #: way); pass False to measure the per-row baseline.
+        #: batches, arming ``Deletion`` from the page cache.  On by
+        #: default; pass False for the per-row baseline (the paper's rule).
         self.batch_mode = batch_mode
         #: When set, every refresh retries link/epoch failures under this
         #: policy instead of raising them (overridable per call).
@@ -491,11 +493,17 @@ class SnapshotManager:
         handle.channel.send(RefreshBeginMessage(epoch.number))
         return epoch
 
-    def _commit_epoch(self, epoch: _Epoch, new_snap_time: int) -> None:
+    def _commit_epoch(
+        self,
+        epoch: _Epoch,
+        new_snap_time: int,
+        cursor: Optional[RefreshCursor] = None,
+    ) -> None:
         """Send ``RefreshCommit`` and verify the receiver applied it.
 
         Raises on any doubt; the caller rolls back with
-        :meth:`_abort_attempt`.
+        :meth:`_abort_attempt`.  ``cursor`` is the differential pass's,
+        whose staged page records commit with the epoch.
         """
         handle = epoch.handle
         info = handle.info
@@ -508,10 +516,13 @@ class SnapshotManager:
                 f"snapshot {info.name!r}: epoch {epoch.number} was never "
                 f"committed at the receiver (stream lost in transit)"
             )
-        # The receiver applied the epoch: the transmitted values we
-        # staged this attempt are now truly its contents.
-        if handle.value_cache.commit() and sanitize.enabled():
-            sanitize.check_value_cache(handle.value_cache, info.snapshot_table)
+        # The receiver applied the epoch: the values and the addresses
+        # we staged this attempt are now truly its contents.
+        handle.value_cache.commit()
+        if cursor is not None:
+            cursor.commit_pages()
+        if sanitize.enabled():
+            self._check_mirrors(handle)
         info.last_refresh_lsn = self.db.wal.next_lsn
         info.snap_time = new_snap_time
         info.refresh_count += 1
@@ -524,7 +535,8 @@ class SnapshotManager:
         start of the next refresh would violate the receiver's ordering,
         so drop it — and the value cache's stage must be discarded (the
         receiver never applied those values, so believing them would
-        send deltas against rows the other side does not have).
+        send deltas against rows the other side does not have; the
+        pass's staged page records die with its cursor likewise).
         Receiver side: discard the staged epoch (the site-local analog
         of the receiver noticing the connection died; a retried
         refresh's own RefreshBegin would do the same).
@@ -532,8 +544,15 @@ class SnapshotManager:
         handle.channel.abort()
         handle.value_cache.abort()
         handle.info.snapshot_table.abort_epoch()
-        if sanitize.enabled():  # the mirror is still what the receiver has
-            sanitize.check_value_cache(handle.value_cache, handle.table)
+        if sanitize.enabled():  # both mirrors are still what the receiver has
+            self._check_mirrors(handle)
+
+    @staticmethod
+    def _check_mirrors(handle: Snapshot) -> None:
+        """Sanitizer: the sender's two mirrors describe the receiver."""
+        sanitize.check_value_cache(handle.value_cache, handle.table)
+        if getattr(handle.refresher, "use_page_summaries", False):
+            sanitize.check_address_mirror(handle.page_cache, handle.table)
 
     # -- the differential pass -------------------------------------------------
 
@@ -643,7 +662,9 @@ class SnapshotManager:
                 error = cursor.error
                 if error is None:
                     try:
-                        self._commit_epoch(epoch, cursor.result.new_snap_time)
+                        self._commit_epoch(
+                            epoch, cursor.result.new_snap_time, cursor
+                        )
                     except ChannelError as commit_error:
                         error = commit_error
                 if error is None:
@@ -754,15 +775,22 @@ class SnapshotManager:
             stats = session.resync()
             handle.channel.flush()
             if stats.leaves_repaired:
-                # Repairs rewrote receiver rows; the delta-updates value
-                # mirror must describe the repaired truth or later
-                # column deltas would merge against rows the receiver no
-                # longer holds.  After a converged resync the receiver
-                # equals the sender's restriction everywhere, so the
-                # session's full mirror is exact.
-                handle.value_cache.pages = session.repaired_pages()
-                handle.value_cache.staged = None
+                # Repairs rewrote receiver rows.  After a converged
+                # resync the receiver equals the sender's restriction
+                # everywhere, so the session's full mirror is exact and
+                # both sender-side mirrors adopt it: else later column
+                # deltas would merge against rows the receiver no longer
+                # holds, and a row published here and gone before the
+                # next refresh would never be taken back.
+                pages = session.repaired_pages()
+                if getattr(handle.refresher, "delta_updates", False):
+                    handle.value_cache.pages = pages
+                    handle.value_cache.staged = None
+                if getattr(handle.refresher, "use_page_summaries", False):
+                    heap = self.db.table(info.base_table).heap
+                    adopt_holdings(handle.page_cache, pages, heap.page_count)
             if sanitize.enabled():
+                self._check_mirrors(handle)
                 sanitize.check_anti_entropy(
                     self.db.table(info.base_table),
                     handle.restriction,

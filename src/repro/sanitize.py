@@ -21,7 +21,10 @@ paper's algorithm depends on:
 - **value-cache mirroring** — after a committed refresh, and after an
   aborted one, every value the sender's cache remembers transmitting
   is exactly what the receiver holds for that address (the
-  precondition of every ``UpdateDeltaMessage``).
+  precondition of every ``UpdateDeltaMessage``);
+- **address-set mirroring** — at the same points and after a repairing
+  resync, the sender's page cache names, page by page, exactly the
+  addresses the receiver holds (what arms the ``Deletion`` flag).
 
 Every check raises :class:`~repro.errors.SanitizerError` on violation
 and is observation-neutral: heap reads performed by a check save and
@@ -203,7 +206,7 @@ def check_changed_slot_visit(
             f"{where} left NULL annotations or a broken PrevAddr chain"
         )
     for cursor in cursors:
-        info = cursor.cache[page_no]
+        info = cursor.staged_pages[page_no]
         quals = [batch.slots[i] for i in batch.qualifying(cursor.restriction)]
         if info.first_prev != batch.first_prev or list(info.qual_slots) != quals:
             raise SanitizerError(
@@ -276,6 +279,29 @@ def check_value_cache(cache: Any, snapshot: Any) -> None:
                     f"{values!r} for {rid} but the receiver holds "
                     f"{tuple(row.values)!r}; the mirror diverged"
                 )
+
+
+# -- sender address-set mirroring ---------------------------------------------
+
+
+def check_address_mirror(cache: Any, snapshot: Any) -> None:
+    """Every cached page's ``qual_slots`` are the addresses held there.
+
+    The ``Deletion`` flag is armed from the committed page cache: a
+    slot it lacks is a delete never sent, and an address on a page it
+    does not know falls to the paper's rule behind pages that left it.
+    """
+    held: "dict[int, set[int]]" = {}
+    for addr in snapshot.base_addrs():
+        held.setdefault(addr.page_no, set()).add(addr.slot_no)
+    cached = {p: set(i.qual_slots) for p, i in cache.items() if i.qual_slots}
+    if cached != held:
+        pages = sorted(p for p in {*cached, *held} if cached.get(p) != held.get(p))
+        raise SanitizerError(
+            f"snapshot {snapshot.name!r}: the page cache and the receiver "
+            f"disagree on the addresses held on pages {pages}; the address "
+            f"mirror diverged"
+        )
 
 
 # -- buffer-pool cache bounds -------------------------------------------------

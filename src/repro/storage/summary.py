@@ -134,11 +134,13 @@ class PageQualInfo:
 
     def __init__(
         self,
-        page_version: int,
+        page_version: Optional[int],
         first_prev: Optional[Rid],
         qual_slots: "array[int]",
         last_live: Optional[Rid],
     ) -> None:
+        #: ``None`` marks a *holdings-only* entry (a resync published on
+        #: a page no scan has recorded): only ``qual_slots`` is meaningful.
         self.page_version = page_version
         #: ``$PREVADDR$`` of the page's first live entry as the caching
         #: scan left it; a later skip requires this to equal the scan's

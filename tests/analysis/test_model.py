@@ -118,7 +118,13 @@ class TestTrafficModel:
         assert series[0]["activity"] == 0.1
 
     def test_simulation_agreement(self):
-        """The model predicts the simulator within a loose tolerance."""
+        """The model predicts the simulator within a loose tolerance.
+
+        The model is the paper's, so it is held against the paper's
+        series: ``differential`` runs without a page cache (Figure 3's
+        own arming rule).  The manager's defaults are the ``mirrored``
+        series, which the model does not describe — it lies between
+        the two curves the model does."""
         from repro.bench.harness import traffic_sweep
         from repro.workload.generator import WorkloadMix
 
@@ -135,4 +141,9 @@ class TestTrafficModel:
             )
             assert cell.percent("ideal") == pytest.approx(
                 cell.model_percent("ideal"), rel=0.3, abs=1.0
+            )
+            assert (
+                cell.entries["ideal"]
+                <= cell.entries["mirrored"]
+                <= cell.entries["differential"]
             )

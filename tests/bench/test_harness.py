@@ -29,6 +29,19 @@ class TestSweep:
             assert cell.entries["ideal"] <= cell.entries["differential"]
             assert cell.entries["differential"] <= cell.entries["full"] + 1
 
+    def test_mirrored_series_lies_between_ideal_and_the_papers(self, cells):
+        """``differential`` runs the paper's rule (no page cache);
+        ``mirrored`` is the manager's defaults beside it."""
+        for cell in cells:
+            assert (
+                cell.entries["ideal"]
+                <= cell.entries["mirrored"]
+                <= cell.entries["differential"]
+            )
+            assert cell.bytes["mirrored"] <= cell.bytes["differential"]
+        # Updates only: something superfluous was there to leave out.
+        assert cells[0].entries["mirrored"] < cells[0].entries["differential"]
+
     def test_percent_helpers(self, cells):
         cell = cells[0]
         assert cell.percent("full") == pytest.approx(

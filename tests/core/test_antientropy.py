@@ -17,12 +17,14 @@ from repro.core.messages import DeleteMessage
 from repro.database import Database
 from repro.errors import SnapshotError
 
+from tests.core.test_online_refresh import PAPER_RULE, configs
 
-def build(n_rows=2000, **snapshot_kwargs):
+
+def build(n_rows=2000, manager_kwargs=None, **snapshot_kwargs):
     db = Database("hq", buffer_capacity=64)
     table = db.create_table("emp", [("name", "string"), ("salary", "int")])
     table.bulk_load([[f"e{i}", i % 20] for i in range(n_rows)])
-    manager = SnapshotManager(db)
+    manager = SnapshotManager(db, **(manager_kwargs or {}))
     snap = manager.create_snapshot(
         "low", "emp", where="salary < 10", method="differential",
         **snapshot_kwargs,
@@ -165,6 +167,77 @@ class TestResync:
         assert stats.segments_hashed == 1
         assert stats.leaves_repaired == 0
         assert stats.bytes_repair == 0
+
+
+class TestResyncPublishes:
+    """A repairing resync tells the page cache what it left behind."""
+
+    @pytest.mark.parametrize("config", configs(PAPER_RULE))
+    def test_resynced_insert_deleted_before_the_next_refresh(self, config):
+        db, table, manager, snap = build(manager_kwargs=config)
+        rids = list(table.heap.scan_rids())
+        table.delete(rids[5])
+        manager.refresh("low")
+        late = table.insert(["late", 3])  # first-fit: the interior hole
+        assert late == rids[5]
+        assert manager.resync_snapshot("low").leaves_repaired == 1
+        assert late in contents(snap)
+        # Its PrevAddr is NULL: no successor ever pointed at it, so
+        # Figure 7 sees no anomaly when it goes.
+        table.delete(late)
+        manager.refresh("low")
+        assert late not in contents(snap)
+        assert contents(snap) == truth(table)
+
+    @pytest.mark.parametrize("config", configs())
+    def test_resynced_qualifier_updated_out_before_the_next_refresh(
+        self, config
+    ):
+        """The mirror's own hazard: only the resync knows the snapshot
+        ever held a row that qualified between two refreshes."""
+        db, table, manager, snap = build(manager_kwargs=config)
+        victim = list(table.heap.scan_rids())[15]
+        assert victim not in contents(snap)
+        table.update(victim, {"salary": 3})
+        manager.resync_snapshot("low")
+        assert victim in contents(snap)
+        table.update(victim, {"salary": 15})
+        manager.refresh("low")
+        assert victim not in contents(snap)
+        assert contents(snap) == truth(table)
+        assert manager.refresh("low").entries_sent == 0
+
+    def test_unrecorded_pages_get_holdings_only_entries(self):
+        """Pages appended since the last refresh were never recorded: the
+        resync's entry for them says what the snapshot holds there and
+        nothing else — it may arm the flag, it never fast-forwards."""
+        db, table, manager, snap = build(n_rows=600)
+        cache = manager.snapshot("low").page_cache
+        recorded = table.heap.page_count
+        assert sorted(cache) == list(range(recorded))
+        grown = [table.insert([f"g{i}", i % 20]) for i in range(400)]
+        assert table.heap.page_count > recorded + 1
+        manager.resync_snapshot("low")
+        assert sorted(cache) == list(range(table.heap.page_count))
+        fresh = cache[recorded + 1]
+        assert fresh.page_version is None and fresh.last_live is None
+        assert [
+            addr.slot_no
+            for addr in snap.table.base_addrs()
+            if addr.page_no == recorded + 1
+        ] == list(fresh.qual_slots)
+        assert cache[0].page_version is not None  # layout kept
+        gone = next(
+            rid
+            for rid in grown
+            if rid.page_no == recorded + 1 and rid in contents(snap)
+        )
+        table.delete(gone)
+        result = manager.refresh("low")
+        assert result.pages_scanned >= table.heap.page_count - recorded
+        assert contents(snap) == truth(table)
+        assert cache[recorded + 1].page_version is not None
+        assert manager.refresh("low").entries_sent == 0
 
 
 class TestCost:

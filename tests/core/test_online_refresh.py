@@ -225,6 +225,93 @@ class TestRacingWriter:
         assert contents(snap) == truth(table)
 
 
+#: Configurations where Figure 3's own arming rule still runs — no page
+#: cache to mirror the snapshot's addresses, or the per-row scan — and a
+#: row published outside the scan (by the online repair here, by a resync
+#: in ``test_antientropy.py``) can therefore not be taken back.
+PAPER_RULE = pytest.mark.xfail(
+    strict=True,
+    reason="a publish outside the scan leaves an un-anchored insert; "
+    "without the address mirror its later delete is undetectable "
+    "(ROADMAP 1: the repair should run Figure 7 on what it publishes)",
+)
+
+
+def configs(*paper_rule_marks):
+    """Manager kwargs: the defaults, and the two paper-rule twins."""
+    return [
+        pytest.param({}, id="mirrored"),
+        pytest.param(
+            {"use_page_summaries": False},
+            id="no-summaries",
+            marks=paper_rule_marks,
+        ),
+        pytest.param(
+            {"batch_mode": False}, id="per-row", marks=paper_rule_marks
+        ),
+    ]
+
+
+class TestRepairPublishes:
+    """What a repair publishes, a later refresh must be able to retract.
+
+    ``repair_page`` upserts rows the scan never chained: an insert it
+    publishes has a NULL ``PrevAddr``, so no successor ever pointed at
+    it and Figure 7 sees no anomaly when it goes.  The cursor's page
+    cache records the repaired page's addresses, and the next refresh
+    arms its ``Deletion`` flag from that.
+    """
+
+    @pytest.mark.parametrize("config", configs(PAPER_RULE))
+    def test_repaired_insert_deleted_before_the_next_refresh(self, config):
+        db, table, manager, snap = build(**config)
+        rids = list(table.heap.scan_rids())
+        table.delete(rids[5])
+        manager.refresh("low")
+        late = []
+
+        def writer(chunk):
+            if chunk == 2:  # first-fit: into the hole on page 0, scanned
+                late.append(table.insert(["late", 3]))
+
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=writer
+        )
+        assert late == [rids[5]] and result.pages_repaired == 1
+        assert contents(snap) == truth(table)
+        table.delete(late[0])
+        manager.refresh("low")
+        assert late[0] not in contents(snap)
+        assert contents(snap) == truth(table)
+
+    @pytest.mark.parametrize("config", configs())
+    def test_repaired_qualifier_updated_out_before_the_next_refresh(
+        self, config
+    ):
+        """The mirror's own hazard: the row did not qualify when its
+        chunk was scanned, an in-window update made it qualify (the
+        repair published it), a later update takes it out again.  Only
+        the repair knows the snapshot ever held it."""
+        db, table, manager, snap = build(**config)
+        rids = list(table.heap.scan_rids())
+        victim = rids[15]  # salary 15: not in the snapshot
+        assert victim.page_no == 0 and victim not in contents(snap)
+
+        def writer(chunk):
+            if chunk == 2:
+                table.update(victim, {"salary": 3})
+
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=writer
+        )
+        assert result.pages_repaired == 1 and victim in contents(snap)
+        table.update(victim, {"salary": 15})
+        manager.refresh("low")
+        assert victim not in contents(snap)
+        assert contents(snap) == truth(table)
+        assert manager.refresh("low").entries_sent == 0
+
+
 class TestValidation:
     def test_chunk_pages_must_be_positive(self):
         db, table, manager, snap = build(n_rows=100)

@@ -1,4 +1,5 @@
-"""Columnar batch pipeline properties: the fast paths change no byte.
+"""Columnar batch pipeline properties: the fast paths change no byte
+the receiver needs.
 
 Two families of invariants pin the batch hot path introduced for the
 A17 experiment:
@@ -12,13 +13,21 @@ A17 experiment:
    exactly the message stream of the per-row scan from the same
    ``SnapTime``: same types, same addresses, same values, same modeled
    sizes — for arbitrary workloads over a multi-page table (emptied
-   pages and address reuse included), lazy and eager annotations, page
-   summaries on and off, solo and group passes, delete optimization,
-   pure-insert suppression and per-column deltas on and off.  The
-   batch path also does the Figure-7 fix-up on written pages, so after
-   every refresh the two base tables must hold byte-identical heap
-   records (annotations included) and report the same
-   ``fixup_writes``/``deletions_detected``.
+   pages and address reuse included), lazy and eager annotations,
+   solo and group passes, delete optimization, pure-insert suppression
+   and per-column deltas on and off — **wherever both worlds run the
+   paper's arming rule** (no page cache: summaries off).  With
+   summaries on the batch world's page cache is its mirror of the
+   snapshot's addresses and arms the ``Deletion`` flag from it, so its
+   stream is the per-row world's with Figure 9's superfluous messages
+   *left out*: a subsequence, every omission an address whose value
+   the receiver already held, and both receivers equal to
+   restriction∘projection of the base table.  The batch path also does
+   the Figure-7 fix-up on written pages, so after every refresh the
+   two base tables must hold byte-identical heap records (annotations
+   included) and report the same ``fixup_writes``/
+   ``deletions_detected`` — the rule decides what to send, never what
+   to write.
 """
 
 import pytest
@@ -31,6 +40,7 @@ from repro.core.differential import (
     ValueCache,
 )
 from repro.core.group import GroupRefresher
+from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import ChannelError
 from repro.expr.predicate import Projection, Restriction
@@ -40,6 +50,7 @@ from repro.storage.rid import Rid
 
 from tests.properties.test_wire_props import (
     _STREAM_SCHEMA,
+    assert_mirror_subsequence,
     assert_streams_identical,
     message_strategy,
 )
@@ -105,8 +116,9 @@ class _ScanWorld:
 
     Streams are captured as message-object lists per snapshot, so the
     batch/row comparison sees every transmitted field — not just final
-    snapshot state; ``fixups`` records each pass's
-    ``(fixup_writes, deletions_detected)``.
+    snapshot state — and replayed into one receiver per snapshot;
+    ``fixups`` records each pass's ``(fixup_writes,
+    deletions_detected)``.
     """
 
     def __init__(
@@ -135,6 +147,8 @@ class _ScanWorld:
         ]
         assert self.table.heap.page_count >= 4
         self.summaries = summaries
+        #: A batch world with a page cache arms ``Deletion`` from it.
+        self.mirrored = batch_mode and summaries
         self.group = group
         self.delta = delta
         self.refresher = DifferentialRefresher(
@@ -156,6 +170,17 @@ class _ScanWorld:
             [ValueCache() for _ in PREDICATES] if delta else None
         )
         self.streams = [[] for _ in PREDICATES]
+        self.receivers = [
+            SnapshotTable(
+                Database(f"site{index}"),
+                f"s{index}",
+                Projection(self.table.schema).schema,
+            )
+            for index in range(len(PREDICATES))
+        ]
+        #: The last refreshing step, per snapshot it served: what the
+        #: receiver held before it, and the messages sent.
+        self.last = {}
         self.fixups = []
         #: Passes on which some cursor fast-forwarded a page it also had
         #: to read: a changed-slot visit.
@@ -174,6 +199,22 @@ class _ScanWorld:
         """Every stored record, byte for byte, annotations included."""
         return list(self.table.heap.scan())
 
+    def truth(self, index):
+        """Restriction∘projection of the base table, as it stands."""
+        restriction = self._restriction(index)
+        return {
+            rid: row.values
+            for rid, row in self.table.scan(visible=True)
+            if restriction(row)
+        }
+
+    def _deliver(self, index, sent):
+        receiver = self.receivers[index]
+        self.last[index] = (receiver.as_map(), sent)
+        for message in sent:
+            receiver.apply(message)
+        self.streams[index].extend(sent)
+
     def refresh_one(self, index):
         sent = []
         result = self.refresher.refresh(
@@ -189,7 +230,7 @@ class _ScanWorld:
         if self.delta:
             self.value_caches[index].commit()
         self.snap_times[index] = result.new_snap_time
-        self.streams[index].extend(sent)
+        self._deliver(index, sent)
         self.fixups.append((result.fixup_writes, result.deletions_detected))
 
     def refresh_all(self):
@@ -222,7 +263,7 @@ class _ScanWorld:
             if self.delta:
                 self.value_caches[index].commit()
             self.snap_times[index] = cursor.result.new_snap_time
-            self.streams[index].extend(sents[index])
+            self._deliver(index, sents[index])
             self._note(cursor.result)
 
     def apply(self, step):
@@ -254,20 +295,34 @@ class _ScanWorld:
                 self.table.delete(rid)
                 self.live.remove(rid)
         elif op == "refresh":
+            self.last = {}
             self.refresh_one(index % len(PREDICATES))
             return True
         elif op == "refresh_all":
+            self.last = {}
             self.refresh_all()
             return True
         return False
 
 
 def assert_worlds_agree(row, batch):
-    """Same base-table bytes, same fix-up work, same streams so far."""
+    """Same base-table bytes, same fix-up work, same snapshots — and the
+    same streams so far, byte for byte, unless ``batch`` alone holds an
+    address mirror: then its last refresh is the paper's (``row``'s)
+    with only superfluous messages left out."""
     assert batch.heap_image() == row.heap_image()
     assert batch.fixups == row.fixups
-    for row_stream, batch_stream in zip(row.streams, batch.streams):
-        assert_streams_identical(batch_stream, row_stream)
+    assert not row.mirrored
+    for index in range(len(PREDICATES)):
+        if not batch.mirrored:
+            assert_streams_identical(batch.streams[index], row.streams[index])
+        elif index in batch.last:
+            held, sent = batch.last[index]
+            assert_mirror_subsequence(sent, row.last[index][1], held)
+        contents = batch.receivers[index].as_map()
+        assert contents == row.receivers[index].as_map()
+        if index in batch.last:
+            assert contents == batch.truth(index)
 
 
 def run_scan_worlds(
@@ -325,6 +380,19 @@ class TestScanParity:
         run_scan_worlds(script, summaries=False, mode="eager", group=True)
 
     @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(script=workload, group=st.booleans(), opt=st.booleans())
+    def test_eager_summaries_on_mirrored(self, script, group, opt):
+        """Eager annotations never visit, but the batch world's page
+        cache still arms its flag: every scanned page is mirrored."""
+        run_scan_worlds(
+            script, summaries=True, mode="eager", group=group, opt=opt
+        )
+
+    @settings(
         max_examples=25,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
@@ -365,11 +433,15 @@ VISIT_PROLOGUE = [("refresh_all", 0, 0), ("update", 3, 7), ("refresh", 0, 0)]
 
 
 class TestChangedSlotVisits:
-    """Update-heavy scripts: the visit changes no byte either.
+    """Update-heavy scripts: the visit writes what the scan writes.
 
     Three worlds run each script — batch with summaries (the one that
-    visits), per-row with summaries, per-row without — and must agree
-    on streams, heap bytes and fix-up counts after every refresh.
+    visits, and whose page cache arms the ``Deletion`` flag), per-row
+    with summaries, per-row without.  After every refresh all three
+    agree on heap bytes, fix-up counts and snapshot contents; the two
+    per-row worlds (the paper's rule both) on every stream byte; and
+    the visiting world's stream is theirs with superfluous messages
+    left out (:func:`assert_mirror_subsequence`).
     """
 
     @settings(
@@ -396,6 +468,8 @@ class TestChangedSlotVisits:
                 oracle.apply(step)
                 if refreshed:
                     assert_worlds_agree(oracle, visiting)
+            if refreshed:  # no cache consulted on either side: identical
+                assert_worlds_agree(*oracles)
         assert visiting.visits > 0
         assert not any(oracle.visits for oracle in oracles)
 
@@ -408,7 +482,12 @@ def _page_rids(world, page_no):
 
 
 def _both():
-    """A per-row and a batch world: lazy, summaries on, solo refreshes."""
+    """A per-row and a batch world: lazy, summaries on, solo refreshes.
+
+    Summaries on makes the batch world the mirrored one: what these
+    cases pin is the fix-up (heap bytes, write counts), which the arming
+    rule never touches, and that its stream is the per-row world's with
+    nothing but superfluous messages missing."""
     return [
         _ScanWorld(batch_mode, True, "lazy", False, False, False)
         for batch_mode in (False, True)
@@ -505,7 +584,7 @@ class TestWrittenPages:
         ones are served from the batch, and all three ride the fix-up of
         the page written since.
         """
-        streams = []
+        passes = []
         images = []
         for batch_mode in (False, True):
             world = _ScanWorld(
@@ -516,27 +595,37 @@ class TestWrittenPages:
             predicates = ("v < 50", "v >= 20", "v < 90")
             caches = [{} for _ in predicates]
             snap_times = [0, 0, 0]
-            sents = [[] for _ in predicates]
+            receivers = [
+                SnapshotTable(
+                    Database(f"three{index}"),
+                    f"s{index}",
+                    Projection(schema).schema,
+                )
+                for index in range(len(predicates))
+            ]
+            #: One ``(snapshot, held before, sent)`` per cursor per pass.
+            served = []
 
-            def cursors(indices):
-                return [
+            def refresh(indices):
+                sents = [[] for _ in indices]
+                group = [
                     RefreshCursor(
                         snap_times[index],
                         Restriction.parse(predicates[index], schema),
                         Projection(schema),
-                        sents[index].append,
+                        sent.append,
                         cache=caches[index],
                         name=f"s{index}",
                     )
-                    for index in indices
+                    for index, sent in zip(indices, sents)
                 ]
-
-            def refresh(indices):
-                group = cursors(indices)
                 outcome = world.group_refresher.refresh_group(group)
                 assert not outcome.errors
-                for index, cursor in zip(indices, group):
+                for index, cursor, sent in zip(indices, group, sents):
                     snap_times[index] = cursor.result.new_snap_time
+                    served.append((index, receivers[index].as_map(), sent))
+                    for message in sent:
+                        receivers[index].apply(message)
                 return outcome, group
 
             refresh([0, 1, 2])
@@ -552,11 +641,16 @@ class TestWrittenPages:
             if batch_mode:
                 stats = outcome.pass_result
                 assert stats.pages_batch_decoded == stats.pages_scanned
-            streams.append(sents)
-            images.append(world.heap_image())
+            passes.append(served)
+            images.append(
+                (world.heap_image(), [r.as_map() for r in receivers])
+            )
         assert images[0] == images[1]
-        for row_sent, batch_sent in zip(*streams):
-            assert_streams_identical(batch_sent, row_sent)
+        # The batch cursors hold a page cache, so theirs is the paper's
+        # stream with only superfluous messages left out.
+        for (index, _, paper), (same, held, sent) in zip(*passes):
+            assert index == same
+            assert_mirror_subsequence(sent, paper, held)
 
     @pytest.mark.parametrize("batch_mode", [False, True])
     def test_channel_failure_mid_page_still_completes_its_fix_up(

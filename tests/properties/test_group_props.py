@@ -6,7 +6,11 @@ different predicates and staleness, every per-snapshot output stream of
 one shared pass is **byte-identical** to a solo
 :class:`~repro.core.differential.DifferentialRefresher` run at the same
 ``SnapTime`` — messages and wire bytes, page summaries on and off,
-fix-up lazy and eager.
+fix-up lazy and eager.  Both sides always run the *same* arming rule:
+per-row everywhere (the paper's rule, no cache consulted for it), or
+``batch_mode`` with page caches on both (the address mirror's rule on
+both), so nothing here compares a mirror-holding world with a
+paper-rule one and every comparison is byte for byte.
 
 The check replays the same deterministic history twice: once ending in
 a group pass, and once per snapshot ending in that snapshot's solo
@@ -42,19 +46,24 @@ operations = st.lists(
 class _Fleet:
     """One replayable world: a base table plus N snapshot cursors."""
 
-    def __init__(self, mode: str, summaries: bool, fleet_size: int) -> None:
+    def __init__(
+        self, mode: str, summaries: bool, fleet_size: int, batch: bool = False
+    ) -> None:
         self.db = Database("prop-group")
         self.table = self.db.create_table(
             "t", [("v", "int")], annotations=mode
         )
         self.summaries = summaries
+        self.batch = batch
         self.projection = Projection(self.table.schema)
         self.restrictions = [
             Restriction.parse(PREDICATES[i], self.table.schema)
             for i in range(fleet_size)
         ]
         self.refreshers = [
-            DifferentialRefresher(self.table, use_page_summaries=summaries)
+            DifferentialRefresher(
+                self.table, use_page_summaries=summaries, batch_mode=batch
+            )
             for _ in range(fleet_size)
         ]
         self.caches: "list[dict]" = [{} for _ in range(fleet_size)]
@@ -115,7 +124,9 @@ class _Fleet:
                 )
             )
         outcome = GroupRefresher(
-            self.table, use_page_summaries=self.summaries
+            self.table,
+            use_page_summaries=self.summaries,
+            batch_mode=self.batch,
         ).refresh_group(cursors)
         assert not outcome.errors
         for i in range(len(self.restrictions)):
@@ -131,9 +142,11 @@ class _Fleet:
         }
 
 
-def run_fleet(script, mode: str, summaries: bool, fleet_size: int) -> None:
+def run_fleet(
+    script, mode: str, summaries: bool, fleet_size: int, batch: bool = False
+) -> None:
     # World A: history, then ONE shared pass over the whole fleet.
-    grouped = _Fleet(mode, summaries, fleet_size)
+    grouped = _Fleet(mode, summaries, fleet_size, batch)
     grouped.replay(script, fleet_size)
     group_streams, outcome = grouped.group_refresh()
     assert outcome.pass_result.group_cursors == fleet_size
@@ -142,13 +155,16 @@ def run_fleet(script, mode: str, summaries: bool, fleet_size: int) -> None:
         # World B_i: the identical history, then a solo refresh of
         # snapshot i alone — same base state, same clock, so the solo
         # stream is what snapshot i would have received independently.
-        solo = _Fleet(mode, summaries, fleet_size)
+        solo = _Fleet(mode, summaries, fleet_size, batch)
         solo.replay(script, fleet_size)
         solo_stream = solo.solo_refresh(i)
 
         assert [repr(m) for m in group_streams[i]] == [
             repr(m) for m in solo_stream
-        ], f"snapshot {i} stream diverged (mode={mode}, summaries={summaries})"
+        ], (
+            f"snapshot {i} stream diverged "
+            f"(mode={mode}, summaries={summaries}, batch={batch})"
+        )
         assert sum(m.wire_size() for m in group_streams[i]) == sum(
             m.wire_size() for m in solo_stream
         )
@@ -166,6 +182,18 @@ class TestGroupByteIdentity:
     @given(script=operations, fleet_size=st.integers(2, 5))
     def test_lazy_summaries_on(self, script, fleet_size):
         run_fleet(script, "lazy", True, fleet_size)
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(script=operations, fleet_size=st.integers(2, 5))
+    def test_lazy_summaries_on_mirrored_both_sides(self, script, fleet_size):
+        """Batch mode and page caches in both worlds: the group pass
+        arms each cursor's flag from its own mirror exactly as its solo
+        pass would."""
+        run_fleet(script, "lazy", True, fleet_size, batch=True)
 
     @settings(
         max_examples=20,

@@ -186,6 +186,45 @@ def assert_streams_identical(decoded, original):
         assert copy.wire_size() == source.wire_size()
 
 
+def assert_mirror_subsequence(mirror, paper, held):
+    """``mirror`` is ``paper`` with messages left out — none altered.
+
+    The two streams are one refresh of one snapshot, decided by the
+    address mirror's arming rule and by the paper's (Figure 3's "may
+    have qualified before"); ``held`` is the receiver's ``as_map()``
+    before that refresh.  The mirror's stream must be a subsequence of
+    the paper's (same ``repr``, same size, same order), and everything
+    it left out an entry, delta or ``DeleteRange`` re-announcing an
+    address whose value the receiver already held — Figure 9's
+    superfluous kind.
+    """
+    rest = iter(paper)
+    omitted = []
+    for message in mirror:
+        for candidate in rest:
+            if repr(candidate) == repr(message):
+                assert type(candidate) is type(message)
+                assert candidate.wire_size() == message.wire_size()
+                break
+            omitted.append(candidate)
+        else:
+            raise AssertionError(
+                f"{message!r} is not (in this order) in the paper's stream"
+            )
+    omitted.extend(rest)
+    for message in omitted:
+        if isinstance(message, msg.DeleteRangeMessage):
+            assert message.hi in held, message
+        elif isinstance(message, msg.UpdateDeltaMessage):
+            row = held[message.addr]
+            merged = tuple(row[position] for position in message.positions())
+            assert merged == tuple(message.values), message
+        else:
+            assert isinstance(message, msg.EntryMessage), message
+            assert held.get(message.addr) == tuple(message.values), message
+    return omitted
+
+
 class TestFrameRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(

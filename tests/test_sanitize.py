@@ -174,6 +174,67 @@ class TestValueCacheMirror:
             sanitize.check_value_cache(snap.value_cache, snap.table)
 
 
+class TestAddressMirror:
+    """The page cache names the addresses the snapshot holds."""
+
+    def _mirrored(self):
+        db, table, rids = build()
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot("s", "items", where="v < 5")
+        return table, rids, manager, snap
+
+    def test_forged_slot_fails_the_next_refresh(self):
+        table, rids, manager, snap = self._mirrored()
+        info = snap.page_cache[0]
+        unheld = next(
+            rid.slot_no
+            for rid in rids
+            if rid.page_no == 0 and snap.table.lookup(rid) is None
+        )
+        info.qual_slots.append(unheld)  # a row the receiver never got
+        with pytest.raises(SanitizerError, match="address mirror"):
+            snap.refresh()
+
+    def test_an_address_on_an_unknown_page_is_caught(self):
+        table, rids, manager, snap = self._mirrored()
+        del snap.page_cache[snap.table.base_addrs()[-1].page_no]
+        with pytest.raises(SanitizerError, match="address mirror"):
+            sanitize.check_address_mirror(snap.page_cache, snap.table)
+
+    def test_aborted_attempt_leaves_the_committed_mirror(self):
+        from repro.errors import ChannelError
+        from repro.net.faults import FaultyLink
+
+        db, table, rids = build()
+        link = FaultyLink()
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot(
+            "s", "items", where="v < 5", channel=link
+        )
+        before = {
+            page_no: (info.page_version, list(info.qual_slots))
+            for page_no, info in snap.page_cache.items()
+        }
+        moved = next(rid for rid in rids if snap.table.lookup(rid) is None)
+        table.update(moved, {"v": 1})  # now qualifies: staged into its page
+        link.fail_at(1)
+        with pytest.raises(ChannelError):
+            snap.refresh()  # _abort_attempt audits the mirror itself
+        assert before == {
+            page_no: (info.page_version, list(info.qual_slots))
+            for page_no, info in snap.page_cache.items()
+        }
+        link.clear_faults()
+        snap.refresh()
+        assert moved.slot_no in snap.page_cache[moved.page_no].qual_slots
+
+    def test_repairing_resync_is_audited(self):
+        table, rids, manager, snap = self._mirrored()
+        table.insert([99, "late", 1])
+        assert manager.resync_snapshot("s").leaves_repaired
+        sanitize.check_address_mirror(snap.page_cache, snap.table)
+
+
 class TestChangedSlotVisit:
     """The visit trusts the summary for every slot it does not read."""
 
