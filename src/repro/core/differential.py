@@ -1356,12 +1356,12 @@ class ScanPlan:
 
     The scan runs ``chunk_pages`` heap pages per lock hold.  At each
     chunk boundary the driver calls ``release()``, then
-    ``on_chunk_boundary(next_chunk)`` — the deterministic simulation's
-    stand-in for concurrent writer commits, which is where a writer
-    thread's commits would land — then ``acquire()``.  The caller holds
+    ``on_chunk_boundary(next_chunk)`` — where writers commit: the scan
+    is the one thread of control and this is the point at which it
+    yields — then ``acquire()``.  The caller holds
     the lock when it calls :func:`run_refresh_scan` and again when the
-    call returns; a caller that manages no lock (a single-threaded
-    test) leaves the two hooks unset.
+    call returns; a caller that manages no lock (a hand-driven
+    refresher in a test) leaves the two hooks unset.
     """
 
     chunk_pages: int = 4
@@ -1466,8 +1466,6 @@ def run_refresh_scan(
 
     unsubscribe: "Optional[Callable[[], None]]" = None
     if plan is not None:
-        # Bare names on purpose: a bare ``acquire()``/``release()`` is
-        # the seam the lint lock model reads as the table lock (L602).
         acquire, release = plan.acquire, plan.release
         # Subscribed with the caller's lock already held: nothing that
         # can fail stands between here and the ``finally`` below.

@@ -16,8 +16,6 @@ claim, measured by the A6 benchmark).
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro import sanitize
@@ -101,11 +99,10 @@ class FleetDrainResult:
         "refreshed",
         "errors",
         "worker_errors",
-        "per_worker",
     )
 
     def __init__(self) -> None:
-        #: Claims issued to drain workers.
+        #: Claims issued to this drain.
         self.claims = 0
         #: Claims completed (each one shared-scan cohort refresh).
         self.cohorts = 0
@@ -116,8 +113,6 @@ class FleetDrainResult:
         #: Workers stopped by an unexpected error (worker -> error);
         #: their claims were released back to the due pool.
         self.worker_errors: "dict[str, BaseException]" = {}
-        #: Completed claims per worker.
-        self.per_worker: "dict[str, int]" = {}
 
     def __repr__(self) -> str:
         return (
@@ -898,73 +893,48 @@ class SnapshotManager:
     def drain_registry(
         self,
         registry: SnapshotRegistry,
-        workers: int = 1,
         retry: Optional[RetryPolicy] = None,
         max_claims: Optional[int] = None,
     ) -> "FleetDrainResult":
         """Drain the registry's due queue through the claim protocol.
 
-        Each worker loops claim → refresh → complete until
-        :meth:`SnapshotRegistry.claim_cohort` finds nothing claimable.
-        ``workers > 1`` runs the loops on a thread pool; the registry's
-        one-live-claim-per-base-table rule keeps concurrent passes on
+        One worker loops claim → refresh → complete until
+        :meth:`SnapshotRegistry.claim_cohort` finds nothing claimable
+        (or ``max_claims`` claims were issued).  A fleet of workers is
+        one process per worker running this loop against a shared
+        registry: one-live-claim-per-base-table keeps their passes on
         disjoint tables (the non-blocking lock manager would abort, not
-        queue, two passes on one base).  A worker hitting an unexpected
-        error releases its claim — members return to the due pool with
-        the failure recorded — and stops; a worker that dies without
-        releasing is covered by lease expiry instead.
+        queue, two passes on one base).  An unexpected error releases
+        the claim — members return to the due pool with the failure
+        recorded — and stops the drain; a worker that dies without
+        releasing is covered by lease expiry instead, and a cohort whose
+        lease expired mid-pass is fenced by :meth:`SnapshotRegistry.
+        complete`: it is not counted, its members are due again.
         """
-        if workers < 1:
-            raise SnapshotError("drain needs at least one worker")
         drain = FleetDrainResult()
-        counter_lock = threading.Lock()
-
-        def claim_next(worker_name: str) -> "CohortClaim | None":
-            # Claim under the budget lock so N workers cannot overshoot
-            # max_claims between the check and the claim.
-            with counter_lock:
-                if max_claims is not None and drain.claims >= max_claims:
-                    return None
-                claim = registry.claim_cohort(worker_name)
-                if claim is not None:
-                    drain.claims += 1
-                return claim
-
-        def drain_one(worker_name: str) -> None:
-            while True:
-                claim = claim_next(worker_name)
-                if claim is None:
-                    return
-                try:
-                    outcomes = self.refresh_cohort(claim, retry=retry)
-                except Exception as error:  # noqa: BLE001 — isolate the worker
-                    registry.release(claim, error)
-                    with counter_lock:
-                        drain.worker_errors[worker_name] = error
-                    return
-                registry.complete(
-                    claim,
-                    shipped={
-                        name: result.entries_sent
-                        for name, result in outcomes.items()
-                    },
-                    failed=dict(outcomes.errors),
-                )
-                with counter_lock:
-                    drain.refreshed += len(outcomes)
-                    drain.cohorts += 1
-                    drain.errors.update(outcomes.errors)
-                    drain.per_worker[worker_name] = (
-                        drain.per_worker.get(worker_name, 0) + 1
-                    )
-
-        names = [f"worker-{i}" for i in range(workers)]
-        if workers == 1:
-            drain_one(names[0])
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for future in [pool.submit(drain_one, name) for name in names]:
-                    future.result()
+        worker = "worker-0"
+        while max_claims is None or drain.claims < max_claims:
+            claim = registry.claim_cohort(worker)
+            if claim is None:
+                break
+            drain.claims += 1
+            try:
+                outcomes = self.refresh_cohort(claim, retry=retry)
+            except Exception as error:  # noqa: BLE001 — isolate the worker
+                registry.release(claim, error)
+                drain.worker_errors[worker] = error
+                break
+            if registry.complete(
+                claim,
+                shipped={
+                    name: result.entries_sent
+                    for name, result in outcomes.items()
+                },
+                failed=dict(outcomes.errors),
+            ):
+                drain.refreshed += len(outcomes)
+                drain.cohorts += 1
+                drain.errors.update(outcomes.errors)
         return drain
 
     # -- DROP SNAPSHOT --------------------------------------------------------------

@@ -34,7 +34,6 @@ L404): it hands out names and takes back outcomes, so no orchestration state can
 from __future__ import annotations
 
 import heapq
-import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cohort import Cohort, DueEntry, cluster_due, staleness_band
@@ -191,10 +190,12 @@ class SnapshotRegistry:
     manager, never opens a channel, never reads a table.  Drivers feed
     it observed operations (:meth:`observe`), take due work out of it
     (directly, or through the claim protocol), and report outcomes back
-    (:meth:`mark_refreshed` / :meth:`mark_failed`).  All methods are
-    thread-safe; the lock is reentrant because a refresh fired from a
-    commit hook can re-enter :meth:`observe` through the receiver's own
-    commits.
+    (:meth:`mark_refreshed` / :meth:`mark_failed`).  It belongs to one
+    thread, like the :class:`~repro.database.Database` it schedules for,
+    and it never calls out: a driver that re-enters it — a transaction
+    committed from inside a scheduler-fired refresh comes back through
+    the commit hook into :meth:`observe` — finds it between two complete
+    operations.
     """
 
     def __init__(
@@ -211,7 +212,6 @@ class SnapshotRegistry:
         self.clock = clock if clock is not None else LogicalClock()
         self.lease = lease
         self.cohort_size = cohort_size
-        self._lock = threading.RLock()
         self._bases: "Dict[str, _BaseBucket]" = {}
         self._records: "Dict[str, RegisteredSnapshot]" = {}
         self._claims: "Dict[int, CohortClaim]" = {}
@@ -262,38 +262,35 @@ class SnapshotRegistry:
                 if restriction is not None
                 else ()
             )
-        with self._lock:
-            if name in self._records:
-                self.unregister(name)
-            base = self._bases.setdefault(base_table, _BaseBucket())
-            record = RegisteredSnapshot(
-                name, base_table, every_ops, signature, columns, self._next_seq, base
-            )
-            self._next_seq += 1
-            self._records[name] = record
-            base.members[name] = record
-            heapq.heappush(base.heap, (record.deadline, record.seq, name))
-            self.stats["heap_pushes"] += 1
-            return record
+        if name in self._records:
+            self.unregister(name)
+        base = self._bases.setdefault(base_table, _BaseBucket())
+        record = RegisteredSnapshot(
+            name, base_table, every_ops, signature, columns, self._next_seq, base
+        )
+        self._next_seq += 1
+        self._records[name] = record
+        base.members[name] = record
+        heapq.heappush(base.heap, (record.deadline, record.seq, name))
+        self.stats["heap_pushes"] += 1
+        return record
 
     def unregister(self, name: str) -> None:
-        with self._lock:
-            record = self._records.pop(name)
-            base = record._base
-            base.members.pop(name, None)
-            base.due.pop(name, None)
-            # Heap items for this record become tombstones; if it is the
-            # base's last member the whole bucket (and its op counter)
-            # retires with it.
-            if not base.members:
-                self._bases.pop(record.base_table, None)
+        record = self._records.pop(name)
+        base = record._base
+        base.members.pop(name, None)
+        base.due.pop(name, None)
+        # Heap items for this record become tombstones; if it is the
+        # base's last member the whole bucket (and its op counter)
+        # retires with it.
+        if not base.members:
+            self._bases.pop(record.base_table, None)
 
     def record(self, name: str) -> RegisteredSnapshot:
         return self._records[name]
 
     def records(self) -> "List[RegisteredSnapshot]":
-        with self._lock:
-            return list(self._records.values())
+        return list(self._records.values())
 
     def __len__(self) -> int:
         return len(self._records)
@@ -312,37 +309,35 @@ class SnapshotRegistry:
         relevant-commit behavior.  Cost is O(ops + newly_due * log n):
         the heap is touched only for deadlines actually crossed.
         """
-        with self._lock:
-            self.stats["observe_calls"] += 1
-            base = self._bases.get(base_table)
-            if base is None or ops <= 0:
-                return []
-            base.ops_total += ops
-            self.stats["ops_observed"] += ops
-            heap = base.heap
-            while heap and heap[0][0] <= base.ops_total:
-                deadline, seq, name = heapq.heappop(heap)
-                self.stats["heap_pops"] += 1
-                record = base.members.get(name)
-                if record is None or record.deadline != deadline:
-                    self.stats["tombstone_pops"] += 1
-                    continue
-                base.due[name] = record
-                self.stats["due_transitions"] += 1
-            return [r for r in base.due.values() if r.claim_id is None]
+        self.stats["observe_calls"] += 1
+        base = self._bases.get(base_table)
+        if base is None or ops <= 0:
+            return []
+        base.ops_total += ops
+        self.stats["ops_observed"] += ops
+        heap = base.heap
+        while heap and heap[0][0] <= base.ops_total:
+            deadline, seq, name = heapq.heappop(heap)
+            self.stats["heap_pops"] += 1
+            record = base.members.get(name)
+            if record is None or record.deadline != deadline:
+                self.stats["tombstone_pops"] += 1
+                continue
+            base.due[name] = record
+            self.stats["due_transitions"] += 1
+        return [r for r in base.due.values() if r.claim_id is None]
 
     def due(self, base_table: Optional[str] = None) -> "List[RegisteredSnapshot]":
         """Currently due, unclaimed snapshots (optionally one base's)."""
-        with self._lock:
-            buckets = (
-                [self._bases[base_table]]
-                if base_table is not None and base_table in self._bases
-                else list(self._bases.values())
-            )
-            out: "List[RegisteredSnapshot]" = []
-            for base in buckets:
-                out.extend(r for r in base.due.values() if r.claim_id is None)
-            return out
+        buckets = (
+            [self._bases[base_table]]
+            if base_table is not None and base_table in self._bases
+            else list(self._bases.values())
+        )
+        out: "List[RegisteredSnapshot]" = []
+        for base in buckets:
+            out.extend(r for r in base.due.values() if r.claim_id is None)
+        return out
 
     def near_due(
         self, base_table: str, window: int, exclude: "Tuple[str, ...]" = ()
@@ -353,46 +348,43 @@ class SnapshotRegistry:
         ``pending + window >= every_ops``.  O(base fleet) — called only
         when a refresh actually fires, never on the per-op path.
         """
-        with self._lock:
-            base = self._bases.get(base_table)
-            if base is None:
-                return []
-            skip = set(exclude)
-            return [
-                r
-                for r in base.members.values()
-                if r.name not in skip
-                and r.claim_id is None
-                and r.pending > 0
-                and r.pending + window >= r.every_ops
-            ]
+        base = self._bases.get(base_table)
+        if base is None:
+            return []
+        skip = set(exclude)
+        return [
+            r
+            for r in base.members.values()
+            if r.name not in skip
+            and r.claim_id is None
+            and r.pending > 0
+            and r.pending + window >= r.every_ops
+        ]
 
     def mark_refreshed(self, name: str, shipped: int = 0) -> None:
         """Close the staleness segment and re-arm the deadline."""
-        with self._lock:
-            record = self._records[name]
-            base = record._base
-            record.area_base += _tri(record.pending)
-            record.reset_at = base.ops_total
-            record.deadline = base.ops_total + record.every_ops
-            record.refreshes += 1
-            record.entries_shipped += shipped
-            record.claim_id = None
-            base.due.pop(name, None)
-            heapq.heappush(base.heap, (record.deadline, record.seq, name))
-            self.stats["heap_pushes"] += 1
+        record = self._records[name]
+        base = record._base
+        record.area_base += _tri(record.pending)
+        record.reset_at = base.ops_total
+        record.deadline = base.ops_total + record.every_ops
+        record.refreshes += 1
+        record.entries_shipped += shipped
+        record.claim_id = None
+        base.due.pop(name, None)
+        heapq.heappush(base.heap, (record.deadline, record.seq, name))
+        self.stats["heap_pushes"] += 1
 
     def mark_failed(self, name: str, error: "BaseException | None" = None) -> None:
         """Record a failed refresh; the snapshot stays due for retry."""
-        with self._lock:
-            record = self._records[name]
-            record.failed_refreshes += 1
-            record.last_failure = error
-            record.claim_id = None
-            # Still past its deadline: back into (or still in) the due
-            # pool so the next relevant commit — or the next claimer —
-            # retries it.
-            record._base.due[name] = record
+        record = self._records[name]
+        record.failed_refreshes += 1
+        record.last_failure = error
+        record.claim_id = None
+        # Still past its deadline: back into (or still in) the due
+        # pool so the next relevant commit — or the next claimer —
+        # retries it.
+        record._base.due[name] = record
 
     # -- claim protocol ------------------------------------------------------
 
@@ -412,75 +404,72 @@ class SnapshotRegistry:
         set of a base rides as few passes as possible.  Returns ``None``
         when nothing is claimable.
         """
-        with self._lock:
-            now = self.clock.read() if now is None else now
-            self.expire_claims(now)
-            busy = {
-                claim.cohort.key.base_table
-                for claim in self._claims.values()
-                if claim.state == "live"
-            }
-            candidates: "List[DueEntry]" = []
-            for base_name, base in self._bases.items():
-                if base_name in busy:
+        now = self.clock.read() if now is None else now
+        self.expire_claims(now)
+        busy = {
+            claim.cohort.key.base_table
+            for claim in self._claims.values()
+            if claim.state == "live"
+        }
+        candidates: "List[DueEntry]" = []
+        for base_name, base in self._bases.items():
+            if base_name in busy:
+                continue
+            for record in base.due.values():
+                if record.claim_id is not None:
                     continue
-                for record in base.due.values():
-                    if record.claim_id is not None:
-                        continue
-                    candidates.append(
-                        DueEntry(
-                            record.name,
-                            base_name,
-                            record.signature,
-                            record.columns,
-                            record.pending,
-                            record.seq,
-                        )
+                candidates.append(
+                    DueEntry(
+                        record.name,
+                        base_name,
+                        record.signature,
+                        record.columns,
+                        record.pending,
+                        record.seq,
                     )
-            if not candidates:
-                return None
-            cohorts = cluster_due(
-                candidates, max_size=max_size or self.cohort_size
-            )
-            self.stats["cohorts_formed"] += len(cohorts)
-            # Stalest first: highest band, then largest, then key order.
-            cohorts.sort(key=lambda c: (-c.bands[-1], -len(c), c.key))
-            cohort = cohorts[0]
-            claim = CohortClaim(
-                self._next_claim, worker, cohort, now, now + self.lease
-            )
-            self._next_claim += 1
-            self._claims[claim.claim_id] = claim
-            self.stats["claims_issued"] += 1
-            for member in cohort.members:
-                record = self._records[member]
-                record.claim_id = claim.claim_id
-                record._base.due.pop(member, None)
-            return claim
+                )
+        if not candidates:
+            return None
+        cohorts = cluster_due(
+            candidates, max_size=max_size or self.cohort_size
+        )
+        self.stats["cohorts_formed"] += len(cohorts)
+        # Stalest first: highest band, then largest, then key order.
+        cohorts.sort(key=lambda c: (-c.bands[-1], -len(c), c.key))
+        cohort = cohorts[0]
+        claim = CohortClaim(
+            self._next_claim, worker, cohort, now, now + self.lease
+        )
+        self._next_claim += 1
+        self._claims[claim.claim_id] = claim
+        self.stats["claims_issued"] += 1
+        for member in cohort.members:
+            record = self._records[member]
+            record.claim_id = claim.claim_id
+            record._base.due.pop(member, None)
+        return claim
 
     def renew(self, claim: CohortClaim, now: Optional[int] = None) -> bool:
         """Extend a live lease (heartbeat). False if no longer live."""
-        with self._lock:
-            if claim.state != "live":
-                return False
-            now = self.clock.read() if now is None else now
-            claim.expires_at = now + self.lease
-            return True
+        if claim.state != "live":
+            return False
+        now = self.clock.read() if now is None else now
+        claim.expires_at = now + self.lease
+        return True
 
     def expire_claims(self, now: Optional[int] = None) -> "List[CohortClaim]":
         """Reclaim every live lease past its expiry; return them."""
-        with self._lock:
-            now = self.clock.read() if now is None else now
-            expired = [
-                claim
-                for claim in self._claims.values()
-                if claim.state == "live" and claim.expires_at <= now
-            ]
-            for claim in expired:
-                claim.state = "expired"
-                self._release_members(claim)
-                self.stats["claims_expired"] += 1
-            return expired
+        now = self.clock.read() if now is None else now
+        expired = [
+            claim
+            for claim in self._claims.values()
+            if claim.state == "live" and claim.expires_at <= now
+        ]
+        for claim in expired:
+            claim.state = "expired"
+            self._release_members(claim)
+            self.stats["claims_expired"] += 1
+        return expired
 
     def complete(
         self,
@@ -494,42 +483,40 @@ class SnapshotRegistry:
         expired or was released — the fence that keeps a zombie worker
         from double-counting a cohort another worker reclaimed.
         """
-        with self._lock:
-            if claim.state != "live":
-                self.stats["completes_fenced"] += 1
-                return False
-            claim.state = "completed"
-            self._claims.pop(claim.claim_id, None)
-            shipped = shipped or {}
-            failed = failed or {}
-            for member in claim.cohort.members:
-                record = self._records.get(member)
-                if record is None or record.claim_id != claim.claim_id:
-                    continue  # unregistered (or stolen) mid-claim
-                if member in failed:
-                    self.mark_failed(member, failed[member])
-                else:
-                    self.mark_refreshed(member, shipped.get(member, 0))
-            self.stats["claims_completed"] += 1
-            return True
+        if claim.state != "live":
+            self.stats["completes_fenced"] += 1
+            return False
+        claim.state = "completed"
+        self._claims.pop(claim.claim_id, None)
+        shipped = shipped or {}
+        failed = failed or {}
+        for member in claim.cohort.members:
+            record = self._records.get(member)
+            if record is None or record.claim_id != claim.claim_id:
+                continue  # unregistered (or stolen) mid-claim
+            if member in failed:
+                self.mark_failed(member, failed[member])
+            else:
+                self.mark_refreshed(member, shipped.get(member, 0))
+        self.stats["claims_completed"] += 1
+        return True
 
     def release(
         self, claim: CohortClaim, error: "BaseException | None" = None
     ) -> bool:
         """Hand a claim back unrefreshed (worker bowed out gracefully)."""
-        with self._lock:
-            if claim.state != "live":
-                return False
-            claim.state = "released"
-            if error is not None:
-                for member in claim.cohort.members:
-                    record = self._records.get(member)
-                    if record is not None:
-                        record.failed_refreshes += 1
-                        record.last_failure = error
-            self._release_members(claim)
-            self.stats["claims_released"] += 1
-            return True
+        if claim.state != "live":
+            return False
+        claim.state = "released"
+        if error is not None:
+            for member in claim.cohort.members:
+                record = self._records.get(member)
+                if record is not None:
+                    record.failed_refreshes += 1
+                    record.last_failure = error
+        self._release_members(claim)
+        self.stats["claims_released"] += 1
+        return True
 
     def _release_members(self, claim: CohortClaim) -> None:
         self._claims.pop(claim.claim_id, None)
@@ -541,5 +528,4 @@ class SnapshotRegistry:
             record._base.due[member] = record
 
     def claims(self) -> "List[CohortClaim]":
-        with self._lock:
-            return [c for c in self._claims.values() if c.state == "live"]
+        return [c for c in self._claims.values() if c.state == "live"]

@@ -12,7 +12,6 @@ rows.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Sequence
 
 from repro.errors import EvaluationError, SchemaError
@@ -34,10 +33,6 @@ class Restriction:
     #: Compiled-restriction memo: (text, schema) -> Restriction.
     _parse_cache: "dict[tuple[str, Schema], Restriction]" = {}
     _parse_cache_limit = 512
-    #: Guards the memo and its hit counter: drain workers parse
-    #: concurrently, and an unguarded clear-then-insert could lose
-    #: entries or tear the hit count.
-    _parse_lock = threading.Lock()
     #: Cache hits (observable from tests and benchmarks).
     parse_cache_hits = 0
 
@@ -77,34 +72,29 @@ class Restriction:
         one compiled object — the same identity the cohort key sees.
         """
         key = (text, schema)
-        with cls._parse_lock:
-            cached = cls._parse_cache.get(key)
-            if cached is not None:
-                cls.parse_cache_hits += 1
-                return cached
-        # Compile outside the lock (parsing is pure); racing workers may
-        # both compile, and the second insert harmlessly wins.
+        cached = cls._parse_cache.get(key)
+        if cached is not None:
+            cls.parse_cache_hits += 1
+            return cached
         restriction = cls(parse_expression(text), schema)
         canonical_key = (restriction.text, schema)
-        with cls._parse_lock:
-            existing = cls._parse_cache.get(canonical_key)
-            if existing is not None:
-                # Another spelling of the same predicate already
-                # compiled; alias this spelling to the shared object.
-                cls.parse_cache_hits += 1
-                restriction = existing
-            if len(cls._parse_cache) >= cls._parse_cache_limit:
-                cls._parse_cache.clear()
-            cls._parse_cache[canonical_key] = restriction
-            if key != canonical_key:
-                cls._parse_cache[key] = restriction
+        existing = cls._parse_cache.get(canonical_key)
+        if existing is not None:
+            # Another spelling of the same predicate already
+            # compiled; alias this spelling to the shared object.
+            cls.parse_cache_hits += 1
+            restriction = existing
+        if len(cls._parse_cache) >= cls._parse_cache_limit:
+            cls._parse_cache.clear()
+        cls._parse_cache[canonical_key] = restriction
+        if key != canonical_key:
+            cls._parse_cache[key] = restriction
         return restriction
 
     @classmethod
     def clear_parse_cache(cls) -> None:
-        with cls._parse_lock:
-            cls._parse_cache.clear()
-            cls.parse_cache_hits = 0
+        cls._parse_cache.clear()
+        cls.parse_cache_hits = 0
 
     @classmethod
     def true(cls, schema: Schema) -> "Restriction":

@@ -4,18 +4,14 @@ Flags:
 
 ``--rules PREFIX[,PREFIX...]``
     Only run rules matching the given id prefixes (repeatable), e.g.
-    ``--rules L6`` for the whole-program concurrency pass alone.
+    ``--rules L2,L401``.
 ``--list-rules``
     Print the rule catalogue and exit.
 ``--json``
     Machine-readable output: a JSON object with ``violations`` and
-    ``count`` (used by CI).
-``--budget SECONDS``
-    Fail (exit 1) if the lint pass exceeds the wall-clock budget, even
-    when no violations fire — keeps the whole-program pass fast enough
-    to stay in tier-1.
+    ``count``.
 
-Exit codes: 0 clean, 1 violations (or budget exceeded), 2 bad input.
+Exit codes: 0 clean, 1 violations, 2 bad input.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import List, Optional, Sequence
 
 from repro.lint.checkers import RULES
@@ -41,7 +36,7 @@ def _parse_args(argv: "Sequence[str]") -> argparse.Namespace:
         action="append",
         default=None,
         metavar="PREFIX[,PREFIX...]",
-        help="only run rules matching these id prefixes (e.g. L6, L401)",
+        help="only run rules matching these id prefixes (e.g. L2, L401)",
     )
     parser.add_argument(
         "--list-rules",
@@ -53,13 +48,6 @@ def _parse_args(argv: "Sequence[str]") -> argparse.Namespace:
         action="store_true",
         dest="as_json",
         help="emit machine-readable JSON instead of one line per finding",
-    )
-    parser.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="fail if the lint pass takes longer than this wall-clock time",
     )
     return parser.parse_args(list(argv))
 
@@ -91,14 +79,11 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
             for rule, text in selected.items():
                 print(f"{rule}  {text}")
         return 0
-    started = time.monotonic()
     try:
         violations = lint_paths(args.paths, rules=rules)
     except (OSError, SyntaxError) as exc:
         print(f"replint: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.monotonic() - started
-    over_budget = args.budget is not None and elapsed > args.budget
     if args.as_json:
         print(
             json.dumps(
@@ -114,9 +99,6 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
                         for v in violations
                     ],
                     "count": len(violations),
-                    "elapsed_seconds": round(elapsed, 3),
-                    "budget_seconds": args.budget,
-                    "over_budget": over_budget,
                 },
                 indent=2,
             )
@@ -124,13 +106,6 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
     else:
         for violation in violations:
             print(violation.format())
-    if over_budget:
-        print(
-            f"replint: pass took {elapsed:.2f}s, over the "
-            f"{args.budget:.2f}s budget",
-            file=sys.stderr,
-        )
-        return 1
     if violations:
         if not args.as_json:
             print(

@@ -18,6 +18,12 @@ sections behind them):
     ``L202``  ``datetime.now``/``utcnow``/``today`` in a deterministic
               module.
     ``L203``  Unseeded ``random`` use in a deterministic module.
+    ``L204``  ``threading`` / ``_thread`` / ``concurrent.futures`` /
+              ``multiprocessing`` imported anywhere under ``src/repro``:
+              a ``Database`` and everything reached from it belongs to
+              one thread, so no module carries a mutex and none may
+              start a second thread; parallelism is one process per
+              claim-protocol worker.
 
 **L3 — wire codec (batch hot path)**
     Message-vs-codec parity needs no rule: each message class declares
@@ -34,16 +40,16 @@ sections behind them):
               leaking back in.  Cold fallbacks carry an explicit
               ``# replint: ignore[L305]``.
 
-**L4 — concurrency discipline**
+**L4 — lock and layering discipline**
     ``L401``  Locks acquired against the global table-before-row order.
     ``L402``  Lock resource uses an unknown hierarchy level.
     ``L404``  Registry/cohort code (``core/registry.py``,
               ``core/cohort.py``) references manager or scheduler
               internals.  The registry is a pure scheduling data
-              structure shared by N drain workers: it hands out names
-              and takes back outcomes.  A registry that called into the
-              manager could fire refreshes while holding its own lock —
-              the lock-order and claim-fencing arguments both assume the
+              structure: it hands out names and takes back outcomes.  A
+              registry that called into the manager could fire a refresh
+              from the middle of one of its own operations — the
+              re-entrancy and claim-fencing arguments both assume the
               dependency points one way only.
 
 **L5 — no bare ``assert`` for runtime checks**
@@ -52,21 +58,6 @@ sections behind them):
     ``L502``  A ``# replint: ignore[...]`` suppression whose rule no
               longer fires on that line (stale suppressions rot into
               lies; this one is emitted by the engine itself).
-
-**L6 — whole-program concurrency analysis**
-    (:mod:`repro.lint.concurrency`; the declared lock model lives in
-    ``concurrency/lockmodel.py``)
-
-    ``L601``  An attribute the lock model guards is mutated on a path
-              reachable from two or more thread-entry roots without its
-              declared lock held (Eraser-style lockset inconsistency).
-    ``L602``  The global lock acquisition graph — every lock acquired
-              while another is held, across function boundaries,
-              including the release-between-chunks reacquisitions of
-              the chunked scan — contains a cycle.
-    ``L603``  A worker-local object (a drain worker's refresh cursors,
-              its scan state) is stored into a shared field on a thread
-              path.
 """
 
 from __future__ import annotations
@@ -75,7 +66,6 @@ import ast
 from typing import Iterator, List, Sequence
 
 from repro.lint.engine import SourceFile, Violation
-from repro.lint.concurrency.reports import ConcurrencyChecker
 
 #: The calls that write the hidden annotation fields: the fix-up
 #: primitive and the in-place heap overwrite it is built on.
@@ -134,12 +124,21 @@ WALL_CLOCK_CALLS = {
 
 DATETIME_NOW_CALLS = {"now", "utcnow", "today"}
 
+#: Modules that start, or synchronise with, a second thread of control
+#: (L204 applies to every module, not only the deterministic ones).
+THREAD_MODULE_PREFIXES = (
+    "threading.",
+    "_thread.",
+    "concurrent.futures.",
+    "multiprocessing.",
+)
+
 #: Lock hierarchy: a level may only be acquired before strictly deeper
 #: levels within one function body.
 LOCK_LEVELS = {"table": 0, "row": 1}
 
-#: The registry layer (L404): pure scheduling state shared by drain
-#: workers — it must not reach back into the orchestration layer above.
+#: The registry layer (L404): pure scheduling state — it must not reach
+#: back into the orchestration layer above.
 REGISTRY_ISOLATED_MODULES = {"core/registry.py", "core/cohort.py"}
 
 #: The orchestration modules registry code must not import.
@@ -161,30 +160,22 @@ RULES = {
     "L201": "wall-clock read outside txn/clock.py in a deterministic module",
     "L202": "datetime.now/utcnow/today in a deterministic module",
     "L203": "unseeded random use in a deterministic module",
+    "L204": "thread or process machinery imported into single-threaded src/",
     "L305": "per-field codec call inside a designated batch-path module",
     "L401": "lock acquired against the global table-before-row order",
     "L402": "lock resource with an unknown hierarchy level",
     "L404": "registry/cohort module references manager/scheduler internals",
     "L501": "bare assert in library code (stripped under python -O)",
     "L502": "replint suppression whose rule no longer fires on that line",
-    "L601": "shared attribute mutated with an inconsistent lockset",
-    "L602": "cross-function lock acquisition order forms a cycle",
-    "L603": "worker-local state escapes to a shared field before merge",
 }
 
 
 class Checker:
-    """Base: file-level by default; ``project_level`` runs once over all."""
+    """Base: ``check`` runs once per source file."""
 
-    project_level = False
     rules: "Sequence[str]" = ()
 
     def check(self, source: SourceFile) -> "Iterator[Violation]":
-        raise NotImplementedError
-
-    def check_project(
-        self, sources: "Sequence[SourceFile]"
-    ) -> "Iterator[Violation]":
         raise NotImplementedError
 
 
@@ -264,16 +255,38 @@ class MutationDisciplineChecker(Checker):
                         )
 
 
-class DeterminismChecker(Checker):
-    """L2: core/net/storage/txn are functions of the site clock."""
+def _imports_threads(node: ast.AST) -> bool:
+    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return False
+    module = getattr(node, "module", None)
+    prefix = f"{module}." if module else ""
+    return any(
+        f"{prefix}{alias.name}.".startswith(THREAD_MODULE_PREFIXES)
+        for alias in node.names
+    )
 
-    rules = ("L201", "L202", "L203")
+
+class DeterminismChecker(Checker):
+    """L2: core/net/storage/txn are functions of the site clock, and all
+    of ``src/repro`` runs on one thread."""
+
+    rules = ("L201", "L202", "L203", "L204")
 
     def check(self, source: SourceFile) -> "Iterator[Violation]":
         logical = source.logical
-        if not _is_deterministic_module(logical) or logical in CLOCK_MODULES:
-            return
+        clocked = _is_deterministic_module(logical) and logical not in CLOCK_MODULES
         for node in ast.walk(source.tree):
+            if _imports_threads(node):
+                yield Violation(
+                    "L204",
+                    source.path,
+                    node.lineno,
+                    node.col_offset,
+                    "src/ is single-threaded; parallelism is one process "
+                    "per claim-protocol worker",
+                )
+            if not clocked:
+                continue
             if isinstance(node, ast.ImportFrom):
                 if node.module == "time":
                     for alias in node.names:
@@ -485,18 +498,18 @@ def _walk_shallow(func: ast.AST) -> "Iterator[ast.AST]":
 class RegistryIsolationChecker(Checker):
     """L404: registry/cohort modules stay below the orchestration layer.
 
-    The registry is a pure scheduling data structure shared by N drain
-    workers: drivers feed it observed operations, claim cohorts out of
-    it, and report outcomes back.  That one-way dependency is what the
-    claim-fencing argument leans on — the registry mutates nothing but
-    its own records under its own lock, so a zombie worker's fenced
-    ``complete`` provably has no side effects anywhere.  If registry or
-    cohort code called into the manager or scheduler it could fire a
-    refresh while holding the registry lock (deadlock with the commit
-    hook) or double-apply an outcome the fence just rejected.  Enforced
+    The registry is a pure scheduling data structure: drivers feed it
+    observed operations, claim cohorts out of it, and report outcomes
+    back.  That one-way dependency is what the claim-fencing argument
+    leans on — the registry mutates nothing but its own records, so a
+    zombie worker's fenced ``complete`` provably has no side effects
+    anywhere.  If registry or cohort code called into the manager or
+    scheduler it could fire a refresh from the middle of one of its own
+    operations (the commit hook would re-enter a half-updated registry)
+    or double-apply an outcome the fence just rejected.  Enforced
     statically — "no import of, and no name from, these modules" —
-    because the failure it prevents is a race no test reliably
-    reproduces.
+    because the failure it prevents needs an interleaving no test
+    reliably reproduces.
     """
 
     rules = ("L404",)
@@ -560,5 +573,4 @@ ALL_CHECKERS: "List[Checker]" = [
     LockOrderChecker(),
     RegistryIsolationChecker(),
     BareAssertChecker(),
-    ConcurrencyChecker(),
 ]

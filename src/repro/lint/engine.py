@@ -232,7 +232,7 @@ def lint_sources(
 ) -> "List[Violation]":
     """Run checkers over ``sources``; suppressed findings dropped.
 
-    ``rules`` is an optional list of rule-id prefixes (``["L6"]``,
+    ``rules`` is an optional list of rule-id prefixes (``["L2"]``,
     ``["L401", "L5"]``): only checkers owning a matching rule run, and
     only matching findings are reported.
     """
@@ -246,23 +246,16 @@ def lint_sources(
             for checker in checkers
             if any(_rule_matches(rule, rules) for rule in checker.rules)
         ]
-    by_path = {source.path: source for source in sources}
     raw: "List[Violation]" = []
+    kept: "List[Violation]" = []
     for checker in checkers:
-        if checker.project_level:
-            raw.extend(checker.check_project(sources))
-        else:
-            for source in sources:
-                raw.extend(checker.check(source))
-    raw = [v for v in raw if _rule_matches(v.rule, rules)]
-    kept = [
-        violation
-        for violation in raw
-        if not (
-            violation.path in by_path
-            and by_path[violation.path].suppressed(violation.rule, violation.line)
-        )
-    ]
+        for source in sources:
+            for violation in checker.check(source):
+                if not _rule_matches(violation.rule, rules):
+                    continue
+                raw.append(violation)
+                if not source.suppressed(violation.rule, violation.line):
+                    kept.append(violation)
     if _rule_matches("L502", rules):
         kept.extend(_stale_suppressions(sources, raw, rules))
     kept.sort(key=lambda violation: (violation.path, violation.line, violation.rule))

@@ -17,7 +17,6 @@ eviction or on :meth:`BufferPool.flush_all`.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Iterable
 
@@ -96,12 +95,6 @@ class BufferPool:
         # lookup with a newer page version is a miss and the caller's
         # store replaces the stale batch.
         self._batches: "OrderedDict[int, object]" = OrderedDict()
-        # Guards both LRUs and the stats counters: drain workers
-        # refreshing different tables pin/lookup concurrently, and OrderedDict move_to_end /
-        # eviction are not atomic.  The lock is leaf-level — it is never
-        # held while calling out to table or row locks, so it slots
-        # below the L401/L402 lock-order discipline rather than into it.
-        self._mutex = threading.Lock()
         self.stats = BufferStats()
 
     @property
@@ -118,27 +111,25 @@ class BufferPool:
 
     def pin(self, page_no: int) -> bytearray:
         """Return the page's frame, loading and possibly evicting."""
-        with self._mutex:
-            frame = self._frames.get(page_no)
-            if frame is not None:
-                self.stats.hits += 1
-                self._frames.move_to_end(page_no)
-            else:
-                self.stats.misses += 1
-                self._make_room()
-                frame = _Frame(self._pager.read_page(page_no))
-                self._frames[page_no] = frame
-            frame.pin_count += 1
-            return frame.data
+        frame = self._frames.get(page_no)
+        if frame is not None:
+            self.stats.hits += 1
+            self._frames.move_to_end(page_no)
+        else:
+            self.stats.misses += 1
+            self._make_room()
+            frame = _Frame(self._pager.read_page(page_no))
+            self._frames[page_no] = frame
+        frame.pin_count += 1
+        return frame.data
 
     def unpin(self, page_no: int, dirty: bool = False) -> None:
         """Drop one pin; mark the frame dirty if the caller mutated it."""
-        with self._mutex:
-            frame = self._frames.get(page_no)
-            if frame is None or frame.pin_count == 0:
-                raise BufferPoolError(f"page {page_no} is not pinned")
-            frame.pin_count -= 1
-            frame.dirty = frame.dirty or dirty
+        frame = self._frames.get(page_no)
+        if frame is None or frame.pin_count == 0:
+            raise BufferPoolError(f"page {page_no} is not pinned")
+        frame.pin_count -= 1
+        frame.dirty = frame.dirty or dirty
 
     def _make_room(self) -> None:
         if len(self._frames) < self._capacity:
@@ -158,12 +149,11 @@ class BufferPool:
 
     def flush_all(self) -> None:
         """Write back every dirty frame (frames stay cached)."""
-        with self._mutex:
-            for page_no, frame in self._frames.items():
-                if frame.dirty:
-                    self._pager.write_page(page_no, bytes(frame.data))
-                    frame.dirty = False
-                    self.stats.writebacks += 1
+        for page_no, frame in self._frames.items():
+            if frame.dirty:
+                self._pager.write_page(page_no, bytes(frame.data))
+                frame.dirty = False
+                self.stats.writebacks += 1
 
     # -- columnar batch cache ------------------------------------------------
 
@@ -174,22 +164,20 @@ class BufferPool:
         no pin); a stale or absent entry is a batch miss and the caller
         re-extracts under a normal pin (which takes the page hit/miss).
         """
-        with self._mutex:
-            batch = self._batches.get(page_no)
-            if batch is not None and batch.version == version:  # type: ignore[attr-defined]
-                self.stats.batch_hits += 1
-                self._batches.move_to_end(page_no)
-                return batch
-            self.stats.batch_misses += 1
-            return None
+        batch = self._batches.get(page_no)
+        if batch is not None and batch.version == version:  # type: ignore[attr-defined]
+            self.stats.batch_hits += 1
+            self._batches.move_to_end(page_no)
+            return batch
+        self.stats.batch_misses += 1
+        return None
 
     def batch_store(self, page_no: int, batch: object) -> None:
         """Cache a freshly extracted batch, evicting LRU past capacity."""
-        with self._mutex:
-            self._batches[page_no] = batch
-            self._batches.move_to_end(page_no)
-            while len(self._batches) > self._capacity:
-                self._batches.popitem(last=False)
+        self._batches[page_no] = batch
+        self._batches.move_to_end(page_no)
+        while len(self._batches) > self._capacity:
+            self._batches.popitem(last=False)
 
     def discard_pages(self, page_nos: "Iterable[int]") -> int:
         """Forget cached state for abandoned pages; return entries dropped.
@@ -203,18 +191,17 @@ class BufferPool:
         may hold a pin into storage that is being abandoned.
         """
         dropped = 0
-        with self._mutex:
-            for page_no in page_nos:
-                frame = self._frames.get(page_no)
-                if frame is not None:
-                    if frame.pin_count > 0:
-                        raise BufferPoolError(
-                            f"page {page_no} is pinned and cannot be discarded"
-                        )
-                    del self._frames[page_no]
-                    dropped += 1
-                if self._batches.pop(page_no, None) is not None:
-                    dropped += 1
+        for page_no in page_nos:
+            frame = self._frames.get(page_no)
+            if frame is not None:
+                if frame.pin_count > 0:
+                    raise BufferPoolError(
+                        f"page {page_no} is pinned and cannot be discarded"
+                    )
+                del self._frames[page_no]
+                dropped += 1
+            if self._batches.pop(page_no, None) is not None:
+                dropped += 1
         return dropped
 
     def discard_batches(self, page_nos: "Iterable[int]") -> int:
@@ -226,10 +213,9 @@ class BufferPool:
         them, so all the stale entries do is squat in the LRU bound.
         """
         dropped = 0
-        with self._mutex:
-            for page_no in page_nos:
-                if self._batches.pop(page_no, None) is not None:
-                    dropped += 1
+        for page_no in page_nos:
+            if self._batches.pop(page_no, None) is not None:
+                dropped += 1
         return dropped
 
     def batch_peek(self, page_no: int) -> "object | None":

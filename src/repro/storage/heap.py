@@ -21,7 +21,6 @@ Insert placement policies:
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterator, Optional
 
 from repro.errors import PageFullError, RecordNotFoundError, StorageError
@@ -94,12 +93,6 @@ class HeapFile:
         # stream (the chunked refresh scan brackets its chunks with the
         # observer's sequence numbers).
         self._write_observers: "list[Callable[[str, Rid], None]]" = []
-        # Guards the write counters, record count, and observer
-        # notification order: drain workers' fix-up writes can run
-        # beside a writer thread, and the read-modify-write
-        # counter bumps (and observer sequence numbering) must stay
-        # exact.  Leaf lock — never held across a pin or a table lock.
-        self._write_mutex = threading.Lock()
 
     def observe_writes(
         self, callback: "Callable[[str, Rid], None]"
@@ -216,12 +209,11 @@ class HeapFile:
             raise
         finally:
             self._unpin(heap_page, dirty=True)
-        with self._write_mutex:
-            self._free_hint[heap_page] -= used
-            self._record_count += 1
-            self.writes.inserts += 1
-            if self._write_observers:
-                self._notify_write("insert", rid)
+        self._free_hint[heap_page] -= used
+        self._record_count += 1
+        self.writes.inserts += 1
+        if self._write_observers:
+            self._notify_write("insert", rid)
         return rid
 
     def read(self, rid: Rid) -> bytes:
@@ -261,10 +253,9 @@ class HeapFile:
                 self.summaries.note_update(rid, record)
         finally:
             self._unpin(rid.page_no, dirty=True)
-        with self._write_mutex:
-            self.writes.updates += 1
-            if self._write_observers:
-                self._notify_write("update", rid)
+        self.writes.updates += 1
+        if self._write_observers:
+            self._notify_write("update", rid)
 
     def write_annotations(
         self, rid: Rid, prev: Optional[bytes], ts: Optional[bytes]
@@ -288,10 +279,9 @@ class HeapFile:
                 self.summaries.note_annotations(rid, tail)
         finally:
             self._unpin(rid.page_no, dirty=True)
-        with self._write_mutex:
-            self.writes.updates += 1
-            if self._write_observers:
-                self._notify_write("update", rid)
+        self.writes.updates += 1
+        if self._write_observers:
+            self._notify_write("update", rid)
 
     def delete(self, rid: Rid) -> None:
         """Free the address ``rid`` for reuse."""
@@ -302,12 +292,11 @@ class HeapFile:
                 self.summaries.note_delete(rid, page)
         finally:
             self._unpin(rid.page_no, dirty=True)
-        with self._write_mutex:
-            self._free_hint[rid.page_no] += freed
-            self._record_count -= 1
-            self.writes.deletes += 1
-            if self._write_observers:
-                self._notify_write("delete", rid)
+        self._free_hint[rid.page_no] += freed
+        self._record_count -= 1
+        self.writes.deletes += 1
+        if self._write_observers:
+            self._notify_write("delete", rid)
 
     # -- scans ---------------------------------------------------------------
 

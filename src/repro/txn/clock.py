@@ -14,7 +14,6 @@ Three implementations share one tiny interface:
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Callable
 
@@ -28,9 +27,6 @@ class LogicalClock:
         if start < 0:
             raise ReproError("clock cannot start in the past of time 0")
         self._now = start
-        # Claim-protocol workers tick concurrently from a thread pool; a
-        # bare `+= 1` could mint the same "unique" timestamp twice.
-        self._tick_lock = threading.Lock()
 
     def read(self) -> int:
         """Current time; does not advance."""
@@ -38,9 +34,8 @@ class LogicalClock:
 
     def tick(self) -> int:
         """Advance by one and return the new (unique) time."""
-        with self._tick_lock:
-            self._now += 1
-            return self._now
+        self._now += 1
+        return self._now
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(now={self._now})"
@@ -50,19 +45,17 @@ class ManualClock(LogicalClock):
     """A clock tests can set explicitly (never backward)."""
 
     def set(self, value: int) -> None:
-        with self._tick_lock:
-            if value < self._now:
-                raise ReproError(
-                    f"manual clock cannot go backward ({value} < {self._now})"
-                )
-            self._now = value
+        if value < self._now:
+            raise ReproError(
+                f"manual clock cannot go backward ({value} < {self._now})"
+            )
+        self._now = value
 
     def advance(self, delta: int) -> int:
         if delta < 0:
             raise ReproError("manual clock cannot go backward")
-        with self._tick_lock:
-            self._now += delta
-            return self._now
+        self._now += delta
+        return self._now
 
 
 class WatermarkBracket:

@@ -20,7 +20,6 @@ single-threaded use unless a test constructs it deliberately.
 from __future__ import annotations
 
 import enum
-import threading
 from typing import Callable, Optional
 
 from repro.errors import InternalError, TransactionError
@@ -101,9 +100,6 @@ class TransactionManager:
         self.wal = wal
         self.locks = locks
         self._next_txn = 1
-        # Claim-protocol drain workers commit receiver transactions from
-        # a thread pool; a bare `+= 1` could hand two workers one id.
-        self._id_lock = threading.Lock()
         self._tables: "dict[str, UndoInterface]" = {}
         self._commit_listeners: "list[CommitListener]" = []
         self.active: "dict[int, Transaction]" = {}
@@ -120,10 +116,9 @@ class TransactionManager:
         self._commit_listeners.remove(listener)
 
     def begin(self) -> Transaction:
-        with self._id_lock:
-            txn = Transaction(self._next_txn, self)
-            self._next_txn += 1
-            self.active[txn.txn_id] = txn
+        txn = Transaction(self._next_txn, self)
+        self._next_txn += 1
+        self.active[txn.txn_id] = txn
         self.wal.append(txn.txn_id, LogRecordType.BEGIN)
         return txn
 
@@ -147,8 +142,7 @@ class TransactionManager:
         self.wal.append(txn.txn_id, LogRecordType.COMMIT)
         txn.status = TxnStatus.COMMITTED
         self.locks.release_all(("txn", txn.txn_id))
-        with self._id_lock:
-            del self.active[txn.txn_id]
+        del self.active[txn.txn_id]
         for listener in self._commit_listeners:
             listener(txn)
 
@@ -177,8 +171,7 @@ class TransactionManager:
         self.wal.append(txn.txn_id, LogRecordType.ABORT)
         txn.status = TxnStatus.ABORTED
         self.locks.release_all(("txn", txn.txn_id))
-        with self._id_lock:
-            del self.active[txn.txn_id]
+        del self.active[txn.txn_id]
 
     def autocommit(self) -> "AutoCommit":
         """Context manager: begin on entry, commit on success, abort on error."""

@@ -27,7 +27,6 @@ it must degrade to a full refresh.
 from __future__ import annotations
 
 import enum
-import threading
 from typing import Callable, Iterator, Optional
 
 from repro.errors import LogTruncatedError, WalError
@@ -106,9 +105,6 @@ class WriteAheadLog:
         self._truncated_before = 1  # lowest LSN still retained
         self._bytes = 0
         self.capacity_bytes = capacity_bytes
-        # Appends arrive concurrently when claim-protocol drain workers
-        # commit receiver transactions from a thread pool.
-        self._append_lock = threading.Lock()
 
     @property
     def next_lsn(self) -> int:
@@ -135,19 +131,16 @@ class WriteAheadLog:
         after: Optional[bytes] = None,
     ) -> LogRecord:
         """Append a record; auto-truncates oldest records at capacity."""
-        with self._append_lock:
-            record = LogRecord(
-                self._next_lsn, txn_id, rtype, table, rid, before, after
-            )
-            self._next_lsn += 1
-            self._records.append(record)
-            self._bytes += record.encoded_size()
-            if self.capacity_bytes is not None:
-                while self._bytes > self.capacity_bytes and len(self._records) > 1:
-                    dropped = self._records.pop(0)
-                    self._bytes -= dropped.encoded_size()
-                    self._truncated_before = dropped.lsn + 1
-            return record
+        record = LogRecord(self._next_lsn, txn_id, rtype, table, rid, before, after)
+        self._next_lsn += 1
+        self._records.append(record)
+        self._bytes += record.encoded_size()
+        if self.capacity_bytes is not None:
+            while self._bytes > self.capacity_bytes and len(self._records) > 1:
+                dropped = self._records.pop(0)
+                self._bytes -= dropped.encoded_size()
+                self._truncated_before = dropped.lsn + 1
+        return record
 
     def scan(self, from_lsn: int = 1) -> Iterator[LogRecord]:
         """Yield retained records with ``lsn >= from_lsn`` in order.
@@ -168,16 +161,15 @@ class WriteAheadLog:
 
     def truncate_before(self, lsn: int) -> int:
         """Drop records with LSN below ``lsn``; return how many dropped."""
-        with self._append_lock:
-            if lsn > self._next_lsn:
-                raise WalError(f"cannot truncate past the log head ({lsn})")
-            dropped = 0
-            while self._records and self._records[0].lsn < lsn:
-                record = self._records.pop(0)
-                self._bytes -= record.encoded_size()
-                dropped += 1
-            self._truncated_before = max(self._truncated_before, lsn)
-            return dropped
+        if lsn > self._next_lsn:
+            raise WalError(f"cannot truncate past the log head ({lsn})")
+        dropped = 0
+        while self._records and self._records[0].lsn < lsn:
+            record = self._records.pop(0)
+            self._bytes -= record.encoded_size()
+            dropped += 1
+        self._truncated_before = max(self._truncated_before, lsn)
+        return dropped
 
     def committed_txns(self, from_lsn: int = 1) -> "set[int]":
         """Transaction ids with a COMMIT record at or after ``from_lsn``."""

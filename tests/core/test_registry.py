@@ -309,17 +309,16 @@ def _dirty(registry, tables, ops=5):
 
 
 class TestDrain:
-    """Manager-level claim-execute-complete loops (serial + thread pool)."""
+    """The manager-level claim → refresh → complete loop."""
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_drain_refreshes_everything_exactly_once(self, workers):
+    def test_drain_refreshes_everything_exactly_once(self):
         db, manager, registry, tables = _fleet_world(workers_bases=3, per_base=2)
         _dirty(registry, tables)
         before = {
             name: manager.snapshot(name).info.refresh_count
             for name in list(registry._records)
         }
-        drain = manager.drain_registry(registry, workers=workers)
+        drain = manager.drain_registry(registry)
         assert drain.refreshed == 6
         assert drain.errors == {}
         assert drain.worker_errors == {}
@@ -330,8 +329,7 @@ class TestDrain:
         assert registry.due() == []
         assert registry.claims() == []
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_worker_death_mid_cohort_reclaimed_exactly_once(self, workers):
+    def test_worker_death_mid_cohort_reclaimed_exactly_once(self):
         """Dead worker → lease expiry → reclaim; one committed refresh,
         nothing transmitted by the dead worker."""
         db, manager, registry, tables = _fleet_world(workers_bases=2, per_base=2)
@@ -351,14 +349,14 @@ class TestDrain:
             for name in dead_names
         }
         # While the lease is live, a drain serves every OTHER base.
-        drain1 = manager.drain_registry(registry, workers=workers)
+        drain1 = manager.drain_registry(registry)
         for name in dead_names:
             assert manager.snapshot(name).as_map() == receivers_before[name]
             assert manager.snapshot(name).info.refresh_count == counts_before[name]
         # Lease expires; the next drain reclaims and refreshes the
         # cohort exactly once.
         db.clock.advance(501)
-        drain2 = manager.drain_registry(registry, workers=workers)
+        drain2 = manager.drain_registry(registry)
         assert drain2.refreshed == len(dead_names)
         for name in dead_names:
             handle = manager.snapshot(name)
@@ -386,7 +384,7 @@ class TestDrain:
 
         manager.refresh_cohort = crashing
         try:
-            drain = manager.drain_registry(registry, workers=1)
+            drain = manager.drain_registry(registry)
         finally:
             manager.refresh_cohort = original
         assert list(drain.worker_errors) == ["worker-0"]
@@ -397,7 +395,7 @@ class TestDrain:
             assert record.refreshes == 0
         assert sorted(r.name for r in registry.due()) == names
         # The next drain heals the fleet.
-        drain2 = manager.drain_registry(registry, workers=1)
+        drain2 = manager.drain_registry(registry)
         assert drain2.refreshed == len(names)
         for name in names:
             handle = manager.snapshot(name)
@@ -437,7 +435,7 @@ class TestDrain:
         assert handle.info.refresh_count == 1  # the initial load only
         # Lease expires; the cohort is reclaimed and refreshed once.
         db.clock.advance(501)
-        drain = manager.drain_registry(registry, workers=1)
+        drain = manager.drain_registry(registry)
         assert drain.refreshed == 1
         assert handle.info.refresh_count == 2
         assert handle.as_map() == _truth(tables[handle.info.base_table])
@@ -445,11 +443,42 @@ class TestDrain:
     def test_max_claims_bounds_drain(self):
         db, manager, registry, tables = _fleet_world(workers_bases=3, per_base=1)
         _dirty(registry, tables)
-        drain = manager.drain_registry(registry, workers=1, max_claims=2)
+        drain = manager.drain_registry(registry, max_claims=2)
         assert drain.claims == 2
         assert len(registry.due()) == 1
 
-    def test_drain_rejects_zero_workers(self):
-        db, manager, registry, tables = _fleet_world(workers_bases=1, per_base=1)
-        with pytest.raises(SnapshotError):
-            manager.drain_registry(registry, workers=0)
+    def test_fenced_completion_is_not_counted(self):
+        """A lease that expires mid-pass (what a second claimer process
+        does to a slow worker) fences the completion: the cohort is not
+        a refresh of this drain until it is claimed and completed again."""
+        db, manager, registry, tables = _fleet_world(workers_bases=1, per_base=3)
+        _dirty(registry, tables)
+        names = sorted(r.name for r in registry.due())
+        passes = []
+        original = manager.refresh_cohort
+
+        def slow_pass(claim, retry=None):
+            passes.append(claim)
+            if len(passes) == 1:
+                db.clock.advance(registry.lease + 1)
+                assert registry.expire_claims() == [claim]
+                assert sorted(r.name for r in registry.due()) == names
+            return original(claim, retry=retry)
+
+        manager.refresh_cohort = slow_pass
+        try:
+            drain = manager.drain_registry(registry)
+        finally:
+            manager.refresh_cohort = original
+        assert registry.stats["completes_fenced"] == 1
+        assert [claim.state for claim in passes] == ["expired", "completed"]
+        assert [sorted(claim.members) for claim in passes] == [names, names]
+        assert drain.claims == 2
+        assert drain.cohorts == 1
+        assert drain.refreshed == len(names)
+        assert drain.errors == {} and drain.worker_errors == {}
+        for name in names:
+            assert registry.record(name).refreshes == 1
+            handle = manager.snapshot(name)
+            assert handle.as_map() == _truth(tables[handle.info.base_table])
+        assert registry.due() == []

@@ -85,6 +85,50 @@ class TestScheduling:
         assert entry.refreshes == 0
 
 
+class TestReentrancy:
+    def test_commit_inside_a_fired_refresh_reenters_the_hook(self, world):
+        """The scheduler fires refreshes from the commit hook; a
+        transaction committed from inside one (here the channel logs
+        each refresh to an audit table at the same site) comes back
+        through the hook into ``registry.observe`` and fires a nested
+        refresh before the outer one has been marked.  Both end up
+        counted exactly once."""
+        from repro.core.messages import RefreshBeginMessage
+
+        db, table, rids, manager, snapshot, scheduler = world
+        audit = db.create_table("audit", [("n", "int")])
+        audited = manager.create_snapshot("a", "audit", method="differential")
+        outer = scheduler.schedule("s", every_ops=1)
+        nested = scheduler.schedule("a", every_ops=1)
+        order = []
+        original_send = snapshot.channel.send
+        original_mark = scheduler.registry.mark_refreshed
+
+        def auditing_send(message):
+            if isinstance(message, RefreshBeginMessage):
+                audit.insert([len(order)])  # commits mid-refresh
+            return original_send(message)
+
+        def recording_mark(name, shipped=0):
+            order.append(name)
+            return original_mark(name, shipped=shipped)
+
+        snapshot.channel.send = auditing_send
+        scheduler.registry.mark_refreshed = recording_mark
+        table.update(rids[0], {"v": 1000})
+        assert order == ["a", "s"]  # the nested refresh finished first
+        assert (outer.refreshes, outer.pending) == (1, 0)
+        assert (nested.refreshes, nested.pending) == (1, 0)
+        assert scheduler.registry.stats["observe_calls"] == 2
+        assert scheduler.registry.due() == []
+        assert snapshot.as_map() == {
+            rid: row.values for rid, row in table.scan(visible=True)
+        }
+        assert audited.as_map() == {
+            rid: row.values for rid, row in audit.scan(visible=True)
+        }
+
+
 class TestFailedRefreshes:
     def test_down_link_skips_not_crashes(self, db):
         # The refresh runs inside the writer's commit hook; a dead link

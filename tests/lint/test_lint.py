@@ -1,14 +1,17 @@
 """replint: each checker fires its exact rule IDs on seeded fixtures."""
 
+import ast
+import json
 import os
 import subprocess
 import sys
 
 from repro.lint import RULES, lint_paths, lint_sources, load_source
-from repro.lint.engine import logical_path
+from repro.lint.engine import SourceFile, logical_path
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+SRC = os.path.join(REPO_ROOT, "src")
 
 
 def fixture(name, logical):
@@ -17,6 +20,18 @@ def fixture(name, logical):
 
 def fired(violations):
     return [(v.rule, v.line) for v in violations]
+
+
+def _cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    return subprocess.run(
+        [sys.executable, "-m", "repro.lint", *args],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
 
 
 class TestMutationDiscipline:
@@ -38,6 +53,10 @@ class TestMutationDiscipline:
 
 
 class TestDeterminism:
+    # The wall-clock rules stop at the deterministic modules; the
+    # one-thread rule (L204) holds in every module under src/repro.
+    THREAD_IMPORTS = [("L204", 26), ("L204", 27), ("L204", 28), ("L204", 29)]
+
     def test_wall_clock_datetime_and_random_fire(self):
         violations = lint_sources([fixture("clock.py", "core/jitter.py")])
         assert fired(violations) == [
@@ -45,15 +64,15 @@ class TestDeterminism:
             ("L201", 10),
             ("L202", 14),
             ("L203", 18),
-        ]
+        ] + self.THREAD_IMPORTS
 
     def test_clock_module_is_exempt(self):
         violations = lint_sources([fixture("clock.py", "txn/clock.py")])
-        assert violations == []
+        assert fired(violations) == self.THREAD_IMPORTS
 
     def test_non_deterministic_dirs_are_exempt(self):
         violations = lint_sources([fixture("clock.py", "workload/gen.py")])
-        assert violations == []
+        assert fired(violations) == self.THREAD_IMPORTS
 
 
 class TestBatchPath:
@@ -85,15 +104,7 @@ class TestBatchPath:
 class TestLockOrder:
     def test_inversion_and_unknown_level(self):
         violations = lint_sources([fixture("locks.py", "txn/rogue.py")])
-        # The inverted pair (row -> table, line 6) against the correct
-        # pair (table -> row, line 15) also forms a global acquisition
-        # cycle, so the whole-program L602 fires at both edges.
-        assert fired(violations) == [
-            ("L401", 6),
-            ("L602", 6),
-            ("L402", 10),
-            ("L602", 15),
-        ]
+        assert fired(violations) == [("L401", 6), ("L402", 10)]
 
     def test_per_site_rules_alone_match_the_old_behavior(self):
         violations = lint_sources(
@@ -136,33 +147,80 @@ class TestEngine:
     def test_every_rule_id_is_documented(self):
         assert set(RULES) == {
             "L101", "L102", "L103",
-            "L201", "L202", "L203",
+            "L201", "L202", "L203", "L204",
             "L305",
             "L401", "L402", "L404",
             "L501", "L502",
-            "L601", "L602", "L603",
         }
 
     def test_clean_tree_has_no_violations(self):
-        assert lint_paths([os.path.join(REPO_ROOT, "src")]) == []
+        assert lint_paths([SRC]) == []
 
     def test_cli_exit_codes(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-        clean = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "src"],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        clean = _cli("src")
         assert clean.returncode == 0, clean.stdout + clean.stderr
-        dirty = subprocess.run(
-            [sys.executable, "-m", "repro.lint", FIXTURES],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        dirty = _cli(FIXTURES)
         assert dirty.returncode == 1
         assert "L501" in dirty.stdout
+
+
+class TestStaleSuppressions:
+    def test_dead_named_and_blanket_suppressions_fire(self):
+        violations = lint_sources([fixture("stale.py", "core/checks.py")])
+        assert fired(violations) == [("L502", 5), ("L502", 14)]
+
+    def test_filtered_runs_do_not_judge_unrun_rules(self):
+        violations = lint_sources(
+            [fixture("stale.py", "core/checks.py")], rules=["L4"]
+        )
+        assert violations == []
+
+    def test_docstring_mention_is_not_a_suppression(self):
+        text = (
+            '"""Mentions # replint: ignore[L501] in prose only."""\n'
+            "def f(flag):\n"
+            "    assert flag\n"
+        )
+        source = SourceFile("doc.py", "core/doc.py", text, ast.parse(text))
+        violations = lint_sources([source])
+        assert fired(violations) == [("L501", 3)]
+
+
+class TestRealTree:
+    def test_src_has_no_stale_suppressions(self):
+        assert [v for v in lint_paths([SRC]) if v.rule == "L502"] == []
+
+
+class TestCli:
+    def test_list_rules(self):
+        result = _cli("--list-rules")
+        assert result.returncode == 0
+        for rule in ("L101", "L204", "L404", "L502"):
+            assert rule in result.stdout
+        assert "L60" not in result.stdout
+
+    def test_list_rules_filtered_json(self):
+        result = _cli("--list-rules", "--rules", "L2", "--json")
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert sorted(payload["rules"]) == ["L201", "L202", "L203", "L204"]
+
+    def test_rules_filter_clean_tree_exit_zero(self):
+        result = _cli("src", "--rules", "L2")
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_rules_filter_dirty_fixture_exit_one(self):
+        result = _cli(
+            os.path.join("tests", "lint", "fixtures", "clock.py"),
+            "--rules",
+            "L204",
+        )
+        assert result.returncode == 1
+        assert "L204" in result.stdout
+        assert "L501" not in result.stdout and "L502" not in result.stdout
+
+    def test_json_output(self):
+        result = _cli("src", "--rules", "L2", "--json")
+        assert result.returncode == 0, result.stdout + result.stderr
+        payload = json.loads(result.stdout)
+        assert payload == {"violations": [], "count": 0}
