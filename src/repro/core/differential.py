@@ -101,7 +101,7 @@ from repro.relation.schema import Schema
 from repro.relation.types import NULL
 from repro.storage.batch import PREV_NULL_PAGE, TS_NULL, PageBatch
 from repro.storage.rid import Rid
-from repro.storage.summary import PageQualInfo, PageSummary
+from repro.storage.summary import PageQualInfo, PageSummary, PageSummaryMap
 from repro.table import PREVADDR, TIMESTAMP, Table
 from repro.txn.clock import WatermarkBracket
 
@@ -276,9 +276,10 @@ class RefreshResult:
         #: Committed writes observed while the scan had the table lock
         #: released at a chunk boundary.
         self.interleaved_writes = 0
-        #: Already-scanned pages re-read and repaired at the end of a
-        #: chunked scan because a writer touched them after their chunk's
-        #: high watermark.
+        #: Already-scanned pages repaired under the final lock hold of a
+        #: chunked scan — fixed up, their net difference published —
+        #: because a writer touched them after their chunk's high
+        #: watermark.
         self.pages_repaired = 0
 
     @property
@@ -755,26 +756,65 @@ class RefreshCursor:
         """``EndOfScan``: covers deletions at the end of the base table."""
         self.transmit(EndOfScanMessage(self.last_qual))
 
-    def repair_page(self, batch: PageBatch) -> None:
-        """Re-transmit a page a writer touched after the scan read it.
+    def page_info(self, page_no: int) -> "Optional[PageQualInfo]":
+        """This pass's record of the page, else the committed one: what
+        the snapshot holds there once the stream so far has applied."""
+        info = self.staged_pages.get(page_no)
+        if info is None and self.cache is not None:
+            info = self.cache.get(page_no)
+        return info
 
-        Sent between :meth:`end_scan` and :meth:`finish`.  The
-        receiver's image of the page is wiped (the open-interval delete
-        excludes both endpoints, so slot 0 gets its own delete) and
-        every *currently* qualifying row is upserted back, so the
-        committed page equals the base restriction at commit time no
-        matter what interleaved.  Only qualifiers are decoded, from the
-        page's batch, which every cursor of the pass shares.  Both
-        staged mirrors are repointed to the repaired truth: later
-        per-column deltas merge against, and the next ``Deletion`` flag
-        is armed from, whatever the repair left at the receiver.
+    def repair_page(
+        self,
+        page_no: int,
+        info: "Optional[PageQualInfo]",
+        changed: "Sequence[int]",
+        batch: PageBatch,
+    ) -> "array[int]":
+        """Publish what writers did to a page after the scan read it.
+
+        Sent between :meth:`end_scan` and :meth:`finish`, hence as point
+        messages: no ``prev_qual``, no ``Deletion`` flag to carry.
+        ``changed`` are the slots written since, emptied ones included.
+        With ``info`` — see :meth:`page_info` — the slots the snapshot
+        holds are known and the page is crossed as :meth:`visit` crosses
+        it: ``batch`` is the partial one of the changed slots, the
+        restriction runs on those records only, the ones that qualify
+        are upserted, ``held - now`` deleted, and a held unchanged
+        qualifier costs nothing.  Without one (no page cache) the
+        paper-rule oracle, as in :meth:`_decide`: ``batch`` is the whole
+        page, the receiver's image of it is wiped (the open-interval
+        delete excludes both endpoints, so slot 0 gets its own delete)
+        and every qualifier upserted back.  Either way the committed
+        page equals the base restriction at commit time and the staged
+        value mirror follows.  Returns the page's qualifying slots as
+        they now stand.
         """
-        page_no = batch.page_no
-        self.transmit(DeleteRangeMessage(Rid(page_no, 0), Rid(page_no + 1, 0)))
-        self.transmit(DeleteMessage(Rid(page_no, 0)))
+        held: "Sequence[int]" = info.qual_slots if info is not None else ()
+        kept = set(held).difference(changed)
+        slots = batch.slots
+        publish = batch.qualifying(self.restriction)
+        now = kept.union(slots[index] for index in publish)
+        if info is None:
+            self.transmit(
+                DeleteRangeMessage(Rid(page_no, 0), Rid(page_no + 1, 0))
+            )
+            self.transmit(DeleteMessage(Rid(page_no, 0)))
+        for slot_no in held:
+            if slot_no not in now:
+                self.transmit(DeleteMessage(Rid(page_no, slot_no)))
         page_values: "dict[Rid, tuple]" = {}
-        for index in batch.qualifying(self.restriction):
-            rid = Rid(page_no, batch.slots[index])
+        if self._staged_values is not None:
+            # A page dict of this pass's own: a skipped page shares the
+            # committed one, which no path may write to.
+            staged = self._staged_values.get(page_no, {})
+            page_values = {
+                rid: values
+                for rid, values in staged.items()
+                if rid.slot_no in kept
+            }
+        for index in publish:
+            rid = Rid(page_no, slots[index])
             projected = self.projection(batch.row(index))
             value_bytes = encoded_size(self.value_schema, projected)
             self.transmit(UpsertMessage(rid, projected.values, value_bytes))
@@ -784,14 +824,7 @@ class RefreshCursor:
                 self._staged_values[page_no] = page_values
             else:
                 self._staged_values.pop(page_no, None)
-        info = self.staged_pages.get(page_no) or (self.cache or {}).get(page_no)
-        if info is not None:
-            # What was just published is what the snapshot holds; the
-            # layout stands (the writer's marks route the next scan).
-            quals = array("H", [rid.slot_no for rid in page_values])
-            self.staged_pages[page_no] = PageQualInfo(
-                info.page_version, info.first_prev, quals, info.last_live
-            )
+        return array("H", sorted(now))
 
     def finish(self, new_time: int) -> None:
         """The new ``SnapTime``, sent last; stages the value mirror."""
@@ -934,7 +967,7 @@ class _ScanPass:
                 for cursor, info in forwarding:
                     cursor.fast_forward(page_no, info)
                 stats.pages_skipped += 1
-                self._advance(info)
+                self._advance(info.last_live)
                 continue
 
             stats.pages_scanned += 1
@@ -1017,18 +1050,9 @@ class _ScanPass:
         if changed:
             delta, _ = heap.page_batch(page_no, self.schema, only=changed)
             stats.rows_decoded += delta.count  # read, whatever comes of it
-            if (
-                delta.count != len(changed)
-                or PREV_NULL_PAGE in delta.prev_pages
-                or delta.ts.count(TS_NULL) != delta.count
-                or delta.first_prev != self.expect_prev
-            ):
+            if not self._only_updates(delta, changed):
                 return False
-            for slot_no in changed:
-                self.table.set_annotations(
-                    Rid(page_no, slot_no), ts=self.fixup_time
-                )
-            stats.fixup_writes += delta.count
+            self._stamp(page_no, changed)
             stats.scanned += delta.count
         forced: "dict[int, Row]" = {}
 
@@ -1073,14 +1097,34 @@ class _ScanPass:
                     delta,
                     [c for c, _ in forwarding if not c.failed],
                 )
-        self._advance(forwarding[0][1])
+        self._advance(forwarding[0][1].last_live)
         return True
 
-    def _advance(self, info: PageQualInfo) -> None:
+    def _only_updates(self, delta: PageBatch, changed: "Sequence[int]") -> bool:
+        """Whether all Figure 7 has to do on a page is stamp ``delta``,
+        the partial batch of its ``changed`` slots: each still there and
+        a plain update (``PrevAddr`` set, ``TimeStamp`` NULL), no insert
+        pending before the page and its first ``PrevAddr`` the
+        boundary's.  An insert, a delete or another pass's stamp among
+        them fails it."""
+        return (
+            delta.count == len(changed)
+            and PREV_NULL_PAGE not in delta.prev_pages
+            and delta.ts.count(TS_NULL) == delta.count
+            and self.last_addr == self.expect_prev == delta.first_prev
+        )
+
+    def _stamp(self, page_no: int, slots: "Sequence[int]") -> None:
+        """The ts-only write of :meth:`_fix_up`, for plain updates."""
+        for slot_no in slots:
+            self.table.set_annotations(Rid(page_no, slot_no), ts=self.fixup_time)
+        self.stats.fixup_writes += len(slots)
+
+    def _advance(self, last_live: Optional[Rid]) -> None:
         """Cross a page nobody scanned: it needs no (further) fix-up, so
         the shared fix-up state moves exactly as a scan would leave it."""
-        if info.last_live is not None:
-            self.last_addr = self.expect_prev = info.last_live
+        if last_live is not None:
+            self.last_addr = self.expect_prev = last_live
 
     def _serve_batch(
         self, page_no: int, scanning: "Sequence[RefreshCursor]"
@@ -1312,6 +1356,165 @@ class _ScanPass:
         self.last_addr = last_addr
         return page_first_prev, page_last_live
 
+    def repair_pages(
+        self,
+        cursors: "Sequence[RefreshCursor]",
+        dirty: "dict[int, list[int]]",
+    ) -> None:
+        """Under the final lock hold: bring the pages writers touched
+        after their chunk — ``dirty``, page → slots written since — to
+        the state a scan at this moment leaves, in the base table and
+        in every live cursor's stream.
+
+        Per page, ascending.  *Figure 7 first*, before any cursor is
+        served: the boundary state is that of the last live entry
+        before the page (every earlier page is chained by now) or, when
+        no live entry separates it from the previous dirty page, what
+        that page's fix-up left; a page that took only plain updates is
+        stamped from the partial batch of its changed slots
+        (:meth:`_fast_forward`'s test), any other is extracted whole
+        and handed to :meth:`_fix_up`; either way the walk goes one
+        entry further, to the page's successor (:meth:`_close_chain`).
+        *Then each cursor publishes* the page's
+        net difference (:meth:`RefreshCursor.repair_page`) and
+        re-records it in full, so the next refresh skips it.  A table
+        scanned without fix-up takes that second step only.
+        """
+        heap = self.heap
+        stats = self.stats
+        summaries = heap.summaries
+        if summaries is None:  # annotations attach them; batches need them
+            raise RefreshMethodError("page repair needs the heap's summaries")
+        # As in scan_pages: page records are kept, so can be believed,
+        # only by a pass that runs with summaries.
+        keeping = [
+            cursor
+            for cursor in cursors
+            if self.summaries is not None and cursor.cache is not None
+        ]
+        carried = False
+        for page_no in sorted(dirty):
+            changed = dirty[page_no]
+            summary = summaries.get_or_create(page_no)
+            delta, _ = heap.page_batch(page_no, self.schema, only=changed)
+            stats.rows_decoded += delta.count
+            first_prev = delta.first_prev
+            whole: "Optional[PageBatch]" = None
+            if self.fixup:
+                if not carried:
+                    self._advance(self._live_before(summaries, page_no))
+                if self._only_updates(delta, changed):
+                    self._stamp(page_no, changed)
+                    self._advance(summary.last_live_rid)
+                else:
+                    whole = self._extract(page_no)
+                    if whole.count:
+                        *_, first_prev = self._fix_up(whole)
+                carried = self._close_chain(summaries, page_no, dirty, keeping)
+            for cursor in cursors:
+                if cursor.failed:
+                    continue
+                info = cursor.page_info(page_no) if cursor in keeping else None
+                batch = delta
+                if info is None:
+                    if whole is None:
+                        whole = self._extract(page_no)
+                    batch = whole
+                decodes_before = batch.materializations
+                try:
+                    quals = cursor.repair_page(page_no, info, changed, batch)
+                except ChannelError as error:
+                    cursor.fail(error)
+                    continue
+                finally:
+                    stats.rows_materialized += (
+                        batch.materializations - decodes_before
+                    )
+                if cursor in keeping:
+                    # The page as the repair left it, bytes and stream.
+                    cursor.staged_pages[page_no] = PageQualInfo(
+                        summary.page_version,
+                        first_prev,
+                        quals,
+                        summary.last_live_rid,
+                    )
+            if sanitize.enabled():
+                sanitize.check_changed_slot_visit(
+                    self.table,
+                    page_no,
+                    delta,
+                    [cursor for cursor in keeping if not cursor.failed],
+                    "an online repair",
+                    self.fixup,
+                )
+
+    def _extract(self, page_no: int) -> PageBatch:
+        """The whole page's batch, charged as read unless the pool had it."""
+        batch, reused = self.heap.page_batch(page_no, self.schema)
+        if not reused:
+            self.stats.rows_decoded += batch.count
+        return batch
+
+    @staticmethod
+    def _live_before(summaries: PageSummaryMap, page_no: int) -> Rid:
+        """The last live address below ``page_no``, off the heap's page
+        summaries: O(1) but for empty pages in between."""
+        for earlier in range(page_no - 1, -1, -1):
+            summary = summaries.get(earlier)
+            last = summary.last_live_rid if summary is not None else None
+            if last is not None:
+                return last
+        return Rid.BEGIN
+
+    def _close_chain(
+        self,
+        summaries: PageSummaryMap,
+        page_no: int,
+        dirty: "dict[int, list[int]]",
+        keeping: "Sequence[RefreshCursor]",
+    ) -> bool:
+        """Take Figure 7 one entry past a repaired page.
+
+        An insert or a delete at the tail of a page is recorded on its
+        *successor* — the next live entry, wherever it is — so the
+        repair is not closed until that entry has been through
+        :meth:`_fix_up` with the state the page left.  That holds for a
+        page that only took updates too: a chunk that set out from a
+        boundary state a window had made stale wrote it into exactly
+        this entry, and a sibling's fix-up in between can make the
+        cause read as a plain update.  On a dirty page the entry will
+        go through: returns True, and that page's fix-up starts from
+        the carried state.  On a clean page just that record is read
+        and fixed, and if that wrote, the record each cursor in
+        ``keeping`` has of the page moves to the new version and first
+        ``PrevAddr`` (the page still skips at the next refresh).
+        """
+        for later in range(page_no + 1, self.heap.page_count):
+            summary = summaries.get(later)
+            if summary is not None and summary.first_live_slot is not None:
+                break
+        else:
+            return False
+        if later in dirty:
+            return True
+        version = summary.page_version
+        successor, _ = self.heap.page_batch(
+            later, self.schema, only=[summary.first_live_slot]
+        )
+        self.stats.rows_decoded += successor.count
+        *_, first_prev = self._fix_up(successor)
+        if summary.page_version != version:
+            for cursor in keeping:
+                info = cursor.page_info(later)
+                if info is not None and info.page_version == version:
+                    cursor.staged_pages[later] = PageQualInfo(
+                        summary.page_version,
+                        first_prev,
+                        info.qual_slots,
+                        info.last_live,
+                    )
+        return False
+
     def seal(
         self, cursors: "Sequence[RefreshCursor]", completed: bool
     ) -> RefreshResult:
@@ -1331,14 +1534,7 @@ class _ScanPass:
         stats.buffer_hits = pool_stats.hits - self._hits_before
         stats.buffer_misses = pool_stats.misses - self._misses_before
         if completed and sanitize.enabled():
-            if stats.interleaved_writes:
-                # Writes that committed inside a chunk boundary
-                # legitimately leave NULL annotations (a torn chain)
-                # until the next fix-up pass; summary dominance must
-                # still hold.
-                sanitize.check_page_summaries(self.table)
-            else:
-                sanitize.check_after_refresh_scan(self.table, self.fixup)
+            sanitize.check_after_refresh_scan(self.table, self.fixup)
         for cursor in cursors:
             result = cursor.result
             for field in CURSOR_TOTAL_FIELDS:
@@ -1430,39 +1626,53 @@ def run_refresh_scan(
     :class:`~repro.txn.clock.WatermarkBracket` over the heap
     write-observer's sequence number) and the lock is released between
     chunks so committed writers proceed while the refresh is in flight.
-    Every write is recorded against its page with the sequence number
-    it happened at; after a chunk completes, its pages' *scanned*
+    Every write is recorded against its page and slot with the sequence
+    number it happened at; after a chunk completes, its pages' *scanned*
     watermark is recorded (after the chunk, so the scan's own fix-up
-    writes never count as interleave).  A page whose last write
-    sequence exceeds its scanned watermark was modified **after** the
-    scan read it; under the final lock hold each of those pages is
-    extracted once and merged into every stream by
-    :meth:`RefreshCursor.repair_page` (between the cursor's
-    ``EndOfScan`` and its new ``SnapTime``), so the committed
-    receiver state is identical to what a quiescent scan of the final
-    base table would have produced.  With no interleaved writes the
-    emitted stream is byte-for-byte the one-chunk scan's.  The caller
-    sends ``RefreshCommit`` under the hold it gets back, so no write
-    can slip between the repair and the commit.  Writes observed while
-    the lock was released are counted in
-    ``RefreshResult.interleaved_writes``; repaired pages in
-    ``pages_repaired``; chunks in ``chunks_scanned``.
+    writes never count as interleave).  A slot whose last write
+    sequence exceeds its page's scanned watermark was modified **after**
+    the scan read it.  Under the final lock hold, between each cursor's
+    ``EndOfScan`` and its new ``SnapTime``, :meth:`_ScanPass.repair_pages`
+    crosses those pages the way a changed-slot visit would, told which
+    slots changed by the write observer instead of by the page summary:
+    Figure 7 first (stamp the plain updates, else fix the whole page up;
+    then take the fix-up one entry further, to the page's successor), so
+    the annotations satisfy Figure 7's postcondition after *every*
+    completed pass, live outputs or not; then each cursor publishes the
+    page's net difference against the addresses it knows the snapshot
+    to hold — a point upsert per changed record that qualifies, a point
+    delete per held slot that no longer does, nothing for the rest
+    (:meth:`RefreshCursor.repair_page`; a cursor without a page cache
+    wipes the page and resends its qualifiers, the paper-rule oracle) —
+    and re-records the page, which the next refresh therefore skips.
+    The committed receiver state is identical to what a quiescent scan
+    of the final base table would have produced, and with no
+    interleaved writes the emitted stream is byte-for-byte the
+    one-chunk scan's.
+
+    *Pass time.*  A stamp is written at the time of the lock hold it is
+    written under: on re-acquiring after a window in which anything was
+    written the pass takes a fresh ``FixupTime``, so that a sibling
+    snapshot refreshed inside a window (at a ``SnapTime`` later than
+    the pass began) still sees as new whatever the pass stamps
+    afterwards.  The new ``SnapTime`` is the last hold's time; a window
+    without a write does not move it.  The caller sends
+    ``RefreshCommit`` under the hold it gets back, so no write can slip
+    between the repair and the commit.  Writes observed while the lock
+    was released are counted in ``RefreshResult.interleaved_writes``;
+    repaired pages in ``pages_repaired``; chunks in ``chunks_scanned``.
     """
     heap = table.heap
     # The write watermark: one monotone sequence number per physical
-    # record write, with the latest sequence seen per heap page.
+    # record write, with the latest sequence seen per page and slot.
     seq = 0
-    interleaved = 0
-    in_window = False
-    last_write_seq: "dict[int, int]" = {}
+    last_write_seq: "dict[int, dict[int, int]]" = {}
     scanned_seq: "dict[int, int]" = {}
 
     def watch(kind: str, rid: Rid) -> None:
-        nonlocal seq, interleaved
+        nonlocal seq
         seq += 1
-        last_write_seq[rid.page_no] = seq
-        if in_window:
-            interleaved += 1
+        last_write_seq.setdefault(rid.page_no, {})[rid.slot_no] = seq
 
     unsubscribe: "Optional[Callable[[], None]]" = None
     if plan is not None:
@@ -1485,14 +1695,19 @@ def run_refresh_scan(
                     # A chunk boundary: writers get the lock.
                     if release is not None:
                         release()
-                    in_window = True
+                    low = seq
                     try:
                         if plan.on_chunk_boundary is not None:
                             plan.on_chunk_boundary(stats.chunks_scanned)
                     finally:
-                        in_window = False
                         if acquire is not None:
                             acquire()
+                    if seq > low:
+                        # Pass time: a stamp carries the time of the
+                        # lock hold it is written under, later than any
+                        # SnapTime a sibling took inside the window.
+                        stats.interleaved_writes += seq - low
+                        scan.fixup_time = table.db.clock.tick()
                 stop = min(next_page + plan.chunk_pages, heap.page_count)
             bracket = WatermarkBracket(stats.chunks_scanned, seq)
             reached = scan.scan_pages(cursors, next_page, stop)
@@ -1505,16 +1720,16 @@ def run_refresh_scan(
                     scanned_seq[page_no] = bracket.high
                 stats.chunks_scanned += 1
             next_page = reached
-        stats.interleaved_writes = interleaved
 
-        # The interleave buffer: pages written after their chunk's high
-        # watermark (deletes included — an empty dirty page still wipes
-        # its stale receiver image).
-        dirty = sorted(
-            page_no
-            for page_no, written in last_write_seq.items()
-            if written > scanned_seq.get(page_no, 0)
-        )
+        # The interleave buffer: per page, the slots written after its
+        # chunk's high watermark (deletes included — an emptied slot
+        # still leaves the receiver's image of it stale).
+        dirty: "dict[int, list[int]]" = {}
+        for page_no, slots in last_write_seq.items():
+            scanned = scanned_seq.get(page_no, 0)
+            changed = [s for s, written in slots.items() if written > scanned]
+            if changed:
+                dirty[page_no] = sorted(changed)
         stats.pages_repaired = len(dirty)
 
         def each_live(step: "Callable[[RefreshCursor], None]") -> None:
@@ -1526,18 +1741,14 @@ def run_refresh_scan(
                 except ChannelError as error:
                     cursor.fail(error)
 
+        # Short of the heap's end every output has failed; having reached
+        # it the pass owes the table its fix-up, live outputs or not.
+        completed = next_page >= heap.page_count
         each_live(RefreshCursor.end_scan)
-        for page_no in dirty:
-            # One extraction per dirty page, shared by every cursor and
-            # dropped before the next page is read.
-            batch, reused = heap.page_batch(page_no, table.schema)
-            if not reused:
-                stats.rows_decoded += batch.count
-            decodes_before = batch.materializations
-            each_live(lambda cursor: cursor.repair_page(batch))
-            stats.rows_materialized += batch.materializations - decodes_before
+        if dirty and completed:
+            scan.repair_pages(cursors, dirty)
         each_live(lambda cursor: cursor.finish(scan.fixup_time))
-        return scan.seal(cursors, next_page >= heap.page_count)
+        return scan.seal(cursors, completed)
     finally:
         if unsubscribe is not None:
             unsubscribe()

@@ -36,6 +36,7 @@ from repro.core.differential import (
     adopt_holdings,
     run_refresh_scan,
 )
+from repro.core.fixup import base_fixup
 from repro.core.full import FullRefresher
 from repro.core.ideal import IdealRefresher
 from repro.core.logbased import LogRefresher
@@ -759,8 +760,13 @@ class SnapshotManager:
             def ship(message: Any) -> None:
                 handle.channel.send(message)
 
+            table = self.db.table(info.base_table)
+            if table.annotation_mode == "lazy":
+                # A resync chains what it publishes: a row shipped with
+                # a NULL PrevAddr could leave again unseen by Figure 7.
+                base_fixup(table)
             session = AntiEntropySession(
-                self.db.table(info.base_table),
+                table,
                 handle.restriction,
                 handle.projection,
                 info.snapshot_table,
@@ -782,12 +788,13 @@ class SnapshotManager:
                     handle.value_cache.pages = pages
                     handle.value_cache.staged = None
                 if getattr(handle.refresher, "use_page_summaries", False):
-                    heap = self.db.table(info.base_table).heap
-                    adopt_holdings(handle.page_cache, pages, heap.page_count)
+                    adopt_holdings(
+                        handle.page_cache, pages, table.heap.page_count
+                    )
             if sanitize.enabled():
                 self._check_mirrors(handle)
                 sanitize.check_anti_entropy(
-                    self.db.table(info.base_table),
+                    table,
                     handle.restriction,
                     handle.projection,
                     info.snapshot_table,

@@ -15,7 +15,8 @@ paper's algorithm depends on:
   annotation, so a summary can never justify skipping a changed page;
 - **changed-slot visits** — a page the scan fast-forwarded reading only
   the slots its summary named is, read whole, exactly what the scan
-  recorded of it (summary completeness);
+  recorded of it (summary completeness); likewise a page an online
+  pass repaired reading only the slots its write observer named;
 - **epoch isolation** — between ``RefreshBegin`` and the matching
   commit, nothing staged may reach the visible snapshot contents;
 - **value-cache mirroring** — after a committed refresh, and after an
@@ -178,7 +179,12 @@ def check_after_refresh_scan(table: Any, fixup_ran: bool) -> None:
 
 
 def check_changed_slot_visit(
-    table: Any, page_no: int, delta: Any, cursors: "Sequence[Any]"
+    table: Any,
+    page_no: int,
+    delta: Any,
+    cursors: "Sequence[Any]",
+    what: str = "a changed-slot visit",
+    fixup_ran: bool = True,
 ) -> None:
     """After a changed-slot visit: the page is as a full scan leaves it.
 
@@ -189,6 +195,12 @@ def check_changed_slot_visit(
     qualifying slots each visiting cursor just recorded.  Nor may
     ``delta``, the partial batch the visit read, sit in the pool's
     batch cache, where a scan could take it for the page.
+
+    The online repair (``what``) is held to the same: it trusted the
+    write observer's slots as the visit trusts the summary's, and what
+    each cursor re-recorded must be a full evaluation of the repaired
+    page.  Without fix-up (``fixup_ran`` False) the annotations are the
+    writers' to keep and only the records are checked.
     """
     from repro.storage.batch import extract_page_batch
 
@@ -200,8 +212,8 @@ def check_changed_slot_visit(
             batch = extract_page_batch(page_no, frame, table.schema, 0)
         finally:
             heap.pool.unpin(physical)
-    where = f"table {table.name!r} page {page_no}: a changed-slot visit"
-    if batch.has_nulls or not batch.chain_ok:
+    where = f"table {table.name!r} page {page_no}: {what}"
+    if fixup_ran and (batch.has_nulls or not batch.chain_ok):
         raise SanitizerError(
             f"{where} left NULL annotations or a broken PrevAddr chain"
         )

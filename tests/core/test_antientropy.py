@@ -17,7 +17,7 @@ from repro.core.messages import DeleteMessage
 from repro.database import Database
 from repro.errors import SnapshotError
 
-from tests.core.test_online_refresh import PAPER_RULE, configs
+from tests.core.test_online_refresh import configs
 
 
 def build(n_rows=2000, manager_kwargs=None, **snapshot_kwargs):
@@ -172,7 +172,7 @@ class TestResync:
 class TestResyncPublishes:
     """A repairing resync tells the page cache what it left behind."""
 
-    @pytest.mark.parametrize("config", configs(PAPER_RULE))
+    @pytest.mark.parametrize("config", configs())
     def test_resynced_insert_deleted_before_the_next_refresh(self, config):
         db, table, manager, snap = build(manager_kwargs=config)
         rids = list(table.heap.scan_rids())

@@ -9,9 +9,16 @@ byte-for-byte the monolithic scan's.
 
 import pytest
 
+from repro import sanitize
 from repro.core.manager import SnapshotManager
+from repro.core.messages import (
+    DeleteMessage,
+    EndOfScanMessage,
+    SnapTimeMessage,
+    UpsertMessage,
+)
 from repro.database import Database
-from repro.errors import RefreshMethodError, SnapshotError
+from repro.errors import ChannelError, RefreshMethodError, SnapshotError
 
 
 def build(n_rows=2000, **manager_kwargs):
@@ -62,20 +69,14 @@ class TestQuiescent:
             rids = list(table.heap.scan_rids())
             table.update(rids[5], {"salary": 1})
             table.delete(rids[50])
-            captured = []
-            original = snap.table.apply
-
-            def apply(message, _captured=captured, _original=original):
-                _captured.append(message)
-                _original(message)
-
-            snap.table.apply = apply
+            captured = capture(snap)
             if mode == "chunked":
                 manager.refresh_online("low", chunk_pages=1)
             else:
                 manager.refresh("low")
             streams[mode] = captured
         chunked, monolithic = streams["chunked"], streams["monolithic"]
+        assert len(chunked) > 4  # Begin, an entry or two, EndOfScan, ...
         assert [repr(m) for m in chunked] == [repr(m) for m in monolithic]
         assert sum(m.wire_size() for m in chunked) == sum(
             m.wire_size() for m in monolithic
@@ -202,7 +203,8 @@ class TestRacingWriter:
         assert len(decodes) == len(transmitted) + len(repaired)
 
     def test_followup_refresh_heals_interleaved_annotations(self):
-        """Interleaved inserts leave NULL annotations; the next pass fixes."""
+        """Interleaved inserts are chained and stamped by the pass that
+        publishes them; the next pass finds nothing left to heal."""
         db, table, manager, snap = build()
 
         def writer(chunk):
@@ -210,8 +212,10 @@ class TestRacingWriter:
 
         manager.refresh_online("low", chunk_pages=1, on_chunk_boundary=writer)
         assert contents(snap) == truth(table)
+        sanitize.check_annotation_chain(table)  # no NULL, no torn chain
         table.update(list(table.heap.scan_rids())[1], {"salary": 2})
-        manager.refresh("low")
+        result = manager.refresh("low")
+        assert result.fixup_writes == 1 and result.entries_sent == 1
         assert contents(snap) == truth(table)
 
     def test_inserts_extending_heap_are_scanned(self):
@@ -225,30 +229,14 @@ class TestRacingWriter:
         assert contents(snap) == truth(table)
 
 
-#: Configurations where Figure 3's own arming rule still runs — no page
-#: cache to mirror the snapshot's addresses, or the per-row scan — and a
-#: row published outside the scan (by the online repair here, by a resync
-#: in ``test_antientropy.py``) can therefore not be taken back.
-PAPER_RULE = pytest.mark.xfail(
-    strict=True,
-    reason="a publish outside the scan leaves an un-anchored insert; "
-    "without the address mirror its later delete is undetectable "
-    "(ROADMAP 1: the repair should run Figure 7 on what it publishes)",
-)
-
-
-def configs(*paper_rule_marks):
-    """Manager kwargs: the defaults, and the two paper-rule twins."""
+def configs():
+    """Manager kwargs: the defaults, and the two paper-rule twins — no
+    page cache to mirror the snapshot's addresses, or the per-row scan —
+    where Figure 3's own arming rule runs."""
     return [
         pytest.param({}, id="mirrored"),
-        pytest.param(
-            {"use_page_summaries": False},
-            id="no-summaries",
-            marks=paper_rule_marks,
-        ),
-        pytest.param(
-            {"batch_mode": False}, id="per-row", marks=paper_rule_marks
-        ),
+        pytest.param({"use_page_summaries": False}, id="no-summaries"),
+        pytest.param({"batch_mode": False}, id="per-row"),
     ]
 
 
@@ -262,7 +250,7 @@ class TestRepairPublishes:
     arms its ``Deletion`` flag from that.
     """
 
-    @pytest.mark.parametrize("config", configs(PAPER_RULE))
+    @pytest.mark.parametrize("config", configs())
     def test_repaired_insert_deleted_before_the_next_refresh(self, config):
         db, table, manager, snap = build(**config)
         rids = list(table.heap.scan_rids())
@@ -310,6 +298,287 @@ class TestRepairPublishes:
         assert victim not in contents(snap)
         assert contents(snap) == truth(table)
         assert manager.refresh("low").entries_sent == 0
+
+
+def capture(snap, lose=()):
+    """Record every message the snapshot's channel delivers; the link
+    goes down on one of a type in ``lose`` instead."""
+    captured = []
+    receive = snap.table.receiver()
+
+    def deliver(message):
+        if isinstance(message, lose):
+            raise ChannelError("link down")
+        captured.append(message)
+        receive(message)
+
+    snap.channel.detach()
+    snap.channel.attach(deliver)
+    return captured
+
+
+def repair_section(messages):
+    """The messages an online pass sent between EndOfScan and SnapTime."""
+    kinds = [type(m) for m in messages]
+    start = kinds.index(EndOfScanMessage) + 1
+    return messages[start : kinds.index(SnapTimeMessage, start)]
+
+
+def assert_settled(manager, name="low"):
+    """A plain refresh straight after the pass has nothing to do."""
+    result = manager.refresh(name)
+    assert result.entries_sent == 0 and result.fixup_writes == 0
+    assert result.deletions_detected == 0
+    if manager.use_page_summaries:
+        assert result.pages_scanned == 0
+    return result
+
+
+class TestPassTime:
+    """A pass's ``FixupTime`` is good for one lock hold, not for the pass."""
+
+    @pytest.mark.parametrize("config", configs())
+    def test_sibling_refreshed_in_a_window_sees_a_later_windows_write(
+        self, config
+    ):
+        """``b`` takes its SnapTime inside one of ``a``'s windows; a row
+        written in a later window and stamped by ``a`` must carry a time
+        after it, or ``b`` never sees the write."""
+        db = Database("hq", buffer_capacity=64)
+        table = db.create_table("emp", [("name", "string"), ("salary", "int")])
+        table.bulk_load([[f"e{i}", i % 20] for i in range(600)])
+        manager = SnapshotManager(db, **config)
+        snaps = {
+            name: manager.create_snapshot(
+                name, "emp", where="salary < 10", method="differential"
+            )
+            for name in ("a", "b")
+        }
+        rids = list(table.heap.scan_rids())
+        victim = next(
+            rid
+            for rid in reversed(rids)
+            if table.read(rid)[1] == 5
+        )
+        assert victim.page_no == table.heap.page_count - 1 > 2
+
+        def hook(chunk):
+            if chunk == 1:
+                manager.refresh("b")
+            elif chunk == 2:  # its page is not scanned yet
+                table.update(victim, {"salary": 7})
+
+        online = manager.refresh_online(
+            "a", chunk_pages=1, on_chunk_boundary=hook
+        )
+        assert contents(snaps["a"]) == truth(table)
+        # The stamp is the last hold's time, which is a's new SnapTime
+        # and later than the SnapTime b took in the first window.
+        assert table.annotations(victim)[1] == online.new_snap_time
+        assert online.new_snap_time > snaps["b"].snap_time
+        result = manager.refresh("b")
+        assert result.entries_sent == 1
+        assert contents(snaps["b"])[victim] == (table.read(victim)[0], 7)
+        assert contents(snaps["b"]) == truth(table)
+        assert_settled(manager, "a")
+
+    def test_a_window_without_a_write_does_not_move_the_time(self):
+        db, table, manager, snap = build(n_rows=600)
+        before = db.clock.read()
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=lambda chunk: None
+        )
+        assert result.chunks_scanned > 2
+        # One tick for the epoch, one for the pass: none per window.
+        assert db.clock.read() == before + 2 == result.new_snap_time
+
+
+class TestRepairClosure:
+    """Figure 7 holds after every completed pass (``docs/invariants.md``,
+    "Repair closure"): an insert or a delete at the tail of a page is
+    recorded on its successor, wherever that is."""
+
+    @staticmethod
+    def tail_of(rids, page_no):
+        return max(rid for rid in rids if rid.page_no == page_no)
+
+    @pytest.mark.parametrize("config", configs())
+    def test_tail_insert_followed_by_a_clean_page(self, config):
+        db, table, manager, snap = build(n_rows=600, **config)
+        rids = list(table.heap.scan_rids())
+        tail = self.tail_of(rids, 0)
+        table.delete(tail)
+        manager.refresh("low")
+        late = []
+
+        def writer(chunk):
+            if chunk == 2:  # first-fit: the hole at the tail of page 0
+                late.append(table.insert(["z", 3]))
+
+        sent = capture(snap)
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=writer
+        )
+        assert late == [tail] and result.pages_repaired == 1
+        # The insert is chained to its predecessor and page 1's first
+        # entry to the insert: a repoint, not a deletion.
+        assert result.deletions_detected == 0 and result.fixup_writes == 2
+        sanitize.check_annotation_chain(table)
+        assert table.annotations(rids[rids.index(tail) + 1])[0] == tail
+        assert contents(snap) == truth(table)
+        if manager.use_page_summaries:
+            (upsert,) = repair_section(sent)
+            assert isinstance(upsert, UpsertMessage)
+            assert (upsert.addr, tuple(upsert.values)) == (tail, ("z", 3))
+        assert_settled(manager)
+
+    @pytest.mark.parametrize("config", configs())
+    def test_delete_of_a_pages_last_entry(self, config):
+        db, table, manager, snap = build(n_rows=600, **config)
+        rids = list(table.heap.scan_rids())
+        tail = self.tail_of(rids, 0)
+        table.update(tail, {"salary": 1})
+        manager.refresh("low")
+        assert tail in contents(snap)
+
+        def writer(chunk):
+            if chunk == 2:
+                table.delete(tail)
+
+        sent = capture(snap)
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=writer
+        )
+        assert result.pages_repaired == 1
+        # The anomaly is recorded on page 1's first entry, by this pass.
+        assert result.deletions_detected == 1 and result.fixup_writes == 1
+        sanitize.check_annotation_chain(table)
+        assert contents(snap) == truth(table)
+        if manager.use_page_summaries:
+            assert [repr(m) for m in repair_section(sent)] == [
+                repr(DeleteMessage(tail))
+            ]
+        assert_settled(manager)
+
+    @pytest.mark.parametrize("config", configs())
+    def test_adjacent_dirty_pages_with_a_tail_insert_on_the_first(
+        self, config
+    ):
+        """The second page's fix-up starts from the state the first
+        left (``ExpectPrev`` != ``LastAddr``): recomputed, the insert's
+        successor would read as a deletion."""
+        db, table, manager, snap = build(n_rows=600, **config)
+        rids = list(table.heap.scan_rids())
+        tail = self.tail_of(rids, 0)
+        head = rids[rids.index(tail) + 1]
+        assert head.page_no == 1
+        table.delete(tail)
+        manager.refresh("low")
+
+        def writer(chunk):
+            if chunk == 3:
+                assert table.insert(["z", 3]) == tail
+                table.update(head, {"salary": 2})
+
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=writer
+        )
+        assert result.pages_repaired == 2
+        assert result.deletions_detected == 0 and result.fixup_writes == 2
+        sanitize.check_annotation_chain(table)
+        assert table.annotations(head)[0] == tail
+        assert contents(snap) == truth(table)
+        assert_settled(manager)
+
+    @pytest.mark.parametrize("config", configs())
+    def test_dirty_page_emptied_in_a_window(self, config):
+        db, table, manager, snap = build(n_rows=600, **config)
+        rids = list(table.heap.scan_rids())
+        doomed = [rid for rid in rids if rid.page_no == 1]
+        held = [rid for rid in doomed if rid in contents(snap)]
+        assert held
+
+        def writer(chunk):
+            if chunk == 3:
+                for rid in doomed:
+                    table.delete(rid)
+
+        sent = capture(snap)
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=writer
+        )
+        assert result.pages_repaired == 1
+        assert result.deletions_detected == 1  # on page 2's first entry
+        sanitize.check_annotation_chain(table)
+        assert contents(snap) == truth(table)
+        if manager.use_page_summaries:
+            # Deleted point by point, and re-recorded as holding nothing.
+            assert [repr(m) for m in repair_section(sent)] == [
+                repr(DeleteMessage(rid)) for rid in held
+            ]
+            entry = manager.snapshot("low").page_cache[1]
+            assert not entry.qual_slots and entry.last_live is None
+        assert_settled(manager)
+
+    @pytest.mark.parametrize("config", configs())
+    def test_sibling_fixup_makes_a_tail_insert_read_as_an_update(
+        self, config
+    ):
+        """A sibling refreshed in the window chains the tail insert and
+        repoints its successor; the next chunk, setting out from the
+        boundary state of before the window, points the successor back.
+        Updated again, the insert is a plain update to the repair — which
+        must still go one entry past the page."""
+        db, table, manager, snap = build(n_rows=600, **config)
+        sibling = manager.create_snapshot(
+            "b", "emp", where="salary < 10", method="differential"
+        )
+        rids = list(table.heap.scan_rids())
+        tail = self.tail_of(rids, 0)
+        head = rids[rids.index(tail) + 1]
+        table.delete(tail)
+        manager.refresh("low")
+        manager.refresh("b")
+
+        def writer(chunk):
+            if chunk == 1:
+                assert table.insert(["z", 3]) == tail
+                manager.refresh("b")
+                assert table.annotations(head)[0] == tail
+            elif chunk == 2:
+                table.update(tail, {"salary": 4})
+
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=writer
+        )
+        assert result.pages_repaired == 1
+        sanitize.check_annotation_chain(table)
+        assert table.annotations(head)[0] == tail
+        assert contents(snap) == truth(table)
+        assert_settled(manager)
+        manager.refresh("b")
+        assert contents(sibling) == truth(table)
+
+    def test_output_lost_at_end_of_scan_still_chains_the_table(self):
+        """A pass that reached the heap's end owes the table its fix-up
+        whether or not an output is left to publish to."""
+        db, table, manager, snap = build(n_rows=600)
+        rids = list(table.heap.scan_rids())
+
+        def writer(chunk):
+            if chunk == 2:
+                table.update(rids[0], {"salary": 3})
+                table.delete(self.tail_of(rids, 0))
+
+        capture(snap, lose=EndOfScanMessage)
+        with pytest.raises(ChannelError):
+            manager.refresh_online(
+                "low", chunk_pages=1, on_chunk_boundary=writer
+            )
+        sanitize.check_annotation_chain(table)
+        capture(snap)  # the link is back
+        assert manager.refresh("low").fixup_writes == 0
+        assert contents(snap) == truth(table)
 
 
 class TestValidation:

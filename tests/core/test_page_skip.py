@@ -492,7 +492,7 @@ class TestChangedSlotVisit:
         sanitize.check_value_cache(snap.value_cache, snap.table)
         assert snap.refresh().entries_sent == 0
 
-    def test_interleaved_write_to_a_visited_page_is_repaired_then_visited(self):
+    def test_interleaved_write_to_a_visited_page_is_repaired_then_skipped(self):
         db = Database("hq", buffer_capacity=64)
         table = db.create_table("t", [("v", "int"), ("pad", "string")])
         table.bulk_load([[i, "x" * 900] for i in range(12)])
@@ -519,12 +519,15 @@ class TestChangedSlotVisit:
             "s", chunk_pages=1, on_chunk_boundary=writer
         )
         assert online.interleaved_writes == 1 and online.pages_repaired == 1
-        assert online.fixup_writes == 1
+        # The visit stamped one record, the repair the other — at the
+        # time of the hold each ran under — and published just that row.
+        assert online.fixup_writes == 2 and online.entries_sent == 2
+        assert table.annotations(rids[2])[1] == online.new_snap_time
+        assert table.annotations(rids[1])[1] < online.new_snap_time
         assert snap.as_map() == truth()
-        # The repair resent page 0 but stamped nothing: the interleaved
-        # update is still a NULL slot, which the next refresh visits.
+        # The repair re-recorded page 0 as it left it: nothing is NULL,
+        # nothing is newer than SnapTime, so the next refresh skips it.
         following = manager.refresh("s")
-        assert following.rows_decoded == 1 and following.fixup_writes == 1
-        assert following.pages_fast_forwarded > following.pages_skipped
+        assert following.pages_scanned == 0 and following.rows_decoded == 0
+        assert following.fixup_writes == 0 and following.entries_sent == 0
         assert snap.as_map() == truth()
-        assert manager.refresh("s").entries_sent == 0

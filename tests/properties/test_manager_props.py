@@ -5,8 +5,9 @@ script of writes (insert, update, delete, empty a page) is interleaved
 with every way the :class:`~repro.core.manager.SnapshotManager`
 publishes rows to a snapshot — ``refresh`` (some attempts killed at
 message *k* and retried), ``refresh_online`` with writes landing at
-chunk boundaries (repairs), ``refresh_many`` (a failing member retried
-solo) and ``resync_snapshot`` — over four snapshots of one multi-page
+chunk boundaries (repairs) and now and then another snapshot refreshed
+there, ``refresh_many`` (a failing member retried solo) and
+``resync_snapshot`` — over four snapshots of one multi-page
 table that differ in restriction, transport and options.  After every
 publish the snapshot equals restriction∘projection of the base table,
 and once everything is quiet a further refresh sends no entries.
@@ -24,6 +25,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import sanitize
 from repro.core.manager import SnapshotManager
 from repro.database import Database
 from repro.net.faults import FaultyLink
@@ -134,6 +136,7 @@ class _World:
             self.check([name])
         elif op == "online":
             rng = random.Random(c)
+            sibling = SNAPSHOTS[(a + 1 + b % 3) % len(SNAPSHOTS)][0]
 
             def writer(chunk: int) -> None:
                 for _ in range(2):
@@ -143,11 +146,19 @@ class _World:
                         rng.randrange(100),
                         rng.randrange(10_000),
                     )
+                if rng.random() < 0.3:  # another snapshot's pass, in here
+                    manager.refresh(sibling)
+                    self.check([sibling])
 
             manager.refresh_online(
                 name, chunk_pages=1 + b % 2, on_chunk_boundary=writer
             )
             self.check([name])
+            # Repair closure and pass time: the table is chained, and
+            # what the pass published it does not publish again.
+            sanitize.check_annotation_chain(self.table)
+            again = manager.refresh(name)
+            assert again.entries_sent == 0 and again.fixup_writes == 0
         elif op == "many":
             names = [
                 s[0] for i, s in enumerate(SNAPSHOTS) if (a % 15 + 1) >> i & 1

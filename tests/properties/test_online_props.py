@@ -11,6 +11,12 @@ under a :class:`~repro.core.differential.ScanPlan`:
    ANY chunk boundaries, the committed receiver state equals the
    restriction of the FINAL base table (what a quiescent refresh after
    the last write would produce), across the same configurations.
+   *Nothing is sent twice*: a plain refresh right after the racing one
+   sends no entry and writes no annotation.  *The repair section is
+   minimal*: where the cursor mirrors the snapshot's addresses, every
+   message between ``EndOfScan`` and ``SnapTime`` is a point upsert or
+   delete of an address a writer wrote, in a window, on a page the scan
+   had already passed.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -22,12 +28,23 @@ from repro.core.differential import (
     ScanPlan,
 )
 from repro.core.group import GroupRefresher
+from repro.core.messages import (
+    DeleteMessage,
+    EndOfScanMessage,
+    SnapTimeMessage,
+    UpsertMessage,
+)
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.expr.predicate import Projection, Restriction
 
 PREDICATE = "v < 50"
 GROUP_PREDICATES = ("v < 50", "v >= 20")
+
+#: 512-byte pages hold 17 of the 25-byte ``(v, PrevAddr, TimeStamp)``
+#: records: the 67 starting rows span 4 pages, so a scan in chunks of
+#: 1-3 pages has boundaries for writers to land at.
+PAGE_SIZE = 512
 
 # One mutation: (op, target index, value).
 mutations = st.lists(
@@ -42,7 +59,7 @@ mutations = st.lists(
 
 class _World:
     def __init__(self, name: str, summaries: bool, batch: bool) -> None:
-        self.db = Database(name)
+        self.db = Database(name, page_size=PAGE_SIZE)
         self.table = self.db.create_table(
             "t", [("v", "int")], annotations="lazy"
         )
@@ -59,15 +76,22 @@ class _World:
             Database(name + "-site"), "s", self.projection.schema
         )
         self.live = [self.table.insert([v]) for v in range(0, 200, 3)]
+        assert self.table.heap.page_count >= 4
 
-    def apply_op(self, op) -> None:
+    def apply_op(self, op):
+        """Apply one mutation; returns the address it wrote, if any."""
         kind, index, value = op
+        rid = None
         if kind == "insert":
-            self.live.append(self.table.insert([value]))
+            rid = self.table.insert([value])
+            self.live.append(rid)
         elif kind == "update" and self.live:
-            self.table.update(self.live[index % len(self.live)], {"v": value})
+            rid = self.live[index % len(self.live)]
+            self.table.update(rid, {"v": value})
         elif kind == "delete" and self.live:
-            self.table.delete(self.live.pop(index % len(self.live)))
+            rid = self.live.pop(index % len(self.live))
+            self.table.delete(rid)
+        return rid
 
     def refresh(self, chunked: bool, boundary=None, chunk_pages: int = 1):
         messages: "list[object]" = []
@@ -151,17 +175,46 @@ class TestRacingWriterConvergence:
             for op in prefix[::2]:
                 world.apply_op(op)
             queue = list(interleaved)
+            behind: set = set()  # written on a page the scan had passed
 
-            def writer(chunk, world=world, queue=queue) -> None:
+            def writer(
+                chunk, world=world, queue=queue, behind=behind
+            ) -> None:
                 # A committed writer burst at every chunk boundary.
                 for op in queue[:3]:
-                    world.apply_op(op)
+                    rid = world.apply_op(op)
+                    if rid is not None and rid.page_no < chunk * chunk_pages:
+                        behind.add(rid)
                 del queue[:3]
 
-            world.refresh(True, boundary=writer, chunk_pages=chunk_pages)
-            assert world.receiver.as_map() == world.truth(), (
-                f"diverged (summaries={summaries}, batch={batch})"
+            stream, _ = world.refresh(
+                True, boundary=writer, chunk_pages=chunk_pages
             )
+            config = f"(summaries={summaries}, batch={batch})"
+            assert world.receiver.as_map() == world.truth(), (
+                f"diverged {config}"
+            )
+            # A pass that runs without summaries keeps no page records,
+            # its repair included: later scans would not maintain them.
+            assert summaries or not world.cache, f"recorded {config}"
+            if summaries:
+                kinds = [type(message) for message in stream]
+                repairs = stream[
+                    kinds.index(EndOfScanMessage) + 1 : kinds.index(
+                        SnapTimeMessage
+                    )
+                ]
+                assert all(
+                    isinstance(message, (UpsertMessage, DeleteMessage))
+                    and message.addr in behind
+                    for message in repairs
+                ), f"superfluous repair {config}: {repairs} vs {behind}"
+
+            # Nothing is sent twice: what the pass published it also
+            # chained and stamped, at a time no later than its SnapTime.
+            _, again = world.refresh(False)
+            assert again.entries_sent == 0, f"sent twice {config}"
+            assert again.fixup_writes == 0, f"left unstamped {config}"
 
             # The next (quiescent) refresh must also be exact: the
             # chunked pass may not corrupt annotations or caches.
@@ -179,7 +232,7 @@ class TestGroupChunked:
     )
     @given(prefix=mutations, interleaved=mutations)
     def test_group_pass_converges_every_cursor(self, prefix, interleaved):
-        db = Database("prop-og")
+        db = Database("prop-og", page_size=PAGE_SIZE)
         table = db.create_table("t", [("v", "int")], annotations="lazy")
         projection = Projection(table.schema)
         restrictions = [
@@ -230,3 +283,19 @@ class TestGroupChunked:
                 if restriction(row)
             }
             assert receivers[i].as_map() == want, f"cursor {i} diverged"
+
+        # Nothing is sent twice: a plain pass from the new SnapTimes.
+        again = GroupRefresher(table).refresh_group(
+            [
+                RefreshCursor(
+                    outcome.per_snapshot[str(i)].new_snap_time,
+                    restriction,
+                    projection,
+                    receivers[i].apply,
+                    name=str(i),
+                )
+                for i, restriction in enumerate(restrictions)
+            ]
+        )
+        assert again.pass_result.fixup_writes == 0
+        assert again.pass_result.entries_sent == 0
