@@ -27,55 +27,54 @@ and the restriction's columns — per entry with
 a :class:`~repro.storage.batch.PageBatch` (``batch_mode``); the full row
 is decoded only when the entry is actually transmitted.
 
-*Page skipping* (``use_page_summaries``).  With
-:class:`~repro.storage.summary.PageSummary` maintenance attached to the
-heap, a page whose summary proves nothing changed since ``snap_time`` —
-``max_ts <= snap_time``, no structural change — outside the slots it
-names (``null_slots``) is *fast-forwarded*: skipped unread when it names
-none, else visited for just those slots (``batch_mode``).  Correctness
-requires more than cleanliness, because the receiver (Figure 4) deletes
-everything in ``(prev_qual, addr)`` when an entry arrives: the scan must
-know the page's qualified addresses to carry ``LastQual`` across, and
-in fix-up mode it must know that no ``PrevAddr`` anomaly (a deletion
-detected *at* this page) hides there.  Both come from a per-snapshot
-cache of :class:`~repro.storage.summary.PageQualInfo`; on any doubt the
-scan falls back to scanning that one page.
+*Page skipping* (``use_page_summaries``).  A page whose
+:class:`~repro.storage.summary.PageSummary` proves nothing changed since
+``snap_time`` outside the slots it names (``null_slots``) is
+*fast-forwarded*: skipped unread when it names none, else visited for
+just those slots (``batch_mode``).  The receiver (Figure 4) deletes
+everything in ``(prev_qual, addr)`` when an entry arrives, so the scan
+must know the page's qualified addresses to carry ``LastQual`` across,
+and that no ``PrevAddr`` anomaly hides there: both come from a
+per-snapshot cache of :class:`~repro.storage.summary.PageQualInfo`, and
+on any doubt the scan reads that one page whole.
 
 *Address mirror* (``batch_mode``).  That cache changes only when the
 receiver commits (a pass stages its records, as the value cache does)
 and every path that publishes to the snapshot — scan, visit, online
 repair, resync — writes it, so its ``qual_slots`` are the addresses the
-snapshot holds.  Where a cursor has an entry for the page the
-``Deletion`` flag arms at exactly the held slots that no longer qualify,
-not at every changed non-qualifier that "may have qualified before":
-the same stream less Figure 9's superfluous messages.  Without an entry,
-and on the per-row path, the paper's rule runs (``docs/invariants.md``).
+snapshot holds.  A cursor therefore has two behaviours, whichever way
+the page was read (``docs/invariants.md``).  *With an entry for the
+page* an entry not newer than ``SnapTime`` qualifies iff the entry
+names its slot: the restriction runs on the newer ones only, the
+``Deletion`` flag arms at exactly the held slots that no longer
+qualify, and Figure 3 walks those events — the paper's stream less
+Figure 9's superfluous messages, at a cost proportional to what changed
+for this snapshot.  *Without one*, and on the per-row path, the paper's
+rule runs over every entry: the baseline and the oracle.
 
-Two optimizations the paper invites the reader to discover are available
-as flags (off by default so the baseline matches the paper; the A1
-ablation benchmark measures them):
+Two optimizations the paper invites the reader to discover are flags
+(off by default so the baseline matches the paper; argued in
+``docs/algorithm.md``, measured by the A1 ablation benchmark):
 
 ``optimize_deletes``
-    When a qualified entry must be transmitted *only* because of the
-    ``Deletion`` flag (its own timestamp is old, so the snapshot already
-    holds its current value), send a small
-    :class:`~repro.core.messages.DeleteRangeMessage` instead of
-    retransmitting the entry — same message count, far fewer bytes.
+    A qualified entry transmitted *only* because of the ``Deletion``
+    flag (the snapshot already holds its current value) goes as a small
+    :class:`~repro.core.messages.DeleteRangeMessage` instead — same
+    message count, far fewer bytes.
 
 ``suppress_pure_inserts``
-    During the fix-up, an unqualified entry whose stamp comes from being
-    *newly inserted* (NULL ``PrevAddr``) cannot invalidate any snapshot
-    entry by itself: any deletion it might mask (e.g. address reuse) is
+    An unqualified *newly inserted* entry (NULL ``PrevAddr``) does not
+    arm the flag: any deletion it might mask (e.g. address reuse) is
     independently detected as a ``PrevAddr`` anomaly at the next
-    non-inserted entry.  Skipping the ``Deletion`` flag for pure inserts
-    removes those superfluous retransmissions in insert-heavy workloads.
+    non-inserted entry.  Subsumed where the mirror applies.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from repro import sanitize
 from repro.core.messages import (
@@ -122,13 +121,11 @@ class ValueCache:
     column diff against them merges correctly at the other end.
 
     The cache is **staged per refresh and committed only once the
-    receiver's epoch commit is confirmed** — a torn stream must leave
-    the mirror describing what the receiver actually has, or a later
-    delta would merge against values the receiver never applied.  The
+    receiver's epoch commit is confirmed**, or a later delta would
+    merge against values the receiver never applied: the
     :class:`~repro.core.manager.SnapshotManager` drives
     :meth:`commit`/:meth:`abort` from the epoch outcome; direct
-    refresher use with an internal cache commits optimistically after
-    the synchronous scan.
+    refresher use with an internal cache commits after the scan.
     """
 
     __slots__ = ("pages", "staged")
@@ -184,14 +181,12 @@ class RefreshResult:
 
     For a solo refresh every field describes that one scan.  For a
     refresh served by a shared group pass (``group_cursors > 1``) the
-    per-snapshot fields — ``qualified``, ``entries_sent``,
-    ``messages_sent``, ``bytes_sent``, ``scanned``,
-    ``entries_evaluated``, ``pages_scanned``, ``pages_skipped`` /
-    ``pages_fast_forwarded`` — describe this snapshot's share, while the
-    pass-level scan costs (:data:`PASS_FIELDS`: ``rows_decoded``,
-    ``fixup_writes``, buffer traffic, ...) were paid once for the whole
-    group and read the same on every member's result: take them once
-    per pass, never sum them over the members.
+    per-snapshot fields — traffic, ``scanned``, ``entries_evaluated``,
+    ``pages_scanned``, ``pages_skipped`` / ``pages_fast_forwarded`` —
+    describe this snapshot's share, while the pass-level scan costs
+    (:data:`PASS_FIELDS`) were paid once for the whole group and read
+    the same on every member's result: take them once per pass, never
+    sum them over the members.
     """
 
     __slots__ = (
@@ -232,43 +227,37 @@ class RefreshResult:
         self.deletions_detected = 0
         self.pages_scanned = 0
         self.pages_skipped = 0
-        #: Records this pass read from page bytes: one per entry the
-        #: per-row path probed, every entry of each
-        #: :class:`~repro.storage.batch.PageBatch` it had to extract
-        #: (scan and repair alike), the changed slots of a visited page
-        #: plus any unchanged qualifier a Deletion flag forced out.  A
-        #: batch reused from the pool's cache reads nothing.
+        #: Records this pass read from page bytes: per-row probes, every
+        #: entry of each :class:`~repro.storage.batch.PageBatch` it had
+        #: to extract (scan and repair alike; a reused one reads
+        #: nothing), the changed slots of a visited page plus any
+        #: unchanged qualifier a Deletion flag forced out.
         self.rows_decoded = 0
         self.buffer_hits = 0
         self.buffer_misses = 0
-        #: Set by the manager's retry driver: refresh attempts this
-        #: result took (1 = no retries) and total backoff waited.
+        #: Set by the manager's retry driver: attempts, backoff waited.
         self.attempts = 1
         self.retry_wait = 0.0
-        #: Cursors served by the pass that produced this result (1 for a
-        #: solo refresh; N for every result of an N-snapshot group pass).
+        #: Cursors served by the pass that produced this result.
         self.group_cursors = 1
-        #: Entries whose qualification this snapshot's cursor consumed.
-        #: A group pass decodes each entry at most once and serves it to
-        #: every cursor, so the pass-level ``entries_evaluated /
-        #: rows_decoded`` ratio is the decode-once saving.
+        #: Entries this snapshot's cursor ran its restriction on: those
+        #: newer than its ``SnapTime`` where it crosses a page from a
+        #: committed :class:`PageQualInfo` (visited or read whole),
+        #: every entry of a page it holds no record of, every entry on
+        #: the per-row path.
         self.entries_evaluated = 0
         #: Pages this snapshot's cursor fast-forwarded from its
         #: :class:`~repro.storage.summary.PageQualInfo` cache instead of
-        #: evaluating whole: those it skipped (``pages_skipped``, read
-        #: or not for other cursors) plus those it visited for their
-        #: changed slots (counted in ``pages_scanned``).
+        #: having them read whole: those it skipped (``pages_skipped``)
+        #: plus those it visited (counted in ``pages_scanned``).
         self.pages_fast_forwarded = 0
-        #: Pages served from a columnar batch — whole, or the partial
-        #: one of a visit: every scanned page with ``batch_mode``.
+        #: Pages served from a columnar batch, whole or a visit's partial.
         self.pages_batch_decoded = 0
-        #: Of the batch-served pages, how many reused a cached
-        #: :class:`~repro.storage.batch.PageBatch` (same page version)
-        #: instead of re-extracting under a pin.
+        #: Of the batch-served pages, how many reused the pool's cached
+        #: :class:`~repro.storage.batch.PageBatch` (same page version).
         self.batches_reused = 0
-        #: Full rows decoded from a batch: only entries actually
-        #: transmitted or repaired, each once however many cursors
-        #: sent it.
+        #: Full rows decoded from a batch: only entries transmitted or
+        #: repaired, each once however many cursors sent it.
         self.rows_materialized = 0
         #: Watermark-bracketed chunks a scan under a :class:`ScanPlan`
         #: ran (0 = one uninterrupted lock hold).
@@ -277,9 +266,8 @@ class RefreshResult:
         #: released at a chunk boundary.
         self.interleaved_writes = 0
         #: Already-scanned pages repaired under the final lock hold of a
-        #: chunked scan — fixed up, their net difference published —
-        #: because a writer touched them after their chunk's high
-        #: watermark.
+        #: chunked scan — fixed up, their net difference published — for
+        #: a write after their chunk's high watermark.
         self.pages_repaired = 0
 
     @property
@@ -303,9 +291,6 @@ class RefreshResult:
 #: :func:`run_refresh_scan` copies them from the pass result onto every
 #: cursor's own result, so a per-snapshot result reports the work of the
 #: pass that served it whether it rode alone or in a group.
-#: ``rows_decoded`` counts field extraction (per-row probes, or whole
-#: batches the pass had to extract), ``rows_materialized`` full rows
-#: built from a batch; both are zero for work a cached batch saved.
 PASS_FIELDS = (
     "rows_decoded",
     "fixup_writes",
@@ -321,7 +306,7 @@ PASS_FIELDS = (
     "pages_repaired",
 )
 
-#: Per-cursor counters the pass result reports as totals over its cursors.
+#: Per-cursor counters the pass result totals over its cursors.
 CURSOR_TOTAL_FIELDS = (
     "qualified",
     "entries_sent",
@@ -333,11 +318,8 @@ CURSOR_TOTAL_FIELDS = (
 
 
 class _LazyEntry:
-    """One scanned heap entry, fully decoded at most once.
-
-    A group pass may transmit the same entry for several cursors; the
-    full-row decode is shared so fan-out never re-decodes.
-    """
+    """One scanned heap entry, fully decoded at most once however many
+    cursors of a group pass transmit it."""
 
     __slots__ = ("_schema", "body", "_row")
 
@@ -352,6 +334,11 @@ class _LazyEntry:
         return self._row
 
 
+def _unread(slot_no: int) -> Row:
+    """``row_at`` of a page crossed unread: it has no event to send."""
+    raise RefreshMethodError(f"a skipped page was to transmit slot {slot_no}")
+
+
 class RefreshCursor:
     """Per-snapshot refresh state riding an address-order scan.
 
@@ -360,11 +347,12 @@ class RefreshCursor:
     ``Deletion`` flag, the compiled restriction/projection, the output
     channel — plus the per-snapshot :class:`PageQualInfo` cache that
     lets it fast-forward over pages proven unchanged since *its*
-    ``SnapTime`` and, mirroring what the snapshot holds, arm the flag
-    (:meth:`_decide`).  The scan itself (fix-up, partial decode) is
-    shared: :func:`run_refresh_scan` drives any number of cursors over
-    one pass and each cursor's output stream is byte-identical to a solo
-    :class:`DifferentialRefresher` run from the same ``SnapTime`` and cache.
+    ``SnapTime`` and, mirroring what the snapshot holds, pay on any
+    page only for what changed (:meth:`cross`).  The scan itself
+    (fix-up, partial decode) is shared: :func:`run_refresh_scan` drives
+    any number of cursors over one pass and each cursor's stream is
+    byte-identical to a solo :class:`DifferentialRefresher` run from
+    the same ``SnapTime`` and cache.
     """
 
     __slots__ = (
@@ -383,7 +371,7 @@ class RefreshCursor:
         "result",
         "failed",
         "error",
-        "_page_quals",
+        "page_quals",
         "_staged_values",
         "staged_pages",
     )
@@ -406,8 +394,7 @@ class RefreshCursor:
         self.send = send
         #: Per-snapshot page-qualification cache as of the last
         #: *committed* refresh, so ``qual_slots`` are the addresses the
-        #: snapshot holds; ``None`` disables page skipping (and the
-        #: mirror's arming rule) even when the scan has summaries.
+        #: snapshot holds; ``None``: no skipping, the paper's rule.
         self.cache = cache
         #: This pass's records; :meth:`commit_pages` merges them into
         #: :attr:`cache` once the receiver has the stream.
@@ -429,7 +416,7 @@ class RefreshCursor:
         self.failed = False
         self.error: Optional[BaseException] = None
         #: Qualifying slots of the page being scanned, ascending.
-        self._page_quals: "array[int]" = array("H")
+        self.page_quals: "array[int]" = array("H")
         #: Next refresh's value mirror, built as the scan walks.
         self._staged_values: "Optional[dict[int, dict[Rid, tuple]]]" = (
             {} if value_cache is not None else None
@@ -450,7 +437,7 @@ class RefreshCursor:
 
     def begin_page(self) -> None:
         self.result.pages_scanned += 1
-        self._page_quals = array("H")
+        self.page_quals = array("H")
 
     def record_page(
         self,
@@ -461,7 +448,7 @@ class RefreshCursor:
     ) -> None:
         """Stage this page's qualification layout for future skips."""
         self.staged_pages[page_no] = PageQualInfo(
-            page_version, first_prev, self._page_quals, last_live
+            page_version, first_prev, self.page_quals, last_live
         )
 
     def commit_pages(self) -> None:
@@ -478,16 +465,8 @@ class RefreshCursor:
         """Skip a page nothing on which concerns this cursor, in O(1)."""
         self.result.pages_fast_forwarded += 1
         self.result.pages_skipped += 1
-        if info.qual_slots:
-            self.result.qualified += len(info.qual_slots)
-            self.last_qual = Rid(page_no, info.qual_slots[-1])
-        if self._staged_values is not None:
-            # The page is unchanged since this snapshot's SnapTime, so
-            # the receiver still holds exactly the mirrored values.  The
-            # committed page dict is shared; no path ever writes to one.
-            page_values = self.value_cache.page(page_no)
-            if page_values:
-                self._staged_values[page_no] = page_values
+        self.result.qualified += len(info.qual_slots)
+        self._send_events(page_no, info.qual_slots, (), (), _unread)
 
     def visit(
         self,
@@ -496,39 +475,56 @@ class RefreshCursor:
         delta: "Optional[PageBatch]",
         row_at: "Callable[[int], Row]",
     ) -> "array[int]":
-        """Cross a page from ``info``, looking only at what changed.
+        """Cross a page of which only ``delta`` was read: the partial
+        batch of the slots that changed since ``info`` was recorded,
+        already stamped (``None``: a pending ``Deletion`` flag brought
+        the cursor).  ``row_at`` also reads a qualifier the flag forces."""
+        changed = range(delta.count) if delta is not None else ()
+        self.result.pages_fast_forwarded += 1
+        self.result.pages_scanned += 1
+        self.result.scanned += len(changed)
+        return self.cross(page_no, info, delta, changed, None, row_at)
 
-        ``delta`` is the partial batch of the slots that changed since
-        the info was recorded, already stamped (``None``: none did);
-        every other entry is as the info describes it.  The restriction
-        runs on the changed records only and the Figure-3 decision over
-        changed ∪ qualifying slots, a pending ``Deletion`` flag its
-        initial state; ``row_at(slot_no)`` also reads an unchanged
-        qualifier the flag forces out.  Returns the page's qualifying
-        slots as they now stand.
+    def cross(
+        self,
+        page_no: int,
+        info: PageQualInfo,
+        batch: "Optional[PageBatch]",
+        changed: "Sequence[int]",
+        live: "Optional[frozenset[int]]",
+        row_at: "Callable[[int], Row]",
+    ) -> "array[int]":
+        """Cross a page from ``info``, this cursor's committed entry.
+
+        Its ``qual_slots`` are the addresses the snapshot holds here,
+        and an entry that has not changed for this snapshot qualifies
+        iff it is among them (``docs/invariants.md``): no predicate, no
+        walk.  ``changed`` indexes the entries of ``batch`` that did
+        (effective timestamp newer than ``SnapTime``; every record of a
+        visit's partial batch) and the restriction runs on those alone.
+        ``live`` are the page's live slots when ``batch`` is the whole
+        page — a held slot it lacks was deleted — and ``None`` when every
+        slot the entry names is known to be there still.  What moved goes
+        to :meth:`_send_events`; a skip is the case where nothing did.
+        Returns the page's qualifying slots as they stand.
         """
-        result = self.result
-        result.pages_fast_forwarded += 1
-        result.pages_scanned += 1
         quals = info.qual_slots
-        held = set(quals)
-        now = held
-        changed: "set[int]" = set()
-        if delta is not None:
-            slots = delta.slots
-            result.scanned += delta.count
-            result.entries_evaluated += delta.count
-            changed.update(slots)
-            now = held - changed
-            now.update(
-                slots[index] for index in delta.qualifying(self.restriction)
-            )
+        send: "Collection[int]" = ()
+        gone: "Collection[int]" = ()
+        if changed or not (live is None or live.issuperset(quals)):
+            held = set(quals)
+            now = held if live is None else held & live
+            if batch is not None and changed:
+                slots = batch.slots
+                self.result.entries_evaluated += len(changed)
+                hits = batch.qualifying(self.restriction, changed)
+                send = {slots[index] for index in hits}
+                now = now.difference([slots[index] for index in changed])
+                now.update(send)
+            gone = held - now
             quals = array("H", sorted(now))
-        result.qualified += len(quals)
-        # ``info`` is a committed entry: the mirror's rule.  Values are
-        # staged into a page dict of this pass's own, so an aborted
-        # epoch leaves the committed mirror as the receiver has it.
-        self._decide(page_no, now, changed, row_at, held)
+        self.result.qualified += len(quals)
+        self._send_events(page_no, quals, send, gone, row_at)
         return quals
 
     # -- the Figure-3 transmit decision --------------------------------------
@@ -560,7 +556,7 @@ class RefreshCursor:
             value_changed = orig_ts > self.snap_time
         if self.restriction(sparse):
             result.qualified += 1
-            self._page_quals.append(rid.slot_no)
+            self.page_quals.append(rid.slot_no)
             if value_changed or anomaly or self.deletion:
                 if self.optimize_deletes and not value_changed:
                     # Entry itself unchanged; only the preceding region
@@ -587,74 +583,63 @@ class RefreshCursor:
     def serve_batch(
         self,
         batch: PageBatch,
-        eff_ts: "Sequence[int]",
-        max_ts: int,
+        changed: "Sequence[int]",
         pure_inserts: "Sequence[int]" = (),
         anomalies: "Sequence[int]" = (),
     ) -> None:
         """Apply one page's columnar batch to this cursor.
 
-        Equivalent to calling :meth:`observe` for every live entry in
-        slot order, with the per-entry inputs handed over as columns:
-        ``eff_ts`` is each entry's *effective* timestamp — its own, or
-        :data:`TS_INFINITY` when the entry was found with a NULL
-        annotation (inserted or updated since the last fix-up), so
-        "the value changed for this snapshot" is ``eff_ts[i] >
-        SnapTime`` — and ``max_ts`` its maximum; ``pure_inserts`` and
-        ``anomalies`` are the slots of the entries the fix-up found
-        newly inserted (NULL ``PrevAddr``) or preceded by a detected
-        deletion.  A page the scan did not have to write is the
-        no-flags case (``eff_ts`` is the batch's own timestamp column).
-        Qualification comes from the batch's memoized index and full
-        rows are materialized only for entries actually transmitted.
+        ``changed`` indexes the entries whose value changed for this
+        snapshot: effective timestamp — the entry's own, or
+        :data:`TS_INFINITY` when it was found with a NULL annotation
+        (inserted or updated since the last fix-up) — newer than
+        ``SnapTime``.  With a committed entry for the page the cursor
+        crosses from it (:meth:`cross`).  Without one, the paper's rule:
+        :meth:`observe` for every live entry in slot order, its inputs
+        handed over as columns — ``pure_inserts`` and ``anomalies`` are
+        the slots the fix-up found newly inserted (NULL ``PrevAddr``) or
+        preceded by a detected deletion, qualification comes from the
+        batch's memoized index over the whole page, and full rows are
+        materialized only for entries actually transmitted.
         """
         result = self.result
-        count = batch.count
-        result.scanned += count
-        result.entries_evaluated += count
-        snap_time = self.snap_time
+        result.scanned += batch.count
         page_no = batch.page_no
+        info = self.cache.get(page_no) if self.cache else None
+        if info is not None:
+            self.page_quals = self.cross(
+                page_no, info, batch, changed, batch.live, batch.row_at
+            )
+            return
+        result.entries_evaluated += batch.count
         slots = batch.slots
         quals = array(
             "H", [slots[index] for index in batch.qualifying(self.restriction)]
         )
-        self._page_quals = quals
+        self.page_quals = quals
         result.qualified += len(quals)
-        # The mirror's rule given a committed entry, else the paper's.
-        # ``still``: no address left the snapshot here, as each knows it.
-        info = self.cache.get(page_no) if self.cache else None
         # A pure insert matters only to a cursor that suppresses them.
         suppressed = pure_inserts if self.suppress_pure_inserts else ()
-        if info is not None:
-            still = info.qual_slots == quals
-        else:
-            still = not anomalies and not suppressed
-            if still and not quals:
-                # Unqualified-but-changed entries still arm the Deletion
-                # flag ("may have qualified before") for the next page.
-                if max_ts > snap_time:
-                    self.deletion = True
-                return
-        if still and max_ts <= snap_time and not self.deletion:
+        # ``still``: no address left the snapshot here, for all it knows.
+        still = not anomalies and not suppressed
+        if still and not quals:
+            # Unqualified-but-changed entries still arm the Deletion
+            # flag ("may have qualified before") for the next page.
+            if changed:
+                self.deletion = True
+            return
+        if still and not changed and not self.deletion:
             # Nothing on the page is newer than SnapTime and no deletion
             # is pending: every qualified entry is carried unchanged and
             # the flag cannot arm mid-page.
             if self._staged_values is not None:
                 for slot_no in quals:
                     self._carry_value(Rid(page_no, slot_no))
-            if quals:
-                self.last_qual = Rid(page_no, quals[-1])
+            self.last_qual = Rid(page_no, quals[-1])
             return
-        changed = {
-            slot_no
-            for slot_no, stamp in zip(slots, eff_ts)
-            if stamp > snap_time
-        }
-        held = set(info.qual_slots) if info is not None else None
-        arming = changed.difference(suppressed).union(anomalies)
-        self._decide(
-            page_no, set(quals), changed, batch.row_at, held, arming, anomalies
-        )
+        newer = {slots[index] for index in changed}
+        arming = newer.difference(suppressed).union(anomalies)
+        self._decide(page_no, set(quals), newer, batch.row_at, arming, anomalies)
 
     def _decide(
         self,
@@ -662,26 +647,19 @@ class RefreshCursor:
         now: "set[int]",
         changed: "set[int]",
         row_at: "Callable[[int], Row]",
-        held: "Optional[set[int]]",
-        arming: "Iterable[int]" = (),
-        anomalies: "Sequence[int]" = (),
+        arming: "Iterable[int]",
+        anomalies: "Sequence[int]",
     ) -> None:
-        """Figure 3's transmit decision over one page, keyed by slot.
+        """Figure 3's transmit decision over one page, keyed by slot,
+        for a cursor that holds no record of it: the paper's rule.
 
         Only two kinds of entry can move the cursor: the qualifiers
         (``now``), and entries not among them that arm the ``Deletion``
-        flag.  Under the paper's rule (``held`` is None) those are
-        ``arming``: changed for this snapshot ("may have qualified
-        before") unless a suppressed pure insert, or preceded by a
-        detected deletion (``anomalies``).  With the slots the snapshot
-        ``held`` known they are exactly ``held - now``, and a qualifier
-        new to it (``now - held``) is sent like a changed one.
-        ``row_at`` is called only for entries transmitted.  The one
-        implementation behind :meth:`serve_batch` and :meth:`visit`.
+        flag — ``arming``: changed for this snapshot ("may have
+        qualified before") unless a suppressed pure insert, or preceded
+        by a detected deletion (``anomalies``).  ``row_at`` is called
+        only for entries transmitted.
         """
-        if held is not None:
-            arming, anomalies = held - now, ()
-            changed = changed | (now - held)
         for slot_no in sorted(now.union(arming)):
             if slot_no not in now:
                 self.deletion = True
@@ -706,6 +684,66 @@ class RefreshCursor:
                 self._carry_value(rid)
             self.last_qual = rid
             self.deletion = False
+
+    def _send_events(
+        self,
+        page_no: int,
+        quals: "Sequence[int]",
+        send: "Collection[int]",
+        gone: "Collection[int]",
+        row_at: "Callable[[int], Row]",
+    ) -> None:
+        """Figure 3 over the events of one page, for a cursor that knows
+        what the snapshot held there: the mirror's rule.
+
+        ``quals`` are the page's qualifying slots, ascending; ``send``
+        those whose value changed for this snapshot or that are new to
+        it; ``gone`` the held slots that no longer qualify — exactly
+        where the ``Deletion`` flag arms, instead of at every changed
+        non-qualifier that "may have qualified before".  Only ``send``
+        and the first qualifier after each ``gone`` slot (or after a flag
+        carried in) are transmitted, each with its predecessor in
+        ``quals`` as ``prev_qual``; the receiver keeps every other one
+        and its mirrored values are carried in bulk.  The stream is the
+        paper's with messages omitted, never altered.
+        """
+        forced = [quals[0]] if self.deletion and quals else []
+        for slot_no in gone:
+            after = bisect_right(quals, slot_no)
+            if after < len(quals):
+                forced.append(quals[after])
+        events = sorted({*send, *forced}) if send or forced else ()
+        staged = self._staged_values
+        if staged is not None:
+            page_values = self.value_cache.page(page_no)
+            if page_values and (events or gone):
+                # A page dict of this pass's own (an abort must leave the
+                # committed one be), less the rows that left, for what is sent.
+                kept = set(quals)
+                page_values = {
+                    rid: old for rid, old in page_values.items() if rid.slot_no in kept
+                }
+            if page_values:
+                # Untouched, the committed dict is shared, never written.
+                staged[page_no] = page_values
+        for slot_no in events:
+            before = bisect_left(quals, slot_no)
+            if before:
+                self.last_qual = Rid(page_no, quals[before - 1])
+            rid = Rid(page_no, slot_no)
+            if self.optimize_deletes and slot_no not in send:
+                # Entry itself unchanged: clear the region before it.
+                self.transmit(DeleteRangeMessage(self.last_qual, rid))
+                continue
+            projected = self.projection(row_at(slot_no))
+            self.transmit(self._value_message(rid, projected))
+            if staged is not None:
+                staged.setdefault(page_no, {})[rid] = projected.values
+        if quals:
+            self.last_qual = Rid(page_no, quals[-1])
+            self.deletion = bool(gone) and max(gone) > quals[-1]
+        elif gone:
+            self.deletion = True
 
     def _value_message(self, rid: Rid, projected: Row) -> RefreshMessage:
         """Full entry, or a per-column delta when the mirror allows it.
@@ -776,19 +814,17 @@ class RefreshCursor:
         Sent between :meth:`end_scan` and :meth:`finish`, hence as point
         messages: no ``prev_qual``, no ``Deletion`` flag to carry.
         ``changed`` are the slots written since, emptied ones included.
-        With ``info`` — see :meth:`page_info` — the slots the snapshot
-        holds are known and the page is crossed as :meth:`visit` crosses
-        it: ``batch`` is the partial one of the changed slots, the
-        restriction runs on those records only, the ones that qualify
-        are upserted, ``held - now`` deleted, and a held unchanged
-        qualifier costs nothing.  Without one (no page cache) the
-        paper-rule oracle, as in :meth:`_decide`: ``batch`` is the whole
-        page, the receiver's image of it is wiped (the open-interval
-        delete excludes both endpoints, so slot 0 gets its own delete)
-        and every qualifier upserted back.  Either way the committed
-        page equals the base restriction at commit time and the staged
-        value mirror follows.  Returns the page's qualifying slots as
-        they now stand.
+        With ``info`` — see :meth:`page_info` — the page is crossed as
+        :meth:`cross` crosses it: ``batch`` is the partial one of the
+        changed slots, the restriction runs on those records only, the
+        ones that qualify are upserted, ``held - now`` deleted, and a
+        held unchanged qualifier costs nothing.  Without one (no page
+        cache) the paper-rule oracle: ``batch`` is the whole page, the
+        receiver's image of it is wiped (the open-interval delete
+        excludes both endpoints, so slot 0 gets its own delete) and
+        every qualifier upserted back.  Either way the committed page
+        equals the base restriction at commit time and the staged value
+        mirror follows.  Returns the page's qualifying slots.
         """
         held: "Sequence[int]" = info.qual_slots if info is not None else ()
         kept = set(held).difference(changed)
@@ -847,9 +883,9 @@ class _ScanPass:
     Owns the per-pass scan state — the fix-up's ``ExpectPrev`` /
     ``last_addr``, the probe layout, the pass-level counters, the
     fix-up timestamp — so :func:`run_refresh_scan` can drive the page
-    loop one chunk at a time.  ``scan_pages`` serves a half-open page
-    range and leaves the state positioned for the next range; one call
-    over ``[0, page_count)`` is the paper's uninterrupted scan.
+    loop one chunk at a time: ``scan_pages`` serves a half-open page
+    range and leaves the state positioned for the next; one call over
+    ``[0, page_count)`` is the paper's uninterrupted scan.
     """
 
     __slots__ = (
@@ -895,15 +931,10 @@ class _ScanPass:
         # One decode_fields probe per entry covers the annotations plus
         # the union of every cursor's restriction columns; the full row
         # is decoded only when some cursor actually transmits.
-        restr_positions: "set[int]" = set()
+        wanted = {prev_pos, ts_pos}
         for cursor in cursors:
-            restr_positions.update(
-                schema.position(name)
-                for name in cursor.restriction.expr.columns()
-            )
-        self.probe_positions = tuple(
-            sorted(restr_positions | {prev_pos, ts_pos})
-        )
+            wanted.update(cursor.restriction.positions)
+        self.probe_positions = tuple(sorted(wanted))
         self.probe_prev = self.probe_positions.index(prev_pos)
         self.probe_ts = self.probe_positions.index(ts_pos)
         self.width = len(schema)
@@ -1180,16 +1211,23 @@ class _ScanPass:
             max_ts = max(eff_ts)
 
         decodes_before = batch.materializations
+        # Per SnapTime riding the pass: the entries newer than it.
+        newer: "dict[int, Sequence[int]]" = {}
         for cursor in scanning:
             if cursor.failed:
                 continue
+            since = cursor.snap_time
+            if since not in newer:
+                newer[since] = [
+                    index for index, ts in enumerate(eff_ts) if ts > since
+                ] if max_ts > since else ()
             try:
-                cursor.serve_batch(
-                    batch, eff_ts, max_ts, pure_inserts, anomalies
-                )
+                cursor.serve_batch(batch, newer[since], pure_inserts, anomalies)
             except ChannelError as error:
                 cursor.fail(error)
         stats.rows_materialized += batch.materializations - decodes_before
+        if sanitize.enabled():
+            sanitize.check_whole_page_read(self.table, batch, scanning)
         return first_prev, last
 
     def _fix_up(
@@ -1375,10 +1413,10 @@ class _ScanPass:
         (:meth:`_fast_forward`'s test), any other is extracted whole
         and handed to :meth:`_fix_up`; either way the walk goes one
         entry further, to the page's successor (:meth:`_close_chain`).
-        *Then each cursor publishes* the page's
-        net difference (:meth:`RefreshCursor.repair_page`) and
-        re-records it in full, so the next refresh skips it.  A table
-        scanned without fix-up takes that second step only.
+        *Then each cursor publishes* the page's net difference
+        (:meth:`RefreshCursor.repair_page`) and re-records it in full,
+        so the next refresh skips it.  A table scanned without fix-up
+        takes that second step only.
         """
         heap = self.heap
         stats = self.stats
@@ -1518,15 +1556,12 @@ class _ScanPass:
     def seal(
         self, cursors: "Sequence[RefreshCursor]", completed: bool
     ) -> RefreshResult:
-        """Finalize the pass result, merge it into every cursor's own.
-
+        """Finalize the pass result, merge it into every cursor's own:
+        per-cursor traffic (:data:`CURSOR_TOTAL_FIELDS`) is totalled
+        onto the pass result, the costs paid once per pass
+        (:data:`PASS_FIELDS`) are copied onto each cursor's.
         ``completed`` says the pass reached the heap's end, so the
         sanitizer may hold the whole table to the fix-up postcondition.
-
-        The one fold between the two kinds of counter: per-cursor
-        traffic (:data:`CURSOR_TOTAL_FIELDS`) is totalled onto the pass
-        result, and the costs paid once per pass (:data:`PASS_FIELDS`)
-        are copied onto each cursor's result.
         """
         stats = self.stats
         stats.new_snap_time = self.fixup_time
@@ -1554,10 +1589,9 @@ class ScanPlan:
     chunk boundary the driver calls ``release()``, then
     ``on_chunk_boundary(next_chunk)`` — where writers commit: the scan
     is the one thread of control and this is the point at which it
-    yields — then ``acquire()``.  The caller holds
-    the lock when it calls :func:`run_refresh_scan` and again when the
-    call returns; a caller that manages no lock (a hand-driven
-    refresher in a test) leaves the two hooks unset.
+    yields — then ``acquire()``.  The caller holds the lock when it
+    calls :func:`run_refresh_scan` and again when the call returns; a
+    caller that manages no lock (a test) leaves the two hooks unset.
     """
 
     chunk_pages: int = 4
@@ -1587,31 +1621,22 @@ def run_refresh_scan(
     traffic lands on each cursor's own ``result``, which also receives a
     copy of the pass-level costs.
 
-    **Three outcomes per page** (``use_page_summaries``).  Each cursor
-    either holds a cached layout it may fast-forward from
-    (:meth:`_ScanPass._cached_info`: exactly the solo scan's conditions,
-    the shared fix-up state at the page boundary included) or must scan.
-    If every live cursor can fast-forward, the page is *skipped* —
-    never pinned — when no slot changed and no pending ``Deletion`` flag
-    meets a qualifier, else *visited*: only the changed slots are read
-    and stamped (:meth:`_ScanPass._fast_forward`).  Otherwise the page
-    is *scanned* once for everyone with work on it, and a cursor for
-    which it is clean still skips: a page any cursor validly skips has
-    no NULL annotation and no boundary anomaly, so scanning it for the
-    others writes nothing and cannot invalidate the skipper's cache.
+    **Three outcomes per page** (``use_page_summaries``;
+    :meth:`_ScanPass.scan_pages`).  If every live cursor holds a cached
+    layout it may fast-forward from (:meth:`_ScanPass._cached_info`),
+    the page is *skipped* — never pinned — when no slot changed and no
+    pending ``Deletion`` flag meets a qualifier, else *visited*: only
+    the changed slots are read and stamped
+    (:meth:`_ScanPass._fast_forward`).  Otherwise it is *scanned* once
+    for everyone with work on it — with ``batch_mode`` from its columnar
+    :class:`~repro.storage.batch.PageBatch`, Figure 7 first
+    (:meth:`_ScanPass._serve_batch`), else entry by entry, the paper's
+    loop and the oracle the batch-vs-row properties compare against —
+    and a cursor for which it is clean still skips.
 
-    With ``batch_mode`` a scanned page is served from its columnar
-    :class:`~repro.storage.batch.PageBatch`, straight from the timestamp
-    column when the batch proves the scan would neither write nor find
-    an anomaly, else after the Figure-7 fix-up has run over its
-    annotation columns (:meth:`_ScanPass._serve_batch`).  Base-table
-    annotation bytes and ``fixup_writes``/``deletions_detected`` are
-    identical to the per-row path, which remains as the
-    ``batch_mode=False`` baseline: the paper's loop, and the oracle the
-    batch-vs-row properties compare against.  So are the streams of a
-    cursor without a cache; one with a cache arms its ``Deletion`` flag
-    from it (:meth:`RefreshCursor._decide`) and sends the per-row
-    stream with the superfluous messages left out.
+    However the page was read, a cursor does one of two things with it
+    (the module docstring's *address mirror*): :meth:`RefreshCursor.cross`
+    from a committed record of the page, else the paper's rule.
 
     A :class:`~repro.errors.ChannelError` on one cursor's output marks
     that cursor failed (``cursor.error``) and the pass continues for the
@@ -1621,46 +1646,25 @@ def run_refresh_scan(
     **Chunks.**  Without a ``plan`` the whole heap is one chunk scanned
     under the caller's lock — the paper's scan.  With a
     :class:`ScanPlan` the same loop is the DBLog "virtual cuts"
-    construction: each chunk is bracketed by low/high readings of a
-    monotone write watermark (a
+    construction (``docs/algorithm.md``): each chunk is bracketed by
+    low/high readings of a monotone write watermark (a
     :class:`~repro.txn.clock.WatermarkBracket` over the heap
     write-observer's sequence number) and the lock is released between
-    chunks so committed writers proceed while the refresh is in flight.
-    Every write is recorded against its page and slot with the sequence
-    number it happened at; after a chunk completes, its pages' *scanned*
-    watermark is recorded (after the chunk, so the scan's own fix-up
-    writes never count as interleave).  A slot whose last write
-    sequence exceeds its page's scanned watermark was modified **after**
-    the scan read it.  Under the final lock hold, between each cursor's
-    ``EndOfScan`` and its new ``SnapTime``, :meth:`_ScanPass.repair_pages`
-    crosses those pages the way a changed-slot visit would, told which
-    slots changed by the write observer instead of by the page summary:
-    Figure 7 first (stamp the plain updates, else fix the whole page up;
-    then take the fix-up one entry further, to the page's successor), so
-    the annotations satisfy Figure 7's postcondition after *every*
-    completed pass, live outputs or not; then each cursor publishes the
-    page's net difference against the addresses it knows the snapshot
-    to hold — a point upsert per changed record that qualifies, a point
-    delete per held slot that no longer does, nothing for the rest
-    (:meth:`RefreshCursor.repair_page`; a cursor without a page cache
-    wipes the page and resends its qualifiers, the paper-rule oracle) —
-    and re-records the page, which the next refresh therefore skips.
-    The committed receiver state is identical to what a quiescent scan
-    of the final base table would have produced, and with no
-    interleaved writes the emitted stream is byte-for-byte the
-    one-chunk scan's.
+    chunks.  A slot whose last write sequence exceeds its page's
+    *scanned* watermark — recorded after the chunk, so the scan's own
+    fix-up writes never count — was modified after the scan read it.
+    Under the final lock hold, between each cursor's ``EndOfScan`` and
+    its new ``SnapTime``, :meth:`_ScanPass.repair_pages` brings those
+    pages to what a scan at that moment leaves, in the base table and
+    in every stream; with no interleaved writes the emitted stream is
+    byte-for-byte the one-chunk scan's.
 
-    *Pass time.*  A stamp is written at the time of the lock hold it is
-    written under: on re-acquiring after a window in which anything was
-    written the pass takes a fresh ``FixupTime``, so that a sibling
-    snapshot refreshed inside a window (at a ``SnapTime`` later than
-    the pass began) still sees as new whatever the pass stamps
-    afterwards.  The new ``SnapTime`` is the last hold's time; a window
-    without a write does not move it.  The caller sends
-    ``RefreshCommit`` under the hold it gets back, so no write can slip
-    between the repair and the commit.  Writes observed while the lock
-    was released are counted in ``RefreshResult.interleaved_writes``;
-    repaired pages in ``pages_repaired``; chunks in ``chunks_scanned``.
+    *Pass time* (``docs/invariants.md``).  A stamp carries the time of
+    the lock hold it is written under: after a window in which anything
+    was written the pass takes a fresh ``FixupTime``, so a sibling
+    refreshed inside the window still sees as new whatever the pass
+    stamps afterwards.  The new ``SnapTime`` is the last hold's time,
+    and the caller sends ``RefreshCommit`` under the hold it gets back.
     """
     heap = table.heap
     # The write watermark: one monotone sequence number per physical
@@ -1760,11 +1764,9 @@ class DifferentialRefresher:
     Stateless between calls except for the page-qualification cache: all
     per-snapshot state (``SnapTime``) lives with the snapshot, all change
     state lives in the base table's annotations — which is what lets any
-    number of snapshots share one set of annotations.
-
-    ``use_page_summaries`` defaults off so a directly constructed
-    refresher reproduces the paper's full-scan baseline; the
-    :class:`~repro.core.manager.SnapshotManager` turns it on.
+    number of snapshots share one set of annotations.  Every option
+    defaults off, so a directly constructed refresher is the paper's
+    full-scan baseline; the manager turns them on.
     """
 
     def __init__(
@@ -1786,9 +1788,7 @@ class DifferentialRefresher:
         self.use_page_summaries = use_page_summaries
         #: Send per-column UpdateDeltaMessages on value-cache hits.
         self.delta_updates = delta_updates
-        #: Serve scanned pages (fix-up included) from columnar page
-        #: batches.  Off by default so a directly constructed refresher
-        #: keeps the per-row baseline; the manager turns it on.
+        #: Serve scanned pages (fix-up included) from columnar batches.
         self.batch_mode = batch_mode
         # Fallback caches for callers that do not thread per-snapshot
         # caches through `refresh(cache=..., value_cache=...)`; valid
@@ -1813,15 +1813,14 @@ class DifferentialRefresher:
         ``fixup`` defaults by annotation mode: lazy tables repair as they
         scan; eager tables trust their annotations (pure Figure 3).
         ``cache`` is the per-snapshot page-qualification cache (the
-        manager passes the snapshot's own); with summaries enabled and no
-        cache given, a refresher-local one keyed by the restriction text
+        manager passes the snapshot's own); with summaries enabled and
+        none given, a refresher-local one keyed by the restriction text
         is used.  ``value_cache`` (with ``delta_updates``) is the
-        per-snapshot transmitted-values mirror; when the caller passes
-        one, *the caller* commits or aborts it from the epoch outcome —
-        with the internal fallback the stage is committed here, right
-        after the synchronous scan.  ``plan`` makes the scan
-        writer-concurrent (see :class:`ScanPlan`).  The caller is
-        responsible for holding the table-level lock.
+        per-snapshot transmitted-values mirror; a caller that passes one
+        commits or aborts it from the epoch outcome, the internal
+        fallback is committed here, right after the synchronous scan.
+        ``plan`` makes the scan writer-concurrent (:class:`ScanPlan`).
+        The caller holds the table-level lock.
         """
         if self.use_page_summaries and cache is None or (
             self.delta_updates and value_cache is None

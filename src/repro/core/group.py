@@ -84,11 +84,15 @@ class GroupRefreshResult:
 
     @property
     def decode_savings(self) -> float:
-        """Entries evaluated per entry decoded (≈ fan-out amortization).
+        """Restriction evaluations per entry decoded.
 
-        A solo refresh decodes every entry it evaluates, ratio 1.0; a
-        group pass decodes once and evaluates per cursor, so the ratio
-        approaches the number of cursors riding the scan.
+        A pass decodes an entry once however many cursors ride it.  On
+        a first refresh (or without page summaries) every cursor
+        evaluates every entry, so the ratio is the number of cursors:
+        the fan-out amortization.  Afterwards a cursor evaluates only
+        the entries newer than its ``SnapTime``, and the ratio falls
+        below that — below 1.0 where pages are read whole for a few
+        changed entries.
         """
         if self.pass_result.rows_decoded == 0:
             return 0.0

@@ -55,6 +55,11 @@ class Restriction:
         self.expr = expr
         self.schema = schema
         self._compiled = expr.compile(schema)
+        #: Positions of the columns the predicate reads, ascending: all
+        #: a caller need decode of an entry to evaluate it.
+        self.positions: "tuple[int, ...]" = tuple(
+            sorted(schema.position(name) for name in expr.columns())
+        )
         # The round-tripped canonical predicate text, serialized once:
         # refresh paths key page caches by it on every call.
         self._text = expr.sql()

@@ -81,6 +81,9 @@ class Schema:
             if column.name in self._index:
                 raise SchemaError(f"duplicate column name: {column.name!r}")
             self._index[column.name] = position
+        # Schemas are immutable and key hot memos (the batch's suffix
+        # probes, the restriction parse cache): hash the columns once.
+        self._hash = hash(self._columns)
 
     @classmethod
     def of(cls, *specs: "tuple[str, str] | tuple[str, str, bool]") -> "Schema":
@@ -122,7 +125,7 @@ class Schema:
         return self._columns == other._columns
 
     def __hash__(self) -> int:
-        return hash(self._columns)
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{c.name}: {c.ctype.name}" for c in self._columns)

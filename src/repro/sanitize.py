@@ -16,7 +16,9 @@ paper's algorithm depends on:
 - **changed-slot visits** — a page the scan fast-forwarded reading only
   the slots its summary named is, read whole, exactly what the scan
   recorded of it (summary completeness); likewise a page an online
-  pass repaired reading only the slots its write observer named;
+  pass repaired reading only the slots its write observer named, and a
+  page read whole on which a cursor evaluated only the entries newer
+  than its ``SnapTime`` and took the rest from its address mirror;
 - **epoch isolation** — between ``RefreshBegin`` and the matching
   commit, nothing staged may reach the visible snapshot contents;
 - **value-cache mirroring** — after a committed refresh, and after an
@@ -228,6 +230,30 @@ def check_changed_slot_visit(
             )
     if heap.pool.batch_peek(physical) is delta:
         raise SanitizerError(f"{where} cached its partial batch as the page")
+
+
+def check_whole_page_read(
+    table: Any, batch: Any, cursors: "Sequence[Any]"
+) -> None:
+    """After a page was served from its whole batch: what each cursor
+    took to qualify is what the restriction says of every entry.
+
+    A cursor holding a committed entry for the page evaluates only the
+    entries newer than its ``SnapTime`` and takes the rest from the
+    entry ("an entry that has not changed qualifies iff the mirror
+    holds its address").  ``batch`` is the one the scan holds, so the
+    check reads no page.
+    """
+    for cursor in cursors:
+        if cursor.failed:
+            continue
+        quals = [batch.slots[i] for i in batch.qualifying(cursor.restriction)]
+        if list(cursor.page_quals) != quals:
+            raise SanitizerError(
+                f"table {table.name!r} page {batch.page_no}: {cursor!r} "
+                f"crossed the page from its address mirror to qualifying "
+                f"slots {list(cursor.page_quals)}; the page holds {quals}"
+            )
 
 
 # -- snapshot epoch isolation -------------------------------------------------

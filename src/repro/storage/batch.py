@@ -55,7 +55,9 @@ below make the *derived* work reusable too:
   per-record cost that remains;
 - :meth:`qualifying` memoizes each restriction's qualifying entries
   (the Figure-3 qualification test, evaluated once per page version per
-  predicate instead of once per record per refresh);
+  predicate instead of once per record per refresh), or evaluates it on
+  just the entries a cursor names — those that changed for its snapshot
+  — over the same memoized columns;
 - :meth:`row` memoizes full-row materialization, so fan-out and repeat
   transmissions never decode an entry twice.
 
@@ -163,6 +165,7 @@ class PageBatch:
         "_rows",
         "_probe_cache",
         "_qual_cache",
+        "_live",
     )
 
     def __init__(
@@ -205,6 +208,7 @@ class PageBatch:
         self._rows: "List[Optional[Row]]" = [None] * len(bodies)
         self._probe_cache: "Dict[Tuple[int, ...], List[Tuple[object, ...]]]" = {}
         self._qual_cache: "Dict[str, array[int]]" = {}
+        self._live: "Optional[frozenset[int]]" = None
 
     def last_rid(self) -> Optional[Rid]:
         """Address of the page's last live entry (``None`` when empty)."""
@@ -259,34 +263,56 @@ class PageBatch:
             self._probe_cache[positions] = cached
         return cached
 
-    def qualifying(self, restriction: "Restriction") -> "array[int]":
+    @property
+    def live(self) -> "frozenset[int]":
+        """The extracted slots as a set, built once: of a whole batch,
+        every live slot of the page (a slot it lacks holds no row)."""
+        if self._live is None:
+            self._live = frozenset(self.slots)
+        return self._live
+
+    def qualifying(
+        self,
+        restriction: "Restriction",
+        among: "Optional[Sequence[int]]" = None,
+    ) -> "Sequence[int]":
         """Indices of entries satisfying ``restriction``, memoized by text.
 
         This is the batch form of the Figure-3 qualification test: the
         predicate is evaluated once per entry per *page version*, not
         once per entry per refresh — repeat refreshes over unchanged
         pages reuse the cached index array outright.
+
+        With ``among`` — entry indices, ascending — only those entries
+        are evaluated: the answer depends on the asker (which entries
+        changed for *its* snapshot), so it is not memoized, but the
+        decoded columns behind it (:meth:`probe_values`) still are, for
+        every cursor on the same columns.
         """
+        if among is not None:
+            return self._satisfying(restriction, among)
         key: str = restriction.text
         cached = self._qual_cache.get(key)
         if cached is None:
-            schema = self._schema
-            positions = tuple(
-                sorted(
-                    schema.position(name)
-                    for name in restriction.expr.columns()
-                )
-            )
-            values = self.probe_values(positions)
-            sparse: "List[object]" = [None] * len(schema)
-            cached = array("I")
-            for index, entry_values in enumerate(values):
-                for position, value in zip(positions, entry_values):
-                    sparse[position] = value
-                if restriction(sparse):
-                    cached.append(index)
+            cached = self._satisfying(restriction, range(self.count))
             self._qual_cache[key] = cached
         return cached
+
+    def _satisfying(
+        self, restriction: "Restriction", indices: "Sequence[int]"
+    ) -> "array[int]":
+        # The compiled predicate reads values by position, so its own
+        # schema's positions are the ones to fill.
+        positions = restriction.positions
+        values = self.probe_values(positions)
+        sparse: "List[object]" = [None] * len(self._schema)
+        satisfying = array("I")
+        for index in indices:
+            for position, value in zip(positions, values[index]):
+                sparse[position] = value
+            if restriction(sparse):
+                satisfying.append(index)
+        return satisfying
 
     def __repr__(self) -> str:
         return (

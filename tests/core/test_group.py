@@ -141,15 +141,25 @@ class TestGroupStats:
         )
         churn(emp, rids)
         results = manager.refresh_all()
-        # Pass-level decode work is shared: each cursor evaluated every
-        # live entry, but no entry's fields were extracted more than
-        # once for the pass (less, where a cached batch was reused) —
-        # and every member reports that one pass-level count.
+        # Pass-level decode work is shared: without summaries no cursor
+        # holds a record of any page, so each ran its restriction on
+        # every live entry (the paper's rule), but no entry's fields
+        # were extracted more than once for the pass (less, where a
+        # cached batch was reused) — and every member reports that one
+        # pass-level count.
         assert len({r.rows_decoded for r in results.values()}) == 1
         for result in results.values():
             assert result.entries_evaluated == emp.row_count
             assert 0 < result.rows_decoded <= result.entries_evaluated
             assert result.group_cursors == 3
+        # With the manager's defaults each cursor crosses the page from
+        # its committed entry and evaluates what changed for it: the 15
+        # updates and 3 inserts, not the 62 entries the pass decoded.
+        _, emp1, rids1, manager1, _ = build_fleet(n=3)
+        churn(emp1, rids1)
+        for result in manager1.refresh_all().values():
+            assert result.entries_evaluated == 18
+            assert result.rows_decoded == result.scanned == emp1.row_count
         # The per-row oracle decodes exactly once per entry.
         _, emp2, rids2, manager2, _ = build_fleet(
             n=3, use_page_summaries=False, batch_mode=False
@@ -173,6 +183,74 @@ class TestGroupStats:
         )
         for snap in snaps:
             assert snap.as_map() == truth(emp, snap)
+
+
+def one_page_pair(where, **manager_kwargs):
+    """Sixty rows on one page, two snapshots ``a`` and ``b`` on ``where``."""
+    hq = Database("hq")
+    emp = hq.create_table("emp", [("v", "int")])
+    rids = [emp.insert([i]) for i in range(60)]
+    assert emp.heap.page_count == 1
+    manager = SnapshotManager(hq, **manager_kwargs)
+    snaps = [
+        manager.create_snapshot(name, "emp", where=where, method="differential")
+        for name in ("a", "b")
+    ]
+    return emp, rids, manager, snaps
+
+
+class TestWholePageFromTheMirror:
+    """One read of a page, each cursor paying for what changed for *it*."""
+
+    def test_each_cursor_evaluates_what_is_newer_than_its_own_snap_time(self):
+        emp, rids, manager, snaps = one_page_pair("v < 100")
+        emp.update(rids[3], {"v": 70})
+        manager.refresh("a")  # stamps rids[3] above b's SnapTime
+        emp.update(rids[7], {"v": 71})
+        emp.delete(rids[9])  # a structural change: the page is read whole
+        a, b = snaps
+        assert a.snap_time > b.snap_time
+        results = manager.refresh_all()
+        assert results["a"].group_cursors == 2
+        assert results["a"].rows_decoded == results["a"].scanned == 59
+        # rids[3] is old news to a, news to b; rids[7] is news to both;
+        # rids[10] answers the delete's flag for both, unevaluated.
+        assert results["a"].entries_evaluated == 1
+        assert results["b"].entries_evaluated == 2
+        assert results["a"].entries_sent == 2
+        assert results["b"].entries_sent == 3
+        for snap in snaps:
+            assert snap.as_map() == truth(emp, snap)
+        quiet = manager.refresh_all()
+        assert all(r.entries_evaluated == 0 for r in quiet.values())
+
+    def test_cursor_without_an_entry_runs_the_papers_rule_beside_one_with(self):
+        def play(**manager_kwargs):
+            emp, rids, manager, snaps = one_page_pair("v >= 30", **manager_kwargs)
+            snaps[1].page_cache.clear()  # b lost its record of the page
+            emp.update(rids[10], {"v": 11})  # never qualified, still does not
+            return emp, rids, manager, snaps, manager.refresh_all()
+
+        emp, rids, manager, snaps, results = play()
+        assert results["a"].group_cursors == 2
+        # a knows the snapshot never held rids[10]: one evaluation,
+        # nothing to send.  b must assume it "may have qualified
+        # before": every entry evaluated, the next qualifier re-sent.
+        assert results["a"].entries_evaluated == 1
+        assert results["a"].entries_sent == 0
+        assert results["b"].entries_evaluated == emp.row_count
+        assert results["b"].entries_sent == 1
+        for snap in snaps:
+            assert snap.as_map() == truth(emp, snap)
+        # b's stream is the per-row oracle's, to the byte count.
+        *_, paper = play(batch_mode=False)
+        for field in ("entries_sent", "messages_sent", "bytes_sent"):
+            assert getattr(results["b"], field) == getattr(paper["b"], field)
+            assert getattr(paper["a"], field) == getattr(paper["b"], field)
+        # Having crossed it, b holds an entry again.
+        emp.update(rids[40], {"v": 41})
+        again = manager.refresh_all()
+        assert again["a"].entries_evaluated == again["b"].entries_evaluated == 1
 
 
 class TestGroupFaultIsolation:

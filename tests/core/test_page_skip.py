@@ -14,6 +14,7 @@ import pytest
 from repro import sanitize
 from repro.core.differential import DifferentialRefresher
 from repro.core.manager import SnapshotManager
+from repro.core.messages import DeleteMessage
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import ChannelError
@@ -301,6 +302,7 @@ class TestChangedSlotVisit:
         w, result = twin(script)
         page_count = w.table.heap.page_count
         assert result.rows_decoded == 1
+        # Read one record, ran the restriction on one record.
         assert result.scanned == result.entries_evaluated == 1
         assert result.fixup_writes == 1 and result.entries_sent == 1
         assert result.pages_scanned == result.pages_batch_decoded == 1
@@ -531,3 +533,89 @@ class TestChangedSlotVisit:
         assert following.pages_scanned == 0 and following.rows_decoded == 0
         assert following.fixup_writes == 0 and following.entries_sent == 0
         assert snap.as_map() == truth()
+
+
+# -- whole-page reads from the address mirror -----------------------------------
+#
+# A page that took an insert or a delete is read whole, but a cursor that
+# holds a committed entry for it still pays only for what changed: an
+# entry not newer than SnapTime qualifies iff the entry names its slot
+# (``docs/invariants.md``, address-set mirroring), so the restriction
+# runs on the newer ones alone.  ``entries_evaluated`` counts them.
+
+
+def managed(**snapshot_kwargs):
+    """Twelve rows, ~4 a page, one ``v < 100`` snapshot behind a manager."""
+    db = Database("hq")
+    table = db.create_table("t", [("v", "int"), ("pad", "string")])
+    table.bulk_load([[i, "x" * 900] for i in range(12)])
+    manager = SnapshotManager(db)
+    snap = manager.create_snapshot(
+        "s", "t", where="v < 100", method="differential", **snapshot_kwargs
+    )
+    return db, table, manager, snap, list(table.heap.scan_rids())
+
+
+class TestWholePageFromTheMirror:
+    def test_delete_reused_slot_and_update_cost_the_changed_entries(self):
+        def script(w):
+            w.refresh()
+            page = w.pages[1]
+            w.table.delete(page[1])
+            assert w.table.insert([7, "y" * 900]) == page[1]  # the hole
+            w.table.delete(page[3])
+            w.table.update(page[2], {"v": 50})
+            result = w.refresh()
+            assert page[3] not in w.snapshot.as_map()
+            return w, result
+
+        w, result = twin(script)
+        # Page 1 was read whole (the deletes moved its structure); the
+        # reused slot arrives with a NULL PrevAddr, the update with a
+        # NULL TimeStamp: two entries newer than SnapTime, two
+        # evaluations.  The row that stayed deleted is ``held - live``:
+        # no predicate, and the next page's first qualifier — stamped
+        # for the anomaly, yet unchanged — answers the flag unevaluated.
+        assert result.pages_fast_forwarded == result.pages_skipped
+        assert result.rows_decoded == w.page_size(1) + w.page_size(2)
+        assert result.entries_evaluated == 2
+        assert result.entries_sent == 3
+        assert result.deletions_detected == 2  # behind the reused slot too
+        quiet = w.refresh()
+        assert quiet.entries_sent == 0 and quiet.entries_evaluated == 0
+
+    def test_holdings_only_entry_serves_a_page_read_whole(self):
+        db, table, manager, snap, rids = managed()
+        # The sender loses its page cache; a repairing resync hands it
+        # back as holdings-only entries: addresses held, no layout.
+        snap.page_cache.clear()
+        snap.table._apply_now([DeleteMessage(rids[6])])
+        assert manager.resync_snapshot("s").leaves_repaired == 1
+        assert all(info.page_version is None for info in snap.page_cache.values())
+        table.update(rids[5], {"v": 50})
+        table.delete(rids[6])
+        result = snap.refresh()
+        # Such an entry never fast-forwards, so every page is read whole;
+        # its qual_slots are all a crossing reads.
+        assert result.pages_scanned == table.heap.page_count
+        assert result.scanned == table.row_count
+        assert result.entries_evaluated == 1
+        assert result.entries_sent == 2  # the update; rids[7], flag-forced
+        assert snap.as_map() == truth_map(table, 100)
+        assert all(info.page_version is not None for info in snap.page_cache.values())
+        assert snap.refresh().entries_sent == 0
+
+    def test_aborted_delete_leaves_the_row_held_and_unsent(self):
+        db, table, manager, snap, rids = managed()
+        before = table.annotations(rids[5])
+        txn = db.txns.begin()
+        table.delete(rids[5], txn=txn)
+        txn.abort()
+        # The undo put the record back in its slot, stamps and all.
+        assert table.annotations(rids[5]) == before
+        result = snap.refresh()
+        assert result.pages_scanned == 1  # the delete marked the page
+        assert result.scanned == result.rows_decoded == 4
+        assert result.entries_evaluated == 0
+        assert result.entries_sent == 0 and result.fixup_writes == 0
+        assert snap.as_map() == truth_map(table, 100)

@@ -236,8 +236,9 @@ class TestGroupSharedCosts:
         fleet.replay(script, 4)
         _, outcome = fleet.group_refresh()
         stats = outcome.pass_result
-        # 4 cursors, no skipping: every decoded entry is evaluated for
-        # each cursor, and never decoded again.
+        # 4 cursors, no summaries, so no cursor holds a record of any
+        # page: every decoded entry is evaluated for each cursor (the
+        # paper's rule), and never decoded again.
         assert stats.entries_evaluated == 4 * stats.rows_decoded
         assert stats.scanned == stats.rows_decoded
 

@@ -63,6 +63,19 @@ class TestAccess:
         assert schema == other
         assert hash(schema) == hash(other)
 
+    def test_hash_is_computed_once_and_no_part_of_equality(self, schema):
+        other = Schema.of(
+            ("name", "string"), ("salary", "int"), ("dept", "string", True)
+        )
+        assert hash(schema) == schema._hash == hash(tuple(schema))
+        # Derived schemas hash their own columns, not their source's.
+        assert hash(schema.with_columns([Column("bonus", "int")])) != hash(schema)
+        assert hash(schema.visible()) == hash(other)
+        # The cached value rides along; equality still reads the columns.
+        other._hash = ~other._hash
+        assert schema == other and hash(schema) != hash(other)
+        assert {schema: 1}[Schema(list(schema))] == 1
+
 
 class TestValidation:
     def test_accepts_valid_row(self, schema):

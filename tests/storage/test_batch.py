@@ -127,6 +127,34 @@ class TestDerivedCaches:
         assert qualified == expected
         assert batch.qualifying(restriction) is batch.qualifying(restriction)
 
+    def test_qualifying_among_evaluates_only_the_named_entries(self, eager):
+        batch, _ = get_batch(eager)
+        restriction = Restriction.parse("sal < 3", eager.schema)
+        calls = []
+
+        class Counting:
+            text, positions = restriction.text, restriction.positions
+
+            def __call__(self, values):
+                calls.append(values[1])
+                return restriction(values)
+
+        among = [2, 3, 8, 9, 10]
+        hits = batch.qualifying(Counting(), among)
+        assert list(hits) == [index for index in among if index % 7 < 3]
+        assert calls == [index % 7 for index in among]
+        # The answer depends on the asker: not memoized, and it leaves
+        # the whole-page memo alone; the decoded columns are shared.
+        assert batch.qualifying(restriction, among) is not hits
+        assert len(batch.qualifying(restriction)) > len(hits)
+        assert batch.probe_values(restriction.positions) is batch.probe_values((1,))
+
+    def test_live_is_the_set_of_extracted_slots(self, eager):
+        eager.delete(Rid(0, 4))
+        batch, _ = get_batch(eager)
+        assert batch.live == frozenset(batch.slots) and 4 not in batch.live
+        assert batch.live is batch.live
+
     def test_probe_values_memoized(self, eager):
         batch, _ = get_batch(eager)
         positions = (0, 1)

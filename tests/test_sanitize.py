@@ -296,6 +296,79 @@ class TestChangedSlotVisit:
             snap.refresh()
 
 
+class TestMirrorCrossing:
+    """A cursor crossing a page from its committed entry evaluates the
+    entries newer than its SnapTime and trusts the entry for the rest."""
+
+    def _forged(self):
+        from array import array
+
+        db, table, rids = build()
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot("s", "items", where="v < 5")
+        info = snap.page_cache[0]
+        unheld = next(
+            rid.slot_no
+            for rid in rids
+            if rid.page_no == 0 and snap.table.lookup(rid) is None
+        )
+        # A live, unchanged row that does not qualify, named as held.
+        info.qual_slots = array("H", sorted([*info.qual_slots, unheld]))
+        return table, rids, snap
+
+    @staticmethod
+    def _first_error(snap):
+        """The error the scan died of (the manager's abort audits the
+        forged mirror too, and raises on top of it)."""
+        with pytest.raises(SanitizerError) as caught:
+            snap.refresh()
+        error = caught.value
+        while error.__context__ is not None:
+            error = error.__context__
+        assert isinstance(error, SanitizerError)
+        return str(error)
+
+    def test_forged_slot_is_caught_on_a_visit(self):
+        table, rids, snap = self._forged()
+        table.update(rids[3], {"v": 1})
+        assert "a changed-slot visit" in self._first_error(snap)
+
+    def test_forged_slot_is_caught_on_a_page_read_whole(self):
+        table, rids, snap = self._forged()
+        table.delete(rids[3])  # a structural change: no visit
+        assert "crossed the page" in self._first_error(snap)
+
+    def test_clean_whole_page_read_passes_and_is_observation_neutral(
+        self, monkeypatch
+    ):
+        observed = []
+        for flag in ("1", "0"):
+            monkeypatch.setenv("REPRO_SANITIZE", flag)
+            db, table, rids = build()
+            snap = SnapshotManager(db).create_snapshot(
+                "s", "items", where="v < 5"
+            )
+            table.delete(rids[3])
+            table.update(rids[8], {"v": 6})
+            result = snap.refresh()
+            assert result.pages_fast_forwarded == result.pages_skipped
+            stats = table.heap.pool.stats
+            observed.append(
+                (
+                    result.rows_decoded,
+                    result.entries_evaluated,
+                    result.entries_sent,
+                    result.buffer_hits,
+                    result.buffer_misses,
+                    stats.batch_hits,
+                    stats.batch_misses,
+                    table.heap.pool.batch_entries(),
+                )
+            )
+        assert observed[0] == observed[1]
+        assert observed[0][:2] == (39, 1)
+
+
 class TestOnlineRepair:
     """The repair trusts the write observer for every slot it does not
     read; what it re-records must be the whole repaired page."""
