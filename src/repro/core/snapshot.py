@@ -114,7 +114,6 @@ class SnapshotTable:
             STORAGE_PREFIX + name, stored_schema, annotations="lazy"
         )
         self.schema = self.storage.schema
-        self._value_names = value_schema.names
         # BaseAddr (as a sortable key) -> snapshot-heap RID.
         self._index = BPlusTree(order=64)
         #: Base-table time this snapshot reflects (0 = never refreshed).
@@ -164,28 +163,24 @@ class SnapshotTable:
         """
         key = base_addr.key()
         heap_rid = self._index.get(key)
-        changes: "dict[str, Any]"
         if positions is not None:
             if heap_rid is None:
                 raise SnapshotError(
                     f"snapshot {self.name!r}: update delta for {base_addr} "
                     f"but no entry exists; sender value cache out of sync"
                 )
-            changes = {
-                self._value_names[position]: value
-                for position, value in zip(positions, values)
-            }
         else:
-            changes = dict(zip(self._value_names, values))
-            changes[BASEADDR] = base_addr
+            values = (*values, base_addr)  # the stored row: BaseAddr is last
             if heap_rid is None:
                 heap_rid = self._doomed.pop(key, None)
                 if heap_rid is None:
-                    self._index.insert(key, self.storage.system_insert(changes))
+                    self._index.insert(key, self.storage.system_insert_values(values))
                     self.applied_upserts += 1
                     return
                 self._index.insert(key, heap_rid)  # revived: same heap RID
-        new_rid = self.storage.system_update(heap_rid, changes) if changes else None
+        new_rid = None
+        if values:
+            new_rid = self.storage.system_update_values(heap_rid, values, positions)
         if new_rid is None:
             self.skipped_upserts += 1
             return

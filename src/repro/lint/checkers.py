@@ -99,7 +99,6 @@ SUMMARY_STATE_FIELDS = {
 SUMMARY_HOOKS = {
     "note_insert",
     "note_update",
-    "note_annotations",
     "note_delete",
     "attach_summaries",
 }

@@ -86,6 +86,16 @@ class ColumnType:
         """Serialize a (validated, non-NULL) value to bytes."""
         raise NotImplementedError
 
+    def checked_encode(self, value: Any) -> bytes:
+        """:meth:`validate` then :meth:`encode`, as one call.
+
+        A type whose checks already produce the bytes (or that a row
+        holds many of) keeps its checks here and derives
+        :meth:`validate` from this, so they exist once.
+        """
+        self.validate(value)
+        return self.encode(value)
+
     def decode(self, data: bytes, offset: int) -> "tuple[Any, int]":
         """Deserialize one value starting at ``offset``.
 
@@ -136,12 +146,16 @@ class IntType(ColumnType):
     _packer = struct.Struct("<q")
 
     def validate(self, value: Any) -> None:
+        self.checked_encode(value)
+
+    def encode(self, value: Any) -> bytes:
+        return self._packer.pack(value)
+
+    def checked_encode(self, value: Any) -> bytes:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeMismatchError(f"expected int, got {value!r}")
         if not (-(2**63) <= value < 2**63):
             raise TypeMismatchError(f"int out of 64-bit range: {value!r}")
-
-    def encode(self, value: Any) -> bytes:
         return self._packer.pack(value)
 
     def decode(self, data: bytes, offset: int) -> "tuple[int, int]":
@@ -179,13 +193,18 @@ class StringType(ColumnType):
     MAX_BYTES = 0xFFFF
 
     def validate(self, value: Any) -> None:
-        if not isinstance(value, str):
-            raise TypeMismatchError(f"expected str, got {value!r}")
-        if len(value.encode("utf-8")) > self.MAX_BYTES:
-            raise TypeMismatchError("string exceeds 65535 encoded bytes")
+        self.checked_encode(value)
 
     def encode(self, value: Any) -> bytes:
         raw = value.encode("utf-8")
+        return self._length.pack(len(raw)) + raw
+
+    def checked_encode(self, value: Any) -> bytes:
+        if not isinstance(value, str):
+            raise TypeMismatchError(f"expected str, got {value!r}")
+        raw = value.encode("utf-8")  # once: measured, then stored
+        if len(raw) > self.MAX_BYTES:
+            raise TypeMismatchError("string exceeds 65535 encoded bytes")
         return self._length.pack(len(raw)) + raw
 
     def decode(self, data: bytes, offset: int) -> "tuple[str, int]":

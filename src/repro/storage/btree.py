@@ -65,6 +65,17 @@ class BPlusTree:
             node = node.children[bisect_right(node.keys, key)]
         return node
 
+    def _seek(self, lo: Any, include_lo: bool) -> "tuple[_Leaf, int]":
+        """The leaf, and the position in it, where keys from ``lo`` on
+        start (``lo=None``: the first leaf); the position may be its end."""
+        if lo is None:
+            leaf = self._root
+            while isinstance(leaf, _Internal):
+                leaf = leaf.children[0]
+            return leaf, 0
+        leaf = self._find_leaf(lo)
+        return leaf, (bisect_left if include_lo else bisect_right)(leaf.keys, lo)
+
     def get(self, key: Any, default: Any = None) -> Any:
         """Return the value for ``key`` or ``default``."""
         leaf = self._find_leaf(key)
@@ -179,23 +190,27 @@ class BPlusTree:
 
     def delete(self, key: Any) -> bool:
         """Remove ``key``; return True when it was present."""
-        removed = self._delete(self._root, key)
+        return self._remove(key, 1)
+
+    def _remove(self, key: Any, count: int) -> bool:
+        """Remove ``key`` and the ``count - 1`` keys after it in its leaf."""
+        removed = self._delete(self._root, key, count)
         if isinstance(self._root, _Internal) and len(self._root.children) == 1:
             self._root = self._root.children[0]
         return removed
 
-    def _delete(self, node: Any, key: Any) -> bool:
+    def _delete(self, node: Any, key: Any, count: int) -> bool:
         if isinstance(node, _Leaf):
             index = bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
-                node.keys.pop(index)
-                node.values.pop(index)
-                self._count -= 1
+                del node.keys[index : index + count]
+                del node.values[index : index + count]
+                self._count -= count
                 return True
             return False
         child_index = bisect_right(node.keys, key)
         child = node.children[child_index]
-        removed = self._delete(child, key)
+        removed = self._delete(child, key, count)
         if removed:
             self._rebalance(node, child_index)
         return removed
@@ -213,14 +228,19 @@ class BPlusTree:
             if child_index + 1 < len(parent.children)
             else None
         )
-        if left is not None and self._node_size(left) > self._min:
-            self._borrow_from_left(parent, child_index, left, child)
-        elif right is not None and self._node_size(right) > self._min:
-            self._borrow_from_right(parent, child_index, child, right)
-        elif left is not None:
-            self._merge(parent, child_index - 1, left, child)
-        elif right is not None:
-            self._merge(parent, child_index, child, right)
+        # A range cut can leave a leaf many keys short: borrow until it
+        # is whole or neither sibling can spare one, then merge.
+        while self._node_size(child) < self._min:
+            if left is not None and self._node_size(left) > self._min:
+                self._borrow_from_left(parent, child_index, left, child)
+            elif right is not None and self._node_size(right) > self._min:
+                self._borrow_from_right(parent, child_index, child, right)
+            else:
+                if left is not None:
+                    self._merge(parent, child_index - 1, left, child)
+                elif right is not None:
+                    self._merge(parent, child_index, child, right)
+                return
 
     def _borrow_from_left(
         self, parent: _Internal, child_index: int, left: Any, child: Any
@@ -283,16 +303,8 @@ class BPlusTree:
         ``None`` bounds are open-ended.  Defaults give the half-open
         interval ``[lo, hi)``.
         """
-        if lo is None:
-            node: "Optional[_Leaf]" = self._root
-            while isinstance(node, _Internal):
-                node = node.children[0]
-            index = 0
-        else:
-            node = self._find_leaf(lo)
-            index = (
-                bisect_left(node.keys, lo) if include_lo else bisect_right(node.keys, lo)
-            )
+        node: "Optional[_Leaf]"
+        node, index = self._seek(lo, include_lo)
         while node is not None:
             keys = list(node.keys)
             values = list(node.values)
@@ -318,12 +330,30 @@ class BPlusTree:
         """Delete every key in the interval; return the removed pairs.
 
         This is the operation behind the receiver's "delete all snapshot
-        entries with BaseAddr in the transmitted empty region".
+        entries with BaseAddr in the transmitted empty region".  An
+        empty interval — nearly every message's — is one descent and a
+        bisect; otherwise each leaf's share of the interval is cut out
+        and the path to that leaf rebalanced once.
         """
-        doomed = list(self.range(lo, hi, include_lo, include_hi))
-        for key, _ in doomed:
-            self.delete(key)
-        return doomed
+        removed: "list[tuple[Any, Any]]" = []
+        while True:
+            leaf, start = self._seek(lo, include_lo)
+            if start == len(leaf.keys):  # the first key past lo is next door
+                leaf, start = leaf.next, 0
+                if leaf is None:
+                    return removed
+            keys = leaf.keys
+            if hi is None:
+                stop = len(keys)
+            else:
+                stop = (bisect_right if include_hi else bisect_left)(keys, hi, start)
+            if stop == start:
+                return removed
+            removed.extend(zip(keys[start:stop], leaf.values[start:stop]))
+            ends_here = stop < len(keys)
+            self._remove(keys[start], stop - start)
+            if ends_here:
+                return removed
 
     def check_invariants(self) -> None:
         """Assert structural invariants (tests call this after mutations)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from repro.errors import PageFullError, RecordNotFoundError, StorageError
+from repro.errors import RecordNotFoundError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
 from repro.storage.rid import Rid
@@ -32,12 +32,10 @@ from repro.storage.rid import Rid
 class HeapWriteCounts:
     """Counts of physical record writes performed on a heap."""
 
-    __slots__ = ("inserts", "updates", "deletes")
+    __slots__ = ("inserts", "updates", "deletes", "compactions")
 
     def __init__(self) -> None:
-        self.inserts = 0
-        self.updates = 0
-        self.deletes = 0
+        self.reset()
 
     @property
     def total(self) -> int:
@@ -47,11 +45,15 @@ class HeapWriteCounts:
         self.inserts = 0
         self.updates = 0
         self.deletes = 0
+        #: Pages re-packed because no single gap held a record (not a
+        #: record write, so not part of :attr:`total`).
+        self.compactions = 0
 
     def __repr__(self) -> str:
         return (
             f"HeapWriteCounts(inserts={self.inserts}, "
-            f"updates={self.updates}, deletes={self.deletes})"
+            f"updates={self.updates}, deletes={self.deletes}, "
+            f"compactions={self.compactions})"
         )
 
 
@@ -202,12 +204,8 @@ class HeapFile:
                 self.summaries.note_insert(
                     rid, record, structural=slot_no is not None
                 )
-        except PageFullError:  # the directory may have grown regardless
-            self._free_hint[heap_page] = (
-                page.contiguous_free() + page.reclaimable()
-            )
-            raise
         finally:
+            self.writes.compactions += page.compactions
             self._unpin(heap_page, dirty=True)
         self._free_hint[heap_page] -= used
         self._record_count += 1
@@ -241,18 +239,43 @@ class HeapFile:
         """
         page = self._pin(rid.page_no)
         try:
-            if page.update(rid.slot_no, record):
-                # Only a layout change can move the hint: a same-length
-                # overwrite (most updates) skips the O(slots) directory
-                # walk.  Only writers come through here (annotation
-                # repairs are write_annotations).
-                self._free_hint[rid.page_no] = (
-                    page.contiguous_free() + page.reclaimable()
-                )
-            if self.summaries is not None:
-                self.summaries.note_update(rid, record)
+            self._store(page, rid, record)
         finally:
             self._unpin(rid.page_no, dirty=True)
+
+    def rewrite(
+        self, rid: Rid, decide: "Callable[[bytes], Optional[bytes]]"
+    ) -> Optional[bytes]:
+        """Read, decide and :meth:`update` under one pin.
+
+        ``decide`` is handed the stored record and returns its
+        replacement, which is written and returned, or ``None``: then
+        nothing is written and the frame is released clean.
+        """
+        page = self._pin(rid.page_no)
+        record = None
+        try:
+            record = decide(page.read(rid.slot_no))
+            if record is not None:
+                self._store(page, rid, record)
+        finally:
+            self._unpin(rid.page_no, dirty=record is not None)
+        return record
+
+    def _store(self, page: SlottedPage, rid: Rid, record: bytes) -> None:
+        """Overwrite the record at ``rid`` on its pinned page and do an
+        update's bookkeeping."""
+        if page.update(rid.slot_no, record):
+            # Only a layout change can move the hint: a same-length
+            # overwrite (most updates) skips the directory read.  Only
+            # writers come through here (annotation repairs are
+            # write_annotations).
+            self._free_hint[rid.page_no] = (
+                page.contiguous_free() + page.reclaimable()
+            )
+            self.writes.compactions += page.compactions
+        if self.summaries is not None:
+            self.summaries.note_update(rid, record)
         self.writes.updates += 1
         if self._write_observers:
             self._notify_write("update", rid)
@@ -276,7 +299,7 @@ class HeapFile:
             if ts is not None:
                 tail[8:] = ts
             if self.summaries is not None:
-                self.summaries.note_annotations(rid, tail)
+                self.summaries.note_update(rid, tail)
         finally:
             self._unpin(rid.page_no, dirty=True)
         self.writes.updates += 1

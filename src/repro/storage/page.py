@@ -18,8 +18,11 @@ Layout (little-endian)::
     ...        free space
     ...        record bodies, packed toward the end of the page
 
-A directory entry with ``offset == 0`` marks a free (empty) slot; record
-bodies never start at offset 0 because the header occupies it.
+A directory entry with ``offset == 0`` marks a free (empty) slot, always
+written as ``(0, 0)``; record bodies never start at offset 0 because the
+header occupies it.  A body may lie anywhere in the record area: a delete
+leaves a hole where it was, and a later record is written into the first
+hole that holds it (see :meth:`SlottedPage._place`).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class SlottedPage:
     copying.
     """
 
-    __slots__ = ("_buf", "_size")
+    __slots__ = ("_buf", "_size", "compactions")
 
     def __init__(self, buf: bytearray, initialize: bool = False) -> None:
         if initialize:
@@ -63,6 +66,8 @@ class SlottedPage:
                 raise PageFormatError(f"bad page magic: {magic:#06x}")
         self._buf = buf
         self._size = len(buf)
+        #: Times this view re-packed the page (:meth:`compact`).
+        self.compactions = 0
 
     @classmethod
     def empty(cls, size: int = PAGE_SIZE) -> "SlottedPage":
@@ -99,6 +104,11 @@ class SlottedPage:
     def _set_slot(self, slot_no: int, offset: int, length: int) -> None:
         _SLOT.pack_into(self._buf, HEADER_SIZE + slot_no * SLOT_SIZE, offset, length)
 
+    def _directory(self, slot_count: int) -> "tuple[int, ...]":
+        """The whole directory in one read: ``(offset, length)`` flattened,
+        so offsets are ``[0::2]`` and lengths ``[1::2]``."""
+        return struct.unpack_from(f"<{2 * slot_count}H", self._buf, HEADER_SIZE)
+
     # -- space accounting --------------------------------------------------
 
     def contiguous_free(self) -> int:
@@ -107,13 +117,11 @@ class SlottedPage:
         return free_data_offset - (HEADER_SIZE + slot_count * SLOT_SIZE)
 
     def reclaimable(self) -> int:
-        """Bytes recoverable by compaction (holes left by deletes/updates)."""
+        """Bytes of the record area no live body covers (holes left by
+        deletes and updates): what :meth:`_place` can fill or squeeze out."""
         _, slot_count, free_data_offset, _, _ = self._read_header()
-        live_bytes = 0
-        for slot_no in range(slot_count):
-            offset, length = self._slot(slot_no)
-            if offset != 0:
-                live_bytes += length
+        # A free entry's length is 0, so the lengths sum to the live bytes.
+        live_bytes = sum(self._directory(slot_count)[1::2])
         return (self._size - free_data_offset) - live_bytes
 
     def free_for_insert(self, record_size: int, reuse_slot: bool) -> bool:
@@ -125,60 +133,87 @@ class SlottedPage:
 
     def lowest_free_slot(self) -> Optional[int]:
         """Index of the lowest empty directory slot, or ``None``."""
-        for slot_no in range(self.slot_count):
-            offset, _ = self._slot(slot_no)
-            if offset == 0:
-                return slot_no
-        return None
+        offsets = self._directory(self.slot_count)[0::2]
+        return offsets.index(0) if 0 in offsets else None
 
     def insert(self, record: bytes, slot_no: Optional[int] = None) -> int:
         """Store ``record``; return its slot number.
 
         With ``slot_no=None`` the lowest free slot is reused, else a new
-        directory entry is appended.  An explicit ``slot_no`` must name an
-        existing free slot (used by recovery redo).
+        directory entry is appended.  An explicit ``slot_no`` must name a
+        free slot (used by recovery redo); past the directory's end, the
+        directory grows to reach it, the entries between born empty.
         """
-        if slot_no is None:
-            slot_no = self.lowest_free_slot()
-        else:
-            if slot_no >= self.slot_count:
-                self._extend_directory(slot_no)
-            offset, _ = self._slot(slot_no)
-            if offset != 0:
-                raise PageFullError(f"slot {slot_no} already occupied")
-        reuse = slot_no is not None
-        need = len(record) + (0 if reuse else SLOT_SIZE)
-        if self.contiguous_free() < need:
-            if self.contiguous_free() + self.reclaimable() < need:
-                raise PageFullError(
-                    f"record of {len(record)} bytes does not fit "
-                    f"({self.contiguous_free()} contiguous, "
-                    f"{self.reclaimable()} reclaimable)"
-                )
-            self.compact()
-        _, slot_count, free_data_offset, live_count, _ = self._read_header()
+        if slot_no is not None and self.is_live(slot_no):
+            raise PageFullError(f"slot {slot_no} already occupied")
+        return self._place(record, slot_no)
+
+    def _place(self, record: bytes, slot_no: Optional[int]) -> int:
+        """Write ``record`` and point a slot at it; return the slot.
+
+        ``slot_no=None`` takes the lowest free slot, else a new entry; a
+        named slot gives up whatever body it holds, and one past the
+        directory's end extends it.  The body goes to the frontier (just
+        below ``free_data_offset``) when it fits there, else into the
+        first gap between live bodies that holds it, and the page is
+        re-packed only when no single gap does.  Which slot is taken,
+        and whether the record fits at all, depend on neither.
+        """
+        buf = self._buf
+        size = len(record)
+        _, slot_count, frontier, live_count, _ = _HEADER.unpack_from(buf, 0)
+        directory = None  # read once, and only if something asks
         if slot_no is None:
             slot_no = slot_count
-            slot_count += 1
-        new_offset = free_data_offset - len(record)
-        self._buf[new_offset : new_offset + len(record)] = record
-        self._write_header(slot_count, new_offset, live_count + 1)
-        self._set_slot(slot_no, new_offset, len(record))
+            if live_count < slot_count:  # else there is no entry to reuse
+                directory = self._directory(slot_count)
+                slot_no = directory[0::2].index(0)
+        given_up = self._slot(slot_no) if slot_no < slot_count else (0, 0)
+        fresh = not given_up[0]
+        # Room at the frontier once the directory reaches the slot.
+        new_count = max(slot_count, slot_no + 1)
+        room = frontier - HEADER_SIZE - SLOT_SIZE * new_count
+        at = frontier - size
+        if room < size:
+            # Live bodies by offset (free entries sort first), without
+            # the one this slot gives up; the page end closes the last gap.
+            if directory is None:
+                directory = self._directory(slot_count)
+            offsets = directory[0::2]
+            lengths = directory[1::2]
+            extents = sorted(zip(offsets, lengths))[offsets.count(0) :]
+            if not fresh:
+                extents.remove(given_up)
+            extents.append((self._size, 0))
+            holes = self._size - frontier - sum(lengths) + given_up[1]
+            if room + holes < size:
+                raise PageFullError(
+                    f"record of {size} bytes does not fit ({room} at the "
+                    f"frontier, {holes} in holes)"
+                )
+            at = 0
+            gap_start = frontier
+            if room >= 0:  # else the longer directory itself needs a re-pack
+                for offset, length in extents:
+                    if offset - gap_start >= size:
+                        at = offset - size
+                        break
+                    gap_start = offset + length
+            if not at:
+                if not fresh:
+                    self._set_slot(slot_no, 0, 0)
+                self.compact()
+                frontier = _HEADER.unpack_from(buf, 0)[2]
+                at = frontier - size
+        buf[at : at + size] = record
+        if slot_no > slot_count:  # the entries in between are born empty
+            born = HEADER_SIZE + SLOT_SIZE * slot_count
+            buf[born : born + SLOT_SIZE * (slot_no - slot_count)] = bytes(
+                SLOT_SIZE * (slot_no - slot_count)
+            )
+        self._write_header(new_count, min(frontier, at), live_count + fresh)
+        self._set_slot(slot_no, at, size)
         return slot_no
-
-    def _extend_directory(self, slot_no: int) -> None:
-        """Grow the directory so ``slot_no`` exists (entries born empty)."""
-        _, slot_count, free_data_offset, live_count, _ = self._read_header()
-        wanted = slot_no + 1
-        extra = (wanted - slot_count) * SLOT_SIZE
-        if self.contiguous_free() < extra:
-            if self.contiguous_free() + self.reclaimable() < extra:
-                raise PageFullError("no room to extend slot directory")
-            self.compact()
-            _, slot_count, free_data_offset, live_count, _ = self._read_header()
-        for new_slot in range(slot_count, wanted):
-            self._set_slot(new_slot, 0, 0)
-        self._write_header(wanted, free_data_offset, live_count)
 
     def read(self, slot_no: int) -> bytes:
         """Return the record body in ``slot_no``; raise if empty/out of range."""
@@ -222,11 +257,11 @@ class SlottedPage:
     def update(self, slot_no: int, record: bytes) -> bool:
         """Replace the record in ``slot_no`` in place (same address).
 
-        Shrinking reuses the old space; growing allocates fresh space,
-        compacting first when fragmentation allows.  Raises
-        :class:`PageFullError` when the grown record genuinely cannot fit,
-        in which case the caller (the table layer) falls back to
-        delete+reinsert at a new address.
+        Shrinking reuses the old space; a grown record is placed like an
+        insert (:meth:`_place`), its old body counting as free space.
+        Raises :class:`PageFullError` when the grown record genuinely
+        cannot fit, in which case the caller (the table layer) falls
+        back to delete+reinsert at a new address.
 
         Returns whether the page's layout changed: a record of exactly
         the old length is overwritten where it lies, so neither
@@ -241,44 +276,35 @@ class SlottedPage:
                 return False
             self._set_slot(slot_no, offset, len(record))
             return True
-        # Grow: temporarily drop the old copy so compaction can reclaim it.
-        _, slot_count, free_data_offset, live_count, _ = self._read_header()
-        self._set_slot(slot_no, 0, 0)
-        if self.contiguous_free() < len(record):
-            if self.contiguous_free() + self.reclaimable() < len(record):
-                self._set_slot(slot_no, offset, length)  # restore
-                raise PageFullError(
-                    f"updated record of {len(record)} bytes does not fit"
-                )
-            self.compact()
-        _, slot_count, free_data_offset, live_count, _ = self._read_header()
-        new_offset = free_data_offset - len(record)
-        self._buf[new_offset : new_offset + len(record)] = record
-        self._write_header(slot_count, new_offset, live_count)
-        self._set_slot(slot_no, new_offset, len(record))
+        self._place(record, slot_no)
         return True
 
     def compact(self) -> None:
         """Re-pack live record bodies toward the page end, squeezing holes."""
+        buf = self._buf
         _, slot_count, _, live_count, _ = self._read_header()
-        live = []
-        for slot_no in range(slot_count):
-            offset, length = self._slot(slot_no)
-            if offset != 0:
-                live.append((slot_no, bytes(self._buf[offset : offset + length])))
+        directory = list(self._directory(slot_count))
+        bodies = []
         write_at = self._size
-        for slot_no, body in live:
-            write_at -= len(body)
-            self._buf[write_at : write_at + len(body)] = body
-            self._set_slot(slot_no, write_at, len(body))
+        for i in range(0, 2 * slot_count, 2):
+            offset = directory[i]
+            if offset:
+                bodies.append(buf[offset : offset + directory[i + 1]])
+                write_at -= directory[i + 1]
+                directory[i] = write_at
+        bodies.reverse()  # slot order runs down from the page end
+        buf[write_at:] = b"".join(bodies)
+        struct.pack_into(f"<{2 * slot_count}H", buf, HEADER_SIZE, *directory)
         self._write_header(slot_count, write_at, live_count)
+        self.compactions += 1
 
     def records(self) -> "Iterator[tuple[int, bytes]]":
         """Yield ``(slot_no, body)`` for live slots in slot order."""
-        for slot_no in range(self.slot_count):
-            offset, length = self._slot(slot_no)
-            if offset != 0:
-                yield slot_no, bytes(self._buf[offset : offset + length])
+        directory = self._directory(self.slot_count)
+        for i in range(0, len(directory), 2):
+            offset = directory[i]
+            if offset:
+                yield i // 2, bytes(self._buf[offset : offset + directory[i + 1]])
 
     def live_bounds(self) -> "Optional[tuple[int, int]]":
         """``(first_live_slot, last_live_slot)``, or ``None`` if the page is empty.
@@ -286,14 +312,11 @@ class SlottedPage:
         Directory-only walk — record bodies are not read.  Page summaries
         use this to keep their live-address bounds exact across deletes.
         """
-        first: Optional[int] = None
-        last: Optional[int] = None
-        for slot_no in range(self.slot_count):
-            offset, _ = self._slot(slot_no)
-            if offset != 0:
-                if first is None:
-                    first = slot_no
-                last = slot_no
-        if first is None:
+        live = [
+            slot_no
+            for slot_no, offset in enumerate(self._directory(self.slot_count)[0::2])
+            if offset
+        ]
+        if not live:
             return None
-        return first, last
+        return live[0], live[-1]

@@ -49,9 +49,6 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.relation.row import decode_fields
-from repro.relation.schema import Schema
-from repro.relation.types import NULL
 from repro.storage.batch import ANNOTATION_TAIL, PREV_NULL_PAGE, TS_NULL
 from repro.storage.rid import Rid
 
@@ -171,15 +168,7 @@ class PageSummaryMap:
     paper's timestamp bookkeeping.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        prev_pos: int,
-        ts_pos: int,
-        now: Callable[[], int],
-    ) -> None:
-        self._schema = schema
-        self._positions: "tuple[int, int]" = (prev_pos, ts_pos)
+    def __init__(self, now: Callable[[], int]) -> None:
         self._now = now
         self._pages: "dict[int, PageSummary]" = {}
 
@@ -199,13 +188,18 @@ class PageSummaryMap:
     # -- write hooks (called by HeapFile while the page is pinned) -----------
 
     def _absorb(self, summary: PageSummary, slot_no: int, body: bytes) -> None:
-        """Fold one record image's annotation state into the summary."""
-        prev, ts = decode_fields(self._schema, body, self._positions)
-        if prev is NULL or ts is NULL:
+        """Fold one record image's annotation state into the summary.
+
+        The annotations are the record's last two 8-byte fields
+        (:meth:`repro.table.Table.enable_annotations`), so ``body`` may
+        be the whole record or just that tail.
+        """
+        prev_page, _, ts = ANNOTATION_TAIL.unpack_from(body, len(body) - 16)
+        if prev_page == PREV_NULL_PAGE or ts == TS_NULL:
             summary.null_slots.add(slot_no)
         else:
             summary.null_slots.discard(slot_no)
-        if ts is not NULL and ts > summary.max_ts:
+        if ts != TS_NULL and ts > summary.max_ts:
             summary.max_ts = ts
 
     def note_insert(
@@ -222,22 +216,11 @@ class PageSummaryMap:
             self._mark_structural(summary)
 
     def note_update(self, rid: Rid, body: bytes) -> None:
+        """``body`` is the record as written, or, from an annotation
+        repair, just its trailing ``(PrevAddr, TimeStamp)`` bytes."""
         summary = self.get_or_create(rid.page_no)
         summary.page_version += 1
         self._absorb(summary, rid.slot_no, body)
-
-    def note_annotations(self, rid: Rid, tail: bytes) -> None:
-        """:meth:`note_update` for an annotation repair, given only the
-        record's trailing ``(PrevAddr, TimeStamp)`` bytes as they stand."""
-        summary = self.get_or_create(rid.page_no)
-        summary.page_version += 1
-        prev_page, _, ts = ANNOTATION_TAIL.unpack(tail)
-        if prev_page == PREV_NULL_PAGE or ts == TS_NULL:
-            summary.null_slots.add(rid.slot_no)
-        else:
-            summary.null_slots.discard(rid.slot_no)
-        if ts != TS_NULL and ts > summary.max_ts:
-            summary.max_ts = ts
 
     def note_delete(self, rid: Rid, page: "SlottedPage") -> None:
         summary = self.get_or_create(rid.page_no)

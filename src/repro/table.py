@@ -92,6 +92,8 @@ class Table(UndoInterface):
         self.db = db
         self.name = name
         self.schema = schema  # full schema, including hidden columns if any
+        #: The schema without hidden columns, rebuilt where ``schema`` is set.
+        self.visible_schema = schema.visible()
         self.heap = heap
         self.annotation_mode = "none"
         self.stats = TableStats()
@@ -104,10 +106,6 @@ class Table(UndoInterface):
         self._indexes: "list[Any]" = []
 
     # -- schema views ---------------------------------------------------------
-
-    @property
-    def visible_schema(self) -> Schema:
-        return self.schema.visible()
 
     @property
     def has_annotations(self) -> bool:
@@ -185,6 +183,7 @@ class Table(UndoInterface):
         new_schema = old_schema.with_columns(annotation_columns())
         self._rewrite_for_annotations(old_schema, new_schema, mode)
         self.schema = new_schema
+        self.visible_schema = new_schema.visible()
         self._prev_pos = new_schema.position(PREVADDR)
         self._ts_pos = new_schema.position(TIMESTAMP)
         # THE annotation layout, taken as given below the table layer:
@@ -192,15 +191,11 @@ class Table(UndoInterface):
         # fixed 8-byte inline-NULL encodings, so every record ends in
         # PrevAddr then TimeStamp.  Repairs overwrite that tail in place
         # (HeapFile.write_annotations), batches and summaries read it
-        # with one struct (ANNOTATION_TAIL), system_update slices it.
+        # with one struct (ANNOTATION_TAIL), system_update_values slices it.
         self.annotation_mode = mode
-        # Page summaries decode the annotation fields, so they can only
+        # Page summaries read the annotation tail, so they can only
         # exist from this point on; rebuild covers pre-existing rows.
-        self.heap.attach_summaries(
-            PageSummaryMap(
-                new_schema, self._prev_pos, self._ts_pos, self.db.clock.read
-            )
-        )
+        self.heap.attach_summaries(PageSummaryMap(self.db.clock.read))
         if mode == "eager":
             self._live = BPlusTree(order=64)
             self._chain_all()
@@ -519,15 +514,19 @@ class Table(UndoInterface):
 
     def system_insert(self, values_by_name: "dict[str, Any]") -> Rid:
         """Insert a row given per-column values (hidden columns allowed)."""
+        # The annotations, when present, are the schema's last two columns
+        # and the record's last two 8-byte fields (see enable_annotations).
+        columns = self.schema.columns[: -2 if self.has_annotations else None]
+        return self.system_insert_values(
+            [values_by_name[column.name] for column in columns]
+        )
+
+    def system_insert_values(self, values: Sequence[Any]) -> Rid:
+        """:meth:`system_insert` given every non-annotation column's
+        value in schema order."""
         if self.annotation_mode == "eager":
             raise CatalogError("system operations require none/lazy mode")
-        row_values = []
-        for column in self.schema:
-            if column.name in (PREVADDR, TIMESTAMP):
-                row_values.append(NULL)
-            else:
-                row_values.append(values_by_name[column.name])
-        row = Row(row_values)
+        row = Row((*values, NULL, NULL) if self.has_annotations else values)
         rid = self.heap.insert(encode_row(self.schema, row))
         if self._live is not None:
             self._live.insert(rid.key(), rid)
@@ -538,8 +537,21 @@ class Table(UndoInterface):
     def system_update(
         self, rid: Rid, changes: "dict[str, Any]"
     ) -> Optional[Rid]:
-        """Set non-annotation columns of the row at ``rid``, from one read
-        of the stored record.
+        """:meth:`system_update_values` with the columns named."""
+        if PREVADDR in changes or TIMESTAMP in changes:
+            raise SchemaError("use set_annotations for annotation fields")
+        positions = [self.schema.position(name) for name in changes]
+        return self.system_update_values(rid, list(changes.values()), positions)
+
+    def system_update_values(
+        self,
+        rid: Rid,
+        values: Sequence[Any],
+        positions: "Optional[Sequence[int]]" = None,
+    ) -> Optional[Rid]:
+        """Set non-annotation columns of the row at ``rid`` under one pin
+        of its page: ``values[i]`` goes to column ``positions[i]``, or
+        ``values`` is every such column in schema order.
 
         Returns ``None``, having written nothing, when the row already
         holds these values: a non-change leaves no NULL-``TimeStamp``
@@ -548,45 +560,44 @@ class Table(UndoInterface):
         """
         if self.annotation_mode == "eager":
             raise CatalogError("system operations require none/lazy mode")
-        if PREVADDR in changes or TIMESTAMP in changes:
-            raise SchemaError("use set_annotations for annotation fields")
-        before = self.heap.read(rid)
-        # The annotations, when present, are the schema's last two columns
-        # and the record's last two 8-byte fields (see enable_annotations).
-        columns = self.schema.columns[: -2 if self.has_annotations else None]
-        partial = len(changes) < len(columns)
-        old_values = None
-        if partial or self._indexes:
-            old_values = self._decode(before).values
-        if partial:
-            values = list(old_values[: len(columns)])
-            for name, value in changes.items():
-                values[self.schema.position(name)] = value
-        else:  # every column is named: nothing to decode
-            values = [changes[column.name] for column in columns]
-        row = Row(values + [NULL, NULL] if self.has_annotations else values)
-        fresh = body = encode_row(self.schema, row)
-        if self.has_annotations:
+        annotated = self.has_annotations
+        old_values = row = fresh = None
+
+        def decide(before: bytes) -> Optional[bytes]:
+            nonlocal old_values, row, fresh
+            if positions is not None or self._indexes:
+                old_values = self._decode(before).values
+            if positions is None:  # every column is given: nothing to decode
+                new = list(values)
+            else:
+                new = list(old_values[:-2] if annotated else old_values)
+                for position, value in zip(positions, values):
+                    new[position] = value
+            row = Row(new + [NULL, NULL] if annotated else new)
+            fresh = encode_row(self.schema, row)
+            if not annotated:
+                return None if fresh == before else fresh
             # Compare what precedes the annotations, then apply the lazy
             # update rule: PrevAddr stays as stored, TimeStamp goes NULL.
             if fresh[:-16] == before[:-16]:
                 return None
-            body = fresh[:-16] + before[-16:-8] + fresh[-8:]
-        elif body == before:
-            return None
-        self.stats.updates += 1
+            return fresh[:-16] + before[-16:-8] + fresh[-8:]
+
         try:
-            self.heap.update(rid, body)
-            if self._indexes:
-                self._notify_update(rid, old_values, rid, row.values)
-            return rid
+            if self.heap.rewrite(rid, decide) is None:
+                return None
         except PageFullError:  # relocate: a delete plus a fresh insert
+            self.stats.updates += 1
             self.heap.delete(rid)
             new_rid = self.heap.insert(fresh)
             if self._indexes:
                 self._notify_delete(rid, old_values)
                 self._notify_insert(new_rid, row.values)
             return new_rid
+        self.stats.updates += 1
+        if self._indexes:
+            self._notify_update(rid, old_values, rid, row.values)
+        return rid
 
     def system_delete(self, rid: Rid) -> None:
         """Delete a row without logging ("delete just deletes")."""

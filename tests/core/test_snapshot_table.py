@@ -222,3 +222,39 @@ class TestNetChange:
         snap.apply(UpdateDeltaMessage(addr(1), Rid.BEGIN, 0, (), 1))
         assert image(snap) == before
         assert (snap.skipped_upserts, snap.applied_merges) == (1, 0)
+
+    def test_upsert_is_one_pin_and_a_skipped_one_leaves_the_frame_clean(self, snap):
+        preload(snap, {1: ("a", 1), 2: ("b", 2)})
+        pool = snap.storage.heap.pool
+        summary = snap.storage.heap.summaries.get(0)
+        pool.flush_all()
+        before, version = image(snap), summary.page_version
+        pins, writebacks = pool.stats.hits + pool.stats.misses, pool.stats.writebacks
+        snap.apply(UpsertMessage(addr(1), ("a", 1), 10))  # holds these values
+        assert pool.stats.hits + pool.stats.misses == pins + 1
+        pool.flush_all()
+        assert pool.stats.writebacks == writebacks  # nothing was dirtied
+        assert (image(snap), summary.page_version) == (before, version)
+        pins = pool.stats.hits + pool.stats.misses  # image() pinned too
+        snap.apply(UpsertMessage(addr(1), ("a", 5), 10))
+        snap.apply(UpdateDeltaMessage(addr(2), addr(1), 0b10, (7,), 4))
+        assert pool.stats.hits + pool.stats.misses == pins + 2
+        assert summary.page_version == version + 2
+        assert snap.as_map() == {addr(1): ("a", 5), addr(2): ("b", 7)}
+
+    def test_relocated_row_is_followed_by_the_index(self, snap):
+        preload(snap, {slot: ("x" * 1300, slot) for slot in range(3)})
+        old = snap._index.get(addr(1).key())
+        snap.apply(UpsertMessage(addr(1), ("y" * 2700, 1), 10))  # outgrows its page
+        new = snap._index.get(addr(1).key())
+        assert new != old and not snap.storage.exists(old)
+        assert snap.lookup(addr(1)).values == ("y" * 2700, 1)
+        assert snap.storage.row_count == len(snap) == 3
+
+    def test_delta_for_a_missing_address_writes_no_byte(self, snap):
+        preload(snap, {1: ("a", 1)})
+        before, writes = image(snap), snap.storage.heap.writes.total
+        with pytest.raises(SnapshotError, match="no entry exists"):
+            snap.apply(UpdateDeltaMessage(addr(2), addr(1), 0b10, (5,), 4))
+        assert image(snap) == before
+        assert snap.storage.heap.writes.total == writes

@@ -100,3 +100,75 @@ class TestAgainstModel:
         assert [k for k, _ in removed] == expected_removed
         survivors = {k: v for k, v in model.items() if not (lo < k < hi)}
         assert dict(tree.items()) == survivors
+
+
+def leaf_edges(tree):
+    """First and last key of every leaf, in key order."""
+    node = tree._root
+    while hasattr(node, "children"):
+        node = node.children[0]
+    edges = []
+    while node is not None:
+        if node.keys:
+            edges += [node.keys[0], node.keys[-1]]
+        node = node.next
+    return edges
+
+
+class TestDeleteRange:
+    """Against the sorted-list model: bounds on leaf boundaries, every
+    include flag, empty, single-leaf and multi-leaf intervals."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        present=st.sets(st.integers(min_value=0, max_value=400), max_size=250),
+        order=st.sampled_from([4, 5, 8, 64]),
+        cuts=st.lists(
+            st.tuples(
+                st.sampled_from(["edge", "edge", "key", "none"]),
+                st.integers(min_value=0, max_value=1000),
+                st.sampled_from(["edge", "key", "none"]),
+                st.integers(min_value=0, max_value=80),  # interval width
+                st.booleans(),
+                st.booleans(),
+                st.booleans(),  # refill what was cut before the next one
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_matches_sorted_list(self, present, order, cuts):
+        tree = BPlusTree(order=order)
+        for key in sorted(present, key=lambda k: k * 7919 % 401):
+            tree.insert(key, -key)
+        model = sorted(present)
+        for lo_kind, pick, hi_kind, width, include_lo, include_hi, refill in cuts:
+            edges = leaf_edges(tree)
+            lo = None
+            if lo_kind == "edge" and edges:
+                lo = edges[pick % len(edges)]
+            elif lo_kind == "key":
+                lo = pick % 401
+            hi = None
+            if hi_kind == "edge" and edges:
+                above = [edge for edge in edges if lo is None or edge >= lo]
+                hi = above[min(width // 8, len(above) - 1)] if above else lo
+            elif hi_kind == "key":
+                hi = (0 if lo is None else lo) + width
+            doomed = [
+                key
+                for key in model
+                if (lo is None or key > lo or (include_lo and key == lo))
+                and (hi is None or key < hi or (include_hi and key == hi))
+            ]
+            removed = tree.delete_range(lo, hi, include_lo, include_hi)
+            assert removed == [(key, -key) for key in doomed]
+            model = [key for key in model if key not in set(doomed)]
+            tree.check_invariants()
+            assert [key for key, _ in tree.items()] == model
+            assert len(tree) == len(model)
+            if refill:
+                for key in doomed:
+                    tree.insert(key, -key)
+                model = sorted(model + doomed)
+                tree.check_invariants()

@@ -2,10 +2,10 @@
 
 Two invariants pin the binary transport:
 
-1. **Size identity** — ``encoded_size(schema, row)`` (the arithmetic
-   used by every ``wire_size()`` model) equals
-   ``len(encode_row(schema, row))`` for arbitrary schemas and values,
-   and ``encoded_fields_size`` over all positions agrees with both.
+1. **Size identity** — ``encoded_size(schema, row)`` (what every
+   ``wire_size()`` model charges) equals ``len(encode_row(schema, row))``
+   for arbitrary schemas and values, and ``encoded_fields_size`` over
+   all positions — the per-type arithmetic — agrees with both.
 
 2. **Round-trip byte identity** — encoding any refresh-message stream
    into frames and decoding it back reproduces the exact message

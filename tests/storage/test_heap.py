@@ -197,3 +197,37 @@ class TestWriteCounters:
         heap.insert(b"a")
         heap.writes.reset()
         assert heap.writes.total == 0
+
+    def test_compactions_counted_only_when_no_gap_holds_the_record(self, heap):
+        rids = [heap.insert(bytes([i]) * 30) for i in range(14)]  # two full pages
+        assert heap.page_count == 2 and heap.writes.compactions == 0
+        heap.delete(rids[2])
+        heap.delete(rids[4])
+        assert heap.insert(b"h" * 30) == rids[2]  # the hole holds it
+        assert heap.writes.compactions == 0
+        heap.delete(rids[2])
+        assert heap.insert(b"w" * 50) == rids[2]  # two 30-byte holes do not
+        assert heap.writes.compactions == 1
+        heap.delete(rids[8])
+        heap.update(rids[11], b"u" * 45)  # a grown record, same rule
+        assert heap.writes.compactions == 2
+        assert heap.writes.total == 14 + 4 + 2 + 1  # not a record write
+        assert "compactions=2" in repr(heap.writes)
+        heap.writes.reset()
+        assert heap.writes.compactions == 0
+
+    def test_rewrite_is_one_pin_and_a_skip_leaves_the_frame_clean(self, heap):
+        rid = heap.insert(b"stored")
+        pool = heap.pool
+        pool.flush_all()
+        pins = pool.stats.hits + pool.stats.misses
+        writebacks = pool.stats.writebacks
+        seen = []
+        assert heap.rewrite(rid, lambda before: seen.append(before)) is None
+        assert seen == [b"stored"]
+        assert pool.stats.hits + pool.stats.misses == pins + 1
+        pool.flush_all()
+        assert pool.stats.writebacks == writebacks and heap.writes.updates == 0
+        assert heap.rewrite(rid, lambda before: before + b"!") == b"stored!"
+        assert pool.stats.hits + pool.stats.misses == pins + 2
+        assert heap.read(rid) == b"stored!" and heap.writes.updates == 1

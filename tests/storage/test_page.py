@@ -133,6 +133,90 @@ class TestSpaceManagement:
         assert page.live_count == 0
 
 
+def _fill(page, length):
+    """Insert ``length``-byte records until none fits; return the slots."""
+    slots = []
+    while page.free_for_insert(length, reuse_slot=False):
+        slots.append(page.insert(bytes([len(slots)]) * length))
+    return slots
+
+
+def _layout(page):
+    return {slot: page._slot(slot) for slot in range(page.slot_count)}
+
+
+class TestPlacement:
+    """Frontier, else the first hole that fits, else compact."""
+
+    def test_hole_of_a_middle_delete_takes_the_next_insert(self, page):
+        slots = _fill(page, 40)
+        assert page.contiguous_free() < 40
+        victim = slots[len(slots) // 2]
+        hole = page._slot(victim)
+        before = _layout(page)
+        frontier = page.contiguous_free()
+        page.delete(victim)
+        assert page.insert(b"n" * 33) == victim
+        assert page.compactions == 0
+        after = _layout(page)
+        offset, length = after.pop(victim)
+        del before[victim]
+        assert after == before  # nobody else moved
+        assert length == 33
+        assert hole[0] <= offset and offset + 33 <= hole[0] + hole[1]
+        assert page.contiguous_free() == frontier  # free_data_offset stood
+        assert page.read(victim) == b"n" * 33
+
+    def test_record_longer_than_any_gap_compacts_once(self, page):
+        slots = _fill(page, 40)
+        for slot in slots[1::3]:
+            page.delete(slot)
+        survivors = dict(page.records())
+        big = b"B" * 70  # no single 40-byte hole holds it; together they do
+        assert page.contiguous_free() < len(big) <= page.reclaimable()
+        slot = page.insert(big)
+        assert page.compactions == 1
+        assert slot == slots[1]
+        survivors[slot] = big
+        assert dict(page.records()) == survivors
+
+    def test_hole_at_the_frontier_is_a_gap(self, page):
+        slots = _fill(page, 40)
+        lowest = min(slots, key=lambda slot: page._slot(slot)[0])
+        hole = page._slot(lowest)
+        page.delete(lowest)  # the body at free_data_offset itself
+        assert page.insert(b"f" * 40) == lowest
+        assert page.compactions == 0
+        assert page._slot(lowest) == hole
+
+    def test_growing_update_takes_a_hole_before_compacting(self, page):
+        slots = _fill(page, 40)
+        page.delete(slots[3])
+        page.update(slots[5], b"s" * 10)  # shrink: a 30-byte hole behind it
+        others = {s: page._slot(s) for s in slots if s not in (slots[3], slots[5])}
+        assert page.update(slots[5], b"g" * 38) is True  # its own hole is too small
+        assert page.compactions == 0
+        assert {s: page._slot(s) for s in others} == others
+        assert page.read(slots[5]) == b"g" * 38
+        with pytest.raises(PageFullError):
+            page.update(slots[5], b"h" * 400)
+        assert page.read(slots[5]) == b"g" * 38  # a refused grow changes nothing
+
+    def test_compact_after_holes_were_partly_refilled(self, page):
+        slots = _fill(page, 40)
+        for slot in slots[::2]:
+            page.delete(slot)
+        page.insert(b"p" * 25)
+        page.insert(b"q" * 40)
+        model = dict(page.records())
+        free = page.contiguous_free() + page.reclaimable()
+        page.compact()
+        assert dict(page.records()) == model
+        assert page.reclaimable() == 0
+        assert page.contiguous_free() == free
+        assert page.compactions == 1
+
+
 class TestFormat:
     def test_bad_magic_rejected(self):
         with pytest.raises(PageFormatError):

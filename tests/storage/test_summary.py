@@ -20,9 +20,7 @@ def assert_matches_rebuild(table):
     stamp behind); everything else must be exact.
     """
     heap = table.heap
-    fresh = PageSummaryMap(
-        table.schema, table._prev_pos, table._ts_pos, table.db.clock.read
-    )
+    fresh = PageSummaryMap(table.db.clock.read)
     fresh.rebuild(heap)
     for page_no in range(heap.page_count):
         live = heap.summaries.get(page_no)

@@ -62,6 +62,33 @@ class TestSystemUpdate:
         assert table.heap.read(rid) == before  # TimeStamp 5 still there
         assert table.stats.updates == updates
 
+    def test_one_pin_and_a_noop_leaves_the_frame_clean(self, table):
+        rid = next(r for r, _ in table.scan())
+        pool = table.heap.pool
+        summary = table.heap.summaries.get(rid.page_no)
+        pool.flush_all()
+        before, version = table.heap.read(rid), summary.page_version
+        pins, writebacks = pool.stats.hits + pool.stats.misses, pool.stats.writebacks
+        assert table.system_update(rid, {"v": table.read(rid).values[0]}) is None
+        assert pool.stats.hits + pool.stats.misses == pins + 2  # ours + table.read's
+        pool.flush_all()
+        assert pool.stats.writebacks == writebacks
+        assert summary.page_version == version
+        assert table.system_update(rid, {"v": 77}) == rid
+        assert pool.stats.hits + pool.stats.misses == pins + 3
+        assert summary.page_version == version + 1
+        assert table.heap.read(rid) != before
+
+    def test_positional_form_names_every_stored_column(self, table):
+        rid = next(r for r, _ in table.scan())
+        assert table.system_update_values(rid, [41]) == rid
+        assert table.system_update_values(rid, [41]) is None
+        assert table.system_update_values(rid, [42], [0]) == rid
+        assert table.read(rid).values == (42,)
+        with pytest.raises(SchemaError):
+            table.system_update_values(rid, [1, 2])  # arity is still checked
+        assert table.read(rid).values == (42,)
+
     def test_keeps_the_stored_prevaddr(self, table):
         first, second = [r for r, _ in table.scan()][:2]
         table.set_annotations(second, prev=first, ts=5)

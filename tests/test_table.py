@@ -44,6 +44,14 @@ class TestSchemaViews:
         assert PREVADDR in lazy.schema
         assert TIMESTAMP in lazy.schema
 
+    def test_visible_schema_is_built_where_the_schema_is_set(self, plain):
+        visible = plain.visible_schema
+        assert plain.visible_schema is visible  # not rebuilt per access
+        plain.enable_annotations("lazy")
+        assert plain.visible_schema is not visible
+        assert plain.visible_schema is plain.visible_schema
+        assert plain.visible_schema == plain.schema.visible() == visible
+
     def test_reserved_names_rejected(self, db):
         with pytest.raises(SchemaError):
             db.create_table("bad", [(PREVADDR, "int")])
