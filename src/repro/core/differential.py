@@ -753,6 +753,7 @@ class RefreshCursor:
         pay the column bitmap for nothing.
         """
         values = projected.values
+        value_bytes = encoded_size(self.value_schema, projected)
         if self.value_cache is not None:
             old = self.value_cache.lookup(rid)
             if old is not None and len(old) == len(values):
@@ -770,8 +771,7 @@ class RefreshCursor:
                     [values[index] for index in positions],
                 )
                 mask_bytes = max(1, (mask.bit_length() + 7) // 8)
-                full_bytes = encoded_size(self.value_schema, projected)
-                if mask_bytes + delta_bytes < full_bytes:
+                if mask_bytes + delta_bytes < value_bytes:
                     return UpdateDeltaMessage(
                         rid,
                         self.last_qual,
@@ -779,7 +779,6 @@ class RefreshCursor:
                         tuple(values[index] for index in positions),
                         delta_bytes,
                     )
-        value_bytes = encoded_size(self.value_schema, projected)
         return EntryMessage(rid, self.last_qual, values, value_bytes)
 
     def _carry_value(self, rid: Rid) -> None:

@@ -52,12 +52,17 @@ sections behind them):
               re-entrancy and claim-fencing arguments both assume the
               dependency points one way only.
 
-**L5 — no bare ``assert`` for runtime checks**
+**L5 — runtime hygiene of library code**
     ``L501``  ``assert`` statement in library code (stripped under
               ``python -O``; raise a :mod:`repro.errors` exception).
     ``L502``  A ``# replint: ignore[...]`` suppression whose rule no
               longer fires on that line (stale suppressions rot into
               lies; this one is emitted by the engine itself).
+    ``L503``  The builtin ``exec`` called outside the two plan renderers
+              (``net/wirebatch.py``, ``relation/row.py``).  Generated
+              code is a technique with two owners, each rendering from a
+              declarative plan and audited against a generic walk; it is
+              not a habit.  A suppression comment does not waive it.
 """
 
 from __future__ import annotations
@@ -152,6 +157,9 @@ REGISTRY_FORBIDDEN_NAMES = {
     "FleetDrainResult",
 }
 
+#: The plan renderers: the only modules that may run generated source.
+EXEC_OWNERS = {"net/wirebatch.py", "relation/row.py"}
+
 RULES = {
     "L101": "annotation write outside the annotation-writer whitelist",
     "L102": "PageSummary change state mutated outside storage/summary.py",
@@ -166,6 +174,7 @@ RULES = {
     "L404": "registry/cohort module references manager/scheduler internals",
     "L501": "bare assert in library code (stripped under python -O)",
     "L502": "replint suppression whose rule no longer fires on that line",
+    "L503": "builtin exec called outside the two plan renderers",
 }
 
 
@@ -565,6 +574,35 @@ class BareAssertChecker(Checker):
                 )
 
 
+class ExecChecker(Checker):
+    """L5: generated code stays with the modules that own a plan."""
+
+    rules = ("L503",)
+
+    def check(self, source: SourceFile) -> "Iterator[Violation]":
+        if source.logical in EXEC_OWNERS:
+            return
+        for node in ast.walk(source.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "exec") or (
+                isinstance(func, ast.Attribute)
+                and func.attr == "exec"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "builtins"
+            ):
+                yield Violation(
+                    "L503",
+                    source.path,
+                    node.lineno,
+                    node.col_offset,
+                    "exec outside the plan renderers ("
+                    + ", ".join(sorted(EXEC_OWNERS))
+                    + "); render from a declared plan there or write the code out",
+                )
+
+
 ALL_CHECKERS: "List[Checker]" = [
     MutationDisciplineChecker(),
     DeterminismChecker(),
@@ -572,4 +610,5 @@ ALL_CHECKERS: "List[Checker]" = [
     LockOrderChecker(),
     RegistryIsolationChecker(),
     BareAssertChecker(),
+    ExecChecker(),
 ]

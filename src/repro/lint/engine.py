@@ -61,6 +61,10 @@ class Violation:
         return hash((self.rule, self.path, self.line, self.col))
 
 
+#: Rules no comment waives: their exceptions are the modules they name.
+UNWAIVABLE = frozenset({"L503"})
+
+
 class SourceFile:
     """One parsed source file plus its logical (package-relative) path."""
 
@@ -78,7 +82,7 @@ class SourceFile:
 
     def suppressed(self, rule: str, line: int) -> bool:
         rules = self.suppressions.get(line)
-        if rules is None:
+        if rules is None or rule in UNWAIVABLE:
             return False
         return not rules or rule in rules
 

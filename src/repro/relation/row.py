@@ -9,7 +9,9 @@ network channel, so storage sizes and message sizes agree by construction.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+import struct
+import sys
+from typing import Any, Callable, Iterator, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.relation.schema import Schema
@@ -80,12 +82,30 @@ def encode_row(schema: Schema, row: Row) -> bytes:
 
     Layout: ``ceil(ncols/8)`` bytes of NULL bitmap (bit i set means column
     i is NULL) followed by the concatenated encodings of non-NULL values
-    in schema order.  One walk makes the checks of
+    in schema order.  :func:`walk_encode` is the definition; a row with
+    no bitmap NULL whose every value is exactly its column's class is
+    packed by the schema's rendered plan (:func:`_render`) instead, to
+    the same bytes, and any other row is handed to the walk.
+    """
+    codec = schema.codec or _render(schema)
+    return codec[0](row._values)
+
+
+def decode_row(schema: Schema, data: bytes) -> Row:
+    """Inverse of :func:`encode_row`: the plan where the NULL bitmap is
+    all zero, :func:`walk_decode` otherwise."""
+    codec = schema.codec or _render(schema)
+    return codec[1](data)
+
+
+def walk_encode(schema: Schema, values: "tuple[Any, ...]") -> bytes:
+    """The record layout, column by column: definition and error path.
+
+    One walk makes the checks of
     :meth:`~repro.relation.schema.Schema.validate` and encodes each
     value as it passes; the first failing column raises as it would there.
     """
     columns = schema.columns
-    values = row.values
     if len(values) != len(columns):
         raise SchemaError(f"expected {len(columns)} values, got {len(values)}")
     bitmap = 0
@@ -104,8 +124,8 @@ def encode_row(schema: Schema, row: Row) -> bytes:
     return b"".join(parts)
 
 
-def decode_row(schema: Schema, data: bytes) -> Row:
-    """Inverse of :func:`encode_row`."""
+def walk_decode(schema: Schema, data: bytes) -> Row:
+    """Inverse of :func:`walk_encode`."""
     bitmap_size = _bitmap_size(len(schema))
     if len(data) < bitmap_size:
         raise SchemaError("row image shorter than its NULL bitmap")
@@ -118,6 +138,155 @@ def decode_row(schema: Schema, data: bytes) -> Row:
             value, offset = column.ctype.decode(data, offset)
             values.append(value)
     return Row(values)
+
+
+#: What one schema's ``(encode, decode)`` pair looks like to callers.
+Codec = Tuple[Callable[[Tuple[Any, ...]], bytes], Callable[[bytes], Row]]
+
+_PLAN_SOURCE = """\
+def encode(values):
+    try:
+        {names} = values
+        if {guards}:
+{blobs}
+            return {packed}
+    except (ValueError, _struct_error):
+        pass
+    return _row.walk_encode(_schema, values)
+
+def decode(data):
+    if data[:{bitmap_size}] == {no_nulls!r}:
+        try:
+{unpacking}
+            return _Row(({values}))
+        except _struct_error:
+            pass
+    return _row.walk_decode(_schema, data)
+"""
+
+_WALK_ONLY_SOURCE = """\
+def encode(values):
+    return _row.walk_encode(_schema, values)
+
+def decode(data):
+    return _row.walk_decode(_schema, data)
+"""
+
+
+def _render(schema: Schema) -> Codec:
+    """Render ``schema``'s straight-line ``(encode, decode)`` and cache it
+    on the schema (which is immutable, so a plan never goes stale).
+
+    The source is built from what each column's type declares
+    (:class:`~repro.relation.types.PlanPiece`) and compiled once, the way
+    :mod:`repro.net.wirebatch` builds its decoders.  The record is cut
+    into *runs*: the zero bitmap and every fixed-width field up to and
+    including the next variable-width value's length prefix are one
+    ``struct.Struct``; the value's bytes lie between two runs.  Whatever
+    the fast path does not take — wrong arity, a bitmap NULL, a value not
+    exactly of its column's class, a ``struct.error`` (an integer or a
+    length out of range), a truncated image — goes to the walk, which
+    encodes it or raises.  The walk is looked up on this module at call
+    time, and nothing but the row decides which path runs.
+    """
+    namespace: "dict[str, Any]" = {
+        "_row": sys.modules[__name__],
+        "_schema": schema,
+        "_Row": Row,
+        "_NULL": NULL,
+        "_struct_error": struct.error,
+    }
+    code = compile(_plan_source(schema, namespace), f"<row codec {schema!r}>", "exec")
+    exec(code, namespace)  # noqa: S102 — source rendered from the types' pieces
+    codec: Codec = (namespace["encode"], namespace["decode"])
+    schema.codec = codec
+    return codec
+
+
+def _plan_source(schema: Schema, namespace: "dict[str, Any]") -> str:
+    """Fill :data:`_PLAN_SOURCE` for ``schema``, adding the classes and the
+    runs' ``Struct`` methods it names to ``namespace``; a type that
+    declares no piece leaves the whole schema to the walk."""
+    bitmap_size = _bitmap_size(len(schema))
+    guards: "list[str]" = []  # encode: what the fast path asks of each value
+    blobs: "list[str]" = []  # encode: binds each variable-width value's bytes
+    packed: "list[str]" = []  # encode: the record's parts, runs and blobs
+    unpacking: "list[str]" = []  # decode: statements binding fields and blobs
+    values: "list[str]" = []  # decode: one expression per column
+    # The open run: its struct codes, pack arguments and field names,
+    # and where it starts, as ``dynamic + static``.
+    codes = f"{bitmap_size}x"
+    args: "list[str]" = []
+    fields: "list[str]" = []
+    static, dynamic = 0, ""
+
+    def offset() -> str:
+        if dynamic and static:
+            return f"{dynamic} + {static}"
+        return dynamic or str(static)
+
+    def close_run() -> None:
+        nonlocal codes, args, fields, static
+        if fields:
+            run, n = struct.Struct("<" + codes), len(unpacking)
+            namespace[f"_pack{n}"] = run.pack
+            namespace[f"_unpack{n}"] = run.unpack_from
+            unpacking.append(f"{', '.join(fields)}, = _unpack{n}(data, {offset()})")
+            packed.append(f"_pack{n}({', '.join(args)})")
+            static += run.size
+        codes, args, fields = "", [], []
+
+    for i, column in enumerate(schema.columns):
+        piece = column.ctype.plan_piece()
+        if piece is None:
+            return _WALK_ONLY_SOURCE
+        v, b, cls = f"v{i}", f"b{i}", f"_class{i}"
+        namespace[cls] = piece.exact
+        f = [f"f{i}_{k}" for k in range(len(piece.codes))]
+        guard = f"{v}.__class__ is {cls}"
+        if piece.guard:
+            guard += " and " + piece.guard.format(v=v)
+        codes += piece.codes
+        fields += f
+        if piece.blob:
+            blobs.append(f"{b} = {piece.pack[0].format(v=v)}")
+            args.append(f"len({b})")
+            close_run()
+            unpacking.append(f"e{i} = {offset()} + {f[0]}")
+            unpacking.append(f"{b} = data[{offset()}:e{i}]")
+            packed.append(b)
+            static, dynamic = 0, f"e{i}"
+            value = piece.unpack.format(b=b)
+        else:
+            fills = [expression.format(v=v) for expression in piece.pack]
+            value = piece.unpack.format(f=f, cls=cls)
+            if piece.null is not None:
+                # An inline NULL is a stored sentinel, told by its first field.
+                value = f"_NULL if {f[0]} == {piece.null[0]} else {value}"
+                if column.nullable:
+                    guard = f"({v} is _NULL or {guard})"
+                    fills = [
+                        f"{null} if {v} is _NULL else {fill}"
+                        for null, fill in zip(piece.null, fills)
+                    ]
+            args += fills
+        guards.append(guard)
+        values.append(value)
+    close_run()
+
+    def block(statements: "list[str]", depth: int) -> str:
+        return "\n".join(" " * 4 * depth + statement for statement in statements)
+
+    return _PLAN_SOURCE.format(
+        names=", ".join(f"v{i}" for i in range(len(schema))) + ",",
+        guards=" and ".join(guards),
+        blobs=block(blobs, 3),
+        packed=" + ".join(packed),
+        bitmap_size=bitmap_size,
+        no_nulls=bytes(bitmap_size),
+        unpacking=block(unpacking, 3),
+        values=", ".join(values) + ",",
+    )
 
 
 def encoded_size(schema: Schema, row: Row) -> int:

@@ -9,10 +9,13 @@ a per-column ``hidden`` flag and helpers to derive the visible sub-schema.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relation.types import NULL, ColumnType, type_for_name
+
+if TYPE_CHECKING:
+    from repro.relation.row import Codec
 
 
 class Column:
@@ -84,6 +87,8 @@ class Schema:
         # Schemas are immutable and key hot memos (the batch's suffix
         # probes, the restriction parse cache): hash the columns once.
         self._hash = hash(self._columns)
+        #: The rendered record codec, once ``relation.row`` has used it.
+        self.codec: "Codec | None" = None
 
     @classmethod
     def of(cls, *specs: "tuple[str, str] | tuple[str, str, bool]") -> "Schema":

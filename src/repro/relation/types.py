@@ -15,7 +15,8 @@ network channel, and so message byte counts are honest.
 from __future__ import annotations
 
 import struct
-from typing import Any
+from functools import lru_cache
+from typing import Any, NamedTuple
 
 from repro.errors import SchemaError, TypeMismatchError
 
@@ -46,6 +47,37 @@ class NullValue:
 
 
 NULL = NullValue()
+
+
+class PlanPiece(NamedTuple):
+    """A type's share of a schema's rendered record codec, as data.
+
+    :func:`repro.relation.row.encode_row` and ``decode_row`` run source
+    rendered once per schema from these declarations; the renderer
+    names no type.  ``pack``, ``unpack`` and ``guard`` are Python
+    expressions with ``str.format`` fields: ``{v}`` is the value,
+    ``{f[0]}``, ``{f[1]}``… the unpacked fields and ``{cls}`` the class
+    ``exact``.  The fast path takes a value only if
+    ``v.__class__ is exact`` and ``guard`` holds; every other value goes
+    to the generic walk, which encodes it or raises.
+
+    A ``blob`` piece is variable-width: ``pack[0]`` gives the value's
+    bytes, the one field in ``codes`` is their length prefix, and
+    ``unpack`` is over ``{b}``, the stored bytes.
+    """
+
+    #: One little-endian ``struct`` code character per stored field.
+    codes: str
+    exact: type
+    #: Per field, the argument for ``Struct.pack``.
+    pack: "tuple[str, ...]"
+    unpack: str
+    #: A check on ``{v}`` the struct codes leave open, if any.
+    guard: str = ""
+    #: Inline-NULL types: the field values that stand for NULL; a stored
+    #: NULL is told by the first.
+    null: "tuple[int, ...] | None" = None
+    blob: bool = False
 
 
 class ColumnType:
@@ -126,6 +158,14 @@ class ColumnType:
             return self.fixed_size
         return len(self.encode(value))
 
+    def plan_piece(self) -> "PlanPiece | None":
+        """This type's share of a rendered record codec, or ``None``.
+
+        A schema holding a type that declares nothing is encoded and
+        decoded by the generic walk alone.
+        """
+        return None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -162,6 +202,9 @@ class IntType(ColumnType):
         (value,) = self._packer.unpack_from(data, offset)
         return value, offset + self._packer.size
 
+    def plan_piece(self) -> PlanPiece:
+        return PlanPiece("q", int, ("{v}",), "{f[0]}")  # "q" range-checks
+
 
 class FloatType(ColumnType):
     """IEEE-754 double column."""
@@ -182,6 +225,9 @@ class FloatType(ColumnType):
     def decode(self, data: bytes, offset: int) -> "tuple[float, int]":
         (value,) = self._packer.unpack_from(data, offset)
         return value, offset + self._packer.size
+
+    def plan_piece(self) -> PlanPiece:
+        return PlanPiece("d", float, ("{v}",), "{f[0]}")  # an int takes the walk
 
 
 class StringType(ColumnType):
@@ -220,6 +266,22 @@ class StringType(ColumnType):
     def encoded_size(self, value: Any) -> int:
         return self._length.size + len(value.encode("utf-8"))
 
+    def plan_piece(self) -> PlanPiece:
+        # "H" refuses a length above MAX_BYTES.
+        return PlanPiece("H", str, ("{v}.encode()",), "{b}.decode()", blob=True)
+
+
+@lru_cache(maxsize=None)
+def _rid_class() -> type:
+    """:class:`~repro.storage.rid.Rid`, imported on first use and once.
+
+    ``repro.storage`` imports this package while it initialises, so the
+    import cannot sit at module level; it is not repeated per value.
+    """
+    from repro.storage.rid import Rid
+
+    return Rid
+
 
 class RidType(ColumnType):
     """A record address (:class:`~repro.storage.rid.Rid`) column.
@@ -236,9 +298,7 @@ class RidType(ColumnType):
     _NULL_PAGE = -(2**31)
 
     def validate(self, value: Any) -> None:
-        from repro.storage.rid import Rid
-
-        if not isinstance(value, Rid):
+        if not isinstance(value, _rid_class()):
             raise TypeMismatchError(f"expected Rid, got {value!r}")
 
     def encode(self, value: Any) -> bytes:
@@ -247,13 +307,20 @@ class RidType(ColumnType):
         return self._packer.pack(value.page_no, value.slot_no)
 
     def decode(self, data: bytes, offset: int) -> "tuple[Any, int]":
-        from repro.storage.rid import Rid
-
         page_no, slot_no = self._packer.unpack_from(data, offset)
         end = offset + self._packer.size
         if page_no == self._NULL_PAGE:
             return NULL, end
-        return Rid(page_no, slot_no), end
+        return _rid_class()(page_no, slot_no), end
+
+    def plan_piece(self) -> PlanPiece:
+        return PlanPiece(
+            "iI",
+            _rid_class(),
+            ("{v}.page_no", "{v}.slot_no"),
+            "{cls}({f[0]}, {f[1]})",
+            null=(self._NULL_PAGE, 0),
+        )
 
 
 class TimestampType(ColumnType):
@@ -287,6 +354,12 @@ class TimestampType(ColumnType):
         if value == self._NULL_SENTINEL:
             return NULL, end
         return value, end
+
+    def plan_piece(self) -> PlanPiece:
+        # "q" bounds it above; below zero lies the sentinel's half.
+        return PlanPiece(
+            "q", int, ("{v}",), "{f[0]}", guard="{v} >= 0", null=(self._NULL_SENTINEL,)
+        )
 
 
 _ALL_TYPES = (IntType, FloatType, StringType, RidType, TimestampType)

@@ -355,29 +355,38 @@ class Table(UndoInterface):
         degrades to delete+insert (new address) — the annotation scheme
         handles that pair exactly like a real delete and insert.
         """
+        schema = self.schema
+        positions = []
         for name in changes:
-            column = self.schema.column(name)
-            if column.hidden:
+            positions.append(schema.position(name))
+            if schema.columns[positions[-1]].hidden:
                 raise SchemaError(f"cannot update hidden column {name!r}")
         txn, guard = self._resolve_txn(txn)
+        before = old_values = new_row = None
+
+        def decide(stored: bytes) -> bytes:
+            # encode_row validates: a rejected row raises before any write.
+            nonlocal before, old_values, new_row
+            before = stored
+            old_values = self._decode(stored).values
+            values = list(old_values)
+            for position, value in zip(positions, changes.values()):
+                values[position] = value
+            if self.annotation_mode == "lazy":
+                values[self._ts_pos] = NULL
+            elif self.annotation_mode == "eager":
+                values[self._ts_pos] = self.db.clock.tick()
+            new_row = Row(values)
+            return encode_row(schema, new_row)
+
         try:
             self._lock_for_write(txn, rid)
-            before = self.heap.read(rid)
-            row = self._decode(before)
-            new_row = row.replace(self.schema, **changes)
-            if self.annotation_mode == "lazy":
-                new_row = new_row.replace(self.schema, **{TIMESTAMP: NULL})
-            elif self.annotation_mode == "eager":
-                new_row = new_row.replace(
-                    self.schema, **{TIMESTAMP: self.db.clock.tick()}
-                )
-            body = encode_row(self.schema, new_row)
             try:
-                self.heap.update(rid, body)
+                body = self.heap.rewrite(rid, decide)
                 self.db.txns.record_operation(
                     txn, LogRecordType.UPDATE, self.name, rid, before, body
                 )
-                self._notify_update(rid, row.values, rid, new_row.values)
+                self._notify_update(rid, old_values, rid, new_row.values)
                 result = rid
             except PageFullError:
                 result = self._relocating_update(txn, rid, before, new_row)
@@ -400,7 +409,8 @@ class Table(UndoInterface):
         self.db.txns.record_operation(
             txn, LogRecordType.DELETE, self.name, rid, before, None
         )
-        self._notify_delete(rid, self._decode(before).values)
+        if self._indexes:
+            self._notify_delete(rid, self._decode(before).values)
         if self.annotation_mode == "eager":
             visible_count = len(self.visible_schema)
             return self._eager_insert(new_row.values[:visible_count], txn)
@@ -436,7 +446,8 @@ class Table(UndoInterface):
             self.db.txns.record_operation(
                 txn, LogRecordType.DELETE, self.name, rid, before, None
             )
-            self._notify_delete(rid, self._decode(before).values)
+            if self._indexes:
+                self._notify_delete(rid, self._decode(before).values)
             self.stats.deletes += 1
         except BaseException as exc:
             self._finish(guard, exc)

@@ -138,6 +138,18 @@ class TestBareAssert:
         assert fired(violations) == [("L501", 5)]
 
 
+class TestExecOwners:
+    def test_exec_fires_and_no_comment_waives_it(self):
+        violations = lint_sources([fixture("execs.py", "core/rogue.py")])
+        assert fired(violations) == [("L503", 6), ("L503", 11), ("L503", 15)]
+
+    def test_the_two_plan_renderers_are_exempt(self):
+        for logical in ("net/wirebatch.py", "relation/row.py"):
+            violations = lint_sources([fixture("execs.py", logical)])
+            # Exempt, so the fixture's own waiver has nothing to waive.
+            assert fired(violations) == [("L502", 11)], logical
+
+
 class TestEngine:
     def test_logical_path_anchors_at_repro(self):
         assert logical_path("src/repro/core/fixup.py") == "core/fixup.py"
@@ -150,7 +162,7 @@ class TestEngine:
             "L201", "L202", "L203", "L204",
             "L305",
             "L401", "L402", "L404",
-            "L501", "L502",
+            "L501", "L502", "L503",
         }
 
     def test_clean_tree_has_no_violations(self):

@@ -1,5 +1,9 @@
 """Column types: validation, encoding round trips, NULL sentinels."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import SchemaError, TypeMismatchError
@@ -121,6 +125,24 @@ class TestRidType:
     def test_rejects_non_rid(self):
         with pytest.raises(TypeMismatchError):
             RidType().validate((1, 2))
+
+    @pytest.mark.parametrize("first", ["repro.relation", "repro.storage"])
+    def test_either_package_imports_first_in_a_fresh_interpreter(self, first):
+        # RidType binds Rid on first use, not at import: repro.storage
+        # imports repro.relation while it is itself half-initialised.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        probe = (
+            f"import {first}; "
+            "from repro.relation.types import RidType; "
+            "from repro.storage.rid import Rid; "
+            "t = RidType(); t.validate(Rid(1, 2)); "
+            "assert t.decode(t.encode(Rid(1, 2)), 0) == (Rid(1, 2), 8)"
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            check=True,
+        )
 
 
 class TestTimestampType:

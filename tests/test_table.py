@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import CatalogError, SchemaError
+from repro.relation.row import Row, decode_row
 from repro.relation.types import NULL
 from repro.storage.rid import Rid
 from repro.table import PREVADDR, TIMESTAMP
+from repro.txn.wal import LogRecordType
 
 
 @pytest.fixture
@@ -124,6 +126,29 @@ class TestLazyOperations:
                 prev, ts = lazy.annotations(rid)
                 assert prev is NULL and ts is NULL
 
+    def test_delete_decodes_nothing_when_no_index_listens(self, lazy, monkeypatch):
+        decodes = []  # every decode the table asks for, plan or walk
+        monkeypatch.setattr(
+            "repro.table.decode_row",
+            lambda schema, data: decodes.append(data) or decode_row(schema, data),
+        )
+        rids = [r for r, _ in lazy.scan()]
+        del decodes[:]
+        lazy.delete(rids[3])
+        assert decodes == []
+
+        class Listener:
+            column = "v"
+            deleted = []
+
+            def on_delete(self, rid, values):
+                self.deleted.append((rid, values))
+
+        lazy.attach_index(Listener())
+        lazy.delete(rids[4])
+        assert Listener.deleted == [(rids[4], ("r4", 4, NULL, NULL))]
+        assert len(decodes) == 1
+
     def test_update_hidden_column_rejected(self, lazy):
         rid = next(r for r, _ in lazy.scan())
         with pytest.raises(SchemaError):
@@ -190,6 +215,72 @@ class TestEagerOperations:
             eager.bulk_load([["x", 1]])
 
 
+class TestOnePinUpdate:
+    """``Table.update`` reads, decides and writes under one pin of the
+    record's page, and validates before it writes."""
+
+    def test_an_update_is_one_page_access(self, db, lazy):
+        rid = next(r for r, _ in lazy.scan())
+        stats = db.pool.stats
+        accesses = stats.hits + stats.misses
+        lazy.update(rid, {"v": 1000})
+        assert stats.hits + stats.misses == accesses + 1
+
+    def test_the_log_holds_the_stored_bytes_before_and_after(self, db, lazy):
+        rid = [r for r, _ in lazy.scan()][2]
+        lazy.set_annotations(rid, prev=Rid(0, 1), ts=42)
+        before = lazy.heap.read(rid)
+        mark = db.wal.next_lsn
+        assert lazy.update(rid, {"v": 1000, "name": "renamed"}) == rid
+        after = lazy.heap.read(rid)
+        (record,) = [r for r in db.wal.scan(mark) if r.is_data()]
+        assert (record.rtype, record.rid) == (LogRecordType.UPDATE, rid)
+        assert (record.before, record.after) == (before, after)
+        assert decode_row(lazy.schema, after) == Row(
+            ("renamed", 1000, Rid(0, 1), NULL)
+        )
+
+    def test_a_rejected_update_writes_nothing(self, db, lazy):
+        rid = next(r for r, _ in lazy.scan())
+        db.pool.flush_all()
+        summary = lazy.heap.summaries.get(rid.page_no)
+        state = lambda: (  # noqa: E731
+            lazy.heap.read(rid),
+            summary.page_version,
+            lazy.heap.writes.total,
+            sum(r.is_data() for r in db.wal.scan()),
+            lazy.stats.updates,
+        )
+        before = state()
+        with pytest.raises(SchemaError):
+            lazy.update(rid, {"v": True})  # bool for int
+        assert state() == before
+        writebacks = db.pool.stats.writebacks
+        db.pool.flush_all()  # the frame was released clean
+        assert db.pool.stats.writebacks == writebacks
+
+    def test_abort_restores_the_before_image(self, db, lazy):
+        rid = next(r for r, _ in lazy.scan())
+        lazy.set_annotations(rid, prev=Rid.BEGIN, ts=42)
+        before = lazy.heap.read(rid)
+        txn = db.txns.begin()
+        lazy.update(rid, {"v": 1000}, txn=txn)
+        assert lazy.heap.read(rid) != before
+        txn.abort()
+        assert lazy.heap.read(rid) == before
+
+    def test_eager_mode_stamps_the_tick_it_takes(self, manual_db):
+        table = manual_db.create_table(
+            "eager_m", [("name", "string"), ("v", "int")], annotations="eager"
+        )
+        rid = table.insert(["a", 1])
+        prev, _ = table.annotations(rid)
+        now = manual_db.clock.read()
+        table.update(rid, {"v": 2})
+        assert table.annotations(rid) == (prev, now + 1)
+        assert manual_db.clock.read() == now + 1
+
+
 class TestRelocatingUpdate:
     def test_overflow_update_moves_row(self, db):
         table = db.create_table(
@@ -204,6 +295,22 @@ class TestRelocatingUpdate:
         assert table.read(new_rid).values == ("y" * 2700,)
         prev, ts = table.annotations(new_rid)
         assert prev is NULL and ts is NULL  # looks like a fresh insert
+
+    def test_relocation_logs_a_delete_and_an_insert(self, db):
+        table = db.create_table("grow2", [("pad", "string")], annotations="lazy")
+        rids = table.bulk_load([["x" * 1300] for _ in range(3)])
+        table.set_annotations(rids[1], prev=Rid.BEGIN, ts=7)
+        before = table.heap.read(rids[1])
+        mark = db.wal.next_lsn
+        new_rid = table.update(rids[1], {"pad": "y" * 2700})
+        data = [r for r in db.wal.scan(mark) if r.is_data()]
+        assert [(r.rtype, r.rid) for r in data] == [
+            (LogRecordType.DELETE, rids[1]),
+            (LogRecordType.INSERT, new_rid),
+        ]
+        assert data[0].before == before and data[0].after is None
+        assert data[1].before is None and data[1].after == table.heap.read(new_rid)
+        assert table.annotations(new_rid) == (NULL, NULL)
 
     def test_set_annotations_unknown_field(self, db):
         table = db.create_table("t2", [("v", "int")], annotations="lazy")
