@@ -81,6 +81,10 @@ def test_log_refresh_cull_cost(benchmark):
     assert not result.fell_back_full
     # Most of the log is irrelevant to this snapshot.
     assert result.relevant_records < result.log_records_scanned / 2
+    # Each autocommitted operation logs its data record and its COMMIT,
+    # nothing else; the N setup inserts precede the snapshot's start LSN.
+    assert result.log_records_scanned == 2 * OPERATIONS
+    assert result.entries_sent == 235
 
 
 @pytest.mark.benchmark(group="logbased")

@@ -31,6 +31,7 @@ from typing import Any, Iterator, Optional, Sequence
 from repro.errors import (
     CatalogError,
     InternalError,
+    LockTimeoutError,
     PageFullError,
     SchemaError,
 )
@@ -42,8 +43,12 @@ from repro.storage.heap import HeapFile
 from repro.storage.rid import Rid
 from repro.storage.summary import PageSummaryMap
 from repro.txn.locks import LockMode
-from repro.txn.transactions import Transaction, UndoInterface
+from repro.txn.transactions import Transaction, TxnStatus, UndoInterface
 from repro.txn.wal import LogRecordType
+
+# Read on every write, bound once (see txn/transactions.py).
+_ACTIVE = TxnStatus.ACTIVE
+_IX, _X = LockMode.IX, LockMode.X
 
 #: "Funny" names for the annotation fields, per the R* implementation.
 PREVADDR = "$PREVADDR$"
@@ -291,25 +296,35 @@ class Table(UndoInterface):
     # -- transactional operations ----------------------------------------------
 
     def _resolve_txn(self, txn: Optional[Transaction]):
-        """Return ``(txn, autocommit_guard_or_None)``."""
+        """Return ``(txn, own)``, ``own`` the transaction begun here, if any."""
         if txn is not None:
             txn._require_active()
             return txn, None
-        guard = self.db.txns.autocommit()
-        return guard.__enter__(), guard
+        own = self.db.txns.begin()
+        return own, own
 
-    def _finish(self, guard, error: Optional[BaseException]) -> None:
-        if guard is not None:
+    def _finish(self, own, error: Optional[BaseException]) -> None:
+        if own is not None and own.status is _ACTIVE:
             if error is None:
-                guard.__exit__(None, None, None)
+                self.db.txns.commit(own)
             else:
-                guard.__exit__(type(error), error, None)
+                self.db.txns.abort(own)
 
-    def _lock_for_write(self, txn: Transaction, rid: Optional[Rid]) -> None:
-        owner = ("txn", txn.txn_id)
-        self.db.locks.acquire(owner, ("table", self.name), LockMode.IX)
-        if rid is not None:
-            self.db.locks.acquire(owner, ("row", self.name, rid), LockMode.X)
+    def _lock_for_write(self, txn: Transaction, rid: Rid) -> None:
+        self.db.locks.acquire(txn.owner, ("table", self.name), _IX)
+        self.db.locks.acquire(txn.owner, ("row", self.name, rid), _X)
+
+    def _locked_insert(self, txn: Transaction, body: bytes) -> Rid:
+        """Heap-insert ``body`` under the table IX lock and X-lock its
+        address; a slot a transaction's delete still holds is given back."""
+        self.db.locks.acquire(txn.owner, ("table", self.name), _IX)
+        rid = self.heap.insert(body)
+        try:
+            self.db.locks.acquire(txn.owner, ("row", self.name, rid), _X)
+        except LockTimeoutError:
+            self.heap.delete(rid)
+            raise
+        return rid
 
     def insert(
         self, values: Sequence[Any], txn: Optional[Transaction] = None
@@ -320,25 +335,23 @@ class Table(UndoInterface):
         set the PrevAddr and TimeStamp fields to NULL and insert the
         entry into some empty address of the base table."
         """
-        txn, guard = self._resolve_txn(txn)
+        txn, own = self._resolve_txn(txn)
         try:
             if self.annotation_mode == "eager":
                 rid = self._eager_insert(values, txn)
             else:
                 row = self._full_row(values, NULL, NULL)
                 body = encode_row(self.schema, row)
-                self._lock_for_write(txn, None)
-                rid = self.heap.insert(body)
-                self._lock_for_write(txn, rid)
+                rid = self._locked_insert(txn, body)
                 self.db.txns.record_operation(
                     txn, LogRecordType.INSERT, self.name, rid, None, body
                 )
                 self._notify_insert(rid, row.values)
             self.stats.inserts += 1
         except BaseException as exc:
-            self._finish(guard, exc)
+            self._finish(own, exc)
             raise
-        self._finish(guard, None)
+        self._finish(own, None)
         return rid
 
     def update(
@@ -361,7 +374,7 @@ class Table(UndoInterface):
             positions.append(schema.position(name))
             if schema.columns[positions[-1]].hidden:
                 raise SchemaError(f"cannot update hidden column {name!r}")
-        txn, guard = self._resolve_txn(txn)
+        txn, own = self._resolve_txn(txn)
         before = old_values = new_row = None
 
         def decide(stored: bytes) -> bytes:
@@ -392,9 +405,9 @@ class Table(UndoInterface):
                 result = self._relocating_update(txn, rid, before, new_row)
             self.stats.updates += 1
         except BaseException as exc:
-            self._finish(guard, exc)
+            self._finish(own, exc)
             raise
-        self._finish(guard, None)
+        self._finish(own, None)
         return result
 
     def _relocating_update(
@@ -419,8 +432,7 @@ class Table(UndoInterface):
                 self.schema, **{PREVADDR: NULL, TIMESTAMP: NULL}
             )
         body = encode_row(self.schema, new_row)
-        new_rid = self.heap.insert(body)
-        self._lock_for_write(txn, new_rid)
+        new_rid = self._locked_insert(txn, body)
         self.db.txns.record_operation(
             txn, LogRecordType.INSERT, self.name, new_rid, None, body
         )
@@ -434,7 +446,7 @@ class Table(UndoInterface):
         unaffected by the snapshots — the base table entry is simply
         deleted."
         """
-        txn, guard = self._resolve_txn(txn)
+        txn, own = self._resolve_txn(txn)
         try:
             self._lock_for_write(txn, rid)
             before = self.heap.read(rid)
@@ -450,9 +462,9 @@ class Table(UndoInterface):
                 self._notify_delete(rid, self._decode(before).values)
             self.stats.deletes += 1
         except BaseException as exc:
-            self._finish(guard, exc)
+            self._finish(own, exc)
             raise
-        self._finish(guard, None)
+        self._finish(own, None)
 
     # -- eager-mode maintenance -------------------------------------------------
 
@@ -479,9 +491,7 @@ class Table(UndoInterface):
         # is known (the heap chooses placement).
         row = self._full_row(values, NULL, now)
         body = encode_row(self.schema, row)
-        self._lock_for_write(txn, None)
-        rid = self.heap.insert(body)
-        self._lock_for_write(txn, rid)
+        rid = self._locked_insert(txn, body)
         successor = self._successor(rid)
         if successor is not None:
             succ_prev, _ = self.annotations(successor)

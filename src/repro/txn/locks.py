@@ -16,6 +16,7 @@ upgradeable per owner).
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from typing import Hashable, Optional
 
 from repro.errors import LockTimeoutError, TransactionError
@@ -62,13 +63,6 @@ def supremum(a: LockMode, b: LockMode) -> LockMode:
     return _SUPREMUM.get((min(a, b), max(a, b)), max(a, b))
 
 
-class _LockEntry:
-    __slots__ = ("holders",)
-
-    def __init__(self) -> None:
-        self.holders: "dict[Hashable, LockMode]" = {}
-
-
 class LockManager:
     """Grants, upgrades, and releases locks keyed by arbitrary resources.
 
@@ -77,10 +71,13 @@ class LockManager:
     manager does not enforce the hierarchy itself — the table layer
     acquires intent locks before row locks — but it does validate
     compatibility and supports per-owner reentrancy and upgrades.
+    An ``owner → [resources]`` index lets :meth:`release_all` visit only
+    the owner's own locks, however many others hold.
     """
 
     def __init__(self) -> None:
-        self._locks: "dict[Hashable, _LockEntry]" = {}
+        self._locks: "dict[Hashable, dict[Hashable, LockMode]]" = {}
+        self._owned: "defaultdict[Hashable, list[Hashable]]" = defaultdict(list)
 
     def acquire(self, owner: Hashable, resource: Hashable, mode: LockMode) -> None:
         """Grant ``mode`` on ``resource`` to ``owner`` or raise.
@@ -89,51 +86,56 @@ class LockManager:
         with the other holders; an incompatible request raises
         :class:`LockTimeoutError` (this library never queues waiters).
         """
-        entry = self._locks.setdefault(resource, _LockEntry())
-        held = entry.holders.get(owner)
-        wanted = mode if held is None else supremum(held, mode)
-        for other, other_mode in entry.holders.items():
-            if other == owner:
-                continue
-            if wanted not in _COMPAT[other_mode]:
-                raise LockTimeoutError(
-                    f"{owner!r} cannot lock {resource!r} in {wanted.name}: "
-                    f"held in {other_mode.name} by {other!r}"
-                )
-        entry.holders[owner] = wanted
+        holders = self._locks.get(resource)
+        if holders is None:
+            self._locks[resource] = {owner: mode}
+        else:
+            held = holders.get(owner)
+            wanted = mode if held is None else supremum(held, mode)
+            for other, other_mode in holders.items():
+                if other != owner and wanted not in _COMPAT[other_mode]:
+                    raise LockTimeoutError(
+                        f"{owner!r} cannot lock {resource!r} in {wanted.name}: "
+                        f"held in {other_mode.name} by {other!r}"
+                    )
+            holders[owner] = wanted
+            if held is not None:
+                return
+        self._owned[owner].append(resource)
 
     def release(self, owner: Hashable, resource: Hashable) -> None:
         """Release ``owner``'s lock on ``resource``."""
-        entry = self._locks.get(resource)
-        if entry is None or owner not in entry.holders:
+        holders = self._locks.get(resource)
+        if holders is None or owner not in holders:
             raise TransactionError(
                 f"{owner!r} does not hold a lock on {resource!r}"
             )
-        del entry.holders[owner]
-        if not entry.holders:
+        del holders[owner]
+        if not holders:
             del self._locks[resource]
+        owned = self._owned[owner]
+        owned.remove(resource)
+        if not owned:
+            del self._owned[owner]
 
     def release_all(self, owner: Hashable) -> int:
         """Release every lock held by ``owner``; return how many."""
-        released = 0
-        for resource in list(self._locks):
-            entry = self._locks[resource]
-            if owner in entry.holders:
-                del entry.holders[owner]
-                released += 1
-                if not entry.holders:
-                    del self._locks[resource]
-        return released
+        owned = self._owned.pop(owner, ())
+        locks = self._locks
+        for resource in owned:
+            # One lookup where the owner held it alone, the common case.
+            holders = locks.pop(resource)
+            del holders[owner]
+            if holders:
+                locks[resource] = holders
+        return len(owned)
 
     def mode_held(self, owner: Hashable, resource: Hashable) -> Optional[LockMode]:
-        entry = self._locks.get(resource)
-        if entry is None:
-            return None
-        return entry.holders.get(owner)
+        holders = self._locks.get(resource)
+        return None if holders is None else holders.get(owner)
 
     def holders(self, resource: Hashable) -> "dict[Hashable, LockMode]":
-        entry = self._locks.get(resource)
-        return dict(entry.holders) if entry else {}
+        return dict(self._locks.get(resource, {}))
 
     def locked_resources(self) -> "list[Hashable]":
         return list(self._locks)

@@ -1,8 +1,9 @@
-"""Transactions: begin/commit/abort with WAL-backed undo.
+"""Transactions: begin/commit/abort, with the log as the undo record.
 
 Base-table operations run inside transactions (autocommitted by default).
-Each data operation appends a WAL record with before/after images and an
-undo entry; abort replays the undo entries in reverse through the owning
+Each data operation appends one WAL record carrying its before and
+after images, and the transaction keeps that record: undo is the log.
+Abort walks the transaction's data records in reverse through the owning
 table's *raw* (non-logging) operations, restoring records at their
 original addresses.
 
@@ -10,11 +11,10 @@ Commit listeners exist for the ASAP propagation alternative: the paper's
 "transmit changes to the snapshot(s) as they occur" requires seeing each
 change at commit time, which is exactly when listeners fire.
 
-Limitation (documented): undo of a DELETE re-inserts at the original
-address; if another transaction has already reused that slot the abort
-fails.  Under the library's locking discipline (X row locks held to end
-of transaction, table X lock during refresh) this cannot happen in
-single-threaded use unless a test constructs it deliberately.
+Limitation (documented): undo of a DELETE (or of a shrinking UPDATE)
+needs room for the old body on its page.  The X row lock keeps the slot,
+not the room: once other transactions fill the page, or undone inserts
+leave directory entries behind, the abort can raise ``PageFullError``.
 """
 
 from __future__ import annotations
@@ -34,30 +34,24 @@ class TxnStatus(enum.Enum):
     ABORTED = "aborted"
 
 
-class _UndoEntry:
-    __slots__ = ("table", "rtype", "rid", "before")
-
-    def __init__(
-        self,
-        table: str,
-        rtype: LogRecordType,
-        rid: Rid,
-        before: Optional[bytes],
-    ) -> None:
-        self.table = table
-        self.rtype = rtype
-        self.rid = rid
-        self.before = before
+# Read on every write.  EnumType defines __getattr__ (Python 3.11), so a
+# member read through its class takes the slow path: about 0.1 us.
+_ACTIVE = TxnStatus.ACTIVE
+_COMMITTED = TxnStatus.COMMITTED
+_COMMIT = LogRecordType.COMMIT
 
 
 class Transaction:
     """A unit of work; obtain via :meth:`TransactionManager.begin`."""
 
+    __slots__ = ("txn_id", "owner", "status", "_manager", "data_records")
+
     def __init__(self, txn_id: int, manager: "TransactionManager") -> None:
         self.txn_id = txn_id
-        self.status = TxnStatus.ACTIVE
+        self.owner = ("txn", txn_id)  # what its locks are held under
+        self.status = _ACTIVE
         self._manager = manager
-        self._undo: "list[_UndoEntry]" = []
+        #: Its data records in log order: what listeners see, abort undoes.
         self.data_records: "list[LogRecord]" = []
 
     def commit(self) -> None:
@@ -67,7 +61,7 @@ class Transaction:
         self._manager.abort(self)
 
     def _require_active(self) -> None:
-        if self.status is not TxnStatus.ACTIVE:
+        if self.status is not _ACTIVE:
             raise TransactionError(
                 f"transaction {self.txn_id} is {self.status.value}"
             )
@@ -116,10 +110,10 @@ class TransactionManager:
         self._commit_listeners.remove(listener)
 
     def begin(self) -> Transaction:
-        txn = Transaction(self._next_txn, self)
-        self._next_txn += 1
-        self.active[txn.txn_id] = txn
-        self.wal.append(txn.txn_id, LogRecordType.BEGIN)
+        """Start a transaction; it reaches the log with its first record."""
+        txn_id = self._next_txn
+        self._next_txn = txn_id + 1
+        txn = self.active[txn_id] = Transaction(txn_id, self)
         return txn
 
     def record_operation(
@@ -131,46 +125,45 @@ class TransactionManager:
         before: Optional[bytes],
         after: Optional[bytes],
     ) -> None:
-        """Log one data operation and remember how to undo it."""
+        """Log one data operation; its record is also its undo."""
         txn._require_active()
-        record = self.wal.append(txn.txn_id, rtype, table, rid, before, after)
-        txn.data_records.append(record)
-        txn._undo.append(_UndoEntry(table, rtype, rid, before))
+        txn.data_records.append(
+            self.wal.append(txn.txn_id, rtype, table, rid, before, after)
+        )
 
     def commit(self, txn: Transaction) -> None:
         txn._require_active()
-        self.wal.append(txn.txn_id, LogRecordType.COMMIT)
-        txn.status = TxnStatus.COMMITTED
-        self.locks.release_all(("txn", txn.txn_id))
+        self.wal.append(txn.txn_id, _COMMIT)
+        txn.status = _COMMITTED
+        self.locks.release_all(txn.owner)
         del self.active[txn.txn_id]
         for listener in self._commit_listeners:
             listener(txn)
 
     def abort(self, txn: Transaction) -> None:
         txn._require_active()
-        for entry in reversed(txn._undo):
-            table = self._tables.get(entry.table)
+        for record in reversed(txn.data_records):
+            table = self._tables.get(record.table) if record.table else None
             if table is None:
                 raise TransactionError(
-                    f"cannot undo: table {entry.table!r} not registered"
+                    f"cannot undo: table {record.table!r} not registered"
                 )
-            if entry.rtype is LogRecordType.INSERT:
-                table.raw_delete(entry.rid)
-            elif entry.rtype is LogRecordType.UPDATE:
-                if entry.before is None:
-                    raise InternalError(
-                        "update undo entry carries no before-image"
-                    )
-                table.raw_update(entry.rid, entry.before)
-            elif entry.rtype is LogRecordType.DELETE:
-                if entry.before is None:
-                    raise InternalError(
-                        "delete undo entry carries no before-image"
-                    )
-                table.raw_insert_at(entry.rid, entry.before)
+            rid, before = record.rid, record.before
+            if rid is None:
+                raise InternalError("data log record carries no RID")
+            if record.rtype is LogRecordType.INSERT:
+                table.raw_delete(rid)
+            elif before is None:
+                raise InternalError(
+                    f"{record.rtype.value} log record carries no before-image"
+                )
+            elif record.rtype is LogRecordType.UPDATE:
+                table.raw_update(rid, before)
+            elif record.rtype is LogRecordType.DELETE:
+                table.raw_insert_at(rid, before)
         self.wal.append(txn.txn_id, LogRecordType.ABORT)
         txn.status = TxnStatus.ABORTED
-        self.locks.release_all(("txn", txn.txn_id))
+        self.locks.release_all(txn.owner)
         del self.active[txn.txn_id]
 
     def autocommit(self) -> "AutoCommit":

@@ -93,6 +93,41 @@ class TestRelease:
         assert locks.release_all("a") == 3
         assert locks.locked_resources() == []
 
+    def test_release_all_visits_only_the_owners_locks(self, locks):
+        locks.acquire("a", TABLE, LockMode.IX)
+        locks.acquire("b", TABLE, LockMode.IX)
+        locks.acquire("a", ("row", "emp", 1), LockMode.X)
+        locks.acquire("a", ("row", "emp", 1), LockMode.X)  # reentrant
+        locks.acquire("b", ("row", "emp", 2), LockMode.X)
+        locks.acquire("a", ("table", "dept"), LockMode.S)
+        locks.acquire("a", ("table", "dept"), LockMode.X)  # upgrade
+        for row in range(3, 50):
+            locks.acquire("c", ("row", "emp", row), LockMode.X)
+
+        class NoWalk(dict):
+            def __iter__(self):
+                raise AssertionError("release_all walked the lock table")
+
+            def keys(self):
+                raise AssertionError("release_all walked the lock table")
+
+        locks._locks = NoWalk(locks._locks)
+        assert locks.release_all("a") == 3
+        assert locks.release_all("a") == 0
+        locks._locks = dict(dict.items(locks._locks))
+        assert locks.holders(TABLE) == {"b": LockMode.IX}
+        assert locks.mode_held("a", ("row", "emp", 1)) is None
+        assert ("table", "dept") not in locks.locked_resources()
+        assert len(locks.locked_resources()) == 2 + 47
+        with pytest.raises(TransactionError):
+            locks.release("a", ("row", "emp", 2))
+        with pytest.raises(TransactionError):
+            locks.release("a", TABLE)
+        locks.release("b", ("row", "emp", 2))
+        assert locks.release_all("b") == 1
+        assert locks.release_all("c") == 47
+        assert locks.locked_resources() == []
+
     def test_locking_context_manager(self, locks):
         with locks.locking("a", TABLE, LockMode.X):
             assert locks.mode_held("a", TABLE) == LockMode.X

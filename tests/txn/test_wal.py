@@ -13,7 +13,7 @@ def wal():
 
 
 def _txn_ops(wal, txn_id, table, count):
-    wal.append(txn_id, LogRecordType.BEGIN)
+    # The shape TransactionManager writes: data records, then COMMIT.
     for i in range(count):
         wal.append(
             txn_id,
@@ -28,13 +28,13 @@ def _txn_ops(wal, txn_id, table, count):
 
 class TestAppendScan:
     def test_lsns_monotone(self, wal):
-        records = [wal.append(1, LogRecordType.BEGIN) for _ in range(5)]
+        records = [wal.append(1, LogRecordType.COMMIT) for _ in range(5)]
         assert [r.lsn for r in records] == [1, 2, 3, 4, 5]
         assert wal.next_lsn == 6
 
     def test_scan_from(self, wal):
         _txn_ops(wal, 1, "emp", 3)
-        assert [r.lsn for r in wal.scan(3)] == [3, 4, 5]
+        assert [r.lsn for r in wal.scan(3)] == [3, 4]
 
     def test_size_accounting(self, wal):
         record = wal.append(
@@ -44,9 +44,9 @@ class TestAppendScan:
         assert wal.size_bytes == sum(r.encoded_size() for r in wal.scan())
 
     def test_is_data(self, wal):
-        begin = wal.append(1, LogRecordType.BEGIN)
         insert = wal.append(1, LogRecordType.INSERT, table="t", rid=Rid(0, 0))
-        assert not begin.is_data()
+        commit = wal.append(1, LogRecordType.COMMIT)
+        assert not commit.is_data()
         assert insert.is_data()
 
 
@@ -56,7 +56,7 @@ class TestTruncation:
         dropped = wal.truncate_before(4)
         assert dropped == 3
         assert wal.truncated_before == 4
-        assert [r.lsn for r in wal.scan(4)] == [4, 5]
+        assert [r.lsn for r in wal.scan(4)] == [4]
 
     def test_scan_into_truncated_raises(self, wal):
         _txn_ops(wal, 1, "emp", 3)
@@ -83,7 +83,6 @@ class TestCull:
     def test_cull_filters_table_and_commit(self, wal):
         _txn_ops(wal, 1, "emp", 2)       # committed, emp
         _txn_ops(wal, 2, "dept", 2)      # committed, other table
-        wal.append(3, LogRecordType.BEGIN)
         wal.append(
             3, LogRecordType.UPDATE, table="emp", rid=Rid(0, 9), after=b"z"
         )
@@ -98,9 +97,9 @@ class TestCull:
         _txn_ops(wal, 2, "emp", 2)
         relevant, scanned = wal.cull("emp", from_lsn=midpoint)
         assert len(relevant) == 2
-        assert scanned == 4  # BEGIN + 2 updates + COMMIT
+        assert scanned == 3  # 2 updates + COMMIT
 
     def test_committed_txns(self, wal):
         _txn_ops(wal, 7, "emp", 1)
-        wal.append(8, LogRecordType.BEGIN)
+        wal.append(8, LogRecordType.INSERT, table="emp", rid=Rid(0, 5))
         assert wal.committed_txns() == {7}
