@@ -102,6 +102,12 @@ class _World:
             want = {rid: row.values for rid, row in rows if qualifies(row[0])}
             assert self.manager.snapshot(name).as_map() == want, name
 
+    def covered(self, result) -> None:
+        """Every page of the pass took exactly one outcome for the
+        snapshot: skipped, or read (whole, visited) once."""
+        pages = self.table.heap.page_count
+        assert result.pages_scanned + result.pages_skipped == pages
+
     def pick(self, a: int) -> int:
         """A live row: half the time one of the four newest, so a row a
         repair or resync just published is soon written again."""
@@ -131,7 +137,7 @@ class _World:
         if op == "refresh":
             if c % 10 < 3:  # killed at transmission k, retried
                 self.links[name].fail_at(b % 12)
-            manager.refresh(name, retry=RETRY)
+            self.covered(manager.refresh(name, retry=RETRY))
             self.links[name].clear_faults()
             self.check([name])
         elif op == "online":
@@ -150,14 +156,17 @@ class _World:
                     manager.refresh(sibling)
                     self.check([sibling])
 
-            manager.refresh_online(
-                name, chunk_pages=1 + b % 2, on_chunk_boundary=writer
+            self.covered(
+                manager.refresh_online(
+                    name, chunk_pages=1 + b % 2, on_chunk_boundary=writer
+                )
             )
             self.check([name])
             # Repair closure and pass time: the table is chained, and
             # what the pass published it does not publish again.
             sanitize.check_annotation_chain(self.table)
             again = manager.refresh(name)
+            self.covered(again)
             assert again.entries_sent == 0 and again.fixup_writes == 0
         elif op == "many":
             names = [
@@ -169,6 +178,8 @@ class _World:
             for link in self.links.values():
                 link.clear_faults()
             assert not outcome.errors
+            for result in outcome.values():
+                self.covered(result)
             self.check(names)
         elif op == "resync":
             manager.resync_snapshot(name)
