@@ -38,11 +38,8 @@ from repro.catalog.compiler import (
 )
 from repro.core.asap import AsapPropagator
 from repro.core.costmodel import CostModel
-from repro.core.differential import (
-    DifferentialRefresher,
-    RefreshResult,
-    base_refresh,
-)
+from repro.core.cursor import RefreshResult
+from repro.core.differential import DifferentialRefresher, base_refresh
 from repro.core.empty_regions import EmptyRegionTable, RegionSnapshot
 from repro.core.fixup import FixupResult, base_fixup
 from repro.core.full import FullRefresher

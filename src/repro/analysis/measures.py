@@ -2,7 +2,7 @@
 
 The paper reports "the number of messages, as a percentage of the base
 table size".  These helpers turn :class:`~repro.net.channel.TrafficStats`
-and :class:`~repro.core.differential.RefreshResult` objects into that
+and :class:`~repro.core.cursor.RefreshResult` objects into that
 metric, and compute the superfluous-message ratio used in the analysis
 discussion.
 """

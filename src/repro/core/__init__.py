@@ -22,11 +22,8 @@ Baselines and alternatives: :mod:`~repro.core.full`,
 SNAPSHOT): :mod:`~repro.core.manager`.
 """
 
-from repro.core.differential import (
-    DifferentialRefresher,
-    RefreshCursor,
-    RefreshResult,
-)
+from repro.core.cursor import RefreshCursor, RefreshResult
+from repro.core.differential import DifferentialRefresher
 from repro.core.full import FullRefresher
 from repro.core.group import GroupRefresher, GroupRefreshResult
 from repro.core.ideal import IdealRefresher

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Tuple
 
-from repro.core.differential import RefreshResult, Send
+from repro.core.cursor import RefreshResult, Send
 from repro.core.messages import (
     ClearMessage,
     FullRowMessage,

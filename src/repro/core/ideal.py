@@ -16,7 +16,7 @@ transmitting exactly the net upserts and deletes.
 
 from __future__ import annotations
 
-from repro.core.differential import RefreshResult, Send
+from repro.core.cursor import RefreshResult, Send
 from repro.core.messages import (
     DeleteMessage,
     RefreshMessage,

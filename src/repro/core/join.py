@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.catalog.compiler import JoinPlan
-from repro.core.differential import RefreshResult, Send
+from repro.core.cursor import RefreshResult, Send
 from repro.core.messages import (
     ClearMessage,
     FullRowMessage,

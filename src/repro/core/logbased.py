@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.differential import RefreshResult, Send
+from repro.core.cursor import RefreshResult, Send
 from repro.core.full import FullRefresher
 from repro.core.messages import (
     DeleteMessage,

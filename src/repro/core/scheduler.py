@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.differential import RefreshResult
+from repro.core.cursor import RefreshResult
 from repro.core.manager import Snapshot, SnapshotManager
 from repro.core.registry import RegisteredSnapshot, SnapshotRegistry
 from repro.errors import ChannelError, RetryExhaustedError, SnapshotError

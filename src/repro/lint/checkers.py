@@ -77,11 +77,13 @@ from repro.lint.engine import SourceFile, Violation
 ANNOTATION_WRITES = {"set_annotations", "write_annotations"}
 
 #: Modules allowed to write the hidden annotation fields: the lazy/eager
-#: write hooks (table.py) and the Figure-7 fix-up passes.
+#: write hooks (table.py) and the Figure-7 fix-up passes — the
+#: standalone one, a refresh pass's and the per-row oracle's.
 ANNOTATION_WRITERS = {
     "table.py",
     "core/fixup.py",
-    "core/differential.py",
+    "core/scanpass.py",
+    "core/per_row.py",
 }
 
 #: The only module that may mutate PageSummary change state directly.

@@ -299,7 +299,7 @@ def check_value_cache(cache: Any, snapshot: Any) -> None:
     """Every cached (address, values) pair matches the receiver exactly.
 
     The sender only emits an ``UpdateDeltaMessage`` for addresses its
-    :class:`~repro.core.differential.ValueCache` remembers transmitting;
+    :class:`~repro.core.cursor.ValueCache` remembers transmitting;
     if the mirror disagrees with the receiver, the merged row at the
     other end would be silently wrong.
     """

@@ -19,7 +19,7 @@ and executes:
 
 Statement results: SELECT returns a
 :class:`~repro.query.executor.QueryResult`; REFRESH SNAPSHOT returns the
-:class:`~repro.core.differential.RefreshResult`; DML returns the number
+:class:`~repro.core.cursor.RefreshResult`; DML returns the number
 of affected rows; DDL returns the created object.
 
 ``AT site`` places the snapshot in another database registered via

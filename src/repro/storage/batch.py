@@ -22,7 +22,7 @@ in O(1), whether it must write to the page:
     Some live entry has a NULL annotation — a lazy insert or update
     awaiting fix-up.  The scan repairs such a page by walking the
     annotation columns below and writing only the records that need it
-    (:meth:`repro.core.differential._ScanPass._fix_up`); the cursors are
+    (:meth:`repro.core.scanpass._ScanPass._fix_up`); the cursors are
     then served from the same batch.
 
 ``chain_ok``

@@ -136,9 +136,10 @@ class TestRacingWriter:
         self, monkeypatch
     ):
         """Repair rows come from the page's batch, shared by the pass."""
-        import repro.core.differential as differential
+        import repro.core.per_row as per_row
         import repro.storage.batch as batch_module
-        from repro.core.differential import RefreshCursor, ScanPlan
+        from repro.core.cursor import RefreshCursor
+        from repro.core.differential import ScanPlan
         from repro.core.group import GroupRefresher
         from repro.core.messages import EntryMessage, UpsertMessage
         from repro.expr.predicate import Projection, Restriction
@@ -170,7 +171,7 @@ class TestRacingWriter:
                 table.update(scanned_rids[0], {"salary": 3})
 
         decodes = []
-        for module in (differential, batch_module):
+        for module in (per_row, batch_module):
             original = module.decode_row
 
             def counting(schema, body, _original=original):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.differential import DifferentialRefresher, ValueCache
+from repro.core.cursor import ValueCache
+from repro.core.differential import DifferentialRefresher
 from repro.core.manager import SnapshotManager
 from repro.core.messages import EntryMessage, UpdateDeltaMessage
 from repro.core.snapshot import SnapshotTable

@@ -16,7 +16,7 @@ same value-mirror page: this pins bytes, not contents.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.differential import RefreshCursor, ValueCache
+from repro.core.cursor import RefreshCursor, ValueCache
 from repro.core.messages import DeleteRangeMessage
 from repro.expr.predicate import Projection, Restriction
 from repro.relation.row import Row

@@ -22,11 +22,8 @@ under a :class:`~repro.core.differential.ScanPlan`:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.differential import (
-    DifferentialRefresher,
-    RefreshCursor,
-    ScanPlan,
-)
+from repro.core.cursor import RefreshCursor
+from repro.core.differential import DifferentialRefresher, ScanPlan
 from repro.core.group import GroupRefresher
 from repro.core.messages import (
     DeleteMessage,
