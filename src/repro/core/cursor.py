@@ -711,7 +711,9 @@ def each_live(
 ) -> None:
     """``step(cursor)`` for every cursor still live: a
     :class:`~repro.errors.ChannelError` on one cursor's output marks it
-    failed (``cursor.error``) and the rest carry on."""
+    failed (``cursor.error``) and the rest carry on.  The page loop of
+    :meth:`~repro.core.scanpass._ScanPass._serve` writes the same loop
+    out, without a step closure per page."""
     for cursor in cursors:
         if cursor.failed:
             continue

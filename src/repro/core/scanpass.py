@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from enum import IntEnum
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import sanitize
 from repro.core.cursor import (
@@ -23,15 +23,15 @@ from repro.core.cursor import (
     PASS_FIELDS,
     RefreshCursor,
     RefreshResult,
-    each_live,
 )
 from repro.core.per_row import serve_rows
-from repro.errors import RefreshMethodError
+from repro.errors import ChannelError, RefreshMethodError
 from repro.relation.row import Row, decode_row
 from repro.storage.batch import PREV_NULL_PAGE, TS_NULL, PageBatch
+from repro.storage.heap import Writes
 from repro.storage.rid import Rid
 from repro.storage.summary import PageQualInfo, PageSummary, PageSummaryMap
-from repro.table import Table
+from repro.table import Table, annotation_columns
 
 #: Effective timestamp of an entry found with a NULL annotation: newer
 #: than every ``SnapTime`` (the largest value the i64 column holds).
@@ -74,10 +74,10 @@ SKIPPED, VISITED, BATCH, ROWS, REPAIRED = PageOutcome
 
 
 def _tally(result: RefreshResult, outcome: PageOutcome) -> None:
-    """The page counters ``outcome`` moves, on a pass's or a cursor's."""
-    if outcome is SKIPPED:
-        result.pages_skipped += 1
-    elif outcome is REPAIRED:
+    """The page counters a page read moves, on a pass's or a cursor's
+    (``SKIPPED`` moves ``pages_skipped`` alone, counted where it is
+    decided)."""
+    if outcome is REPAIRED:
         result.pages_repaired += 1
     else:
         result.pages_scanned += 1
@@ -103,6 +103,8 @@ class _ScanPass:
         "fixup_time",
         "expect_prev",
         "last_addr",
+        "_encode_prev",
+        "_encode_ts",
         "_hits_before",
         "_misses_before",
     )
@@ -139,6 +141,11 @@ class _ScanPass:
         self.fixup_time = table.db.clock.tick()
         self.expect_prev = Rid.BEGIN
         self.last_addr = Rid.BEGIN
+        # Figure 7 hands the heap annotation bytes.  A stamp is encoded
+        # from fixup_time where it is written: an online pass re-ticks it.
+        prev_column, ts_column = annotation_columns()
+        self._encode_prev = prev_column.ctype.encode
+        self._encode_ts = ts_column.ctype.encode
 
     def scan_pages(
         self, cursors: "Sequence[RefreshCursor]", start: int, stop: int
@@ -208,7 +215,7 @@ class _ScanPass:
         for cursor, entry in skipping:
             # Nothing here concerns it: no event, so nothing to fail.
             cursor.cross(page_no, entry, None, (), None, _unread)
-            _tally(cursor.result, SKIPPED)
+            cursor.result.pages_skipped += 1
         if reading:  # whoever has work on the page rides the whole read
             reading.update(visiting)
             if self.batch_mode:
@@ -230,7 +237,7 @@ class _ScanPass:
             crossed = skipping[0][1] if skipping else next(iter(visiting.values()))
             self._advance(crossed.last_live)
             if not visiting:
-                _tally(self.stats, SKIPPED)
+                self.stats.pages_skipped += 1
                 return SKIPPED
             outcome = VISITED
             reading.update(visiting)
@@ -281,34 +288,45 @@ class _ScanPass:
                 forced[slot_no] = decode_row(self.schema, body)
             return forced[slot_no]
 
-        def serve(cursor: RefreshCursor) -> None:
-            entry = reading[cursor]
-            if changed is not None:
-                batch = whole if entry is None else delta
-                if batch is not None:
-                    cursor.repair_page(page_no, entry, changed, batch)
-            elif whole is not None:
-                since = cursor.snap_time
-                if since not in newer:
-                    newer[since] = (
-                        [index for index, ts in enumerate(eff_ts) if ts > since]
-                        if newest > since
-                        else ()
-                    )
-                if entry is None:
-                    cursor.paper_rule(whole, newer[since], pure_inserts, anomalies)
-                else:
-                    cursor.cross(
-                        page_no, entry, whole, newer[since], whole.live, whole.row_at
-                    )
-            elif entry is not None:
-                indices = range(delta.count) if delta is not None else ()
-                cursor.cross(page_no, entry, delta, indices, None, row_at)
-
         stats = self.stats
         if outcome is not ROWS:
             before = whole.materializations if whole is not None else 0
-            each_live(reading, serve)
+            # each_live's loop, written out: a step closure per page cost
+            # ≈ 2 % of a refresh that mostly visits.
+            for cursor, entry in reading.items():
+                if cursor.failed:
+                    continue
+                try:
+                    if changed is not None:
+                        batch = whole if entry is None else delta
+                        if batch is not None:
+                            cursor.repair_page(page_no, entry, changed, batch)
+                    elif whole is not None:
+                        since = cursor.snap_time
+                        if since not in newer:
+                            newer[since] = (
+                                [i for i, ts in enumerate(eff_ts) if ts > since]
+                                if newest > since
+                                else ()
+                            )
+                        if entry is None:
+                            cursor.paper_rule(
+                                whole, newer[since], pure_inserts, anomalies
+                            )
+                        else:
+                            cursor.cross(
+                                page_no,
+                                entry,
+                                whole,
+                                newer[since],
+                                whole.live,
+                                whole.row_at,
+                            )
+                    elif entry is not None:
+                        indices = range(delta.count) if delta is not None else ()
+                        cursor.cross(page_no, entry, delta, indices, None, row_at)
+                except ChannelError as error:
+                    cursor.fail(error)
             # A partial batch is never cached: all its decodes are ours.
             decoded = delta.materializations if delta is not None else 0
             if whole is not None:
@@ -391,11 +409,16 @@ class _ScanPass:
         )
 
     def _read(
-        self, page_no: int, only: "Optional[Sequence[int]]" = None
+        self,
+        page_no: int,
+        only: "Optional[Sequence[int]]" = None,
+        fix: "Optional[Callable[[PageBatch], Optional[Writes]]]" = None,
     ) -> PageBatch:
         """The page's batch — whole, or ``only`` those slots — charged as
-        read unless the pool's cache had it."""
-        batch, reused = self.heap.page_batch(page_no, self.schema, only=only)
+        read unless the pool's cache had it, with the Figure-7 writes
+        ``fix`` decides on it made under the same pin
+        (:meth:`~repro.storage.heap.HeapFile.fix_batch`)."""
+        batch, reused = self.heap.fix_batch(page_no, self.schema, fix, only)
         if reused:
             self.stats.batches_reused += 1
         else:
@@ -419,55 +442,70 @@ class _ScanPass:
         Anything else reads the page whole: with no NULL annotation, an
         intact chain and a clean boundary it writes nothing (the
         no-flags case), else :meth:`_fix_up` repairs what needs it.
-        Without fix-up a NULL stamp is an error.
+        Without fix-up a NULL stamp is an error.  Each read pins the page
+        once: the writes are decided on its batch, whole, before the
+        first byte is written, then made in the frame the read pinned.
         """
         delta = None
         if changed is not None:
-            delta = self._read(page_no, changed)
-            if (
-                delta.count == len(changed)
-                and PREV_NULL_PAGE not in delta.prev_pages
-                and delta.ts.count(TS_NULL) == delta.count
-                and self._clean(delta.first_prev)
-            ):
-                for slot_no in changed:
-                    self.table.set_annotations(
-                        Rid(page_no, slot_no), ts=self.fixup_time
-                    )
-                self.stats.fixup_writes += len(changed)
+            stamps: "Optional[Writes]" = None
+
+            def plain_updates(delta: PageBatch) -> "Optional[Writes]":
+                nonlocal stamps
+                if (
+                    delta.count == len(changed)
+                    and PREV_NULL_PAGE not in delta.prev_pages
+                    and delta.ts.count(TS_NULL) == delta.count
+                    and self._clean(delta.first_prev)
+                ):
+                    ts = self._encode_ts(self.fixup_time)
+                    stamps = [(slot_no, None, ts) for slot_no in changed]
+                return stamps
+
+            delta = self._read(page_no, changed, plain_updates)
+            if stamps is not None:
+                self.stats.fixup_writes += len(stamps)
                 self._advance(last_live)
                 return delta, None, None
-        batch = self._read(page_no)
-        if self.fixup and batch.count and (
-            batch.has_nulls
-            or not batch.chain_ok
-            or not self._clean(batch.first_prev)
-        ):
-            return delta, batch, self._fix_up(batch)
-        if not self.fixup and batch.has_nulls and TS_NULL in batch.ts:
-            rid = Rid(batch.page_no, batch.slots[batch.ts.index(TS_NULL)])
-            raise RefreshMethodError(
-                f"entry {rid} has a NULL timestamp but fix-up "
-                f"is disabled; run base_fixup first or use a "
-                f"lazy table"
-            )
-        self._advance(batch.last_rid())
-        return delta, batch, None
+        fixed: "Optional[Fixed]" = None
 
-    def _fix_up(self, batch: PageBatch) -> Fixed:
+        def figure7(batch: PageBatch) -> "Optional[Writes]":
+            nonlocal fixed
+            if self.fixup and batch.count and (
+                batch.has_nulls
+                or not batch.chain_ok
+                or not self._clean(batch.first_prev)
+            ):
+                writes, fixed = self._fix_up(batch)
+                return writes
+            if not self.fixup and batch.has_nulls and TS_NULL in batch.ts:
+                rid = Rid(batch.page_no, batch.slots[batch.ts.index(TS_NULL)])
+                raise RefreshMethodError(
+                    f"entry {rid} has a NULL timestamp but fix-up "
+                    f"is disabled; run base_fixup first or use a "
+                    f"lazy table"
+                )
+            self._advance(batch.last_rid())
+            return None
+
+        whole = self._read(page_no, fix=figure7)
+        return delta, whole, fixed
+
+    def _fix_up(self, batch: PageBatch) -> "tuple[Writes, Fixed]":
         """Figure 7 over one page's annotation columns.
 
         Walks ``prev_pages/prev_slots/ts`` with exactly the per-row
-        loop's decisions and writes only the records that need it.
-        Returns the effective-timestamp column (NULL stamp or pure
-        insert ⇒ :data:`TS_INFINITY`), the pure-insert and anomaly
-        slots, and the first entry's ``PrevAddr`` as repaired; the
-        page is known to hold at least one entry (an empty page is
-        write-free).
+        loop's decisions and returns the writes for only the records
+        that need it, in slot order, with the effective-timestamp
+        column (NULL stamp or pure insert ⇒ :data:`TS_INFINITY`), the
+        pure-insert and anomaly slots, and the first entry's
+        ``PrevAddr`` as repaired; the page is known to hold at least
+        one entry (an empty page is write-free).
         """
-        table = self.table
         stats = self.stats
-        fixup_time = self.fixup_time
+        encode_prev = self._encode_prev
+        stamp = self._encode_ts(self.fixup_time)
+        writes: "list[tuple[int, Optional[bytes], Optional[bytes]]]" = []
         page_no = batch.page_no
         slots = batch.slots
         prev_pages = batch.prev_pages
@@ -487,35 +525,33 @@ class _ScanPass:
                 # Inserted since the last fix-up.
                 pure_inserts.append(here[1])
                 eff_ts[index] = TS_INFINITY
-                table.set_annotations(
-                    Rid(*here), prev=Rid(*last), ts=fixup_time
-                )
-                stats.fixup_writes += 1
+                writes.append((here[1], encode_prev(Rid(*last)), stamp))
             else:
-                fields: "dict[str, object]" = {}
+                new_prev: Optional[bytes] = None
+                ts: Optional[bytes] = None
                 if eff_ts[index] == TS_NULL:
                     # Updated since the last fix-up.
                     eff_ts[index] = TS_INFINITY
-                    fields["ts"] = fixup_time
+                    ts = stamp
                 if prev != expect:
                     # Deletion(s) detected before this entry.
-                    fields["prev"] = Rid(*last)
-                    fields["ts"] = fixup_time
+                    new_prev = encode_prev(Rid(*last))
+                    ts = stamp
                     anomalies.append(here[1])
                     stats.deletions_detected += 1
                 elif prev != last:
                     # Insertions (only) before this entry.
-                    fields["prev"] = Rid(*last)
-                if fields:
-                    table.set_annotations(Rid(*here), **fields)
-                    stats.fixup_writes += 1
-                if not index and "prev" not in fields:
+                    new_prev = encode_prev(Rid(*last))
+                if new_prev is not None or ts is not None:
+                    writes.append((here[1], new_prev, ts))
+                if not index and new_prev is None:
                     first_prev = Rid(*prev)
                 expect = here
             last = here
+        stats.fixup_writes += len(writes)
         self.expect_prev = Rid(*expect)
         self.last_addr = Rid(*last)
-        return eff_ts, pure_inserts, anomalies, first_prev
+        return writes, (eff_ts, pure_inserts, anomalies, first_prev)
 
     def _advance(self, last_live: Optional[Rid]) -> None:
         """Cross a page nobody scanned: it needs no (further) fix-up, so
@@ -591,8 +627,14 @@ class _ScanPass:
         if later in dirty:
             return True
         version = summary.page_version
-        successor = self._read(later, [summary.first_live_slot])
-        *_, first_prev = self._fix_up(successor)
+        first_prev: Optional[Rid] = None
+
+        def figure7(successor: PageBatch) -> "Writes":
+            nonlocal first_prev
+            writes, (*_, first_prev) = self._fix_up(successor)
+            return writes
+
+        self._read(later, [summary.first_live_slot], figure7)
         if summary.page_version != version:
             for cursor in cursors:
                 info = cursor.page_info(later)

@@ -5,9 +5,9 @@ type system cannot express (see ``docs/invariants.md`` for the paper
 sections behind them):
 
 **L1 — annotation/summary mutation discipline**
-    ``L101``  ``set_annotations`` — or the heap primitive under it,
-              ``write_annotations`` — called outside the fix-up
-              machinery.
+    ``L101``  ``set_annotations`` — or the heap primitives under it,
+              ``write_annotations`` and ``fix_batch`` — called outside
+              the fix-up machinery.
     ``L102``  :class:`~repro.storage.summary.PageSummary` change state
               mutated outside ``storage/summary.py``.
     ``L103``  Page-summary write hooks invoked outside the heap layer.
@@ -73,8 +73,9 @@ from typing import Iterator, List, Sequence
 from repro.lint.engine import SourceFile, Violation
 
 #: The calls that write the hidden annotation fields: the fix-up
-#: primitive and the in-place heap overwrite it is built on.
-ANNOTATION_WRITES = {"set_annotations", "write_annotations"}
+#: primitive, the in-place heap overwrite it is built on, and the heap
+#: routine a refresh pass reads a page through and repairs it with.
+ANNOTATION_WRITES = {"set_annotations", "write_annotations", "fix_batch"}
 
 #: Modules allowed to write the hidden annotation fields: the lazy/eager
 #: write hooks (table.py) and the Figure-7 fix-up passes — the

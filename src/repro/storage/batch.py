@@ -45,7 +45,7 @@ version (the repo's LSN stand-in: it bumps on *every* record write, see
 :class:`~repro.storage.summary.PageSummary`), so an unchanged page is
 never re-decoded across refreshes; a page with NULL annotations is not
 cached, because the scan that reads it is about to rewrite it (see
-:meth:`repro.storage.heap.HeapFile.page_batch`).  The per-batch caches
+:meth:`repro.storage.heap.HeapFile.fix_batch`).  The per-batch caches
 below make the *derived* work reusable too:
 
 - :meth:`probe_values` memoizes partial decodes per position tuple, and
@@ -76,13 +76,13 @@ from __future__ import annotations
 import struct
 from array import array
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.relation.row import Row, decode_fields, decode_row
 from repro.relation.schema import Schema
 from repro.relation.types import NULL
-from repro.storage.page import HEADER_SIZE
+from repro.storage.page import HEADER_SIZE, SLOT_SIZE
 from repro.storage.rid import Rid
 
 if TYPE_CHECKING:  # predicate compilation is a client-layer concern
@@ -99,6 +99,9 @@ TS_NULL = -(2**63)
 ANNOTATION_TAIL = struct.Struct("<iIq")
 
 _SLOT_COUNT = struct.Struct("<H")
+
+#: One slot-directory entry: body offset (0: an empty slot), length.
+_SLOT_ENTRY = struct.Struct("<HH")
 
 #: Minimum record size that can carry the trailing annotations (one
 #: NULL-bitmap byte plus the two fixed 8-byte annotation fields).
@@ -337,29 +340,46 @@ def extract_page_batch(
 ) -> PageBatch:
     """Extract a :class:`PageBatch` from a pinned page image.
 
-    One pass over the slot directory (unpacked in a single call) and
-    one :data:`ANNOTATION_TAIL` read per live record; the caller holds
-    the pin for the duration and the batch copies every byte it keeps.
+    One pass over the slot directory (read whole: unpacked in a single
+    call) and one :data:`ANNOTATION_TAIL` read per live record; the
+    caller holds the pin for the duration and the batch copies every
+    byte it keeps.
     The schema's last two columns are the annotations (see
     :meth:`repro.table.Table.enable_annotations`).
 
     With ``only`` — slot numbers, ascending — the batch is *partial*:
-    just those records (fewer when a slot is empty), at their cost.
-    ``first_prev`` is still the page's (the scan's boundary test needs
-    it whichever entries it reads); ``has_nulls`` and ``max_live_ts``
-    cover the extracted records and ``chain_ok`` is False, not proven.
-    A partial batch must never enter the version-keyed cache.
+    just those records (fewer when a slot is empty), at their cost:
+    their directory entries and bodies are read off the frame one by
+    one, with no copy of the page.  ``first_prev`` is still the page's
+    (the scan's boundary test needs it whichever entries it reads),
+    read off the first live directory entry; ``has_nulls`` and
+    ``max_live_ts`` cover the extracted records and ``chain_ok`` is
+    False, not proven.  A partial batch must never enter the
+    version-keyed cache.
     """
     (slot_count,) = _SLOT_COUNT.unpack_from(buf, 2)
-    # One unpack for the whole slot directory; the format is sized by
-    # the page's slot count, so it cannot be precompiled.
-    directory: "Tuple[int, ...]" = (
-        struct.unpack_from(  # replint: ignore[L305]
-            f"<{2 * slot_count}H", buf, HEADER_SIZE
+    entry_at = _SLOT_ENTRY.unpack_from
+    entries: "Iterable[Tuple[int, int, int]]"
+    if only is None:
+        # One immutable copy of the page: each body is then a slice.
+        image: "bytes | bytearray" = bytes(buf)
+        # One unpack for the whole slot directory; the format is sized
+        # by the page's slot count, so it cannot be precompiled.
+        directory: "Tuple[int, ...]" = (
+            struct.unpack_from(  # replint: ignore[L305]
+                f"<{2 * slot_count}H", image, HEADER_SIZE
+            )
+            if slot_count
+            else ()
         )
-        if slot_count
-        else ()
-    )
+        entries = zip(range(slot_count), directory[0::2], directory[1::2])
+    else:
+        image = buf  # a slice of the frame is a copy, made bytes below
+        entries = [
+            (slot_no, *entry_at(buf, HEADER_SIZE + SLOT_SIZE * slot_no))
+            for slot_no in only
+            if slot_no < slot_count
+        ]
     slots: "array[int]" = array("H")
     ts: "array[int]" = array("q")
     prev_pages: "array[int]" = array("i")
@@ -370,16 +390,9 @@ def extract_page_batch(
     max_live_ts = 0
     first_prev: object = None
     tail_read = ANNOTATION_TAIL.unpack_from
-    # One immutable copy of the page: each body is then a single slice.
-    image = bytes(buf)
-    wanted: "Sequence[int]" = range(slot_count)
-    if only is not None:
-        wanted = [slot_no for slot_no in only if slot_no < slot_count]
-    for slot_no in wanted:
-        offset = directory[2 * slot_no]
+    for slot_no, offset, length in entries:
         if offset == 0:
             continue
-        length = directory[2 * slot_no + 1]
         if length < _MIN_ANNOTATED:
             raise StorageError(
                 f"page {page_no} slot {slot_no}: record of {length} bytes "
@@ -401,12 +414,14 @@ def extract_page_batch(
         prev_slots.append(prev_slot)
         bodies.append(image[offset : offset + length])
     if only is not None:
+        bodies = [bytes(body) for body in bodies]
         # The loop read its chain facts off the extracted records alone.
         chain_ok = False
-        first = next((s for s in range(slot_count) if directory[2 * s]), None)
-        if first is not None:
-            end = directory[2 * first] + directory[2 * first + 1]
-            first_prev = _prev_addr(*tail_read(image, end - 16)[:2])
+        for first in range(slot_count):
+            offset, length = entry_at(buf, HEADER_SIZE + SLOT_SIZE * first)
+            if offset:
+                first_prev = _prev_addr(*tail_read(buf, offset + length - 16)[:2])
+                break
     return PageBatch(
         page_no,
         version,

@@ -21,12 +21,17 @@ Insert placement policies:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import RecordNotFoundError, StorageError
+from repro.storage.batch import PageBatch, extract_page_batch
 from repro.storage.buffer import BufferPool
 from repro.storage.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
 from repro.storage.rid import Rid
+
+#: The annotation repairs a :meth:`HeapFile.fix_batch` caller decides:
+#: ``(slot_no, prev, ts)``, each field an 8-byte encoding or ``None``.
+Writes = Sequence[Tuple[int, Optional[bytes], Optional[bytes]]]
 
 
 class HeapWriteCounts:
@@ -290,18 +295,32 @@ class HeapFile:
         under one pin (pins nest, so also inside one the caller holds):
         no record copy, no layout change, no decode.  ``None`` keeps a
         field.  Counted, observed and summarized as the update it is.
+        A pass that reads the page writes its repairs under the read's
+        own pin instead (:meth:`fix_batch`).
         """
         page = self._pin(rid.page_no)
         try:
-            tail = page.tail(rid.slot_no, 16)
-            if prev is not None:
-                tail[:8] = prev
-            if ts is not None:
-                tail[8:] = ts
-            if self.summaries is not None:
-                self.summaries.note_update(rid, tail)
+            self._write_tail(page, rid, prev, ts)
         finally:
             self._unpin(rid.page_no, dirty=True)
+
+    def _write_tail(
+        self,
+        page: SlottedPage,
+        rid: Rid,
+        prev: Optional[bytes],
+        ts: Optional[bytes],
+    ) -> None:
+        """Overwrite the annotation tail of the record at ``rid`` on its
+        pinned page (raises if the slot is empty or the record too short
+        for one) and do an update's bookkeeping."""
+        tail = page.tail(rid.slot_no, 16)
+        if prev is not None:
+            tail[:8] = prev
+        if ts is not None:
+            tail[8:] = ts
+        if self.summaries is not None:
+            self.summaries.note_update(rid, tail)
         self.writes.updates += 1
         if self._write_observers:
             self._notify_write("update", rid)
@@ -347,17 +366,31 @@ class HeapFile:
         finally:
             self._unpin(heap_page, dirty=False)
 
-    def page_batch(
-        self, heap_page: int, schema, only: "Optional[list[int]]" = None
-    ) -> "tuple[object, bool] | None":
-        """Columnar :class:`~repro.storage.batch.PageBatch` of one page.
+    def fix_batch(
+        self,
+        heap_page: int,
+        schema,
+        fix: "Optional[Callable[[PageBatch], Optional[Writes]]]" = None,
+        only: "Optional[Sequence[int]]" = None,
+    ) -> "tuple[PageBatch, bool] | None":
+        """Columnar :class:`~repro.storage.batch.PageBatch` of one page,
+        and the annotation repairs ``fix`` decides on it, under one pin.
+
+        ``fix(batch)`` returns ``(slot_no, prev, ts)`` triples — the
+        8-byte ``PrevAddr`` / ``TimeStamp`` encodings to write into that
+        record's tail, ``None`` keeping a field — or nothing to write.
+        Each is written in the frame the read pinned, counted, observed
+        and summarized exactly as :meth:`write_annotations` does it, in
+        order; the batch's bodies were copied before, so they show the
+        page as read.  The frame is released dirty only if something
+        was written.  Whatever ``fix`` raises leaves the page as it was.
 
         Returns ``(batch, reused)`` — ``reused`` is True when the buffer
-        pool's version-keyed cache already held the batch (no pin taken,
-        one batch stat) — or ``None`` when the heap has no summaries to
-        version batches by.  On a miss the page is pinned once, the
-        batch extracted, and the pin released; the page hit/miss stat
-        for that single pin is the only frame traffic.
+        pool's version-keyed cache already held the batch (no pin taken
+        for the read, one batch stat; the writes, if any, take one) — or
+        ``None`` when the heap has no summaries to version batches by.
+        On a miss the page hit/miss stat for the single pin is the only
+        frame traffic.
 
         A batch is cached only while its page has no NULL annotations:
         the scan that reads a page awaiting fix-up rewrites it (bumping
@@ -370,26 +403,46 @@ class HeapFile:
         *partial* batch, which neither comes from the cache nor enters
         it — it does not describe the page.
         """
-        from repro.storage.batch import extract_page_batch
-
         summaries = self.summaries
         if summaries is None:
             return None
         summary = summaries.get_or_create(heap_page)
         version = summary.page_version
         physical = self._physical(heap_page)
+        writes: "Optional[Writes]" = None
         if only is None:
             cached = self._pool.batch_lookup(physical, version)
             if cached is not None:
+                if fix is not None:
+                    writes = fix(cached)
+                if writes:
+                    page = self._pin(heap_page)
+                    try:
+                        self._write_tails(page, heap_page, writes)
+                    finally:
+                        self._unpin(heap_page, dirty=True)
                 return cached, True
+        # Decided before any write can clear the page's NULLs.
+        cacheable = only is None and not summary.null_slots
         frame = self._pool.pin(physical)
         try:
             batch = extract_page_batch(heap_page, frame, schema, version, only)
+            if fix is not None:
+                writes = fix(batch)
+            if writes:
+                self._write_tails(SlottedPage(frame), heap_page, writes)
         finally:
-            self._pool.unpin(physical, dirty=False)
-        if only is None and not summary.null_slots:
+            self._pool.unpin(physical, dirty=bool(writes))
+        if cacheable:
             self._pool.batch_store(physical, batch)
         return batch, False
+
+    def _write_tails(
+        self, page: SlottedPage, heap_page: int, writes: "Writes"
+    ) -> None:
+        """:meth:`_write_tail` each of ``writes``, in order."""
+        for slot_no, prev, ts in writes:
+            self._write_tail(page, Rid(heap_page, slot_no), prev, ts)
 
     def scan_rids(self) -> "Iterator[Rid]":
         """Yield live addresses in increasing order (no record bodies)."""

@@ -36,6 +36,7 @@ PAGE_SIZE = 4096
 
 _HEADER = struct.Struct("<HHHHI")
 _SLOT = struct.Struct("<HH")
+_U16 = struct.Struct("<H")  # one header field: magic, slot count, ...
 _MAGIC = 0x5250
 
 HEADER_SIZE = _HEADER.size
@@ -61,7 +62,7 @@ class SlottedPage:
                 raise PageFormatError("page buffer too small")
             _HEADER.pack_into(buf, 0, _MAGIC, 0, len(buf), 0, 0)
         else:
-            magic = struct.unpack_from("<H", buf, 0)[0]
+            magic = _U16.unpack_from(buf, 0)[0]
             if magic != _MAGIC:
                 raise PageFormatError(f"bad page magic: {magic:#06x}")
         self._buf = buf
@@ -226,13 +227,19 @@ class SlottedPage:
 
     def tail(self, slot_no: int, size: int) -> memoryview:
         """A writable view of the last ``size`` bytes of the record in
-        ``slot_no``: fixed-width trailing fields are patched where they lie."""
-        if not self.is_live(slot_no):
+        ``slot_no``: fixed-width trailing fields are patched where they lie.
+        Every Figure-7 write comes through here: two reads, no calls."""
+        buf = self._buf
+        offset, length = (
+            _SLOT.unpack_from(buf, HEADER_SIZE + slot_no * SLOT_SIZE)
+            if slot_no < _U16.unpack_from(buf, 2)[0]
+            else (0, 0)
+        )
+        if not offset:
             raise RecordNotFoundError(f"slot {slot_no} is empty")
-        offset, length = self._slot(slot_no)
         if length < size:
             raise PageFormatError(f"slot {slot_no}: no {size}-byte tail")
-        return memoryview(self._buf)[offset + length - size : offset + length]
+        return memoryview(buf)[offset + length - size : offset + length]
 
     def is_live(self, slot_no: int) -> bool:
         if slot_no >= self.slot_count:

@@ -15,6 +15,7 @@ from repro import sanitize
 from repro.core.differential import DifferentialRefresher
 from repro.core.manager import SnapshotManager
 from repro.core.messages import DeleteMessage
+from repro.core.scanpass import PageOutcome, _ScanPass
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import ChannelError
@@ -314,6 +315,30 @@ class TestChangedSlotVisit:
         quiet = w.refresh()
         assert quiet.pages_skipped == page_count and quiet.rows_decoded == 0
 
+    def test_a_visit_pins_its_page_once(self, monkeypatch):
+        w = _World(True)
+        w.refresh()
+        changed = w.pages[1][:3]
+        for rid in changed:
+            w.table.update(rid, {"v": 50})
+        stats = w.table.heap.pool.stats
+        pins = {}
+        serve = _ScanPass.page
+
+        def counting(scan, page_no, cursors, changed=None):
+            before = stats.hits + stats.misses
+            outcome = serve(scan, page_no, cursors, changed)
+            pins[page_no] = (outcome, stats.hits + stats.misses - before)
+            return outcome
+
+        monkeypatch.setattr(_ScanPass, "page", counting)
+        result = w.refresh()
+        assert result.fixup_writes == len(changed)
+        # The read and its three stamps share one pin (one per stamp on
+        # top of the read's would be four); skipped pages take none.
+        assert pins.pop(1) == (PageOutcome.VISITED, 1)
+        assert set(pins.values()) == {(PageOutcome.SKIPPED, 0)}
+
     def test_insert_among_the_changed_slots_falls_back_before_any_write(self):
         def script(w):
             w.refresh()
@@ -324,13 +349,13 @@ class TestChangedSlotVisit:
             assert w.table.insert([7, "y" * 900]) == victim
             events = []
             heap = w.table.heap
-            original = heap.page_batch
+            original = heap.fix_batch
 
-            def page_batch(page_no, schema, only=None):
+            def fix_batch(page_no, schema, fix=None, only=None):
                 events.append(("partial" if only else "full", page_no))
-                return original(page_no, schema, only)
+                return original(page_no, schema, fix, only)
 
-            heap.page_batch = page_batch
+            heap.fix_batch = fix_batch
             unsubscribe = heap.observe_writes(
                 lambda kind, rid: events.append((kind, rid.page_no))
             )
@@ -338,7 +363,7 @@ class TestChangedSlotVisit:
                 result = w.refresh()
             finally:
                 unsubscribe()
-                del heap.page_batch
+                del heap.fix_batch
             return w, result, events
 
         w, result, events = twin(script)

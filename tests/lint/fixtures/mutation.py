@@ -20,3 +20,7 @@ def waived_annotation_write(table, rid):
 
 def rogue_heap_annotation_write(heap, rid):
     heap.write_annotations(rid, None, bytes(8))  # line 22: L101
+
+
+def rogue_fused_annotation_write(heap, schema):
+    heap.fix_batch(0, schema, lambda batch: [(0, None, bytes(8))])  # line 26: L101

@@ -47,6 +47,8 @@ class TestMutationDiscipline:
                 # The heap primitive under set_annotations is held to the
                 # same whitelist: an out-of-band tail overwrite is L101 too.
                 ("L101", 22),
+                # So is the pass's route: a page read with its repairs.
+                ("L101", 26),
             ], logical
 
     def test_whitelisted_module_is_clean(self):

@@ -28,7 +28,7 @@ def lazy(db):
 
 
 def get_batch(table, heap_page=0):
-    result = table.heap.page_batch(heap_page, table.schema)
+    result = table.heap.fix_batch(heap_page, table.schema)
     assert result is not None
     return result
 
@@ -190,11 +190,11 @@ class TestBatchCache:
         heap = table.heap
         assert heap.page_count > heap.pool.capacity
         for page_no in range(heap.page_count):
-            heap.page_batch(page_no, table.schema)
+            heap.fix_batch(page_no, table.schema)
         assert len(heap.pool._batches) <= heap.pool.capacity
 
     def test_no_summaries_no_batch(self, db):
         table = db.create_table("plain", [("v", "int")])
         table.insert([1])
         assert table.heap.summaries is None
-        assert table.heap.page_batch(0, table.schema) is None
+        assert table.heap.fix_batch(0, table.schema) is None

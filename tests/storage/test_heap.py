@@ -1,11 +1,18 @@
 """Heap files: placement policy, ordered scans, address reuse."""
 
+import contextlib
+import struct
+
 import pytest
 
+from repro.core.fixup import base_fixup
+from repro.database import Database
 from repro.errors import PageFullError, RecordNotFoundError, StorageError
+from repro.relation.types import RidType, TimestampType
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 from repro.storage.pager import InMemoryPager
+from repro.storage.rid import Rid
 
 
 @pytest.fixture
@@ -231,3 +238,98 @@ class TestWriteCounters:
         assert heap.rewrite(rid, lambda before: before + b"!") == b"stored!"
         assert pool.stats.hits + pool.stats.misses == pins + 2
         assert heap.read(rid) == b"stored!" and heap.writes.updates == 1
+
+
+def _annotated_twin(name):
+    """One lazy table, one page: eight rows fixed up, four of them
+    updated since (a NULL ``TimeStamp`` each)."""
+    table = Database(name).create_table(
+        "t", [("v", "int"), ("pad", "string")], annotations="lazy"
+    )
+    table.bulk_load([[i, "x" * 40] for i in range(8)])
+    base_fixup(table)
+    for rid in list(table.heap.scan_rids())[2:6]:
+        table.update(rid, {"v": 99})
+    assert table.heap.page_count == 1
+    return table
+
+
+def _page_image(heap):
+    physical = heap.physical_pages()[0]
+    image = bytes(heap.pool.pin(physical))
+    heap.pool.unpin(physical)
+    return image
+
+
+def _summary_state(heap):
+    summary = heap.summaries.get(0)
+    return summary.page_version, set(summary.null_slots), summary.max_ts
+
+
+class TestFixBatch:
+    """``fix_batch`` reads a page and writes the annotation repairs its
+    caller decides under one pin: the same bytes, summary, observer
+    events and counts as one ``write_annotations`` per record."""
+
+    prev, ts = RidType().encode(Rid(0, 7)), TimestampType().encode(4242)
+    # ts only on a stamped entry and on a NULL one, prev only (its NULL
+    # stays), both — in slot order, as Figure 7 decides them.
+    writes = [(1, None, ts), (2, None, ts), (3, prev, None), (5, prev, ts)]
+
+    def test_one_fused_call_equals_the_per_record_writes(self):
+        per_record, fused = _annotated_twin("a"), _annotated_twin("b")
+        assert _page_image(per_record.heap) == _page_image(fused.heap)
+        events = {}
+        for table in (per_record, fused):
+            seen = events[table.db.name] = []
+            table.heap.observe_writes(
+                lambda kind, rid, seen=seen: seen.append((kind, rid))
+            )
+        before = fused.heap.page_entries(0)
+        for slot_no, prev, ts in self.writes:
+            per_record.heap.write_annotations(Rid(0, slot_no), prev, ts)
+        stats = fused.heap.pool.stats
+        pins = stats.hits + stats.misses
+        batch, reused = fused.heap.fix_batch(
+            0, fused.schema, lambda batch: self.writes
+        )
+        assert not reused and stats.hits + stats.misses == pins + 1
+        # The batch shows the page as it was read, before the writes.
+        assert list(zip(batch.slots, batch.bodies)) == before
+        assert _page_image(per_record.heap) == _page_image(fused.heap)
+        assert _summary_state(per_record.heap) == _summary_state(fused.heap)
+        assert _summary_state(fused.heap)[1] == {3, 4}
+        assert events["a"] == events["b"] == [
+            ("update", Rid(0, slot_no)) for slot_no, _, _ in self.writes
+        ]
+        assert per_record.heap.writes.updates == fused.heap.writes.updates
+
+    @pytest.mark.parametrize(
+        "refuse", [lambda batch: None, lambda batch: [], lambda batch: 1 / 0]
+    )
+    def test_a_refusal_leaves_the_frame_clean(self, refuse):
+        table = _annotated_twin("r")
+        heap, pool = table.heap, table.heap.pool
+        pool.flush_all()
+        writebacks, state = pool.stats.writebacks, _summary_state(heap)
+        updates = heap.writes.updates
+        with contextlib.suppress(ZeroDivisionError):
+            heap.fix_batch(0, table.schema, refuse)
+        pool.flush_all()
+        assert pool.stats.writebacks == writebacks and not pool.pinned_pages()
+        assert _summary_state(heap) == state and heap.writes.updates == updates
+
+    def test_a_record_too_short_for_annotations_is_refused_unread(self):
+        table = _annotated_twin("s")
+        heap = table.heap
+        physical = heap.physical_pages()[0]
+        frame = heap.pool.pin(physical)
+        # Lie about slot 0's length: too short for the 16-byte tail
+        # plus a bitmap byte.
+        offset, _ = struct.unpack_from("<HH", frame, 12)
+        struct.pack_into("<HH", frame, 12, offset, 16)
+        heap.pool.unpin(physical, dirty=True)
+        called = []
+        with pytest.raises(StorageError):
+            heap.fix_batch(0, table.schema, lambda batch: called.append(batch))
+        assert called == [] and not heap.pool.pinned_pages()

@@ -282,15 +282,15 @@ class TestChangedSlotVisit:
     def test_cached_partial_batch_is_caught(self):
         db, table, rids, snap = self._visited()
         heap = table.heap
-        original = heap.page_batch
+        original = heap.fix_batch
 
-        def caching(page_no, schema, only=None):
-            batch, reused = original(page_no, schema, only)
+        def caching(page_no, schema, fix=None, only=None):
+            batch, reused = original(page_no, schema, fix, only)
             if only is not None:  # the bug: a partial read enters the cache
                 heap.pool.batch_store(heap.physical_pages()[page_no], batch)
             return batch, reused
 
-        heap.page_batch = caching
+        heap.fix_batch = caching
         table.update(rids[3], {"v": 1})
         with pytest.raises(SanitizerError, match="partial batch"):
             snap.refresh()
