@@ -109,16 +109,14 @@ def test_eager_vs_lazy_maintenance_cost(benchmark):
         ],
         rows,
     )
-    by_mode = {row[0]: row for row in rows}
-    none_writes = by_mode["none"][1]
-    lazy_writes = by_mode["lazy"][1]
-    eager_writes = by_mode["eager"][1]
+    # Deterministic (seeded stream, logical clock), so pinned exactly.
     # Lazy base operations cost the same physical writes as no
-    # annotations at all; eager pays extra successor updates.
-    assert lazy_writes == none_writes
-    assert eager_writes > lazy_writes * 1.3
-    # And the bill the lazy scheme deferred shows up at refresh time.
-    assert by_mode["lazy"][4] > 0
-    assert by_mode["eager"][4] == 0
-    # Single-size rows: the hole a delete left always holds the next insert.
-    assert all(row[5] == 0 for row in rows)
+    # annotations at all; eager pays extra successor updates and stamps;
+    # the bill the lazy scheme deferred shows up at refresh time.
+    # Single-size rows: the hole a delete left always holds the next
+    # insert, so nothing is compacted.
+    assert {row[0]: (row[1], row[4], row[5]) for row in rows} == {
+        "none": (1000, 0, 0),
+        "lazy": (1000, 684, 0),
+        "eager": (2037, 0, 0),
+    }

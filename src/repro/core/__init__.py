@@ -5,6 +5,8 @@ Stage-by-stage, as the paper develops them:
 - :mod:`~repro.core.simple` — dense address space, per-address
   timestamps (Figures 1–2);
 - :mod:`~repro.core.empty_regions` — explicit empty-region summaries;
+- :mod:`~repro.core.eager` — ``PrevAddr`` maintained eagerly, a hook
+  on the base table's writes;
 - :mod:`~repro.core.refresh` — ``BaseRefresh`` (Figure 3) over
   PrevAddr-annotated tables, and the snapshot receiver (Figure 4) lives
   in :mod:`~repro.core.snapshot`;

@@ -77,11 +77,13 @@ from repro.lint.engine import SourceFile, Violation
 #: routine a refresh pass reads a page through and repairs it with.
 ANNOTATION_WRITES = {"set_annotations", "write_annotations", "fix_batch"}
 
-#: Modules allowed to write the hidden annotation fields: the lazy/eager
-#: write hooks (table.py) and the Figure-7 fix-up passes — the
-#: standalone one, a refresh pass's and the per-row oracle's.
+#: Modules allowed to write the hidden annotation fields: the table
+#: (``set_annotations`` itself), the eager maintenance hook and the
+#: Figure-7 fix-up passes — the standalone one, a refresh pass's and the
+#: per-row oracle's.
 ANNOTATION_WRITERS = {
     "table.py",
+    "core/eager.py",
     "core/fixup.py",
     "core/scanpass.py",
     "core/per_row.py",

@@ -170,11 +170,11 @@ def _page_annotations(
 def check_after_refresh_scan(table: Any, fixup_ran: bool) -> None:
     """Post-scan validation hook for :func:`run_refresh_scan`.
 
-    The chain check only holds once a fix-up pass completed (eager-mode
-    transaction undo legitimately leaves the chain torn until the next
-    pass); summary dominance must hold at all times.
+    The chain must hold once a fix-up pass completed, and on an eager
+    table always: its hook keeps the chain on every write, undo
+    included.  Summary dominance must hold at all times.
     """
-    if fixup_ran:
+    if fixup_ran or table.eager is not None:
         check_annotation_chain(table)
     check_page_summaries(table)
     check_buffer_bounds(table.heap.pool)

@@ -13,11 +13,20 @@ operations.  It also owns the paper's *annotation* machinery — the hidden
     operations pay (almost) nothing for snapshot support.
 
 ``eager`` (the paper's intermediate design)
-    Inserts and deletes maintain the successor's ``PrevAddr``/
-    ``TimeStamp`` immediately; updates stamp the current time.  Costlier
-    per operation — this is the variant whose "serious impact on
-    operations" motivated batch maintenance — but refresh needs no
+    The lazy rules plus a hook, :class:`~repro.core.eager.EagerChain`,
+    that maintains the successor's ``PrevAddr``/``TimeStamp`` on every
+    insert and delete and stamps the current time on every update.
+    Costlier per operation — this is the variant whose "serious impact
+    on operations" motivated batch maintenance — but refresh needs no
     fix-up.
+
+Every write goes through one storage routine per operation:
+:meth:`~Table.insert_record`, :meth:`~Table.rewrite_record`,
+:meth:`~Table.delete_record` and :meth:`~Table.relocate_record`.  Each
+does the heap write, tells the secondary indexes and calls the eager
+hook, and nothing else.  Callers add what differs: user operations lock,
+log and count; the receiver's system operations build their record under
+the lazy rule and count; transaction undo and bulk load call them as is.
 
 The annotation fields use inline-NULL fixed-width encodings, so flipping
 them never changes a record's size and the fix-up pass can always update
@@ -26,19 +35,12 @@ in place.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
-from repro.errors import (
-    CatalogError,
-    InternalError,
-    LockTimeoutError,
-    PageFullError,
-    SchemaError,
-)
+from repro.errors import CatalogError, LockTimeoutError, PageFullError, SchemaError
 from repro.relation.row import Row, decode_row, encode_row
 from repro.relation.schema import Column, Schema
 from repro.relation.types import NULL, RidType, TimestampType
-from repro.storage.btree import BPlusTree
 from repro.storage.heap import HeapFile
 from repro.storage.rid import Rid
 from repro.storage.summary import PageSummaryMap
@@ -46,15 +48,23 @@ from repro.txn.locks import LockMode
 from repro.txn.transactions import Transaction, TxnStatus, UndoInterface
 from repro.txn.wal import LogRecordType
 
+if TYPE_CHECKING:
+    from repro.core.eager import EagerChain
+
 # Read on every write, bound once (see txn/transactions.py).
 _ACTIVE = TxnStatus.ACTIVE
 _IX, _X = LockMode.IX, LockMode.X
+_INSERT, _DELETE = LogRecordType.INSERT, LogRecordType.DELETE
+_UPDATE = LogRecordType.UPDATE
 
 #: "Funny" names for the annotation fields, per the R* implementation.
 PREVADDR = "$PREVADDR$"
 TIMESTAMP = "$TIMESTAMP$"
 
 ANNOTATION_MODES = ("none", "lazy", "eager")
+
+#: An annotation tail as an insert leaves it: NULL, NULL.
+_NULL_TAIL = RidType().encode(NULL) + TimestampType().encode(NULL)
 
 
 def annotation_columns() -> "tuple[Column, Column]":
@@ -102,11 +112,9 @@ class Table(UndoInterface):
         self.heap = heap
         self.annotation_mode = "none"
         self.stats = TableStats()
-        # Live-address index; maintained only in eager mode, where insert
-        # and delete must find the successor entry.
-        self._live: Optional[BPlusTree] = None
-        self._prev_pos: Optional[int] = None
-        self._ts_pos: Optional[int] = None
+        #: Eager maintenance, called by every storage routine; ``None``
+        #: unless the table is eager.
+        self.eager: Optional[EagerChain] = None
         # Secondary indexes (repro.query.indexes); notified on mutation.
         self._indexes: "list[Any]" = []
 
@@ -146,20 +154,6 @@ class Table(UndoInterface):
                 return index
         return None
 
-    def _notify_insert(self, rid: Rid, values: "tuple") -> None:
-        for index in self._indexes:
-            index.on_insert(rid, values)
-
-    def _notify_delete(self, rid: Rid, values: "tuple") -> None:
-        for index in self._indexes:
-            index.on_delete(rid, values)
-
-    def _notify_update(
-        self, old_rid: Rid, old_values: "tuple", new_rid: Rid, new_values: "tuple"
-    ) -> None:
-        for index in self._indexes:
-            index.on_update(old_rid, old_values, new_rid, new_values)
-
     # -- annotations -----------------------------------------------------------
 
     def enable_annotations(self, mode: str = "lazy") -> None:
@@ -173,7 +167,7 @@ class Table(UndoInterface):
         snapshot can exist before its base table is annotated.
 
         In eager mode every existing row is stamped with the current
-        time and chained via ``PrevAddr``, as if just bulk-loaded.
+        time and chained via ``PrevAddr``, as if just inserted.
         """
         if mode not in ("lazy", "eager"):
             raise CatalogError(f"unknown annotation mode: {mode!r}")
@@ -186,61 +180,48 @@ class Table(UndoInterface):
             )
         old_schema = self.schema
         new_schema = old_schema.with_columns(annotation_columns())
-        self._rewrite_for_annotations(old_schema, new_schema, mode)
+        # The rewrite's rows are in two schemas, so secondary indexes hear
+        # nothing of it; they rebuild below (rows may have relocated).
+        indexes, self._indexes = self._indexes, []
+        self._rewrite_for_annotations(old_schema, new_schema)
+        self._indexes = indexes
         self.schema = new_schema
         self.visible_schema = new_schema.visible()
-        self._prev_pos = new_schema.position(PREVADDR)
-        self._ts_pos = new_schema.position(TIMESTAMP)
         # THE annotation layout, taken as given below the table layer:
         # the two columns were appended just above and both types are
         # fixed 8-byte inline-NULL encodings, so every record ends in
         # PrevAddr then TimeStamp.  Repairs overwrite that tail in place
         # (HeapFile.write_annotations), batches and summaries read it
-        # with one struct (ANNOTATION_TAIL), system_update_values slices it.
+        # with one struct (ANNOTATION_TAIL), _overlay and the eager hook
+        # slice it.
         self.annotation_mode = mode
         # Page summaries read the annotation tail, so they can only
         # exist from this point on; rebuild covers pre-existing rows.
         self.heap.attach_summaries(PageSummaryMap(self.db.clock.read))
         if mode == "eager":
-            self._live = BPlusTree(order=64)
-            self._chain_all()
-        # The rewrite may have relocated rows; secondary indexes rebuild.
-        for index in self._indexes:
+            from repro.core.eager import EagerChain  # repro.core imports us
+
+            self.eager = EagerChain(self.heap, self.db.clock)
+        for index in indexes:
             index.rebuild()
 
-    def _rewrite_for_annotations(
-        self, old_schema: Schema, new_schema: Schema, mode: str
-    ) -> None:
-        relocations = []
+    def _rewrite_for_annotations(self, old_schema: Schema, new_schema: Schema) -> None:
+        outgrown = []
         for rid, body in list(self.heap.scan()):
             row = decode_row(old_schema, body)
-            extended = Row(row.values + (NULL, NULL))
-            new_body = encode_row(new_schema, extended)
+            new_body = encode_row(new_schema, Row(row.values + (NULL, NULL)))
             try:
-                self.heap.update(rid, new_body)
+                self.rewrite_record(rid, lambda stored: new_body)
             except PageFullError:
-                relocations.append((rid, new_body))
-        for rid, new_body in relocations:
-            self.heap.delete(rid)
-            self.heap.insert(new_body)
-
-    def _chain_all(self) -> None:
-        """Stamp and chain every row (eager-mode bootstrap)."""
-        live = self._require_live()
-        now = self.db.clock.tick()
-        prev = Rid.BEGIN
-        for rid, body in self.heap.scan():
-            row = decode_row(self.schema, body)
-            stamped = row.replace(self.schema, **{PREVADDR: prev, TIMESTAMP: now})
-            self.heap.update(rid, encode_row(self.schema, stamped))
-            live.insert(rid.key(), rid)
-            prev = rid
+                outgrown.append((rid, body, new_body))
+        for rid, body, new_body in outgrown:
+            self.relocate_record(rid, body, new_body)
 
     def annotations(self, rid: Rid) -> "tuple[Any, Any]":
         """Return ``(PrevAddr, TimeStamp)`` for the row at ``rid``."""
         self._require_annotations()
-        row = decode_row(self.schema, self.heap.read(rid))
-        return row[self._prev_pos], row[self._ts_pos]
+        prev, ts = decode_row(self.schema, self.heap.read(rid)).values[-2:]
+        return prev, ts
 
     def set_annotations(self, rid: Rid, **fields: Any) -> None:
         """Directly overwrite annotation fields (fix-up primitive).
@@ -265,25 +246,48 @@ class Table(UndoInterface):
         if not self.has_annotations:
             raise CatalogError(f"table {self.name!r} has no annotations")
 
-    def _require_live(self) -> BPlusTree:
-        if self._live is None:
-            raise InternalError(
-                f"table {self.name!r}: eager-mode maintenance invoked "
-                "without a live-address index"
-            )
-        return self._live
-
     # -- encode/decode helpers -------------------------------------------------
 
-    def _full_row(self, visible_values: Sequence[Any], prev: Any, ts: Any) -> Row:
+    def _full_row(self, visible_values: Sequence[Any]) -> Row:
+        """The row of ``visible_values``, NULL-annotated if annotated."""
         visible = self.visible_schema
         if len(visible_values) != len(visible):
             raise SchemaError(
                 f"expected {len(visible)} values, got {len(visible_values)}"
             )
         if self.has_annotations:
-            return Row(tuple(visible_values) + (prev, ts))
+            return Row((*visible_values, NULL, NULL))
         return Row(tuple(visible_values))
+
+    def _overlay(
+        self,
+        stored: bytes,
+        values: "Sequence[Any]",
+        positions: "Optional[Sequence[int]]",
+    ) -> bytes:
+        """The record ``stored`` with ``values[i]`` in column
+        ``positions[i]`` (``positions=None``: ``values`` is every column
+        but the annotations, in schema order), under the lazy update
+        rule: ``PrevAddr`` as stored, ``TimeStamp`` NULL.  ``encode_row``
+        validates, so a rejected row raises here, before any write.
+        """
+        annotated = self.has_annotations
+        if positions is None:
+            if not annotated:
+                return encode_row(self.schema, Row(values))
+            fresh = encode_row(self.schema, Row([*values, NULL, NULL]))
+            return fresh[:-16] + stored[-16:-8] + fresh[-8:]
+        new = list(self._decode(stored).values)
+        for position, value in zip(positions, values):
+            new[position] = value
+        if annotated:
+            new[-1] = NULL
+        return encode_row(self.schema, Row(new))
+
+    def _as_inserted(self, body: bytes) -> bytes:
+        """``body`` with the annotations an insert leaves (what a
+        relocation stores)."""
+        return body[:-16] + _NULL_TAIL if self.has_annotations else body
 
     def _decode(self, body: bytes) -> Row:
         return decode_row(self.schema, body)
@@ -292,6 +296,78 @@ class Table(UndoInterface):
         if self.has_annotations:
             return Row(row.values[: len(self.visible_schema)])
         return row
+
+    # -- storage routines --------------------------------------------------------
+
+    # One per operation.  Each does the heap write, tells the secondary
+    # indexes and calls the eager hook, and nothing else: locks, the log,
+    # counters and how the record is built are the callers'.
+
+    def insert_record(self, body: bytes, rid: Optional[Rid] = None) -> Rid:
+        """Store ``body`` at the lowest address that holds it, or at the
+        free address ``rid``; return its address."""
+        if rid is None:
+            rid = self.heap.insert(body)
+        else:
+            self.heap.insert_at(rid, body)
+        if self._indexes:
+            values = self._decode(body).values
+            for index in self._indexes:
+                index.on_insert(rid, values)
+        if self.eager is not None:
+            self.eager.inserted(rid)
+        return rid
+
+    def rewrite_record(
+        self, rid: Rid, decide: "Callable[[bytes], Optional[bytes]]"
+    ) -> Optional[bytes]:
+        """Replace the record at ``rid`` by ``decide(stored)`` under one
+        pin of its page (``None``: write nothing); return what was written.
+
+        Raises :class:`~repro.errors.PageFullError`, having written
+        nothing, when the new record outgrows the page: the caller then
+        moves it (:meth:`relocate_record`).
+        """
+        eager, stored = self.eager, b""
+        if eager is None and not self._indexes:
+            # Nothing to stamp or tell: straight to the heap, sparing a
+            # user update the wrapper's closure and call (EXPERIMENTS A21).
+            return self.heap.rewrite(rid, decide)
+
+        def write(before: bytes) -> Optional[bytes]:
+            nonlocal stored
+            stored = before
+            body = decide(before)
+            if body is None or eager is None:
+                return body
+            return eager.stamped(before, body)
+
+        body = self.heap.rewrite(rid, write)
+        if body is not None and self._indexes:
+            old, new = self._decode(stored).values, self._decode(body).values
+            for index in self._indexes:
+                index.on_update(rid, old, rid, new)
+        return body
+
+    def delete_record(self, rid: Rid, before: Optional[bytes] = None) -> None:
+        """Free the address ``rid``; ``before`` is its record, if the
+        caller has read it."""
+        if before is None and (self._indexes or self.eager is not None):
+            before = self.heap.read(rid)
+        self.heap.delete(rid)
+        if self._indexes:
+            values = self._decode(before).values
+            for index in self._indexes:
+                index.on_delete(rid, values)
+        if self.eager is not None:
+            self.eager.deleted(rid, before)
+
+    def relocate_record(self, rid: Rid, before: bytes, body: bytes) -> Rid:
+        """Move a record that outgrew its page: delete ``before`` from
+        ``rid`` and insert ``body`` where it fits; return the new address.
+        The pair reads exactly like a real delete and insert."""
+        self.delete_record(rid, before)
+        return self.insert_record(body)
 
     # -- transactional operations ----------------------------------------------
 
@@ -314,17 +390,15 @@ class Table(UndoInterface):
         self.db.locks.acquire(txn.owner, ("table", self.name), _IX)
         self.db.locks.acquire(txn.owner, ("row", self.name, rid), _X)
 
-    def _locked_insert(self, txn: Transaction, body: bytes) -> Rid:
-        """Heap-insert ``body`` under the table IX lock and X-lock its
-        address; a slot a transaction's delete still holds is given back."""
-        self.db.locks.acquire(txn.owner, ("table", self.name), _IX)
-        rid = self.heap.insert(body)
+    def _claim(self, txn: Transaction, rid: Rid) -> None:
+        """X-lock the address a record was just stored at (under the
+        table's IX lock); a slot a transaction's delete still holds is
+        given back."""
         try:
             self.db.locks.acquire(txn.owner, ("row", self.name, rid), _X)
         except LockTimeoutError:
-            self.heap.delete(rid)
+            self.delete_record(rid)
             raise
-        return rid
 
     def insert(
         self, values: Sequence[Any], txn: Optional[Transaction] = None
@@ -333,20 +407,16 @@ class Table(UndoInterface):
 
         Lazy mode leaves annotations NULL/NULL — "Insert operations will
         set the PrevAddr and TimeStamp fields to NULL and insert the
-        entry into some empty address of the base table."
+        entry into some empty address of the base table."  The log holds
+        the record as inserted; an eager table's hook then stamps it.
         """
         txn, own = self._resolve_txn(txn)
         try:
-            if self.annotation_mode == "eager":
-                rid = self._eager_insert(values, txn)
-            else:
-                row = self._full_row(values, NULL, NULL)
-                body = encode_row(self.schema, row)
-                rid = self._locked_insert(txn, body)
-                self.db.txns.record_operation(
-                    txn, LogRecordType.INSERT, self.name, rid, None, body
-                )
-                self._notify_insert(rid, row.values)
+            body = encode_row(self.schema, self._full_row(values))
+            self.db.locks.acquire(txn.owner, ("table", self.name), _IX)
+            rid = self.insert_record(body)
+            self._claim(txn, rid)
+            self.db.txns.record_operation(txn, _INSERT, self.name, rid, None, body)
             self.stats.inserts += 1
         except BaseException as exc:
             self._finish(own, exc)
@@ -374,70 +444,40 @@ class Table(UndoInterface):
             positions.append(schema.position(name))
             if schema.columns[positions[-1]].hidden:
                 raise SchemaError(f"cannot update hidden column {name!r}")
+        values = changes.values()
         txn, own = self._resolve_txn(txn)
-        before = old_values = new_row = None
+        before = after = b""
 
         def decide(stored: bytes) -> bytes:
-            # encode_row validates: a rejected row raises before any write.
-            nonlocal before, old_values, new_row
+            nonlocal before, after
             before = stored
-            old_values = self._decode(stored).values
-            values = list(old_values)
-            for position, value in zip(positions, changes.values()):
-                values[position] = value
-            if self.annotation_mode == "lazy":
-                values[self._ts_pos] = NULL
-            elif self.annotation_mode == "eager":
-                values[self._ts_pos] = self.db.clock.tick()
-            new_row = Row(values)
-            return encode_row(schema, new_row)
+            after = self._overlay(stored, values, positions)
+            return after
 
         try:
             self._lock_for_write(txn, rid)
             try:
-                body = self.heap.rewrite(rid, decide)
+                body = self.rewrite_record(rid, decide)
                 self.db.txns.record_operation(
-                    txn, LogRecordType.UPDATE, self.name, rid, before, body
+                    txn, _UPDATE, self.name, rid, before, body
                 )
-                self._notify_update(rid, old_values, rid, new_row.values)
-                result = rid
             except PageFullError:
-                result = self._relocating_update(txn, rid, before, new_row)
+                fresh = self._as_inserted(after)
+                new_rid = self.relocate_record(rid, before, fresh)
+                self.db.txns.record_operation(
+                    txn, _DELETE, self.name, rid, before, None
+                )
+                self._claim(txn, new_rid)
+                self.db.txns.record_operation(
+                    txn, _INSERT, self.name, new_rid, None, fresh
+                )
+                rid = new_rid
             self.stats.updates += 1
         except BaseException as exc:
             self._finish(own, exc)
             raise
         self._finish(own, None)
-        return result
-
-    def _relocating_update(
-        self, txn: Transaction, rid: Rid, before: bytes, new_row: Row
-    ) -> Rid:
-        """Delete+insert fallback when an updated record outgrows its page."""
-        if self.annotation_mode == "eager":
-            self._eager_delete_maintenance(txn, rid)
-        self.heap.delete(rid)
-        if self._live is not None:
-            self._live.delete(rid.key())
-        self.db.txns.record_operation(
-            txn, LogRecordType.DELETE, self.name, rid, before, None
-        )
-        if self._indexes:
-            self._notify_delete(rid, self._decode(before).values)
-        if self.annotation_mode == "eager":
-            visible_count = len(self.visible_schema)
-            return self._eager_insert(new_row.values[:visible_count], txn)
-        if self.annotation_mode == "lazy":
-            new_row = new_row.replace(
-                self.schema, **{PREVADDR: NULL, TIMESTAMP: NULL}
-            )
-        body = encode_row(self.schema, new_row)
-        new_rid = self._locked_insert(txn, body)
-        self.db.txns.record_operation(
-            txn, LogRecordType.INSERT, self.name, new_rid, None, body
-        )
-        self._notify_insert(new_rid, new_row.values)
-        return new_rid
+        return rid
 
     def delete(self, rid: Rid, txn: Optional[Transaction] = None) -> None:
         """Delete the row at ``rid``.
@@ -450,77 +490,13 @@ class Table(UndoInterface):
         try:
             self._lock_for_write(txn, rid)
             before = self.heap.read(rid)
-            if self.annotation_mode == "eager":
-                self._eager_delete_maintenance(txn, rid)
-            self.heap.delete(rid)
-            if self._live is not None:
-                self._live.delete(rid.key())
-            self.db.txns.record_operation(
-                txn, LogRecordType.DELETE, self.name, rid, before, None
-            )
-            if self._indexes:
-                self._notify_delete(rid, self._decode(before).values)
+            self.delete_record(rid, before)
+            self.db.txns.record_operation(txn, _DELETE, self.name, rid, before, None)
             self.stats.deletes += 1
         except BaseException as exc:
             self._finish(own, exc)
             raise
         self._finish(own, None)
-
-    # -- eager-mode maintenance -------------------------------------------------
-
-    def _successor(self, rid: Rid) -> Optional[Rid]:
-        for _, value in self._require_live().range(lo=rid.key(), include_lo=False):
-            return value
-        return None
-
-    def _predecessor(self, rid: Rid) -> Optional[Rid]:
-        item = self._require_live().floor_item(rid.key())
-        return item[1] if item is not None else None
-
-    def _eager_insert(self, values: Sequence[Any], txn: Transaction) -> Rid:
-        """Insert with immediate PrevAddr/TimeStamp maintenance.
-
-        "When an entry is inserted, the PrevAddr of the new entry must be
-        set to the value of the PrevAddr from the next entry in the base
-        table, and the PrevAddr in the next entry must be set to the
-        address of the new entry."
-        """
-        live = self._require_live()
-        now = self.db.clock.tick()
-        # Insert with placeholder annotations, then fix once the address
-        # is known (the heap chooses placement).
-        row = self._full_row(values, NULL, now)
-        body = encode_row(self.schema, row)
-        rid = self._locked_insert(txn, body)
-        successor = self._successor(rid)
-        if successor is not None:
-            succ_prev, _ = self.annotations(successor)
-            self.set_annotations(rid, prev=succ_prev)
-            self.set_annotations(successor, prev=rid)
-        else:
-            predecessor = self._predecessor(rid)
-            self.set_annotations(
-                rid, prev=predecessor if predecessor is not None else Rid.BEGIN
-            )
-        live.insert(rid.key(), rid)
-        final = self.heap.read(rid)
-        self.db.txns.record_operation(
-            txn, LogRecordType.INSERT, self.name, rid, None, final
-        )
-        self._notify_insert(rid, self._decode(final).values)
-        return rid
-
-    def _eager_delete_maintenance(self, txn: Transaction, rid: Rid) -> None:
-        """Propagate a delete to the successor's annotations.
-
-        "When an entry is deleted, the PrevAddr and TimeStamp fields of
-        the succeeding base table entry must be updated with the PrevAddr
-        from the deleted entry and the current time."
-        """
-        prev, _ = self.annotations(rid)
-        successor = self._successor(rid)
-        if successor is not None:
-            self.set_annotations(successor, prev=prev, ts=self.db.clock.tick())
 
     # -- system operations --------------------------------------------------------
 
@@ -533,36 +509,20 @@ class Table(UndoInterface):
     # the WAL and lock manager — they are internal maintenance, not user
     # transactions.
 
-    def system_insert(self, values_by_name: "dict[str, Any]") -> Rid:
-        """Insert a row given per-column values (hidden columns allowed)."""
-        # The annotations, when present, are the schema's last two columns
-        # and the record's last two 8-byte fields (see enable_annotations).
-        columns = self.schema.columns[: -2 if self.has_annotations else None]
-        return self.system_insert_values(
-            [values_by_name[column.name] for column in columns]
-        )
+    def _refuse_eager(self, operation: str) -> None:
+        """Receiver writes and bulk loads serve lazy and plain tables; an
+        eager table is written by transactions."""
+        if self.eager is not None:
+            raise CatalogError(f"{operation} is not supported on eager tables")
 
     def system_insert_values(self, values: Sequence[Any]) -> Rid:
-        """:meth:`system_insert` given every non-annotation column's
-        value in schema order."""
-        if self.annotation_mode == "eager":
-            raise CatalogError("system operations require none/lazy mode")
+        """Insert a row given every non-annotation column's value (hidden
+        ones included) in schema order; annotations start NULL."""
+        self._refuse_eager("system operations")
         row = Row((*values, NULL, NULL) if self.has_annotations else values)
-        rid = self.heap.insert(encode_row(self.schema, row))
-        if self._live is not None:
-            self._live.insert(rid.key(), rid)
-        self._notify_insert(rid, row.values)
+        rid = self.insert_record(encode_row(self.schema, row))
         self.stats.inserts += 1
         return rid
-
-    def system_update(
-        self, rid: Rid, changes: "dict[str, Any]"
-    ) -> Optional[Rid]:
-        """:meth:`system_update_values` with the columns named."""
-        if PREVADDR in changes or TIMESTAMP in changes:
-            raise SchemaError("use set_annotations for annotation fields")
-        positions = [self.schema.position(name) for name in changes]
-        return self.system_update_values(rid, list(changes.values()), positions)
 
     def system_update_values(
         self,
@@ -579,57 +539,27 @@ class Table(UndoInterface):
         breadcrumb for a cascaded snapshot to chase.  Otherwise returns
         the row's address (a new one when the grown record relocated).
         """
-        if self.annotation_mode == "eager":
-            raise CatalogError("system operations require none/lazy mode")
-        annotated = self.has_annotations
-        old_values = row = fresh = None
+        self._refuse_eager("system operations")
+        cut = -16 if self.has_annotations else None  # where annotations start
+        before = after = b""
 
-        def decide(before: bytes) -> Optional[bytes]:
-            nonlocal old_values, row, fresh
-            if positions is not None or self._indexes:
-                old_values = self._decode(before).values
-            if positions is None:  # every column is given: nothing to decode
-                new = list(values)
-            else:
-                new = list(old_values[:-2] if annotated else old_values)
-                for position, value in zip(positions, values):
-                    new[position] = value
-            row = Row(new + [NULL, NULL] if annotated else new)
-            fresh = encode_row(self.schema, row)
-            if not annotated:
-                return None if fresh == before else fresh
-            # Compare what precedes the annotations, then apply the lazy
-            # update rule: PrevAddr stays as stored, TimeStamp goes NULL.
-            if fresh[:-16] == before[:-16]:
-                return None
-            return fresh[:-16] + before[-16:-8] + fresh[-8:]
+        def decide(stored: bytes) -> Optional[bytes]:
+            nonlocal before, after
+            before = stored
+            after = self._overlay(stored, values, positions)
+            return None if after[:cut] == stored[:cut] else after
 
         try:
-            if self.heap.rewrite(rid, decide) is None:
+            if self.rewrite_record(rid, decide) is None:
                 return None
-        except PageFullError:  # relocate: a delete plus a fresh insert
-            self.stats.updates += 1
-            self.heap.delete(rid)
-            new_rid = self.heap.insert(fresh)
-            if self._indexes:
-                self._notify_delete(rid, old_values)
-                self._notify_insert(new_rid, row.values)
-            return new_rid
+        except PageFullError:
+            rid = self.relocate_record(rid, before, self._as_inserted(after))
         self.stats.updates += 1
-        if self._indexes:
-            self._notify_update(rid, old_values, rid, row.values)
         return rid
 
     def system_delete(self, rid: Rid) -> None:
         """Delete a row without logging ("delete just deletes")."""
-        values = None
-        if self._indexes:
-            values = self._decode(self.heap.read(rid)).values
-        self.heap.delete(rid)
-        if self._live is not None:
-            self._live.delete(rid.key())
-        if values is not None:
-            self._notify_delete(rid, values)
+        self.delete_record(rid)
         self.stats.deletes += 1
 
     # -- bulk loading ------------------------------------------------------------
@@ -639,20 +569,13 @@ class Table(UndoInterface):
 
         Bypasses the WAL and lock manager the way a utility load would;
         annotations (if lazy) are NULL/NULL, exactly as if freshly
-        inserted.  Not supported in eager mode, where every insert must
-        maintain its successor.
+        inserted.
         """
-        if self.annotation_mode == "eager":
-            raise CatalogError("bulk_load is not supported on eager tables")
+        self._refuse_eager("bulk_load")
         rids = []
         for values in rows:
-            if self.has_annotations:
-                row = self._full_row(values, NULL, NULL)
-            else:
-                row = self._full_row(values, None, None)
-            rid = self.heap.insert(encode_row(self.schema, row))
-            self._notify_insert(rid, row.values)
-            rids.append(rid)
+            body = encode_row(self.schema, self._full_row(values))
+            rids.append(self.insert_record(body))
             self.stats.inserts += 1
         return rids
 
@@ -660,12 +583,12 @@ class Table(UndoInterface):
         """Delete every row (no logging); keeps schema, storage and caches
         honest.
 
-        Rows are removed through the heap (so page summaries and the
-        live index stay maintained) and every cached columnar batch for
-        the table's pages is evicted from the buffer pool — the entries
-        are definitionally stale after a truncate, and leaving them in
-        the bounded batch cache just squats LRU slots until unrelated
-        traffic pushes them out.
+        Rows are removed through the delete routine (so page summaries,
+        indexes and an eager chain stay maintained) and every cached
+        columnar batch for the table's pages is evicted from the buffer
+        pool — the entries are definitionally stale after a truncate,
+        and leaving them in the bounded batch cache just squats LRU
+        slots until unrelated traffic pushes them out.
         """
         removed = 0
         for rid in list(self.heap.scan_rids()):
@@ -719,30 +642,3 @@ class Table(UndoInterface):
             if seen >= sample:
                 break
         return hits / seen if seen else 0.0
-
-    # -- raw undo interface ---------------------------------------------------
-
-    def raw_insert_at(self, rid: Rid, record: bytes) -> None:
-        self.heap.insert_at(rid, record)
-        if self._live is not None:
-            self._live.insert(rid.key(), rid)
-        if self._indexes:
-            self._notify_insert(rid, self._decode(record).values)
-
-    def raw_update(self, rid: Rid, record: bytes) -> None:
-        old_values = None
-        if self._indexes:
-            old_values = self._decode(self.heap.read(rid)).values
-        self.heap.update(rid, record)
-        if old_values is not None:
-            self._notify_update(rid, old_values, rid, self._decode(record).values)
-
-    def raw_delete(self, rid: Rid) -> None:
-        values = None
-        if self._indexes:
-            values = self._decode(self.heap.read(rid)).values
-        self.heap.delete(rid)
-        if self._live is not None:
-            self._live.delete(rid.key())
-        if values is not None:
-            self._notify_delete(rid, values)

@@ -4,8 +4,10 @@ Base-table operations run inside transactions (autocommitted by default).
 Each data operation appends one WAL record carrying its before and
 after images, and the transaction keeps that record: undo is the log.
 Abort walks the transaction's data records in reverse through the owning
-table's *raw* (non-logging) operations, restoring records at their
-original addresses.
+table's storage routines (its writes' own, without their locks and log),
+restoring records at their original addresses: on a lazy or plain table
+byte for byte; an eager table's maintenance hook runs on undo as on any
+write, so its annotation chain survives the abort.
 
 Commit listeners exist for the ASAP propagation alternative: the paper's
 "transmit changes to the snapshot(s) as they occur" requires seeing each
@@ -70,17 +72,19 @@ class Transaction:
         return f"Transaction({self.txn_id}, {self.status.value})"
 
 
-#: A raw-undo callback registry entry: the table's non-logging primitives.
 class UndoInterface:
-    """Raw table primitives the manager uses to roll back."""
+    """A table's storage routines (``repro.table.Table``): abort undoes
+    through them, neither locking nor logging."""
 
-    def raw_insert_at(self, rid: Rid, record: bytes) -> None:
+    def insert_record(self, body: bytes, rid: Optional[Rid] = None) -> Rid:
         raise NotImplementedError
 
-    def raw_update(self, rid: Rid, record: bytes) -> None:
+    def rewrite_record(
+        self, rid: Rid, decide: Callable[[bytes], Optional[bytes]]
+    ) -> Optional[bytes]:
         raise NotImplementedError
 
-    def raw_delete(self, rid: Rid) -> None:
+    def delete_record(self, rid: Rid, before: Optional[bytes] = None) -> None:
         raise NotImplementedError
 
 
@@ -152,15 +156,15 @@ class TransactionManager:
             if rid is None:
                 raise InternalError("data log record carries no RID")
             if record.rtype is LogRecordType.INSERT:
-                table.raw_delete(rid)
+                table.delete_record(rid)
             elif before is None:
                 raise InternalError(
                     f"{record.rtype.value} log record carries no before-image"
                 )
             elif record.rtype is LogRecordType.UPDATE:
-                table.raw_update(rid, before)
+                table.rewrite_record(rid, lambda stored: before)
             elif record.rtype is LogRecordType.DELETE:
-                table.raw_insert_at(rid, before)
+                table.insert_record(before, rid)
         self.wal.append(txn.txn_id, LogRecordType.ABORT)
         txn.status = TxnStatus.ABORTED
         self.locks.release_all(txn.owner)

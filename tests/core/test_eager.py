@@ -53,6 +53,30 @@ class TestChainInvariant:
         eager.insert([998])
         chain_is_consistent(eager)
 
+    def test_after_abort(self, eager, db):
+        # The maintenance hook runs on undo too: the aborted insert gives
+        # its slot back to the chain, the undone delete is chained in.
+        rids = [rid for rid, _ in eager.scan()]
+        eager.delete(rids[2])
+        txn = db.txns.begin()
+        assert eager.insert([999], txn=txn) == rids[2]  # the freed slot
+        eager.update(rids[5], {"v": 1}, txn=txn)
+        eager.delete(rids[7], txn=txn)
+        txn.abort()
+        chain_is_consistent(eager)
+
+    def test_an_undone_update_keeps_the_chain_it_finds(self, eager, db):
+        rids = [rid for rid, _ in eager.scan()]
+        txn = db.txns.begin()
+        eager.update(rids[4], {"v": 1}, txn=txn)
+        eager.delete(rids[3])  # autocommitted: rids[4] now follows rids[2]
+        txn.abort()
+        # The before-image's PrevAddr names the freed slot; the stored one
+        # stays, and the undo is stamped like any rewrite.
+        assert eager.annotations(rids[4]) == (rids[2], db.clock.read())
+        assert eager.read(rids[4]).values == (40,)
+        chain_is_consistent(eager)
+
     def test_randomized(self, db):
         rng = random.Random(4)
         table = db.create_table("r", [("v", "int")], annotations="eager")

@@ -7,12 +7,15 @@ record.  And random scripts of explicit transactions (committed or
 aborted), autocommitted writes — some beside an open transaction,
 some conflicting with it — and log-based snapshot refreshes keep the
 table equal to a dict model, the log in the shape the manager writes
-and the lock table holding exactly the open transaction's locks.
+and the lock table holding exactly the open transaction's locks.  Each
+script runs on a plain, a lazy and an eager table; on the eager one the
+annotation chain holds after every step outside a transaction.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import sanitize
 from repro.core.manager import SnapshotManager
 from repro.database import Database
 from repro.errors import LockTimeoutError, LogTruncatedError
@@ -110,10 +113,17 @@ script_steps = st.lists(
 )
 
 
+#: The table's annotation modes: every script runs in each.
+MODES = ("none", "lazy", "eager")
+
+
 class _World:
-    def __init__(self) -> None:
+    def __init__(self, mode: str) -> None:
         self.db = Database("prop-txn", page_size=PAGE_SIZE)
-        self.table = self.db.create_table("t", [("v", "int"), ("w", "int")])
+        self.table = self.db.create_table(
+            "t", [("v", "int"), ("w", "int")],
+            annotations=None if mode == "none" else mode,
+        )
         #: The table as every reader sees it (the open transaction's
         #: writes included), and for each address that transaction wrote
         #: its values before the first such write (None: absent).
@@ -220,15 +230,24 @@ class _World:
             assert rows == set(self.undo)
         assert [r.lsn for r in db.wal.scan()] == list(range(1, db.wal.next_lsn))
         assert all(r.rtype in DATA + ENDS for r in db.wal.scan())
+        if self.table.annotation_mode == "eager" and self.txn is None:
+            # The chain is the eager hook's, undo included: an abort
+            # leaves no PrevAddr naming a slot it freed.
+            sanitize.check_annotation_chain(self.table)
 
 
 class TestTransactionsAgainstModel:
     @settings(max_examples=40, deadline=None)
     @given(script=script_steps)
+    # A transaction's insert takes the slot a delete freed, then aborts:
+    # on the eager table the successor must not keep naming that slot.
+    @example(script=[("delete", 4, 0, 0), ("begin", 0, 0, 0),
+                     ("insert", 1, 5, 5), ("abort", 0, 0, 0)])
     def test_scripts_match_a_dict_model(self, script):
-        world = _World()
-        for step in script:
-            world.step(*step)
-        if world.txn is not None:
-            world.step("commit", 0, 0, 0)
-        world.step("refresh", 0, 0, 0)
+        for mode in MODES:
+            world = _World(mode)
+            for step in script:
+                world.step(*step)
+            if world.txn is not None:
+                world.step("commit", 0, 0, 0)
+            world.step("refresh", 0, 0, 0)

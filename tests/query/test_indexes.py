@@ -80,9 +80,9 @@ class TestMaintenance:
     def test_system_ops(self, db):
         t = db.create_table("s", [("v", "int")], annotations="lazy")
         index = SecondaryIndex(t, "v")
-        rid = t.system_insert({"v": 5})
+        rid = t.system_insert_values([5])
         index.check_consistency()
-        t.system_update(rid, {"v": 6})
+        t.system_update_values(rid, [6])
         index.check_consistency()
         t.system_delete(rid)
         index.check_consistency()

@@ -168,9 +168,9 @@ class TestOneWalkValidation:
         with pytest.raises(SchemaError):
             table.insert([name, salary])
         with pytest.raises(SchemaError):
-            table.system_update(rid, {"salary": salary})
+            table.system_update_values(rid, [salary], [1])
         with pytest.raises(SchemaError):
-            table.system_insert({"name": name, "salary": salary})
+            table.system_insert_values([name, salary])
         assert (list(table.heap.scan()), table.heap.writes.total) == before
 
 

@@ -85,6 +85,19 @@ class TestAnnotationChain:
         with pytest.raises(SanitizerError, match="does not tile"):
             sanitize.check_annotation_chain(table)
 
+    def test_a_torn_eager_chain_fails_the_next_refresh(self):
+        db = Database()
+        table = db.create_table("e", [("v", "int")], annotations="eager")
+        rids = [table.insert([i]) for i in range(20)]
+        snap = SnapshotManager(db).create_snapshot(
+            "s", "e", where="v < 5", method="differential"
+        )
+        # No fix-up runs on an eager table: the chain is its hook's, kept
+        # on every write (undo too), so every pass is held to it.
+        table.set_annotations(rids[3], prev=rids[0])
+        with pytest.raises(SanitizerError, match="does not tile"):
+            snap.refresh()
+
     def test_missing_timestamp_is_caught(self):
         from repro.relation.types import NULL
 

@@ -231,3 +231,22 @@ class TestTheLogAWriteLeaves:
         assert not table.exists(rids[2])
         txn.abort()
         assert [row.values for _, row in table.scan()] == [(i,) for i in range(5)]
+
+    def test_a_taken_back_insert_leaves_index_and_chain_whole(self, db):
+        from repro import sanitize
+        from repro.query.indexes import SecondaryIndex
+
+        table = db.create_table("e", [("v", "int")], annotations="eager")
+        rids = [table.insert([i]) for i in range(5)]
+        index = SecondaryIndex(table, "v")
+        txn = db.txns.begin()
+        table.delete(rids[2], txn=txn)
+        # The insert routine tells the index and chains the row in before
+        # the lock refuses the slot: giving it back must undo both.
+        with pytest.raises(LockTimeoutError):
+            table.insert([99])
+        index.check_consistency()
+        sanitize.check_annotation_chain(table)
+        txn.abort()
+        index.check_consistency()
+        sanitize.check_annotation_chain(table)
