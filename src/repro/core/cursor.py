@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from repro.core.messages import (
@@ -213,9 +214,10 @@ class RefreshResult:
         #: Committed writes observed while the scan had the table lock
         #: released at a chunk boundary.
         self.interleaved_writes = 0
-        #: Already-scanned pages repaired under the final lock hold of a
-        #: chunked scan — fixed up, their net difference published — for
-        #: a write after their chunk's high watermark.
+        #: Page repairs of a chunked scan: at the start of each lock hold,
+        #: every already-scanned page the window before it wrote, fixed
+        #: up and its net difference queued for publishing.  A page
+        #: written in several windows counts once per window.
         self.pages_repaired = 0
 
     @property
@@ -295,6 +297,7 @@ class RefreshCursor:
         "page_quals",
         "_staged_values",
         "staged_pages",
+        "_repairs",
     )
 
     def __init__(
@@ -342,6 +345,9 @@ class RefreshCursor:
         self._staged_values: "Optional[dict[int, dict[Rid, tuple]]]" = (
             {} if value_cache is not None else None
         )
+        #: :meth:`repair_page`'s messages, ``(page_no, messages)`` in
+        #: repair order, held back until :meth:`end_scan`.
+        self._repairs: "list[tuple[int, list[RefreshMessage]]]" = []
 
     def transmit(self, message: RefreshMessage) -> None:
         self.result.messages_sent += 1
@@ -353,6 +359,7 @@ class RefreshCursor:
     def fail(self, error: BaseException) -> None:
         self.failed = True
         self.error = error
+        self._repairs.clear()
 
     # -- page records --------------------------------------------------------
 
@@ -627,8 +634,16 @@ class RefreshCursor:
             self._staged_values.setdefault(rid.page_no, {})[rid] = old
 
     def end_scan(self) -> None:
-        """``EndOfScan``: covers deletions at the end of the base table."""
+        """``EndOfScan``: covers deletions at the end of the base table.
+        Then the repairs queued during the pass, in ascending page order
+        (a page repaired twice, in repair order): sent earlier, an
+        interval message or the ``EndOfScan`` itself could wipe them."""
         self.transmit(EndOfScanMessage(self.last_qual))
+        repairs, self._repairs = self._repairs, []
+        repairs.sort(key=itemgetter(0))  # stable
+        for _, messages in repairs:
+            for message in messages:
+                self.transmit(message)
 
     def repair_page(
         self,
@@ -639,8 +654,9 @@ class RefreshCursor:
     ) -> None:
         """Publish what writers did to a page after the scan read it.
 
-        Sent between :meth:`end_scan` and :meth:`finish`, hence as point
-        messages: no ``prev_qual``, no ``Deletion`` flag to carry.
+        Point messages — no ``prev_qual``, no ``Deletion`` flag to carry
+        — queued until :meth:`end_scan`, which sends them between the
+        ``EndOfScan`` and the new ``SnapTime``.
         ``changed`` are the slots written since, emptied ones included.
         With ``info`` — see :meth:`page_info` — the page is crossed as
         :meth:`cross` crosses it: ``batch`` is the partial one of the
@@ -660,14 +676,15 @@ class RefreshCursor:
         slots = batch.slots
         publish = batch.qualifying(self.restriction)
         now = kept.union(slots[index] for index in publish)
+        messages: "list[RefreshMessage]" = []
         if info is None:
-            self.transmit(
-                DeleteRangeMessage(Rid(page_no, 0), Rid(page_no + 1, 0))
-            )
-            self.transmit(DeleteMessage(Rid(page_no, 0)))
+            messages += [
+                DeleteRangeMessage(Rid(page_no, 0), Rid(page_no + 1, 0)),
+                DeleteMessage(Rid(page_no, 0)),
+            ]
         for slot_no in held:
             if slot_no not in now:
-                self.transmit(DeleteMessage(Rid(page_no, slot_no)))
+                messages.append(DeleteMessage(Rid(page_no, slot_no)))
         page_values: "dict[Rid, tuple]" = {}
         if self._staged_values is not None:
             # A page dict of this pass's own: a skipped page shares the
@@ -682,13 +699,14 @@ class RefreshCursor:
             rid = Rid(page_no, slots[index])
             projected = self.projection(batch.row(index))
             value_bytes = encoded_size(self.value_schema, projected)
-            self.transmit(UpsertMessage(rid, projected.values, value_bytes))
+            messages.append(UpsertMessage(rid, projected.values, value_bytes))
             page_values[rid] = projected.values
         if self._staged_values is not None:
             if page_values:
                 self._staged_values[page_no] = page_values
             else:
                 self._staged_values.pop(page_no, None)
+        self._repairs.append((page_no, messages))
         self.page_quals = array("H", sorted(now))
 
     def finish(self, new_time: int) -> None:

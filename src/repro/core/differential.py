@@ -43,7 +43,6 @@ from repro.expr.predicate import Projection, Restriction
 from repro.storage.rid import Rid
 from repro.storage.summary import PageQualInfo
 from repro.table import Table
-from repro.txn.clock import WatermarkBracket
 
 
 @dataclass(frozen=True)
@@ -100,19 +99,22 @@ def run_refresh_scan(
     **Chunks.**  Without a ``plan`` the whole heap is one chunk scanned
     under the caller's lock — the paper's scan.  With a
     :class:`ScanPlan` the same loop is the DBLog "virtual cuts"
-    construction (``docs/algorithm.md``): each chunk is bracketed by
-    low/high readings of a monotone write watermark (a
-    :class:`~repro.txn.clock.WatermarkBracket` over the heap
-    write-observer's sequence number) and the lock is released between
-    chunks.  A slot whose last write sequence exceeds its page's
-    *scanned* watermark — recorded after the chunk, so the scan's own
-    fix-up writes never count — was modified after the scan read it.
-    Under the final lock hold, between each cursor's ``EndOfScan`` and
-    its new ``SnapTime``,
-    :meth:`~repro.core.scanpass._ScanPass.repair_pages` brings those
-    pages to what a scan at that moment leaves, in the base table and
-    in every stream (``REPAIRED``); with no interleaved writes the
-    emitted stream is byte-for-byte the one-chunk scan's.
+    construction (``docs/algorithm.md``): the lock is released between
+    chunks, and the heap's write observer numbers every record write
+    (the watermark) and notes, per page, the slots written since the
+    pass last read the page.  A window's writes are those numbered
+    after its low watermark; the pass's own fix-up writes, a chunk's or
+    a repair's, are dropped once the page they land on has been read.
+    At the start of each lock hold after a window that wrote,
+    :meth:`~repro.core.scanpass._ScanPass.repair_pages` brings the
+    pages that window wrote *behind* the scan to what a scan at that
+    moment leaves, in the base table and in every stream
+    (``REPAIRED``), and the next chunk sets out from the repaired
+    prefix.  So a hold repairs one window's pages, never the whole
+    pass's; a page written in several windows is repaired in each.  A
+    cursor queues its repair messages until its ``EndOfScan``; with no
+    interleaved writes the emitted stream is byte-for-byte the
+    one-chunk scan's.
 
     *Pass time* (``docs/invariants.md``).  A stamp carries the time of
     the lock hold it is written under: after a window in which anything
@@ -123,15 +125,21 @@ def run_refresh_scan(
     """
     heap = table.heap
     # The write watermark: one monotone sequence number per physical
-    # record write, with the latest sequence seen per page and slot.
+    # record write; per page, the slots written since the pass read it.
     seq = 0
-    last_write_seq: "dict[int, dict[int, int]]" = {}
-    scanned_seq: "dict[int, int]" = {}
+    written: "dict[int, set[int]]" = {}
 
     def watch(kind: str, rid: Rid) -> None:
         nonlocal seq
         seq += 1
-        last_write_seq.setdefault(rid.page_no, {})[rid.slot_no] = seq
+        written.setdefault(rid.page_no, set()).add(rid.slot_no)
+
+    def read_behind(front: int) -> "dict[int, list[int]]":
+        """Take the slots written on the pages below ``front``."""
+        return {
+            page_no: sorted(written.pop(page_no))
+            for page_no in [page_no for page_no in written if page_no < front]
+        }
 
     unsubscribe: "Optional[Callable[[], None]]" = None
     if plan is not None:
@@ -167,35 +175,24 @@ def run_refresh_scan(
                         # SnapTime a sibling took inside the window.
                         stats.interleaved_writes += seq - low
                         scan.fixup_time = table.db.clock.tick()
+                        # The window's writes behind the scan (deletes
+                        # included: an emptied slot still leaves the
+                        # receiver's image of it stale).
+                        dirty = read_behind(next_page)
+                        if dirty:
+                            scan.repair_pages(cursors, dirty, next_page)
                 stop = min(next_page + plan.chunk_pages, heap.page_count)
-            bracket = WatermarkBracket(stats.chunks_scanned, seq)
             reached = scan.scan_pages(cursors, next_page, stop)
-            bracket.close(seq)
             if plan is not None:
-                for page_no in range(next_page, stop):
-                    # Recorded after the chunk: the chunk's own fix-up
-                    # writes fall at or below the high watermark and are
-                    # covered, not interleaved.
-                    scanned_seq[page_no] = bracket.high
+                # The pass's own fix-up writes, the chunk's and the
+                # repair's: every page below ``reached`` is read since.
+                read_behind(reached)
                 stats.chunks_scanned += 1
             next_page = reached
 
-        # The interleave buffer: per page, the slots written after its
-        # chunk's high watermark (deletes included — an emptied slot
-        # still leaves the receiver's image of it stale).
-        dirty: "dict[int, list[int]]" = {}
-        for page_no, slots in last_write_seq.items():
-            scanned = scanned_seq.get(page_no, 0)
-            changed = [s for s, written in slots.items() if written > scanned]
-            if changed:
-                dirty[page_no] = sorted(changed)
-
-        # Short of the heap's end every output has failed; having reached
-        # it the pass owes the table its fix-up, live outputs or not.
+        # Short of the heap's end every output has failed.
         completed = next_page >= heap.page_count
         each_live(cursors, RefreshCursor.end_scan)
-        if dirty and completed:
-            scan.repair_pages(cursors, dirty)
         each_live(cursors, lambda cursor: cursor.finish(scan.fixup_time))
         return scan.seal(cursors, completed)
     finally:

@@ -64,7 +64,8 @@ class PageOutcome(IntEnum):
     BATCH = 2
     #: Read whole entry by entry: the per-row oracle.
     ROWS = 3
-    #: Written behind an online pass; repaired under its final hold.
+    #: Written behind an online pass in a window; repaired at the start
+    #: of the next lock hold (once per window that wrote it).
     REPAIRED = 4
 
 
@@ -563,28 +564,40 @@ class _ScanPass:
         self,
         cursors: "Sequence[RefreshCursor]",
         dirty: "dict[int, list[int]]",
+        front: int,
     ) -> None:
-        """Under the final lock hold: bring the pages writers touched
-        after their chunk — ``dirty``, page → slots written since — to
-        the state a scan at this moment leaves, in the base table and
-        in every live cursor's stream.
+        """At the start of a lock hold: bring the pages a window wrote
+        behind the scan front (``front``, the next page to scan) —
+        ``dirty``, page → slots written since the pass read the page —
+        to the state a scan at this moment leaves, in the base table and
+        in every live cursor's (queued) stream.
 
         Per page, ascending, through :meth:`page`.  Figure 7 sets out
-        from the last live entry before the page (every earlier page is
-        chained by now) or, when no live entry separates it from the
-        previous dirty page, from what that page's fix-up left; either
-        way the walk goes one entry further, to the page's successor
-        (:meth:`_close_chain`).  A table scanned without fix-up takes
-        only the publishing.
+        from the last live entry before the page (the whole prefix was
+        chained when the window opened) or, when no live entry
+        separates it from the previous dirty page, from what that page's
+        fix-up left; either way the walk goes one entry further, to the
+        page's successor (:meth:`_close_chain`).  When that successor is
+        on the scan front, the next chunk sets out from the state the
+        last page left; otherwise from the boundary state it had before,
+        which the window did not touch.  A table scanned without fix-up
+        takes only the publishing.
         """
         if self.heap.summaries is None:  # annotations attach them
             raise RefreshMethodError("page repair needs the heap's summaries")
+        boundary = self.expect_prev, self.last_addr
         carried = False
         for page_no in sorted(dirty):
             if self.fixup and not carried:
                 self._advance(self._live_before(page_no))
             self.page(page_no, cursors, dirty[page_no])
-            carried = self.fixup and self._close_chain(page_no, dirty, cursors)
+            carried = self.fixup and self._close_chain(
+                page_no, dirty, cursors, front
+            )
+        if not carried:
+            self.expect_prev, self.last_addr = boundary
+        if self.audit and (self.fixup or self.table.eager is not None):
+            sanitize.check_annotation_chain(self.table, front)
 
     def _live_before(self, page_no: int) -> Rid:
         """The last live address below ``page_no``, off the heap's page
@@ -601,6 +614,7 @@ class _ScanPass:
         page_no: int,
         dirty: "dict[int, list[int]]",
         cursors: "Sequence[RefreshCursor]",
+        front: int,
     ) -> bool:
         """Take Figure 7 one entry past a repaired page.
 
@@ -608,25 +622,35 @@ class _ScanPass:
         *successor* — the next live entry, wherever it is — so the
         repair is not closed until that entry has been through
         :meth:`_fix_up` with the state the page left.  That holds for a
-        page that only took updates too: a chunk that set out from a
-        boundary state a window had made stale wrote it into exactly
-        this entry, and a sibling's fix-up in between can make the
-        cause read as a plain update.  On a dirty page the entry will
-        go through: returns True, and that page's fix-up starts from
-        the carried state.  On a clean page just that record is read
-        and fixed, and if that wrote, the record each cursor keeps of
-        the page moves to the new version and first ``PrevAddr`` (the
-        page still skips at the next refresh).
+        page that only took updates too: a sibling's fix-up in the
+        window may have chained a tail insert the page's chunk never
+        saw, and the cause then reads as a plain update.  When the
+        entry is on a dirty page or at or past the scan ``front`` (or
+        there is none), it will go through: returns True, and that
+        page's fix-up or the next chunk starts from the carried state.
+        On a clean page behind the front just that record is read and
+        fixed — unless a cursor's record of the page, of its current
+        version, shows its first ``PrevAddr`` already chained to the
+        state (the boundary test): then the read would write nothing.
+        If it wrote, the record each cursor keeps of the page moves to
+        the new version and first ``PrevAddr`` (the page still skips at
+        the next refresh).
         """
-        for later in range(page_no + 1, self.heap.page_count):
+        for later in range(page_no + 1, front):
             summary = self.heap.summaries.get(later)
             if summary is not None and summary.first_live_slot is not None:
                 break
         else:
-            return False
+            return True
         if later in dirty:
             return True
         version = summary.page_version
+        for cursor in cursors:
+            info = cursor.page_info(later)
+            if info is not None and info.page_version == version:
+                if self._clean(info.first_prev):
+                    return False
+                break
         first_prev: Optional[Rid] = None
 
         def figure7(successor: PageBatch) -> "Writes":

@@ -81,31 +81,28 @@ class _StatsGuard:
             ) = self._saved
 
 
-def _annotations(table: Any) -> "Iterator[Tuple[Rid, Any, Any]]":
-    from repro.table import PREVADDR, TIMESTAMP
-
-    positions = (
-        table.schema.position(PREVADDR),
-        table.schema.position(TIMESTAMP),
-    )
-    for rid, body in table.heap.scan():
-        prev, ts = decode_fields(table.schema, body, positions)
-        yield rid, prev, ts
-
-
-def check_annotation_chain(table: Any) -> None:
+def check_annotation_chain(table: Any, pages: Optional[int] = None) -> None:
     """After fix-up: ``PrevAddr`` intervals tile the address space.
 
     Walking the table in address order, each live entry's ``PrevAddr``
     must equal the address of the previous live entry (``Rid.BEGIN`` for
     the first), and every timestamp must be set — the postcondition of
-    Figure 7 that the Figure-3 transmit decision assumes.
+    Figure 7 that the Figure-3 transmit decision assumes.  ``pages``
+    bounds the walk to the heap pages below it: the prefix an online
+    pass has scanned and, after each window, repaired.
     """
     if not table.has_annotations:
         return
+    if pages is None:
+        pages = table.heap.page_count
     with _StatsGuard(table.heap):
         expected = Rid.BEGIN
-        for rid, prev, ts in _annotations(table):
+        entries = (
+            entry
+            for page_no in range(pages)
+            for entry in _page_annotations(table, page_no)
+        )
+        for rid, prev, ts in entries:
             if ts is NULL:
                 raise SanitizerError(
                     f"table {table.name!r}: entry {rid} has a NULL "

@@ -58,59 +58,6 @@ class ManualClock(LogicalClock):
         return self._now
 
 
-class WatermarkBracket:
-    """Low/high watermarks bracketing one unit of interleaved work.
-
-    The chunked refresh scan brackets every chunk with readings of a
-    monotone mark (in practice the heap's write-observer sequence
-    number): ``low`` is the mark when the chunk began, ``high`` the mark
-    when it finished.  A write whose mark falls at or below ``high``
-    was *observed by the chunk's scan*; a later write to the same pages
-    interleaved with a subsequent chunk and must be merged separately —
-    the DBLog "virtual cut" construction over logical marks instead of
-    a change log.
-    """
-
-    __slots__ = ("index", "low", "high")
-
-    def __init__(self, index: int, low: int) -> None:
-        if low < 0:
-            raise ReproError("watermark cannot be negative")
-        self.index = index
-        self.low = low
-        self.high: "int | None" = None
-
-    def close(self, high: int) -> None:
-        """Seal the bracket at the chunk's end mark."""
-        if high < self.low:
-            raise ReproError(
-                f"high watermark {high} below low watermark {self.low}"
-            )
-        self.high = high
-
-    @property
-    def closed(self) -> bool:
-        return self.high is not None
-
-    def covers(self, mark: int) -> bool:
-        """Whether a write at ``mark`` was seen by this bracket's scan."""
-        if self.high is None:
-            raise ReproError("bracket is still open")
-        return mark <= self.high
-
-    def interleaved(self, mark: int) -> bool:
-        """Whether ``mark`` landed strictly inside the bracket."""
-        if self.high is None:
-            raise ReproError("bracket is still open")
-        return self.low < mark <= self.high
-
-    def __repr__(self) -> str:
-        return (
-            f"WatermarkBracket(#{self.index}, low={self.low}, "
-            f"high={self.high})"
-        )
-
-
 def wall_timer() -> "Callable[[], float]":
     """A wall-clock duration source for injection into core code.
 

@@ -19,6 +19,7 @@ from repro.core.messages import (
 )
 from repro.database import Database
 from repro.errors import ChannelError, RefreshMethodError, SnapshotError
+from repro.relation.types import NULL
 
 
 def build(n_rows=2000, **manager_kwargs):
@@ -394,6 +395,78 @@ class TestPassTime:
         assert db.clock.read() == before + 2 == result.new_snap_time
 
 
+class TestRepairPerHold:
+    """A lock hold repairs what the window before it wrote, before the
+    next chunk: the hold a writer waits for never holds the whole pass's
+    repairs."""
+
+    @pytest.mark.parametrize("config", configs())
+    def test_each_window_is_repaired_by_the_next_hold(self, config):
+        db, table, manager, snap = build(**config)
+        rids = list(table.heap.scan_rids())
+        first_on = {}
+        for rid in rids:
+            first_on.setdefault(rid.page_no, rid)
+        written = []  # (page, window, rid), one per window
+        stamps = []
+
+        def writer(chunk):
+            if written:
+                # The page the last window wrote was repaired when the
+                # hold after it began: no NULL left, the row stamped.
+                page_no, _, rid = written[-1]
+                assert not table.heap.summaries.get(page_no).null_slots
+                stamp = table.annotations(rid)[1]
+                assert stamp is not NULL and stamp > snap.snap_time
+                # Each hold stamps with its own, later time.
+                assert not stamps or stamp > stamps[-1]
+                stamps.append(stamp)
+            page_no = (chunk - 1) // 2  # scanned, and written twice
+            rid = first_on[page_no]
+            table.update(rid, {"salary": chunk % 10})
+            written.append((page_no, chunk, rid))
+
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=writer
+        )
+        pairs = {(page_no, window) for page_no, window, _ in written}
+        assert len(pairs) == len(written) > 4
+        assert result.pages_repaired == len(pairs)
+        assert len({page_no for page_no, _ in pairs}) < len(pairs)
+        # The last window's repair ran under the hold the pass ends in.
+        assert table.annotations(written[-1][2])[1] == result.new_snap_time
+        assert contents(snap) == truth(table)
+        assert_settled(manager)
+
+    def test_a_successor_recorded_as_chained_is_not_read(self, monkeypatch):
+        """Closing the repair of a page that took a plain update reads
+        nothing of the clean page after it: the pass's record of that
+        page shows its first entry chained to the repaired page."""
+        db, table, manager, snap = build()
+        rids = list(table.heap.scan_rids())
+        heap = table.heap
+        original = heap.fix_batch
+        reads = []
+
+        def watching(page_no, schema, fix=None, only=None):
+            reads.append(page_no)
+            return original(page_no, schema, fix, only)
+
+        def writer(chunk):
+            if chunk == 3:
+                table.update(rids[0], {"salary": 4})
+                reads.clear()
+
+        monkeypatch.setattr(heap, "fix_batch", watching)
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=writer
+        )
+        assert result.pages_repaired == 1
+        assert reads[0] == 0 and not {1, 2} & set(reads)
+        assert contents(snap) == truth(table)
+        assert_settled(manager)
+
+
 class TestRepairClosure:
     """Figure 7 holds after every completed pass (``docs/invariants.md``,
     "Repair closure"): an insert or a delete at the tail of a page is
@@ -526,10 +599,13 @@ class TestRepairClosure:
         self, config
     ):
         """A sibling refreshed in the window chains the tail insert and
-        repoints its successor; the next chunk, setting out from the
-        boundary state of before the window, points the successor back.
-        Updated again, the insert is a plain update to the repair — which
-        must still go one entry past the page."""
+        repoints its successor.  The next chunk sets out from the state
+        the window's repair left, so it finds the successor chained to
+        the insert — no false deletion, no write — where a chunk setting
+        out from the boundary state of before the window pointed it
+        back.  Updated in the next window, the insert is a plain update
+        to that window's repair — which must still go one entry past the
+        page."""
         db, table, manager, snap = build(n_rows=600, **config)
         sibling = manager.create_snapshot(
             "b", "emp", where="salary < 10", method="differential"
@@ -552,12 +628,17 @@ class TestRepairClosure:
         result = manager.refresh_online(
             "low", chunk_pages=1, on_chunk_boundary=writer
         )
-        assert result.pages_repaired == 1
+        # Page 0 is repaired in both windows that wrote it.
+        assert result.pages_repaired == 2
+        # The tail's stamp, once: nothing read the head as a deletion.
+        assert result.deletions_detected == 0 and result.fixup_writes == 1
         sanitize.check_annotation_chain(table)
         assert table.annotations(head)[0] == tail
         assert contents(snap) == truth(table)
         assert_settled(manager)
-        manager.refresh("b")
+        # The sibling took its SnapTime in the first window: it owes
+        # only the tail's own update, the head was never restamped.
+        assert manager.refresh("b").entries_sent == 1
         assert contents(sibling) == truth(table)
 
     def test_output_lost_at_end_of_scan_still_chains_the_table(self):

@@ -33,7 +33,11 @@ from repro.core.messages import (
 )
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
+from repro.errors import PageFullError
 from repro.expr.predicate import Projection, Restriction
+from repro.relation.row import Row, encode_row
+from repro.relation.types import NULL
+from repro.storage.rid import Rid
 
 PREDICATE = "v < 50"
 GROUP_PREDICATES = ("v < 50", "v >= 20")
@@ -43,15 +47,24 @@ GROUP_PREDICATES = ("v < 50", "v >= 20")
 #: 1-3 pages has boundaries for writers to land at.
 PAGE_SIZE = 512
 
-# One mutation: (op, target index, value).
-mutations = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "update", "delete"]),
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=99),
-    ),
-    max_size=40,
-)
+
+def _scripts(kinds):
+    """Scripts of mutations: (op, target index, value)."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(kinds),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=0, max_value=99),
+        ),
+        max_size=40,
+    )
+
+
+mutations = _scripts(["insert", "update", "delete"])
+#: What writers do in a window: the same, or ``tail`` — delete the last
+#: live row of the last page scanned, or insert one just past it: the
+#: writes a chunk setting out from a stale boundary state misread.
+window_mutations = _scripts(["insert", "update", "delete", "tail"])
 
 
 class _World:
@@ -88,6 +101,24 @@ class _World:
         elif kind == "delete" and self.live:
             rid = self.live.pop(index % len(self.live))
             self.table.delete(rid)
+        return rid
+
+    def write_tail(self, page_no: int, value: int):
+        """Delete the last live row of ``page_no`` (``value`` even) or
+        insert one at the slot after it; returns the address written."""
+        on_page = [rid for rid in self.live if rid.page_no == page_no]
+        tail = max(on_page, default=None)
+        if value % 2 == 0 and tail is not None:
+            self.live.remove(tail)
+            self.table.delete(tail)
+            return tail
+        rid = Rid(page_no, tail.slot_no + 1 if tail is not None else 0)
+        body = encode_row(self.table.schema, Row([value, NULL, NULL]))
+        try:
+            self.table.insert_record(body, rid)
+        except PageFullError:
+            return None
+        self.live.append(rid)
         return rid
 
     def refresh(self, chunked: bool, boundary=None, chunk_pages: int = 1):
@@ -160,7 +191,7 @@ class TestRacingWriterConvergence:
     )
     @given(
         prefix=mutations,
-        interleaved=mutations,
+        interleaved=window_mutations,
         chunk_pages=st.integers(1, 2),
     )
     def test_converges_to_final_base(self, prefix, interleaved, chunk_pages):
@@ -178,9 +209,13 @@ class TestRacingWriterConvergence:
                 chunk, world=world, queue=queue, behind=behind
             ) -> None:
                 # A committed writer burst at every chunk boundary.
+                front = chunk * chunk_pages
                 for op in queue[:3]:
-                    rid = world.apply_op(op)
-                    if rid is not None and rid.page_no < chunk * chunk_pages:
+                    if op[0] == "tail":
+                        rid = world.write_tail(front - 1, op[2])
+                    else:
+                        rid = world.apply_op(op)
+                    if rid is not None and rid.page_no < front:
                         behind.add(rid)
                 del queue[:3]
 

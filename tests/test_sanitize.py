@@ -1,5 +1,7 @@
 """REPRO_SANITIZE=1: injected invariant breaks are caught at runtime."""
 
+import re
+
 import pytest
 
 from repro import sanitize
@@ -446,3 +448,26 @@ class TestOnlineRepair:
 
         with pytest.raises(SanitizerError, match="an online repair"):
             manager.refresh_online("s", chunk_pages=1, on_chunk_boundary=writer)
+
+    def test_repair_left_open_is_caught_in_its_own_hold(self, monkeypatch):
+        """Repair closure holds per hold: a window's repair that leaves
+        the scanned prefix's chain torn is caught before the next chunk,
+        not at the end of the pass."""
+        from repro.core.scanpass import _ScanPass
+
+        table, rids, manager = self._world()
+        tail = max(rid for rid in rids if rid.page_no == 0)
+        head = rids[rids.index(tail) + 1]
+        windows = []
+
+        def writer(chunk):
+            windows.append(chunk)
+            if chunk == 3:  # page 1, tail's successor, is behind the scan
+                table.delete(tail)
+
+        # The break: the successor's PrevAddr is never repointed.
+        monkeypatch.setattr(_ScanPass, "_close_chain", lambda *args: False)
+        torn = re.escape(f"entry {head} has PrevAddr {tail}")
+        with pytest.raises(SanitizerError, match=torn):
+            manager.refresh_online("s", chunk_pages=1, on_chunk_boundary=writer)
+        assert windows == [1, 2, 3] < list(range(1, table.heap.page_count))
