@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from repro.core.messages import (
@@ -54,9 +54,11 @@ from repro.expr.predicate import Projection, Restriction
 from repro.relation.row import Row, encoded_fields_size, encoded_size
 from repro.storage.batch import PageBatch
 from repro.storage.rid import Rid
-from repro.storage.summary import PageQualInfo, PageSummary
+from repro.storage.summary import LogMark, PageMirror, PageQualInfo, PageSummary
 
 Send = Callable[[RefreshMessage], None]
+
+_QUAL_SLOTS = attrgetter("qual_slots")
 
 
 class ValueCache:
@@ -110,14 +112,16 @@ class ValueCache:
 
 
 def adopt_holdings(
-    cache: "dict[int, PageQualInfo]",
+    cache: PageMirror,
     held: "dict[int, dict[Rid, tuple]]",
     page_count: int,
 ) -> None:
     """A repairing resync left the snapshot holding exactly ``held``: every
     entry's ``qual_slots`` follow (its layout fields stand), and a page
     never recorded gets a *holdings-only* entry (no version) — it may
-    arm the ``Deletion`` flag but never fast-forwards."""
+    arm the ``Deletion`` flag but never fast-forwards.  The cache's mark
+    becomes unknown: the next refresh walks every page."""
+    cache.mark = None
     for page_no in range(page_count):
         slots = array("H", [rid.slot_no for rid in held.get(page_no, ())])
         info = cache.setdefault(page_no, PageQualInfo(None, None, slots, None))
@@ -297,6 +301,7 @@ class RefreshCursor:
         "page_quals",
         "_staged_values",
         "staged_pages",
+        "staged_mark",
         "_repairs",
     )
 
@@ -323,6 +328,9 @@ class RefreshCursor:
         #: This pass's records; :meth:`commit_pages` merges them into
         #: :attr:`cache` once the receiver has the stream.
         self.staged_pages: "dict[int, PageQualInfo]" = {}
+        #: The write-log mark this pass's records earn (set by a pass
+        #: that completed with them all current), committed with them.
+        self.staged_mark: Optional[LogMark] = None
         #: Per-snapshot mirror of previously transmitted values; when
         #: set, retransmissions of changed entries become per-column
         #: :class:`UpdateDeltaMessage`\ s on cache hits.
@@ -372,9 +380,12 @@ class RefreshCursor:
         )
 
     def commit_pages(self) -> None:
-        """The receiver applied this pass's stream: adopt what it staged."""
+        """The receiver applied this pass's stream: adopt what it staged,
+        the mark with the records (none from this pass: unknown)."""
         if self.cache is not None:
             self.cache.update(self.staged_pages)
+            if isinstance(self.cache, PageMirror):
+                self.cache.mark = self.staged_mark
 
     def page_info(self, page_no: int) -> "Optional[PageQualInfo]":
         """This pass's record of the page, else the committed one: what
@@ -428,6 +439,32 @@ class RefreshCursor:
         self.result.qualified += len(quals)
         self.page_quals = quals
         self._send_events(page_no, quals, send, gone, row_at)
+
+    def cross_run(self, start: int, infos: "Sequence[PageQualInfo]") -> None:
+        """Cross the pages from ``start`` on, one per committed record in
+        ``infos``, none of which the pass read and none with an event
+        for this cursor: :meth:`cross` of a skipped page, once for the
+        run.  The caller has checked that no carried ``Deletion`` flag
+        meets a qualifier here; ``LastQual`` moves to the run's last
+        one and the value mirror is carried page by page."""
+        count = len(infos)
+        result = self.result
+        result.pages_skipped += count
+        result.pages_fast_forwarded += count
+        quals = list(map(_QUAL_SLOTS, infos))
+        result.qualified += sum(map(len, quals))
+        for index in range(count - 1, -1, -1):
+            if quals[index]:
+                self.last_qual = Rid(start + index, quals[index][-1])
+                break
+        staged = self._staged_values
+        if staged is not None:
+            pages = self.value_cache.pages
+            staged.update(
+                (page_no, pages[page_no])
+                for page_no in range(start, start + count)
+                if pages.get(page_no)
+            )
 
     # -- the Figure-3 transmit decision --------------------------------------
 

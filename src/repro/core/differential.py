@@ -41,7 +41,7 @@ from repro.core.scanpass import _ScanPass
 from repro.errors import RefreshMethodError
 from repro.expr.predicate import Projection, Restriction
 from repro.storage.rid import Rid
-from repro.storage.summary import PageQualInfo
+from repro.storage.summary import PageMirror, PageQualInfo
 from repro.table import Table
 
 
@@ -237,7 +237,7 @@ class DifferentialRefresher:
         # Fallback caches for callers that do not thread per-snapshot
         # caches through `refresh(cache=..., value_cache=...)`; valid
         # only for one restriction (i.e. one snapshot) at a time.
-        self._page_cache: "dict[int, PageQualInfo]" = {}
+        self._page_cache = PageMirror()
         self._value_cache = ValueCache()
         self._cache_restriction: Optional[str] = None
 

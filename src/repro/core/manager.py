@@ -58,6 +58,7 @@ from repro.net.blocking import BlockingChannel
 from repro.net.channel import Channel
 from repro.net.retry import RetryPolicy
 from repro.relation.row import Row
+from repro.storage.summary import PageMirror
 from repro.txn.locks import LockMode
 
 #: Failures a retried refresh can recover from: the link died mid-stream,
@@ -142,8 +143,9 @@ class Snapshot:
         #: lets the differential refresher fast-forward over clean pages
         #: and — the sender's mirror of the addresses the snapshot holds
         #: — arm its ``Deletion`` flag only where one was lost.  A pass's
-        #: records merge in when its epoch commits, never before.
-        self.page_cache: "dict[int, Any]" = {}
+        #: records, and its write-log mark, merge in when its epoch
+        #: commits, never before.
+        self.page_cache = PageMirror()
         #: Per-snapshot mirror of transmitted values; lets the refresher
         #: send per-column update deltas.  Staged during a refresh and
         #: committed only once the receiver's epoch commit is confirmed.
@@ -152,7 +154,7 @@ class Snapshot:
         self.retries = 0
 
     @property
-    def page_mirror(self) -> "Optional[dict[int, Any]]":
+    def page_mirror(self) -> Optional[PageMirror]:
         """:attr:`page_cache` if the refresher keeps it (page summaries)."""
         keeps = getattr(self.refresher, "use_page_summaries", False)
         return self.page_cache if keeps else None

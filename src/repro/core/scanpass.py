@@ -14,6 +14,7 @@ is probed for just the annotations and restriction columns; DESIGN.md
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from enum import IntEnum
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -30,7 +31,13 @@ from repro.relation.row import Row, decode_row
 from repro.storage.batch import PREV_NULL_PAGE, TS_NULL, PageBatch
 from repro.storage.heap import Writes
 from repro.storage.rid import Rid
-from repro.storage.summary import PageQualInfo, PageSummary, PageSummaryMap
+from repro.storage.summary import (
+    LogMark,
+    PageMirror,
+    PageQualInfo,
+    PageSummary,
+    PageSummaryMap,
+)
 from repro.table import Table, annotation_columns
 
 #: Effective timestamp of an entry found with a NULL annotation: newer
@@ -108,6 +115,8 @@ class _ScanPass:
         "_encode_ts",
         "_hits_before",
         "_misses_before",
+        "_due",
+        "_logged",
     )
 
     def __init__(
@@ -147,19 +156,135 @@ class _ScanPass:
         prev_column, ts_column = annotation_columns()
         self._encode_prev = prev_column.ctype.encode
         self._encode_ts = ts_column.ctype.encode
+        #: The pages written since the oldest cursor's mark, ascending,
+        #: as of write-log position ``_logged``; ``None``: every page is
+        #: served through :meth:`page`.
+        self._due: "Optional[list[int]]" = None
+        self._logged = 0
+        oldest = self._oldest_mark(cursors)
+        if oldest is not None:
+            written = oldest.log.changed_since(oldest.position)
+            if written is not None:
+                self._due = sorted(written)
+                self._logged = oldest.log.writes
+
+    def _oldest_mark(
+        self, cursors: "Sequence[RefreshCursor]"
+    ) -> Optional[LogMark]:
+        """The oldest of the cursors' marks on this heap's write log, or
+        ``None`` when some cursor has none it may use: no page cache, an
+        unknown mark, or one taken at a later ``SnapTime`` than it
+        refreshes from (a page settled then need not be now)."""
+        oldest: Optional[LogMark] = None
+        for cursor in cursors:
+            cache = cursor.cache
+            mark = cache.mark if isinstance(cache, PageMirror) else None
+            if (
+                mark is None
+                or mark.log is not self.summaries
+                or mark.snap_time > cursor.snap_time
+            ):
+                return None
+            if oldest is None or mark.position < oldest.position:
+                oldest = mark
+        return oldest
+
+    def _due_pages(self, start: int) -> "Optional[list[int]]":
+        """:attr:`_due`, with the pages from ``start`` on written since it
+        was last read (an online pass's window writes)."""
+        due, log = self._due, self.summaries
+        if due is None or log is None or self._logged == log.writes:
+            return due
+        written = log.changed_since(self._logged)
+        if written is None:  # rebuilt under the pass: serve the rest
+            self._due = None
+            return None
+        self._logged = log.writes
+        for page_no in written:
+            if page_no >= start:
+                at = bisect_left(due, page_no)
+                if at == len(due) or due[at] != page_no:
+                    due.insert(at, page_no)
+        return due
 
     def scan_pages(
         self, cursors: "Sequence[RefreshCursor]", start: int, stop: int
     ) -> int:
         """Serve every cursor over heap pages ``[start, stop)``; return
-        the first page not served (earlier when every output failed)."""
-        for page_no in range(start, stop):
+        the first page not served (earlier when every output failed).
+
+        Only the pages written since the oldest cursor's mark go through
+        :meth:`page`; each run of pages between them is crossed in one
+        step (:meth:`_cross`).  Without marks every page is served.
+        """
+        due = self._due_pages(start)
+        page_no = start
+        while page_no < stop:
             for cursor in cursors:
                 if not cursor.failed:
                     break
             else:
                 return page_no
+            if due is not None:
+                at = bisect_left(due, page_no)
+                end = due[at] if at < len(due) and due[at] < stop else stop
+                if end > page_no:
+                    page_no = self._cross(cursors, page_no, end)
+                    if page_no == end:
+                        continue
             self.page(page_no, cursors)
+            page_no += 1
+        return stop
+
+    def _cross(
+        self, cursors: "Sequence[RefreshCursor]", start: int, end: int
+    ) -> int:
+        """Cross pages ``[start, end)``, none written since any cursor's
+        mark, from each live cursor's committed records; return the
+        first page not crossed (``end``, or one :meth:`page` must serve).
+
+        Log completeness (``docs/invariants.md``) proves every such page
+        settled with a current record, which :meth:`page` would skip, so
+        only the tests on the pass's own state run here: the boundary
+        test (:meth:`_clean`) at the run's first live page — past it the
+        unwritten pages are chained as the marking pass left them — and
+        a carried ``Deletion`` flag at its first qualifying page (at its
+        first page, where a visit cannot answer it).  Either failing
+        stops the run at that page.
+        """
+        live = [cursor for cursor in cursors if not cursor.failed]
+        pages = range(start, end)
+        records = [list(map(cursor.cache.__getitem__, pages)) for cursor in live]
+        first = records[0]
+        # A pure insert pending at the boundary: the first page is read.
+        stop = end if self._clean(None) else start
+        for index in range(stop - start):
+            if first[index].last_live is not None:
+                if not all(self._clean(infos[index].first_prev) for infos in records):
+                    stop = start + index
+                break
+        for cursor, infos in zip(live, records):
+            if cursor.deletion:
+                if not (self.batch_mode and self.fixup):
+                    stop = start
+                for index in range(stop - start):
+                    if infos[index].qual_slots:
+                        stop = start + index
+                        break
+        count = stop - start
+        if not count:
+            return start
+        if self.audit:
+            sanitize.check_crossed_run(
+                self.table, live, start, stop, self.expect_prev if self.fixup else None
+            )
+        for cursor, infos in zip(live, records):
+            cursor.cross_run(start, infos[:count])
+        self.stats.pages_skipped += count
+        for info in reversed(first[:count]):
+            if info.last_live is not None:
+                self._advance(info.last_live)
+                break
         return stop
 
     def page(
@@ -683,6 +808,16 @@ class _ScanPass:
         stats.buffer_misses = pool_stats.misses - self._misses_before
         if completed and self.audit:
             sanitize.check_after_refresh_scan(self.table, self.fixup)
+        # Log completeness: the pass read or skipped every page and left
+        # the chain whole (fix-up ran, or the eager hook keeps it), so
+        # each live cursor's records are current as of here.
+        if completed and self.summaries is not None and (
+            self.fixup or self.table.eager is not None
+        ):
+            mark = LogMark(self.summaries, self.summaries.writes, self.fixup_time)
+            for cursor in cursors:
+                if not cursor.failed:
+                    cursor.staged_mark = mark
         for cursor in cursors:
             result = cursor.result
             for field in CURSOR_TOTAL_FIELDS:

@@ -19,6 +19,9 @@ paper's algorithm depends on:
   pass repaired reading only the slots its write observer named, and a
   page read whole on which a cursor evaluated only the entries newer
   than its ``SnapTime`` and took the rest from its address mirror;
+- **log completeness** — every page a run crosses unread, because the
+  page write log names no write to it since the cursors' marks, is one
+  the per-page test would have skipped;
 - **epoch isolation** — between ``RefreshBegin`` and the matching
   commit, nothing staged may reach the visible snapshot contents;
 - **value-cache mirroring** — after a committed refresh, and after an
@@ -227,6 +230,58 @@ def check_changed_slot_visit(
             )
     if heap.pool.batch_peek(physical) is delta:
         raise SanitizerError(f"{where} cached its partial batch as the page")
+
+
+def check_crossed_run(
+    table: Any,
+    cursors: "Sequence[Any]",
+    start: int,
+    stop: int,
+    expect: Optional[Rid],
+) -> None:
+    """Before a run of pages ``[start, stop)`` is crossed unread: each
+    page passes, for every cursor, the test that would have skipped it
+    one by one ("log completeness").
+
+    The cursor's committed record must exist at the page's current
+    version, the summary must name no changed slot and be settled for
+    the cursor's ``SnapTime``, and — with fix-up, ``expect`` being the
+    pass's ``ExpectPrev`` — each live page's first ``PrevAddr`` must
+    continue the chain from the last live page before it.  A write the
+    page write log missed fails the first of these.
+    """
+    summaries = table.heap.summaries
+    for page_no in range(start, stop):
+        summary = summaries.get(page_no)
+        info = None
+        for cursor in cursors:
+            info = cursor.cache.get(page_no)
+            why = None
+            if info is None or summary is None:
+                why = "no committed record or summary of it"
+            elif info.page_version != summary.page_version:
+                why = (
+                    f"record version {info.page_version}, page version "
+                    f"{summary.page_version}"
+                )
+            elif summary.null_slots:
+                why = f"changed slots {sorted(summary.null_slots)}"
+            elif not summary.settled(cursor.snap_time):
+                why = f"changed after SnapTime {cursor.snap_time}"
+            elif (
+                expect is not None
+                and info.last_live is not None
+                and info.first_prev != expect
+            ):
+                why = f"first PrevAddr {info.first_prev}, expected {expect}"
+            if why is not None:
+                raise SanitizerError(
+                    f"table {table.name!r} page {page_no}: {cursor!r} crossed "
+                    f"it in a run of unwritten pages, but it was not skippable "
+                    f"({why}); the page write log missed a write"
+                )
+        if expect is not None and info is not None and info.last_live is not None:
+            expect = info.last_live
 
 
 def check_whole_page_read(

@@ -37,8 +37,18 @@ A page is *settled* for ``snap_time`` iff ``max_ts <= snap_time`` and no
 structural change came after ``snap_time``: then only its ``null_slots``
 can differ from what a snapshot with that ``SnapTime`` last saw, and a
 refresh may skip it (none named) or visit just those slots (see
-:func:`repro.core.differential.run_refresh_scan` for the additional
-scan-state conditions at page boundaries).
+``_ScanPass._settled`` and ``_ScanPass._clean`` in
+:mod:`repro.core.scanpass` for the additional scan-state conditions at
+page boundaries).
+
+The map also keeps a *page write log*: every record write takes the
+next write number (:attr:`PageSummaryMap.writes`, the log position)
+and moves its page to the end of the log, so
+:meth:`PageSummaryMap.changed_since` names the pages written after a
+position in O(pages written).  A :class:`PageMirror` — a snapshot's
+page cache — carries the position at which its records were all
+current (its *mark*), so a refresh reads the log instead of every page
+("Log completeness", ``docs/invariants.md``).
 
 Summaries are keyed by ``(page, slot)`` — never by byte offsets — so
 :meth:`repro.storage.page.SlottedPage.compact` cannot invalidate them.
@@ -47,7 +57,7 @@ Summaries are keyed by ``(page, slot)`` — never by byte offsets — so
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional
 
 from repro.storage.batch import ANNOTATION_TAIL, PREV_NULL_PAGE, TS_NULL
 from repro.storage.rid import Rid
@@ -156,6 +166,39 @@ class PageQualInfo:
         )
 
 
+class LogMark(NamedTuple):
+    """A position in one heap's page write log (:class:`PageSummaryMap`)
+    and the ``SnapTime`` of the pass that took it."""
+
+    log: "PageSummaryMap"
+    position: int
+    snap_time: int
+
+
+class PageMirror(Dict[int, PageQualInfo]):
+    """A snapshot's page cache, ``page_no -> PageQualInfo``, and its mark.
+
+    ``mark`` was taken at the end of the pass whose records the cache
+    last committed: every page its log does not name after the mark's
+    position has a current record here, which a cursor refreshing from
+    the mark's ``SnapTime`` or later would skip ("log completeness",
+    ``docs/invariants.md``).  ``None`` — a fresh or cleared cache, one a
+    resync rewrote (``adopt_holdings``), one a pass without a mark
+    committed to — is *unknown*, and the refresh walks every page.  A
+    plain ``dict`` serves as a cache that never has a mark.
+    """
+
+    __slots__ = ("mark",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.mark: Optional[LogMark] = None
+
+    def clear(self) -> None:
+        super().clear()
+        self.mark = None
+
+
 class PageSummaryMap:
     """All page summaries of one heap, fed by the heap's write hooks.
 
@@ -171,6 +214,27 @@ class PageSummaryMap:
     def __init__(self, now: Callable[[], int]) -> None:
         self._now = now
         self._pages: "dict[int, PageSummary]" = {}
+        #: Record writes so far: the write log's position.
+        self.writes = 0
+        #: The write log: page -> number of its last write, in the order
+        #: of those writes.
+        self._log: "dict[int, int]" = {}
+        #: Position of the last :meth:`rebuild`; the log says nothing of
+        #: the pages before it.
+        self._floor = 0
+
+    def changed_since(self, position: int) -> "Optional[list[int]]":
+        """The pages written after log ``position``, latest first, in
+        O(pages written); ``None`` when the log cannot tell (a
+        :meth:`rebuild` came after ``position``)."""
+        if position < self._floor:
+            return None
+        pages = []
+        for page_no, number in reversed(self._log.items()):
+            if number <= position:
+                break
+            pages.append(page_no)
+        return pages
 
     def get(self, page_no: int) -> Optional[PageSummary]:
         return self._pages.get(page_no)
@@ -186,6 +250,19 @@ class PageSummaryMap:
         return len(self._pages)
 
     # -- write hooks (called by HeapFile while the page is pinned) -----------
+
+    def _written(self, page_no: int) -> PageSummary:
+        """The page's summary, its version bumped for one record write,
+        and the write logged: one dict move."""
+        summary = self._pages.get(page_no)
+        if summary is None:
+            summary = self._pages[page_no] = PageSummary(page_no)
+        summary.page_version += 1
+        self.writes += 1
+        log = self._log
+        log.pop(page_no, None)
+        log[page_no] = self.writes
+        return summary
 
     def _absorb(self, summary: PageSummary, slot_no: int, body: bytes) -> None:
         """Fold one record image's annotation state into the summary.
@@ -205,8 +282,7 @@ class PageSummaryMap:
     def note_insert(
         self, rid: Rid, body: bytes, structural: bool = False
     ) -> None:
-        summary = self.get_or_create(rid.page_no)
-        summary.page_version += 1
+        summary = self._written(rid.page_no)
         self._absorb(summary, rid.slot_no, body)
         if summary.first_live_slot is None or rid.slot_no < summary.first_live_slot:
             summary.first_live_slot = rid.slot_no
@@ -218,13 +294,10 @@ class PageSummaryMap:
     def note_update(self, rid: Rid, body: bytes) -> None:
         """``body`` is the record as written, or, from an annotation
         repair, just its trailing ``(PrevAddr, TimeStamp)`` bytes."""
-        summary = self.get_or_create(rid.page_no)
-        summary.page_version += 1
-        self._absorb(summary, rid.slot_no, body)
+        self._absorb(self._written(rid.page_no), rid.slot_no, body)
 
     def note_delete(self, rid: Rid, page: "SlottedPage") -> None:
-        summary = self.get_or_create(rid.page_no)
-        summary.page_version += 1
+        summary = self._written(rid.page_no)
         summary.null_slots.discard(rid.slot_no)
         self._mark_structural(summary)
         first, last = summary.first_live_slot, summary.last_live_slot
@@ -248,9 +321,14 @@ class PageSummaryMap:
         """Recompute every summary from the heap's current contents.
 
         Used when annotations (and with them summaries) are enabled on a
-        table that already holds data.
+        table that already holds data.  The rebuilt versions restart, so
+        the rebuild takes a log position of its own and every earlier
+        mark becomes unknown (:meth:`changed_since`).
         """
         self._pages.clear()
+        self._log.clear()
+        self.writes += 1
+        self._floor = self.writes
         for page_no in range(heap.page_count):
             summary = self.get_or_create(page_no)
             for slot_no, body in heap.page_entries(page_no):

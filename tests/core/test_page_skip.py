@@ -335,9 +335,10 @@ class TestChangedSlotVisit:
         result = w.refresh()
         assert result.fixup_writes == len(changed)
         # The read and its three stamps share one pin (one per stamp on
-        # top of the read's would be four); skipped pages take none.
-        assert pins.pop(1) == (PageOutcome.VISITED, 1)
-        assert set(pins.values()) == {(PageOutcome.SKIPPED, 0)}
+        # top of the read's would be four); the unwritten pages are
+        # crossed in runs, never served one by one, and take none.
+        assert pins == {1: (PageOutcome.VISITED, 1)}
+        assert result.buffer_hits + result.buffer_misses == 1
 
     def test_insert_among_the_changed_slots_falls_back_before_any_write(self):
         def script(w):
@@ -569,11 +570,11 @@ class TestChangedSlotVisit:
 # runs on the newer ones alone.  ``entries_evaluated`` counts them.
 
 
-def managed(**snapshot_kwargs):
-    """Twelve rows, ~4 a page, one ``v < 100`` snapshot behind a manager."""
+def managed(rows=12, **snapshot_kwargs):
+    """``rows`` rows, ~4 a page, one ``v < 100`` snapshot behind a manager."""
     db = Database("hq")
     table = db.create_table("t", [("v", "int"), ("pad", "string")])
-    table.bulk_load([[i, "x" * 900] for i in range(12)])
+    table.bulk_load([[i, "x" * 900] for i in range(rows)])
     manager = SnapshotManager(db)
     snap = manager.create_snapshot(
         "s", "t", where="v < 100", method="differential", **snapshot_kwargs
@@ -643,4 +644,124 @@ class TestWholePageFromTheMirror:
         assert result.scanned == result.rows_decoded == 4
         assert result.entries_evaluated == 0
         assert result.entries_sent == 0 and result.fixup_writes == 0
+        assert snap.as_map() == truth_map(table, 100)
+
+
+# -- runs of unwritten pages ---------------------------------------------------
+#
+# A cursor whose page cache carries a write-log mark has only the pages
+# written since it served one by one (``_ScanPass.page``); every run of
+# pages between them is crossed in one step, stopping early only where
+# the pass's own state asks for a page: a boundary the cached first
+# ``PrevAddr`` does not continue, or a carried ``Deletion`` flag that
+# meets a qualifier.  A cache without a mark walks every page.
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """The pages each refresh serves through ``_ScanPass.page``."""
+    calls = []
+    serve = _ScanPass.page
+
+    def counting(scan, page_no, cursors, changed=None):
+        calls.append(page_no)
+        return serve(scan, page_no, cursors, changed)
+
+    monkeypatch.setattr(_ScanPass, "page", counting)
+    return calls
+
+
+def pages_of(rids):
+    by_page = {}
+    for rid in rids:
+        by_page.setdefault(rid.page_no, []).append(rid)
+    return by_page
+
+
+class TestWriteLogRuns:
+    def test_a_quiet_refresh_serves_no_page(self, served):
+        db, table, manager, snap, rids = managed(40)
+        served.clear()
+        result = snap.refresh()
+        assert served == []
+        pages = table.heap.page_count
+        assert result.pages_skipped == result.pages_fast_forwarded == pages
+        assert result.qualified == len(snap.as_map()) == 40
+        assert result.entries_sent == result.rows_decoded == 0
+
+    def test_updates_on_k_pages_serve_those_k(self, served):
+        db, table, manager, snap, rids = managed(40)
+        by_page = pages_of(rids)
+        written = [1, 4, 7]
+        for page_no in written:
+            table.update(by_page[page_no][1], {"v": 50 + page_no})
+        served.clear()
+        result = snap.refresh()
+        assert served == written
+        assert result.pages_scanned == len(written)
+        assert result.pages_skipped == table.heap.page_count - len(written)
+        assert snap.as_map() == truth_map(table, 100)
+        served.clear()
+        assert snap.refresh().pages_skipped == table.heap.page_count
+        assert served == []
+
+    def test_a_carried_deletion_flag_stops_the_run_at_its_qualifier(
+        self, served
+    ):
+        db, table, manager, snap, rids = managed(40)
+        victim = pages_of(rids)[3][-1]
+        table.update(victim, {"v": 1000})  # was qualified, is not
+        served.clear()
+        result = snap.refresh()
+        # Page 4 is unwritten, but its first qualifier answers the flag.
+        assert served == [3, 4]
+        assert result.pages_scanned == 2 and result.entries_sent == 1
+        assert victim not in snap.as_map()
+
+    def test_a_broken_boundary_stops_the_run_at_its_page(self, served):
+        db, table, manager, snap, rids = managed(40)
+        table.delete(pages_of(rids)[5][-1])
+        served.clear()
+        result = snap.refresh()
+        # Page 6's first PrevAddr names the deleted entry: the boundary
+        # test sends it down the batch path, which finds the anomaly.
+        assert served == [5, 6]
+        assert result.deletions_detected == 1
+        assert snap.as_map() == truth_map(table, 100)
+
+    def test_a_repairing_resync_makes_the_next_refresh_walk_every_page(
+        self, served
+    ):
+        db, table, manager, snap, rids = managed(40)
+        snap.table._apply_now([DeleteMessage(rids[6])])
+        assert manager.resync_snapshot("s").leaves_repaired == 1
+        assert snap.page_cache.mark is None
+        served.clear()
+        snap.refresh()
+        assert served == list(range(table.heap.page_count))
+        served.clear()
+        snap.refresh()
+        assert served == []
+
+    def test_annotations_enabled_on_a_loaded_table_walk_every_page(
+        self, served
+    ):
+        db = Database("hq")
+        table = db.create_table("t", [("v", "int"), ("pad", "string")])
+        table.bulk_load([[i, "x" * 900] for i in range(40)])
+        table.enable_annotations("lazy")
+        snap = SnapshotManager(db).create_snapshot(
+            "s", "t", where="v < 100", method="differential"
+        )
+        pages = list(range(table.heap.page_count))
+        assert served == pages  # a fresh cache has no mark
+        served.clear()
+        snap.refresh()
+        assert served == []
+        # Rebuilt summaries restart their versions: the log cannot tell
+        # what changed since a mark taken before, so every page is served.
+        table.heap.summaries.rebuild(table.heap)
+        served.clear()
+        snap.refresh()
+        assert served == pages
         assert snap.as_map() == truth_map(table, 100)

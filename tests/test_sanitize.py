@@ -128,6 +128,29 @@ class TestPageSummaries:
             snap.refresh()
 
 
+class TestWriteLog:
+    def test_a_write_the_log_missed_fails_the_next_refresh(self, monkeypatch):
+        db, table, rids = build(200)
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot("s", "items", where="v < 5")
+        assert table.heap.page_count >= 2
+        summaries = table.heap.summaries
+
+        def unlogged(page_no):  # the page's version moves, the log's not
+            summary = summaries.get_or_create(page_no)
+            summary.page_version += 1
+            return summary
+
+        with monkeypatch.context() as patch:
+            patch.setattr(summaries, "_written", unlogged)
+            table.update(rids[-1], {"v": 1})
+        page_no = rids[-1].page_no
+        with pytest.raises(
+            SanitizerError, match=f"page {page_no}: .* in a run of unwritten"
+        ):
+            snap.refresh()
+
+
 class TestEpochIsolation:
     def _snapshot(self):
         db = Database()
