@@ -19,6 +19,9 @@ paper's algorithm depends on:
   pass repaired reading only the slots its write observer named, and a
   page read whole on which a cursor evaluated only the entries newer
   than its ``SnapTime`` and took the rest from its address mirror;
+- **exact free space** — every leaf of a heap's free-space map is its
+  page's free bytes and every node above the larger of its children,
+  so first-fit placement picks the page a walk over the pages would;
 - **log completeness** — every page a run crosses unread, because the
   page write log names no write to it since the cursors' marks, is one
   the per-page test would have skipped;
@@ -153,6 +156,49 @@ def check_page_summaries(table: Any) -> None:
                     )
 
 
+def check_free_map(heap: Any) -> None:
+    """The free-space map is exact, so first fit is.
+
+    Every leaf of ``heap.free_map`` that stands for a page is that page's
+    ``contiguous_free() + reclaimable()``, every leaf past the last page
+    is ``-1``, and every node above is the larger of its children.  A
+    leaf below its page's room sends an insert past the lowest page that
+    holds it — another address, so another stream — and one above it
+    pins a page that cannot take the record.
+    """
+    fsm = heap.free_map
+    tree, capacity = fsm.tree, fsm.capacity
+    if fsm.pages != heap.page_count or len(tree) != 2 * capacity:
+        raise SanitizerError(
+            f"heap {heap.name!r}: free-space map of {fsm.pages} pages in "
+            f"{len(tree)} nodes for {heap.page_count} pages"
+        )
+    with _StatsGuard(heap):
+        for page_no in range(heap.page_count):
+            page = heap._pin(page_no)
+            try:
+                free = page.contiguous_free() + page.reclaimable()
+            finally:
+                heap._unpin(page_no, dirty=False)
+            if tree[capacity + page_no] != free:
+                raise SanitizerError(
+                    f"heap {heap.name!r}: free-space map holds "
+                    f"{tree[capacity + page_no]} bytes for page {page_no}, "
+                    f"which has {free}; first fit would pass it or pick it "
+                    "wrongly"
+                )
+    if any(leaf != -1 for leaf in tree[capacity + heap.page_count :]):
+        raise SanitizerError(
+            f"heap {heap.name!r}: free-space map has room past its last page"
+        )
+    for node in range(capacity - 1, 0, -1):
+        if tree[node] != max(tree[2 * node], tree[2 * node + 1]):
+            raise SanitizerError(
+                f"heap {heap.name!r}: free-space map node {node} holds "
+                f"{tree[node]}, not the larger of its children"
+            )
+
+
 def _page_annotations(
     table: Any, page_no: int
 ) -> "Iterator[Tuple[Rid, Any, Any]]":
@@ -172,11 +218,13 @@ def check_after_refresh_scan(table: Any, fixup_ran: bool) -> None:
 
     The chain must hold once a fix-up pass completed, and on an eager
     table always: its hook keeps the chain on every write, undo
-    included.  Summary dominance must hold at all times.
+    included.  Summary dominance and an exact free-space map must hold
+    at all times.
     """
     if fixup_ran or table.eager is not None:
         check_annotation_chain(table)
     check_page_summaries(table)
+    check_free_map(table.heap)
     check_buffer_bounds(table.heap.pool)
 
 

@@ -17,6 +17,10 @@ Insert placement policies:
     Always place the record after the current maximum address.  Useful
     for building tables quickly and for workloads modelling insert-only
     tables.
+
+Both policies ask one :class:`FreeSpaceMap` for the lowest page at or
+after a start whose free bytes hold the record, in O(log pages): the
+load of a table costs O(rows log pages), not O(rows × pages).
 """
 
 from __future__ import annotations
@@ -62,6 +66,118 @@ class HeapWriteCounts:
         )
 
 
+class FreeSpaceMap:
+    """Exact free bytes per heap page, under a max tree.
+
+    ``tree`` is an implicit binary tree over ``capacity`` leaves (a power
+    of two): node ``i`` has children ``2i`` and ``2i + 1``, the root is
+    node 1, and leaf ``capacity + page`` holds ``contiguous_free() +
+    reclaimable()`` of that page exactly — what :meth:`SlottedPage._place`
+    can use, compacting if it must — or ``-1`` past the last page.  Every
+    other node is the larger of its children.  So :meth:`first` finds
+    the lowest page at or after a start with the room a record needs by
+    climbing from the start's leaf to the first node right of it that
+    has the room (from the root, for a start of 0), then descending to
+    that node's leftmost such leaf: one node a level each way.  This is
+    the free space map of PostgreSQL
+    (``src/backend/storage/freespace/README``), kept exact where that one
+    is approximate, since placement here is first fit.
+    """
+
+    __slots__ = ("tree", "capacity", "pages", "examined")
+
+    def __init__(self, free: "Sequence[int]" = ()) -> None:
+        self.pages = len(free)
+        self.capacity = 1
+        while self.capacity < self.pages:
+            self.capacity *= 2
+        self._build(free)
+        #: Tree nodes :meth:`first` has read: at most 2·log₂(capacity) + 1
+        #: a call, where a walk over the leaves reads up to one a page.
+        self.examined = 0
+
+    def _build(self, free: "Sequence[int]") -> None:
+        capacity = self.capacity
+        tree = [-1] * capacity + list(free) + [-1] * (capacity - len(free))
+        for i in range(capacity - 1, 0, -1):
+            tree[i] = max(tree[2 * i], tree[2 * i + 1])
+        self.tree = tree
+
+    def __getitem__(self, page: int) -> int:
+        if not 0 <= page < self.pages:
+            raise IndexError(f"no page {page} in a map of {self.pages}")
+        return self.tree[self.capacity + page]
+
+    def append(self, free: int) -> None:
+        """Add a page with ``free`` bytes after the last."""
+        page = self.pages
+        self.pages += 1
+        if page < self.capacity:
+            self.add(page, free + 1)  # from the -1 of a leaf past the end
+        else:  # full: double the leaves, every one of them a page
+            leaves = self.tree[page:]
+            self.capacity *= 2
+            self._build(leaves + [free])
+
+    def add(self, page: int, delta: int) -> None:
+        """Record that ``page`` gained ``delta`` free bytes (lost, if
+        negative), and fix the nodes above it, up to the first one that
+        already holds its value."""
+        tree = self.tree
+        i = self.capacity + page
+        free = tree[i] + delta
+        tree[i] = free
+        if delta > 0:
+            # A node is the larger of its children, so a child that grew
+            # raises it only while it is below the child's new value.
+            i >>= 1
+            while i and tree[i] < free:
+                tree[i] = free
+                i >>= 1
+        elif delta < 0:
+            while i > 1:
+                sibling = tree[i ^ 1]
+                if sibling > free:
+                    free = sibling
+                i >>= 1
+                if tree[i] == free:
+                    return
+                tree[i] = free
+
+    def first(self, need: int, start: int = 0) -> Optional[int]:
+        """The lowest page at or after ``start`` with at least ``need``
+        free bytes, or ``None``."""
+        tree = self.tree
+        if start:
+            if start >= self.pages:
+                return None
+            i = self.capacity + start
+            reads = 1
+            while tree[i] < need:
+                if not (i + 1) & i:  # the last node of its level
+                    self.examined += reads
+                    return None
+                # Node i lacks the room and covers no page before
+                # ``start``: go to its parent when it is a left child
+                # (the parent covers its right sibling too), else to the
+                # parent's right neighbour.
+                i = (i + 1) >> 1
+                reads += 1
+        else:
+            i = 1
+            reads = 1
+            if tree[1] < need:
+                self.examined += 1
+                return None
+        capacity = self.capacity
+        self.examined += reads + capacity.bit_length() - i.bit_length()
+        while i < capacity:
+            i <<= 1
+            if tree[i] < need:
+                i += 1
+        return i - capacity
+
+
 class HeapFile:
     """A table's physical storage: pages, records, and ordered scans."""
 
@@ -80,10 +196,10 @@ class HeapFile:
         # component is an *index* into this list, so heaps sharing a pager
         # still have dense, comparable addresses.
         self._pages: "list[int]" = []
-        # Free bytes per heap page, ``contiguous_free() + reclaimable()``
-        # exactly: inserts and deletes adjust it by the bytes they used
-        # or freed, an update that changes the layout recounts.
-        self._free_hint: "list[int]" = []
+        #: Free bytes per heap page, ``contiguous_free() + reclaimable()``
+        #: exactly: inserts and deletes adjust a page's by the bytes they
+        #: used or freed, an update that changes the layout recounts.
+        self.free_map = FreeSpaceMap()
         self._record_count = 0
         #: Physical operation counters (benchmarks read these to compare
         #: the maintenance cost of the annotation schemes).
@@ -145,8 +261,27 @@ class HeapFile:
         SlottedPage(frame, initialize=True)
         self._pool.unpin(physical, dirty=True)
         self._pages.append(physical)
-        self._free_hint.append(len(frame) - HEADER_SIZE)
+        self.free_map.append(len(frame) - HEADER_SIZE)
         return len(self._pages) - 1
+
+    def adopt(self, physical_pages: "Sequence[int]") -> None:
+        """Take over existing pages (a heap reopened over a file) as this
+        empty heap's, in address order, recounting each page's free
+        bytes and live records from its image."""
+        if self._pages:
+            raise StorageError(f"{self.name}: adopt needs an empty heap")
+        free = []
+        for physical in physical_pages:
+            page = SlottedPage(self._pool.pin(physical))
+            try:
+                free.append(page.contiguous_free() + page.reclaimable())
+                self._record_count += page.live_count
+            finally:
+                self._pool.unpin(physical, dirty=False)
+        self._pages = list(physical_pages)
+        self.free_map = FreeSpaceMap(free)
+        if self.summaries is not None:
+            self.summaries.rebuild(self)
 
     @property
     def page_count(self) -> int:
@@ -173,14 +308,13 @@ class HeapFile:
     def insert(self, record: bytes) -> Rid:
         """Store ``record`` per the insert policy; return its address."""
         pages = len(self._pages)
-        first = 0 if self.insert_policy == "first_fit" else max(pages - 1, 0)
-        need = len(record) + SLOT_SIZE
-        for heap_page in range(first, pages):
-            # The hint is exact, so the first page it admits holds the
-            # record, with or without a free slot to reuse.
-            if self._free_hint[heap_page] >= need:
-                return self._place(heap_page, None, record)
-        return self._place(self._grow(), None, record)
+        start = 0 if self.insert_policy == "first_fit" else max(pages - 1, 0)
+        # The map is exact, so the first page it admits holds the
+        # record, with or without a free slot to reuse.
+        heap_page = self.free_map.first(len(record) + SLOT_SIZE, start)
+        if heap_page is None:
+            heap_page = self._grow()
+        return self._place(heap_page, None, record)
 
     def insert_at(self, rid: Rid, record: bytes) -> None:
         """Re-insert a record at a specific (currently free) address.
@@ -212,7 +346,7 @@ class HeapFile:
         finally:
             self.writes.compactions += page.compactions
             self._unpin(heap_page, dirty=True)
-        self._free_hint[heap_page] -= used
+        self.free_map.add(heap_page, -used)
         self._record_count += 1
         self.writes.inserts += 1
         if self._write_observers:
@@ -275,9 +409,8 @@ class HeapFile:
             # overwrite (most updates) skips the directory read.  Only
             # writers come through here (annotation repairs are
             # write_annotations).
-            self._free_hint[rid.page_no] = (
-                page.contiguous_free() + page.reclaimable()
-            )
+            free = page.contiguous_free() + page.reclaimable()
+            self.free_map.add(rid.page_no, free - self.free_map[rid.page_no])
             self.writes.compactions += page.compactions
         if self.summaries is not None:
             self.summaries.note_update(rid, record)
@@ -334,7 +467,7 @@ class HeapFile:
                 self.summaries.note_delete(rid, page)
         finally:
             self._unpin(rid.page_no, dirty=True)
-        self._free_hint[rid.page_no] += freed
+        self.free_map.add(rid.page_no, freed)
         self._record_count -= 1
         self.writes.deletes += 1
         if self._write_observers:

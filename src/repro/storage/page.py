@@ -27,7 +27,9 @@ hole that holds it (see :meth:`SlottedPage._place`).
 
 from __future__ import annotations
 
+import functools
 import struct
+from operator import add
 from typing import Iterator, Optional
 
 from repro.errors import PageFormatError, PageFullError, RecordNotFoundError
@@ -44,6 +46,13 @@ SLOT_SIZE = _SLOT.size
 
 #: Largest record body a page of the default size can hold.
 MAX_RECORD_SIZE = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE
+
+
+@functools.lru_cache(maxsize=None)
+def _directory_struct(slot_count: int) -> struct.Struct:
+    """A directory of ``slot_count`` entries as one struct, built once
+    per length (a page has at most ``size // SLOT_SIZE`` of them)."""
+    return struct.Struct(f"<{2 * slot_count}H")
 
 
 class SlottedPage:
@@ -108,7 +117,7 @@ class SlottedPage:
     def _directory(self, slot_count: int) -> "tuple[int, ...]":
         """The whole directory in one read: ``(offset, length)`` flattened,
         so offsets are ``[0::2]`` and lengths ``[1::2]``."""
-        return struct.unpack_from(f"<{2 * slot_count}H", self._buf, HEADER_SIZE)
+        return _directory_struct(slot_count).unpack_from(self._buf, HEADER_SIZE)
 
     # -- space accounting --------------------------------------------------
 
@@ -176,16 +185,24 @@ class SlottedPage:
         room = frontier - HEADER_SIZE - SLOT_SIZE * new_count
         at = frontier - size
         if room < size:
-            # Live bodies by offset (free entries sort first), without
-            # the one this slot gives up; the page end closes the last gap.
+            # Live bodies' starts and ends, each sorted as ints: bodies do
+            # not overlap (a zero-length one sits at another's edge), so
+            # the i-th start and the i-th end are one body's, in the order
+            # of ``(offset, length)``.  The free entries, ``(0, 0)``, sort
+            # first; the body this slot gives up is left out, and the
+            # page end closes the last gap.
             if directory is None:
                 directory = self._directory(slot_count)
             offsets = directory[0::2]
             lengths = directory[1::2]
-            extents = sorted(zip(offsets, lengths))[offsets.count(0) :]
+            free = slot_count - live_count
+            starts = sorted(offsets)[free:]
+            ends = sorted(map(add, offsets, lengths))[free:]
             if not fresh:
-                extents.remove(given_up)
-            extents.append((self._size, 0))
+                starts.remove(given_up[0])
+                ends.remove(given_up[0] + given_up[1])
+            starts.append(self._size)
+            ends.append(self._size)
             holes = self._size - frontier - sum(lengths) + given_up[1]
             if room + holes < size:
                 raise PageFullError(
@@ -195,11 +212,11 @@ class SlottedPage:
             at = 0
             gap_start = frontier
             if room >= 0:  # else the longer directory itself needs a re-pack
-                for offset, length in extents:
-                    if offset - gap_start >= size:
-                        at = offset - size
+                for start, end in zip(starts, ends):
+                    if start - gap_start >= size:
+                        at = start - size
                         break
-                    gap_start = offset + length
+                    gap_start = end
             if not at:
                 if not fresh:
                     self._set_slot(slot_no, 0, 0)
@@ -301,7 +318,7 @@ class SlottedPage:
                 directory[i] = write_at
         bodies.reverse()  # slot order runs down from the page end
         buf[write_at:] = b"".join(bodies)
-        struct.pack_into(f"<{2 * slot_count}H", buf, HEADER_SIZE, *directory)
+        _directory_struct(slot_count).pack_into(buf, HEADER_SIZE, *directory)
         self._write_header(slot_count, write_at, live_count)
         self.compactions += 1
 

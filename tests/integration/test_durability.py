@@ -54,11 +54,40 @@ class TestFileBackedDatabase:
         reopened = FilePager(path, page_size=1024)
         pool = BufferPool(reopened, capacity=4)
         heap = HeapFile(pool, name="t")
-        heap._pages = heap_pages
-        heap._free_hint = [0] * len(heap_pages)
+        heap.adopt(heap_pages)
+        assert heap.record_count == 100
         schema = Schema.of(("v", "int"))
         values = [decode_row(schema, body).values[0] for _, body in heap.scan()]
         assert values == list(range(100))
+        reopened.close()
+
+    def test_reopened_heap_places_first_fit(self, tmp_path):
+        from repro.storage.buffer import BufferPool
+        from repro.storage.heap import HeapFile
+
+        path = str(tmp_path / "base.pages")
+        pager = FilePager(path, page_size=1024)
+        pool = BufferPool(pager, capacity=4)
+        heap = HeapFile(pool, name="t")
+        rids = [heap.insert(bytes([i]) * 40) for i in range(100)]
+        by_page = [[rid for rid in rids if rid.page_no == p] for p in range(5)]
+        assert heap.page_count == 5 and heap.free_map[1] == heap.free_map[3] == 0
+        # Room for one record on page 1, for one on page 3, and for many
+        # at the end: each insert takes the lowest page with room.
+        for rid in by_page[1][5:7] + by_page[3][:2]:
+            heap.delete(rid)
+        heap_pages = heap.physical_pages()
+        pool.flush_all()
+        pager.close()
+
+        reopened = FilePager(path, page_size=1024)
+        heap = HeapFile(BufferPool(reopened, capacity=4), name="t")
+        heap.adopt(heap_pages)
+        assert heap.record_count == 96
+        placed = [heap.insert(b"n" * 40) for _ in range(3)]
+        assert placed[:2] == [by_page[1][5], by_page[3][0]]
+        assert placed[2].page_no == 4
+        assert heap.page_count == 5
         reopened.close()
 
 

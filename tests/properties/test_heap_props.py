@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro.errors import PageFullError
 from repro.storage.buffer import BufferPool
-from repro.storage.heap import HeapFile
+from repro.storage.heap import FreeSpaceMap, HeapFile
+from repro.storage.page import SLOT_SIZE
 from repro.storage.pager import InMemoryPager
 from tests.storage.test_heap import TestFreeHint as _UnitFreeHint
 
@@ -21,8 +22,31 @@ scripts = st.lists(
 )
 
 
-def fresh_heap():
-    return HeapFile(BufferPool(InMemoryPager(page_size=512), capacity=8))
+def fresh_heap(policy="first_fit"):
+    return HeapFile(
+        BufferPool(InMemoryPager(page_size=512), capacity=8),
+        insert_policy=policy,
+    )
+
+
+def walk(free, need, start):
+    """The linear first-fit walk the free-space map replaced: the
+    lowest page at or after ``start`` with ``need`` free bytes."""
+    return next(
+        (page for page in range(start, len(free)) if free[page] >= need), None
+    )
+
+
+def page_free(heap):
+    """Each page's free bytes, counted from its image."""
+    free = []
+    for page_no in range(heap.page_count):
+        page = heap._pin(page_no)
+        try:
+            free.append(page.contiguous_free() + page.reclaimable())
+        finally:
+            heap._unpin(page_no, dirty=False)
+    return free
 
 
 class TestAgainstModel:
@@ -86,6 +110,68 @@ class TestAgainstModel:
                 victim = live.pop(pick % len(live))
                 heap.delete(victim)
                 freed.append(victim)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(script=scripts, policy=st.sampled_from(["first_fit", "append"]))
+    def test_first_is_the_walk(self, script, policy):
+        """After every op, ``free_map.first(need, start)`` names the page
+        the walk over the pages' free bytes names, for every need that
+        splits the pages and the start of either policy; an insert lands
+        there, or on a new page when there is none."""
+        heap = fresh_heap(policy)
+        live = []
+        for op, pick, body in script:
+            if op == "insert":
+                pages = heap.page_count
+                start = 0 if policy == "first_fit" else max(pages - 1, 0)
+                expected = walk(page_free(heap), len(body) + SLOT_SIZE, start)
+                rid = heap.insert(body)
+                assert rid.page_no == (pages if expected is None else expected)
+                live.append(rid)
+            elif op == "delete" and live:
+                heap.delete(live.pop(pick % len(live)))
+            elif op == "update" and live:
+                try:
+                    heap.update(live[pick % len(live)], body)
+                except PageFullError:
+                    pass
+            free = page_free(heap)
+            for need in set(free) | {0, 1 << 16}:
+                for start in {0, len(free) // 2, max(len(free) - 1, 0)}:
+                    found = heap.free_map.first(need, start)
+                    assert found == walk(free, need, start), (need, start)
+
+
+class TestFreeSpaceMap:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        initial=st.lists(st.integers(0, 50), max_size=40),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(), st.integers(0, 1000), st.integers(0, 50)
+            ),
+            max_size=60,
+        ),
+    )
+    def test_any_sizes_against_the_walk(self, initial, ops):
+        """Built whole or grown a page at a time, at every size (odd
+        ends included), the tree answers what the walk over its leaves
+        answers, and each node is the larger of its children."""
+        fsm = FreeSpaceMap(initial)
+        model = list(initial)
+        for grow, pick, value in ops:
+            if grow or not model:
+                fsm.append(value)
+                model.append(value)
+            else:
+                fsm.add(pick % len(model), value - fsm[pick % len(model)])
+                model[pick % len(model)] = value
+            assert [fsm[page] for page in range(len(model))] == model
+            assert FreeSpaceMap(model).tree == fsm.tree
+            for need in range(0, 52, 3):
+                for start in range(len(model) + 1):
+                    assert fsm.first(need, start) == walk(model, need, start)
 
 
 class TestFreeHint:

@@ -98,25 +98,28 @@ def check_layout(page, model):
     assert page.live_count == len(model)
 
 
-def must_compact(page, length, slot=None):
-    """Whether no single gap holds ``length`` bytes: not the frontier's
-    (less a new directory entry when ``slot`` is None and none is free),
-    nor one between live bodies once ``slot`` gave up its own."""
+def expected_at(page, length, slot=None):
+    """Where a body of ``length`` goes: below the frontier when it fits
+    there (less a new directory entry when ``slot`` is None and none is
+    free), else into the first gap between live bodies, in ``(offset,
+    length)`` order, that holds it once ``slot`` gave up its own; or
+    ``None`` when no single gap does and the page is re-packed."""
     new_entry = SLOT_SIZE if slot is None and page.lowest_free_slot() is None else 0
     room = page.contiguous_free() - new_entry
+    frontier = HEADER_SIZE + SLOT_SIZE * page.slot_count + page.contiguous_free()
     if room >= length:
-        return False
+        return frontier - length
     if room < 0:
-        return True
+        return None
     bodies = sorted(
         page._slot(s) for s in range(page.slot_count) if page.is_live(s) and s != slot
     )
-    start = HEADER_SIZE + SLOT_SIZE * page.slot_count + page.contiguous_free()
+    start = frontier
     for offset, body_length in bodies + [(len(page.buffer), 0)]:
         if offset - start >= length:
-            return False
+            return offset - length
         start = offset + body_length
-    return True
+    return None
 
 
 class TestPlacement:
@@ -168,7 +171,8 @@ class TestPlacement:
                 # The parent's rule: the lowest free slot, else a new one.
                 expect = free_slots[0] if free_slots else slot_count
                 need = length + (0 if free_slots else SLOT_SIZE)
-                repack = page.compactions + must_compact(page, length)
+                at = expected_at(page, length)
+                repack = page.compactions + (at is None)
                 try:
                     slot = page.insert(body)
                 except PageFullError:
@@ -176,6 +180,7 @@ class TestPlacement:
                 else:
                     assert need <= free and slot == expect
                     assert page.compactions == repack
+                    assert at is None or page._slot(slot) == (at, length)
                     model[slot] = body
             elif op == "insert_at":
                 # A freed slot (undo's restore) or, on odd picks, any
@@ -199,7 +204,8 @@ class TestPlacement:
             elif op == "update" and live:  # grows, shrinks and same length
                 slot = live[pick % len(live)]
                 grows = length > len(model[slot])
-                repack = page.compactions + (grows and must_compact(page, length, slot))
+                at = expected_at(page, length, slot) if grows else page._slot(slot)[0]
+                repack = page.compactions + (at is None)
                 try:
                     changed = page.update(slot, body)
                 except PageFullError:
@@ -209,6 +215,7 @@ class TestPlacement:
                     assert length <= free + len(model[slot])
                     assert changed == (length != len(model[slot]))
                     assert page.compactions == repack
+                    assert at is None or page._slot(slot) == (at, length)
                     model[slot] = body
             check_layout(page, model)
         assert dict(page.records()) == model

@@ -1,10 +1,12 @@
 """Heap files: placement policy, ordered scans, address reuse."""
 
 import contextlib
+import math
 import struct
 
 import pytest
 
+from repro import sanitize
 from repro.core.fixup import base_fixup
 from repro.database import Database
 from repro.errors import PageFullError, RecordNotFoundError, StorageError
@@ -73,6 +75,30 @@ class TestPlacement:
             heap.insert_at(rid, b"y")
 
 
+class TestLoadCost:
+    """A load grows with rows × log pages, not rows × pages: counted in
+    the free-space map's nodes read, so no clock is involved."""
+
+    @staticmethod
+    def _nodes_per_insert(rows):
+        db = Database("load")
+        table = db.create_table("t", [("id", "int"), ("v", "int")], annotations="lazy")
+        table.bulk_load([[i, i % 7] for i in range(rows)])
+        heap = table.heap
+        return heap.free_map.examined / rows, heap.page_count
+
+    def test_nodes_read_per_insert_grow_with_log_pages(self):
+        small, small_pages = self._nodes_per_insert(20_000)
+        large, large_pages = self._nodes_per_insert(40_000)
+        assert large_pages > 1.9 * small_pages > 300
+        # ``first`` reads at most one node a level up and one down; the
+        # walk it replaced read about half the pages an insert
+        # (≈ 90 at 20k rows, ≈ 180 at 40k).
+        for nodes, pages in ((small, small_pages), (large, large_pages)):
+            assert nodes <= 2 * math.ceil(math.log2(pages)) + 1, (nodes, pages)
+        assert large - small <= 2 + 0.5, (small, large)
+
+
 class TestScan:
     def test_scan_in_address_order(self, heap):
         import random
@@ -125,7 +151,7 @@ class TestUpdate:
 
 
 class TestFreeHint:
-    """``_free_hint`` tracks ``contiguous_free() + reclaimable()``."""
+    """``free_map`` tracks ``contiguous_free() + reclaimable()``."""
 
     @staticmethod
     def _assert_hint_exact(heap):
@@ -135,7 +161,8 @@ class TestFreeHint:
                 expected = page.contiguous_free() + page.reclaimable()
             finally:
                 heap._unpin(page_no, dirty=False)
-            assert heap._free_hint[page_no] == expected, page_no
+            assert heap.free_map[page_no] == expected, page_no
+        sanitize.check_free_map(heap)
 
     def test_exact_after_same_length_shrinking_and_growing_updates(self, heap):
         rids = [heap.insert(bytes([65 + i]) * 20) for i in range(16)]

@@ -216,6 +216,31 @@ class TestPlacement:
         assert page.contiguous_free() == free
         assert page.compactions == 1
 
+    @pytest.mark.parametrize("empty_slot_first", [False, True])
+    def test_an_empty_body_sharing_an_offset_hides_no_bytes(self, empty_slot_first):
+        # ``a`` and a zero-length body start at one offset, the empty one
+        # in a lower or a higher slot than ``a``; the 30-byte hole behind
+        # ``a`` then cannot take 40 bytes, which must re-pack instead of
+        # landing on ``a``.
+        page = SlottedPage.empty(256)
+        spare = page.insert(b"")  # at the page end: no hole when deleted
+        behind = page.insert(b"b" * 30)
+        a = page.insert(b"a" * 20)
+        if empty_slot_first:
+            page.delete(spare)
+        empty = page.insert(b"")
+        assert page._slot(empty)[0] == page._slot(a)[0]
+        assert (empty < a) == empty_slot_first
+        while page.contiguous_free() >= 50:
+            page.insert(b"f" * 36)
+        page.delete(behind)
+        records = dict(page.records())
+        room = page.contiguous_free()
+        assert room < 40 <= room + page.reclaimable()
+        records[page.insert(b"n" * 40)] = b"n" * 40
+        assert page.compactions == 1
+        assert dict(page.records()) == records
+
 
 class TestFormat:
     def test_bad_magic_rejected(self):

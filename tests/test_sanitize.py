@@ -17,6 +17,7 @@ from repro.database import Database
 from repro.errors import SanitizerError
 from repro.relation.schema import Column, Schema
 from repro.relation.types import IntType, StringType
+from repro.storage.heap import FreeSpaceMap
 from repro.storage.rid import Rid
 
 
@@ -126,6 +127,33 @@ class TestPageSummaries:
         summary.max_ts = 0
         with pytest.raises(SanitizerError, match="wrongly skipped"):
             snap.refresh()
+
+
+class TestFreeMap:
+    def test_a_delete_the_map_missed_fails_the_next_refresh(self, monkeypatch):
+        db, table, rids = build(400)
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot("s", "items", where="v < 5")
+        heap = table.heap
+        assert heap.free_map.capacity >= 4
+        sanitize.check_free_map(heap)
+        with monkeypatch.context() as patch:  # the bytes free, the leaf not
+            patch.setattr(FreeSpaceMap, "add", lambda fsm, page, delta: None)
+            table.delete(rids[150])
+        with pytest.raises(
+            SanitizerError, match=f"for page {rids[150].page_no}, which has"
+        ):
+            snap.refresh()
+
+    def test_a_node_below_its_children_is_caught(self):
+        db, table, rids = build(400)
+        SnapshotManager(db).create_snapshot("s", "items", where="v < 5")
+        table.delete(rids[10])  # page 0 has the most room of its pair
+        fsm = table.heap.free_map
+        parent = (fsm.capacity + 0) // 2
+        fsm.tree[parent] = fsm[1]
+        with pytest.raises(SanitizerError, match=f"node {parent} holds"):
+            sanitize.check_free_map(table.heap)
 
 
 class TestWriteLog:
