@@ -11,8 +11,8 @@ Two questions, one experiment per answer:
 
 2. **Fleet refresh throughput.**  With tens of snapshots per base
    table, refreshing each one solo re-scans the base once per snapshot.
-   The claim protocol leases signature/band-clustered cohorts and each
-   cohort rides ONE shared-scan pass, so pages scanned per drain scale
+   The drain takes signature/band-clustered cohorts stalest first and
+   each cohort rides ONE shared-scan pass, so pages scanned per drain scale
    with the number of *passes*, not the number of *snapshots*.  The
    drain is clocked against the independent-solo baseline at FLEET_N
    (floor: >= 3x at 1k and above, >= 2x for CI smoke sizes), and pages
@@ -199,21 +199,19 @@ def _measure_drain(n: int) -> dict:
     refreshed = entries = pages = passes = 0
     begin = timer()
     while True:
-        claim = registry.claim_cohort("bench-worker")
-        if claim is None:
+        cohort = registry.next_cohort()
+        if cohort is None:
             break
-        indices = [int(name) for name in claim.cohort.members]
+        indices = [int(name) for name in cohort.members]
         b = world.members[indices[0]]["base"]
         cursors = [world._cursor(i, lambda m: None) for i in indices]
         outcome = GroupRefresher(world.tables[b]).refresh_group(cursors)
         assert not outcome.errors
-        shipped = {}
         for i in indices:
             result = outcome.per_snapshot[str(i)]
             world.members[i]["snap"] = result.new_snap_time
-            shipped[str(i)] = result.entries_sent
+            registry.mark_refreshed(str(i), shipped=result.entries_sent)
             entries += result.entries_sent
-        registry.complete(claim, shipped=shipped)
         refreshed += len(indices)
         pages += outcome.pass_result.pages_scanned
         passes += 1

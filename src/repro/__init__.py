@@ -47,7 +47,7 @@ from repro.core.ideal import IdealRefresher
 from repro.core.logbased import LogRefresher, LogRefreshResult
 from repro.core.manager import Snapshot, SnapshotManager
 from repro.core.optimized import OptimizedDifferentialRefresher
-from repro.core.registry import CohortClaim, SnapshotRegistry
+from repro.core.registry import SnapshotRegistry
 from repro.core.scheduler import RefreshScheduler, ScheduleEntry
 from repro.core.simple import SimpleBaseTable, SimpleSnapshot
 from repro.core.snapshot import SnapshotTable
@@ -98,7 +98,6 @@ __all__ = [
     "RetryPolicy",
     "ScheduleEntry",
     "SnapshotRegistry",
-    "CohortClaim",
     "ReproError",
     "Restriction",
     "Rid",

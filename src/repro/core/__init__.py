@@ -41,13 +41,12 @@ from repro.core.messages import (
     UpsertMessage,
 )
 from repro.core.cohort import Cohort, CohortKey, cluster_due, staleness_band
-from repro.core.registry import CohortClaim, RegisteredSnapshot, SnapshotRegistry
+from repro.core.registry import RegisteredSnapshot, SnapshotRegistry
 from repro.core.snapshot import SnapshotTable
 
 __all__ = [
     "ClearMessage",
     "Cohort",
-    "CohortClaim",
     "CohortKey",
     "DeleteMessage",
     "DeleteRangeMessage",

@@ -7,8 +7,8 @@ when the fleet is large: due snapshots cluster into **cohorts** — same
 base table, same canonical restriction signature (structure with
 constants masked, see ``Restriction.signature``), adjacent staleness
 band — so each cohort rides one ``run_refresh_scan`` pass with a tight
-shared decode footprint, and a claim protocol can hand whole cohorts to
-workers.
+shared decode footprint, and a drain takes whole cohorts one at a time
+(``SnapshotRegistry.next_cohort``).
 
 Clustering is pure data-structure work over ``DueEntry`` value objects:
 this module knows nothing about the manager or the scheduler (enforced

@@ -43,7 +43,7 @@ from repro.core.full import FullRefresher
 from repro.core.ideal import IdealRefresher
 from repro.core.logbased import LogRefresher
 from repro.core.messages import RefreshBeginMessage, RefreshCommitMessage
-from repro.core.registry import CohortClaim, SnapshotRegistry
+from repro.core.registry import SnapshotRegistry
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import (
@@ -95,28 +95,17 @@ class RefreshAllResult(dict):
 
 
 class FleetDrainResult:
-    """Outcome of one claim-protocol drain over a registry's due queue."""
+    """Outcome of one drain over a registry's due queue."""
 
-    __slots__ = (
-        "claims",
-        "cohorts",
-        "refreshed",
-        "errors",
-        "worker_errors",
-    )
+    __slots__ = ("cohorts", "refreshed", "errors")
 
     def __init__(self) -> None:
-        #: Claims issued to this drain.
-        self.claims = 0
-        #: Claims completed (each one shared-scan cohort refresh).
+        #: Cohorts refreshed (each one shared-scan pass).
         self.cohorts = 0
         #: Snapshots successfully refreshed.
         self.refreshed = 0
         #: Per-snapshot isolated failures (name -> error), requeued as due.
         self.errors: "dict[str, BaseException]" = {}
-        #: Workers stopped by an unexpected error (worker -> error);
-        #: their claims were released back to the due pool.
-        self.worker_errors: "dict[str, BaseException]" = {}
 
     def __repr__(self) -> str:
         return (
@@ -888,65 +877,41 @@ class SnapshotManager:
         names = [info.name for info in self.db.catalog.snapshots(base_table)]
         return self.refresh_many(names, retry=retry, group=group)
 
-    # -- FLEET DRAIN (claim protocol) -----------------------------------------------
-
-    def refresh_cohort(
-        self, claim: CohortClaim, retry: Optional[RetryPolicy] = None
-    ) -> RefreshAllResult:
-        """Refresh the members of one claimed cohort.
-
-        The cohort shares a base table by construction, so the whole
-        membership rides one shared-scan pass (``refresh_many`` groups
-        them); per-member failures land in the result's ``errors`` map
-        exactly as the claim's :meth:`SnapshotRegistry.complete` expects.
-        """
-        return self.refresh_many(list(claim.cohort.members), retry=retry)
+    # -- FLEET DRAIN ---------------------------------------------------------------
 
     def drain_registry(
         self,
         registry: SnapshotRegistry,
         retry: Optional[RetryPolicy] = None,
-        max_claims: Optional[int] = None,
     ) -> "FleetDrainResult":
-        """Drain the registry's due queue through the claim protocol.
+        """Refresh every due snapshot of ``registry``, a cohort a pass.
 
-        One worker loops claim → refresh → complete until
-        :meth:`SnapshotRegistry.claim_cohort` finds nothing claimable
-        (or ``max_claims`` claims were issued).  A fleet of workers is
-        one process per worker running this loop against a shared
-        registry: one-live-claim-per-base-table keeps their passes on
-        disjoint tables (the non-blocking lock manager would abort, not
-        queue, two passes on one base).  An unexpected error releases
-        the claim — members return to the due pool with the failure
-        recorded — and stops the drain; a worker that dies without
-        releasing is covered by lease expiry instead, and a cohort whose
-        lease expired mid-pass is fenced by :meth:`SnapshotRegistry.
-        complete`: it is not counted, its members are due again.
+        Loops until :meth:`SnapshotRegistry.next_cohort` finds nothing
+        due: each cohort rides one :meth:`refresh_many` call (its
+        members share a base table, so one shared-scan pass), and each
+        member is marked refreshed or failed.  A drain offers every due
+        member once: failures are marked only after the loop, so a
+        member whose link stays down is due again for the *next* drain
+        instead of being retaken by this one until the link returns.  An
+        unexpected error from a pass marks that cohort's members failed
+        too, then propagates.
         """
         drain = FleetDrainResult()
-        worker = "worker-0"
-        while max_claims is None or drain.claims < max_claims:
-            claim = registry.claim_cohort(worker)
-            if claim is None:
-                break
-            drain.claims += 1
-            try:
-                outcomes = self.refresh_cohort(claim, retry=retry)
-            except Exception as error:  # noqa: BLE001 — isolate the worker
-                registry.release(claim, error)
-                drain.worker_errors[worker] = error
-                break
-            if registry.complete(
-                claim,
-                shipped={
-                    name: result.entries_sent
-                    for name, result in outcomes.items()
-                },
-                failed=dict(outcomes.errors),
-            ):
+        try:
+            while (cohort := registry.next_cohort()) is not None:
+                try:
+                    outcomes = self.refresh_many(cohort.members, retry=retry)
+                except BaseException as error:
+                    drain.errors.update(dict.fromkeys(cohort.members, error))
+                    raise
+                for name, result in outcomes.items():
+                    registry.mark_refreshed(name, result.entries_sent)
                 drain.refreshed += len(outcomes)
                 drain.cohorts += 1
                 drain.errors.update(outcomes.errors)
+        finally:
+            for name, error in drain.errors.items():
+                registry.mark_failed(name, error)
         return drain
 
     # -- DROP SNAPSHOT --------------------------------------------------------------

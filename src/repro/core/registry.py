@@ -1,4 +1,4 @@
-"""Fleet-scale snapshot registry: deadline buckets and the claim protocol.
+"""Fleet-scale snapshot registry: deadline buckets and the cohort drain.
 
 The scheduler's original bookkeeping walked every scheduled snapshot on
 every observed commit — O(fleet) per operation, fine at 32 snapshots,
@@ -16,19 +16,19 @@ forms:
 contributes 1 + 2 + ... + t — the triangular number — to the area; the
 segment closes when a refresh resets ``pending``).
 
-On top of the buckets sits a **claim protocol** in the database-claims
-style: N workers call :meth:`SnapshotRegistry.claim_cohort` to lease a
-cohort of due snapshots (clustered by :mod:`repro.core.cohort`), refresh
-it, and :meth:`complete` the claim.  Leases carry an expiry on the site
-clock; a worker that dies mid-cohort simply stops renewing, the lease
-expires, and the next claimer reclaims the cohort — the epoch protocol
-guarantees the dead worker's partial transmission committed nothing, so
-the reclaimed refresh is the first and only one the receiver applies.
-Completion is fenced: a zombie worker completing after its lease expired
-is rejected, so counters never double-count a reclaimed cohort.
+On top of the buckets sits the **drain**:
+:meth:`SnapshotRegistry.next_cohort` takes the stalest cohort of due
+snapshots (clustered by :mod:`repro.core.cohort`) out of the due pool,
+the driver refreshes it on one shared-scan pass, and reports each member
+back through :meth:`~SnapshotRegistry.mark_refreshed` (re-armed for its
+next deadline) or :meth:`~SnapshotRegistry.mark_failed` (due again at
+once).  A member the driver never reports stays out of the due pool, so
+``SnapshotManager.drain_registry`` reports every member it took, also
+when a pass raises.
 
 This module is deliberately manager- and scheduler-blind (replint
-L404): it hands out names and takes back outcomes, so no orchestration state can leak into a claim.
+L404): it hands out names and takes back outcomes, so no orchestration
+state can leak into a cohort.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cohort import Cohort, DueEntry, cluster_due, staleness_band
 from repro.errors import SnapshotError
-from repro.txn.clock import LogicalClock
 
 
 def _tri(t: int) -> int:
@@ -65,7 +64,6 @@ class RegisteredSnapshot:
         "entries_shipped",
         "failed_refreshes",
         "last_failure",
-        "claim_id",
     )
 
     def __init__(
@@ -98,8 +96,6 @@ class RegisteredSnapshot:
         self.entries_shipped = 0
         self.failed_refreshes = 0
         self.last_failure: "BaseException | None" = None
-        #: Live claim currently holding this snapshot, if any.
-        self.claim_id: "int | None" = None
 
     @property
     def pending(self) -> int:
@@ -147,76 +143,33 @@ class _BaseBucket:
         #: item only counts if it matches the record's armed deadline.
         self.heap: "list[tuple[int, int, str]]" = []
         self.members: "Dict[str, RegisteredSnapshot]" = {}
-        #: Snapshots past their deadline, not yet refreshed or claimed.
+        #: Snapshots past their deadline, not yet refreshed or taken by
+        #: :meth:`SnapshotRegistry.next_cohort`.
         self.due: "Dict[str, RegisteredSnapshot]" = {}
 
 
-class CohortClaim:
-    """A worker's lease on one cohort of due snapshots."""
-
-    __slots__ = ("claim_id", "worker", "cohort", "issued_at", "expires_at", "state")
-
-    def __init__(
-        self,
-        claim_id: int,
-        worker: str,
-        cohort: Cohort,
-        issued_at: int,
-        expires_at: int,
-    ) -> None:
-        self.claim_id = claim_id
-        self.worker = worker
-        self.cohort = cohort
-        self.issued_at = issued_at
-        self.expires_at = expires_at
-        #: "live" -> "completed" | "released" | "expired".
-        self.state = "live"
-
-    @property
-    def members(self) -> Tuple[str, ...]:
-        return self.cohort.members
-
-    def __repr__(self) -> str:
-        return (
-            f"CohortClaim(#{self.claim_id}, worker={self.worker}, "
-            f"members={len(self.cohort.members)}, state={self.state})"
-        )
-
-
 class SnapshotRegistry:
-    """Deadline-bucketed due-tracking and cohort claims for a fleet.
+    """Deadline-bucketed due-tracking and cohort draining for a fleet.
 
     The registry is a pure scheduling data structure: it never touches a
     manager, never opens a channel, never reads a table.  Drivers feed
     it observed operations (:meth:`observe`), take due work out of it
-    (directly, or through the claim protocol), and report outcomes back
-    (:meth:`mark_refreshed` / :meth:`mark_failed`).  It belongs to one
-    thread, like the :class:`~repro.database.Database` it schedules for,
-    and it never calls out: a driver that re-enters it — a transaction
-    committed from inside a scheduler-fired refresh comes back through
-    the commit hook into :meth:`observe` — finds it between two complete
-    operations.
+    (directly, or a cohort at a time with :meth:`next_cohort`), and
+    report outcomes back (:meth:`mark_refreshed` / :meth:`mark_failed`).
+    It belongs to one thread, like the :class:`~repro.database.Database`
+    it schedules for, and it never calls out: a driver that re-enters
+    it — a transaction committed from inside a scheduler-fired refresh
+    comes back through the commit hook into :meth:`observe` — finds it
+    between two complete operations.
     """
 
-    def __init__(
-        self,
-        clock: Optional[Any] = None,
-        lease: int = 1000,
-        cohort_size: int = 64,
-    ) -> None:
-        if lease < 1:
-            raise SnapshotError("claim lease must be at least 1 tick")
+    def __init__(self, cohort_size: int = 64) -> None:
         if cohort_size < 1:
             raise SnapshotError("cohort size must be at least 1")
-        #: Site-clock time base for lease expiry (``read()`` is enough).
-        self.clock = clock if clock is not None else LogicalClock()
-        self.lease = lease
         self.cohort_size = cohort_size
         self._bases: "Dict[str, _BaseBucket]" = {}
         self._records: "Dict[str, RegisteredSnapshot]" = {}
-        self._claims: "Dict[int, CohortClaim]" = {}
         self._next_seq = 0
-        self._next_claim = 0
         #: Observable work/outcome counters (regression tests key on the
         #: heap counters: per-op cost must not scale with fleet size).
         self.stats: "Dict[str, int]" = {
@@ -226,11 +179,6 @@ class SnapshotRegistry:
             "observe_calls": 0,
             "ops_observed": 0,
             "due_transitions": 0,
-            "claims_issued": 0,
-            "claims_completed": 0,
-            "claims_released": 0,
-            "claims_expired": 0,
-            "completes_fenced": 0,
             "cohorts_formed": 0,
         }
 
@@ -304,10 +252,11 @@ class SnapshotRegistry:
         """Record ``ops`` committed operations on ``base_table``.
 
         Returns every member of the base now past its deadline and not
-        under a live claim — including members already due from earlier
-        failed refreshes, matching the eager scheduler's retry-on-next-
-        relevant-commit behavior.  Cost is O(ops + newly_due * log n):
-        the heap is touched only for deadlines actually crossed.
+        taken by :meth:`next_cohort` — including members already due
+        from earlier failed refreshes, matching the eager scheduler's
+        retry-on-next-relevant-commit behavior.  Cost is
+        O(ops + newly_due * log n): the heap is touched only for
+        deadlines actually crossed.
         """
         self.stats["observe_calls"] += 1
         base = self._bases.get(base_table)
@@ -325,10 +274,10 @@ class SnapshotRegistry:
                 continue
             base.due[name] = record
             self.stats["due_transitions"] += 1
-        return [r for r in base.due.values() if r.claim_id is None]
+        return list(base.due.values())
 
     def due(self, base_table: Optional[str] = None) -> "List[RegisteredSnapshot]":
-        """Currently due, unclaimed snapshots (optionally one base's)."""
+        """Currently due snapshots (optionally one base's)."""
         buckets = (
             [self._bases[base_table]]
             if base_table is not None and base_table in self._bases
@@ -336,7 +285,7 @@ class SnapshotRegistry:
         )
         out: "List[RegisteredSnapshot]" = []
         for base in buckets:
-            out.extend(r for r in base.due.values() if r.claim_id is None)
+            out.extend(base.due.values())
         return out
 
     def near_due(
@@ -356,7 +305,6 @@ class SnapshotRegistry:
             r
             for r in base.members.values()
             if r.name not in skip
-            and r.claim_id is None
             and r.pending > 0
             and r.pending + window >= r.every_ops
         ]
@@ -370,7 +318,6 @@ class SnapshotRegistry:
         record.deadline = base.ops_total + record.every_ops
         record.refreshes += 1
         record.entries_shipped += shipped
-        record.claim_id = None
         base.due.pop(name, None)
         heapq.heappush(base.heap, (record.deadline, record.seq, name))
         self.stats["heap_pushes"] += 1
@@ -380,152 +327,40 @@ class SnapshotRegistry:
         record = self._records[name]
         record.failed_refreshes += 1
         record.last_failure = error
-        record.claim_id = None
         # Still past its deadline: back into (or still in) the due
-        # pool so the next relevant commit — or the next claimer —
+        # pool so the next relevant commit — or the next drain —
         # retries it.
         record._base.due[name] = record
 
-    # -- claim protocol ------------------------------------------------------
+    # -- drain -----------------------------------------------------------------
 
-    def claim_cohort(
-        self,
-        worker: str,
-        now: Optional[int] = None,
-        max_size: Optional[int] = None,
-    ) -> Optional[CohortClaim]:
-        """Lease the stalest available cohort of due snapshots to ``worker``.
+    def next_cohort(self) -> Optional[Cohort]:
+        """Take the stalest cohort of due snapshots out of the due pool.
 
-        Expired leases are reclaimed first (their members return to the
-        due pool).  At most one live claim is issued per base table: the
-        refresh pass takes the base's table lock, and the lock manager is
-        non-blocking — two workers on one base would abort rather than
-        queue.  One-claim-per-base also maximizes sharing: the whole due
-        set of a base rides as few passes as possible.  Returns ``None``
-        when nothing is claimable.
+        The due set is clustered by :func:`cluster_due` and the cohort
+        chosen stalest first: highest band, then largest, then key
+        order.  Its members leave the due pool, so :meth:`observe` and
+        :meth:`due` cannot hand them out again; the driver refreshes
+        them and reports each one back through :meth:`mark_refreshed`
+        or :meth:`mark_failed`.  Returns ``None`` when nothing is due.
         """
-        now = self.clock.read() if now is None else now
-        self.expire_claims(now)
-        busy = {
-            claim.cohort.key.base_table
-            for claim in self._claims.values()
-            if claim.state == "live"
-        }
-        candidates: "List[DueEntry]" = []
-        for base_name, base in self._bases.items():
-            if base_name in busy:
-                continue
-            for record in base.due.values():
-                if record.claim_id is not None:
-                    continue
-                candidates.append(
-                    DueEntry(
-                        record.name,
-                        base_name,
-                        record.signature,
-                        record.columns,
-                        record.pending,
-                        record.seq,
-                    )
-                )
+        candidates = [
+            DueEntry(
+                record.name,
+                base_name,
+                record.signature,
+                record.columns,
+                record.pending,
+                record.seq,
+            )
+            for base_name, base in self._bases.items()
+            for record in base.due.values()
+        ]
         if not candidates:
             return None
-        cohorts = cluster_due(
-            candidates, max_size=max_size or self.cohort_size
-        )
+        cohorts = cluster_due(candidates, max_size=self.cohort_size)
         self.stats["cohorts_formed"] += len(cohorts)
-        # Stalest first: highest band, then largest, then key order.
-        cohorts.sort(key=lambda c: (-c.bands[-1], -len(c), c.key))
-        cohort = cohorts[0]
-        claim = CohortClaim(
-            self._next_claim, worker, cohort, now, now + self.lease
-        )
-        self._next_claim += 1
-        self._claims[claim.claim_id] = claim
-        self.stats["claims_issued"] += 1
+        cohort = min(cohorts, key=lambda c: (-c.bands[-1], -len(c), c.key))
         for member in cohort.members:
-            record = self._records[member]
-            record.claim_id = claim.claim_id
-            record._base.due.pop(member, None)
-        return claim
-
-    def renew(self, claim: CohortClaim, now: Optional[int] = None) -> bool:
-        """Extend a live lease (heartbeat). False if no longer live."""
-        if claim.state != "live":
-            return False
-        now = self.clock.read() if now is None else now
-        claim.expires_at = now + self.lease
-        return True
-
-    def expire_claims(self, now: Optional[int] = None) -> "List[CohortClaim]":
-        """Reclaim every live lease past its expiry; return them."""
-        now = self.clock.read() if now is None else now
-        expired = [
-            claim
-            for claim in self._claims.values()
-            if claim.state == "live" and claim.expires_at <= now
-        ]
-        for claim in expired:
-            claim.state = "expired"
-            self._release_members(claim)
-            self.stats["claims_expired"] += 1
-        return expired
-
-    def complete(
-        self,
-        claim: CohortClaim,
-        shipped: Optional[Dict[str, int]] = None,
-        failed: "Optional[Dict[str, BaseException]]" = None,
-    ) -> bool:
-        """Finish a claim: re-arm refreshed members, requeue failed ones.
-
-        Returns ``False`` (and changes nothing) if the lease already
-        expired or was released — the fence that keeps a zombie worker
-        from double-counting a cohort another worker reclaimed.
-        """
-        if claim.state != "live":
-            self.stats["completes_fenced"] += 1
-            return False
-        claim.state = "completed"
-        self._claims.pop(claim.claim_id, None)
-        shipped = shipped or {}
-        failed = failed or {}
-        for member in claim.cohort.members:
-            record = self._records.get(member)
-            if record is None or record.claim_id != claim.claim_id:
-                continue  # unregistered (or stolen) mid-claim
-            if member in failed:
-                self.mark_failed(member, failed[member])
-            else:
-                self.mark_refreshed(member, shipped.get(member, 0))
-        self.stats["claims_completed"] += 1
-        return True
-
-    def release(
-        self, claim: CohortClaim, error: "BaseException | None" = None
-    ) -> bool:
-        """Hand a claim back unrefreshed (worker bowed out gracefully)."""
-        if claim.state != "live":
-            return False
-        claim.state = "released"
-        if error is not None:
-            for member in claim.cohort.members:
-                record = self._records.get(member)
-                if record is not None:
-                    record.failed_refreshes += 1
-                    record.last_failure = error
-        self._release_members(claim)
-        self.stats["claims_released"] += 1
-        return True
-
-    def _release_members(self, claim: CohortClaim) -> None:
-        self._claims.pop(claim.claim_id, None)
-        for member in claim.cohort.members:
-            record = self._records.get(member)
-            if record is None or record.claim_id != claim.claim_id:
-                continue
-            record.claim_id = None
-            record._base.due[member] = record
-
-    def claims(self) -> "List[CohortClaim]":
-        return [c for c in self._claims.values() if c.state == "live"]
+            self._records[member]._base.due.pop(member)
+        return cohort

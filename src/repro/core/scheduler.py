@@ -37,7 +37,7 @@ already-paid base-table scan saves the entire second pass.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.cursor import RefreshResult
 from repro.core.manager import Snapshot, SnapshotManager
@@ -113,7 +113,6 @@ class RefreshScheduler:
         self,
         manager: SnapshotManager,
         coalesce_window: int = 0,
-        registry: Optional[SnapshotRegistry] = None,
     ) -> None:
         if coalesce_window < 0:
             raise SnapshotError("coalesce window must be non-negative")
@@ -121,13 +120,8 @@ class RefreshScheduler:
         #: Snapshots within this many operations of their own deadline
         #: ride a due snapshot's shared-scan pass (0 = no coalescing).
         self.coalesce_window = coalesce_window
-        #: Deadline buckets + staleness accounting (shared with any
-        #: claim-protocol workers draining the same fleet).
-        self.registry = (
-            registry
-            if registry is not None
-            else SnapshotRegistry(clock=manager.db.clock)
-        )
+        #: Deadline buckets + staleness accounting.
+        self.registry = SnapshotRegistry()
         self._entries: "Dict[str, ScheduleEntry]" = {}
         #: Scheduled refreshes skipped because the refresh failed.
         self.failed_refreshes = 0

@@ -22,8 +22,7 @@ sections behind them):
               ``multiprocessing`` imported anywhere under ``src/repro``:
               a ``Database`` and everything reached from it belongs to
               one thread, so no module carries a mutex and none may
-              start a second thread; parallelism is one process per
-              claim-protocol worker.
+              start a second thread: ``src/`` is single-threaded.
 
 **L3 — wire codec (batch hot path)**
     Message-vs-codec parity needs no rule: each message class declares
@@ -49,8 +48,8 @@ sections behind them):
               structure: it hands out names and takes back outcomes.  A
               registry that called into the manager could fire a refresh
               from the middle of one of its own operations — the
-              re-entrancy and claim-fencing arguments both assume the
-              dependency points one way only.
+              re-entrancy argument assumes the dependency points one way
+              only.
 
 **L5 — runtime hygiene of library code**
     ``L501``  ``assert`` statement in library code (stripped under
@@ -295,8 +294,7 @@ class DeterminismChecker(Checker):
                     source.path,
                     node.lineno,
                     node.col_offset,
-                    "src/ is single-threaded; parallelism is one process "
-                    "per claim-protocol worker",
+                    "src/ is single-threaded",
                 )
             if not clocked:
                 continue
@@ -512,17 +510,16 @@ class RegistryIsolationChecker(Checker):
     """L404: registry/cohort modules stay below the orchestration layer.
 
     The registry is a pure scheduling data structure: drivers feed it
-    observed operations, claim cohorts out of it, and report outcomes
-    back.  That one-way dependency is what the claim-fencing argument
-    leans on — the registry mutates nothing but its own records, so a
-    zombie worker's fenced ``complete`` provably has no side effects
-    anywhere.  If registry or cohort code called into the manager or
-    scheduler it could fire a refresh from the middle of one of its own
-    operations (the commit hook would re-enter a half-updated registry)
-    or double-apply an outcome the fence just rejected.  Enforced
-    statically — "no import of, and no name from, these modules" —
-    because the failure it prevents needs an interleaving no test
-    reliably reproduces.
+    observed operations, take cohorts out of it, and report outcomes
+    back.  It never calls out, so a driver that re-enters it — a
+    transaction committed from inside a scheduler-fired refresh comes
+    back through the commit hook into ``observe`` — finds it between
+    two complete operations.  If registry or cohort code called into the
+    manager or scheduler it could fire a refresh from the middle of one
+    of its own operations, and the commit hook would re-enter a
+    half-updated registry.  Enforced statically — "no import of, and no
+    name from, these modules" — because the failure it prevents needs an
+    interleaving no test reliably reproduces.
     """
 
     rules = ("L404",)

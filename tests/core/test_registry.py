@@ -1,11 +1,13 @@
-"""SnapshotRegistry: deadline buckets, staleness closed forms, claims.
+"""SnapshotRegistry: deadline buckets, staleness closed forms, the drain.
 
-The worker-death scenarios (satellite of the claim protocol): a worker
-that claims a cohort and vanishes must neither strand its snapshots nor
-let them refresh twice — lease expiry hands the cohort to the next
-claimer, the epoch protocol guarantees the dead worker transmitted
-nothing durable, and completion fencing keeps a zombie from
-double-counting.
+``next_cohort`` takes the stalest cohort out of the due pool and the
+driver reports each member back (``mark_refreshed`` / ``mark_failed``).
+The drain scenarios pin what that serial loop owes the fleet: every due
+member refreshed exactly once; a failed member marked once per drain and
+left due for the next one (a member whose link stays down must not hold
+the drain forever); a pass that dies mid-stream commits nothing at the
+receiver; and a pass that raises leaves no member stranded outside the
+due pool.
 """
 
 import random
@@ -162,10 +164,7 @@ class TestScaling:
 
 
 class TestClaimProtocol:
-    def _registry(self, lease=100):
-        clock = ManualClock()
-        registry = SnapshotRegistry(clock=clock, lease=lease, cohort_size=8)
-        return registry, clock
+    """``next_cohort`` against the due pool (no manager involved)."""
 
     def _register_due(self, registry, n=4, base="t", every=2):
         for i in range(n):
@@ -173,108 +172,81 @@ class TestClaimProtocol:
         registry.observe(base, every)
 
     def test_claim_takes_whole_cohort(self):
-        registry, clock = self._registry()
+        registry = SnapshotRegistry(cohort_size=8)
         self._register_due(registry)
-        claim = registry.claim_cohort("w1")
-        assert sorted(claim.members) == ["s0", "s1", "s2", "s3"]
-        assert claim.state == "live"
+        cohort = registry.next_cohort()
+        assert sorted(cohort.members) == ["s0", "s1", "s2", "s3"]
         assert registry.due() == []
+        assert registry.next_cohort() is None
 
-    def test_one_live_claim_per_base(self):
-        registry, clock = self._registry()
-        for i in range(20):
-            registry.register(f"s{i}", "t", every_ops=2)
-        registry.observe("t", 2)
-        first = registry.claim_cohort("w1", max_size=4)
-        assert first is not None
-        # 16 due snapshots remain, but their base is busy.
-        assert registry.claim_cohort("w2", max_size=4) is None
-        registry.complete(first)
-        assert registry.claim_cohort("w2", max_size=4) is not None
+    def test_stalest_cohort_first(self):
+        registry = SnapshotRegistry(cohort_size=8)
+        self._register_due(registry, n=2, base="fresh", every=2)
+        for i in range(2):
+            registry.register(f"u{i}", "stale", every_ops=2)
+        registry.observe("stale", 16)
+        first = registry.next_cohort()
+        assert first.key.base_table == "stale"
+        assert registry.next_cohort().key.base_table == "fresh"
 
     def test_distinct_bases_claim_concurrently(self):
-        registry, clock = self._registry()
+        """Several bases drain one after another, each its own cohort;
+        a taken cohort stays out of the pool while the next is taken."""
+        registry = SnapshotRegistry(cohort_size=8)
         self._register_due(registry, n=2, base="t1")
         for i in range(2):
             registry.register(f"u{i}", "t2", every_ops=2)
         registry.observe("t2", 2)
-        a = registry.claim_cohort("w1")
-        b = registry.claim_cohort("w2")
+        a = registry.next_cohort()
+        b = registry.next_cohort()
         assert a is not None and b is not None
-        assert a.cohort.key.base_table != b.cohort.key.base_table
+        assert a.key.base_table != b.key.base_table
+        assert registry.next_cohort() is None
+
+    def test_members_out_of_due_until_reported(self):
+        registry = SnapshotRegistry(cohort_size=8)
+        self._register_due(registry, n=2)
+        registry.next_cohort()
+        # Past their deadlines, but taken: neither observe nor due()
+        # hands them out again, and near_due's caller never fires
+        # inside a drain.
+        assert registry.observe("t", 5) == []
+        assert registry.due() == []
+        assert registry.next_cohort() is None
+        registry.mark_failed("s0")
+        assert [r.name for r in registry.observe("t", 1)] == ["s0"]
 
     def test_complete_rearms_members(self):
-        registry, clock = self._registry()
+        registry = SnapshotRegistry(cohort_size=8)
         self._register_due(registry, n=2)
-        claim = registry.claim_cohort("w1")
-        assert registry.complete(claim, shipped={"s0": 3, "s1": 4})
+        registry.next_cohort()
+        registry.mark_refreshed("s0", shipped=3)
+        registry.mark_refreshed("s1", shipped=4)
         assert registry.record("s0").refreshes == 1
         assert registry.record("s0").entries_shipped == 3
         assert registry.record("s0").pending == 0
         assert registry.due() == []
 
     def test_complete_with_failures_requeues(self):
-        registry, clock = self._registry()
+        registry = SnapshotRegistry(cohort_size=8)
         self._register_due(registry, n=2)
-        claim = registry.claim_cohort("w1")
+        registry.next_cohort()
         boom = RuntimeError("boom")
-        registry.complete(claim, shipped={"s0": 1}, failed={"s1": boom})
+        registry.mark_refreshed("s0", shipped=1)
+        registry.mark_failed("s1", boom)
         assert registry.record("s0").refreshes == 1
         assert registry.record("s1").refreshes == 0
         assert registry.record("s1").failed_refreshes == 1
+        assert registry.record("s1").last_failure is boom
         assert [r.name for r in registry.due()] == ["s1"]
-
-    def test_release_requeues_unrefreshed(self):
-        registry, clock = self._registry()
-        self._register_due(registry, n=2)
-        claim = registry.claim_cohort("w1")
-        assert registry.release(claim)
-        assert sorted(r.name for r in registry.due()) == ["s0", "s1"]
-        assert registry.record("s0").refreshes == 0
-
-    def test_lease_expiry_reclaims(self):
-        registry, clock = self._registry(lease=100)
-        self._register_due(registry)
-        dead = registry.claim_cohort("w-dead")
-        assert registry.claim_cohort("w2") is None  # base busy
-        clock.advance(101)
-        reclaimed = registry.claim_cohort("w2")
-        assert reclaimed is not None
-        assert sorted(reclaimed.members) == sorted(dead.members)
-        assert dead.state == "expired"
-        assert registry.stats["claims_expired"] == 1
-
-    def test_renew_extends_lease(self):
-        registry, clock = self._registry(lease=100)
-        self._register_due(registry)
-        claim = registry.claim_cohort("w1")
-        clock.advance(90)
-        assert registry.renew(claim)
-        clock.advance(90)
-        # 180 ticks total but renewed at 90: still live.
-        assert registry.claim_cohort("w2") is None
-        assert claim.state == "live"
-
-    def test_zombie_complete_is_fenced(self):
-        """A worker finishing after its lease expired changes nothing."""
-        registry, clock = self._registry(lease=10)
-        self._register_due(registry, n=2)
-        zombie = registry.claim_cohort("w-zombie")
-        clock.advance(11)
-        live = registry.claim_cohort("w2")
-        registry.complete(live, shipped={"s0": 5, "s1": 5})
-        refreshes = registry.record("s0").refreshes
-        assert not registry.complete(zombie, shipped={"s0": 99, "s1": 99})
-        assert registry.record("s0").refreshes == refreshes
-        assert registry.record("s0").entries_shipped == 5
-        assert registry.stats["completes_fenced"] == 1
+        assert list(registry.next_cohort().members) == ["s1"]
 
 
 def _fleet_world(workers_bases=2, per_base=3):
     """A database with several base tables and differential snapshots."""
     db = Database("fleet", clock=ManualClock(), buffer_capacity=64)
     manager = SnapshotManager(db)
-    registry = SnapshotRegistry(clock=db.clock, lease=500, cohort_size=8)
+    registry = SnapshotRegistry(cohort_size=8)
     tables = {}
     for b in range(workers_bases):
         name = f"t{b}"
@@ -308,8 +280,28 @@ def _dirty(registry, tables, ops=5):
         registry.observe(name, ops)
 
 
+def _drop_sends(channel, count, after=0):
+    """Fail ``count`` sends of ``channel`` after its first ``after``.
+
+    Bounded, not forever: a drain that retook its failures would still
+    return, reading more than one failure per drain.  Returns the send
+    counter.
+    """
+    original_send = channel.send
+    sent = {"n": 0}
+
+    def send(message):
+        sent["n"] += 1
+        if after < sent["n"] <= after + count:
+            raise ChannelError("link down")
+        return original_send(message)
+
+    channel.send = send
+    return sent
+
+
 class TestDrain:
-    """The manager-level claim → refresh → complete loop."""
+    """The manager-level next cohort → refresh → mark loop."""
 
     def test_drain_refreshes_everything_exactly_once(self):
         db, manager, registry, tables = _fleet_world(workers_bases=3, per_base=2)
@@ -320,75 +312,76 @@ class TestDrain:
         }
         drain = manager.drain_registry(registry)
         assert drain.refreshed == 6
+        assert drain.cohorts == 3
         assert drain.errors == {}
-        assert drain.worker_errors == {}
         for name in before:
             handle = manager.snapshot(name)
             assert handle.info.refresh_count == before[name] + 1
             assert handle.as_map() == _truth(tables[handle.info.base_table])
+            assert registry.record(name).refreshes == 1
         assert registry.due() == []
-        assert registry.claims() == []
 
-    def test_worker_death_mid_cohort_reclaimed_exactly_once(self):
-        """Dead worker → lease expiry → reclaim; one committed refresh,
-        nothing transmitted by the dead worker."""
-        db, manager, registry, tables = _fleet_world(workers_bases=2, per_base=2)
+    def test_failing_member_is_offered_once_per_drain(self):
+        """A member whose link is down is marked failed once and left due
+        for the next drain; the drain returns instead of retaking it."""
+        db, manager, registry, tables = _fleet_world(workers_bases=1, per_base=2)
         _dirty(registry, tables)
-        # The dead worker claims t0's cohort and vanishes mid-cohort:
-        # its partial attempt transmitted nothing durable (the epoch
-        # protocol aborts uncommitted epochs), modeled here by the claim
-        # simply never completing.
-        dead = registry.claim_cohort("w-dead")
-        assert dead is not None
-        dead_names = sorted(dead.members)
-        receivers_before = {
-            name: manager.snapshot(name).as_map() for name in dead_names
-        }
-        counts_before = {
-            name: manager.snapshot(name).info.refresh_count
-            for name in dead_names
-        }
-        # While the lease is live, a drain serves every OTHER base.
-        drain1 = manager.drain_registry(registry)
-        for name in dead_names:
-            assert manager.snapshot(name).as_map() == receivers_before[name]
-            assert manager.snapshot(name).info.refresh_count == counts_before[name]
-        # Lease expires; the next drain reclaims and refreshes the
-        # cohort exactly once.
-        db.clock.advance(501)
-        drain2 = manager.drain_registry(registry)
-        assert drain2.refreshed == len(dead_names)
-        for name in dead_names:
-            handle = manager.snapshot(name)
-            assert handle.info.refresh_count == counts_before[name] + 1
-            assert handle.as_map() == _truth(tables[handle.info.base_table])
-        assert registry.stats["claims_expired"] == 1
-        assert registry.due() == []
-        assert drain1.worker_errors == {} and drain2.worker_errors == {}
+        down, healthy = "t0_s0", "t0_s1"
+        _drop_sends(manager.snapshot(down).channel, count=50)
+        drain = manager.drain_registry(registry)
+        assert list(drain.errors) == [down]
+        assert drain.refreshed == 1
+        record = registry.record(down)
+        assert record.failed_refreshes == 1
+        assert isinstance(record.last_failure, ChannelError)
+        assert record.refreshes == 0
+        assert [r.name for r in registry.due()] == [down]
+        assert registry.record(healthy).refreshes == 1
+        # Still down: the next drain adds one failure, and returns.
+        drain = manager.drain_registry(registry)
+        assert list(drain.errors) == [down]
+        assert record.failed_refreshes == 2
+        assert [r.name for r in registry.due()] == [down]
+
+    def test_raising_pass_requeues_the_drains_earlier_failures(self):
+        """A pass that raises requeues the members that failed in an
+        earlier cohort of the same drain, not only its own."""
+        db, manager, registry, tables = _fleet_world(workers_bases=2, per_base=1)
+        _dirty(registry, tables)
+        # Equally stale: t0's cohort goes first (key order).
+        _drop_sends(manager.snapshot("t0_s0").channel, count=50)
+        original = manager.refresh_many
+
+        def t1_pass_raises(members, retry=None):
+            if "t1_s0" in members:
+                raise RuntimeError("pass crashed")
+            return original(members, retry=retry)
+
+        manager.refresh_many = t1_pass_raises
+        with pytest.raises(RuntimeError, match="crashed"):
+            manager.drain_registry(registry)
+        assert sorted(r.name for r in registry.due()) == ["t0_s0", "t1_s0"]
+        t0, t1 = registry.record("t0_s0"), registry.record("t1_s0")
+        assert t0.failed_refreshes == t1.failed_refreshes == 1
+        assert isinstance(t0.last_failure, ChannelError)
+        assert isinstance(t1.last_failure, RuntimeError)
 
     def test_crashing_refresh_releases_claim_and_requeues(self):
-        """A worker whose pass dies on an unexpected error releases its
-        claim: members stay due, failure recorded, nothing committed."""
+        """A pass that dies on an unexpected error propagates it, and its
+        cohort's members are marked failed and due again, not stranded."""
         db, manager, registry, tables = _fleet_world(workers_bases=1, per_base=2)
         _dirty(registry, tables)
         names = sorted(r.name for r in registry.due())
-        crashes = {"left": 1}
 
-        original = manager.refresh_cohort
+        def crashing(members, retry=None):
+            raise RuntimeError("pass crashed mid-cohort")
 
-        def crashing(claim, retry=None):
-            if crashes["left"]:
-                crashes["left"] -= 1
-                raise RuntimeError("worker crashed mid-cohort")
-            return original(claim, retry=retry)
-
-        manager.refresh_cohort = crashing
+        manager.refresh_many = crashing
         try:
-            drain = manager.drain_registry(registry)
+            with pytest.raises(RuntimeError, match="crashed"):
+                manager.drain_registry(registry)
         finally:
-            manager.refresh_cohort = original
-        assert list(drain.worker_errors) == ["worker-0"]
-        assert drain.refreshed == 0
+            del manager.refresh_many
         for name in names:
             record = registry.record(name)
             assert record.failed_refreshes == 1
@@ -402,83 +395,27 @@ class TestDrain:
             assert handle.as_map() == _truth(tables[handle.info.base_table])
 
     def test_dead_worker_mid_stream_commits_nothing(self):
-        """Sharper death model: the worker dies *inside* the refresh
-        stream (channel drops mid-epoch).  The receiver's staged epoch
-        is aborted — zero durable effect — and the reclaiming worker's
-        refresh is the only committed one."""
+        """The pass dies *inside* the refresh stream (the channel drops
+        mid-epoch).  The receiver's staged epoch is aborted — zero
+        durable effect — and the next drain's refresh is the only
+        committed one."""
         db, manager, registry, tables = _fleet_world(workers_bases=1, per_base=1)
         _dirty(registry, tables)
         (name,) = [r.name for r in registry.due()]
         handle = manager.snapshot(name)
         receiver_before = handle.as_map()
-        claim = registry.claim_cohort("w-dead")
 
-        channel = handle.channel
-        original_send = channel.send
-        sent = {"n": 0}
-
-        def dying_send(message):
-            sent["n"] += 1
-            if sent["n"] > 2:
-                raise ChannelError("process killed mid-stream")
-            return original_send(message)
-
-        channel.send = dying_send
-        try:
-            outcomes = manager.refresh_cohort(claim)
-        finally:
-            channel.send = original_send
-        assert list(outcomes.errors) == [name]
+        sent = _drop_sends(handle.channel, count=1, after=2)
+        drain = manager.drain_registry(registry)
+        assert list(drain.errors) == [name]
         assert sent["n"] > 2  # it really died mid-stream
         # Death mid-stream: nothing durable reached the receiver.
         assert handle.as_map() == receiver_before
         assert handle.info.refresh_count == 1  # the initial load only
-        # Lease expires; the cohort is reclaimed and refreshed once.
-        db.clock.advance(501)
+        assert [r.name for r in registry.due()] == [name]
+        # The next drain refreshes it exactly once.
         drain = manager.drain_registry(registry)
         assert drain.refreshed == 1
         assert handle.info.refresh_count == 2
+        assert registry.record(name).refreshes == 1
         assert handle.as_map() == _truth(tables[handle.info.base_table])
-
-    def test_max_claims_bounds_drain(self):
-        db, manager, registry, tables = _fleet_world(workers_bases=3, per_base=1)
-        _dirty(registry, tables)
-        drain = manager.drain_registry(registry, max_claims=2)
-        assert drain.claims == 2
-        assert len(registry.due()) == 1
-
-    def test_fenced_completion_is_not_counted(self):
-        """A lease that expires mid-pass (what a second claimer process
-        does to a slow worker) fences the completion: the cohort is not
-        a refresh of this drain until it is claimed and completed again."""
-        db, manager, registry, tables = _fleet_world(workers_bases=1, per_base=3)
-        _dirty(registry, tables)
-        names = sorted(r.name for r in registry.due())
-        passes = []
-        original = manager.refresh_cohort
-
-        def slow_pass(claim, retry=None):
-            passes.append(claim)
-            if len(passes) == 1:
-                db.clock.advance(registry.lease + 1)
-                assert registry.expire_claims() == [claim]
-                assert sorted(r.name for r in registry.due()) == names
-            return original(claim, retry=retry)
-
-        manager.refresh_cohort = slow_pass
-        try:
-            drain = manager.drain_registry(registry)
-        finally:
-            manager.refresh_cohort = original
-        assert registry.stats["completes_fenced"] == 1
-        assert [claim.state for claim in passes] == ["expired", "completed"]
-        assert [sorted(claim.members) for claim in passes] == [names, names]
-        assert drain.claims == 2
-        assert drain.cohorts == 1
-        assert drain.refreshed == len(names)
-        assert drain.errors == {} and drain.worker_errors == {}
-        for name in names:
-            assert registry.record(name).refreshes == 1
-            handle = manager.snapshot(name)
-            assert handle.as_map() == _truth(tables[handle.info.base_table])
-        assert registry.due() == []

@@ -1,13 +1,13 @@
 """Cohort refresh: the fleet-scale byte-identity property.
 
 The registry clusters due snapshots into cohorts
-(:func:`~repro.core.cohort.cluster_due`) and a claimed cohort rides one
-shared-scan pass.  The invariant that makes claim-based scheduling safe:
-for ANY base-table history, every member of a claimed cohort receives a
+(:func:`~repro.core.cohort.cluster_due`) and a drained cohort rides one
+shared-scan pass.  The invariant that makes cohort scheduling safe:
+for ANY base-table history, every member of a drained cohort receives a
 stream **byte-identical** to a solo
 :class:`~repro.core.differential.DifferentialRefresher` run at the same
 ``SnapTime`` — across page summaries on/off and the columnar batch
-path.  Clustering and claiming decide only *which* members ride
+path.  Clustering and draining decide only *which* members ride
 *together*; never what any of them is sent.  (One configuration
 compares two arming rules rather than two schedules: a batch cohort
 pass *with* page caches arms the ``Deletion`` flag from what each
@@ -16,7 +16,7 @@ there the cohort stream is the solo one with superfluous messages left
 out, and the snapshots are equal.)
 
 Same twin-world shape as ``test_group_props``: replay one deterministic
-history twice, end world A with a registry claim + cohort pass and each
+history twice, end world A with ``next_cohort`` + a cohort pass and each
 world B_i with member i's solo refresh.
 """
 
@@ -108,8 +108,8 @@ class _FleetWorld:
             elif op == "refresh":
                 self.solo_refresh(index % fleet_size)
 
-    def cohort_refresh(self, claim, batch: bool):
-        members = [int(name) for name in claim.cohort.members]
+    def cohort_refresh(self, cohort, batch: bool):
+        members = [int(name) for name in cohort.members]
         streams: "dict[int, list[object]]" = {i: [] for i in members}
         cursors = []
         for i in members:
@@ -133,14 +133,9 @@ class _FleetWorld:
         )
         assert not outcome.errors
         for i in members:
-            self.snap_times[i] = outcome.per_snapshot[str(i)].new_snap_time
-        self.registry.complete(
-            claim,
-            shipped={
-                name: result.entries_sent
-                for name, result in outcome.per_snapshot.items()
-            },
-        )
+            result = outcome.per_snapshot[str(i)]
+            self.snap_times[i] = result.new_snap_time
+            self.registry.mark_refreshed(str(i), shipped=result.entries_sent)
         return streams, outcome
 
     def truth(self, index: int) -> dict:
@@ -153,20 +148,20 @@ class _FleetWorld:
 
 
 def run_cohorts(script, summaries: bool, batch: bool, fleet_size: int):
-    # World A: history, then claim ONE cohort from the registry and ride
-    # it on one shared pass.  (Only the first claim is byte-compared:
+    # World A: history, then take ONE cohort from the registry and ride
+    # it on one shared pass.  (Only the first cohort is byte-compared:
     # its pass happens at the same clock position as world B's solo
-    # refresh; later claims advance the clock past the twin worlds.)
+    # refresh; later cohorts advance the clock past the twin worlds.)
     world = _FleetWorld(summaries, fleet_size)
     world.replay(script, fleet_size)
-    claim = world.registry.claim_cohort("prop-worker")
-    if claim is None:
+    cohort = world.registry.next_cohort()
+    if cohort is None:
         return
-    # Cohort invariants: one base table, members claimed exactly once.
-    assert claim.cohort.key.base_table == "t"
-    assert len(set(claim.cohort.members)) == len(claim.cohort.members)
+    # Cohort invariants: one base table, members taken exactly once.
+    assert cohort.key.base_table == "t"
+    assert len(set(cohort.members)) == len(cohort.members)
     held = [receiver.as_map() for receiver in world.receivers]
-    cohort_streams, _ = world.cohort_refresh(claim, batch)
+    cohort_streams, _ = world.cohort_refresh(cohort, batch)
 
     for i in sorted(cohort_streams):
         # World B_i: identical history, then member i refreshed solo by
@@ -190,12 +185,12 @@ def run_cohorts(script, summaries: bool, batch: bool, fleet_size: int):
         assert solo.receivers[i].as_map() == solo.truth(i)
         assert world.receivers[i].as_map() == solo.receivers[i].as_map()
 
-    # And the claim loop drains: every due member is eventually served.
+    # And the loop drains: every due member is eventually served.
     while True:
-        claim = world.registry.claim_cohort("prop-worker")
-        if claim is None:
+        cohort = world.registry.next_cohort()
+        if cohort is None:
             break
-        world.cohort_refresh(claim, batch)
+        world.cohort_refresh(cohort, batch)
     assert world.registry.due() == []
 
 
@@ -237,7 +232,7 @@ class TestCanonicalSignaturesCluster:
     @given(script=operations)
     def test_equivalent_predicates_share_a_cohort(self, script):
         """"v < 20" and "20 > v" canonicalize to one signature, so when
-        both are due at the same band the registry claims them as ONE
+        both are due at the same band the registry takes them as ONE
         cohort (one shared pass instead of two)."""
         world = _FleetWorld(False, 2)
         world.replay(script, 2)
@@ -248,6 +243,6 @@ class TestCanonicalSignaturesCluster:
         if due == {"0", "1"}:
             bands = {world.registry.record(n).band for n in due}
             if len(bands) == 1:
-                claim = world.registry.claim_cohort("prop-worker")
-                assert sorted(claim.cohort.members) == ["0", "1"]
-                world.cohort_refresh(claim, False)
+                cohort = world.registry.next_cohort()
+                assert sorted(cohort.members) == ["0", "1"]
+                world.cohort_refresh(cohort, False)
