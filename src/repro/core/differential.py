@@ -51,11 +51,16 @@ class ScanPlan:
 
     The scan runs ``chunk_pages`` heap pages per lock hold.  At each
     chunk boundary the driver calls ``release()``, then
-    ``on_chunk_boundary(next_chunk)`` — where writers commit: the scan
-    is the one thread of control and this is the point at which it
-    yields — then ``acquire()``.  The caller holds the lock when it
-    calls :func:`run_refresh_scan` and again when the call returns; a
-    caller that manages no lock (a test) leaves the two hooks unset.
+    ``on_chunk_boundary(chunks)`` — where writers commit: the scan is
+    the one thread of control and this is the point at which it yields
+    — then ``acquire()``; ``chunks`` counts the chunks scanned so far.
+    The caller holds the lock when it calls :func:`run_refresh_scan`
+    and again when the call returns, with every stream sealed.  It
+    then releases the lock and, before it commits the pass, opens one
+    more window (:meth:`after_seal`): the seal's cut is the new
+    ``SnapTime``, and a write there is the next refresh's
+    (``docs/invariants.md``, "Seal").  A caller that manages no lock (a
+    test) leaves the two hooks unset.
     """
 
     chunk_pages: int = 4
@@ -66,6 +71,13 @@ class ScanPlan:
     def __post_init__(self) -> None:
         if self.chunk_pages < 1:
             raise RefreshMethodError("chunk_pages must be at least 1")
+
+    def after_seal(self, chunks_scanned: int) -> None:
+        """The writer window between the seal and the commit, the lock
+        released: ``on_chunk_boundary(chunks_scanned)``, a value no
+        boundary passes (the last boundary passes one less)."""
+        if self.on_chunk_boundary is not None:
+            self.on_chunk_boundary(chunks_scanned)
 
 
 def run_refresh_scan(
@@ -120,8 +132,15 @@ def run_refresh_scan(
     the lock hold it is written under: after a window in which anything
     was written the pass takes a fresh ``FixupTime``, so a sibling
     refreshed inside the window still sees as new whatever the pass
-    stamps afterwards.  The new ``SnapTime`` is the last hold's time,
-    and the caller sends ``RefreshCommit`` under the hold it gets back.
+    stamps afterwards.  The new ``SnapTime`` is the last hold's time.
+
+    *Seal.*  The call returns under that last hold with every live
+    cursor's stream up to its ``EndOfScan``, its queued repairs and its
+    staged mark built: the stream is a cut of the table at the new
+    ``SnapTime``.  The caller may release the lock there and deliver
+    and commit outside it; a later write either lands beyond the mark
+    or moves the version of a page past its record, so the next pass
+    reads it.
     """
     heap = table.heap
     # The write watermark: one monotone sequence number per physical
@@ -264,7 +283,8 @@ class DifferentialRefresher:
         a caller that passes one commits or aborts it from the epoch
         outcome, the internal fallback is committed here, right after
         the synchronous scan.
-        ``plan`` makes the scan writer-concurrent (:class:`ScanPlan`).
+        ``plan`` makes the scan writer-concurrent (:class:`ScanPlan`),
+        its window after the seal included, before the records commit.
         The caller holds the table-level lock.
         """
         if self.use_page_summaries and cache is None or (
@@ -291,13 +311,15 @@ class DifferentialRefresher:
             suppress_pure_inserts=self.suppress_pure_inserts,
             value_cache=value_cache if self.delta_updates else None,
         )
-        run_refresh_scan(
+        sealed = run_refresh_scan(
             self.table,
             (cursor,),
             fixup=fixup,
             batch_mode=self.batch_mode,
             plan=plan,
         )
+        if plan is not None:
+            plan.after_seal(sealed.chunks_scanned)
         if cursor.error is not None:
             raise cursor.error
         cursor.commit_pages()  # the synchronous stream completed

@@ -140,7 +140,8 @@ class GroupRefresher:
         reported under ``errors`` (its epoch is the caller's to abort)
         and the pass keeps serving the rest.  ``plan`` makes the pass
         writer-concurrent (see
-        :class:`~repro.core.differential.ScanPlan`).  The caller is
+        :class:`~repro.core.differential.ScanPlan`; its window after the
+        seal runs before the page records commit).  The caller is
         responsible for holding the table-level lock.
         """
         outcome = GroupRefreshResult()
@@ -153,6 +154,8 @@ class GroupRefresher:
             batch_mode=self.batch_mode,
             plan=plan,
         )
+        if plan is not None:
+            plan.after_seal(outcome.pass_result.chunks_scanned)
         snap_times = [cursor.snap_time for cursor in cursors]
         outcome.snap_time_spread = max(snap_times) - min(snap_times)
         for index, cursor in enumerate(cursors):

@@ -480,7 +480,9 @@ class SnapshotManager:
                     )
                 else:
                     result = refresher.refresh(*args)
-                self._commit_epoch(epoch, result.new_snap_time)
+                self._commit_epoch(
+                    epoch, result.new_snap_time, self.db.wal.next_lsn
+                )
             except Exception:
                 self._abort_attempt(handle)
                 raise
@@ -498,12 +500,16 @@ class SnapshotManager:
         self,
         epoch: _Epoch,
         new_snap_time: int,
+        lsn: int,
         cursor: Optional[RefreshCursor] = None,
     ) -> None:
         """Send ``RefreshCommit`` and verify the receiver applied it.
 
         Raises on any doubt; the caller rolls back with
-        :meth:`_abort_attempt`.  ``cursor`` is the differential pass's,
+        :meth:`_abort_attempt`.  ``new_snap_time`` and ``lsn`` (the
+        log's next LSN) name the cut the stream was taken at: writes
+        committed since, a differential pass's after its seal included,
+        are the next refresh's.  ``cursor`` is the differential pass's,
         whose staged page records commit with the epoch.
         """
         handle = epoch.handle
@@ -524,7 +530,7 @@ class SnapshotManager:
             cursor.commit_pages()
         if sanitize.enabled():
             self._check_mirrors(handle)
-        info.last_refresh_lsn = self.db.wal.next_lsn
+        info.last_refresh_lsn = lsn
         info.snap_time = new_snap_time
         info.refresh_count += 1
 
@@ -550,10 +556,12 @@ class SnapshotManager:
 
     @staticmethod
     def _check_mirrors(handle: Snapshot) -> None:
-        """Sanitizer: the sender's two mirrors describe the receiver."""
+        """Sanitizer: the sender's two mirrors describe the receiver, and
+        no page written since the mirror's mark passes for settled."""
         sanitize.check_value_cache(handle.value_cache, handle.table)
         if handle.page_mirror is not None:
             sanitize.check_address_mirror(handle.page_mirror, handle.table)
+            sanitize.check_sealed_mark(handle.page_mirror)
 
     # -- the differential pass -------------------------------------------------
 
@@ -567,17 +575,23 @@ class SnapshotManager:
 
         Every differential refresh is this routine: take the table lock,
         open one epoch per snapshot, build one cursor per epoch, run the
-        scan driver, then commit and verify each epoch under the same
-        hold.  Each snapshot keeps its own epoch, so a channel failure
-        anywhere between its RefreshBegin and its verified commit aborts
-        only that snapshot — the pass completes for the others and the
-        failure is returned in the error map.  ``chunk_pages`` makes the
-        pass writer-concurrent: the lock is released between chunks and
-        taken back before the commits.
+        scan driver, release the lock at the seal, then commit and
+        verify each epoch.  Each snapshot keeps its own epoch, so a
+        channel failure anywhere between its RefreshBegin and its
+        verified commit aborts only that snapshot — the pass completes
+        for the others and the failure is returned in the error map.
+        ``chunk_pages`` makes the pass writer-concurrent: the lock is
+        released between chunks, and ``on_chunk_boundary`` runs once
+        more after the seal (:meth:`ScanPlan.after_seal`).
 
         The lock comes first in every mode, so a conflicting writer
         costs nothing on the channel: no Begin to roll back, no write
-        observer to unhook.
+        observer to unhook.  It covers the scan, not the link: once the
+        scan returns, every live stream up to its ``EndOfScan``, its
+        queued repairs and its staged mark are sealed at the new
+        ``SnapTime`` (``docs/invariants.md``, "Seal"), so delivery of
+        the last frames, ``RefreshCommit``, the receiver's commit and
+        the mirrors' commit run with writers let in.
         """
         base_table = handles[0].info.base_table
         if len(handles) == 1:
@@ -634,26 +648,30 @@ class SnapshotManager:
                             value_cache=handle.value_mirror,
                         )
                     )
-                if cursors:
-                    run_refresh_scan(
-                        self.db.table(base_table),
-                        cursors,
-                        batch_mode=self.batch_mode,
-                        plan=plan,
-                    )
+                if not cursors:
+                    return results, errors
+                sealed = run_refresh_scan(
+                    self.db.table(base_table),
+                    cursors,
+                    batch_mode=self.batch_mode,
+                    plan=plan,
+                )
+                # The seal: each epoch's contents are its (repaired)
+                # stream, a cut at its new SnapTime and at this LSN.
+                lsn = self.db.wal.next_lsn
+                release()
+                if plan is not None:
+                    plan.after_seal(sealed.chunks_scanned)
             except Exception:
                 for handle in handles:
                     self._abort_attempt(handle)
                 raise
-            # The scan returns with the lock held: each commit goes out
-            # before any further write can land, so an epoch's contents
-            # are exactly its (repaired) stream.
             for epoch, cursor in zip(epochs, cursors):
                 error = cursor.error
                 if error is None:
                     try:
                         self._commit_epoch(
-                            epoch, cursor.result.new_snap_time, cursor
+                            epoch, cursor.result.new_snap_time, lsn, cursor
                         )
                     except ChannelError as commit_error:
                         error = commit_error
@@ -690,13 +708,18 @@ class SnapshotManager:
 
         The scan runs in watermark-bracketed chunks of ``chunk_pages``
         heap pages; between chunks the base-table X lock is released and
-        ``on_chunk_boundary(next_chunk)`` runs — the deterministic
-        simulation's stand-in for concurrent writer commits.  Writes
-        landing in those windows are detected by the heap's write
-        watermark and merged into the differential stream before the
-        epoch commits, so the committed snapshot equals what a quiescent
-        refresh of the final base table would have produced (see
-        :func:`~repro.core.differential.run_refresh_scan`).
+        ``on_chunk_boundary(chunks)`` runs — the deterministic
+        simulation's stand-in for concurrent writer commits — with
+        ``chunks`` the chunks scanned so far.  Writes landing in those
+        windows are detected by the heap's write watermark and merged
+        into the stream (see
+        :func:`~repro.core.differential.run_refresh_scan`).  The lock is
+        released for good at the seal, when the last chunk's stream is
+        built, and ``on_chunk_boundary(result.chunks_scanned)`` runs once
+        more there, before the epoch commits.  So once this returns the
+        snapshot equals the base table as of the seal, its new
+        ``SnapTime``; a write in that last window reaches it on the next
+        refresh.
         """
         handle = self.snapshot(name)
         if not isinstance(handle.refresher, DifferentialRefresher):

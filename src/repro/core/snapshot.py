@@ -161,8 +161,18 @@ class SnapshotTable:
         not): a miss means the two sides' caches diverged, and applying
         the delta would fabricate NULLs for the unsent columns.
         """
+        self._put(base_addr, self._index.get(base_addr.key()), values, positions)
+
+    def _put(
+        self,
+        base_addr: Rid,
+        heap_rid: Optional[Rid],
+        values: Tuple,
+        positions: "Optional[list[int]]" = None,
+    ) -> None:
+        """:meth:`_upsert`, the entry's heap RID (``None``: no entry)
+        already looked up."""
         key = base_addr.key()
-        heap_rid = self._index.get(key)
         if positions is not None:
             if heap_rid is None:
                 raise SnapshotError(
@@ -197,6 +207,18 @@ class SnapshotTable:
         self._doomed.update(
             self._index.delete_range(lo.key(), hi_key, closed, closed)
         )
+
+    def _doom_before(self, prev_qual: Rid, addr: Rid) -> Optional[Rid]:
+        """Doom the entries strictly between ``prev_qual`` and ``addr``
+        (:meth:`_doom`); return ``addr``'s heap RID, if it has an entry:
+        one index descent for both when nothing lies between."""
+        heap_rid: Optional[Rid]
+        removed, heap_rid = self._index.delete_between(
+            prev_qual.key(), addr.key()
+        )
+        if removed:
+            self._doomed.update(removed)
+        return heap_rid
 
     def _flush_doomed(self) -> None:
         """Delete from storage every doomed entry no upsert revived."""
@@ -331,12 +353,14 @@ class SnapshotTable:
             self._flush_doomed()
 
     def _on_entry(self, message: "msg.EntryMessage") -> None:
-        self._doom(message.prev_qual, message.addr)
-        self._upsert(message.addr, message.values)
+        addr = message.addr
+        heap_rid = self._doom_before(message.prev_qual, addr)
+        self._put(addr, heap_rid, message.values)
 
     def _on_delta(self, message: "msg.UpdateDeltaMessage") -> None:
-        self._doom(message.prev_qual, message.addr)
-        self._upsert(message.addr, message.values, message.positions())
+        addr = message.addr
+        heap_rid = self._doom_before(message.prev_qual, addr)
+        self._put(addr, heap_rid, message.values, message.positions())
 
     def _on_end_of_scan(self, message: "msg.EndOfScanMessage") -> None:
         self._doom(message.last_qual, None)

@@ -25,6 +25,10 @@ paper's algorithm depends on:
 - **log completeness** — every page a run crosses unread, because the
   page write log names no write to it since the cursors' marks, is one
   the per-page test would have skipped;
+- **seal** — after a page cache commits, no page the write log names
+  after its mark keeps a record at the page's current version: a
+  write that landed between the seal and the commit left the next
+  pass a page to read;
 - **epoch isolation** — between ``RefreshBegin`` and the matching
   commit, nothing staged may reach the visible snapshot contents;
 - **value-cache mirroring** — after a committed refresh, and after an
@@ -330,6 +334,36 @@ def check_crossed_run(
                 )
         if expect is not None and info is not None and info.last_live is not None:
             expect = info.last_live
+
+
+def check_sealed_mark(cache: Any) -> None:
+    """Every page the write log names after ``cache.mark`` has moved
+    past its record in ``cache`` ("seal").
+
+    A differential pass releases the table lock at its seal, before the
+    epoch commits its records with that mark; a write in between must
+    bump the page's version, or :meth:`~repro.core.scanpass._ScanPass._settled`
+    could take the record for current.  Holdings-only records (no
+    version) and an unknown mark say nothing.
+    """
+    mark = cache.mark
+    if mark is None:
+        return
+    log = mark.log
+    for page_no in log.changed_since(mark.position) or ():
+        info = cache.get(page_no)
+        summary = log.get(page_no)
+        if (
+            info is not None
+            and summary is not None
+            and info.page_version == summary.page_version
+        ):
+            raise SanitizerError(
+                f"page {page_no} was written after the sealed mark (log "
+                f"position {mark.position}) but its committed record is at "
+                f"its current version {summary.page_version}; a write after "
+                f"the seal skipped the version bump"
+            )
 
 
 def check_whole_page_read(

@@ -16,7 +16,7 @@ over unique addresses requires.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.errors import StorageError
 
@@ -354,6 +354,29 @@ class BPlusTree:
             self._remove(keys[start], stop - start)
             if ends_here:
                 return removed
+
+    def delete_between(
+        self, lo: Any, hi: Any
+    ) -> "tuple[Sequence[tuple[Any, Any]], Any]":
+        """Delete the keys ``lo < key < hi``; return the removed pairs
+        and ``hi``'s value (``None`` when absent).
+
+        What ``delete_range(lo, hi, False, False)`` and ``get(hi)``
+        return, in one descent when the interval is empty — as it is
+        for nearly every message the snapshot receiver applies: the
+        first key after ``lo`` is ``hi`` or lies beyond it.
+        """
+        if lo < hi:
+            leaf: "Optional[_Leaf]" = self._find_leaf(lo)
+            index = bisect_right(leaf.keys, lo)
+            if index == len(leaf.keys):  # the first key past lo is next door
+                leaf, index = leaf.next, 0
+            if leaf is None:
+                return (), None
+            key = leaf.keys[index]
+            if key >= hi:
+                return (), leaf.values[index] if key == hi else None
+        return self.delete_range(lo, hi, False, False), self.get(hi)
 
     def check_invariants(self) -> None:
         """Assert structural invariants (tests call this after mutations)."""

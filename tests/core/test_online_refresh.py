@@ -1,10 +1,13 @@
 """Writer-concurrent (chunked watermark) refresh through the manager.
 
 The contract under test: ``refresh_online`` commits receiver state
-identical to what a quiescent ``refresh`` of the *final* base table
-would produce, no matter what committed writes interleave at chunk
-boundaries — and with no interleaving, the emitted stream is
-byte-for-byte the monolithic scan's.
+identical to what a quiescent ``refresh`` of the base table *as of the
+seal* — the end of the last chunk, the pass's new ``SnapTime`` — would
+produce, no matter what committed writes interleave at chunk
+boundaries; a write in the window after the seal reaches the snapshot
+on the next refresh, and the one after that has nothing to do.  With
+no interleaving, the emitted stream is byte-for-byte the monolithic
+scan's.
 """
 
 import pytest
@@ -14,6 +17,7 @@ from repro.core.manager import SnapshotManager
 from repro.core.messages import (
     DeleteMessage,
     EndOfScanMessage,
+    RefreshCommitMessage,
     SnapTimeMessage,
     UpsertMessage,
 )
@@ -47,6 +51,27 @@ def contents(snap):
         addr: tuple(values)[:2]
         for addr, values in snap.table.as_map().items()
     }
+
+
+def sealing(table, writer):
+    """``writer`` as a boundary hook that first records ``truth(table)``:
+    the last record is the base as of the seal, the pass's cut."""
+    seals = []
+
+    def hook(chunk):
+        seals.append(truth(table))
+        writer(chunk)
+
+    return hook, seals
+
+
+def assert_cut_at_seal(manager, snap, table, seals, name="low"):
+    """The snapshot is the base as of the seal; one refresh later it is
+    the base now, and a further refresh has nothing to do."""
+    assert contents(snap) == seals[-1]
+    manager.refresh(name)
+    assert contents(snap) == truth(table)
+    assert_settled(manager, name)
 
 
 class TestQuiescent:
@@ -96,12 +121,14 @@ class TestRacingWriter:
             table.update(rids[0], {"salary": (counter[0] * 7) % 20})
             table.delete(rids[len(rids) // 2])
 
+        hook, seals = sealing(table, writer)
         result = manager.refresh_online(
-            "low", chunk_pages=1, on_chunk_boundary=writer
+            "low", chunk_pages=1, on_chunk_boundary=hook
         )
         assert counter[0] > 0  # the writer actually ran
         assert result.interleaved_writes > 0
-        assert contents(snap) == truth(table)
+        assert seals[-1] != truth(table)  # it wrote after the seal too
+        assert_cut_at_seal(manager, snap, table, seals)
 
     def test_lock_released_at_boundaries(self):
         db, table, manager, snap = build()
@@ -206,13 +233,18 @@ class TestRacingWriter:
 
     def test_followup_refresh_heals_interleaved_annotations(self):
         """Interleaved inserts are chained and stamped by the pass that
-        publishes them; the next pass finds nothing left to heal."""
+        publishes them; the next pass heals only the insert made after
+        the seal, and the one after that finds nothing left."""
         db, table, manager, snap = build()
 
         def writer(chunk):
             table.insert([f"late{chunk}", 4])
 
-        manager.refresh_online("low", chunk_pages=1, on_chunk_boundary=writer)
+        hook, seals = sealing(table, writer)
+        manager.refresh_online("low", chunk_pages=1, on_chunk_boundary=hook)
+        assert contents(snap) == seals[-1]
+        healed = manager.refresh("low")
+        assert healed.entries_sent == 1  # the insert after the seal
         assert contents(snap) == truth(table)
         sanitize.check_annotation_chain(table)  # no NULL, no torn chain
         table.update(list(table.heap.scan_rids())[1], {"salary": 2})
@@ -227,8 +259,9 @@ class TestRacingWriter:
             for i in range(40):  # enough to append fresh pages
                 table.insert([f"grow{chunk}-{i}", 1])
 
-        manager.refresh_online("low", chunk_pages=1, on_chunk_boundary=writer)
-        assert contents(snap) == truth(table)
+        hook, seals = sealing(table, writer)
+        manager.refresh_online("low", chunk_pages=1, on_chunk_boundary=hook)
+        assert_cut_at_seal(manager, snap, table, seals)
 
 
 def configs():
@@ -402,6 +435,7 @@ class TestRepairPerHold:
 
     @pytest.mark.parametrize("config", configs())
     def test_each_window_is_repaired_by_the_next_hold(self, config):
+        """The window after the seal writes too: the next refresh's."""
         db, table, manager, snap = build(**config)
         rids = list(table.heap.scan_rids())
         first_on = {}
@@ -426,17 +460,20 @@ class TestRepairPerHold:
             table.update(rid, {"salary": chunk % 10})
             written.append((page_no, chunk, rid))
 
+        hook, seals = sealing(table, writer)
         result = manager.refresh_online(
-            "low", chunk_pages=1, on_chunk_boundary=writer
+            "low", chunk_pages=1, on_chunk_boundary=hook
         )
-        pairs = {(page_no, window) for page_no, window, _ in written}
-        assert len(pairs) == len(written) > 4
+        # The last call is the window after the seal: its write is not
+        # this pass's to repair.
+        assert written[-1][1] == result.chunks_scanned
+        pairs = {(page_no, window) for page_no, window, _ in written[:-1]}
+        assert len(pairs) == len(written) - 1 > 4
         assert result.pages_repaired == len(pairs)
         assert len({page_no for page_no, _ in pairs}) < len(pairs)
-        # The last window's repair ran under the hold the pass ends in.
-        assert table.annotations(written[-1][2])[1] == result.new_snap_time
-        assert contents(snap) == truth(table)
-        assert_settled(manager)
+        # The last boundary's repair ran under the hold the pass ends in.
+        assert stamps[-1] == result.new_snap_time
+        assert_cut_at_seal(manager, snap, table, seals)
 
     def test_a_successor_recorded_as_chained_is_not_read(self, monkeypatch):
         """Closing the repair of a page that took a plain update reads
@@ -661,6 +698,161 @@ class TestRepairClosure:
         capture(snap)  # the link is back
         assert manager.refresh("low").fixup_writes == 0
         assert contents(snap) == truth(table)
+
+
+def after_the_seal(table, write):
+    """A boundary hook for ``chunk_pages=1`` that runs ``write`` only in
+    the window after the seal: the call that passes ``chunks_scanned``,
+    one past the last boundary, here the heap's page count."""
+    calls = []
+
+    def hook(chunk):
+        calls.append(chunk)
+        if chunk == table.heap.page_count:
+            write()
+
+    return hook, calls
+
+
+class TestSeal:
+    """The lock covers the scan, not the link: it is released once every
+    stream is sealed, and delivery and the commits run outside it.  A
+    write in the window after the seal is the next refresh's."""
+
+    def test_the_last_call_is_the_window_after_the_seal(self):
+        db, table, manager, snap = build(n_rows=600)
+        calls = []
+        holders = []
+
+        def hook(chunk):
+            calls.append(chunk)
+            holders.append(db.locks.holders(("table", "emp")))
+
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=hook
+        )
+        assert calls == list(range(1, result.chunks_scanned + 1))
+        assert not any(holders)
+
+    @pytest.mark.parametrize("mode", ["solo", "group", "online"])
+    def test_the_commit_runs_with_the_lock_released(self, mode):
+        db, table, manager, snap = build(n_rows=600)
+        manager.create_snapshot(
+            "high", "emp", where="salary >= 10", method="differential"
+        )
+        table.update(list(table.heap.scan_rids())[3], {"salary": 1})
+        at_commit = []
+        receive = snap.table.receiver()
+
+        def deliver(message):
+            if isinstance(message, RefreshCommitMessage):
+                at_commit.append(db.locks.holders(("table", "emp")))
+            receive(message)
+
+        snap.channel.detach()
+        snap.channel.attach(deliver)
+        if mode == "solo":
+            manager.refresh("low")
+        elif mode == "group":
+            assert not manager.refresh_many(["low", "high"]).errors
+        else:
+            manager.refresh_online("low", chunk_pages=1)
+        assert at_commit == [{}]
+        assert contents(snap) == truth(table)
+
+    def test_an_insert_that_extends_the_heap(self):
+        db, table, manager, snap = build(n_rows=300)
+        pages = table.heap.page_count
+        grown = []
+
+        def write():
+            for i in range(60):
+                grown.append(table.insert([f"grow{i}", 1]))
+
+        hook, calls = after_the_seal(table, write)
+        sealed = truth(table)
+        result = manager.refresh_online(
+            "low", chunk_pages=1, on_chunk_boundary=hook
+        )
+        assert calls[-1] == result.chunks_scanned == pages
+        assert table.heap.page_count > pages
+        assert contents(snap) == sealed
+        assert not set(grown) & set(contents(snap))
+        assert manager.refresh("low").entries_sent == len(grown)
+        assert contents(snap) == truth(table)
+        assert_settled(manager)
+
+    def test_a_delete_of_a_row_the_stream_just_sent(self):
+        db, table, manager, snap = build(n_rows=600)
+        victim = list(table.heap.scan_rids())[25]
+        table.update(victim, {"salary": 2})
+        name = table.read(victim)[0]
+        hook, _ = after_the_seal(table, lambda: table.delete(victim))
+        sent = capture(snap)
+        manager.refresh_online("low", chunk_pages=1, on_chunk_boundary=hook)
+        assert victim in {getattr(m, "addr", None) for m in sent}
+        assert contents(snap)[victim] == (name, 2)
+        assert not table.exists(victim)
+        result = manager.refresh("low")
+        assert result.deletions_detected == 1
+        assert victim not in contents(snap)
+        assert contents(snap) == truth(table)
+        assert_settled(manager)
+
+    def test_an_update_that_flips_qualification(self):
+        db, table, manager, snap = build(n_rows=600)
+        held = contents(snap)
+        rids = list(table.heap.scan_rids())
+        leaving = next(rid for rid in rids if rid in held)
+        joining = next(rid for rid in rids if rid not in held)
+
+        def write():
+            table.update(leaving, {"salary": 13})
+            table.update(joining, {"salary": 5})
+
+        hook, _ = after_the_seal(table, write)
+        manager.refresh_online("low", chunk_pages=1, on_chunk_boundary=hook)
+        assert leaving in contents(snap) and joining not in contents(snap)
+        manager.refresh("low")
+        assert leaving not in contents(snap) and joining in contents(snap)
+        assert contents(snap) == truth(table)
+        assert_settled(manager)
+
+    def test_a_link_failing_at_refresh_commit_after_a_post_seal_write(self):
+        db, table, manager, snap = build(n_rows=600)
+        rids = list(table.heap.scan_rids())
+        table.update(rids[40], {"salary": 1})
+        before = contents(snap)
+        cache = dict(snap.page_cache)
+        mark = snap.page_cache.mark
+        snap_time = snap.snap_time
+        hook, _ = after_the_seal(table, lambda: table.update(rids[3], {"salary": 14}))
+        capture(snap, lose=RefreshCommitMessage)
+        with pytest.raises(ChannelError):
+            manager.refresh_online(
+                "low", chunk_pages=1, on_chunk_boundary=hook
+            )
+        # The epoch aborted: neither its mirror nor its mark committed.
+        assert contents(snap) == before
+        assert snap.page_cache.mark == mark and dict(snap.page_cache) == cache
+        assert snap.snap_time == snap_time
+        capture(snap)  # the link is back
+        manager.refresh("low")
+        assert contents(snap) == truth(table)
+        assert_settled(manager)
+
+    def test_a_write_after_the_seal_is_at_or_past_the_refresh_lsn(self):
+        db, table, manager, snap = build(n_rows=600)
+        lsns = []
+
+        def write():
+            lsns.append(db.wal.next_lsn)
+            table.update(list(table.heap.scan_rids())[3], {"salary": 7})
+
+        hook, _ = after_the_seal(table, write)
+        manager.refresh_online("low", chunk_pages=1, on_chunk_boundary=hook)
+        assert lsns and lsns[0] >= snap.info.last_refresh_lsn
+        assert db.wal.next_lsn > snap.info.last_refresh_lsn
 
 
 class TestValidation:

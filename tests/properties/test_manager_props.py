@@ -5,11 +5,13 @@ script of writes (insert, update, delete, empty a page) is interleaved
 with every way the :class:`~repro.core.manager.SnapshotManager`
 publishes rows to a snapshot — ``refresh`` (some attempts killed at
 message *k* and retried), ``refresh_online`` with writes landing at
-chunk boundaries (repairs) and now and then another snapshot refreshed
-there, ``refresh_many`` (a failing member retried solo) and
+chunk boundaries (repairs) and in the window between its seal and its
+commit, and now and then another snapshot refreshed there,
+``refresh_many`` (a failing member retried solo) and
 ``resync_snapshot`` — over four snapshots of one multi-page
 table that differ in restriction, transport and options.  After every
-publish the snapshot equals restriction∘projection of the base table,
+publish the snapshot equals restriction∘projection of the base table
+(an online pass's: as of its seal, and one refresh later as of now),
 and once everything is quiet a further refresh sends no entries.
 
 Each script runs twice: as the manager runs it, where a snapshot's page
@@ -106,18 +108,22 @@ class _World:
             )
         self.check(name for name, *_ in SNAPSHOTS)
 
-    def check(self, names) -> None:
-        """Each named snapshot is restriction∘projection of the base."""
-        rows = list(self.table.scan(visible=True))
+    def check(self, names, rows=None) -> None:
+        """Each named snapshot is restriction∘projection of the base, or
+        of ``rows``, the base as it was."""
+        if rows is None:
+            rows = list(self.table.scan(visible=True))
         for name in names:
             qualifies = next(s[2] for s in SNAPSHOTS if s[0] == name)
             want = {rid: row.values for rid, row in rows if qualifies(row[0])}
             assert self.manager.snapshot(name).as_map() == want, name
 
-    def covered(self, result) -> None:
-        """Every page of the pass took exactly one outcome for the
-        snapshot: skipped, or read (whole, visited) once."""
-        pages = self.table.heap.page_count
+    def covered(self, result, pages=None) -> None:
+        """Every page of the pass — the heap's, or ``pages`` — took
+        exactly one outcome for the snapshot: skipped, or read (whole,
+        visited) once."""
+        if pages is None:
+            pages = self.table.heap.page_count
         assert result.pages_scanned + result.pages_skipped == pages
         self.results.append([getattr(result, f) for f in RefreshResult.__slots__])
 
@@ -156,8 +162,15 @@ class _World:
         elif op == "online":
             rng = random.Random(c)
             sibling = SNAPSHOTS[(a + 1 + b % 3) % len(SNAPSHOTS)][0]
+            # The base and its page count as each window opened: the
+            # last, as of the seal.
+            sealed = []
 
             def writer(chunk: int) -> None:
+                table = self.table
+                sealed.append(
+                    (list(table.scan(visible=True)), table.heap.page_count)
+                )
                 for _ in range(2):
                     self.write(
                         rng.choice(["insert", "update", "update", "delete"]),
@@ -169,14 +182,17 @@ class _World:
                     manager.refresh(sibling)
                     self.check([sibling])
 
-            self.covered(
-                manager.refresh_online(
-                    name, chunk_pages=1 + b % 2, on_chunk_boundary=writer
-                )
+            online = manager.refresh_online(
+                name, chunk_pages=1 + b % 2, on_chunk_boundary=writer
             )
+            rows, pages = sealed[-1]
+            self.covered(online, pages)
+            self.check([name], rows)
+            # The writes after the seal are the next refresh's.
+            self.covered(manager.refresh(name))
             self.check([name])
             # Repair closure and pass time: the table is chained, and
-            # what the pass published it does not publish again.
+            # what the passes published they do not publish again.
             sanitize.check_annotation_chain(self.table)
             again = manager.refresh(name)
             self.covered(again)

@@ -8,15 +8,18 @@ under a :class:`~repro.core.differential.ScanPlan`:
    for ANY base history, page summaries on or off, batch mode on or
    off, solo or group.
 2. **Racing-writer convergence** — with ANY committed writes applied at
-   ANY chunk boundaries, the committed receiver state equals the
-   restriction of the FINAL base table (what a quiescent refresh after
-   the last write would produce), across the same configurations.
-   *Nothing is sent twice*: a plain refresh right after the racing one
-   sends no entry and writes no annotation.  *The repair section is
-   minimal*: where the cursor mirrors the snapshot's addresses, every
-   message between ``EndOfScan`` and ``SnapTime`` is a point upsert or
-   delete of an address a writer wrote, in a window, on a page the scan
-   had already passed.
+   ANY chunk boundaries and in the window after the seal
+   (:meth:`~repro.core.differential.ScanPlan.after_seal`), the committed
+   receiver state equals the restriction of the base table AS OF THE
+   SEAL (what a quiescent refresh after the last boundary's writes
+   would produce), across the same configurations; one plain refresh
+   later it equals the restriction of the final base table.  *Nothing
+   is sent twice*: a plain refresh after that sends no entry and writes
+   no annotation.  *The repair section is minimal*: where the cursor
+   mirrors the snapshot's addresses, every message between
+   ``EndOfScan`` and ``SnapTime`` is a point upsert or delete of an
+   address a writer wrote, in a window, on a page the scan had already
+   passed.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -204,12 +207,15 @@ class TestRacingWriterConvergence:
                 world.apply_op(op)
             queue = list(interleaved)
             behind: set = set()  # written on a page the scan had passed
+            sealed: list = []  # the base as each window opened
 
             def writer(
-                chunk, world=world, queue=queue, behind=behind
+                chunk, world=world, queue=queue, behind=behind, sealed=sealed
             ) -> None:
-                # A committed writer burst at every chunk boundary.
-                front = chunk * chunk_pages
+                # A committed writer burst at every chunk boundary, and
+                # in the window after the seal (the scan's end).
+                sealed.append(world.truth())
+                front = min(chunk * chunk_pages, world.table.heap.page_count)
                 for op in queue[:3]:
                     if op[0] == "tail":
                         rid = world.write_tail(front - 1, op[2])
@@ -223,7 +229,7 @@ class TestRacingWriterConvergence:
                 True, boundary=writer, chunk_pages=chunk_pages
             )
             config = f"(summaries={summaries}, batch={batch})"
-            assert world.receiver.as_map() == world.truth(), (
+            assert world.receiver.as_map() == sealed[-1], (
                 f"diverged {config}"
             )
             # A pass that runs without summaries keeps no page records,
@@ -242,8 +248,13 @@ class TestRacingWriterConvergence:
                     for message in repairs
                 ), f"superfluous repair {config}: {repairs} vs {behind}"
 
-            # Nothing is sent twice: what the pass published it also
-            # chained and stamped, at a time no later than its SnapTime.
+            # The writes after the seal are the next refresh's.
+            world.refresh(False)
+            assert world.receiver.as_map() == world.truth(), (
+                f"missed a write after the seal {config}"
+            )
+            # Nothing is sent twice: what the passes published they also
+            # chained and stamped, at a time no later than their SnapTime.
             _, again = world.refresh(False)
             assert again.entries_sent == 0, f"sent twice {config}"
             assert again.fixup_writes == 0, f"left unstamped {config}"
@@ -298,36 +309,46 @@ class TestGroupChunked:
                 RefreshCursor(0, restriction, projection, deliver, name=str(i))
             )
         queue = list(interleaved)
+        sealed: list = []  # the base as each window opened
 
         def writer(chunk) -> None:
+            sealed.append(list(table.scan(visible=True)))
             for op in queue[:3]:
                 apply_op(op)
             del queue[:3]
+
+        def assert_published(rows) -> None:
+            for i, restriction in enumerate(restrictions):
+                want = {rid: row.values for rid, row in rows if restriction(row)}
+                assert receivers[i].as_map() == want, f"cursor {i} diverged"
+
+        def plain_pass(last):
+            """A pass without a plan from the SnapTimes ``last`` left."""
+            outcome = GroupRefresher(table).refresh_group(
+                [
+                    RefreshCursor(
+                        last.per_snapshot[str(i)].new_snap_time,
+                        restriction,
+                        projection,
+                        receivers[i].apply,
+                        name=str(i),
+                    )
+                    for i, restriction in enumerate(restrictions)
+                ]
+            )
+            assert not outcome.errors
+            return outcome
 
         outcome = GroupRefresher(table).refresh_group(
             cursors, plan=ScanPlan(1, writer)
         )
         assert not outcome.errors
-        for i, restriction in enumerate(restrictions):
-            want = {
-                rid: row.values
-                for rid, row in table.scan(visible=True)
-                if restriction(row)
-            }
-            assert receivers[i].as_map() == want, f"cursor {i} diverged"
+        # The pass's cut is the seal; the next pass publishes the rest.
+        assert_published(sealed[-1])
+        caught_up = plain_pass(outcome)
+        assert_published(list(table.scan(visible=True)))
 
         # Nothing is sent twice: a plain pass from the new SnapTimes.
-        again = GroupRefresher(table).refresh_group(
-            [
-                RefreshCursor(
-                    outcome.per_snapshot[str(i)].new_snap_time,
-                    restriction,
-                    projection,
-                    receivers[i].apply,
-                    name=str(i),
-                )
-                for i, restriction in enumerate(restrictions)
-            ]
-        )
+        again = plain_pass(caught_up)
         assert again.pass_result.fixup_writes == 0
         assert again.pass_result.entries_sent == 0

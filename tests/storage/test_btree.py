@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.storage.btree import BPlusTree
@@ -129,6 +131,84 @@ class TestRange:
             tree.insert(key, key)
         for probe in (1, 63, 64, 65, 500, 999):
             assert tree.floor_item(probe) == (probe - 1, probe - 1)
+
+
+def _twin(keys, order=4):
+    trees = []
+    for _ in range(2):
+        tree = BPlusTree(order=order)
+        for key in keys:
+            tree.insert(key, f"v{key}")
+        trees.append(tree)
+    return trees
+
+
+def _assert_between_equals_range_then_get(keys, lo, hi, order=4):
+    """``delete_between(lo, hi)`` == ``delete_range(lo, hi, False,
+    False)`` then ``get(hi)``: the same pairs, value and tree."""
+    fused, split = _twin(keys, order)
+    removed, value = fused.delete_between(lo, hi)
+    expected = split.delete_range(lo, hi, False, False)
+    assert list(removed) == expected
+    assert value == split.get(hi)
+    assert list(fused.items()) == list(split.items())
+    fused.check_invariants()
+
+
+class TestDeleteBetween:
+    """The receiver's one descent per message: cut ``(lo, hi)`` and read
+    ``hi`` -- the same as the two calls it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.sets(st.integers(0, 200), max_size=120),
+        lo=st.integers(-5, 205),
+        hi=st.integers(-5, 205),
+        order=st.sampled_from([4, 5, 8]),
+    )
+    def test_equals_delete_range_then_get(self, keys, lo, hi, order):
+        _assert_between_equals_range_then_get(sorted(keys), lo, hi, order)
+
+    def test_hi_at_or_below_lo_still_reads_hi(self):
+        keys = list(range(0, 100, 2))
+        for lo, hi in ((40, 40), (40, 10), (41, 10), (98, 0)):
+            _assert_between_equals_range_then_get(keys, lo, hi)
+        fused, _ = _twin(keys)
+        removed, value = fused.delete_between(40, 10)
+        assert (list(removed), value) == ([], "v10")
+
+    def test_absent_lo(self):
+        keys = list(range(0, 100, 2))
+        _assert_between_equals_range_then_get(keys, 11, 12)  # empty, hi held
+        _assert_between_equals_range_then_get(keys, 11, 13)  # empty, hi absent
+        _assert_between_equals_range_then_get(keys, 11, 17)  # cuts 12..16
+        _assert_between_equals_range_then_get(keys, -1, 0)
+        _assert_between_equals_range_then_get(keys, 99, 200)  # past the end
+
+    def test_successor_in_the_next_leaf(self):
+        keys = list(range(0, 100, 2))
+        fused, _ = _twin(keys)
+        leaf = fused._find_leaf(0)
+        last, first_next = leaf.keys[-1], leaf.next.keys[0]
+        removed, value = fused.delete_between(last, first_next)
+        assert (list(removed), value) == ([], f"v{first_next}")
+        _assert_between_equals_range_then_get(keys, last, first_next)
+        _assert_between_equals_range_then_get(keys, last, first_next + 1)
+        _assert_between_equals_range_then_get(keys, last + 1, first_next)
+
+    def test_cut_across_leaves(self):
+        keys = list(range(0, 100, 2))
+        fused, _ = _twin(keys)
+        assert fused._find_leaf(10) is not fused._find_leaf(60)
+        removed, value = fused.delete_between(10, 60)
+        assert [key for key, _ in removed] == list(range(12, 60, 2))
+        assert value == "v60"
+        _assert_between_equals_range_then_get(keys, 10, 60)
+        _assert_between_equals_range_then_get(keys, 9, 61)
+
+    def test_empty_tree(self):
+        removed, value = BPlusTree(order=4).delete_between(1, 5)
+        assert (list(removed), value) == ([], None)
 
 
 class TestTupleKeys:

@@ -522,3 +522,56 @@ class TestOnlineRepair:
         with pytest.raises(SanitizerError, match=torn):
             manager.refresh_online("s", chunk_pages=1, on_chunk_boundary=writer)
         assert windows == [1, 2, 3] < list(range(1, table.heap.page_count))
+
+
+class TestSeal:
+    """A write between the seal and the commit must unsettle its page:
+    the mirror's records and mark commit after the lock is released."""
+
+    def _world(self):
+        db = Database(page_size=512)
+        table = db.create_table(
+            "items", [("id", "int"), ("v", "int")], annotations="lazy"
+        )
+        rids = [table.insert([i, i % 7]) for i in range(60)]
+        assert table.heap.page_count >= 4
+        manager = SnapshotManager(db)
+        manager.create_snapshot("s", "items", where="v < 5")
+        return table, rids, manager
+
+    def test_a_post_seal_write_passes(self):
+        table, rids, manager = self._world()
+
+        def writer(chunk):
+            if chunk == table.heap.page_count:  # the window after the seal
+                table.update(rids[3], {"v": 6})
+
+        manager.refresh_online("s", chunk_pages=1, on_chunk_boundary=writer)
+        assert rids[3] in manager.snapshot("s").as_map()  # the cut: v = 3
+        manager.refresh("s")
+        assert rids[3] not in manager.snapshot("s").as_map()
+        assert manager.refresh("s").entries_sent == 0
+
+    def test_a_post_seal_write_that_skips_the_version_bump_is_caught(
+        self, monkeypatch
+    ):
+        table, rids, manager = self._world()
+        summaries = table.heap.summaries
+        bump = summaries._written
+
+        def unbumped(page_no):  # logged, but the version stands still
+            summary = bump(page_no)
+            summary.page_version -= 1
+            return summary
+
+        def writer(chunk):
+            if chunk == table.heap.page_count:  # the window after the seal
+                with monkeypatch.context() as patch:
+                    patch.setattr(summaries, "_written", unbumped)
+                    table.update(rids[3], {"v": 6})
+
+        page_no = rids[3].page_no
+        with pytest.raises(
+            SanitizerError, match=f"page {page_no} was written after the sealed"
+        ):
+            manager.refresh_online("s", chunk_pages=1, on_chunk_boundary=writer)
