@@ -26,8 +26,13 @@ actually *faster*:
   (first-fit, so into the holes) and updates their neighbours —
   because since PR 17 a page that took nothing but in-place updates
   never reaches the fix-up walk: it is a changed-slot visit (A21
-  times those).  The cell asserts that most pages it timed did take
-  the batch fix-up.  With summaries on the batch refresher's page
+  times those), and neither does a page whose only structural
+  changes are deletes and inserts its summary names.  So
+  each round also undoes a delete (a transaction deletes the updated
+  neighbour and aborts): the undo puts the record back in its slot,
+  which the page summary cannot name, and the page is read whole.
+  The cell asserts that most pages it timed did take the batch
+  fix-up.  With summaries on the batch refresher's page
   cache is also its mirror of the snapshot's addresses, so the two
   streams are no longer equal: the batch world's is, round for round,
   the per-row world's with Figure 9's superfluous entries left out
@@ -337,7 +342,9 @@ class _WrittenWorld:
         for _ in range(max(1, int(len(rids) * SCAN_FRACTION / 3))):
             # A delete, an insert (first-fit: into the hole just made)
             # and an update of the neighbouring row, so the page that
-            # takes the update also carries a structural change.
+            # takes the update also carries a structural change; then
+            # an undone delete of that row, which the page's summary
+            # cannot name, so the page is read whole, not visited.
             at = rng.randrange(1, len(rids))
             self.table.delete(rids[at])
             i = self.next_id
@@ -346,6 +353,9 @@ class _WrittenWorld:
                 [i, f"name-{i:05d}", i * 100, i % 13, i % 97]
             )
             self.table.update(rids[at - 1], {"v": rng.randrange(1_000_000)})
+            txn = self.table.db.txns.begin()
+            self.table.delete(rids[at - 1], txn=txn)
+            txn.abort()
         self.refresh()
 
 

@@ -403,6 +403,7 @@ class RefreshCursor:
         changed: "Sequence[int]",
         live: "Optional[frozenset[int]]",
         row_at: "Callable[[int], Row]",
+        freed: "Collection[int]" = (),
     ) -> None:
         """Cross a page from ``info``, this cursor's committed entry.
 
@@ -413,9 +414,11 @@ class RefreshCursor:
         (effective timestamp newer than ``SnapTime``; every record of a
         visit's partial batch) and the restriction runs on those alone.
         ``live`` are the page's live slots when ``batch`` is the whole
-        page — a held slot it lacks was deleted — and ``None`` when every
-        slot the entry names is known to be there still.  What moved goes
-        to :meth:`_send_events`; a skip is the case where nothing did.
+        page — a held slot it lacks was deleted — and ``None`` when it
+        was not read whole: then a held slot is gone iff it is among
+        ``freed``, the slots the summary names as emptied since (and not
+        back in ``batch``).  What moved goes to :meth:`_send_events`; a
+        skip is the case where nothing did.
         Leaves the page's qualifying slots, as they stand, in
         :attr:`page_quals`.
         """
@@ -424,9 +427,11 @@ class RefreshCursor:
         quals = info.qual_slots
         send: "Collection[int]" = ()
         gone: "Collection[int]" = ()
-        if changed or not (live is None or live.issuperset(quals)):
+        if changed or freed or not (live is None or live.issuperset(quals)):
             held = set(quals)
             now = held if live is None else held & live
+            if freed:
+                now = now.difference(freed)
             if batch is not None and changed:
                 slots = batch.slots
                 self.result.entries_evaluated += len(changed)
@@ -697,7 +702,8 @@ class RefreshCursor:
         ``changed`` are the slots written since, emptied ones included.
         With ``info`` — see :meth:`page_info` — the page is crossed as
         :meth:`cross` crosses it: ``batch`` is the partial one of the
-        changed slots, the restriction runs on those records only, the
+        changed slots (and any successor Figure 7 read), the
+        restriction runs on the changed records only, the
         ones that qualify are upserted, ``held - now`` deleted, and a
         held unchanged qualifier costs nothing.  Without one (no page
         cache) the paper-rule oracle: ``batch`` is the whole page, the
@@ -711,7 +717,12 @@ class RefreshCursor:
         held: "Sequence[int]" = info.qual_slots if info is not None else ()
         kept = set(held).difference(changed)
         slots = batch.slots
-        publish = batch.qualifying(self.restriction)
+        # A partial batch may hold the successors Figure 7 read too.
+        among = None
+        if info is not None:
+            written = set(changed)
+            among = [index for index, slot_no in enumerate(slots) if slot_no in written]
+        publish = batch.qualifying(self.restriction, among)
         now = kept.union(slots[index] for index in publish)
         messages: "list[RefreshMessage]" = []
         if info is None:

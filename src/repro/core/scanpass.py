@@ -16,7 +16,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from enum import IntEnum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, List, Optional, Sequence, Tuple
 
 from repro import sanitize
 from repro.core.cursor import (
@@ -299,8 +299,8 @@ class _ScanPass:
 
         A cursor whose record the summary proves current
         (:meth:`_settled`) crosses the page unread unless it has work
-        there: changed slots, or a carried ``Deletion`` flag one of its
-        qualifiers must answer.  Anyone else has the page read whole,
+        there: changed or freed slots, or a carried ``Deletion`` flag one
+        of its qualifiers must answer.  Anyone else has the page read whole,
         and whoever has work rides that read.  Figure 7 (:meth:`_fix`)
         runs before any cursor is served (:meth:`_serve`), so a channel
         failure never leaves a page half repaired.
@@ -310,6 +310,7 @@ class _ScanPass:
         whole: "Optional[PageBatch]" = None
         fixed: "Optional[Fixed]" = None
         first_prev: object = None
+        freed: "Collection[int]" = ()
         if changed is not None:
             reading = {c: c.page_info(page_no) for c in cursors if not c.failed}
             if self.fixup:
@@ -334,7 +335,11 @@ class _ScanPass:
                 or not self._settled(cursor, entry, summary)
             ):
                 reading[cursor] = entry
-            elif summary.null_slots or (cursor.deletion and entry.qual_slots):
+            elif (
+                summary.null_slots
+                or summary.freed_slots
+                or (cursor.deletion and entry.qual_slots)
+            ):
                 visiting[cursor] = entry
             else:
                 skipping.append((cursor, entry))
@@ -350,11 +355,13 @@ class _ScanPass:
             else:
                 outcome = ROWS
                 first_prev = serve_rows(self, page_no, list(reading))
-        elif summary is not None and summary.null_slots:
+        elif summary is not None and (summary.null_slots or summary.freed_slots):
             reading.update(visiting)
-            last_live = next(iter(visiting.values())).last_live
+            freed = summary.freed_slots  # emptied by replacement, not in place
             delta, whole, fixed = self._fix(
-                page_no, sorted(summary.null_slots), last_live
+                page_no,
+                sorted(summary.null_slots.union(freed)),
+                summary.last_live_rid,
             )
             outcome = VISITED if whole is None else BATCH
         else:
@@ -368,7 +375,7 @@ class _ScanPass:
             outcome = VISITED
             reading.update(visiting)
         return self._serve(
-            page_no, outcome, reading, delta, whole, fixed, None, first_prev
+            page_no, outcome, reading, delta, whole, fixed, None, first_prev, freed
         )
 
     def _serve(
@@ -381,10 +388,12 @@ class _ScanPass:
         fixed: "Optional[Fixed]",
         changed: "Optional[Sequence[int]]",
         first_prev: object = None,
+        freed: "Collection[int]" = (),
     ) -> PageOutcome:
         """Serve each cursor in ``reading`` (with its record of the page,
         if any) what :meth:`page` read: :meth:`RefreshCursor.cross` if it
-        holds a record, else :meth:`RefreshCursor.paper_rule`, or
+        holds a record (``freed``: the slots a visit knows were emptied),
+        else :meth:`RefreshCursor.paper_rule`, or
         :meth:`RefreshCursor.repair_page`; then count, record, audit."""
         # Each entry's effective timestamp (TS_INFINITY where Figure 7
         # found a NULL stamp or a pure insert) and what it detected.
@@ -401,6 +410,9 @@ class _ScanPass:
             newest = max(eff_ts) if whole.has_nulls else whole.max_live_ts
         elif delta is not None:
             first_prev = delta.first_prev
+        # Entries with a timestamp to test; a plain visit read only
+        # entries that changed (all NULL-stamped).
+        timed = fixed is not None or whole is not None
         newer: "dict[int, Sequence[int]]" = {}  # per SnapTime riding
         forced: "dict[int, Row]" = {}
 
@@ -427,7 +439,8 @@ class _ScanPass:
                         batch = whole if entry is None else delta
                         if batch is not None:
                             cursor.repair_page(page_no, entry, changed, batch)
-                    elif whole is not None:
+                        continue
+                    if timed:
                         since = cursor.snap_time
                         if since not in newer:
                             newer[since] = (
@@ -435,22 +448,27 @@ class _ScanPass:
                                 if newest > since
                                 else ()
                             )
+                        indices = newer[since]
+                    else:
+                        indices = range(delta.count) if delta is not None else ()
+                    if whole is not None:
                         if entry is None:
                             cursor.paper_rule(
-                                whole, newer[since], pure_inserts, anomalies
+                                whole, indices, pure_inserts, anomalies
                             )
                         else:
                             cursor.cross(
                                 page_no,
                                 entry,
                                 whole,
-                                newer[since],
+                                indices,
                                 whole.live,
                                 whole.row_at,
                             )
                     elif entry is not None:
-                        indices = range(delta.count) if delta is not None else ()
-                        cursor.cross(page_no, entry, delta, indices, None, row_at)
+                        cursor.cross(
+                            page_no, entry, delta, indices, None, row_at, freed
+                        )
                 except ChannelError as error:
                     cursor.fail(error)
             # A partial batch is never cached: all its decodes are ours.
@@ -467,10 +485,10 @@ class _ScanPass:
         # Read after Figure 7, so a record describes the page as this
         # pass left it (staged: a failed cursor never commits).  A visit
         # for a Deletion flag alone read nothing: the record stands.
+        read = delta is not None or outcome is not VISITED
         summary = (
             self.summaries.get_or_create(page_no)
-            if self.summaries is not None
-            and (delta is not None or outcome is not VISITED)
+            if self.summaries is not None and read
             else None
         )
         for cursor in reading:
@@ -478,6 +496,10 @@ class _ScanPass:
             _tally(cursor.result, outcome)
             if summary is not None and cursor.cache is not None and not cursor.failed:
                 cursor.record_page(summary, first_prev, cursor.page_quals)
+        if read and self.heap.summaries is not None:
+            # Figure 7 has passed the page: the deletes it detects here
+            # are no longer the freed set's to name.
+            self.heap.summaries.chained(page_no, self.fixup_time)
         if self.audit:
             if outcome is BATCH and whole is not None:
                 sanitize.check_whole_page_read(self.table, whole, list(reading))
@@ -486,7 +508,12 @@ class _ScanPass:
                     self.table,
                     page_no,
                     delta,
-                    [c for c in reading if c.cache is not None and not c.failed],
+                    [
+                        (c, entry)
+                        for c, entry in reading.items()
+                        if c.cache is not None and not c.failed
+                    ],
+                    changed if changed is not None else freed,
                     "an online repair"
                     if changed is not None
                     else "a changed-slot visit",
@@ -500,24 +527,24 @@ class _ScanPass:
         """Whether ``cursor`` may cross the page from ``info``, its
         committed record of it, without the page read whole.
 
-        Nothing outside the summary's ``null_slots`` may have changed
-        after the cursor's ``SnapTime``.  With none named the record's
-        version must still be the page's; with some, it moved by
-        definition and the summary alone is the proof ("summary
-        completeness", ``docs/invariants.md``).  Work on the page —
-        changed slots, a ``Deletion`` flag carried in — takes a visit,
-        which the per-row oracle and a scan without fix-up never do.
-        And the boundary must be clean (:meth:`_clean`).
+        Nothing outside the summary's ``null_slots`` and ``freed_slots``
+        may have changed after the cursor's ``SnapTime``.  With none
+        named the record's version must still be the page's; with some,
+        it moved by definition and the summary alone is the proof
+        ("summary completeness", ``docs/invariants.md``).  Work on the
+        page — changed or freed slots, a ``Deletion`` flag carried in —
+        takes a visit, which the per-row oracle and a scan without
+        fix-up never do.  And the boundary must be clean (:meth:`_clean`).
         """
-        null_slots = summary.null_slots
+        named = bool(summary.null_slots or summary.freed_slots)
         return (
             info.page_version is not None  # holdings only: no layout
             and summary.settled(cursor.snap_time)
             and (
-                not (null_slots or cursor.deletion)
+                not (named or cursor.deletion)
                 or (self.batch_mode and self.fixup)
             )
-            and (bool(null_slots) or info.page_version == summary.page_version)
+            and (named or info.page_version == summary.page_version)
             and self._clean(info.first_prev)
         )
 
@@ -561,39 +588,62 @@ class _ScanPass:
         ``changed``, the page read whole if it had to be, and what
         :meth:`_fix_up` found there if it ran.
 
-        When the only slots that may have changed (``changed``; a pass
-        with fix-up) are each still there and a plain update —
-        ``PrevAddr`` set, ``TimeStamp`` NULL — at a clean boundary,
-        Figure 7 only stamps them and moves on to ``last_live``.
-        Anything else reads the page whole: with no NULL annotation, an
-        intact chain and a clean boundary it writes nothing (the
-        no-flags case), else :meth:`_fix_up` repairs what needs it.
-        Without fix-up a NULL stamp is an error.  Each read pins the page
-        once: the writes are decided on its batch, whole, before the
-        first byte is written, then made in the frame the read pinned.
+        ``changed`` (a pass with fix-up) are the only slots that may
+        have changed.  When each one still there was written since
+        Figure 7 last passed — its ``TimeStamp`` NULL — Figure 7 runs on
+        what they touched, and moves on to ``last_live``, the page's
+        last live address: plain updates are only stamped; where a slot
+        was emptied or newly inserted the partial batch also holds the
+        next live record after it, and :meth:`_fix_up` walks the records
+        read, each set out from its live predecessor — every record
+        between is unchanged, chained to the one before.  Unless the
+        page's first live record is among them the boundary must be
+        clean (:meth:`_clean`).  Anything else reads the page whole:
+        with no NULL annotation, an intact chain and a clean boundary it
+        writes nothing (the no-flags case), else :meth:`_fix_up`
+        repairs what needs it.  Without fix-up a NULL stamp is an error.
+        Each read pins the page once: the writes are decided on its
+        batch, whole, before the first byte is written, then made in the
+        frame the read pinned.
         """
+        fixed: "Optional[Fixed]" = None
         delta = None
         if changed is not None:
-            stamps: "Optional[Writes]" = None
+            visited = False
 
-            def plain_updates(delta: PageBatch) -> "Optional[Writes]":
-                nonlocal stamps
-                if (
-                    delta.count == len(changed)
-                    and PREV_NULL_PAGE not in delta.prev_pages
-                    and delta.ts.count(TS_NULL) == delta.count
-                    and self._clean(delta.first_prev)
-                ):
+            def visit(delta: PageBatch) -> "Optional[Writes]":
+                nonlocal visited, fixed
+                preds, count = delta.preds, delta.count
+                # The NULL stamps are exactly the named records still
+                # there: a successor read for Figure 7 has its stamp.
+                if preds is None:  # in-place updates only
+                    named = delta.ts.count(TS_NULL) == count
+                else:
+                    asked = set(changed)
+                    named = all(
+                        (slot_no in asked) == (stamp == TS_NULL)
+                        for slot_no, stamp in zip(delta.slots, delta.ts)
+                    )
+                head = preds is not None and count and preds[0] < 0
+                if not named or not (head or self._clean(delta.first_prev)):
+                    return None
+                visited = True
+                if preds is None:
                     ts = self._encode_ts(self.fixup_time)
-                    stamps = [(slot_no, None, ts) for slot_no in changed]
-                return stamps
+                    self.stats.fixup_writes += count
+                    return [(slot_no, None, ts) for slot_no in changed]
+                if not count:
+                    return None
+                writes, fixed = self._fix_up(delta)
+                return writes
 
-            delta = self._read(page_no, changed, plain_updates)
-            if stamps is not None:
-                self.stats.fixup_writes += len(stamps)
-                self._advance(last_live)
-                return delta, None, None
-        fixed: "Optional[Fixed]" = None
+            delta = self._read(page_no, changed, visit)
+            if visited:
+                # The records after the last one read are chained as they
+                # were: the walk ends at the page's last live address.
+                if fixed is None or delta.slots[-1] != last_live.slot_no:
+                    self._advance(last_live)
+                return delta, None, fixed
 
         def figure7(batch: PageBatch) -> "Optional[Writes]":
             nonlocal fixed
@@ -625,8 +675,12 @@ class _ScanPass:
         that need it, in slot order, with the effective-timestamp
         column (NULL stamp or pure insert ⇒ :data:`TS_INFINITY`), the
         pure-insert and anomaly slots, and the first entry's
-        ``PrevAddr`` as repaired; the page is known to hold at least
-        one entry (an empty page is write-free).
+        ``PrevAddr`` as repaired; the batch holds at least one entry (an
+        empty page is write-free).  Of a partial batch with ``preds``
+        the walk takes up each record from its live predecessor when the
+        record before it was not read (those between are unchanged and
+        chained), and the page's first ``PrevAddr`` as read when the
+        first live record was not.
         """
         stats = self.stats
         encode_prev = self._encode_prev
@@ -644,9 +698,24 @@ class _ScanPass:
         expect = self.expect_prev.key()
         last = self.last_addr.key()
         first_prev = self.last_addr
+        # Where a partial walk takes up again: index -> live predecessor.
+        resume: "dict[int, tuple[int, int]]" = {}
+        head = True  # the walk starts at the page's first live record
+        preds = batch.preds
+        if preds is not None:
+            resume = {
+                index: (page_no, pred)
+                for index, pred in enumerate(preds)
+                if pred >= 0 and not (index and pred == slots[index - 1])
+            }
+            if preds[0] >= 0:
+                head = False
+                first_prev = batch.first_prev
         for index in range(batch.count):
             prev = (prev_pages[index], prev_slots[index])
             here = (page_no, slots[index])
+            if index in resume:
+                last = expect = resume[index]
             if prev[0] == PREV_NULL_PAGE:
                 # Inserted since the last fix-up.
                 pure_inserts.append(here[1])
@@ -670,7 +739,7 @@ class _ScanPass:
                     new_prev = encode_prev(Rid(*last))
                 if new_prev is not None or ts is not None:
                     writes.append((here[1], new_prev, ts))
-                if not index and new_prev is None:
+                if not index and head and new_prev is None:
                     first_prev = Rid(*prev)
                 expect = here
             last = here

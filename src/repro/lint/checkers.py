@@ -99,6 +99,8 @@ SUMMARY_STATE_FIELDS = {
     "max_ts",
     "null_slots",
     "structural_changed_at",
+    "freed_slots",
+    "freed_since",
     "page_version",
     "first_live_slot",
     "last_live_slot",
@@ -108,6 +110,7 @@ SUMMARY_STATE_FIELDS = {
 SUMMARY_HOOKS = {
     "note_insert",
     "note_update",
+    "note_tails",
     "note_delete",
     "attach_summaries",
 }

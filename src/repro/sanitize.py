@@ -48,7 +48,7 @@ on hit/miss statistics behave identically with the sanitizer on.
 from __future__ import annotations
 
 import os
-from typing import Any, Iterator, Optional, Sequence, Tuple
+from typing import Any, Collection, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import SanitizerError
 from repro.relation.row import decode_fields
@@ -236,25 +236,32 @@ def check_changed_slot_visit(
     table: Any,
     page_no: int,
     delta: Any,
-    cursors: "Sequence[Any]",
+    crossed: "Sequence[Tuple[Any, Any]]",
+    named: "Collection[int]",
     what: str = "a changed-slot visit",
     fixup_ran: bool = True,
 ) -> None:
     """After a changed-slot visit: the page is as a full scan leaves it.
 
     The visit read and stamped only the slots the summary named and
-    trusted the rest to be as cached ("summary completeness").  The
-    whole page must show what the batch path establishes: no NULL
-    annotation, an intact chain, and the first ``PrevAddr`` and
-    qualifying slots each visiting cursor just recorded.  Nor may
-    ``delta``, the partial batch the visit read, sit in the pool's
-    batch cache, where a scan could take it for the page.
+    their successors, and trusted the rest to be as cached ("summary
+    completeness").  ``crossed`` pairs each visiting cursor with the
+    record it crossed the page from; ``named`` are the slots the visit
+    was told were emptied.  Every slot such a record holds or ends at
+    that is empty now must be among ``named`` — a delete that did not
+    name its slot was trusted away — and the page's freed set must be
+    empty again.  The whole page must show what the batch path
+    establishes: no NULL annotation, an intact chain, and the first
+    ``PrevAddr`` and qualifying slots each visiting cursor just
+    recorded.  Nor may ``delta``, the partial batch the visit read, sit
+    in the pool's batch cache, where a scan could take it for the page.
 
     The online repair (``what``) is held to the same: it trusted the
-    write observer's slots as the visit trusts the summary's, and what
-    each cursor re-recorded must be a full evaluation of the repaired
-    page.  Without fix-up (``fixup_ran`` False) the annotations are the
-    writers' to keep and only the records are checked.
+    write observer's slots (``named``) as the visit trusts the
+    summary's, and what each cursor re-recorded must be a full
+    evaluation of the repaired page.  Without fix-up (``fixup_ran``
+    False) the annotations are the writers' to keep and only the
+    records are checked.
     """
     from repro.storage.batch import extract_page_batch
 
@@ -267,11 +274,30 @@ def check_changed_slot_visit(
         finally:
             heap.pool.unpin(physical)
     where = f"table {table.name!r} page {page_no}: {what}"
+    live = batch.live
+    for _, info in crossed:
+        if info is None:
+            continue
+        ends = [info.last_live.slot_no] if info.last_live is not None else []
+        unnamed = sorted(
+            {*info.qual_slots, *ends}.difference(live).difference(named)
+        )
+        if unnamed:
+            raise SanitizerError(
+                f"{where} trusted slots {unnamed} of its record, which are "
+                f"empty now but were not named: a delete did not name its slot"
+            )
+    freed = heap.summaries.get(page_no).freed_slots
+    if freed:
+        raise SanitizerError(
+            f"{where} left freed slots {sorted(freed)} named after Figure 7 "
+            "passed the page"
+        )
     if fixup_ran and (batch.has_nulls or not batch.chain_ok):
         raise SanitizerError(
             f"{where} left NULL annotations or a broken PrevAddr chain"
         )
-    for cursor in cursors:
+    for cursor, _ in crossed:
         info = cursor.staged_pages[page_no]
         quals = [batch.slots[i] for i in batch.qualifying(cursor.restriction)]
         if info.first_prev != batch.first_prev or list(info.qual_slots) != quals:
@@ -296,10 +322,11 @@ def check_crossed_run(
     one by one ("log completeness").
 
     The cursor's committed record must exist at the page's current
-    version, the summary must name no changed slot and be settled for
-    the cursor's ``SnapTime``, and — with fix-up, ``expect`` being the
-    pass's ``ExpectPrev`` — each live page's first ``PrevAddr`` must
-    continue the chain from the last live page before it.  A write the
+    version, the summary must name no changed or freed slot and be
+    settled for the cursor's ``SnapTime``, and — with fix-up, ``expect``
+    being the pass's ``ExpectPrev`` — each live page's first
+    ``PrevAddr`` must continue the chain from the last live page before
+    it.  A write the
     page write log missed fails the first of these.
     """
     summaries = table.heap.summaries
@@ -316,8 +343,11 @@ def check_crossed_run(
                     f"record version {info.page_version}, page version "
                     f"{summary.page_version}"
                 )
-            elif summary.null_slots:
-                why = f"changed slots {sorted(summary.null_slots)}"
+            elif summary.null_slots or summary.freed_slots:
+                why = (
+                    f"changed slots {sorted(summary.null_slots)}, freed "
+                    f"slots {sorted(summary.freed_slots)}"
+                )
             elif not summary.settled(cursor.snap_time):
                 why = f"changed after SnapTime {cursor.snap_time}"
             elif (

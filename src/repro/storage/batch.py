@@ -61,10 +61,14 @@ below make the *derived* work reusable too:
 - :meth:`row` memoizes full-row materialization, so fan-out and repeat
   transmissions never decode an entry twice.
 
-A page that took nothing but in-place updates is not extracted whole:
-the scan asks for a *partial* batch of just the changed slots
+A page whose summary names every slot that changed is not extracted
+whole: the scan asks for a *partial* batch of just those slots
 (``only=``), which serves the same probes and rows for those records
-and is never cached.
+and is never cached.  Where one of them was emptied or newly inserted,
+the partial batch also holds the next live record after it — the one
+whose ``PrevAddr`` Figure 7 may have to repoint — and gives every
+record its live predecessor on the page (``preds``), so the fix-up can
+walk just these records.
 
 Everything here is read-only with respect to the page: extraction runs
 under a single pin and copies what it keeps, so a cached batch never
@@ -82,7 +86,7 @@ from repro.errors import StorageError
 from repro.relation.row import Row, decode_fields, decode_row
 from repro.relation.schema import Schema
 from repro.relation.types import NULL
-from repro.storage.page import HEADER_SIZE, SLOT_SIZE
+from repro.storage.page import HEADER_SIZE, SLOT_SIZE, directory_struct
 from repro.storage.rid import Rid
 
 if TYPE_CHECKING:  # predicate compilation is a client-layer concern
@@ -164,6 +168,7 @@ class PageBatch:
         "first_prev",
         "max_live_ts",
         "materializations",
+        "preds",
         "_schema",
         "_rows",
         "_probe_cache",
@@ -185,6 +190,7 @@ class PageBatch:
         chain_ok: bool,
         first_prev: object,
         max_live_ts: int,
+        preds: "Optional[array[int]]" = None,
     ) -> None:
         self.page_no = page_no
         #: The page-summary version the extraction saw; the buffer-pool
@@ -207,6 +213,11 @@ class PageBatch:
         #: Cumulative full-row decodes; scans diff this around a page
         #: visit to charge ``rows_materialized`` honestly.
         self.materializations = 0
+        #: Of a partial batch that read successors: each record's live
+        #: predecessor slot on the page, -1 for the page's first live
+        #: record.  ``None``: entry ``i - 1`` of a whole batch, or none
+        #: needed (a partial batch of in-place updates).
+        self.preds = preds
         self._schema = schema
         self._rows: "List[Optional[Row]]" = [None] * len(bodies)
         self._probe_cache: "Dict[Tuple[int, ...], List[Tuple[object, ...]]]" = {}
@@ -350,9 +361,12 @@ def extract_page_batch(
     With ``only`` — slot numbers, ascending — the batch is *partial*:
     just those records (fewer when a slot is empty), at their cost:
     their directory entries and bodies are read off the frame one by
-    one, with no copy of the page.  ``first_prev`` is still the page's
-    (the scan's boundary test needs it whichever entries it reads),
-    read off the first live directory entry; ``has_nulls`` and
+    one, with no copy of the page.  When one of them is empty or a pure
+    insert (NULL ``PrevAddr``) the batch chains (:func:`_chained`): the
+    next live record after each such slot is read too, and ``preds``
+    gives every record its live predecessor.  ``first_prev`` is still
+    the page's (the scan's boundary test needs it whichever entries it
+    reads), read off the first live directory entry; ``has_nulls`` and
     ``max_live_ts`` cover the extracted records and ``chain_ok`` is
     False, not proven.  A partial batch must never enter the
     version-keyed cache.
@@ -360,26 +374,31 @@ def extract_page_batch(
     (slot_count,) = _SLOT_COUNT.unpack_from(buf, 2)
     entry_at = _SLOT_ENTRY.unpack_from
     entries: "Iterable[Tuple[int, int, int]]"
+    preds: "Optional[array[int]]" = None
     if only is None:
         # One immutable copy of the page: each body is then a slice.
         image: "bytes | bytearray" = bytes(buf)
-        # One unpack for the whole slot directory; the format is sized
-        # by the page's slot count, so it cannot be precompiled.
-        directory: "Tuple[int, ...]" = (
-            struct.unpack_from(  # replint: ignore[L305]
-                f"<{2 * slot_count}H", image, HEADER_SIZE
-            )
-            if slot_count
-            else ()
-        )
+        # One unpack for the whole slot directory, with the struct
+        # built once per slot count.
+        directory = directory_struct(slot_count).unpack_from(image, HEADER_SIZE)
         entries = zip(range(slot_count), directory[0::2], directory[1::2])
     else:
         image = buf  # a slice of the frame is a copy, made bytes below
         entries = [
             (slot_no, *entry_at(buf, HEADER_SIZE + SLOT_SIZE * slot_no))
-            for slot_no in only
             if slot_no < slot_count
+            else (slot_no, 0, 0)
+            for slot_no in only
         ]
+        if any(
+            not offset
+            or ANNOTATION_TAIL.unpack_from(buf, offset + length - 16)[0]
+            == PREV_NULL_PAGE
+            for _, offset, length in entries
+        ):
+            entries, preds = _chained(
+                buf, directory_struct(slot_count).unpack_from(buf, HEADER_SIZE), only
+            )
     slots: "array[int]" = array("H")
     ts: "array[int]" = array("q")
     prev_pages: "array[int]" = array("i")
@@ -435,4 +454,50 @@ def extract_page_batch(
         chain_ok,
         first_prev,
         max_live_ts,
+        preds,
     )
+
+
+def _chained(
+    buf: bytearray, directory: "Tuple[int, ...]", only: "Sequence[int]"
+) -> "Tuple[List[Tuple[int, int, int]], array[int]]":
+    """What a partial batch of ``only`` must read for Figure 7 to pass
+    over the page: those records, plus the next live record after each
+    slot that chains — one emptied, or a pure insert — and after each
+    record so added that chains in turn.  Returns the directory entries
+    ``(slot_no, offset, length)`` of the records to read, in slot order,
+    and each one's live predecessor slot (-1: none on the page).  The
+    neighbours are looked up in the unpacked ``directory``: a step per
+    empty slot passed, where a list of the live slots would cost one per
+    slot of the page."""
+    offsets = directory[0::2]
+    present = len(offsets)
+
+    def chains(slot_no: int) -> bool:
+        if slot_no >= present or not offsets[slot_no]:
+            return True
+        end = offsets[slot_no] + directory[2 * slot_no + 1]
+        return ANNOTATION_TAIL.unpack_from(buf, end - 16)[0] == PREV_NULL_PAGE
+
+    reads = {slot_no for slot_no in only if slot_no < present and offsets[slot_no]}
+    pending = [slot_no for slot_no in only if chains(slot_no)]
+    while pending:
+        for after in range(pending.pop() + 1, present):
+            if offsets[after]:
+                if after not in reads:
+                    reads.add(after)
+                    if chains(after):
+                        pending.append(after)
+                break
+    ordered = sorted(reads)
+    preds = array("i")
+    for slot_no in ordered:
+        before = slot_no - 1
+        while before >= 0 and not offsets[before]:
+            before -= 1
+        preds.append(before)
+    entries = [
+        (slot_no, offsets[slot_no], directory[2 * slot_no + 1])
+        for slot_no in ordered
+    ]
+    return entries, preds

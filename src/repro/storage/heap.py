@@ -433,30 +433,9 @@ class HeapFile:
         """
         page = self._pin(rid.page_no)
         try:
-            self._write_tail(page, rid, prev, ts)
+            self._write_tails(page, rid.page_no, [(rid.slot_no, prev, ts)])
         finally:
             self._unpin(rid.page_no, dirty=True)
-
-    def _write_tail(
-        self,
-        page: SlottedPage,
-        rid: Rid,
-        prev: Optional[bytes],
-        ts: Optional[bytes],
-    ) -> None:
-        """Overwrite the annotation tail of the record at ``rid`` on its
-        pinned page (raises if the slot is empty or the record too short
-        for one) and do an update's bookkeeping."""
-        tail = page.tail(rid.slot_no, 16)
-        if prev is not None:
-            tail[:8] = prev
-        if ts is not None:
-            tail[8:] = ts
-        if self.summaries is not None:
-            self.summaries.note_update(rid, tail)
-        self.writes.updates += 1
-        if self._write_observers:
-            self._notify_write("update", rid)
 
     def delete(self, rid: Rid) -> None:
         """Free the address ``rid`` for reuse."""
@@ -573,9 +552,17 @@ class HeapFile:
     def _write_tails(
         self, page: SlottedPage, heap_page: int, writes: "Writes"
     ) -> None:
-        """:meth:`_write_tail` each of ``writes``, in order."""
-        for slot_no, prev, ts in writes:
-            self._write_tail(page, Rid(heap_page, slot_no), prev, ts)
+        """Overwrite the annotation tails ``writes`` names on the pinned
+        ``page`` (raises if a slot is empty or its record too short for
+        one) and do the updates' bookkeeping: one summary call for the
+        page, then per write the count and the observers."""
+        tails = page.patch_tails(writes)
+        if self.summaries is not None:
+            self.summaries.note_tails(heap_page, tails)
+        self.writes.updates += len(tails)
+        if self._write_observers:
+            for slot_no, _ in tails:
+                self._notify_write("update", Rid(heap_page, slot_no))
 
     def scan_rids(self) -> "Iterator[Rid]":
         """Yield live addresses in increasing order (no record bodies)."""

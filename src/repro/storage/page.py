@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import struct
 from operator import add
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import PageFormatError, PageFullError, RecordNotFoundError
 
@@ -49,7 +49,7 @@ MAX_RECORD_SIZE = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE
 
 
 @functools.lru_cache(maxsize=None)
-def _directory_struct(slot_count: int) -> struct.Struct:
+def directory_struct(slot_count: int) -> struct.Struct:
     """A directory of ``slot_count`` entries as one struct, built once
     per length (a page has at most ``size // SLOT_SIZE`` of them)."""
     return struct.Struct(f"<{2 * slot_count}H")
@@ -117,7 +117,7 @@ class SlottedPage:
     def _directory(self, slot_count: int) -> "tuple[int, ...]":
         """The whole directory in one read: ``(offset, length)`` flattened,
         so offsets are ``[0::2]`` and lengths ``[1::2]``."""
-        return _directory_struct(slot_count).unpack_from(self._buf, HEADER_SIZE)
+        return directory_struct(slot_count).unpack_from(self._buf, HEADER_SIZE)
 
     # -- space accounting --------------------------------------------------
 
@@ -242,21 +242,35 @@ class SlottedPage:
             raise RecordNotFoundError(f"slot {slot_no} is empty")
         return bytes(self._buf[offset : offset + length])
 
-    def tail(self, slot_no: int, size: int) -> memoryview:
-        """A writable view of the last ``size`` bytes of the record in
-        ``slot_no``: fixed-width trailing fields are patched where they lie.
-        Every Figure-7 write comes through here: two reads, no calls."""
+    def patch_tails(
+        self, writes: "Iterable[tuple[int, Optional[bytes], Optional[bytes]]]"
+    ) -> "list[tuple[int, memoryview]]":
+        """Overwrite the trailing ``(PrevAddr, TimeStamp)`` fields of the
+        records ``writes`` names — ``(slot_no, prev, ts)``, each field an
+        8-byte encoding or ``None`` to keep it — where they lie, in
+        order; return each ``(slot_no, tail)``, a view of the 16 bytes
+        as written.  Every Figure-7 write comes through here."""
         buf = self._buf
-        offset, length = (
-            _SLOT.unpack_from(buf, HEADER_SIZE + slot_no * SLOT_SIZE)
-            if slot_no < _U16.unpack_from(buf, 2)[0]
-            else (0, 0)
-        )
-        if not offset:
-            raise RecordNotFoundError(f"slot {slot_no} is empty")
-        if length < size:
-            raise PageFormatError(f"slot {slot_no}: no {size}-byte tail")
-        return memoryview(buf)[offset + length - size : offset + length]
+        view = memoryview(buf)
+        slot_count = _U16.unpack_from(buf, 2)[0]
+        tails = []
+        for slot_no, prev, ts in writes:
+            offset, length = (
+                _SLOT.unpack_from(buf, HEADER_SIZE + slot_no * SLOT_SIZE)
+                if slot_no < slot_count
+                else (0, 0)
+            )
+            if not offset:
+                raise RecordNotFoundError(f"slot {slot_no} is empty")
+            if length < 16:
+                raise PageFormatError(f"slot {slot_no}: no 16-byte tail")
+            tail = view[offset + length - 16 : offset + length]
+            if prev is not None:
+                tail[:8] = prev
+            if ts is not None:
+                tail[8:] = ts
+            tails.append((slot_no, tail))
+        return tails
 
     def is_live(self, slot_no: int) -> bool:
         if slot_no >= self.slot_count:
@@ -318,7 +332,7 @@ class SlottedPage:
                 directory[i] = write_at
         bodies.reverse()  # slot order runs down from the page end
         buf[write_at:] = b"".join(bodies)
-        _directory_struct(slot_count).pack_into(buf, HEADER_SIZE, *directory)
+        directory_struct(slot_count).pack_into(buf, HEADER_SIZE, *directory)
         self._write_header(slot_count, write_at, live_count)
         self.compactions += 1
 

@@ -21,7 +21,14 @@ the page, that nothing on it needs repairing or transmitting:
     page from above.  Deletes leave no timestamp behind in lazy mode —
     they are detected as ``PrevAddr`` anomalies at the *next* live entry,
     possibly on a later page — so a page with a recent structural change
-    must be scanned even though its remaining entries look old.
+    must be scanned even though its remaining entries look old, unless
+    the summary names what changed:
+
+``freed_slots`` / ``freed_since``
+    The slots deleted since a refresh pass last ran Figure 7 over the
+    page, and the clock value of that pass: the set names every delete
+    on the page after ``freed_since``.  An undo re-insert, which the set
+    cannot name, moves ``freed_since`` past every existing ``SnapTime``.
 
 ``first_live_slot`` / ``last_live_slot``
     The page's live-address bounds; a skipped page fast-forwards the
@@ -33,10 +40,11 @@ the page, that nothing on it needs repairing or transmitting:
     :class:`PageQualInfo`, the page bytes are exactly what the caching
     scan saw.
 
-A page is *settled* for ``snap_time`` iff ``max_ts <= snap_time`` and no
-structural change came after ``snap_time``: then only its ``null_slots``
-can differ from what a snapshot with that ``SnapTime`` last saw, and a
-refresh may skip it (none named) or visit just those slots (see
+A page is *settled* for ``snap_time`` iff ``max_ts <= snap_time`` and every
+structural change after ``snap_time`` is a delete ``freed_slots`` names:
+then only its ``null_slots`` and ``freed_slots`` can differ from what a
+snapshot with that ``SnapTime`` last saw, and a refresh may skip it (none
+named) or visit just those slots and their successors (see
 ``_ScanPass._settled`` and ``_ScanPass._clean`` in
 :mod:`repro.core.scanpass` for the additional scan-state conditions at
 page boundaries).
@@ -57,7 +65,15 @@ Summaries are keyed by ``(page, slot)`` — never by byte offsets — so
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Callable,
+    Dict,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from repro.storage.batch import ANNOTATION_TAIL, PREV_NULL_PAGE, TS_NULL
 from repro.storage.rid import Rid
@@ -65,6 +81,12 @@ from repro.storage.rid import Rid
 if TYPE_CHECKING:  # imported lazily: heap.py is a client of this module
     from repro.storage.heap import HeapFile
     from repro.storage.page import SlottedPage
+
+
+#: The freed set of a page with no delete to name: shared, since most
+#: pages have none.  A page's first delete gives it a set of its own,
+#: and emptying the set puts this one back, never clears it in place.
+_NO_SLOTS: "frozenset[int]" = frozenset()
 
 
 class PageSummary:
@@ -76,6 +98,8 @@ class PageSummary:
         "max_ts",
         "null_slots",
         "structural_changed_at",
+        "freed_slots",
+        "freed_since",
         "first_live_slot",
         "last_live_slot",
     )
@@ -86,6 +110,8 @@ class PageSummary:
         self.max_ts = 0
         self.null_slots: "set[int]" = set()
         self.structural_changed_at = 0
+        self.freed_slots: "AbstractSet[int]" = _NO_SLOTS
+        self.freed_since = 0
         self.first_live_slot: Optional[int] = None
         self.last_live_slot: Optional[int] = None
 
@@ -106,11 +132,12 @@ class PageSummary:
         return Rid(self.page_no, self.last_live_slot)
 
     def settled(self, snap_time: int) -> bool:
-        """Content condition: nothing outside ``null_slots`` changed after
-        ``snap_time`` — no newer stamp, no delete or undo re-insert."""
-        return (
-            self.max_ts <= snap_time
-            and self.structural_changed_at <= snap_time
+        """Content condition: nothing outside ``null_slots`` and
+        ``freed_slots`` changed after ``snap_time`` — no newer stamp, no
+        undo re-insert, and no delete the set does not name."""
+        return self.max_ts <= snap_time and (
+            self.structural_changed_at <= snap_time
+            or self.freed_since <= snap_time
         )
 
     def __repr__(self) -> str:
@@ -118,6 +145,7 @@ class PageSummary:
             f"PageSummary(page={self.page_no}, v={self.page_version}, "
             f"max_ts={self.max_ts}, nulls={len(self.null_slots)}, "
             f"structural@{self.structural_changed_at}, "
+            f"freed={sorted(self.freed_slots)}@{self.freed_since}, "
             f"live=[{self.first_live_slot}..{self.last_live_slot}])"
         )
 
@@ -127,11 +155,12 @@ class PageQualInfo:
 
     Populated when a refresh reads the page.  While the page's version
     is unchanged — or the summary names the only slots that changed
-    since (``null_slots``, with ``max_ts`` and ``structural_changed_at``
-    no later than the snapshot's ``SnapTime``: "summary completeness",
+    since (``null_slots`` and ``freed_slots``, the page settled for the
+    snapshot's ``SnapTime``: "summary completeness",
     ``docs/invariants.md``) — the refresh fast-forwards its
     ``LastQual``/``ExpectPrev``/``LastAddr`` state across the page from
-    this record, decoding nothing but the changed slots.  That preserves
+    this record, decoding nothing but the changed slots and their
+    successors.  That preserves
     the Figure-4 receiver contract: the next transmitted entry carries
     ``prev_qual = last_qual`` of the skipped page, so its deletion range
     cannot wipe out the skipped page's snapshot rows.
@@ -251,14 +280,14 @@ class PageSummaryMap:
 
     # -- write hooks (called by HeapFile while the page is pinned) -----------
 
-    def _written(self, page_no: int) -> PageSummary:
-        """The page's summary, its version bumped for one record write,
-        and the write logged: one dict move."""
+    def _written(self, page_no: int, count: int = 1) -> PageSummary:
+        """The page's summary, its version bumped for ``count`` record
+        writes, and the writes logged: one dict move."""
         summary = self._pages.get(page_no)
         if summary is None:
             summary = self._pages[page_no] = PageSummary(page_no)
-        summary.page_version += 1
-        self.writes += 1
+        summary.page_version += count
+        self.writes += count
         log = self._log
         log.pop(page_no, None)
         log[page_no] = self.writes
@@ -289,16 +318,32 @@ class PageSummaryMap:
         if summary.last_live_slot is None or rid.slot_no > summary.last_live_slot:
             summary.last_live_slot = rid.slot_no
         if structural:
+            # An undo re-insert: the freed set cannot name it.
             self._mark_structural(summary)
+            self._restart_freed(summary, summary.structural_changed_at)
 
     def note_update(self, rid: Rid, body: bytes) -> None:
-        """``body`` is the record as written, or, from an annotation
-        repair, just its trailing ``(PrevAddr, TimeStamp)`` bytes."""
+        """``body`` is the record as written."""
         self._absorb(self._written(rid.page_no), rid.slot_no, body)
+
+    def note_tails(
+        self, page_no: int, tails: "Sequence[tuple[int, memoryview]]"
+    ) -> None:
+        """Annotation repairs on one page, ``(slot_no, tail)`` each with
+        the record's trailing ``(PrevAddr, TimeStamp)`` bytes as
+        written: one record write apiece, logged with one move."""
+        summary = self._written(page_no, len(tails))
+        for slot_no, tail in tails:
+            self._absorb(summary, slot_no, tail)
 
     def note_delete(self, rid: Rid, page: "SlottedPage") -> None:
         summary = self._written(rid.page_no)
         summary.null_slots.discard(rid.slot_no)
+        freed = summary.freed_slots
+        if isinstance(freed, set):
+            freed.add(rid.slot_no)
+        else:
+            summary.freed_slots = {rid.slot_no}
         self._mark_structural(summary)
         first, last = summary.first_live_slot, summary.last_live_slot
         if first is not None and last is not None and first < rid.slot_no < last:
@@ -314,6 +359,25 @@ class PageSummaryMap:
         changed_at = self._now() + 1
         if changed_at > summary.structural_changed_at:
             summary.structural_changed_at = changed_at
+
+    @staticmethod
+    def _restart_freed(summary: PageSummary, at: int) -> None:
+        """The freed set names the deletes after ``at`` only."""
+        summary.freed_slots = _NO_SLOTS
+        if at > summary.freed_since:
+            summary.freed_since = at
+
+    # -- refresh passes ---------------------------------------------------------
+
+    def chained(self, page_no: int, at: int) -> None:
+        """A refresh pass with clock ``at`` ran Figure 7 over the page:
+        each delete the freed set names is now detected (on this page or
+        at a later page's boundary, in the same pass), so the set starts
+        again from ``at``.  A cursor refreshing from before ``at`` can no
+        longer learn those deletes from the set."""
+        summary = self._pages.get(page_no)
+        if summary is not None and summary.freed_slots:
+            self._restart_freed(summary, at)
 
     # -- bulk (re)construction ------------------------------------------------
 

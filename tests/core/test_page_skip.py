@@ -340,7 +340,7 @@ class TestChangedSlotVisit:
         assert pins == {1: (PageOutcome.VISITED, 1)}
         assert result.buffer_hits + result.buffer_misses == 1
 
-    def test_insert_among_the_changed_slots_falls_back_before_any_write(self):
+    def test_an_insert_among_the_changed_slots_is_chained(self):
         def script(w):
             w.refresh()
             victim = w.pages[1][2]
@@ -368,15 +368,17 @@ class TestChangedSlotVisit:
             return w, result, events
 
         w, result, events = twin(script)
-        # Two NULL slots, read as such; the insert sends the page down
-        # the batch path with the heap untouched in between.
-        assert events[:2] == [("partial", 1), ("full", 1)]
-        assert events[2:] == [("update", 1)] * 3  # stamp, chain, repoint
-        assert result.fixup_writes == 3
-        assert result.rows_decoded == 2 + w.page_size(1)
-        assert result.pages_fast_forwarded == result.pages_skipped
+        # The two NULL slots and the insert's successor, in one partial
+        # read: the update stamped, the insert chained to its live
+        # predecessor, the successor repointed at it — what the page
+        # read whole writes, in the same pin.
+        assert events == [("partial", 1)] + [("update", 1)] * 3
+        assert result.fixup_writes == 3 and result.deletions_detected == 0
+        assert result.rows_decoded == 3
+        assert result.entries_evaluated == 2
+        assert result.pages_fast_forwarded > result.pages_skipped
 
-    def test_delete_on_the_page_falls_back(self):
+    def test_a_delete_on_the_page_is_visited(self):
         def script(w):
             w.refresh()
             w.table.update(w.pages[1][0], {"v": 50})
@@ -384,11 +386,129 @@ class TestChangedSlotVisit:
             return w, w.refresh()
 
         w, result = twin(script)
-        # The structural mark vetoes the visit outright: nothing partial
-        # is read, the batch scan finds the anomaly.
-        assert result.deletions_detected == 1
+        # The summary names the freed slot: the visit reads the update
+        # and the freed slot's successor, where the anomaly is.
+        assert result.deletions_detected == 1 and result.fixup_writes == 2
+        assert result.rows_decoded == 2
+        assert result.pages_fast_forwarded > result.pages_skipped
+        assert w.table.heap.summaries.get(1).freed_slots == set()
+
+    def test_a_first_entry_delete_is_found_at_its_successor(self):
+        def script(w):
+            w.refresh()
+            w.table.delete(w.pages[1][0])
+            return w, w.refresh()
+
+        w, result = twin(script)
+        assert result.deletions_detected == 1 and result.fixup_writes == 1
+        assert result.rows_decoded == 1  # the new first entry
+        assert result.pages_scanned == 1
+        assert result.pages_skipped == w.table.heap.page_count - 1
+        first_prev = w.refresher._page_cache[1].first_prev
+        assert first_prev == w.pages[0][-1]
+
+    def test_a_tail_delete_reads_nothing_on_its_page(self):
+        def script(w):
+            w.refresh()
+            w.table.delete(w.pages[1][-1])
+            return w, w.refresh()
+
+        w, result = twin(script)
+        # Page 1 is visited for the freed slot alone: no successor on
+        # it.  The anomaly is page 2's first entry, whose PrevAddr the
+        # boundary test finds stale: that page is read whole.
+        assert result.deletions_detected == 1 and result.fixup_writes == 1
+        assert result.rows_decoded == w.page_size(2)
+        assert result.pages_scanned == 2
+
+    def test_a_tail_insert_is_chained_and_repoints_the_next_page(self):
+        def script(w):
+            w.refresh()
+            hole = w.pages[1][-1]
+            w.table.delete(hole)
+            w.refresh()
+            assert w.table.insert([7, "y" * 900]) == hole
+            result = w.refresh()
+            assert w.table.annotations(w.pages[2][0])[0] == hole
+            return w, result
+
+        w, result = twin(script)
+        # The insert is read and chained; page 2's first entry, which
+        # Figure 7 repoints at it, is on a page read whole.
+        assert result.fixup_writes == 2 and result.deletions_detected == 0
+        assert result.rows_decoded == 1 + w.page_size(2)
+        assert result.pages_scanned == 2
+
+    def test_a_slot_freed_and_reused_in_one_interval(self):
+        def script(w):
+            w.refresh()
+            victim = w.pages[1][1]
+            w.table.delete(victim)
+            assert w.table.insert([7, "y" * 900]) == victim
+            return w, w.refresh()
+
+        w, result = twin(script)
+        # The insert hides the delete in its slot; the successor still
+        # names the old record, so it carries the anomaly.
+        assert result.deletions_detected == 1 and result.fixup_writes == 2
+        assert result.rows_decoded == 2
+        assert result.pages_fast_forwarded > result.pages_skipped
+
+    def test_an_insert_next_to_a_delete(self):
+        def script(w):
+            w.refresh()
+            page = w.pages[1]
+            w.table.delete(page[2])
+            w.refresh()
+            assert w.table.insert([7, "y" * 900]) == page[2]
+            w.table.delete(page[1])
+            return w, w.refresh()
+
+        w, result = twin(script)
+        # Slot 1 freed, slot 2 inserted: the insert chains to slot 0 and
+        # slot 3, whose PrevAddr still names slot 1, is the anomaly.
+        assert result.deletions_detected == 1 and result.fixup_writes == 2
+        assert result.rows_decoded == 2
+        assert result.pages_fast_forwarded > result.pages_skipped
+
+    def test_a_lagging_cursor_after_a_tail_delete_was_cleared_reads_whole(self):
+        def script(w):
+            other = w.sibling()
+            w.refresh()
+            other.refresh()
+            w.table.delete(w.pages[1][-1])
+            other.refresh()  # visits page 1, empties its freed set
+            summary = w.table.heap.summaries.get(1)
+            assert not summary.freed_slots and summary.max_ts <= w.snap_time
+            w.table.update(w.pages[1][0], {"v": 50})
+            result = w.refresh()
+            w.streams.extend(other.streams)
+            return w, result
+
+        w, result = twin(script)
+        # Page 1's max_ts did not move (the anomaly was stamped on page
+        # 2, which is read whole for that stamp), but the set was
+        # emptied after this cursor's SnapTime: it cannot name the
+        # delete, so the page is read whole too.
+        assert result.rows_decoded == w.page_size(1) + w.page_size(2)
+        assert result.pages_fast_forwarded == result.pages_skipped
+        # The update, and page 2's first qualifier for the deleted row.
+        assert result.entries_sent == 2
+
+    def test_an_undone_delete_reads_the_page_whole(self):
+        def script(w):
+            w.refresh()
+            txn = w.db.txns.begin()
+            w.table.delete(w.pages[1][1], txn=txn)
+            txn.abort()
+            w.table.update(w.pages[1][0], {"v": 50})
+            return w, w.refresh()
+
+        w, result = twin(script)
+        # The undo re-insert is a structural change the set cannot name.
         assert result.rows_decoded == w.page_size(1)
         assert result.pages_fast_forwarded == result.pages_skipped
+        assert result.fixup_writes == 1 and result.deletions_detected == 0
 
     def test_another_snapshots_earlier_fix_up_falls_back(self):
         def script(w):
@@ -596,14 +716,16 @@ class TestWholePageFromTheMirror:
             return w, result
 
         w, result = twin(script)
-        # Page 1 was read whole (the deletes moved its structure); the
-        # reused slot arrives with a NULL PrevAddr, the update with a
-        # NULL TimeStamp: two entries newer than SnapTime, two
-        # evaluations.  The row that stayed deleted is ``held - live``:
-        # no predicate, and the next page's first qualifier — stamped
-        # for the anomaly, yet unchanged — answers the flag unevaluated.
-        assert result.pages_fast_forwarded == result.pages_skipped
-        assert result.rows_decoded == w.page_size(1) + w.page_size(2)
+        # Page 1 is visited: the reused slot arrives with a NULL
+        # PrevAddr, the update with a NULL TimeStamp: two entries newer
+        # than SnapTime, two evaluations, and the only records read
+        # there (the update is the reused slot's successor).  The row
+        # that stayed deleted is a freed held slot: no predicate, and
+        # the next page's first qualifier — stamped for the anomaly on
+        # a page its boundary test reads whole, yet unchanged — answers
+        # the flag unevaluated.
+        assert result.pages_fast_forwarded == result.pages_skipped + 1
+        assert result.rows_decoded == 2 + w.page_size(2)
         assert result.entries_evaluated == 2
         assert result.entries_sent == 3
         assert result.deletions_detected == 2  # behind the reused slot too

@@ -278,6 +278,12 @@ class _ScanWorld:
             rid = self.live[index % len(self.live)]
             self.table.update(rid, {"v": value}, txn=txn)
             txn.abort()
+        elif op == "undelete" and self.live:
+            # Undo re-inserts the record in its slot: a structural change
+            # the page's freed set cannot name.
+            txn = self.db.txns.begin()
+            self.table.delete(self.live[index % len(self.live)], txn=txn)
+            txn.abort()
         elif op == "grow" and self.live:
             # Outgrows a full page: delete here, insert elsewhere.
             at = index % len(self.live)
@@ -429,6 +435,45 @@ update_heavy = st.lists(
 VISIT_PROLOGUE = [("refresh_all", 0, 0), ("update", 3, 7), ("refresh", 0, 0)]
 
 
+#: Inserts, deletes (single, a whole page, undone) and updates in equal
+#: measure, so most written pages take an insert or a delete.
+structural = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["update"] * 4
+            + ["insert"] * 4
+            + ["delete"] * 4
+            + ["delete_page", "undelete", "abort", "grow"]
+            + ["refresh", "refresh", "refresh_all"]
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=99),
+    ),
+    max_size=50,
+)
+
+
+def unnamed(world):
+    """Have ``world``'s page summaries name no insert or delete: each is
+    recorded as a structural change the freed set cannot name (as an
+    undo re-insert is), so a page that took one is read whole."""
+    summaries = world.table.heap.summaries
+    note_insert, note_delete = summaries.note_insert, summaries.note_delete
+
+    def insert(rid, body, structural=False):
+        note_insert(rid, body, structural=True)
+
+    def delete(rid, page):
+        note_delete(rid, page)
+        summary = summaries.get(rid.page_no)
+        summary.freed_since = max(
+            summary.freed_since, summary.structural_changed_at
+        )
+
+    summaries.note_insert = insert
+    summaries.note_delete = delete
+
+
 class TestChangedSlotVisits:
     """Update-heavy scripts: the visit writes what the scan writes.
 
@@ -469,6 +514,45 @@ class TestChangedSlotVisits:
                 assert_worlds_agree(*oracles)
         assert visiting.visits > 0
         assert not any(oracle.visits for oracle in oracles)
+
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        script=structural,
+        group=st.booleans(),
+        delta=st.booleans(),
+        opt=st.booleans(),
+    )
+    def test_inserts_and_deletes_visit_as_the_page_read_whole(
+        self, script, group, delta, opt
+    ):
+        """Insert/delete/update scripts: a visit of a page that took
+        inserts and deletes writes and sends exactly what reading it
+        whole does.  The whole-read world is the visiting one with
+        nothing named: its summaries record every insert and delete as
+        a change the freed set cannot name."""
+        flags = ("lazy", group, delta, opt, False, True)
+        visiting = _ScanWorld(True, True, *flags)
+        whole = _ScanWorld(True, True, *flags)
+        unnamed(whole)
+        oracle = _ScanWorld(False, False, *flags)
+        for step in VISIT_PROLOGUE + list(script) + [("refresh_all", 0, 0)]:
+            refreshed = visiting.apply(step)
+            whole.apply(step)
+            oracle.apply(step)
+            if refreshed:
+                assert visiting.heap_image() == whole.heap_image()
+                assert visiting.fixups == whole.fixups
+                for index in range(len(PREDICATES)):
+                    assert_streams_identical(
+                        visiting.streams[index], whole.streams[index]
+                    )
+                assert_worlds_agree(oracle, visiting)
+        assert visiting.visits > 0
 
 
 # -- written pages: the fix-up cases the batch path must get right ------------

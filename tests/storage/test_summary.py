@@ -3,6 +3,7 @@
 import pytest
 
 from repro.relation.types import NULL
+from repro.storage.rid import Rid
 from repro.storage.summary import PageSummaryMap
 from repro.table import PREVADDR, TIMESTAMP
 
@@ -85,6 +86,45 @@ class TestMaintenance:
         assert rids[1].slot_no not in summary.null_slots
         assert summary.first_live_slot == 0
         assert summary.last_live_slot == 2
+
+    def test_delete_names_its_slot_until_a_pass_chains_the_page(self, lazy):
+        rids = [lazy.insert([i]) for i in range(3)]
+        summaries = lazy.heap.summaries
+        lazy.delete(rids[1])
+        summary = summaries.get(0)
+        assert summary.freed_slots == {rids[1].slot_no}
+        # A SnapTime from before the delete: settled, the set names it.
+        before = summary.structural_changed_at - 1
+        assert summary.settled(snap_time=before)
+        summaries.chained(0, at=40)
+        assert not summary.freed_slots and summary.freed_since == 40
+        assert not summary.settled(snap_time=before)  # no longer named
+        assert summary.settled(snap_time=before + 1)  # saw the delete
+        summaries.chained(0, at=50)  # nothing to empty: the set stands
+        assert summary.freed_since == 40
+
+    def test_emptying_the_set_leaves_a_captured_one_alone(self, lazy):
+        rids = [lazy.insert([i]) for i in range(4)]
+        summaries = lazy.heap.summaries
+        lazy.delete(rids[0])
+        lazy.delete(rids[1])  # the page's own set grows in place
+        summary = summaries.get(0)
+        captured = summary.freed_slots
+        assert captured == {rids[0].slot_no, rids[1].slot_no}
+        summaries.chained(0, at=40)
+        lazy.delete(rids[3])  # a new set: the captured one keeps its slots
+        assert captured == {rids[0].slot_no, rids[1].slot_no}
+        assert summary.freed_slots == {rids[3].slot_no}
+
+    def test_undo_reinsert_is_not_named(self, db, lazy):
+        rid = lazy.insert([1])
+        lazy.set_annotations(rid, prev=Rid.BEGIN, ts=7)
+        txn = db.txns.begin()
+        lazy.delete(rid, txn=txn)
+        txn.abort()
+        summary = lazy.heap.summaries.get(rid.page_no)
+        assert summary.freed_since > db.clock.read()
+        assert not summary.settled(snap_time=db.clock.read())
 
     def test_delete_all_clears_bounds(self, lazy):
         rid = lazy.insert([1])

@@ -40,6 +40,15 @@ def build(n=40):
     return db, table, rids
 
 
+def undo_a_delete(table, rid):
+    """Delete ``rid`` and abort: the undo puts the record back in its
+    slot, a structural change the page's freed set cannot name, so the
+    next refresh reads the page whole."""
+    txn = table.db.txns.begin()
+    table.delete(rid, txn=txn)
+    txn.abort()
+
+
 class TestEnabledGate:
     def test_env_values(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -345,6 +354,36 @@ class TestChangedSlotVisit:
         with pytest.raises(SanitizerError, match="qualifying slots"):
             snap.refresh()
 
+    def test_a_delete_that_names_no_slot_is_caught(self):
+        db, table, rids = build(41)
+        snap = SnapshotManager(db).create_snapshot("s", "items", where="v < 5")
+        summaries = table.heap.summaries
+        note_delete = summaries.note_delete
+
+        def unnamed(rid, page):  # the bug: the freed set misses the slot
+            note_delete(rid, page)
+            summary = summaries.get(rid.page_no)
+            summary.freed_slots = summary.freed_slots - {rid.slot_no}
+
+        summaries.note_delete = unnamed
+        # The page's last row, which does not qualify: its successor is
+        # past the heap's end and no qualifier moves, so the page's
+        # chain and layout come out right — only the record's last live
+        # slot, empty now, shows what the visit was not told.
+        assert rids[40].slot_no == rids[39].slot_no + 1
+        table.delete(rids[40])
+        table.update(rids[3], {"v": 1})  # same page: it gets a visit
+        with pytest.raises(SanitizerError, match="did not name its slot"):
+            snap.refresh()
+
+    def test_freed_set_left_named_after_a_visit_is_caught(self):
+        db, table, rids, snap = self._visited()
+        # The bug: Figure 7 passes the page and the set stays named.
+        table.heap.summaries.chained = lambda page_no, at: None
+        table.delete(rids[3])
+        with pytest.raises(SanitizerError, match="left freed slots"):
+            snap.refresh()
+
     def test_cached_partial_batch_is_caught(self):
         db, table, rids, snap = self._visited()
         heap = table.heap
@@ -401,7 +440,8 @@ class TestMirrorCrossing:
 
     def test_forged_slot_is_caught_on_a_page_read_whole(self):
         table, rids, snap = self._forged()
-        table.delete(rids[3])  # a structural change: no visit
+        table.delete(rids[3])
+        undo_a_delete(table, rids[9])  # a structural change: no visit
         assert "crossed the page" in self._first_error(snap)
 
     def test_clean_whole_page_read_passes_and_is_observation_neutral(
@@ -416,6 +456,7 @@ class TestMirrorCrossing:
             )
             table.delete(rids[3])
             table.update(rids[8], {"v": 6})
+            undo_a_delete(table, rids[9])  # a structural change: no visit
             result = snap.refresh()
             assert result.pages_fast_forwarded == result.pages_skipped
             stats = table.heap.pool.stats
