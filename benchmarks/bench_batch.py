@@ -25,8 +25,8 @@ actually *faster*:
   The churn is *structural* — each round deletes rows, inserts rows
   (first-fit, so into the holes) and updates their neighbours —
   because since PR 17 a page that took nothing but in-place updates
-  never reaches the fix-up walk: it is a changed-slot visit (A21
-  times those), and neither does a page whose only structural
+  never reaches the fix-up walk: it is a changed-slot visit (the cell
+  below times those), and neither does a page whose only structural
   changes are deletes and inserts its summary names.  So
   each round also undoes a delete (a transaction deletes the updated
   neighbour and aborts): the undo puts the record back in its slot,
@@ -37,11 +37,23 @@ actually *faster*:
   streams are no longer equal: the batch world's is, round for round,
   the per-row world's with Figure 9's superfluous entries left out
   (asserted, with equal snapshots and equal fix-up writes), and the
-  ratio includes what not sending them saves.
+  ratio includes what not sending them saves;
+- **visited pages**: the changed-slot visit those churn rounds steer
+  around.  Every page of a lazy table takes one or two in-place
+  updates between refreshes, so every page is visited: the summary
+  names its changed slots and the visit reads, qualifies and crosses
+  those alone.  The same rounds are run in a twin world whose records
+  of the written pages lose their version before each refresh
+  (holdings-only), so the pass reads each of them whole and crosses it
+  from the same record — same stream (asserted, round for round), same
+  fix-up writes, every record decoded.  The ratio is what a visit saves
+  over reading its page whole; a visit that went back to reading its
+  page would lose it.
 
 The acceptance ratios are ≥5x codec decode, ≥3x scan throughput on
-write-free pages and ≥1.5x on written pages (enforced at every size,
-the CI smoke included).
+write-free pages, ≥1.5x on written pages and ≥1.8x for
+visits over whole reads (enforced at every size, the CI smoke
+included).
 Absolute numbers land in ``BENCH_refresh.json`` under
 ``batch_hot_path`` together with a regression floor (half the recorded
 decode rate); when the section already exists, the current run must
@@ -75,6 +87,7 @@ from repro.relation.row import Row, encode_row
 from repro.relation.schema import Column, Schema
 from repro.relation.types import IntType, StringType
 from repro.storage.rid import Rid
+from repro.storage.summary import PageQualInfo
 
 from benchmarks._util import REPO_ROOT, emit, emit_json
 
@@ -93,6 +106,12 @@ SEED = 1986
 #: every size.
 WRITTEN_ROUNDS = 8
 WRITTEN_FLOOR = 1.5
+#: Visited-pages cell: rounds of one or two in-place updates on every
+#: page, and the floor a visit must hold over reading the same page
+#: whole (measured 2.35–2.47x at BATCH_N=2000 and 2.73–2.77x at 12,000
+#: on a 2-core container; the floor leaves a quarter for load).
+VISIT_ROUNDS = 8
+VISIT_FLOOR = 1.8
 
 #: PR-4 recorded wire decode rate (BENCH_refresh.json at the time the
 #: issue was filed) — the "~122k msgs/s" the ≥5x target is quoted
@@ -399,6 +418,94 @@ def _written_throughput(n: int) -> dict:
     }
 
 
+class _VisitWorld:
+    """A lazy table refreshed after one or two in-place updates on every
+    page: each page visited, or (``whole``) read whole from the same
+    record, its version dropped so the summary cannot vouch for it."""
+
+    def __init__(self, n: int, whole: bool) -> None:
+        db = Database("bench", buffer_capacity=1024)
+        self.table = db.create_table("t", _schema(), annotations="lazy")
+        rids = self.table.bulk_load(
+            [[i, f"name-{i:05d}", i * 100, i % 13, i % 97] for i in range(n)]
+        )
+        self.pages: "dict[int, list[Rid]]" = {}
+        for rid in rids:
+            self.pages.setdefault(rid.page_no, []).append(rid)
+        self.restriction = Restriction.parse("branch < 4", self.table.schema)
+        self.projection = Projection(self.table.schema)
+        self.refresher = DifferentialRefresher(
+            self.table, use_page_summaries=True, batch_mode=True
+        )
+        self.whole = whole
+        self.cache: dict = {}
+        self.rng = random.Random(SEED)
+        self.snap_time = 0
+        self.elapsed = 0.0
+        self.scanned = self.visited = self.rows_decoded = self.fixup_writes = 0
+        self.streams: list = []
+        self.refresh(timed=False)
+
+    def refresh(self, timed: bool = True) -> None:
+        messages: list = []
+        begin = time.perf_counter()
+        result = self.refresher.refresh(
+            self.snap_time,
+            self.restriction,
+            self.projection,
+            messages.append,
+            cache=self.cache,
+        )
+        spent = time.perf_counter() - begin
+        self.snap_time = result.new_snap_time
+        if timed:
+            self.elapsed += spent
+            self.scanned += result.pages_scanned
+            self.visited += result.pages_fast_forwarded - result.pages_skipped
+            self.rows_decoded += result.rows_decoded
+            self.fixup_writes += result.fixup_writes
+            self.streams.append([repr(m) for m in messages])
+
+    def round(self) -> None:
+        rng = self.rng
+        for rids in self.pages.values():
+            for rid in rng.sample(rids, rng.choice((1, 2))):
+                self.table.update(
+                    rid, {"branch": rng.randrange(13), "v": rng.randrange(1_000_000)}
+                )
+        if self.whole:
+            for page_no in self.pages:
+                held = self.cache[page_no].qual_slots
+                self.cache[page_no] = PageQualInfo(None, None, held, None)
+        self.refresh()
+
+
+def _visit_throughput(n: int) -> dict:
+    visit, whole = _VisitWorld(n, False), _VisitWorld(n, True)
+    # Rounds interleaved, so a slow system window penalizes both worlds.
+    for _ in range(VISIT_ROUNDS):
+        visit.round()
+        whole.round()
+    assert visit.streams == whole.streams, "a visit's stream is not a whole read's"
+    assert visit.fixup_writes == whole.fixup_writes
+    return {
+        "n": n,
+        "rounds": VISIT_ROUNDS,
+        "pages_scanned": visit.scanned,
+        "pages_visited": visit.visited,
+        "pages_visited_whole": whole.visited,
+        "rows_decoded_visit": visit.rows_decoded,
+        "rows_decoded_whole": whole.rows_decoded,
+        "fixup_writes": visit.fixup_writes,
+        "seconds_visit": visit.elapsed,
+        "seconds_whole": whole.elapsed,
+        "pages_per_sec_visit": visit.scanned / visit.elapsed,
+        "pages_per_sec_whole": whole.scanned / whole.elapsed,
+        "speedup": whole.elapsed / visit.elapsed,
+        "floor_speedup": VISIT_FLOOR,
+    }
+
+
 def _recorded_floor() -> "float | None":
     """The decode floor recorded by the last full run, if any."""
     path = os.path.join(REPO_ROOT, "BENCH_refresh.json")
@@ -419,6 +526,7 @@ def _check(
     throughput: dict,
     scan: dict,
     written: dict,
+    visited: dict,
     n: int,
     floor: "float | None",
 ) -> None:
@@ -464,6 +572,15 @@ def _check(
         f"written pages: batch only {written['speedup']:.2f}x the per-row "
         f"path (floor {WRITTEN_FLOOR}x)"
     )
+    # Visited pages: every page written is visited in one world and read
+    # whole in the other, and the visit wins at every size.
+    assert visited["pages_visited"] == visited["pages_scanned"] > 0, visited
+    assert visited["pages_visited_whole"] == 0, visited
+    assert visited["rows_decoded_visit"] < visited["rows_decoded_whole"], visited
+    assert visited["speedup"] >= VISIT_FLOOR, (
+        f"visited pages: a visit only {visited['speedup']:.2f}x reading the "
+        f"page whole (floor {VISIT_FLOOR}x)"
+    )
     # Wall time is only trustworthy at realistic sizes.
     if n >= 8_000:
         assert scan["speedup"] >= 3, (
@@ -476,6 +593,7 @@ def run(n: int = N):
     throughput = _codec_throughput()
     scan = _scan_throughput(n)
     written = _written_throughput(n)
+    visited = _visit_throughput(n)
     emit(
         "batch_hot_path",
         f"A17: batch vs per-row hot paths (codec {CODEC_MESSAGES} msgs, "
@@ -506,6 +624,12 @@ def run(n: int = N):
                 f"{written['rows_per_sec_batch']:,.0f}",
                 f"{written['speedup']:.1f}x",
             ],
+            [
+                "visited pages/s (whole read | visit)",
+                f"{visited['pages_per_sec_whole']:,.0f}",
+                f"{visited['pages_per_sec_visit']:,.0f}",
+                f"{visited['speedup']:.1f}x",
+            ],
         ],
     )
     print(
@@ -515,9 +639,14 @@ def run(n: int = N):
         f"scan reuse {scan['batches_reused']}/{scan['pages_batch_decoded']} "
         f"pages, {scan['rows_materialized']} rows materialized"
     )
-    sections = {"throughput": throughput, "scan": scan, "written": written}
+    sections = {
+        "throughput": throughput,
+        "scan": scan,
+        "written": written,
+        "visited": visited,
+    }
     emit_json("batch_hot_path", sections)
-    _check(throughput, scan, written, n, floor)
+    _check(throughput, scan, written, visited, n, floor)
     return sections
 
 

@@ -111,6 +111,17 @@ class ValueCache:
         return sum(len(page) for page in self.pages.values())
 
 
+def without(
+    page_values: "dict[Rid, tuple]", page_no: int, gone: "Iterable[int]"
+) -> "dict[Rid, tuple]":
+    """A copy of a value-mirror page dict less the addresses of the
+    ``gone`` slots of page ``page_no``."""
+    kept = page_values.copy()
+    for slot_no in gone:
+        kept.pop(Rid(page_no, slot_no), None)
+    return kept
+
+
 def adopt_holdings(
     cache: PageMirror,
     held: "dict[int, dict[Rid, tuple]]",
@@ -421,29 +432,64 @@ class RefreshCursor:
         skip is the case where nothing did.
         Leaves the page's qualifying slots, as they stand, in
         :attr:`page_quals`.
+
+        A page not read whole costs what changed on it: the held slots
+        are a copy of the record's, each freed or changed slot bisected
+        out of it or in (the record's array is the mirror's, never
+        written).  A page read whole costs the page anyway, and is
+        crossed as sets.
         """
-        if live is None:  # not read whole: crossed from the record
-            self.result.pages_fast_forwarded += 1
         quals = info.qual_slots
         send: "Collection[int]" = ()
         gone: "Collection[int]" = ()
-        if changed or freed or not (live is None or live.issuperset(quals)):
-            held = set(quals)
-            now = held if live is None else held & live
-            if freed:
-                now = now.difference(freed)
+        if live is None:  # not read whole: crossed from the record
+            self.result.pages_fast_forwarded += 1
+            if changed or freed:
+                quals = array("H", quals)
+                dropped: "set[int]" = set()
+                for slot_no in freed:
+                    at = bisect_left(quals, slot_no)
+                    if at < len(quals) and quals[at] == slot_no:
+                        del quals[at]
+                        dropped.add(slot_no)
+                if batch is not None and changed:
+                    send = self._changed_quals(batch, changed)
+                    slots = batch.slots
+                    for index in changed:
+                        slot_no = slots[index]
+                        at = bisect_left(quals, slot_no)
+                        held = at < len(quals) and quals[at] == slot_no
+                        if slot_no in send:
+                            if not held:
+                                quals.insert(at, slot_no)
+                                dropped.discard(slot_no)
+                        elif held:
+                            del quals[at]
+                            dropped.add(slot_no)
+                gone = dropped
+        elif changed or not live.issuperset(quals):
+            held_set = set(quals)
+            now = held_set & live
             if batch is not None and changed:
+                send = self._changed_quals(batch, changed)
                 slots = batch.slots
-                self.result.entries_evaluated += len(changed)
-                hits = batch.qualifying(self.restriction, changed)
-                send = {slots[index] for index in hits}
                 now = now.difference([slots[index] for index in changed])
                 now.update(send)
-            gone = held - now
+            gone = held_set - now
             quals = array("H", sorted(now))
         self.result.qualified += len(quals)
         self.page_quals = quals
         self._send_events(page_no, quals, send, gone, row_at)
+
+    def _changed_quals(
+        self, batch: PageBatch, changed: "Sequence[int]"
+    ) -> "set[int]":
+        """The slots of the ``changed`` entries of ``batch`` that qualify:
+        the restriction run on those alone."""
+        self.result.entries_evaluated += len(changed)
+        slots = batch.slots
+        hits = batch.qualifying(self.restriction, changed)
+        return {slots[index] for index in hits}
 
     def cross_run(self, start: int, infos: "Sequence[PageQualInfo]") -> None:
         """Cross the pages from ``start`` on, one per committed record in
@@ -604,11 +650,11 @@ class RefreshCursor:
             page_values = self.value_cache.page(page_no)
             if page_values and (events or gone):
                 # A page dict of this pass's own (an abort must leave the
-                # committed one be), less the rows that left, for what is sent.
-                kept = set(quals)
-                page_values = {
-                    rid: old for rid, old in page_values.items() if rid.slot_no in kept
-                }
+                # committed one be), less the rows that left, for what is
+                # sent.  Its keys are among the held slots (the value
+                # mirror clause of the sanitizer), so those that left
+                # are exactly the gone ones.
+                page_values = without(page_values, page_no, gone)
             if page_values:
                 # Untouched, the committed dict is shared, never written.
                 staged[page_no] = page_values

@@ -519,6 +519,11 @@ class _ScanPass:
                     else "a changed-slot visit",
                     self.fixup,
                 )
+            sanitize.check_value_mirror(
+                self.table,
+                page_no,
+                [(c, entry) for c, entry in reading.items() if entry is not None],
+            )
         return outcome
 
     def _settled(

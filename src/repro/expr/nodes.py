@@ -4,7 +4,11 @@ Every node implements:
 
 - ``eval(row, schema)`` — interpret directly (handy for tests/REPL);
 - ``compile(schema)`` — return a closure ``fn(values) -> True|False|None``
-  with column positions resolved once.  ``None`` is SQL UNKNOWN.
+  with column positions resolved once.  ``None`` is SQL UNKNOWN.  This
+  is the definition of every node's meaning;
+- ``fragment(scope)`` — the same function as Python source
+  (:class:`Fragment`), which :meth:`repro.expr.predicate.Restriction.qualifier`
+  renders into one loop over a page's records;
 - ``columns()`` — the set of referenced column names (used by the
   snapshot compiler to verify a restriction only touches base columns);
 - ``sql()`` — round-trippable text form.
@@ -17,7 +21,17 @@ arithmetic over NULL yields UNKNOWN/NULL.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import EvaluationError
 from repro.relation.schema import Schema
@@ -36,6 +50,11 @@ class Expr:
         return self.compile(schema)(row)
 
     def compile(self, schema: Schema) -> Compiled:
+        raise NotImplementedError
+
+    def fragment(self, scope: "Scope") -> "Fragment":
+        """This node's :meth:`compile` as source; a kind that renders none
+        leaves the whole restriction to the interpreter."""
         raise NotImplementedError
 
     def columns(self) -> "set[str]":
@@ -57,6 +76,17 @@ class Literal(Expr):
     def compile(self, schema: Schema) -> Compiled:
         value = self.value
         return lambda row: value
+
+    def fragment(self, scope: "Scope") -> "Fragment":
+        value = self.value
+        if value is NULL:
+            return Fragment((), "_NULL", None, ("_NULL",))
+        if value is None:
+            return Fragment((), "None", None, ("None",))
+        if isinstance(value, bool):
+            return Fragment((), repr(value), bool)
+        kind = type(value) if type(value) in _KINDS else None
+        return Fragment((), scope.constant(value), kind)
 
     def columns(self) -> "set[str]":
         return set()
@@ -87,6 +117,9 @@ class ColumnRef(Expr):
             ) from None
         return lambda row: row[position]
 
+    def fragment(self, scope: "Scope") -> "Fragment":
+        return scope.column(self.name)
+
     def columns(self) -> "set[str]":
         return {self.name}
 
@@ -113,6 +146,46 @@ def _comparable(a: Value, b: Value) -> bool:
     return type(a) is type(b)
 
 
+# Each node's meaning on its evaluated operands, shared by the
+# interpreter's closures and the rendered source (``fragment``).
+
+
+def _incomparable(a: Value, op: str, b: Value) -> NoReturn:
+    raise EvaluationError(f"cannot compare {a!r} {op} {b!r} (incompatible types)")
+
+
+def _compare_values(op: str, a: Value, b: Value) -> Tri:
+    """:class:`Comparison` on two evaluated operands."""
+    if a is NULL or b is NULL or a is None or b is None:
+        return None
+    if not _comparable(a, b):
+        _incomparable(a, op, b)
+    return _COMPARATORS[op](a, b)
+
+
+def _arithmetic_values(op: str, a: Value, b: Value) -> Value:
+    """:class:`BinaryOp` on two evaluated operands, neither NULL."""
+    try:
+        return _ARITH[op](a, b)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise EvaluationError(f"{a!r} {op} {b!r}: {exc}") from None
+
+
+def _negate_value(value: Value) -> Value:
+    """:class:`UnaryMinus` on an evaluated operand, not NULL."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise EvaluationError(f"cannot negate {value!r}")
+    return -value
+
+
+def _like_value(regex: "re.Pattern[str]", negated: bool, value: Value) -> bool:
+    """:class:`Like` on an evaluated operand, not NULL."""
+    if not isinstance(value, str):
+        raise EvaluationError(f"LIKE needs a string, got {value!r}")
+    matched = regex.fullmatch(value) is not None
+    return not matched if negated else matched
+
+
 class Comparison(Expr):
     """``left OP right`` with NULL-propagating semantics."""
 
@@ -124,23 +197,30 @@ class Comparison(Expr):
         self.right = right
 
     def compile(self, schema: Schema) -> Compiled:
-        compare = _COMPARATORS[self.op]
         left = self.left.compile(schema)
         right = self.right.compile(schema)
         op = self.op
 
         def run(row: Sequence[Value]) -> Tri:
-            a = left(row)
-            b = right(row)
-            if a is NULL or b is NULL or a is None or b is None:
-                return None
-            if not _comparable(a, b):
-                raise EvaluationError(
-                    f"cannot compare {a!r} {op} {b!r} (incompatible types)"
-                )
-            return compare(a, b)
+            return _compare_values(op, left(row), right(row))
 
         return run
+
+    def fragment(self, scope: "Scope") -> "Fragment":
+        left, right = self.left.fragment(scope), self.right.fragment(scope)
+        if left.kind is None or right.kind is None:
+            lines, (a, b) = scope.operands((left, right), (False, False))
+            code = f"_compare({self.op!r}, {a}, {b})"
+            return Fragment(lines, code, None, ("None",))
+        # Both evaluated before a NULL test decides: either may raise.
+        nullable = bool(left.nulls or right.nulls)
+        lines, (a, b) = scope.operands((left, right), (nullable, nullable))
+        if _comparable_kinds(left.kind, right.kind):
+            value = f"{a} {_PYTHON_COMPARATORS[self.op]} {b}"
+        else:
+            value = f"_incomparable({a}, {self.op!r}, {b})"
+        nulls = _null_tests(a, left.nulls) + _null_tests(b, right.nulls)
+        return _unless(lines, nulls, "None", value, bool)
 
     def columns(self) -> "set[str]":
         return self.left.columns() | self.right.columns()
@@ -169,7 +249,6 @@ class BinaryOp(Expr):
         self.right = right
 
     def compile(self, schema: Schema) -> Compiled:
-        apply = _ARITH[self.op]
         left = self.left.compile(schema)
         right = self.right.compile(schema)
         op = self.op
@@ -179,12 +258,22 @@ class BinaryOp(Expr):
             b = right(row)
             if a is NULL or b is NULL or a is None or b is None:
                 return NULL
-            try:
-                return apply(a, b)
-            except (TypeError, ZeroDivisionError) as exc:
-                raise EvaluationError(f"{a!r} {op} {b!r}: {exc}") from None
+            return _arithmetic_values(op, a, b)
 
         return run
+
+    def fragment(self, scope: "Scope") -> "Fragment":
+        left, right = self.left.fragment(scope), self.right.fragment(scope)
+        nullable = bool(left.nulls or right.nulls)
+        lines, (a, b) = scope.operands((left, right), (nullable, nullable))
+        kind = _arithmetic_kind(self.op, left.kind, right.kind)
+        if kind is not None and self.op in "+-*":
+            # Raises neither TypeError nor ZeroDivisionError here.
+            value = f"{a} {self.op} {b}"
+        else:
+            value = f"_arithmetic({self.op!r}, {a}, {b})"
+        nulls = _null_tests(a, left.nulls) + _null_tests(b, right.nulls)
+        return _unless(lines, nulls, "_NULL", value, kind)
 
     def columns(self) -> "set[str]":
         return self.left.columns() | self.right.columns()
@@ -206,11 +295,18 @@ class UnaryMinus(Expr):
             value = inner(row)
             if value is NULL or value is None:
                 return NULL
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise EvaluationError(f"cannot negate {value!r}")
-            return -value
+            return _negate_value(value)
 
         return run
+
+    def fragment(self, scope: "Scope") -> "Fragment":
+        operand = self.operand.fragment(scope)
+        lines, (v,) = scope.operands((operand,), (bool(operand.nulls),))
+        if operand.kind is int or operand.kind is float:
+            value, kind = f"-{v}", operand.kind
+        else:
+            value, kind = f"_negate({v})", None
+        return _unless(lines, _null_tests(v, operand.nulls), "_NULL", value, kind)
 
     def columns(self) -> "set[str]":
         return self.operand.columns()
@@ -243,6 +339,9 @@ class And(Expr):
 
         return run
 
+    def fragment(self, scope: "Scope") -> "Fragment":
+        return _connective(scope, self.left, self.right, False)
+
     def columns(self) -> "set[str]":
         return self.left.columns() | self.right.columns()
 
@@ -274,6 +373,9 @@ class Or(Expr):
 
         return run
 
+    def fragment(self, scope: "Scope") -> "Fragment":
+        return _connective(scope, self.left, self.right, True)
+
     def columns(self) -> "set[str]":
         return self.left.columns() | self.right.columns()
 
@@ -297,6 +399,12 @@ class Not(Expr):
             return not value
 
         return run
+
+    def fragment(self, scope: "Scope") -> "Fragment":
+        operand = self.operand.fragment(scope)
+        lines, (v,) = scope.operands((operand,), (bool(operand.nulls),))
+        nulls = _null_tests(v, operand.nulls)
+        return _unless(lines, nulls, "None", f"not {v}", bool)
 
     def columns(self) -> "set[str]":
         return self.operand.columns()
@@ -322,6 +430,14 @@ class IsNull(Expr):
             return not is_null if negated else is_null
 
         return run
+
+    def fragment(self, scope: "Scope") -> "Fragment":
+        operand = self.operand.fragment(scope)
+        # Bound even when never NULL: evaluating it may raise.
+        lines, (v,) = scope.operands((operand,), (True,))
+        is_null = " or ".join(_null_tests(v, operand.nulls)) or "False"
+        code = f"(not ({is_null}))" if self.negated else f"({is_null})"
+        return Fragment(lines, code, bool)
 
     def columns(self) -> "set[str]":
         return self.operand.columns()
@@ -355,6 +471,22 @@ class Between(Expr):
             return a <= value <= b
 
         return run
+
+    def fragment(self, scope: "Scope") -> "Fragment":
+        parts = (
+            self.operand.fragment(scope),
+            self.lo.fragment(scope),
+            self.hi.fragment(scope),
+        )
+        # All three bound: the value reads them lo, operand, hi.
+        lines, (v, a, b) = scope.operands(parts, (True, True, True))
+        nulls = [
+            test
+            for name, part in zip((v, a, b), parts)
+            for test in _null_tests(name, part.nulls)
+        ]
+        kind = bool if all(part.kind is not None for part in parts) else None
+        return _unless(lines, nulls, "None", f"{a} <= {v} <= {b}", kind)
 
     def columns(self) -> "set[str]":
         return self.operand.columns() | self.lo.columns() | self.hi.columns()
@@ -397,6 +529,41 @@ class InList(Expr):
 
         return run
 
+    def fragment(self, scope: "Scope") -> "Fragment":
+        operand = self.operand.fragment(scope)
+        items = [item.fragment(scope) for item in self.items]
+        lines, (v,) = scope.operands((operand,), (True,))
+        found, missing = ("False", "True") if self.negated else ("True", "False")
+        result = scope.temp()
+        saw_null = scope.temp()
+        # Built from the last item back: each item is evaluated only when
+        # none before it matched, as the interpreter's loop breaks.
+        body = [f"{result} = None if {saw_null} else {missing}"]
+        for item in reversed(items):
+            item_lines, (c,) = scope.operands((item,), (True,))
+            nulls = _null_tests(c, item.nulls)
+            if operand.kind is None or item.kind is None:
+                match = f"_comparable({v}, {c}) and {v} == {c}"
+            elif _comparable_kinds(operand.kind, item.kind):
+                match = f"{v} == {c}"
+            else:
+                match = ""
+            if nulls:
+                body = [f"if {' or '.join(nulls)}:", f"    {saw_null} = True", *body]
+                if match:
+                    match = f"not ({' or '.join(nulls)}) and {match}"
+            if match:
+                body = [
+                    f"if {match}:", f"    {result} = {found}", "else:", *_indent(body)
+                ]
+            body = [*item_lines, *body]
+        body = [f"{saw_null} = False", *body]
+        tests = _null_tests(v, operand.nulls)
+        if tests:
+            test = " or ".join(tests)
+            body = [f"if {test}:", f"    {result} = None", "else:", *_indent(body)]
+        return Fragment((*lines, *body), result, bool, ("None",))
+
     def columns(self) -> "set[str]":
         cols = self.operand.columns()
         for item in self.items:
@@ -427,12 +594,19 @@ class Like(Expr):
             value = inner(row)
             if value is NULL or value is None:
                 return None
-            if not isinstance(value, str):
-                raise EvaluationError(f"LIKE needs a string, got {value!r}")
-            matched = regex.fullmatch(value) is not None
-            return not matched if negated else matched
+            return _like_value(regex, negated, value)
 
         return run
+
+    def fragment(self, scope: "Scope") -> "Fragment":
+        operand = self.operand.fragment(scope)
+        lines, (v,) = scope.operands((operand,), (bool(operand.nulls),))
+        regex = scope.constant(self._regex)
+        if operand.kind is str:
+            value = f"{regex}.fullmatch({v}) is {'' if self.negated else 'not '}None"
+        else:
+            value = f"_like({regex}, {self.negated}, {v})"
+        return _unless(lines, _null_tests(v, operand.nulls), "None", value, bool)
 
     def columns(self) -> "set[str]":
         return self.operand.columns()
@@ -453,6 +627,182 @@ def _like_to_regex(pattern: str) -> str:
         else:
             parts.append(re.escape(char))
     return "".join(parts)
+
+
+# --------------------------------------------------------------------------
+# Rendering
+#
+# ``fragment`` restates ``compile`` as Python source, so that a restriction
+# can be rendered into one function over a page's records
+# (:meth:`repro.expr.predicate.Restriction.qualifier`) instead of walking
+# a closure tree per record.  Each node evaluates its operands in the
+# interpreter's order, short-circuits where it does, and raises what it
+# raises: where a check can fail, it calls the value functions the
+# interpreter's closures call.
+# What the source knows statically — the class of a column's or a
+# literal's value, whether it may be NULL — only removes checks that
+# could not fail.
+
+#: The classes a fragment may know its values by: a value of any other
+#: class (or of a class not known until run time) goes to the helpers.
+_KINDS = (bool, int, float, str)
+
+_PYTHON_COMPARATORS = {
+    "=": "==",
+    "<>": "!=",
+    "!=": "!=",
+    "<": "<",
+    "<=": "<=",
+    ">": ">",
+    ">=": ">=",
+}
+
+
+class Fragment(NamedTuple):
+    """A node's value as Python source.
+
+    ``lines`` are statements to run first — the operands' evaluation, in
+    the interpreter's order — after which the expression ``code`` is the
+    value.  ``kind`` is the class of every non-null value when it is one
+    of :data:`_KINDS` (``None``: not known), and ``nulls`` the spellings
+    of SQL NULL the value may take (``_NULL``, ``None``).
+    """
+
+    lines: Tuple[str, ...]
+    code: str
+    kind: Optional[type] = None
+    nulls: Tuple[str, ...] = ()
+
+
+class Scope:
+    """What a rendering binds names to: each column to a local of the
+    rendered function (``c<position>``, unpacked off the record by
+    :func:`repro.relation.row.render_qualifier`), constants and helpers
+    to :attr:`namespace`, and fresh temporaries."""
+
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        self.namespace: Dict[str, Any] = dict(_HELPERS)
+        self._names = 0
+
+    def column(self, name: str) -> Fragment:
+        position = self.schema.position(name)  # a Restriction checked it
+        column = self.schema.columns[position]
+        piece = column.ctype.plan_piece()
+        kind = piece.exact if piece is not None and piece.exact in _KINDS else None
+        nullable = column.nullable or column.ctype.inline_null
+        return Fragment((), f"c{position}", kind, ("_NULL",) if nullable else ())
+
+    def temp(self) -> str:
+        self._names += 1
+        return f"_t{self._names}"
+
+    def constant(self, value: Value) -> str:
+        self._names += 1
+        name = f"_k{self._names}"
+        self.namespace[name] = value
+        return name
+
+    def operands(
+        self, fragments: "Sequence[Fragment]", reuse: "Sequence[bool]"
+    ) -> "Tuple[Tuple[str, ...], List[str]]":
+        """Evaluate ``fragments`` in order: the lines to run, and an
+        expression for each value.  A value is bound to a temporary when
+        the caller reads it more than once (``reuse``), or when a later
+        operand has lines to run first — inlined after them, it would be
+        evaluated out of order."""
+        lines: "List[str]" = []
+        codes: "List[str]" = []
+        for index, fragment in enumerate(fragments):
+            lines += fragment.lines
+            code = fragment.code
+            later = any(after.lines for after in fragments[index + 1 :])
+            if (reuse[index] or later) and not code.isidentifier():
+                name = self.temp()
+                lines.append(f"{name} = {code}")
+                code = name
+            codes.append(code)
+        return tuple(lines), codes
+
+
+def _comparable_kinds(a: type, b: type) -> bool:
+    """:func:`_comparable` of a value of kind ``a`` and one of kind ``b``."""
+    if a is bool or b is bool:
+        return a is b
+    if a in (int, float) and b in (int, float):
+        return True
+    return a is b
+
+
+def _arithmetic_kind(
+    op: str, a: Optional[type], b: Optional[type]
+) -> Optional[type]:
+    """The kind of ``a op b`` when it cannot raise TypeError, else ``None``."""
+    numbers = (bool, int, float)
+    if a in numbers and b in numbers:
+        return float if op == "/" or float in (a, b) else int
+    if a is str and b is str and op == "+":
+        return str
+    return None
+
+
+def _null_tests(name: str, nulls: "Sequence[str]") -> "List[str]":
+    return [f"{name} is {null}" for null in nulls]
+
+
+def _indent(lines: "Sequence[str]") -> "List[str]":
+    return ["    " + line for line in lines]
+
+
+def _unless(
+    lines: "Sequence[str]",
+    tests: "Sequence[str]",
+    null: str,
+    value: str,
+    kind: Optional[type],
+) -> Fragment:
+    """``null`` where one of ``tests`` holds, else ``value``."""
+    if not tests:
+        return Fragment(tuple(lines), f"({value})", kind)
+    return Fragment(
+        tuple(lines), f"({null} if {' or '.join(tests)} else {value})", kind, (null,)
+    )
+
+
+def _connective(
+    scope: Scope, left_expr: Expr, right_expr: Expr, stop: bool
+) -> Fragment:
+    """AND (``stop`` False) or OR (``stop`` True): ``stop`` on either
+    side decides, the right side evaluated only when the left did not."""
+    left, right = left_expr.fragment(scope), right_expr.fragment(scope)
+    word = "or" if stop else "and"
+    both = left.kind is bool and right.kind is bool
+    if both and not left.nulls and not right.nulls and not right.lines:
+        return Fragment(left.lines, f"({left.code} {word} {right.code})", bool)
+    lines, (a,) = scope.operands((left,), (True,))
+    right_lines, (b,) = scope.operands((right,), (True,))
+    result = scope.temp()
+    nulls = _null_tests(a, left.nulls) + _null_tests(b, right.nulls)
+    final = repr(not stop) if both else f"bool({a}) {word} bool({b})"
+    body = [*right_lines, f"if {b} is {stop}:", f"    {result} = {stop}"]
+    if nulls:
+        body += [f"elif {' or '.join(nulls)}:", f"    {result} = None"]
+    body += ["else:", f"    {result} = {final}"]
+    lines += (
+        f"if {a} is {stop}:", f"    {result} = {stop}", "else:", *_indent(body)
+    )
+    return Fragment(lines, result, bool, ("None",) if nulls else ())
+
+
+_HELPERS: "Dict[str, Any]" = {
+    "_NULL": NULL,
+    "_comparable": _comparable,
+    "_compare": _compare_values,
+    "_incomparable": _incomparable,
+    "_arithmetic": _arithmetic_values,
+    "_negate": _negate_value,
+    "_like": _like_value,
+}
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A :class:`Restriction` pairs a parsed predicate with a schema and a
 compiled evaluator; calling it on a row answers "does this entry qualify
 for the snapshot?".  SQL semantics apply: rows whose predicate evaluates
-to UNKNOWN do **not** qualify.
+to UNKNOWN do **not** qualify.  Its :meth:`Restriction.qualifier` asks
+the same of stored records, many at a time, from source rendered once.
 
 A :class:`Projection` is an ordered subset of visible columns; it derives
 the snapshot's value schema and extracts the projected values from base
@@ -12,12 +13,14 @@ rows.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from array import array
+from functools import partial
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import EvaluationError, SchemaError
-from repro.expr.nodes import Expr, Literal, canonicalize, signature_text
+from repro.expr.nodes import Expr, Literal, Scope, canonicalize, signature_text
 from repro.expr.parser import parse_expression
-from repro.relation.row import Row
+from repro.relation.row import Qualifier, Row, decode_fields, render_qualifier
 from repro.relation.schema import Schema
 
 
@@ -66,6 +69,7 @@ class Restriction:
         # The '?'-masked structural form: same canonical shape over the
         # same columns, constants elided.  Cohort clustering keys on it.
         self._signature = signature_text(expr)
+        self._qualifier: "Optional[tuple[Schema, Qualifier]]" = None
 
     @classmethod
     def parse(cls, text: str, schema: Schema) -> "Restriction":
@@ -110,6 +114,65 @@ class Restriction:
         """True iff the row qualifies (UNKNOWN counts as not qualifying)."""
         values = row.values if isinstance(row, Row) else row
         return self._compiled(values) is True
+
+    def qualifier(self, schema: Schema) -> Qualifier:
+        """``qualifier(bodies, indices)``: the indices among ``indices``
+        whose stored record (``bodies[index]``, encoded under ``schema``
+        — this restriction's, or one that extends it, such as the table's
+        once annotations are appended) satisfies the restriction, as an
+        ``array``.
+
+        The restriction's compiled form: each node's
+        :meth:`~repro.expr.nodes.Expr.fragment` rendered, with the read
+        of its columns, into one function
+        (:func:`~repro.relation.row.render_qualifier`) the first time it
+        is asked for, and kept for the last ``schema`` asked (equal
+        schemas share a layout, so tables with equal schemas share it).
+        It answers what :meth:`__call__` answers of the decoded row, and
+        raises what it raises.  A node kind that renders no fragment, or
+        source Python will not compile (nesting too deep), leaves the
+        restriction to the interpreter.
+        """
+        cached = self._qualifier
+        if cached is None or (cached[0] is not schema and cached[0] != schema):
+            cached = self._qualifier = (schema, self._render(schema))
+        return cached[1]
+
+    def _render(self, schema: Schema) -> Qualifier:
+        positions = tuple(sorted(schema.position(name) for name in self.expr.columns()))
+        interpreted = partial(self._interpreted, schema, positions)
+        scope = Scope(schema)
+        try:
+            fragment = self.expr.fragment(scope)
+        except NotImplementedError:
+            return interpreted
+        test = fragment.code
+        if fragment.kind is not bool or fragment.nulls:
+            test = f"{test} is True"
+        try:
+            return render_qualifier(
+                schema, positions, fragment.lines, test, scope.namespace
+            )
+        except SyntaxError:  # nested past what Python's parser takes
+            return interpreted
+
+    def _interpreted(
+        self,
+        schema: Schema,
+        positions: "tuple[int, ...]",
+        bodies: "Sequence[bytes]",
+        indices: "Iterable[int]",
+    ) -> "array[int]":
+        """:meth:`qualifier` by the interpreter, on the decoded columns."""
+        sparse: "list[object]" = [None] * len(schema)
+        satisfying = array("I")
+        for index in indices:
+            values = decode_fields(schema, bodies[index], positions)
+            for position, value in zip(positions, values):
+                sparse[position] = value
+            if self._compiled(sparse) is True:
+                satisfying.append(index)
+        return satisfying
 
     @property
     def text(self) -> str:

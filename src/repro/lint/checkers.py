@@ -38,6 +38,14 @@ sections behind them):
               cursor work; per-field calls there are the slow path
               leaking back in.  Cold fallbacks carry an explicit
               ``# replint: ignore[L305]``.
+    ``L306``  A restriction called as a function (``cursor.restriction(row)``,
+              ``restriction(values)``) on the scan path —
+              ``storage/batch.py``, ``core/scanpass.py``,
+              ``core/cursor.py``: that is the interpreter, one closure
+              walk per record; the scan asks the restriction's rendered
+              qualifier through ``PageBatch.qualifying``.  The per-row
+              oracle (``core/per_row.py``) and the sanitizer are the
+              interpreter's callers by design, and outside the rule.
 
 **L4 — lock and layering discipline**
     ``L401``  Locks acquired against the global table-before-row order.
@@ -176,6 +184,7 @@ RULES = {
     "L203": "unseeded random use in a deterministic module",
     "L204": "thread or process machinery imported into single-threaded src/",
     "L305": "per-field codec call inside a designated batch-path module",
+    "L306": "restriction interpreted per record on the scan path",
     "L401": "lock acquired against the global table-before-row order",
     "L402": "lock resource with an unknown hierarchy level",
     "L404": "registry/cohort module references manager/scheduler internals",
@@ -447,6 +456,44 @@ class BatchPathChecker(Checker):
                 )
 
 
+#: The scan path: modules that must qualify records through a
+#: restriction's rendered qualifier, never its interpreter.
+SCAN_PATH_MODULES = {"storage/batch.py", "core/scanpass.py", "core/cursor.py"}
+
+
+class ScanPathChecker(Checker):
+    """L306: the scan path does not call a restriction's interpreter.
+
+    ``Restriction.__call__`` walks the compiled closure tree over one
+    decoded row; the scan qualifies a page's records with one call of
+    the rendered qualifier (``PageBatch.qualifying``).  A call of
+    ``<anything>.restriction(...)`` or of a name ``restriction`` in a
+    scan-path module is the interpreter creeping back in, which no
+    stream-identity test can catch — only a slower visit would.
+    """
+
+    rules = ("L306",)
+
+    def check(self, source: SourceFile) -> "Iterator[Violation]":
+        if source.logical not in SCAN_PATH_MODULES:
+            return
+        for node in ast.walk(source.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "restriction") or (
+                isinstance(func, ast.Attribute) and func.attr == "restriction"
+            ):
+                yield Violation(
+                    "L306",
+                    source.path,
+                    node.lineno,
+                    node.col_offset,
+                    "restriction interpreted on the scan path; qualify "
+                    "through PageBatch.qualifying (the rendered qualifier)",
+                )
+
+
 class LockOrderChecker(Checker):
     """L4: within any function, locks are acquired in hierarchy order."""
 
@@ -612,6 +659,7 @@ ALL_CHECKERS: "List[Checker]" = [
     MutationDisciplineChecker(),
     DeterminismChecker(),
     BatchPathChecker(),
+    ScanPathChecker(),
     LockOrderChecker(),
     RegistryIsolationChecker(),
     BareAssertChecker(),

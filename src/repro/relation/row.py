@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import struct
 import sys
-from typing import Any, Callable, Iterator, Sequence, Tuple
+from array import array
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.relation.schema import Schema
-from repro.relation.types import NULL
+from repro.relation.types import NULL, PlanPiece
 
 
 class Row:
@@ -259,16 +260,13 @@ def _plan_source(schema: Schema, namespace: "dict[str, Any]") -> str:
             value = piece.unpack.format(b=b)
         else:
             fills = [expression.format(v=v) for expression in piece.pack]
-            value = piece.unpack.format(f=f, cls=cls)
-            if piece.null is not None:
-                # An inline NULL is a stored sentinel, told by its first field.
-                value = f"_NULL if {f[0]} == {piece.null[0]} else {value}"
-                if column.nullable:
-                    guard = f"({v} is _NULL or {guard})"
-                    fills = [
-                        f"{null} if {v} is _NULL else {fill}"
-                        for null, fill in zip(piece.null, fills)
-                    ]
+            value = _field_value(piece, f, cls)
+            if piece.null is not None and column.nullable:
+                guard = f"({v} is _NULL or {guard})"
+                fills = [
+                    f"{null} if {v} is _NULL else {fill}"
+                    for null, fill in zip(piece.null, fills)
+                ]
             args += fills
         guards.append(guard)
         values.append(value)
@@ -287,6 +285,149 @@ def _plan_source(schema: Schema, namespace: "dict[str, Any]") -> str:
         unpacking=block(unpacking, 3),
         values=", ".join(values) + ",",
     )
+
+
+def _field_value(piece: PlanPiece, fields: "Sequence[str]", cls: str) -> str:
+    """The value a fixed-width piece's unpacked ``fields`` hold: an
+    inline NULL is a stored sentinel, told by its first field."""
+    value = piece.unpack.format(f=fields, cls=cls)
+    if piece.null is not None:
+        value = f"_NULL if {fields[0]} == {piece.null[0]} else {value}"
+    return value
+
+
+#: What a rendered qualifier looks like to callers: the indices, among
+#: those given, of the records that satisfy its restriction, ascending
+#: as given.
+Qualifier = Callable[[Sequence[bytes], Iterable[int]], "array[int]"]
+
+_QUALIFIER_SOURCE = """\
+def qualifying(bodies, indices):
+    out = _array("I")
+    append = out.append
+    for i in indices:
+        data = bodies[i]
+{read}
+{lines}
+        if {test}:
+            append(i)
+    return out
+"""
+
+
+def render_qualifier(
+    schema: Schema,
+    positions: "Sequence[int]",
+    lines: "Sequence[str]",
+    test: str,
+    namespace: "dict[str, Any]",
+) -> Qualifier:
+    """Render a restriction as one loop over stored records.
+
+    Each record's columns at ``positions`` (ascending) are bound to the
+    locals ``c<position>``; then ``lines`` run and the record qualifies
+    where the expression ``test`` holds.  Both are the restriction's
+    source (:meth:`repro.expr.nodes.Expr.fragment`), naming what it needs
+    in ``namespace``.  The columns are unpacked with one ``Struct`` built
+    from the types' :class:`~repro.relation.types.PlanPiece`\\ s: from the
+    record's end when every column from the first wanted one on is
+    fixed-width, else from its start when every column up to the last
+    wanted one is.  A record with a bitmap NULL (which shifts what
+    follows it), a layout neither way allows, or an image the read
+    refuses takes :func:`decode_fields`, looked up on this module at call
+    time.
+    """
+    namespace.update(
+        _row=sys.modules[__name__],
+        _schema=schema,
+        _array=array,
+        _struct_error=struct.error,
+        _NULL=NULL,
+    )
+    source = _QUALIFIER_SOURCE.format(
+        read=_indented(_qualifier_read(schema, positions, namespace), 2),
+        lines=_indented(lines, 2),
+        test=test,
+    )
+    code = compile(source, f"<qualifier {test}>", "exec")
+    exec(code, namespace)  # noqa: S102 — source rendered from the types' pieces
+    qualifying: Qualifier = namespace["qualifying"]
+    return qualifying
+
+
+def _indented(lines: "Sequence[str]", depth: int) -> str:
+    return "\n".join(" " * 4 * depth + line for line in lines)
+
+
+def _qualifier_read(
+    schema: Schema, positions: "Sequence[int]", namespace: "dict[str, Any]"
+) -> "List[str]":
+    """Statements binding ``c<position>`` for each of ``positions`` off
+    the record ``data``."""
+    if not positions:
+        return []
+    names = ", ".join(f"c{position}" for position in positions)
+    walk = f"{names}, = _row.decode_fields(_schema, data, {tuple(positions)!r})"
+    bitmap_size = _bitmap_size(len(schema))
+    from_end = range(positions[0], len(schema))
+    from_start = range(positions[-1] + 1)
+    unpack = _fixed_read(
+        schema, from_end, positions, namespace, "", "len(data) - {size}"
+    ) or _fixed_read(
+        schema, from_start, positions, namespace, f"{bitmap_size}x", "0"
+    )
+    if unpack is None:
+        return [walk]
+    return [
+        f"if data[:{bitmap_size}] == {bytes(bitmap_size)!r}:",
+        "    try:",
+        *["        " + line for line in unpack],
+        "    except _struct_error:",
+        f"        {walk}",
+        "else:",
+        f"    {walk}",
+    ]
+
+
+def _fixed_read(
+    schema: Schema,
+    span: "Iterable[int]",
+    positions: "Sequence[int]",
+    namespace: "dict[str, Any]",
+    codes: str,
+    offset: str,
+) -> "Optional[List[str]]":
+    """One ``Struct`` read of ``positions`` over the columns in ``span``
+    (pad bytes over the unwanted ones), starting at ``offset`` — a format
+    string over the struct's ``size`` — after the struct codes ``codes``;
+    ``None`` when a column in ``span`` is variable-width or a wanted one
+    declares no fixed-width piece."""
+    wanted = set(positions)
+    fields: "List[str]" = []
+    values: "List[str]" = []
+    for position in span:
+        ctype = schema.columns[position].ctype
+        if position not in wanted:
+            if ctype.fixed_size is None:
+                return None
+            codes += f"{ctype.fixed_size}x"
+            continue
+        piece = ctype.plan_piece()
+        if piece is None or piece.blob:
+            return None
+        codes += piece.codes
+        if piece.unpack == "{f[0]}" and piece.null is None and len(piece.codes) == 1:
+            fields.append(f"c{position}")
+            continue
+        f = [f"f{position}_{k}" for k in range(len(piece.codes))]
+        fields += f
+        cls = f"_class{position}"
+        namespace[cls] = piece.exact
+        values.append(f"c{position} = {_field_value(piece, f, cls)}")
+    run = struct.Struct("<" + codes)
+    namespace["_read"] = run.unpack_from
+    start = offset.format(size=run.size)
+    return [f"{', '.join(fields)}, = _read(data, {start})", *values]
 
 
 def encoded_size(schema: Schema, row: Row) -> int:

@@ -18,7 +18,15 @@ paper's algorithm depends on:
   recorded of it (summary completeness); likewise a page an online
   pass repaired reading only the slots its write observer named, and a
   page read whole on which a cursor evaluated only the entries newer
-  than its ``SnapTime`` and took the rest from its address mirror;
+  than its ``SnapTime`` and took the rest from its address mirror.
+  Qualification is recomputed with the interpreter
+  (``Restriction.__call__``) on decoded rows, never with the rendered
+  qualifier the scan ran;
+- **value-mirror keys** — after a page was crossed from a record, the
+  value mirror's dict of the page holds addresses the snapshot holds
+  there only: the committed dict among the record's ``qual_slots``, the
+  pass's among the slots the cursor left qualifying (what lets a cross
+  drop just the gone addresses from a copy);
 - **exact free space** — every leaf of a heap's free-space map is its
   page's free bytes and every node above the larger of its children,
   so first-fit placement picks the page a walk over the pages would;
@@ -51,7 +59,7 @@ import os
 from typing import Any, Collection, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import SanitizerError
-from repro.relation.row import decode_fields
+from repro.relation.row import decode_fields, decode_row
 from repro.relation.types import NULL
 from repro.storage.rid import Rid
 
@@ -299,7 +307,7 @@ def check_changed_slot_visit(
         )
     for cursor, _ in crossed:
         info = cursor.staged_pages[page_no]
-        quals = [batch.slots[i] for i in batch.qualifying(cursor.restriction)]
+        quals = _interpreted_quals(table.schema, batch, cursor.restriction)
         if info.first_prev != batch.first_prev or list(info.qual_slots) != quals:
             raise SanitizerError(
                 f"{where} recorded first PrevAddr {info.first_prev} and "
@@ -406,18 +414,63 @@ def check_whole_page_read(
     entries newer than its ``SnapTime`` and takes the rest from the
     entry ("an entry that has not changed qualifies iff the mirror
     holds its address").  ``batch`` is the one the scan holds, so the
-    check reads no page.
+    check reads no page, and decodes its rows without memoizing them.
     """
     for cursor in cursors:
         if cursor.failed:
             continue
-        quals = [batch.slots[i] for i in batch.qualifying(cursor.restriction)]
+        quals = _interpreted_quals(table.schema, batch, cursor.restriction)
         if list(cursor.page_quals) != quals:
             raise SanitizerError(
                 f"table {table.name!r} page {batch.page_no}: {cursor!r} "
                 f"crossed the page from its address mirror to qualifying "
                 f"slots {list(cursor.page_quals)}; the page holds {quals}"
             )
+
+
+def _interpreted_quals(schema: Any, batch: Any, restriction: Any) -> "list[int]":
+    """The slots of ``batch`` whose decoded row the interpreter qualifies:
+    the definition the scan's rendered qualifier is held to."""
+    return [
+        slot_no
+        for slot_no, body in zip(batch.slots, batch.bodies)
+        if restriction(decode_row(schema, body))
+    ]
+
+
+def check_value_mirror(
+    table: Any, page_no: int, crossed: "Sequence[Tuple[Any, Any]]"
+) -> None:
+    """After a page was crossed from records: each cursor's value mirror
+    holds, for the page, only addresses its snapshot holds there.
+
+    The committed dict's keys must be among the committed record's
+    ``qual_slots`` — a cross copies that dict less the gone addresses,
+    which leaves no stray only while this holds — and the dict the pass
+    staged among the slots the cursor left qualifying
+    (``page_quals``).  ``crossed`` pairs each cursor with the record
+    it crossed the page from.
+    """
+    for cursor, info in crossed:
+        if info is None or cursor.failed or cursor.value_cache is None:
+            continue
+        record = cursor.cache.get(page_no) if cursor.cache is not None else None
+        committed = record.qual_slots if record is not None else ()
+        staged = (cursor._staged_values or {}).get(page_no)
+        for what, values, held in (
+            ("committed", cursor.value_cache.page(page_no), committed),
+            ("staged", staged, cursor.page_quals),
+        ):
+            stray = sorted(
+                rid.slot_no for rid in values or () if rid.slot_no not in set(held)
+            )
+            if stray:
+                raise SanitizerError(
+                    f"table {table.name!r} page {page_no}: {cursor!r}'s {what} "
+                    f"value mirror holds slots {stray}, which the snapshot does "
+                    f"not hold there ({list(held)}); a mirror dict kept a gone "
+                    f"address"
+                )
 
 
 # -- snapshot epoch isolation -------------------------------------------------

@@ -48,23 +48,20 @@ cached, because the scan that reads it is about to rewrite it (see
 :meth:`repro.storage.heap.HeapFile.fix_batch`).  The per-batch caches
 below make the *derived* work reusable too:
 
-- :meth:`probe_values` memoizes partial decodes per position tuple, and
-  reads columns of the record's fixed-width suffix with one precompiled
-  ``Struct`` per ``(schema, positions)`` — a written page has a new
-  version, so its qualification index is always rebuilt and this is the
-  per-record cost that remains;
 - :meth:`qualifying` memoizes each restriction's qualifying entries
   (the Figure-3 qualification test, evaluated once per page version per
   predicate instead of once per record per refresh), or evaluates it on
-  just the entries a cursor names — those that changed for its snapshot
-  — over the same memoized columns;
+  just the entries a cursor names — those that changed for its snapshot.
+  Either way the restriction's rendered
+  :meth:`~repro.expr.predicate.Restriction.qualifier` reads the columns
+  it needs off the stored records, in one call per page;
 - :meth:`row` memoizes full-row materialization, so fan-out and repeat
   transmissions never decode an entry twice.
 
 A page whose summary names every slot that changed is not extracted
 whole: the scan asks for a *partial* batch of just those slots
-(``only=``), which serves the same probes and rows for those records
-and is never cached.  Where one of them was emptied or newly inserted,
+(``only=``), which serves the same qualification and rows for those
+records and is never cached.  Where one of them was emptied or newly inserted,
 the partial batch also holds the next live record after it — the one
 whose ``PrevAddr`` Figure 7 may have to repoint — and gives every
 record its live predecessor on the page (``preds``), so the fix-up can
@@ -79,11 +76,19 @@ from __future__ import annotations
 
 import struct
 from array import array
-from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import StorageError
-from repro.relation.row import Row, decode_fields, decode_row
+from repro.relation.row import Row, decode_row
 from repro.relation.schema import Schema
 from repro.relation.types import NULL
 from repro.storage.page import HEADER_SIZE, SLOT_SIZE, directory_struct
@@ -112,39 +117,6 @@ _SLOT_ENTRY = struct.Struct("<HH")
 _MIN_ANNOTATED = 17
 
 
-@lru_cache(maxsize=256)
-def _suffix_probe(
-    schema: Schema, positions: "Tuple[int, ...]"
-) -> "Optional[struct.Struct]":
-    """One precompiled read of ``positions`` from a record's tail.
-
-    When every column from the first wanted one to the end of the
-    schema is fixed-width (the record's *fixed-width suffix*, which the
-    trailing annotations always close) and each wanted column is a
-    plain ``struct`` field, a record whose NULL bitmap is all zero
-    holds them at fixed distances from its end: one ``Struct`` — pad
-    bytes over the unwanted columns — unpacks them in ``positions``
-    order from offset ``len(record) - size``.  ``None`` when the layout
-    does not allow it (a variable-width column in between, an
-    inline-NULL type wanted, positions not ascending).
-    """
-    if not positions or list(positions) != sorted(set(positions)):
-        return None
-    wanted = set(positions)
-    codes = []
-    for position in range(positions[0], len(schema)):
-        ctype = schema.columns[position].ctype
-        if ctype.fixed_size is None:
-            return None
-        if position in wanted:
-            if ctype.struct_code is None:
-                return None
-            codes.append(ctype.struct_code)
-        else:
-            codes.append(f"{ctype.fixed_size}x")
-    return struct.Struct("<" + "".join(codes))
-
-
 class PageBatch:
     """Columnar image of one heap page's live entries plus derived caches.
 
@@ -171,7 +143,6 @@ class PageBatch:
         "preds",
         "_schema",
         "_rows",
-        "_probe_cache",
         "_qual_cache",
         "_live",
     )
@@ -220,7 +191,6 @@ class PageBatch:
         self.preds = preds
         self._schema = schema
         self._rows: "List[Optional[Row]]" = [None] * len(bodies)
-        self._probe_cache: "Dict[Tuple[int, ...], List[Tuple[object, ...]]]" = {}
         self._qual_cache: "Dict[str, array[int]]" = {}
         self._live: "Optional[frozenset[int]]" = None
 
@@ -242,40 +212,6 @@ class PageBatch:
     def row_at(self, slot_no: int) -> Row:
         """Full row of the entry in ``slot_no`` (see :meth:`row`)."""
         return self.row(self.slots.index(slot_no))
-
-    def probe_values(
-        self, positions: "Tuple[int, ...]"
-    ) -> "List[Tuple[object, ...]]":
-        """Partial decodes of every entry over ``positions``, memoized.
-
-        A page that was written has a new version, so this runs once
-        per written page per pass: columns in the fixed-width suffix
-        are read with one precompiled :func:`_suffix_probe` unpack per
-        record, and only a record with a bitmap NULL (which shifts the
-        suffix) or a layout without such a probe pays
-        :func:`~repro.relation.row.decode_fields`.
-        """
-        cached = self._probe_cache.get(positions)
-        if cached is None:
-            schema = self._schema
-            probe = _suffix_probe(schema, positions)
-            if probe is None:
-                cached = [
-                    decode_fields(schema, body, positions)
-                    for body in self.bodies
-                ]
-            else:
-                read = probe.unpack_from
-                size = probe.size
-                no_nulls = bytes((len(schema) + 7) // 8)
-                cached = [
-                    read(body, len(body) - size)
-                    if body.startswith(no_nulls)
-                    else decode_fields(schema, body, positions)
-                    for body in self.bodies
-                ]
-            self._probe_cache[positions] = cached
-        return cached
 
     @property
     def live(self) -> "frozenset[int]":
@@ -299,34 +235,17 @@ class PageBatch:
 
         With ``among`` — entry indices, ascending — only those entries
         are evaluated: the answer depends on the asker (which entries
-        changed for *its* snapshot), so it is not memoized, but the
-        decoded columns behind it (:meth:`probe_values`) still are, for
-        every cursor on the same columns.
+        changed for *its* snapshot), so it is not memoized.
         """
         if among is not None:
-            return self._satisfying(restriction, among)
+            return restriction.qualifier(self._schema)(self.bodies, among)
         key: str = restriction.text
         cached = self._qual_cache.get(key)
         if cached is None:
-            cached = self._satisfying(restriction, range(self.count))
+            qualifier = restriction.qualifier(self._schema)
+            cached = qualifier(self.bodies, range(self.count))
             self._qual_cache[key] = cached
         return cached
-
-    def _satisfying(
-        self, restriction: "Restriction", indices: "Sequence[int]"
-    ) -> "array[int]":
-        # The compiled predicate reads values by position, so its own
-        # schema's positions are the ones to fill.
-        positions = restriction.positions
-        values = self.probe_values(positions)
-        sparse: "List[object]" = [None] * len(self._schema)
-        satisfying = array("I")
-        for index in indices:
-            for position, value in zip(positions, values[index]):
-                sparse[position] = value
-            if restriction(sparse):
-                satisfying.append(index)
-        return satisfying
 
     def __repr__(self) -> str:
         return (
@@ -360,82 +279,72 @@ def extract_page_batch(
 
     With ``only`` — slot numbers, ascending — the batch is *partial*:
     just those records (fewer when a slot is empty), at their cost:
-    their directory entries and bodies are read off the frame one by
-    one, with no copy of the page.  When one of them is empty or a pure
-    insert (NULL ``PrevAddr``) the batch chains (:func:`_chained`): the
-    next live record after each such slot is read too, and ``preds``
-    gives every record its live predecessor.  ``first_prev`` is still
-    the page's (the scan's boundary test needs it whichever entries it
+    each one's directory entry and annotation tail are read once off the
+    frame and its body copied once, with no copy of the page
+    (:func:`_read_named`).  When one of them is empty or a pure insert
+    (NULL ``PrevAddr``) the batch chains (:func:`_chained`): the next
+    live record after each such slot is read too, and ``preds`` gives
+    every record its live predecessor.  ``first_prev`` is still the
+    page's (the scan's boundary test needs it whichever entries it
     reads), read off the first live directory entry; ``has_nulls`` and
     ``max_live_ts`` cover the extracted records and ``chain_ok`` is
     False, not proven.  A partial batch must never enter the
-    version-keyed cache.
+    version-keyed cache; its bodies are ``bytearray`` copies.
     """
     (slot_count,) = _SLOT_COUNT.unpack_from(buf, 2)
-    entry_at = _SLOT_ENTRY.unpack_from
-    entries: "Iterable[Tuple[int, int, int]]"
+    tail_read = ANNOTATION_TAIL.unpack_from
     preds: "Optional[array[int]]" = None
-    if only is None:
-        # One immutable copy of the page: each body is then a slice.
-        image: "bytes | bytearray" = bytes(buf)
-        # One unpack for the whole slot directory, with the struct
-        # built once per slot count.
-        directory = directory_struct(slot_count).unpack_from(image, HEADER_SIZE)
-        entries = zip(range(slot_count), directory[0::2], directory[1::2])
+    chain_ok = True
+    first_prev: object = None
+    named = None if only is None else _read_named(page_no, buf, slot_count, only)
+    if named is not None:
+        slots, ts, prev_pages, prev_slots, bodies, has_nulls, max_live_ts = named
     else:
-        image = buf  # a slice of the frame is a copy, made bytes below
-        entries = [
-            (slot_no, *entry_at(buf, HEADER_SIZE + SLOT_SIZE * slot_no))
-            if slot_no < slot_count
-            else (slot_no, 0, 0)
-            for slot_no in only
-        ]
-        if any(
-            not offset
-            or ANNOTATION_TAIL.unpack_from(buf, offset + length - 16)[0]
-            == PREV_NULL_PAGE
-            for _, offset, length in entries
-        ):
+        entries: "Iterable[Tuple[int, int, int]]"
+        image: "bytes | bytearray"
+        if only is None:
+            # One immutable copy of the page: each body is then a slice.
+            image = bytes(buf)
+            # One unpack for the whole slot directory, with the struct
+            # built once per slot count.
+            directory = directory_struct(slot_count).unpack_from(image, HEADER_SIZE)
+            entries = zip(range(slot_count), directory[0::2], directory[1::2])
+        else:
+            image = buf  # a slice of the frame is a copy
             entries, preds = _chained(
                 buf, directory_struct(slot_count).unpack_from(buf, HEADER_SIZE), only
             )
-    slots: "array[int]" = array("H")
-    ts: "array[int]" = array("q")
-    prev_pages: "array[int]" = array("i")
-    prev_slots: "array[int]" = array("I")
-    bodies: "List[bytes]" = []
-    has_nulls = False
-    chain_ok = True
-    max_live_ts = 0
-    first_prev: object = None
-    tail_read = ANNOTATION_TAIL.unpack_from
-    for slot_no, offset, length in entries:
-        if offset == 0:
-            continue
-        if length < _MIN_ANNOTATED:
-            raise StorageError(
-                f"page {page_no} slot {slot_no}: record of {length} bytes "
-                f"cannot carry trailing annotations"
-            )
-        prev_page, prev_slot, stamp = tail_read(image, offset + length - 16)
-        if bodies:
-            if prev_page != page_no or prev_slot != slots[-1]:
-                chain_ok = False
-        else:
-            first_prev = _prev_addr(prev_page, prev_slot)
-        if stamp == TS_NULL or prev_page == PREV_NULL_PAGE:
-            has_nulls = True
-        elif stamp > max_live_ts:
-            max_live_ts = stamp
-        slots.append(slot_no)
-        ts.append(stamp)
-        prev_pages.append(prev_page)
-        prev_slots.append(prev_slot)
-        bodies.append(image[offset : offset + length])
+        slots = array("H")
+        ts = array("q")
+        prev_pages = array("i")
+        prev_slots = array("I")
+        bodies = []
+        has_nulls = False
+        max_live_ts = 0
+        for slot_no, offset, length in entries:
+            if offset == 0:
+                continue
+            if length < _MIN_ANNOTATED:
+                _too_short(page_no, slot_no, length)
+            prev_page, prev_slot, stamp = tail_read(image, offset + length - 16)
+            if bodies:
+                if prev_page != page_no or prev_slot != slots[-1]:
+                    chain_ok = False
+            else:
+                first_prev = _prev_addr(prev_page, prev_slot)
+            if stamp == TS_NULL or prev_page == PREV_NULL_PAGE:
+                has_nulls = True
+            elif stamp > max_live_ts:
+                max_live_ts = stamp
+            slots.append(slot_no)
+            ts.append(stamp)
+            prev_pages.append(prev_page)
+            prev_slots.append(prev_slot)
+            bodies.append(image[offset : offset + length])
     if only is not None:
-        bodies = [bytes(body) for body in bodies]
-        # The loop read its chain facts off the extracted records alone.
+        # The reads covered the extracted records alone.
         chain_ok = False
+        entry_at = _SLOT_ENTRY.unpack_from
         for first in range(slot_count):
             offset, length = entry_at(buf, HEADER_SIZE + SLOT_SIZE * first)
             if offset:
@@ -456,6 +365,58 @@ def extract_page_batch(
         max_live_ts,
         preds,
     )
+
+
+def _too_short(page_no: int, slot_no: int, length: int) -> NoReturn:
+    raise StorageError(
+        f"page {page_no} slot {slot_no}: record of {length} bytes "
+        f"cannot carry trailing annotations"
+    )
+
+
+#: What :func:`_read_named` reads: slots, timestamps, ``PrevAddr`` pages
+#: and slots, bodies, whether a stamp is NULL, the largest stamp.
+_Named = Tuple[
+    "array[int]", "array[int]", "array[int]", "array[int]", List[bytes], bool, int
+]
+
+
+def _read_named(
+    page_no: int, buf: bytearray, slot_count: int, only: "Sequence[int]"
+) -> "Optional[_Named]":
+    """The records in ``only`` when none of them chains: for each, one
+    read of its directory entry and of its annotation tail and one copy
+    of its body.  ``None`` at the first slot that is empty or holds a
+    pure insert, which :func:`_chained` must take up."""
+    entry_at = _SLOT_ENTRY.unpack_from
+    tail_read = ANNOTATION_TAIL.unpack_from
+    ts: "array[int]" = array("q")
+    prev_pages: "array[int]" = array("i")
+    prev_slots: "array[int]" = array("I")
+    bodies: "List[bytes]" = []
+    has_nulls = False
+    max_live_ts = 0
+    for slot_no in only:
+        if slot_no >= slot_count:
+            return None
+        offset, length = entry_at(buf, HEADER_SIZE + SLOT_SIZE * slot_no)
+        if not offset:
+            return None
+        if length < _MIN_ANNOTATED:
+            _too_short(page_no, slot_no, length)
+        end = offset + length
+        prev_page, prev_slot, stamp = tail_read(buf, end - 16)
+        if prev_page == PREV_NULL_PAGE:
+            return None
+        if stamp == TS_NULL:
+            has_nulls = True
+        elif stamp > max_live_ts:
+            max_live_ts = stamp
+        ts.append(stamp)
+        prev_pages.append(prev_page)
+        prev_slots.append(prev_slot)
+        bodies.append(buf[offset:end])
+    return array("H", only), ts, prev_pages, prev_slots, bodies, has_nulls, max_live_ts
 
 
 def _chained(

@@ -106,6 +106,18 @@ class TestBatchPath:
         assert fired(violations) == [("L502", 15)]
 
 
+class TestScanPath:
+    def test_interpreter_calls_fire_on_the_scan_path(self):
+        for logical in ("storage/batch.py", "core/scanpass.py", "core/cursor.py"):
+            violations = lint_sources([fixture("scanpath.py", logical)])
+            assert fired(violations) == [("L306", 5), ("L306", 9)], logical
+
+    def test_the_oracle_and_the_sanitizer_are_exempt(self):
+        for logical in ("core/per_row.py", "sanitize.py"):
+            violations = lint_sources([fixture("scanpath.py", logical)])
+            assert fired(violations) == [], logical
+
+
 class TestLockOrder:
     def test_inversion_and_unknown_level(self):
         violations = lint_sources([fixture("locks.py", "txn/rogue.py")])
@@ -165,7 +177,7 @@ class TestEngine:
         assert set(RULES) == {
             "L101", "L102", "L103",
             "L201", "L202", "L203", "L204",
-            "L305",
+            "L305", "L306",
             "L401", "L402", "L404",
             "L501", "L502", "L503",
         }

@@ -130,24 +130,26 @@ class TestDerivedCaches:
     def test_qualifying_among_evaluates_only_the_named_entries(self, eager):
         batch, _ = get_batch(eager)
         restriction = Restriction.parse("sal < 3", eager.schema)
-        calls = []
+        asked = []
 
         class Counting:
-            text, positions = restriction.text, restriction.positions
+            text = restriction.text
 
-            def __call__(self, values):
-                calls.append(values[1])
-                return restriction(values)
+            def qualifier(self, schema):
+                def counted(bodies, indices):
+                    asked.append(list(indices))
+                    return restriction.qualifier(schema)(bodies, indices)
+
+                return counted
 
         among = [2, 3, 8, 9, 10]
         hits = batch.qualifying(Counting(), among)
         assert list(hits) == [index for index in among if index % 7 < 3]
-        assert calls == [index % 7 for index in among]
+        assert asked == [among]
         # The answer depends on the asker: not memoized, and it leaves
-        # the whole-page memo alone; the decoded columns are shared.
+        # the whole-page memo alone.
         assert batch.qualifying(restriction, among) is not hits
         assert len(batch.qualifying(restriction)) > len(hits)
-        assert batch.probe_values(restriction.positions) is batch.probe_values((1,))
 
     def test_live_is_the_set_of_extracted_slots(self, eager):
         eager.delete(Rid(0, 4))
@@ -155,12 +157,14 @@ class TestDerivedCaches:
         assert batch.live == frozenset(batch.slots) and 4 not in batch.live
         assert batch.live is batch.live
 
-    def test_probe_values_memoized(self, eager):
+    def test_qualifier_rendered_once(self, eager):
+        restriction = Restriction.parse("sal < 3", eager.schema)
+        qualifier = restriction.qualifier(eager.schema)
+        assert restriction.qualifier(eager.schema) is qualifier
         batch, _ = get_batch(eager)
-        positions = (0, 1)
-        values = batch.probe_values(positions)
-        assert values is batch.probe_values(positions)
-        assert values[7][:2] == batch.row(7).values[:2]
+        assert list(qualifier(batch.bodies, range(batch.count))) == [
+            index for index in range(batch.count) if restriction(batch.row(index))
+        ]
 
 
 class TestBatchCache:

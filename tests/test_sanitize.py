@@ -401,6 +401,64 @@ class TestChangedSlotVisit:
             snap.refresh()
 
 
+class TestQualifierAndValueMirror:
+    """The sanitizer holds the scan's rendered qualifier to the
+    interpreter, and the value mirror to the addresses held."""
+
+    def _visited(self):
+        db, table, rids = build()
+        for rid in rids[5::7]:  # no row on the boundary v = 5
+            table.update(rid, {"v": 6})
+        manager = SnapshotManager(db)
+        snap = manager.create_snapshot(
+            "s", "items", where="v < 5", delta_updates=True
+        )
+        return table, rids, snap
+
+    def test_a_qualifier_rendered_with_le_for_lt_is_caught(self, monkeypatch):
+        from repro.expr import nodes
+        from repro.expr.predicate import Restriction
+
+        def render_afresh():
+            for restriction in Restriction._parse_cache.values():
+                restriction._qualifier = None
+
+        table, rids, snap = self._visited()
+        # The bug: "<" renders as "<=", in qualifiers rendered from now on
+        # (and none rendered under it outlives the test).
+        monkeypatch.setitem(nodes._PYTHON_COMPARATORS, "<", "<=")
+        render_afresh()
+        try:
+            # The one row on the boundary, which only "<=" takes: a
+            # sanitizer asking the same qualifier would agree with the visit.
+            table.update(rids[3], {"v": 5})
+            with pytest.raises(SanitizerError) as caught:
+                snap.refresh()
+        finally:
+            render_afresh()
+        message = str(caught.value)
+        assert "a changed-slot visit recorded" in message
+        assert "value mirror" not in message
+
+    def test_a_mirror_dict_that_keeps_a_gone_address_is_caught(self, monkeypatch):
+        from repro.core import cursor
+
+        table, rids, snap = self._visited()
+        # The bug: the pass's copy of the page dict keeps every address.
+        monkeypatch.setattr(
+            cursor, "without", lambda values, page_no, gone: dict(values)
+        )
+        table.update(rids[2], {"v": 6})  # held, and stops qualifying: gone
+        with pytest.raises(SanitizerError) as caught:
+            snap.refresh()
+        error = caught.value
+        while error.__context__ is not None:
+            error = error.__context__
+        message = str(error)
+        assert "staged value mirror holds slots [2]" in message
+        assert "kept a gone address" in message
+
+
 class TestMirrorCrossing:
     """A cursor crossing a page from its committed entry evaluates the
     entries newer than its SnapTime and trusts the entry for the rest."""
