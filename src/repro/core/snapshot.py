@@ -41,8 +41,13 @@ dropped Begin cannot silently tear the snapshot.
 Deletes leave the BaseAddr index at once but reach storage only when the
 commit ends, so an upsert of an address deleted earlier in the stage (a
 repaired page is wiped and re-sent whole) rewrites the row where it lies;
-and an upsert whose values the stored row already holds — most entries
-are re-sent only because the gap before them moved — writes nothing.
+an upsert whose values the stored row already holds — most entries are
+re-sent only because the gap before them moved — writes nothing; and an
+address that arrives while another leaves takes the departed entry's
+row, one rewrite where a delete and an insert were.  Revival comes
+first: a row whose address the stage upserts is never given away, so a
+re-sent row keeps its heap address and bytes.  Where a snapshot row lies
+in storage is the receiver's choice; the BaseAddr index is the truth.
 Visible contents equal the message-by-message replay, which is the same
 routine run on one message at a time.
 
@@ -57,7 +62,7 @@ expects.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 
 from repro import sanitize
 from repro.core import messages as msg
@@ -73,6 +78,13 @@ BASEADDR = "$BASEADDR$"
 
 #: Catalog-name prefix for snapshot storage tables.
 STORAGE_PREFIX = "$SNAP$"
+
+
+#: Kinds that store a whole row at their address: what may revive a
+#: doomed row (a delta never does).
+_UPSERT_TAGS = frozenset(
+    (msg.EntryMessage.TAG, msg.UpsertMessage.TAG, msg.FullRowMessage.TAG)
+)
 
 
 class _Epoch:
@@ -128,6 +140,12 @@ class SnapshotTable:
         # BaseAddr key -> heap RID of entries deleted from the index but
         # not yet from storage (see _flush_doomed).
         self._doomed: "dict[Any, Rid]" = {}
+        # The messages being applied, and — built by the first arrival
+        # that meets a doomed row (_spare_key) — the keys they upsert
+        # and the doomed keys outside them, most recently doomed last.
+        self._stage: "list[Any]" = []
+        self._revivable: "Optional[set[Any]]" = None
+        self._spare: "list[Any]" = []
         #: When True, refresh data arriving outside an epoch is an error.
         self.require_epochs = require_epochs
         self._epoch: "Optional[_Epoch]" = None
@@ -171,7 +189,15 @@ class SnapshotTable:
         positions: "Optional[list[int]]" = None,
     ) -> None:
         """:meth:`_upsert`, the entry's heap RID (``None``: no entry)
-        already looked up."""
+        already looked up.
+
+        An address with no entry gets back its own row if the commit
+        doomed one (revived: same heap RID, rewritten only if its values
+        moved).  Otherwise it *arrives*: it takes the row of an entry
+        that left in this commit (:meth:`_spare_key`) and is written
+        there by one rewrite — counted as that entry's delete and its
+        own upsert — or, with none to take, is inserted.
+        """
         key = base_addr.key()
         if positions is not None:
             if heap_rid is None:
@@ -184,8 +210,7 @@ class SnapshotTable:
             if heap_rid is None:
                 heap_rid = self._doomed.pop(key, None)
                 if heap_rid is None:
-                    self._index.insert(key, self.storage.system_insert_values(values))
-                    self.applied_upserts += 1
+                    self._arrive(key, values)
                     return
                 self._index.insert(key, heap_rid)  # revived: same heap RID
         new_rid = None
@@ -199,14 +224,63 @@ class SnapshotTable:
         self.applied_upserts += 1
         self.applied_merges += positions is not None
 
+    def _arrive(self, key: Any, values: Tuple) -> None:
+        """Store the row ``values`` of an address with no row: in a
+        departed entry's row if the commit has one to give, else in a
+        new one."""
+        spare = self._spare_key()
+        if spare is None:
+            heap_rid = self.storage.system_insert_values(values)
+        else:
+            old_rid = self._doomed[spare]
+            # Never a no-op (the BaseAddr differs); a relocation moves it.
+            heap_rid = self.storage.system_update_values(old_rid, values) or old_rid
+            del self._doomed[spare]  # only once written: else flushed
+            self.applied_deletes += 1  # the departed entry left
+        self._index.insert(key, heap_rid)
+        self.applied_upserts += 1
+
+    def _spare_key(self) -> Any:
+        """The key of the most recently doomed entry whose address the
+        stage does not upsert, taken off the spare stack; ``None`` if
+        there is none.
+
+        Revival comes first: a doomed row an upsert of the stage may
+        still claim is never given away.  The stage's upserted keys are
+        gathered by the first arrival that meets a doomed row, so a
+        commit that does not pair (a populate dooms nothing) pays
+        nothing for them.
+        """
+        if not self._doomed:
+            return None
+        if self._revivable is None:
+            revivable = self._revivable = {
+                message.addr.key()
+                for message in self._stage
+                if message.TAG in _UPSERT_TAGS
+            }
+            self._spare = [k for k in self._doomed if k not in revivable]
+        return self._spare.pop() if self._spare else None
+
+    def _condemn(self, removed: "Iterable[Tuple[Any, Rid]]") -> None:
+        """Add the index's ``(key, heap RID)`` pairs ``removed`` to the
+        doomed rows, and to the spare stack once :meth:`_spare_key` has
+        built it."""
+        revivable = self._revivable
+        if revivable is None:
+            self._doomed.update(removed)
+            return
+        for key, heap_rid in removed:
+            self._doomed[key] = heap_rid
+            if key not in revivable:
+                self._spare.append(key)
+
     def _doom(self, lo: Rid, hi: Optional[Rid], closed: bool = False) -> None:
         """Delete entries with ``lo < BaseAddr < hi`` (``hi=None``:
         unbounded; ``closed``: ends included) from the index; the rows
         stay in storage, revivable, until :meth:`_flush_doomed`."""
         hi_key = hi.key() if hi is not None else None
-        self._doomed.update(
-            self._index.delete_range(lo.key(), hi_key, closed, closed)
-        )
+        self._condemn(self._index.delete_range(lo.key(), hi_key, closed, closed))
 
     def _doom_before(self, prev_qual: Rid, addr: Rid) -> Optional[Rid]:
         """Doom the entries strictly between ``prev_qual`` and ``addr``
@@ -217,15 +291,17 @@ class SnapshotTable:
             prev_qual.key(), addr.key()
         )
         if removed:
-            self._doomed.update(removed)
+            self._condemn(removed)
         return heap_rid
 
     def _flush_doomed(self) -> None:
-        """Delete from storage every doomed entry no upsert revived."""
+        """Delete from storage every doomed entry no upsert revived or
+        arrival took, and forget the stage."""
         for heap_rid in self._doomed.values():
             self.storage.system_delete(heap_rid)
         self.applied_deletes += len(self._doomed)
         self._doomed.clear()
+        self._stage, self._revivable, self._spare = [], None, []
 
     # -- receiver --------------------------------------------------------------
 
@@ -332,8 +408,10 @@ class SnapshotTable:
         What the messages alone decide — their kinds, SnapTime never
         going backward — is checked before the first write.  Deletes
         are deferred (:meth:`_doom`) so a later upsert of the same
-        address rewrites the row where it lies, and flushed once at the
-        end; a list of one message is the paper's sequential receiver.
+        address rewrites the row where it lies and an arriving address
+        takes a departed one's row (:meth:`_put`); what is left is
+        flushed once at the end.  A list of one message is the paper's
+        sequential receiver.
         """
         time = self.snap_time
         for message in messages:
@@ -346,11 +424,14 @@ class SnapshotTable:
                         f"snapshot time went backward: {message.time} < {time}"
                     )
                 time = message.time
+        self._stage = messages
         try:
             for message in messages:
                 self._APPLY[message.TAG](self, message)
         finally:
             self._flush_doomed()
+        if sanitize.enabled():
+            sanitize.check_storage_index(self, messages)
 
     def _on_entry(self, message: "msg.EntryMessage") -> None:
         addr = message.addr
@@ -378,7 +459,7 @@ class SnapshotTable:
         self._doom(message.addr, message.addr, closed=True)
 
     def _on_clear(self, message: "msg.ClearMessage") -> None:
-        self._doomed.update(self._index.items())
+        self._condemn(self._index.items())
         self._index = BPlusTree(order=64)
 
     #: The one dispatch: wire ``TAG`` -> apply rule.

@@ -39,6 +39,10 @@ paper's algorithm depends on:
   pass a page to read;
 - **epoch isolation** — between ``RefreshBegin`` and the matching
   commit, nothing staged may reach the visible snapshot contents;
+- **storage ↔ index** — after a commit, every row it addressed holds in
+  its hidden ``$BASEADDR$`` the address the index maps to it, and the
+  storage table holds as many rows as the index (a row an arrival took
+  from a departed entry must carry the new address);
 - **value-cache mirroring** — after a committed refresh, and after an
   aborted one, every value the sender's cache remembers transmitting
   is exactly what the receiver holds for that address (the
@@ -506,6 +510,39 @@ def check_epoch_isolation(snapshot: Any) -> None:
             f"{baseline} to {current} while epoch "
             f"{snapshot._epoch.epoch} is still staging; a staged message "
             "leaked into visible reads"
+        )
+
+
+def check_storage_index(snapshot: Any, messages: "Sequence[Any]") -> None:
+    """After a commit, storage agrees with the BaseAddr index.
+
+    Every row the commit addressed that the index still maps holds, in
+    its hidden ``$BASEADDR$``, the address the index maps to it, and
+    storage holds no row the index does not.  The contents oracles read
+    addresses from the index, so only this sees a rewritten row that
+    kept another entry's BaseAddr — what a cascade over the storage
+    table would read.  Only the addressed rows are read, not the table.
+    """
+    index, storage = snapshot._index, snapshot.storage
+    position = len(snapshot.value_schema)
+    with _StatsGuard(storage.heap):
+        for message in messages:
+            addr = getattr(message, "addr", None)
+            heap_rid = index.get(addr.key()) if addr is not None else None
+            if heap_rid is None:
+                continue
+            stored = storage.read(heap_rid, visible=False).values[position]
+            if stored != addr:
+                raise SanitizerError(
+                    f"snapshot {snapshot.name!r}: the index maps {addr} to "
+                    f"storage row {heap_rid}, whose $BASEADDR$ is {stored}; "
+                    f"storage and the BaseAddr index disagree"
+                )
+    if storage.row_count != len(index):
+        raise SanitizerError(
+            f"snapshot {snapshot.name!r}: storage holds {storage.row_count} "
+            f"rows but the BaseAddr index {len(index)}; storage and the "
+            f"BaseAddr index disagree"
         )
 
 

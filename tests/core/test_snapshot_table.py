@@ -258,3 +258,72 @@ class TestNetChange:
             snap.apply(UpdateDeltaMessage(addr(2), addr(1), 0b10, (5,), 4))
         assert image(snap) == before
         assert snap.storage.heap.writes.total == writes
+
+    def writes(self, snap):
+        counts = snap.storage.heap.writes
+        return counts.inserts, counts.updates, counts.deletes
+
+    def test_departure_and_arrival_are_one_rewrite(self, snap):
+        preload(snap, {1: ("a", 1), 2: ("b", 2), 4: ("d", 4)})
+        down = self.cascaded(snap)
+        departed = snap._index.get(addr(2).key())
+        inserts, updates, deletes = self.writes(snap)
+        upserts, removed = snap.applied_upserts, snap.applied_deletes
+        # Address 2 leaves (the interval before 3) and 3 arrives.
+        commit(snap, 1, [EntryMessage(addr(3), addr(1), ("c", 3), 10)])
+        assert snap.as_map() == {
+            addr(1): ("a", 1), addr(3): ("c", 3), addr(4): ("d", 4)
+        }
+        assert snap._index.get(addr(3).key()) == departed  # its row, taken
+        assert self.writes(snap) == (inserts, updates + 1, deletes)
+        assert snap.storage.row_count == len(snap) == 3
+        assert snap.applied_upserts == upserts + 1
+        assert snap.applied_deletes == removed + 1
+        # Downstream it is one changed storage entry, and nothing else.
+        assert down.refresh().entries_sent == 1
+        assert down.as_map() == {
+            rid: row.values[: len(SCHEMA)]
+            for rid, row in snap.storage.scan_full()
+        }
+
+    def test_a_repair_block_with_a_new_address_revives_before_it_pairs(
+        self, snap
+    ):
+        preload(snap, {slot: (f"r{slot}", slot) for slot in range(1, 5)})
+        heap_rids = dict(snap._index.items())
+        before = dict(image(snap))
+        # The page is wiped and re-sent whole: 3 left, 0 is new and comes
+        # first, while 1, 2 and 4 (4 the most recently doomed) still wait
+        # for their re-send.
+        commit(snap, 1, [
+            DeleteRangeMessage(Rid(0, 0), Rid(1, 0)),
+            DeleteMessage(Rid(0, 0)),
+            UpsertMessage(addr(0), ("new", 0), 10),
+            UpsertMessage(addr(1), ("r1", 1), 10),
+            UpsertMessage(addr(2), ("r2", 2), 10),
+            UpsertMessage(addr(4), ("r4", 4), 10),
+        ])
+        assert snap._index.get(addr(0).key()) == heap_rids[addr(3).key()]
+        for slot in (1, 2, 4):  # unchanged: same row, same bytes
+            heap_rid = heap_rids[addr(slot).key()]
+            assert snap._index.get(addr(slot).key()) == heap_rid
+            assert dict(image(snap))[heap_rid] == before[heap_rid]
+        assert snap.skipped_upserts == 3
+        assert snap.storage.row_count == len(snap) == 4
+
+    def test_an_arrival_that_outgrows_the_row_it_takes_relocates(self, snap):
+        preload(snap, {slot: ("x" * 1300, slot) for slot in range(3)})
+        taken = snap._index.get(addr(1).key())
+        upserts, removed = snap.applied_upserts, snap.applied_deletes
+        commit(snap, 1, [
+            DeleteMessage(addr(1)),
+            UpsertMessage(addr(5), ("y" * 2700, 5), 10),  # outgrows the page
+        ])
+        moved = snap._index.get(addr(5).key())
+        assert moved != taken and not snap.storage.exists(taken)
+        assert snap.lookup(addr(5)).values == ("y" * 2700, 5)
+        assert snap.storage.read(moved, visible=False).values[-3] == addr(5)
+        assert snap.storage.row_count == len(snap) == 3
+        assert (snap.applied_upserts, snap.applied_deletes) == (
+            upserts + 1, removed + 1
+        )

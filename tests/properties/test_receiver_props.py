@@ -7,6 +7,14 @@ epoch — the paper's sequential Figure-4 receiver.  The other twin gets
 the same messages (some delivered twice) inside one epoch.  After the
 commit both must show the same contents, SnapTime and size, and their
 cascaded snapshots must agree too.
+
+Half the drawn ops move an entry (one address leaves, another arrives),
+so most epochs pair a departure with an arrival; values come in lengths
+from a byte to most of a page, so a row an arrival takes must sometimes
+grow or move.  Storage must agree with the BaseAddr index on both twins,
+and the committed twin must leave a breadcrumb exactly where it changed
+something: a changed entry carries a NULL TimeStamp, an entry the replay
+never saw change keeps its heap address and every byte.
 """
 
 from hypothesis import given, settings
@@ -25,8 +33,11 @@ PAGES, SLOTS = 3, 5
 ADDRS = [Rid(page, slot) for page in range(PAGES) for slot in range(SLOTS)]
 
 addrs = st.sampled_from(ADDRS)
-# A tiny value domain, so an upsert often re-sends what is stored.
-rows = st.tuples(st.integers(0, 2), st.sampled_from(["a", "b"]))
+# A tiny value domain, so an upsert often re-sends what is stored; its
+# lengths run from a byte to over a third of a page.
+rows = st.tuples(
+    st.integers(0, 2), st.sampled_from(["a", "b", "c" * 300, "d" * 1500])
+)
 lower_bounds = st.one_of(st.just(Rid.BEGIN), addrs)
 
 ops = st.one_of(
@@ -45,6 +56,10 @@ ops = st.one_of(
     st.tuples(st.just("repair"), st.integers(0, PAGES - 1),
               st.dictionaries(st.integers(0, SLOTS - 1), rows)),
 )
+# A held address leaves and another arrives: what the commit pairs.
+moves = st.tuples(st.just("move"), st.integers(0, 99), st.integers(0, 99), rows)
+# Half moves (one_of would flatten ``ops`` and draw a move 1 time in 11).
+steps = st.booleans().flatmap(lambda move: moves if move else ops)
 
 
 def build(initial):
@@ -61,7 +76,8 @@ def build(initial):
 
 
 def messages_for(op, oracle, time):
-    """The refresh messages of one drawn op (deltas need a live address)."""
+    """The refresh messages of one drawn op (deltas and moves pick live
+    addresses, a move's arrival a free one)."""
     kind = op[0]
     if kind == "entry":
         return [msg.EntryMessage(op[1], op[2], op[3], 10)]
@@ -85,6 +101,12 @@ def messages_for(op, oracle, time):
         return [msg.FullRowMessage(op[1], op[2], 10)]
     if kind == "clear":
         return [msg.ClearMessage()]
+    if kind == "move":
+        live = oracle.base_addrs()
+        free = [addr for addr in ADDRS if addr not in live] or ADDRS
+        _, leaves, arrives, values = op
+        gone = [msg.DeleteMessage(live[leaves % len(live)])] if live else []
+        return gone + [msg.UpsertMessage(free[arrives % len(free)], values, 10)]
     if kind == "snap_time":
         return [msg.SnapTimeMessage(time + op[1])]
     _, page, slots = op
@@ -106,19 +128,34 @@ def timestamps(snap):
     }
 
 
+def assert_storage_matches_index(snap):
+    """Each indexed row holds its address in ``$BASEADDR$``; no orphans."""
+    baseaddr = len(SCHEMA)
+    for key, heap_rid in snap._index.items():
+        stored = snap.storage.read(heap_rid, visible=False).values[baseaddr]
+        assert stored == Rid(*key), (key, heap_rid)
+    assert snap.storage.row_count == len(snap)
+    assert not snap._doomed
+
+
 class TestNetChangeCommit:
     @settings(max_examples=120, deadline=None)
     @given(
         initial=st.dictionaries(addrs, rows, max_size=len(ADDRS)),
-        script=st.lists(st.tuples(ops, st.booleans()), max_size=25),
+        script=st.lists(
+            st.tuples(steps, st.booleans()), max_size=25
+        ),
     )
     def test_commit_equals_per_message_replay(self, initial, script):
         oracle, oracle_down = build(initial)
         twin, twin_down = build(initial)
         before = twin.as_map()
+        heap_rids = dict(twin._index.items())
+        image = dict(twin.storage.heap.scan())
 
         twin.apply(msg.RefreshBeginMessage(1))
         staged = 0
+        moved = set()  # addresses the replay ever showed other than before
         for op, duplicate in script:
             for message in messages_for(op, oracle, oracle.snap_time):
                 oracle.apply(message)
@@ -126,21 +163,33 @@ class TestNetChangeCommit:
                 if duplicate:
                     twin.apply(message)  # a faulty link delivered it twice
                 staged += 1
+                moved.update(
+                    addr for addr, values in oracle.as_map().items()
+                    if before.get(addr) != values
+                )
         assert twin.as_map() == before  # nothing visible before the commit
         twin.apply(msg.RefreshCommitMessage(1, staged))
 
-        assert twin.as_map() == oracle.as_map()
+        after = twin.as_map()
+        assert after == oracle.as_map()
         assert twin.snap_time == oracle.snap_time
         assert len(twin) == len(oracle)
         for snap in (twin, oracle):
-            assert snap.storage.row_count == len(snap)  # no orphan rows
-            assert not snap._doomed
+            assert_storage_matches_index(snap)
         # New and changed rows carry the NULL-TimeStamp breadcrumb the
-        # cascaded fix-up looks for.
+        # cascaded fix-up looks for; a row the replay never saw change
+        # (absent for a while, then revived with its values, included)
+        # is neither moved nor written.
         stamps = timestamps(twin)
-        for addr, values in twin.as_map().items():
+        for addr, values in after.items():
             if before.get(addr) != values:
                 assert stamps[addr] is NULL, addr
+            elif addr not in moved:
+                heap_rid = heap_rids[addr.key()]
+                assert twin._index.get(addr.key()) == heap_rid, addr
+                assert bytes(twin.storage.heap.read(heap_rid)) == bytes(
+                    image[heap_rid]
+                ), addr
 
         oracle_down.refresh()
         twin_down.refresh()

@@ -222,6 +222,71 @@ class TestEpochIsolation:
         assert [row.values for row in snap.rows()] == [("ok", 1)]
 
 
+class TestStorageIndex:
+    """After a commit, each row it wrote carries the BaseAddr the index
+    maps to it, and storage holds exactly the index's rows."""
+
+    def _paired(self):
+        """A snapshot and a commit where address 3 takes 2's row."""
+        schema = Schema([Column("name", StringType()), Column("v", IntType())])
+        snap = SnapshotTable(Database(), "s", schema)
+        for slot in (1, 2):
+            snap._upsert(Rid(0, slot), (f"r{slot}", slot))
+        stage = [
+            DeleteMessage(Rid(0, 2)),
+            UpsertMessage(Rid(0, 3), ("r3", 3), 8),
+        ]
+        return snap, stage
+
+    def _commit(self, snap, stage):
+        snap.apply(RefreshBeginMessage(1))
+        for message in stage:
+            snap.apply(message)
+        snap.apply(RefreshCommitMessage(1, len(stage)))
+
+    def _keep_baseaddr(self, monkeypatch, snap):
+        """The bug: a rewrite keeps the stored ``$BASEADDR$``."""
+        storage = snap.storage
+        rewrite = storage.system_update_values
+
+        def kept(rid, values, positions=None):
+            stored = storage.read(rid, visible=False).values[2]
+            return rewrite(rid, (*values[:-1], stored), positions)
+
+        monkeypatch.setattr(storage, "system_update_values", kept)
+
+    def test_a_paired_commit_passes(self):
+        snap, stage = self._paired()
+        self._commit(snap, stage)
+        assert snap.storage.heap.writes.inserts == 2  # the preload's
+        assert snap.as_map() == {Rid(0, 1): ("r1", 1), Rid(0, 3): ("r3", 3)}
+
+    def test_a_taken_row_that_keeps_the_old_baseaddr_is_caught(
+        self, monkeypatch
+    ):
+        snap, stage = self._paired()
+        self._keep_baseaddr(monkeypatch, snap)
+        with pytest.raises(SanitizerError, match=r"\$BASEADDR\$ is Rid\(0, 2\)"):
+            self._commit(snap, stage)
+        # Caught by that clause alone: without it the commit passes and
+        # every contents oracle (they read addresses from the index) agrees.
+        snap, stage = self._paired()
+        self._keep_baseaddr(monkeypatch, snap)
+        monkeypatch.setattr(sanitize, "check_storage_index", lambda *a: None)
+        self._commit(snap, stage)
+        assert snap.as_map() == {Rid(0, 1): ("r1", 1), Rid(0, 3): ("r3", 3)}
+        assert [row.values[2] for _, row in snap.storage.scan_full()] == [
+            Rid(0, 1), Rid(0, 2)
+        ]
+
+    def test_an_orphan_row_is_caught(self, monkeypatch):
+        snap, _ = self._paired()
+        # The bug: the flush forgets to delete what left.
+        monkeypatch.setattr(snap.storage, "system_delete", lambda rid: None)
+        with pytest.raises(SanitizerError, match="storage holds 2 rows but"):
+            self._commit(snap, [DeleteMessage(Rid(0, 2))])
+
+
 class TestValueCacheMirror:
     def test_diverged_mirror_fails_the_next_refresh(self):
         db, table, rids = build()
