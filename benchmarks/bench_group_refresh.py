@@ -152,7 +152,6 @@ def _measure(n: int, k: int, use_summaries: bool):
         # batch off, so these pin it at zero; bench_batch.py measures
         # the batch path itself.
         "pages_batch_decoded_group": stats.pages_batch_decoded,
-        "batches_reused_group": stats.batches_reused,
         "rows_materialized_group": stats.rows_materialized,
     }
 

@@ -116,7 +116,6 @@ def _sweep(n: int):
                 # baseline at zero; bench_batch.py measures the batch
                 # path itself.
                 "pages_batch_decoded": r_on.pages_batch_decoded,
-                "batches_reused": r_on.batches_reused,
                 "rows_materialized": r_on.rows_materialized,
             }
         )

@@ -191,10 +191,10 @@ class RefreshResult:
         self.pages_scanned = 0
         self.pages_skipped = 0
         #: Records this pass read from page bytes: per-row probes, every
-        #: entry of each :class:`~repro.storage.batch.PageBatch` it had
-        #: to extract (scan and repair alike; a reused one reads
-        #: nothing), the changed slots of a visited page plus any
-        #: unchanged qualifier a Deletion flag forced out.
+        #: entry of each :class:`~repro.storage.batch.PageBatch` it
+        #: extracted (scan and repair alike), the changed slots of a
+        #: visited page plus any unchanged qualifier a Deletion flag
+        #: forced out.
         self.rows_decoded = 0
         self.buffer_hits = 0
         self.buffer_misses = 0
@@ -216,8 +216,7 @@ class RefreshResult:
         self.pages_fast_forwarded = 0
         #: Pages served from a columnar batch, whole or a visit's partial.
         self.pages_batch_decoded = 0
-        #: Of the batch-served pages, how many reused the pool's cached
-        #: :class:`~repro.storage.batch.PageBatch` (same page version).
+        # Always 0 (the pool caches no batches): benchmarks/e2e/adapter.py reads it.
         self.batches_reused = 0
         #: Full rows decoded from a batch: only entries transmitted or
         #: repaired, each once however many cursors sent it.
@@ -265,7 +264,6 @@ PASS_FIELDS = (
     "buffer_misses",
     "group_cursors",
     "pages_batch_decoded",
-    "batches_reused",
     "rows_materialized",
     "chunks_scanned",
     "interleaved_writes",

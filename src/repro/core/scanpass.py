@@ -428,7 +428,6 @@ class _ScanPass:
 
         stats = self.stats
         if outcome is not ROWS:
-            before = whole.materializations if whole is not None else 0
             # each_live's loop, written out: a step closure per page cost
             # ≈ 2 % of a refresh that mostly visits.
             for cursor, entry in reading.items():
@@ -471,10 +470,9 @@ class _ScanPass:
                         )
                 except ChannelError as error:
                     cursor.fail(error)
-            # A partial batch is never cached: all its decodes are ours.
             decoded = delta.materializations if delta is not None else 0
             if whole is not None:
-                decoded += whole.materializations - before
+                decoded += whole.materializations
             stats.rows_decoded += len(forced)
             stats.rows_materialized += decoded + len(forced)
         # Entries served from a batch (the per-row oracle counts its own).
@@ -507,7 +505,6 @@ class _ScanPass:
                 sanitize.check_changed_slot_visit(
                     self.table,
                     page_no,
-                    delta,
                     [
                         (c, entry)
                         for c, entry in reading.items()
@@ -573,14 +570,10 @@ class _ScanPass:
         fix: "Optional[Callable[[PageBatch], Optional[Writes]]]" = None,
     ) -> PageBatch:
         """The page's batch — whole, or ``only`` those slots — charged as
-        read unless the pool's cache had it, with the Figure-7 writes
-        ``fix`` decides on it made under the same pin
-        (:meth:`~repro.storage.heap.HeapFile.fix_batch`)."""
-        batch, reused = self.heap.fix_batch(page_no, self.schema, fix, only)
-        if reused:
-            self.stats.batches_reused += 1
-        else:
-            self.stats.rows_decoded += batch.count
+        read, with the Figure-7 writes ``fix`` decides on it made under
+        the same pin (:meth:`~repro.storage.heap.HeapFile.fix_batch`)."""
+        batch = self.heap.fix_batch(page_no, self.schema, fix, only)
+        self.stats.rows_decoded += batch.count
         return batch
 
     def _fix(

@@ -91,10 +91,9 @@ class Database:
     def drop_table(self, name: str) -> None:
         """Remove a table (its pages are abandoned, not reclaimed).
 
-        The buffer pool forgets the abandoned pages first — frames are
-        dropped without writeback and cached :class:`PageBatch` entries
-        are evicted, so a long-lived pool cannot keep serving (or
-        leaking) storage that no longer has an owner.
+        The buffer pool forgets the abandoned pages first — their frames
+        are dropped without writeback, so a long-lived pool cannot keep
+        holding storage that no longer has an owner.
         """
         table = self.catalog.table(name).table
         table.heap.discard_cached()

@@ -51,15 +51,22 @@ paper's algorithm depends on:
   resync, the sender's page cache names, page by page, exactly the
   addresses the receiver holds (what arms the ``Deletion`` flag).
 
-Every check raises :class:`~repro.errors.SanitizerError` on violation
-and is observation-neutral: heap reads performed by a check save and
-restore the buffer pool's counters, so benchmarks and tests that assert
-on hit/miss statistics behave identically with the sanitizer on.
+Every check raises :class:`~repro.errors.SanitizerError` on violation.
+The rule every clause follows: **it reads only, and it leaves the
+buffer pool's counters, residency and LRU order as it found them.**
+A clause that reads a heap does so inside :func:`_pool_guard`, which
+saves the pool's state (:meth:`~repro.storage.buffer.BufferPool.save_state`)
+and puts it back after the reads (``restore_state``): the counters, the
+frames resident before, in their order, with their dirty flags, and
+none the reads admitted.  So a run with the sanitizer on evicts,
+misses and hits exactly what the plain run does, and benchmarks and
+tests that assert on pool statistics behave identically.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from typing import Any, Collection, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import SanitizerError
@@ -73,34 +80,14 @@ def enabled() -> bool:
     return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 
-class _StatsGuard:
-    """Save/restore buffer-pool counters around a sanitizer heap read."""
-
-    __slots__ = ("_stats", "_saved")
-
-    def __init__(self, heap: Any) -> None:
-        self._stats = heap.pool.stats
-        self._saved: "Optional[Tuple[int, int, int, int]]" = None
-
-    def __enter__(self) -> "_StatsGuard":
-        stats = self._stats
-        self._saved = (
-            stats.hits,
-            stats.misses,
-            stats.evictions,
-            stats.writebacks,
-        )
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        stats = self._stats
-        if self._saved is not None:
-            (
-                stats.hits,
-                stats.misses,
-                stats.evictions,
-                stats.writebacks,
-            ) = self._saved
+@contextmanager
+def _pool_guard(heap: Any) -> Iterator[None]:
+    """Leave ``heap``'s buffer pool as it was around a sanitizer read."""
+    state = heap.pool.save_state()
+    try:
+        yield
+    finally:
+        heap.pool.restore_state(state)
 
 
 def check_annotation_chain(table: Any, pages: Optional[int] = None) -> None:
@@ -117,7 +104,7 @@ def check_annotation_chain(table: Any, pages: Optional[int] = None) -> None:
         return
     if pages is None:
         pages = table.heap.page_count
-    with _StatsGuard(table.heap):
+    with _pool_guard(table.heap):
         expected = Rid.BEGIN
         entries = (
             entry
@@ -149,7 +136,7 @@ def check_page_summaries(table: Any) -> None:
     summaries = table.heap.summaries
     if summaries is None:
         return
-    with _StatsGuard(table.heap):
+    with _pool_guard(table.heap):
         heap = table.heap
         for page_no in range(heap.page_count):
             summary = summaries.get(page_no)
@@ -189,7 +176,7 @@ def check_free_map(heap: Any) -> None:
             f"heap {heap.name!r}: free-space map of {fsm.pages} pages in "
             f"{len(tree)} nodes for {heap.page_count} pages"
         )
-    with _StatsGuard(heap):
+    with _pool_guard(heap):
         for page_no in range(heap.page_count):
             page = heap._pin(page_no)
             try:
@@ -247,7 +234,6 @@ def check_after_refresh_scan(table: Any, fixup_ran: bool) -> None:
 def check_changed_slot_visit(
     table: Any,
     page_no: int,
-    delta: Any,
     crossed: "Sequence[Tuple[Any, Any]]",
     named: "Collection[int]",
     what: str = "a changed-slot visit",
@@ -265,8 +251,7 @@ def check_changed_slot_visit(
     empty again.  The whole page must show what the batch path
     establishes: no NULL annotation, an intact chain, and the first
     ``PrevAddr`` and qualifying slots each visiting cursor just
-    recorded.  Nor may ``delta``, the partial batch the visit read, sit
-    in the pool's batch cache, where a scan could take it for the page.
+    recorded.
 
     The online repair (``what``) is held to the same: it trusted the
     write observer's slots (``named``) as the visit trusts the
@@ -279,10 +264,10 @@ def check_changed_slot_visit(
 
     heap = table.heap
     physical = heap.physical_pages()[page_no]
-    with _StatsGuard(heap):
+    with _pool_guard(heap):
         frame = heap.pool.pin(physical)
         try:
-            batch = extract_page_batch(page_no, frame, table.schema, 0)
+            batch = extract_page_batch(page_no, frame, table.schema)
         finally:
             heap.pool.unpin(physical)
     where = f"table {table.name!r} page {page_no}: {what}"
@@ -318,8 +303,6 @@ def check_changed_slot_visit(
                 f"qualifying slots {list(info.qual_slots)}; the page holds "
                 f"{batch.first_prev} and {quals}"
             )
-    if heap.pool.batch_peek(physical) is delta:
-        raise SanitizerError(f"{where} cached its partial batch as the page")
 
 
 def check_crossed_run(
@@ -525,7 +508,7 @@ def check_storage_index(snapshot: Any, messages: "Sequence[Any]") -> None:
     """
     index, storage = snapshot._index, snapshot.storage
     position = len(snapshot.value_schema)
-    with _StatsGuard(storage.heap):
+    with _pool_guard(storage.heap):
         for message in messages:
             addr = getattr(message, "addr", None)
             heap_rid = index.get(addr.key()) if addr is not None else None
@@ -557,20 +540,21 @@ def check_value_cache(cache: Any, snapshot: Any) -> None:
     if the mirror disagrees with the receiver, the merged row at the
     other end would be silently wrong.
     """
-    for page_values in cache.pages.values():
-        for rid, values in page_values.items():
-            row = snapshot.lookup(rid)
-            if row is None:
-                raise SanitizerError(
-                    f"snapshot {snapshot.name!r}: value cache remembers "
-                    f"{rid} but the receiver holds no such entry"
-                )
-            if tuple(row.values) != tuple(values):
-                raise SanitizerError(
-                    f"snapshot {snapshot.name!r}: value cache remembers "
-                    f"{values!r} for {rid} but the receiver holds "
-                    f"{tuple(row.values)!r}; the mirror diverged"
-                )
+    with _pool_guard(snapshot.storage.heap):
+        for page_values in cache.pages.values():
+            for rid, values in page_values.items():
+                row = snapshot.lookup(rid)
+                if row is None:
+                    raise SanitizerError(
+                        f"snapshot {snapshot.name!r}: value cache remembers "
+                        f"{rid} but the receiver holds no such entry"
+                    )
+                if tuple(row.values) != tuple(values):
+                    raise SanitizerError(
+                        f"snapshot {snapshot.name!r}: value cache remembers "
+                        f"{values!r} for {rid} but the receiver holds "
+                        f"{tuple(row.values)!r}; the mirror diverged"
+                    )
 
 
 # -- sender address-set mirroring ---------------------------------------------
@@ -600,11 +584,10 @@ def check_address_mirror(cache: Any, snapshot: Any) -> None:
 
 
 def check_buffer_bounds(pool: Any) -> None:
-    """Both pool caches respect the configured frame capacity.
+    """The frame LRU respects the configured frame capacity.
 
-    The frame LRU is bounded by eviction and the batch cache by its
-    store-time trim, but retention bugs (dropped tables whose entries
-    were never evicted) inflate either side silently — the pool keeps
+    Eviction bounds it, but a retention bug (dropped tables whose frames
+    were never evicted) would inflate it silently — the pool keeps
     "working" while holding storage nobody can ever hit again.
     """
     capacity = pool.capacity
@@ -612,12 +595,6 @@ def check_buffer_bounds(pool: Any) -> None:
         raise SanitizerError(
             f"buffer pool holds {len(pool)} frames over its capacity "
             f"of {capacity}; eviction is leaking frames"
-        )
-    batches = pool.batch_entries()
-    if batches > capacity:
-        raise SanitizerError(
-            f"buffer pool holds {batches} cached page batches over its "
-            f"capacity of {capacity}; batch retention is leaking entries"
         )
 
 
@@ -634,14 +611,15 @@ def check_anti_entropy(
     digest collision or a slicing bug would leave silent drift exactly
     where the protocol claims to have proven agreement.
     """
-    with _StatsGuard(table.heap):
+    with _pool_guard(table.heap):
         expected = {}
         for rid, row in table.scan_full():
             if restriction(list(row.values)):
                 expected[rid] = tuple(projection(row).values)
-    actual = {
-        addr: tuple(values) for addr, values in snapshot.as_map().items()
-    }
+    with _pool_guard(snapshot.storage.heap):
+        actual = {
+            addr: tuple(values) for addr, values in snapshot.as_map().items()
+        }
     if actual == expected:
         return
     missing = sorted(set(expected) - set(actual))

@@ -1,4 +1,4 @@
-"""Columnar page batches: decode a page's refresh state once, reuse forever.
+"""Columnar page batches: decode a page's refresh state once per read.
 
 The combined fix-up + refresh scan needs, for every live entry of every
 page it reads, the two trailing annotation fields (``$PREVADDR$``,
@@ -40,17 +40,16 @@ in O(1), whether it must write to the page:
 A page with no NULLs, an intact chain and a matching boundary is
 *write-free*: the scan serves it without touching the base table.
 
-Batches are cached on the buffer pool keyed by the page's summary
-version (the repo's LSN stand-in: it bumps on *every* record write, see
-:class:`~repro.storage.summary.PageSummary`), so an unchanged page is
-never re-decoded across refreshes; a page with NULL annotations is not
-cached, because the scan that reads it is about to rewrite it (see
-:meth:`repro.storage.heap.HeapFile.fix_batch`).  The per-batch caches
-below make the *derived* work reusable too:
+A batch lives for one read of its page
+(:meth:`repro.storage.heap.HeapFile.fix_batch`): a refresh pass reads
+each page at most once, and page summaries let a later pass skip or
+visit a page that has not changed instead of reading it whole again.
+The per-batch caches below make the *derived* work of that read
+shared by every cursor riding it:
 
 - :meth:`qualifying` memoizes each restriction's qualifying entries
-  (the Figure-3 qualification test, evaluated once per page version per
-  predicate instead of once per record per refresh), or evaluates it on
+  (the Figure-3 qualification test, evaluated once per entry per
+  restriction text however many cursors share it), or evaluates it on
   just the entries a cursor names — those that changed for its snapshot.
   Either way the restriction's rendered
   :meth:`~repro.expr.predicate.Restriction.qualifier` reads the columns
@@ -61,15 +60,15 @@ below make the *derived* work reusable too:
 A page whose summary names every slot that changed is not extracted
 whole: the scan asks for a *partial* batch of just those slots
 (``only=``), which serves the same qualification and rows for those
-records and is never cached.  Where one of them was emptied or newly inserted,
+records.  Where one of them was emptied or newly inserted,
 the partial batch also holds the next live record after it — the one
 whose ``PrevAddr`` Figure 7 may have to repoint — and gives every
 record its live predecessor on the page (``preds``), so the fix-up can
 walk just these records.
 
 Everything here is read-only with respect to the page: extraction runs
-under a single pin and copies what it keeps, so a cached batch never
-aliases buffer-pool frames that may be evicted or rewritten.
+under a single pin and copies what it keeps, so a batch never aliases
+buffer-pool frames that may be evicted or rewritten.
 """
 
 from __future__ import annotations
@@ -121,14 +120,13 @@ class PageBatch:
     """Columnar image of one heap page's live entries plus derived caches.
 
     Instances are built by :func:`extract_page_batch` and are immutable
-    in their extracted state; the probe/qualification/row caches fill
-    lazily and stay valid for the lifetime of the batch because a batch
-    is only ever served while its ``version`` matches the page's.
+    in their extracted state; the qualification/row caches fill lazily
+    and stay valid for the lifetime of the batch, one read of the page:
+    the bodies are copies, so later writes to the page do not reach it.
     """
 
     __slots__ = (
         "page_no",
-        "version",
         "count",
         "slots",
         "ts",
@@ -150,7 +148,6 @@ class PageBatch:
     def __init__(
         self,
         page_no: int,
-        version: int,
         schema: Schema,
         slots: "array[int]",
         ts: "array[int]",
@@ -164,9 +161,6 @@ class PageBatch:
         preds: "Optional[array[int]]" = None,
     ) -> None:
         self.page_no = page_no
-        #: The page-summary version the extraction saw; the buffer-pool
-        #: cache only serves a batch whose version still matches.
-        self.version = version
         self.count = len(bodies)
         self.slots = slots
         #: Raw i64 timestamps; ``-2**63`` is the inline-NULL sentinel.
@@ -181,8 +175,8 @@ class PageBatch:
         self.first_prev = first_prev
         #: Exact max over live non-NULL timestamps (0 when none).
         self.max_live_ts = max_live_ts
-        #: Cumulative full-row decodes; scans diff this around a page
-        #: visit to charge ``rows_materialized`` honestly.
+        #: Full-row decodes of this batch, charged by the scan to
+        #: ``rows_materialized``.
         self.materializations = 0
         #: Of a partial batch that read successors: each record's live
         #: predecessor slot on the page, -1 for the page's first live
@@ -229,9 +223,8 @@ class PageBatch:
         """Indices of entries satisfying ``restriction``, memoized by text.
 
         This is the batch form of the Figure-3 qualification test: the
-        predicate is evaluated once per entry per *page version*, not
-        once per entry per refresh — repeat refreshes over unchanged
-        pages reuse the cached index array outright.
+        predicate is evaluated once per entry of this read, however many
+        cursors of the pass share the restriction's text.
 
         With ``among`` — entry indices, ascending — only those entries
         are evaluated: the answer depends on the asker (which entries
@@ -249,7 +242,7 @@ class PageBatch:
 
     def __repr__(self) -> str:
         return (
-            f"PageBatch(page={self.page_no}, v={self.version}, "
+            f"PageBatch(page={self.page_no}, "
             f"count={self.count}, nulls={self.has_nulls}, "
             f"chain={'ok' if self.chain_ok else 'broken'}, "
             f"max_ts={self.max_live_ts})"
@@ -265,7 +258,6 @@ def extract_page_batch(
     page_no: int,
     buf: bytearray,
     schema: Schema,
-    version: int,
     only: "Optional[Sequence[int]]" = None,
 ) -> PageBatch:
     """Extract a :class:`PageBatch` from a pinned page image.
@@ -288,8 +280,7 @@ def extract_page_batch(
     page's (the scan's boundary test needs it whichever entries it
     reads), read off the first live directory entry; ``has_nulls`` and
     ``max_live_ts`` cover the extracted records and ``chain_ok`` is
-    False, not proven.  A partial batch must never enter the
-    version-keyed cache; its bodies are ``bytearray`` copies.
+    False, not proven.  Its bodies are ``bytearray`` copies.
     """
     (slot_count,) = _SLOT_COUNT.unpack_from(buf, 2)
     tail_read = ANNOTATION_TAIL.unpack_from
@@ -352,7 +343,6 @@ def extract_page_batch(
                 break
     return PageBatch(
         page_no,
-        version,
         schema,
         slots,
         ts,

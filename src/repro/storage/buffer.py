@@ -18,7 +18,7 @@ eviction or on :meth:`BufferPool.flush_all`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.errors import BufferPoolError
 from repro.storage.pager import Pager
@@ -33,14 +33,15 @@ class _Frame:
         self.dirty = False
 
 
-class BufferStats:
-    """Counters exposed for benchmarks: hits, misses, evictions, writebacks.
+class PoolState(NamedTuple):
+    """A :class:`BufferPool`'s observable state (:meth:`BufferPool.save_state`)."""
 
-    ``batch_hits``/``batch_misses`` count the columnar
-    :class:`~repro.storage.batch.PageBatch` cache separately: a batch
-    hit serves the page *without pinning a frame*, so it must not also
-    count as a page hit — each page access lands in exactly one stat.
-    """
+    counts: "tuple[int, int, int, int]"
+    frames: "OrderedDict[int, _Frame]"
+
+
+class BufferStats:
+    """Counters exposed for benchmarks: hits, misses, evictions, writebacks."""
 
     __slots__ = (
         "hits",
@@ -56,7 +57,9 @@ class BufferStats:
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
+        # Always 0 (the pool caches no batches): benchmarks/e2e/adapter.py reads it.
         self.batch_hits = 0
+        # Always 0 (the pool caches no batches): benchmarks/e2e/adapter.py reads it.
         self.batch_misses = 0
 
     def reset(self) -> None:
@@ -64,8 +67,10 @@ class BufferStats:
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
-        self.batch_hits = 0
-        self.batch_misses = 0
+
+    def counts(self) -> "tuple[int, int, int, int]":
+        """``(hits, misses, evictions, writebacks)``."""
+        return self.hits, self.misses, self.evictions, self.writebacks
 
     @property
     def hit_rate(self) -> float:
@@ -75,8 +80,7 @@ class BufferStats:
     def __repr__(self) -> str:
         return (
             f"BufferStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, writebacks={self.writebacks}, "
-            f"batch={self.batch_hits}/{self.batch_hits + self.batch_misses})"
+            f"evictions={self.evictions}, writebacks={self.writebacks})"
         )
 
 
@@ -90,11 +94,6 @@ class BufferPool:
         self._capacity = capacity
         # OrderedDict as LRU: most recently used at the end.
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
-        # Columnar PageBatch cache (page_no -> batch), LRU-bounded to
-        # the frame capacity.  Entries self-invalidate by version: a
-        # lookup with a newer page version is a miss and the caller's
-        # store replaces the stale batch.
-        self._batches: "OrderedDict[int, object]" = OrderedDict()
         self.stats = BufferStats()
 
     @property
@@ -155,29 +154,30 @@ class BufferPool:
                 frame.dirty = False
                 self.stats.writebacks += 1
 
-    # -- columnar batch cache ------------------------------------------------
+    def save_state(self) -> "PoolState":
+        """What an observer of the pool can see: the counters and the
+        resident frames in LRU order, each with its dirty flag and pin
+        count (the frame objects themselves).  :meth:`restore_state`
+        puts it back."""
+        return PoolState(self.stats.counts(), OrderedDict(self._frames))
 
-    def batch_lookup(self, page_no: int, version: int) -> "object | None":
-        """Cached :class:`~repro.storage.batch.PageBatch`, version-checked.
-
-        A hit serves the whole page without touching a frame (one stat,
-        no pin); a stale or absent entry is a batch miss and the caller
-        re-extracts under a normal pin (which takes the page hit/miss).
-        """
-        batch = self._batches.get(page_no)
-        if batch is not None and batch.version == version:  # type: ignore[attr-defined]
-            self.stats.batch_hits += 1
-            self._batches.move_to_end(page_no)
-            return batch
-        self.stats.batch_misses += 1
-        return None
-
-    def batch_store(self, page_no: int, batch: object) -> None:
-        """Cache a freshly extracted batch, evicting LRU past capacity."""
-        self._batches[page_no] = batch
-        self._batches.move_to_end(page_no)
-        while len(self._batches) > self._capacity:
-            self._batches.popitem(last=False)
+    def restore_state(self, state: "PoolState") -> None:
+        """Return to ``state`` after reads only: the counters, and the
+        frames resident then, in their LRU order.  A frame the reads
+        evicted comes back as it was (a dirty one was written back, so
+        the pager holds its bytes, and stays dirty); a frame they
+        admitted is dropped.  Anything else — a frame admitted dirty or
+        still pinned — means the reads wrote, and is an error."""
+        saved = state.frames
+        for page_no, frame in self._frames.items():
+            if saved.get(page_no) is not frame and (frame.dirty or frame.pin_count):
+                raise BufferPoolError(
+                    f"page {page_no} was written or left pinned since the "
+                    "pool state was saved"
+                )
+        stats = self.stats
+        stats.hits, stats.misses, stats.evictions, stats.writebacks = state.counts
+        self._frames = OrderedDict(saved)
 
     def discard_pages(self, page_nos: "Iterable[int]") -> int:
         """Forget cached state for abandoned pages; return entries dropped.
@@ -185,10 +185,8 @@ class BufferPool:
         Used when a table is dropped or truncated: its frames are
         discarded *without* writeback (the pages are garbage — writing
         them back would be wasted I/O and would resurrect stale bytes
-        if the pager ever reuses the page), and its columnar batch
-        entries are removed so the batch cache cannot keep serving a
-        page whose owner is gone.  Pinned frames are an error: nobody
-        may hold a pin into storage that is being abandoned.
+        if the pager ever reuses the page).  Pinned frames are an error:
+        nobody may hold a pin into storage that is being abandoned.
         """
         dropped = 0
         for page_no in page_nos:
@@ -200,31 +198,7 @@ class BufferPool:
                     )
                 del self._frames[page_no]
                 dropped += 1
-            if self._batches.pop(page_no, None) is not None:
-                dropped += 1
         return dropped
-
-    def discard_batches(self, page_nos: "Iterable[int]") -> int:
-        """Evict cached batches for specific pages; frames stay put.
-
-        Used on truncate: the pages remain owned (and possibly dirty in
-        their frames), but every cached batch for them is definitionally
-        stale — version self-invalidation would already refuse to serve
-        them, so all the stale entries do is squat in the LRU bound.
-        """
-        dropped = 0
-        for page_no in page_nos:
-            if self._batches.pop(page_no, None) is not None:
-                dropped += 1
-        return dropped
-
-    def batch_peek(self, page_no: int) -> "object | None":
-        """Cached batch of any version: no stat, no LRU touch (sanitizer)."""
-        return self._batches.get(page_no)
-
-    def batch_entries(self) -> int:
-        """Number of cached batch entries (diagnostic / sanitizer)."""
-        return len(self._batches)
 
     def pinned_pages(self) -> "list[int]":
         """Page numbers currently pinned (diagnostic)."""

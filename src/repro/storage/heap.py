@@ -300,7 +300,7 @@ class HeapFile:
         return list(self._pages)
 
     def discard_cached(self) -> int:
-        """Drop this heap's pages from the buffer/batch caches (no I/O)."""
+        """Drop this heap's pages from the buffer pool (no I/O)."""
         return self._pool.discard_pages(self._pages)
 
     # -- record operations ---------------------------------------------------
@@ -484,7 +484,7 @@ class HeapFile:
         schema,
         fix: "Optional[Callable[[PageBatch], Optional[Writes]]]" = None,
         only: "Optional[Sequence[int]]" = None,
-    ) -> "tuple[PageBatch, bool] | None":
+    ) -> PageBatch:
         """Columnar :class:`~repro.storage.batch.PageBatch` of one page,
         and the annotation repairs ``fix`` decides on it, under one pin.
 
@@ -497,57 +497,21 @@ class HeapFile:
         page as read.  The frame is released dirty only if something
         was written.  Whatever ``fix`` raises leaves the page as it was.
 
-        Returns ``(batch, reused)`` — ``reused`` is True when the buffer
-        pool's version-keyed cache already held the batch (no pin taken
-        for the read, one batch stat; the writes, if any, take one) — or
-        ``None`` when the heap has no summaries to version batches by.
-        On a miss the page hit/miss stat for the single pin is the only
-        frame traffic.
-
-        A batch is cached only while its page has no NULL annotations:
-        the scan that reads a page awaiting fix-up rewrites it (bumping
-        the version) before anyone could reuse the batch, so caching it
-        would only hold a dead copy of the page until the LRU turned
-        over (measured on A21: +5.7 % peak RSS on ``sparse_uniform``
-        and +11 % on ``churn_fanout``, against a 5 % bound).
-
         ``only`` (ascending slot numbers) reads just those records: a
-        *partial* batch, which neither comes from the cache nor enters
-        it — it does not describe the page.
+        *partial* batch.
         """
-        summaries = self.summaries
-        if summaries is None:
-            return None
-        summary = summaries.get_or_create(heap_page)
-        version = summary.page_version
         physical = self._physical(heap_page)
         writes: "Optional[Writes]" = None
-        if only is None:
-            cached = self._pool.batch_lookup(physical, version)
-            if cached is not None:
-                if fix is not None:
-                    writes = fix(cached)
-                if writes:
-                    page = self._pin(heap_page)
-                    try:
-                        self._write_tails(page, heap_page, writes)
-                    finally:
-                        self._unpin(heap_page, dirty=True)
-                return cached, True
-        # Decided before any write can clear the page's NULLs.
-        cacheable = only is None and not summary.null_slots
         frame = self._pool.pin(physical)
         try:
-            batch = extract_page_batch(heap_page, frame, schema, version, only)
+            batch = extract_page_batch(heap_page, frame, schema, only)
             if fix is not None:
                 writes = fix(batch)
             if writes:
                 self._write_tails(SlottedPage(frame), heap_page, writes)
         finally:
             self._pool.unpin(physical, dirty=bool(writes))
-        if cacheable:
-            self._pool.batch_store(physical, batch)
-        return batch, False
+        return batch
 
     def _write_tails(
         self, page: SlottedPage, heap_page: int, writes: "Writes"

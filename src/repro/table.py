@@ -580,21 +580,15 @@ class Table(UndoInterface):
         return rids
 
     def truncate(self) -> int:
-        """Delete every row (no logging); keeps schema, storage and caches
-        honest.
+        """Delete every row (no logging); keeps schema and storage.
 
-        Rows are removed through the delete routine (so page summaries,
-        indexes and an eager chain stay maintained) and every cached
-        columnar batch for the table's pages is evicted from the buffer
-        pool — the entries are definitionally stale after a truncate,
-        and leaving them in the bounded batch cache just squats LRU
-        slots until unrelated traffic pushes them out.
+        Rows are removed through the delete routine, so page summaries,
+        indexes and an eager chain stay maintained.
         """
         removed = 0
         for rid in list(self.heap.scan_rids()):
             self.system_delete(rid)
             removed += 1
-        self.heap.pool.discard_batches(self.heap.physical_pages())
         return removed
 
     # -- reads -------------------------------------------------------------------

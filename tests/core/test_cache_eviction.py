@@ -1,12 +1,10 @@
 """Cache retention on drop/truncate: abandoned pages leave the pool.
 
-The buffer pool's frame LRU and columnar batch cache are keyed by
-physical page number.  A dropped table's pages are garbage — retaining
-their frames squats in the LRU (and writing them back on eviction
-would be wasted I/O), and retaining their batch entries lets the cache
-serve pages whose owner is gone.  Truncate is the subtler case: the
-pages remain owned, so dirty frames must survive, but every cached
-batch is definitionally stale.
+The buffer pool's frame LRU is keyed by physical page number.  A
+dropped table's pages are garbage — retaining their frames squats in
+the LRU, and writing them back on eviction would be wasted I/O.
+Truncate is the subtler case: the pages remain owned, so their dirty
+frames must survive.
 """
 
 import pytest
@@ -15,6 +13,7 @@ from repro.core.manager import SnapshotManager
 from repro.core.snapshot import STORAGE_PREFIX
 from repro.database import Database
 from repro.errors import BufferPoolError
+from repro.storage.page import SlottedPage
 
 
 @pytest.fixture
@@ -26,7 +25,7 @@ def world():
 
 
 def _warm(table):
-    """Touch every page so frames (and batches, if any) are cached."""
+    """Touch every page so its frame is cached."""
     for _ in table.scan():
         pass
 
@@ -63,14 +62,16 @@ class TestTruncate:
         assert removed == 500
         assert list(table.scan()) == []
 
-    def test_truncate_evicts_stale_batches(self, world):
+    def test_truncate_keeps_buffered_deletes(self, world):
         _, table = world
+        _warm(table)
         pool = table.heap.pool
-        for page_no in table.heap.physical_pages():
-            pool.batch_store(page_no, object())
-        assert pool.batch_entries() > 0
         table.truncate()
-        assert pool.batch_entries() == 0
+        pool.flush_all()
+        pages = table.heap.physical_pages()
+        assert pages
+        for page_no in pages:
+            assert SlottedPage(pool.pager.read_page(page_no)).live_count == 0
 
     def test_truncated_table_is_reusable(self, world):
         _, table = world

@@ -38,7 +38,7 @@ def cross(table, held, restriction, changed_slots, freed=()):
         0, restriction, Projection(table.schema.visible()), sent.append
     )
     info = PageQualInfo(1, Rid.BEGIN, held, None)
-    batch, _ = table.heap.fix_batch(0, table.schema, only=changed_slots)
+    batch = table.heap.fix_batch(0, table.schema, only=changed_slots)
 
     def row_at(slot_no):  # a forced qualifier is read on its own, as the scan does
         return decode_row(table.schema, table.heap.read(Rid(0, slot_no)))

@@ -143,14 +143,13 @@ class TestGroupStats:
         results = manager.refresh_all()
         # Pass-level decode work is shared: without summaries no cursor
         # holds a record of any page, so each ran its restriction on
-        # every live entry (the paper's rule), but no entry's fields
-        # were extracted more than once for the pass (less, where a
-        # cached batch was reused) — and every member reports that one
-        # pass-level count.
+        # every live entry (the paper's rule), but each entry's fields
+        # were extracted once for the pass — and every member reports
+        # that one pass-level count.
         assert len({r.rows_decoded for r in results.values()}) == 1
         for result in results.values():
             assert result.entries_evaluated == emp.row_count
-            assert 0 < result.rows_decoded <= result.entries_evaluated
+            assert result.rows_decoded == result.entries_evaluated
             assert result.group_cursors == 3
         # With the manager's defaults each cursor crosses the page from
         # its committed entry and evaluates what changed for it: the 15

@@ -1,4 +1,4 @@
-"""PageBatch extraction, derived facts, and the buffer-pool batch cache."""
+"""PageBatch extraction, derived facts, and reading a page into one."""
 
 import pytest
 
@@ -28,15 +28,12 @@ def lazy(db):
 
 
 def get_batch(table, heap_page=0):
-    result = table.heap.fix_batch(heap_page, table.schema)
-    assert result is not None
-    return result
+    return table.heap.fix_batch(heap_page, table.schema)
 
 
 class TestExtraction:
     def test_arrays_mirror_page_entries(self, eager):
-        batch, reused = get_batch(eager)
-        assert not reused
+        batch = get_batch(eager)
         entries = eager.heap.page_entries(0)
         assert batch.count == len(entries)
         assert list(batch.slots) == [slot for slot, _ in entries]
@@ -44,7 +41,7 @@ class TestExtraction:
         assert batch.last_rid() == Rid(0, entries[-1][0])
 
     def test_annotation_columns_match_row_decode(self, eager):
-        batch, _ = get_batch(eager)
+        batch = get_batch(eager)
         prev_pos = eager.schema.position("$PREVADDR$")
         ts_pos = eager.schema.position("$TIMESTAMP$")
         for index in range(batch.count):
@@ -55,14 +52,14 @@ class TestExtraction:
             assert prev == Rid(batch.prev_pages[index], batch.prev_slots[index])
 
     def test_eager_page_facts(self, eager):
-        batch, _ = get_batch(eager)
+        batch = get_batch(eager)
         assert not batch.has_nulls
         assert batch.chain_ok
         assert batch.first_prev == Rid.BEGIN
         assert batch.max_live_ts == max(batch.ts)
 
     def test_lazy_nulls_detected(self, lazy):
-        batch, _ = get_batch(lazy)
+        batch = get_batch(lazy)
         assert batch.has_nulls
 
     def test_deletion_breaks_chain(self, lazy):
@@ -74,7 +71,7 @@ class TestExtraction:
         rids = list(lazy.heap.scan_rids())
         victim = rids[3]
         lazy.delete(victim)
-        batch, _ = get_batch(lazy, victim.page_no)
+        batch = get_batch(lazy, victim.page_no)
         assert not batch.has_nulls
         assert not batch.chain_ok
 
@@ -82,7 +79,7 @@ class TestExtraction:
         table = db.create_table("e", [("v", "int")], annotations="eager")
         rid = table.insert([1])
         table.delete(rid)
-        batch, _ = get_batch(table, 0)
+        batch = get_batch(table, 0)
         assert batch.count == 0
         assert batch.last_rid() is None
         assert batch.first_prev is None
@@ -101,14 +98,14 @@ class TestExtraction:
 
                 offset, _ = struct.unpack_from("<HH", frame, 12)
                 struct.pack_into("<HH", frame, 12, offset, 16)
-                extract_page_batch(0, frame, table.schema, 1)
+                extract_page_batch(0, frame, table.schema)
         finally:
             heap.pool.unpin(heap._physical(0), dirty=False)
 
 
 class TestDerivedCaches:
     def test_row_memoized_and_counted(self, eager):
-        batch, _ = get_batch(eager)
+        batch = get_batch(eager)
         assert batch.materializations == 0
         first = batch.row(5)
         again = batch.row(5)
@@ -116,7 +113,7 @@ class TestDerivedCaches:
         assert batch.materializations == 1
 
     def test_qualifying_matches_per_row(self, eager):
-        batch, _ = get_batch(eager)
+        batch = get_batch(eager)
         restriction = Restriction.parse("sal < 3", eager.schema)
         qualified = list(batch.qualifying(restriction))
         expected = [
@@ -128,7 +125,7 @@ class TestDerivedCaches:
         assert batch.qualifying(restriction) is batch.qualifying(restriction)
 
     def test_qualifying_among_evaluates_only_the_named_entries(self, eager):
-        batch, _ = get_batch(eager)
+        batch = get_batch(eager)
         restriction = Restriction.parse("sal < 3", eager.schema)
         asked = []
 
@@ -153,7 +150,7 @@ class TestDerivedCaches:
 
     def test_live_is_the_set_of_extracted_slots(self, eager):
         eager.delete(Rid(0, 4))
-        batch, _ = get_batch(eager)
+        batch = get_batch(eager)
         assert batch.live == frozenset(batch.slots) and 4 not in batch.live
         assert batch.live is batch.live
 
@@ -161,29 +158,30 @@ class TestDerivedCaches:
         restriction = Restriction.parse("sal < 3", eager.schema)
         qualifier = restriction.qualifier(eager.schema)
         assert restriction.qualifier(eager.schema) is qualifier
-        batch, _ = get_batch(eager)
+        batch = get_batch(eager)
         assert list(qualifier(batch.bodies, range(batch.count))) == [
             index for index in range(batch.count) if restriction(batch.row(index))
         ]
 
 
 class TestBatchCache:
-    def test_hit_takes_no_pin(self, eager):
-        heap = eager.heap
-        get_batch(eager)
-        stats = heap.pool.stats
-        hits, misses = stats.hits, stats.misses
-        batch_hits = stats.batch_hits
-        batch, reused = get_batch(eager)
-        assert reused
-        assert stats.batch_hits == batch_hits + 1
-        assert (stats.hits, stats.misses) == (hits, misses)
+    """There is none: the pool caches frames, not batches, so every read
+    extracts afresh under one pin."""
+
+    def test_every_read_takes_one_pin(self, eager):
+        stats = eager.heap.pool.stats
+        first = get_batch(eager)
+        pins = stats.hits + stats.misses
+        again = get_batch(eager)
+        assert stats.hits + stats.misses == pins + 1
+        assert again is not first
+        assert list(again.slots) == list(first.slots)
+        assert again.bodies == first.bodies
 
     def test_any_write_invalidates(self, eager):
-        batch, _ = get_batch(eager)
+        batch = get_batch(eager)
         eager.insert([99, 1])
-        fresh, reused = get_batch(eager)
-        assert not reused
+        fresh = get_batch(eager)
         assert fresh is not batch
         assert fresh.count == batch.count + 1
 
@@ -195,10 +193,12 @@ class TestBatchCache:
         assert heap.page_count > heap.pool.capacity
         for page_no in range(heap.page_count):
             heap.fix_batch(page_no, table.schema)
-        assert len(heap.pool._batches) <= heap.pool.capacity
+        assert len(heap.pool) <= heap.pool.capacity
+        assert heap.pool.pinned_pages() == []
 
     def test_no_summaries_no_batch(self, db):
         table = db.create_table("plain", [("v", "int")])
         table.insert([1])
         assert table.heap.summaries is None
-        assert table.heap.fix_batch(0, table.schema) is None
+        with pytest.raises(StorageError):
+            table.heap.fix_batch(0, table.schema)

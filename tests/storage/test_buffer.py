@@ -104,11 +104,6 @@ class TestFlush:
         assert pool.stats.hit_rate == 0.5
 
 
-class _FakeBatch:
-    def __init__(self, version=1):
-        self.version = version
-
-
 class TestDiscard:
     def test_discard_pages_drops_frames_without_writeback(self, pool):
         pages = _fill(pool, 2)
@@ -123,13 +118,6 @@ class TestDiscard:
         # Abandoned pages are never written back.
         assert pool.stats.writebacks == writebacks_before
 
-    def test_discard_pages_also_drops_batches(self, pool):
-        page_no = pool.allocate_page()
-        pool.batch_store(page_no, _FakeBatch())
-        assert pool.batch_entries() == 1
-        pool.discard_pages([page_no])
-        assert pool.batch_entries() == 0
-
     def test_discard_pinned_page_raises(self, pool):
         page_no = pool.allocate_page()
         pool.pin(page_no)
@@ -137,21 +125,51 @@ class TestDiscard:
             pool.discard_pages([page_no])
         pool.unpin(page_no)
 
-    def test_discard_batches_leaves_frames(self, pool):
-        page_no = pool.allocate_page()
-        frame = pool.pin(page_no)
-        frame[0] = 0xCD
-        pool.unpin(page_no, dirty=True)
-        pool.batch_store(page_no, _FakeBatch())
-        dropped = pool.discard_batches([page_no])
-        assert dropped == 1
-        assert pool.batch_entries() == 0
-        # The dirty frame survives (truncate must not lose buffered writes).
-        assert len(pool) == 1
-        pool.flush_all()
-        assert pool.pager.read_page(page_no)[0] == 0xCD
 
-    def test_batch_cache_stays_within_capacity(self, pool):
-        for _ in range(10):
-            pool.batch_store(pool.allocate_page(), _FakeBatch())
-        assert pool.batch_entries() <= pool.capacity
+class TestState:
+    """``save_state`` / ``restore_state``: reads in between leave the
+    pool as it was — counters, resident frames, LRU order, dirty flags."""
+
+    def _resident(self, pool):
+        return [(no, frame.dirty) for no, frame in pool._frames.items()]
+
+    def test_reads_in_between_leave_no_trace(self, pool):
+        pages = _fill(pool, 6)
+        for page_no in pages[:3]:
+            pool.pin(page_no)
+            pool.unpin(page_no)
+        pool.pin(pages[1])[0] = 0xAB
+        pool.unpin(pages[1], dirty=True)
+        pool.pin(pages[0])
+        pool.unpin(pages[0])  # LRU order: 2, 1, 0
+        counts, resident = pool.stats.counts(), self._resident(pool)
+        state = pool.save_state()
+        for page_no in pages[3:]:  # evicts all three, writing page 1 back
+            pool.pin(page_no)
+            pool.unpin(page_no)
+        assert pool.stats.writebacks == 1
+        pool.restore_state(state)
+        assert pool.stats.counts() == counts
+        assert self._resident(pool) == resident
+        # The restored dirty frame is written back once more on its own
+        # eviction, as the run without the reads would have done.
+        for page_no in pages[3:]:
+            pool.pin(page_no)
+            pool.unpin(page_no)
+        assert pool.stats.writebacks == 1
+        assert pool.pager.read_page(pages[1])[0] == 0xAB
+
+    def test_a_frame_admitted_dirty_is_refused(self, pool):
+        pages = _fill(pool, 2)
+        state = pool.save_state()
+        pool.pin(pages[0])
+        pool.unpin(pages[0], dirty=True)
+        with pytest.raises(BufferPoolError):
+            pool.restore_state(state)
+
+    def test_a_frame_left_pinned_is_refused(self, pool):
+        pages = _fill(pool, 2)
+        state = pool.save_state()
+        pool.pin(pages[1])
+        with pytest.raises(BufferPoolError):
+            pool.restore_state(state)

@@ -317,10 +317,8 @@ class TestFixBatch:
             per_record.heap.write_annotations(Rid(0, slot_no), prev, ts)
         stats = fused.heap.pool.stats
         pins = stats.hits + stats.misses
-        batch, reused = fused.heap.fix_batch(
-            0, fused.schema, lambda batch: self.writes
-        )
-        assert not reused and stats.hits + stats.misses == pins + 1
+        batch = fused.heap.fix_batch(0, fused.schema, lambda batch: self.writes)
+        assert stats.hits + stats.misses == pins + 1
         # The batch shows the page as it was read, before the writes.
         assert list(zip(batch.slots, batch.bodies)) == before
         assert _page_image(per_record.heap) == _page_image(fused.heap)

@@ -1,5 +1,6 @@
 """REPRO_SANITIZE=1: injected invariant breaks are caught at runtime."""
 
+import random
 import re
 
 import pytest
@@ -38,6 +39,14 @@ def build(n=40):
     table = db.create_table("items", schema, annotations="lazy")
     rids = [table.insert([i, f"name-{i:04d}", i % 7]) for i in range(n)]
     return db, table, rids
+
+
+def pool_picture(pool):
+    """What an observer sees of a buffer pool: every counter, then the
+    resident pages in LRU order with their dirty flags."""
+    stats = pool.stats
+    counts = (stats.hits, stats.misses, stats.evictions, stats.writebacks)
+    return counts, [(no, frame.dirty) for no, frame in pool._frames.items()]
 
 
 def undo_a_delete(table, rid):
@@ -84,6 +93,52 @@ class TestCleanRuns:
         sanitize.check_page_summaries(table)
         after = (stats.hits, stats.misses, stats.evictions, stats.writebacks)
         assert after == before
+
+
+class TestPoolNeutral:
+    """Every clause reads only and leaves the pool as it found it, so a
+    table several times the pool's capacity refreshes through the same
+    hits, misses, evictions and resident frames with the sanitizer on."""
+
+    def _play(self):
+        rng = random.Random(7)
+        db = Database(page_size=512, buffer_capacity=8)
+        table = db.create_table(
+            "items", [("id", "int"), ("v", "int")], annotations="lazy"
+        )
+        rids = [table.insert([i, i % 7]) for i in range(600)]
+        assert table.heap.page_count >= 4 * db.pool.capacity
+        manager = SnapshotManager(db)
+        manager.create_snapshot("s", "items", where="v < 5", delta_updates=True)
+        pictures = [pool_picture(db.pool)]
+        for round_no in range(6):
+            for rid in rng.sample(rids, 12):
+                table.update(rid, {"v": rng.randrange(7)})
+            doomed = rids.pop(rng.randrange(len(rids)))
+            table.delete(doomed)
+            rids.append(table.insert([1000 + round_no, rng.randrange(7)]))
+            if round_no % 3 == 2:
+
+                def writer(chunk):
+                    if chunk == 3:
+                        table.update(rids[0], {"v": rng.randrange(7)})
+
+                manager.refresh_online("s", chunk_pages=4, on_chunk_boundary=writer)
+            else:
+                manager.refresh("s")
+            pictures.append(pool_picture(db.pool))
+        manager.resync_snapshot("s")
+        pictures.append(pool_picture(db.pool))
+        return pictures
+
+    def test_sanitized_refreshes_leave_the_pool_as_plain_ones_do(
+        self, monkeypatch
+    ):
+        sanitized = self._play()
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        plain = self._play()
+        assert plain[-1][0][2] > 0  # the refreshes evicted
+        assert sanitized == plain
 
 
 class TestAnnotationChain:
@@ -392,15 +447,12 @@ class TestChangedSlotVisit:
             table.update(rids[3], {"v": 1})
             result = snap.refresh()
             assert result.pages_fast_forwarded > result.pages_skipped
-            stats = table.heap.pool.stats
             observed.append(
                 (
                     result.rows_decoded,
                     result.buffer_hits,
                     result.buffer_misses,
-                    stats.batch_hits,
-                    stats.batch_misses,
-                    table.heap.pool.batch_entries(),
+                    pool_picture(table.heap.pool),
                 )
             )
         assert observed[0] == observed[1]
@@ -447,22 +499,6 @@ class TestChangedSlotVisit:
         table.heap.summaries.chained = lambda page_no, at: None
         table.delete(rids[3])
         with pytest.raises(SanitizerError, match="left freed slots"):
-            snap.refresh()
-
-    def test_cached_partial_batch_is_caught(self):
-        db, table, rids, snap = self._visited()
-        heap = table.heap
-        original = heap.fix_batch
-
-        def caching(page_no, schema, fix=None, only=None):
-            batch, reused = original(page_no, schema, fix, only)
-            if only is not None:  # the bug: a partial read enters the cache
-                heap.pool.batch_store(heap.physical_pages()[page_no], batch)
-            return batch, reused
-
-        heap.fix_batch = caching
-        table.update(rids[3], {"v": 1})
-        with pytest.raises(SanitizerError, match="partial batch"):
             snap.refresh()
 
 
@@ -582,7 +618,6 @@ class TestMirrorCrossing:
             undo_a_delete(table, rids[9])  # a structural change: no visit
             result = snap.refresh()
             assert result.pages_fast_forwarded == result.pages_skipped
-            stats = table.heap.pool.stats
             observed.append(
                 (
                     result.rows_decoded,
@@ -590,9 +625,7 @@ class TestMirrorCrossing:
                     result.entries_sent,
                     result.buffer_hits,
                     result.buffer_misses,
-                    stats.batch_hits,
-                    stats.batch_misses,
-                    table.heap.pool.batch_entries(),
+                    pool_picture(table.heap.pool),
                 )
             )
         assert observed[0] == observed[1]
@@ -630,16 +663,13 @@ class TestOnlineRepair:
                 "s", chunk_pages=1, on_chunk_boundary=writer
             )
             assert result.pages_repaired == 1
-            stats = table.heap.pool.stats
             observed.append(
                 (
                     result.rows_decoded,
                     result.fixup_writes,
                     result.buffer_hits,
                     result.buffer_misses,
-                    stats.batch_hits,
-                    stats.batch_misses,
-                    table.heap.pool.batch_entries(),
+                    pool_picture(table.heap.pool),
                 )
             )
         assert observed[0] == observed[1]
