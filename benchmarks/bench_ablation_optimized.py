@@ -1,13 +1,16 @@
 """A1 — ablation of the paper's invited optimizations.
 
-Compares the faithful Figure-3/7 differential refresh against the two
-optimizations the paper invites the reader to discover:
+Compares the faithful Figure-3/7 differential refresh against the
+improvements the paper invites the reader to discover:
 
 - ``optimize_deletes``: value-free DeleteRange messages for unchanged
   survivors → same entry count, fewer bytes;
-- ``suppress_pure_inserts``: unqualified pure inserts no longer force
-  the next qualified entry out → fewer entries on insert-after-delete
-  workloads.
+- the address mirror (what the manager builds: page summaries, the
+  batch path, ``optimize_deletes``): the ``Deletion`` flag arms only
+  where a held address left, so an unqualified pure insert no longer
+  forces the next qualified entry out → fewer entries on
+  insert-after-delete workloads (the deleted ``suppress_pure_inserts``
+  flag's saving, and more).
 
 Workload (two phases, chosen so each optimization has something to do):
 
@@ -15,9 +18,9 @@ Workload (two phases, chosen so each optimization has something to do):
    addresses are now *clean* empty regions);
 2. insert 15 % new rows — first-fit places them into the freed slots —
    then measure one refresh.  Unqualified inserts into clean gaps are
-   exactly the superfluous-retransmission case insert suppression
-   removes; the deletes measured in phase 1 are where delete-only
-   messages save bytes.
+   exactly the superfluous-retransmission case the mirror removes; the
+   deletes measured in phase 1 are where delete-only messages save
+   bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ SELECTIVITY = 0.25
 CUTOFF = int(SELECTIVITY * 1000)
 
 
-def _measure(optimize_deletes, suppress_pure_inserts):
+def _measure(**flags):
     rng = random.Random(41)
     db = Database("abl")
     table = db.create_table("t", [("v", "int")], annotations="lazy")
@@ -47,11 +50,7 @@ def _measure(optimize_deletes, suppress_pure_inserts):
     restriction = Restriction.parse(f"v < {CUTOFF}", table.schema)
     projection = Projection(table.schema)
     snapshot = SnapshotTable(Database("remote"), "s", projection.schema)
-    refresher = DifferentialRefresher(
-        table,
-        optimize_deletes=optimize_deletes,
-        suppress_pure_inserts=suppress_pure_inserts,
-    )
+    refresher = DifferentialRefresher(table, **flags)
 
     def refresh(snap_time):
         def deliver(message):
@@ -66,7 +65,7 @@ def _measure(optimize_deletes, suppress_pure_inserts):
         table.delete(victim)
     phase1 = refresh(settle.new_snap_time)
     # Phase 2: inserts into the (now clean) freed regions, measured
-    # (insert suppression fires here).
+    # (the mirror's arming rule saves here).
     for _ in range(CHURN):
         live.append(table.insert([rng.randrange(1000)]))
     phase2 = refresh(phase1.new_snap_time)
@@ -82,10 +81,11 @@ def _measure(optimize_deletes, suppress_pure_inserts):
 
 def _run_all():
     return {
-        "baseline (Fig 3/7)": _measure(False, False),
-        "+delete-only msgs": _measure(True, False),
-        "+insert suppression": _measure(False, True),
-        "both": _measure(True, True),
+        "baseline (Fig 3/7)": _measure(),
+        "+delete-only msgs": _measure(optimize_deletes=True),
+        "mirror (manager)": _measure(
+            optimize_deletes=True, use_page_summaries=True, batch_mode=True
+        ),
     }
 
 
@@ -121,8 +121,6 @@ def test_ablation_invited_optimizations(benchmark):
     opt1, opt2 = results["+delete-only msgs"]
     assert opt1.entries_sent == base1.entries_sent  # same tuple metric
     assert opt1.bytes_sent < base1.bytes_sent  # cheaper on the wire
-    sup1, sup2 = results["+insert suppression"]
-    assert sup2.entries_sent < base2.entries_sent  # fewer retransmissions
-    both1, both2 = results["both"]
-    assert both1.bytes_sent <= opt1.bytes_sent
-    assert both2.entries_sent <= sup2.entries_sent
+    mirror1, mirror2 = results["mirror (manager)"]
+    assert mirror2.entries_sent < base2.entries_sent  # fewer retransmissions
+    assert mirror1.bytes_sent <= opt1.bytes_sent

@@ -46,7 +46,6 @@ from repro.core.full import FullRefresher
 from repro.core.ideal import IdealRefresher
 from repro.core.logbased import LogRefresher, LogRefreshResult
 from repro.core.manager import Snapshot, SnapshotManager
-from repro.core.optimized import OptimizedDifferentialRefresher
 from repro.core.registry import SnapshotRegistry
 from repro.core.scheduler import RefreshScheduler, ScheduleEntry
 from repro.core.simple import SimpleBaseTable, SimpleSnapshot
@@ -89,7 +88,6 @@ __all__ = [
     "LogRefreshResult",
     "LogRefresher",
     "MixedWorkload",
-    "OptimizedDifferentialRefresher",
     "Projection",
     "RefreshMethod",
     "RefreshPlan",

@@ -81,7 +81,6 @@ def traffic_sweep(
     mix: Optional[WorkloadMix] = None,
     validate: bool = True,
     optimize_deletes: bool = False,
-    suppress_pure_inserts: bool = False,
     preserve_qualification: bool = True,
 ) -> "list[SweepCell]":
     """Run the full grid; return one :class:`SweepCell` per point.
@@ -103,7 +102,6 @@ def traffic_sweep(
                     mix,
                     validate,
                     optimize_deletes,
-                    suppress_pure_inserts,
                     preserve_qualification,
                 )
             )
@@ -118,7 +116,6 @@ def _run_cell(
     mix: Optional[WorkloadMix],
     validate: bool,
     optimize_deletes: bool,
-    suppress_pure_inserts: bool,
     preserve_qualification: bool,
 ) -> SweepCell:
     workload = MixedWorkload(
@@ -140,7 +137,6 @@ def _run_cell(
             where=where,
             method="differential" if name == "mirrored" else name,
             optimize_deletes=optimize_deletes,  # differential methods only
-            suppress_pure_inserts=suppress_pure_inserts,
         )
         for name in ("differential", "mirrored", "ideal", "full")
     }

@@ -14,8 +14,8 @@ Stage-by-stage, as the paper develops them:
 - :mod:`~repro.core.differential` — the production algorithm: combined
   fix-up + refresh in one scan;
 - :mod:`~repro.core.group` — shared-scan group refresh: one pass serves
-  every pending snapshot of a base table;
-- :mod:`~repro.core.optimized` — the paper's invited improvements.
+  every pending snapshot of a base table; its address mirror takes the
+  paper's invited improvements (:mod:`~repro.core.cursor`).
 
 Baselines and alternatives: :mod:`~repro.core.full`,
 :mod:`~repro.core.ideal`, :mod:`~repro.core.asap`,

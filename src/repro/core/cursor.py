@@ -3,7 +3,8 @@
 A :class:`RefreshCursor` holds what Figure 3 keeps for one snapshot and
 decides, page by page, what to transmit; any number of them ride one
 pass (:func:`~repro.core.differential.run_refresh_scan`).  Beyond the
-paper it has one arming rule, which only *omits* messages:
+paper it has one arming rule, which only *omits* messages or sends a
+shorter one:
 
 *Address mirror* (``batch_mode``).  The snapshot's page cache of
 :class:`~repro.storage.summary.PageQualInfo` records changes only when
@@ -11,25 +12,20 @@ the receiver commits and every path that publishes to the snapshot
 writes it, so its ``qual_slots`` are the addresses the snapshot holds.
 With a record of the page a cursor crosses it from the mirror
 (:meth:`RefreshCursor.cross`): the paper's stream less Figure 9's
-superfluous messages.  Without one, and on the per-row path, the
-paper's rule runs over every entry: the baseline and the oracle.
-DESIGN.md §3, "How a page is served", has the rule and its proof.
+superfluous messages, and a qualifier the ``Deletion`` flag forces out
+(held, unchanged: the snapshot has its value) sent as a small
+:class:`~repro.core.messages.DeleteRangeMessage` of the interval before
+it, never read — one of the improvements the paper invites "which
+reduce the message traffic" (``docs/algorithm.md``).  An unqualified
+insert arms no flag there, as no held address left.  Without a record,
+and on the per-row path, the paper's rule runs over every entry: the
+baseline and the oracle.  DESIGN.md §3, "How a page is served", has the
+rule and its proof.
 
-Two optimizations the paper invites the reader to discover are flags
-(off by default so the baseline matches the paper; argued in
-``docs/algorithm.md``, measured by the A1 ablation benchmark):
-
-``optimize_deletes``
-    A qualified entry transmitted *only* because of the ``Deletion``
-    flag (the snapshot already holds its current value) goes as a small
-    :class:`~repro.core.messages.DeleteRangeMessage` instead — same
-    message count, far fewer bytes.
-
-``suppress_pure_inserts``
-    An unqualified *newly inserted* entry (NULL ``PrevAddr``) does not
-    arm the flag: any deletion it might mask (e.g. address reuse) is
-    independently detected as a ``PrevAddr`` anomaly at the next
-    non-inserted entry.  Subsumed where the mirror applies.
+``optimize_deletes`` applies the same range delete to the paper's rule.
+The manager turns it on; a directly built refresher and the baseline
+cells of the A1 ablation and ``bench_fig8``/``9`` keep the paper's
+re-send.
 """
 
 from __future__ import annotations
@@ -193,8 +189,8 @@ class RefreshResult:
         #: Records this pass read from page bytes: per-row probes, every
         #: entry of each :class:`~repro.storage.batch.PageBatch` it
         #: extracted (scan and repair alike), the changed slots of a
-        #: visited page plus any unchanged qualifier a Deletion flag
-        #: forced out.
+        #: visited page.  A qualifier a Deletion flag forces out there
+        #: goes as a range delete and is not read.
         self.rows_decoded = 0
         self.buffer_hits = 0
         self.buffer_misses = 0
@@ -299,7 +295,6 @@ class RefreshCursor:
         "cache",
         "value_cache",
         "optimize_deletes",
-        "suppress_pure_inserts",
         "name",
         "value_schema",
         "last_qual",
@@ -322,7 +317,6 @@ class RefreshCursor:
         send: Send,
         cache: "Optional[dict[int, PageQualInfo]]" = None,
         optimize_deletes: bool = False,
-        suppress_pure_inserts: bool = False,
         name: Optional[str] = None,
         value_cache: "Optional[ValueCache]" = None,
     ) -> None:
@@ -344,8 +338,9 @@ class RefreshCursor:
         #: set, retransmissions of changed entries become per-column
         #: :class:`UpdateDeltaMessage`\ s on cache hits.
         self.value_cache = value_cache
+        #: The paper's rule only: a qualifier it forces out unchanged
+        #: goes as a range delete (the mirror's rule always sends one).
         self.optimize_deletes = optimize_deletes
-        self.suppress_pure_inserts = suppress_pure_inserts
         self.name = name
         self.value_schema = projection.schema
         self.last_qual = Rid.BEGIN
@@ -521,7 +516,6 @@ class RefreshCursor:
         self,
         batch: PageBatch,
         changed: "Sequence[int]",
-        pure_inserts: "Sequence[int]" = (),
         anomalies: "Sequence[int]" = (),
     ) -> None:
         """Figure 3 over a page read whole, for a cursor that holds no
@@ -532,12 +526,11 @@ class RefreshCursor:
         :data:`~repro.core.scanpass.TS_INFINITY` when it was found with a
         NULL annotation (inserted or updated since the last fix-up) —
         newer than ``SnapTime``.  Every live entry is taken in slot order, its
-        inputs handed over as columns — ``pure_inserts`` and
-        ``anomalies`` are the slots the fix-up found newly inserted
-        (NULL ``PrevAddr``) or preceded by a detected deletion,
-        qualification comes from the batch's memoized index over the
-        whole page, and full rows are materialized only for entries
-        actually transmitted.
+        inputs handed over as columns — ``anomalies`` are the slots the
+        fix-up found preceded by a detected deletion, qualification
+        comes from the batch's memoized index over the whole page, and
+        full rows are materialized only for entries actually
+        transmitted.
         """
         result = self.result
         result.entries_evaluated += batch.count
@@ -548,10 +541,8 @@ class RefreshCursor:
         )
         self.page_quals = quals
         result.qualified += len(quals)
-        # A pure insert matters only to a cursor that suppresses them.
-        suppressed = pure_inserts if self.suppress_pure_inserts else ()
         # ``still``: no address left the snapshot here, for all it knows.
-        still = not anomalies and not suppressed
+        still = not anomalies
         if still and not quals:
             # Unqualified-but-changed entries still arm the Deletion
             # flag ("may have qualified before") for the next page.
@@ -568,8 +559,9 @@ class RefreshCursor:
             self.last_qual = Rid(page_no, quals[-1])
             return
         newer = {slots[index] for index in changed}
-        arming = newer.difference(suppressed).union(anomalies)
-        self._decide(page_no, set(quals), newer, batch.row_at, arming, anomalies)
+        self._decide(
+            page_no, set(quals), newer, batch.row_at, newer.union(anomalies), anomalies
+        )
 
     def _decide(
         self,
@@ -586,8 +578,8 @@ class RefreshCursor:
         Only two kinds of entry can move the cursor: the qualifiers
         (``now``), and entries not among them that arm the ``Deletion``
         flag — ``arming``: changed for this snapshot ("may have
-        qualified before") unless a suppressed pure insert, or preceded
-        by a detected deletion (``anomalies``).  ``row_at`` is called
+        qualified before"), or preceded by a detected deletion
+        (``anomalies``).  ``row_at`` is called
         only for entries transmitted.
         """
         for slot_no in sorted(now.union(arming)):
@@ -634,8 +626,11 @@ class RefreshCursor:
         and the first qualifier after each ``gone`` slot (or after a flag
         carried in) are transmitted, each with its predecessor in
         ``quals`` as ``prev_qual``; the receiver keeps every other one
-        and its mirrored values are carried in bulk.  The stream is the
-        paper's with messages omitted, never altered.
+        and its mirrored values are carried in bulk.  A forced qualifier
+        not in ``send`` is held unchanged, so it goes as the
+        :class:`DeleteRangeMessage` of the interval before it and is
+        never read.  The stream is the paper's with messages omitted and
+        each forced re-send a range delete.
         """
         forced = [quals[0]] if self.deletion and quals else []
         for slot_no in gone:
@@ -661,8 +656,8 @@ class RefreshCursor:
             if before:
                 self.last_qual = Rid(page_no, quals[before - 1])
             rid = Rid(page_no, slot_no)
-            if self.optimize_deletes and slot_no not in send:
-                # Entry itself unchanged: clear the region before it.
+            if slot_no not in send:
+                # Held unchanged: clear the region before it.
                 self.transmit(DeleteRangeMessage(self.last_qual, rid))
                 continue
             projected = self.projection(row_at(slot_no))

@@ -234,7 +234,6 @@ class DifferentialRefresher:
         self,
         table: Table,
         optimize_deletes: bool = False,
-        suppress_pure_inserts: bool = False,
         use_page_summaries: bool = False,
         delta_updates: bool = False,
         batch_mode: bool = False,
@@ -245,7 +244,6 @@ class DifferentialRefresher:
             )
         self.table = table
         self.optimize_deletes = optimize_deletes
-        self.suppress_pure_inserts = suppress_pure_inserts
         #: Hand the cursor a page cache, so the pass keeps page
         #: summaries: skips, visits and the address mirror.
         self.use_page_summaries = use_page_summaries
@@ -308,7 +306,6 @@ class DifferentialRefresher:
             send,
             cache=cache if self.use_page_summaries else None,
             optimize_deletes=self.optimize_deletes,
-            suppress_pure_inserts=self.suppress_pure_inserts,
             value_cache=value_cache if self.delta_updates else None,
         )
         sealed = run_refresh_scan(

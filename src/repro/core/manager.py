@@ -259,8 +259,7 @@ class SnapshotManager:
         channel: Optional[Channel] = None,
         block_size: Optional[int] = None,
         expected_update_fraction: float = 0.1,
-        optimize_deletes: bool = False,
-        suppress_pure_inserts: bool = False,
+        optimize_deletes: bool = True,
         initial_refresh: bool = True,
         join: Optional[JoinSpec] = None,
         wire_format: bool = False,
@@ -334,7 +333,6 @@ class SnapshotManager:
             refresher: Any = DifferentialRefresher(
                 table,
                 optimize_deletes=optimize_deletes,
-                suppress_pure_inserts=suppress_pure_inserts,
                 use_page_summaries=self.use_page_summaries,
                 delta_updates=delta_updates,
                 batch_mode=self.batch_mode,
@@ -641,9 +639,6 @@ class SnapshotManager:
                             epoch.send,
                             cache=handle.page_mirror,
                             optimize_deletes=refresher.optimize_deletes,
-                            suppress_pure_inserts=(
-                                refresher.suppress_pure_inserts
-                            ),
                             name=handle.name,
                             value_cache=handle.value_mirror,
                         )

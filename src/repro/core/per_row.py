@@ -85,9 +85,8 @@ def observe(
         cursor.deletion = False
     else:
         if value_changed or anomaly:
-            if not (cursor.suppress_pure_inserts and pure_insert):
-                # "Updated entry ==> may have qualified before".
-                cursor.deletion = True
+            # "Updated entry ==> may have qualified before".
+            cursor.deletion = True
 
 
 def serve_rows(

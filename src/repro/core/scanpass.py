@@ -27,7 +27,7 @@ from repro.core.cursor import (
 )
 from repro.core.per_row import serve_rows
 from repro.errors import ChannelError, RefreshMethodError
-from repro.relation.row import Row, decode_row
+from repro.relation.row import Row
 from repro.storage.batch import PREV_NULL_PAGE, TS_NULL, PageBatch
 from repro.storage.heap import Writes
 from repro.storage.rid import Rid
@@ -45,14 +45,15 @@ from repro.table import Table, annotation_columns
 TS_INFINITY = 2**63 - 1
 
 #: What Figure 7 found on a page read whole (:meth:`_ScanPass._fix_up`):
-#: each entry's effective timestamp, the pure-insert and anomaly slots,
-#: and the first ``PrevAddr`` as repaired.
-Fixed = Tuple["array[int]", List[int], List[int], Rid]
+#: each entry's effective timestamp, the anomaly slots, and the first
+#: ``PrevAddr`` as repaired.
+Fixed = Tuple["array[int]", List[int], Rid]
 
 
 def _unread(slot_no: int) -> Row:
-    """``row_at`` of a page crossed unread: it has no event to send."""
-    raise RefreshMethodError(f"a skipped page was to transmit slot {slot_no}")
+    """``row_at`` of a page crossed unread, or visited for a carried
+    ``Deletion`` flag alone: it has no row to send."""
+    raise RefreshMethodError(f"an unread page was to transmit slot {slot_no}")
 
 
 class PageOutcome(IntEnum):
@@ -398,11 +399,10 @@ class _ScanPass:
         # Each entry's effective timestamp (TS_INFINITY where Figure 7
         # found a NULL stamp or a pure insert) and what it detected.
         eff_ts: "Sequence[int]" = ()
-        pure_inserts: "Sequence[int]" = ()
         anomalies: "Sequence[int]" = ()
         newest = 0
         if fixed is not None:
-            eff_ts, pure_inserts, anomalies, first_prev = fixed
+            eff_ts, anomalies, first_prev = fixed
             newest = max(eff_ts)
         elif whole is not None:
             eff_ts, first_prev = whole.ts, whole.first_prev
@@ -414,18 +414,9 @@ class _ScanPass:
         # entries that changed (all NULL-stamped).
         timed = fixed is not None or whole is not None
         newer: "dict[int, Sequence[int]]" = {}  # per SnapTime riding
-        forced: "dict[int, Row]" = {}
-
-        def row_at(slot_no: int) -> Row:
-            """A visit's row: a changed one from the partial batch, else a
-            qualifier a ``Deletion`` flag forces out, read on its own."""
-            if delta is not None and slot_no in delta.live:
-                return delta.row_at(slot_no)
-            if slot_no not in forced:
-                body = self.heap.read(Rid(page_no, slot_no))
-                forced[slot_no] = decode_row(self.schema, body)
-            return forced[slot_no]
-
+        # A visit sends rows only of changed slots; a qualifier a
+        # Deletion flag forces out goes as a range delete, never read.
+        row_at = delta.row_at if delta is not None else _unread
         stats = self.stats
         if outcome is not ROWS:
             # each_live's loop, written out: a step closure per page cost
@@ -452,9 +443,7 @@ class _ScanPass:
                         indices = range(delta.count) if delta is not None else ()
                     if whole is not None:
                         if entry is None:
-                            cursor.paper_rule(
-                                whole, indices, pure_inserts, anomalies
-                            )
+                            cursor.paper_rule(whole, indices, anomalies)
                         else:
                             cursor.cross(
                                 page_no,
@@ -473,8 +462,7 @@ class _ScanPass:
             decoded = delta.materializations if delta is not None else 0
             if whole is not None:
                 decoded += whole.materializations
-            stats.rows_decoded += len(forced)
-            stats.rows_materialized += decoded + len(forced)
+            stats.rows_materialized += decoded
         # Entries served from a batch (the per-row oracle counts its own).
         served = whole if whole is not None else delta
         scanned = served.count if served is not None and changed is None else 0
@@ -689,7 +677,6 @@ class _ScanPass:
         prev_pages = batch.prev_pages
         prev_slots = batch.prev_slots
         eff_ts = array("q", batch.ts)
-        pure_inserts: "list[int]" = []
         anomalies: "list[int]" = []
         # ExpectPrev / last_addr as plain (page, slot) pairs: an address
         # object is only built for the few records that get written.
@@ -716,7 +703,6 @@ class _ScanPass:
                 last = expect = resume[index]
             if prev[0] == PREV_NULL_PAGE:
                 # Inserted since the last fix-up.
-                pure_inserts.append(here[1])
                 eff_ts[index] = TS_INFINITY
                 writes.append((here[1], encode_prev(Rid(*last)), stamp))
             else:
@@ -744,7 +730,7 @@ class _ScanPass:
         stats.fixup_writes += len(writes)
         self.expect_prev = Rid(*expect)
         self.last_addr = Rid(*last)
-        return writes, (eff_ts, pure_inserts, anomalies, first_prev)
+        return writes, (eff_ts, anomalies, first_prev)
 
     def _advance(self, last_live: Optional[Rid]) -> None:
         """Cross a page nobody scanned: it needs no (further) fix-up, so

@@ -9,10 +9,13 @@ It is also slow: ~40 Python calls per decoded entry (``get_addr`` →
 
 This module inlines only what the traffic justifies.  On the four A21
 workloads :class:`~repro.core.messages.EntryMessage` and
-:class:`~repro.core.messages.UpdateDeltaMessage` are 99.0–99.6 % of a
-differential refresh's messages (EXPERIMENTS A21 has the mix), and no
-value schema carries anything but int/string/float columns — so those
-two shapes over those three column kinds are hand-inlined here, with
+:class:`~repro.core.messages.UpdateDeltaMessage` are most of a
+differential refresh's messages, and the
+:class:`~repro.core.messages.DeleteRangeMessage` of each qualifier a
+``Deletion`` flag forces out most of the rest (10–14 % of the timed
+rounds' messages; EXPERIMENTS A21 has the mix).  No value schema
+carries anything but int/string/float columns — so the two value
+shapes over those three column kinds are hand-inlined here, with
 their tags read from the classes, and *every other message* (control,
 deletes, upserts, full rows, anti-entropy) and every other column type
 is handed to the reference codec mid-frame with the delta state passed

@@ -63,6 +63,6 @@ class TestSweep:
     def test_optimized_flags_still_validate(self):
         cells = traffic_sweep(
             [0.25], [0.3], n=300, seed=29,
-            optimize_deletes=True, suppress_pure_inserts=True,
+            optimize_deletes=True,
         )
         assert cells[0].entries["differential"] >= 0

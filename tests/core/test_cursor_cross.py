@@ -10,9 +10,9 @@ record holding the slots that qualified when it was written.
 from array import array
 
 from repro.core.cursor import RefreshCursor
+from repro.core.messages import DeleteRangeMessage
 from repro.database import Database
 from repro.expr.predicate import Projection, Restriction
-from repro.relation.row import decode_row
 from repro.storage.rid import Rid
 from repro.storage.summary import PageQualInfo
 
@@ -39,16 +39,24 @@ def cross(table, held, restriction, changed_slots, freed=()):
     )
     info = PageQualInfo(1, Rid.BEGIN, held, None)
     batch = table.heap.fix_batch(0, table.schema, only=changed_slots)
-
-    def row_at(slot_no):  # a forced qualifier is read on its own, as the scan does
-        return decode_row(table.schema, table.heap.read(Rid(0, slot_no)))
-
-    cursor.cross(0, info, batch, range(batch.count), None, row_at, freed)
+    # Only changed slots are read, as the scan reads them.
+    cursor.cross(0, info, batch, range(batch.count), None, batch.row_at, freed)
     return cursor, info, sent
 
 
 def sent_slots(sent):
-    return [message.addr.slot_no for message in sent]
+    """The slot each message names; a forced qualifier, held unchanged,
+    goes as the range delete that ends at it."""
+    return [
+        message.hi.slot_no
+        if isinstance(message, DeleteRangeMessage)
+        else message.addr.slot_no
+        for message in sent
+    ]
+
+
+def forced_slots(sent):
+    return [m.hi.slot_no for m in sent if isinstance(m, DeleteRangeMessage)]
 
 
 class TestCrossInOrderOfChanged:
@@ -66,14 +74,14 @@ class TestCrossInOrderOfChanged:
         cursor, info, sent = cross(table, held, restriction, [2])
         assert list(cursor.page_quals) == [slot for slot in held if slot != 2]
         # Gone: the first qualifier after it carries the deletion.
-        assert sent_slots(sent) == [3]
+        assert sent_slots(sent) == forced_slots(sent) == [3]
 
     def test_a_held_slot_that_was_freed(self):
         table, held, restriction = setup()
         table.delete(Rid(0, 12))
         cursor, info, sent = cross(table, held, restriction, [], freed={12})
         assert list(cursor.page_quals) == [slot for slot in held if slot != 12]
-        assert sent_slots(sent) == [13]
+        assert sent_slots(sent) == forced_slots(sent) == [13]
         assert cursor.result.entries_evaluated == 0
 
     def test_a_changed_slot_neither_held_nor_qualifying(self):
@@ -97,3 +105,4 @@ class TestCrossInOrderOfChanged:
             {*held, 7}.difference({2, 12})
         )
         assert sent_slots(sent) == [3, 7, 13]
+        assert forced_slots(sent) == [3, 13]

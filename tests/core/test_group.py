@@ -154,13 +154,14 @@ class TestGroupStats:
         # With the manager's defaults each cursor crosses the page from
         # its committed entry and evaluates what changed for it: the 15
         # updates and 3 inserts.  The page is visited, not read whole:
-        # the pass reads those 18 records, the reused slot's successor
-        # and each qualifier a Deletion flag forces out — 31 of the 62.
+        # the pass reads those 18 records and the reused slot's
+        # successor — 19 of the 62.  A qualifier a Deletion flag forces
+        # out is held unchanged and goes as a range delete, unread.
         _, emp1, rids1, manager1, _ = build_fleet(n=3)
         churn(emp1, rids1)
         for result in manager1.refresh_all().values():
             assert result.entries_evaluated == 18
-            assert result.scanned == 19 and result.rows_decoded == 31
+            assert result.scanned == 19 and result.rows_decoded == 19
         # The per-row oracle decodes exactly once per entry.
         _, emp2, rids2, manager2, _ = build_fleet(
             n=3, use_page_summaries=False, batch_mode=False

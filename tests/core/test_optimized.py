@@ -6,10 +6,14 @@ import pytest
 
 from repro.core.differential import DifferentialRefresher
 from repro.core.messages import DeleteRangeMessage, EntryMessage
-from repro.core.optimized import OptimizedDifferentialRefresher
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.expr.predicate import Projection, Restriction
+
+
+#: What the manager builds: the address mirror, which sends a qualifier
+#: the Deletion flag forces out as a range delete.
+MIRROR = {"use_page_summaries": True, "batch_mode": True, "optimize_deletes": True}
 
 
 def build(db, rows, where="v < 100", **flags):
@@ -96,31 +100,26 @@ class TestOptimizeDeletes:
 
 
 class TestSuppressPureInserts:
+    """An unqualified pure insert arms no ``Deletion`` flag under the
+    address mirror (``MIRROR``, the manager's configuration): no held
+    address left, so nothing is forced out.  The paper's rule re-sends
+    the next qualifier; a reused address is still purged."""
+
     def test_unqualified_insert_no_longer_forces_successor(self, db):
         table, refresh, converged = build(
-            db, [["a", 10], ["c", 10]], suppress_pure_inserts=True
+            db, [["a", 10], ["z", 5000], ["c", 10]], **MIRROR
         )
         refresh()
-        table.insert(["b", 5000])  # appended after c, unqualified
-        table_rids = [rid for rid, _ in table.scan()]
+        rids = [rid for rid, _ in table.scan()]
+        table.delete(rids[1])
+        refresh()
+        assert table.insert(["ghost", 7777]) == rids[1]  # a pure insert
         result, messages = refresh()
-        # Baseline would retransmit nothing here anyway (insert is last);
-        # construct the middle-gap case explicitly instead:
-        del table_rids
-        table2_db = Database("two")
-        table2, refresh2, converged2 = build(
-            table2_db, [["a", 10], ["z", 5000], ["c", 10]],
-            suppress_pure_inserts=True,
-        )
-        refresh2()
-        rids2 = [rid for rid, _ in table2.scan()]
-        table2.delete(rids2[1])
-        refresh2()
-        table2.insert(["ghost", 7777])  # reuses rids2[1]: pure insert
-        result2, messages2 = refresh2()
-        entries = [m for m in messages2 if isinstance(m, EntryMessage)]
-        assert entries == []  # baseline would have resent "c"
-        converged2()
+        sent = [
+            m for m in messages if isinstance(m, (EntryMessage, DeleteRangeMessage))
+        ]
+        assert sent == []  # the baseline would have resent "c"
+        converged()
 
     def test_baseline_does_retransmit(self, db):
         table, refresh, converged = build(
@@ -137,10 +136,10 @@ class TestSuppressPureInserts:
         converged()
 
     def test_address_reuse_deletion_still_detected(self, db):
-        # The soundness argument: reuse of a *qualified* entry's address
-        # by an unqualified insert must still purge the snapshot entry.
+        # Reuse of a *qualified* entry's address by an unqualified
+        # insert must still purge the snapshot entry.
         table, refresh, converged = build(
-            db, [["a", 10], ["b", 10], ["c", 10]], suppress_pure_inserts=True
+            db, [["a", 10], ["b", 10], ["c", 10]], **MIRROR
         )
         refresh()
         rids = [rid for rid, _ in table.scan()]
@@ -153,7 +152,8 @@ class TestSuppressPureInserts:
 
 class TestOptimizedEquivalence:
     def test_randomized_equivalence_with_baseline(self):
-        """Optimized variants always produce the same snapshot contents."""
+        """The manager's configuration always produces the same snapshot
+        contents as the paper's baseline."""
         rng = random.Random(23)
         rows = [[f"r{i}", rng.randrange(200)] for i in range(40)]
         plain_db, opt_db = Database("plain"), Database("opt")
@@ -165,7 +165,7 @@ class TestOptimizedEquivalence:
         restriction = Restriction.parse("v < 100", opt_table.schema)
         projection = Projection(opt_table.schema)
         opt_snapshot = SnapshotTable(Database("r2"), "s2", projection.schema)
-        opt_refresher = OptimizedDifferentialRefresher(opt_table)
+        opt_refresher = DifferentialRefresher(opt_table, **MIRROR)
         opt_time = [0]
 
         def refresh_b():

@@ -8,20 +8,29 @@ boundaries.
 """
 
 import copy
+from unittest import mock
 
 import pytest
 
 from repro import sanitize
 from repro.core.differential import DifferentialRefresher
 from repro.core.manager import SnapshotManager
-from repro.core.messages import DeleteMessage
+from repro.core.messages import (
+    DeleteMessage,
+    DeleteRangeMessage,
+    EndOfScanMessage,
+    EntryMessage,
+    SnapTimeMessage,
+)
 from repro.core.scanpass import PageOutcome, _ScanPass
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import ChannelError
 from repro.expr.predicate import Projection, Restriction
 from repro.net.faults import FaultyLink
+from repro.relation.row import encoded_size
 from repro.relation.types import NULL
+from repro.storage.heap import HeapFile
 
 from tests.properties.test_wire_props import assert_mirror_subsequence
 
@@ -288,6 +297,83 @@ def twin(script, cutoff=100):
         assert_mirror_subsequence(sent, paper, held)
     assert list(visiting.table.heap.scan()) == list(oracle.table.heap.scan())
     return outcome
+
+
+class TestFlagOnlyVisit:
+    """A page visited for a carried ``Deletion`` flag alone: its first
+    qualifier is held unchanged, so it goes as a range delete, unread."""
+
+    @staticmethod
+    def _leave_page_zero(w):
+        w.refresh()
+        # Page 0's last row leaves the snapshot: the flag it arms meets
+        # no qualifier there and is carried onto page 1.
+        w.table.update(w.pages[0][-1], {"v": 1000})
+
+    def test_reads_no_record_and_sends_one_range_delete(self):
+        w = _World(True)
+        self._leave_page_zero(w)
+        served = {}
+        reads = []
+        serve, heap_read = _ScanPass.page, HeapFile.read
+
+        def page(scan, page_no, cursors, changed=None):
+            decoded, read = scan.stats.rows_decoded, len(reads)
+            outcome = serve(scan, page_no, cursors, changed)
+            decoded = scan.stats.rows_decoded - decoded
+            served[page_no] = (outcome, decoded, len(reads) - read)
+            return outcome
+
+        def read(heap, rid, *args, **kwargs):
+            reads.append(rid)
+            return heap_read(heap, rid, *args, **kwargs)
+
+        with mock.patch.object(_ScanPass, "page", page), mock.patch.object(
+            HeapFile, "read", read
+        ):
+            w.refresh()
+        assert served[1] == (PageOutcome.VISITED, 0, 0)
+        _, sent = w.streams[-1]
+        assert [type(m) for m in sent] == [
+            DeleteRangeMessage, EndOfScanMessage, SnapTimeMessage
+        ]
+        assert (sent[0].lo, sent[0].hi) == (w.pages[0][-2], w.pages[1][0])
+
+    def test_the_receiver_is_left_as_the_entry_form_left_it(self):
+        w, old = _World(True), _World(True)
+        for world in (w, old):
+            self._leave_page_zero(world)
+        w.refresh()
+        schema = old.projection.schema
+
+        def as_entry(message):
+            """The re-send the range delete replaced."""
+            if not isinstance(message, DeleteRangeMessage):
+                return message
+            projected = old.projection(old.table.read(message.hi))
+            return EntryMessage(
+                message.hi,
+                message.lo,
+                projected.values,
+                encoded_size(schema, projected),
+            )
+
+        result = old.refresher.refresh(
+            old.snap_time,
+            old.restriction,
+            old.projection,
+            lambda message: old.snapshot.apply(as_entry(message)),
+        )
+        assert result.entries_sent == 1
+        for snapshot in (w.snapshot, old.snapshot):
+            assert snapshot.as_map() == truth_map(w.table, w.cutoff)
+        assert list(w.snapshot.storage.heap.scan()) == list(
+            old.snapshot.storage.heap.scan()
+        )
+        counters = ("applied_upserts", "applied_deletes", "applied_merges")
+        assert [getattr(w.snapshot, name) for name in counters] == [
+            getattr(old.snapshot, name) for name in counters
+        ]
 
 
 class TestChangedSlotVisit:
@@ -569,8 +655,9 @@ class TestChangedSlotVisit:
 
         w, result = twin(script)
         # Page 0: the changed record.  Page 1 is clean, but its first
-        # qualifier carries the deletion range: that one record is read.
-        assert result.rows_decoded == 2 and result.fixup_writes == 1
+        # qualifier carries the deletion range, as a range delete: page 1
+        # is visited and nothing on it is read.
+        assert result.rows_decoded == 1 and result.fixup_writes == 1
         assert result.pages_scanned == result.pages_batch_decoded == 2
         assert result.entries_sent == 1
         assert result.pages_skipped == w.table.heap.page_count - 2

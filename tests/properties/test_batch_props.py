@@ -14,14 +14,15 @@ A17 experiment:
    ``SnapTime``: same types, same addresses, same values, same modeled
    sizes — for arbitrary workloads over a multi-page table (emptied
    pages and address reuse included), lazy and eager annotations,
-   solo and group passes, delete optimization, pure-insert suppression
-   and per-column deltas on and off — **wherever both worlds run the
+   solo and group passes, delete optimization and per-column deltas on
+   and off — **wherever both worlds run the
    paper's arming rule** (no page cache: summaries off).  With
    summaries on the batch world's page cache is its mirror of the
    snapshot's addresses and arms the ``Deletion`` flag from it, so its
    stream is the per-row world's with Figure 9's superfluous messages
-   *left out*: a subsequence, every omission an address whose value
-   the receiver already held, and both receivers equal to
+   *left out* and each forced re-send of a held value a range delete
+   (:func:`assert_mirror_subsequence`), every omission an address whose
+   value the receiver already held, and both receivers equal to
    restriction∘projection of the base table.  The batch path also does
    the Figure-7 fix-up on written pages, so after every refresh the
    two base tables must hold byte-identical heap records (annotations
@@ -126,7 +127,6 @@ class _ScanWorld:
         group,
         delta,
         opt,
-        suppress=False,
         pad=False,
     ):
         self.db = Database("prop-batch", page_size=PAGE_SIZE)
@@ -154,13 +154,11 @@ class _ScanWorld:
             batch_mode=batch_mode,
             delta_updates=delta,
             optimize_deletes=opt,
-            suppress_pure_inserts=suppress,
         )
         self.group_refresher = GroupRefresher(
             self.table, batch_mode=batch_mode
         )
         self.opt = opt
-        self.suppress = suppress
         self.snap_times = [0 for _ in PREDICATES]
         self.caches = [{} for _ in PREDICATES] if summaries else None
         self.value_caches = (
@@ -244,7 +242,6 @@ class _ScanWorld:
                 sents[index].append,
                 cache=self.caches[index] if self.summaries else None,
                 optimize_deletes=self.opt,
-                suppress_pure_inserts=self.suppress,
                 name=f"s{index}",
                 value_cache=(
                     self.value_caches[index] if self.delta else None
@@ -329,10 +326,10 @@ def assert_worlds_agree(row, batch):
 
 
 def run_scan_worlds(
-    script, summaries, mode, group, delta=False, opt=False, suppress=False
+    script, summaries, mode, group, delta=False, opt=False
 ):
-    row = _ScanWorld(False, summaries, mode, group, delta, opt, suppress)
-    batch = _ScanWorld(True, summaries, mode, group, delta, opt, suppress)
+    row = _ScanWorld(False, summaries, mode, group, delta, opt)
+    batch = _ScanWorld(True, summaries, mode, group, delta, opt)
     for step in list(script) + [("refresh_all", 0, 0)]:
         refreshed = row.apply(step)
         batch.apply(step)
@@ -401,14 +398,9 @@ class TestScanParity:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(script=workload, group=st.booleans(), opt=st.booleans())
-    def test_lazy_suppress_pure_inserts(self, script, group, opt):
+    def test_lazy_summaries_off(self, script, group, opt):
         run_scan_worlds(
-            script,
-            summaries=False,
-            mode="lazy",
-            group=group,
-            opt=opt,
-            suppress=True,
+            script, summaries=False, mode="lazy", group=group, opt=opt
         )
 
 
@@ -496,12 +488,11 @@ class TestChangedSlotVisits:
         group=st.booleans(),
         delta=st.booleans(),
         opt=st.booleans(),
-        suppress=st.booleans(),
     )
     def test_visits_agree_with_both_per_row_worlds(
-        self, script, group, delta, opt, suppress
+        self, script, group, delta, opt
     ):
-        flags = ("lazy", group, delta, opt, suppress, True)
+        flags = ("lazy", group, delta, opt, True)
         visiting = _ScanWorld(True, True, *flags)
         oracles = [_ScanWorld(False, True, *flags), _ScanWorld(False, False, *flags)]
         for step in VISIT_PROLOGUE + list(script) + [("refresh_all", 0, 0)]:
@@ -535,7 +526,7 @@ class TestChangedSlotVisits:
         whole does.  The whole-read world is the visiting one with
         nothing named: its summaries record every insert and delete as
         a change the freed set cannot name."""
-        flags = ("lazy", group, delta, opt, False, True)
+        flags = ("lazy", group, delta, opt, True)
         visiting = _ScanWorld(True, True, *flags)
         whole = _ScanWorld(True, True, *flags)
         unnamed(whole)

@@ -6,8 +6,9 @@ qualifiers that changed or are new, and the first qualifier after each
 held slot that left (or after a ``Deletion`` flag carried in) — finding
 each message's ``prev_qual`` by bisection and carrying every other
 qualifier's mirrored values in bulk.  The loop it replaced walked every
-qualifier and every leaver in slot order; it is kept here, verbatim, as
-the reference.  Both are driven over the same random page and must
+qualifier and every leaver in slot order; it is kept here as the
+reference, a forced qualifier (held, unchanged) always a range delete as
+in the walk.  Both are driven over the same random page and must
 produce the same messages (class, ``addr``, ``prev_qual``, values or
 mask), leave the same ``LastQual`` and ``Deletion`` flag, and stage the
 same value-mirror page: this pins bytes, not contents.
@@ -31,7 +32,8 @@ SLOTS = st.integers(min_value=0, max_value=15)
 def reference_decide(cursor, page_no, now, changed, row_at, held):
     """``RefreshCursor._decide`` as it stood with ``held`` known: one
     iteration per qualifier and per leaver, one ``_carry_value`` call
-    per unchanged qualifier."""
+    per unchanged qualifier.  A qualifier the flag forces out is held
+    unchanged, so it always goes as a range delete and is never read."""
     arming = held - now
     changed = changed | (now - held)
     for slot_no in sorted(now.union(arming)):
@@ -40,7 +42,7 @@ def reference_decide(cursor, page_no, now, changed, row_at, held):
             continue
         rid = Rid(page_no, slot_no)
         if slot_no in changed or cursor.deletion:
-            if cursor.optimize_deletes and slot_no not in changed:
+            if slot_no not in changed:
                 cursor.transmit(DeleteRangeMessage(cursor.last_qual, rid))
                 cursor._carry_value(rid)
             else:
@@ -100,7 +102,6 @@ def pages(draw):
         "mirrored": mirrored,
         "deletion": draw(st.booleans()),
         "last_qual": draw(st.sampled_from([Rid.BEGIN, Rid(3, 2), Rid(6, 9)])),
-        "optimize_deletes": draw(st.booleans()),
         "value_cache": draw(st.booleans()),
     }
 
@@ -121,7 +122,6 @@ def run(decide, page):
         Restriction.true(SCHEMA),
         Projection(SCHEMA),
         sent.append,
-        optimize_deletes=page["optimize_deletes"],
         value_cache=value_cache,
     )
     cursor.deletion = page["deletion"]
@@ -181,7 +181,7 @@ class TestEventWalk:
             "rows": {slot: (1, 1) for slot in held},
             "mirrored": {slot: (1, 1) for slot in held},
             "deletion": deletion, "last_qual": Rid(3, 2),
-            "optimize_deletes": False, "value_cache": value_cache,
+            "value_cache": value_cache,
         }
         outcome = run(event_walk, page)
         assert outcome == run(reference_decide, page)

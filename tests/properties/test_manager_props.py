@@ -57,7 +57,7 @@ SNAPSHOTS = (
         {"delta_updates": True, "wire_format": True},
     ),
     ("all", None, lambda v: True, {"wire_format": True}),
-    ("tiny", "v < 10", lambda v: v < 10, {"optimize_deletes": True}),
+    ("tiny", "v < 10", lambda v: v < 10, {"optimize_deletes": False}),
 )
 
 RETRY = RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)

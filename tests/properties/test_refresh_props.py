@@ -92,9 +92,7 @@ class TestDifferentialInvariant:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(script=operations)
     def test_optimized_variants(self, script):
-        run_script(
-            script, "lazy", optimize_deletes=True, suppress_pure_inserts=True
-        )
+        run_script(script, "lazy", optimize_deletes=True)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(script=operations, cutoff=st.sampled_from([0, 1, 50, 99, 100]))

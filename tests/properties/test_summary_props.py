@@ -116,9 +116,7 @@ class TestSummaryTransparency:
     )
     @given(script=operations)
     def test_optimized_variants(self, script):
-        assert_equivalent(
-            script, optimize_deletes=True, suppress_pure_inserts=True
-        )
+        assert_equivalent(script, optimize_deletes=True)
 
     @settings(
         max_examples=20,

@@ -186,17 +186,32 @@ def assert_streams_identical(decoded, original):
         assert copy.wire_size() == source.wire_size()
 
 
+def _re_announces(message, held):
+    """Whether ``message`` re-announces a value the receiver holds."""
+    if isinstance(message, msg.DeleteRangeMessage):
+        return message.hi in held
+    if isinstance(message, msg.UpdateDeltaMessage):
+        row = held[message.addr]
+        merged = tuple(row[position] for position in message.positions())
+        return merged == tuple(message.values)
+    assert isinstance(message, msg.EntryMessage), message
+    return held.get(message.addr) == tuple(message.values)
+
+
 def assert_mirror_subsequence(mirror, paper, held):
-    """``mirror`` is ``paper`` with messages left out — none altered.
+    """``mirror`` is ``paper`` with messages left out, and each re-send of
+    a held value a range delete.
 
     The two streams are one refresh of one snapshot, decided by the
     address mirror's arming rule and by the paper's (Figure 3's "may
     have qualified before"); ``held`` is the receiver's ``as_map()``
     before that refresh.  The mirror's stream must be a subsequence of
-    the paper's (same ``repr``, same size, same order), and everything
-    it left out an entry, delta or ``DeleteRange`` re-announcing an
-    address whose value the receiver already held — Figure 9's
-    superfluous kind.
+    the paper's (same ``repr``, same size, same order), except that a
+    ``DeleteRange(lo, hi)`` of the mirror's may stand for the paper's
+    entry or delta of ``hi`` with ``prev_qual`` ``lo`` that re-announces
+    the value the receiver holds.  Everything it left out must be an
+    entry, delta or ``DeleteRange`` re-announcing an address whose value
+    the receiver already held — Figure 9's superfluous kind.
     """
     rest = iter(paper)
     omitted = []
@@ -206,6 +221,13 @@ def assert_mirror_subsequence(mirror, paper, held):
                 assert type(candidate) is type(message)
                 assert candidate.wire_size() == message.wire_size()
                 break
+            if (
+                isinstance(message, msg.DeleteRangeMessage)
+                and isinstance(candidate, (msg.EntryMessage, msg.UpdateDeltaMessage))
+                and (candidate.prev_qual, candidate.addr) == (message.lo, message.hi)
+                and _re_announces(candidate, held)
+            ):
+                break
             omitted.append(candidate)
         else:
             raise AssertionError(
@@ -213,15 +235,7 @@ def assert_mirror_subsequence(mirror, paper, held):
             )
     omitted.extend(rest)
     for message in omitted:
-        if isinstance(message, msg.DeleteRangeMessage):
-            assert message.hi in held, message
-        elif isinstance(message, msg.UpdateDeltaMessage):
-            row = held[message.addr]
-            merged = tuple(row[position] for position in message.positions())
-            assert merged == tuple(message.values), message
-        else:
-            assert isinstance(message, msg.EntryMessage), message
-            assert held.get(message.addr) == tuple(message.values), message
+        assert _re_announces(message, held), message
     return omitted
 
 
