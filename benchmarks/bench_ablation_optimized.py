@@ -5,8 +5,8 @@ improvements the paper invites the reader to discover:
 
 - ``optimize_deletes``: value-free DeleteRange messages for unchanged
   survivors → same entry count, fewer bytes;
-- the address mirror (what the manager builds: page summaries, the
-  batch path, ``optimize_deletes``): the ``Deletion`` flag arms only
+- the address mirror (what the manager builds: a page mirror and
+  ``optimize_deletes``): the ``Deletion`` flag arms only
   where a held address left, so an unqualified pure insert no longer
   forces the next qualified entry out → fewer entries on
   insert-after-delete workloads (the deleted ``suppress_pure_inserts``
@@ -33,6 +33,7 @@ from repro.core.differential import DifferentialRefresher
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.expr.predicate import Projection, Restriction
+from repro.storage.summary import PageMirror
 
 from benchmarks._util import emit
 
@@ -42,7 +43,7 @@ SELECTIVITY = 0.25
 CUTOFF = int(SELECTIVITY * 1000)
 
 
-def _measure(**flags):
+def _measure(optimize_deletes=False, mirror=False):
     rng = random.Random(41)
     db = Database("abl")
     table = db.create_table("t", [("v", "int")], annotations="lazy")
@@ -50,13 +51,16 @@ def _measure(**flags):
     restriction = Restriction.parse(f"v < {CUTOFF}", table.schema)
     projection = Projection(table.schema)
     snapshot = SnapshotTable(Database("remote"), "s", projection.schema)
-    refresher = DifferentialRefresher(table, **flags)
+    refresher = DifferentialRefresher(table, optimize_deletes=optimize_deletes)
+    cache = PageMirror() if mirror else None
 
     def refresh(snap_time):
         def deliver(message):
             snapshot.apply(message)
 
-        return refresher.refresh(snap_time, restriction, projection, deliver)
+        return refresher.refresh(
+            snap_time, restriction, projection, deliver, cache=cache
+        )
 
     settle = refresh(0)
     # Phase 1: deletes, measured (delete-only messages fire here).
@@ -83,9 +87,7 @@ def _run_all():
     return {
         "baseline (Fig 3/7)": _measure(),
         "+delete-only msgs": _measure(optimize_deletes=True),
-        "mirror (manager)": _measure(
-            optimize_deletes=True, use_page_summaries=True, batch_mode=True
-        ),
+        "mirror (manager)": _measure(optimize_deletes=True, mirror=True),
     }
 
 

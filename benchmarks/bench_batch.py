@@ -14,7 +14,8 @@ actually *faster*:
   against the reference ``encode_frame_per_message``/
   ``decode_frame_per_message`` over the A16 synthetic entry stream
   (same machine, same process, so the ratio is hardware-independent);
-- **scan**: refresh rows/s with ``batch_mode`` on vs off over a
+- **scan**: refresh rows/s of the batch path against the per-row
+  reference (``core/per_row.py``) over a
   clustered-update workload on an eager-annotated table with page
   summaries off, asserting the message streams agree round for round.
   Each page is read whole in both modes, so the ratio is extraction
@@ -81,6 +82,7 @@ if __package__ in (None, ""):  # script mode: `python benchmarks/bench_batch.py`
 
 from repro.core.differential import DifferentialRefresher
 from repro.core.messages import EntryMessage
+from repro.core.per_row import RowRefresher
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.expr.predicate import Projection, Restriction
@@ -236,11 +238,11 @@ def _codec_throughput(
     }
 
 
-def _scan_mode(n: int, batch_mode: bool):
-    """Refresh rounds over a clustered-update workload, one scan mode.
+def _scan_mode(n: int, refresher_class: type):
+    """Refresh rounds over a clustered-update workload, one scan path.
 
     Eager annotations keep every page free of NULL annotation fields,
-    so in batch mode every page is write-free; summaries stay off
+    so on the batch path every page is write-free; summaries stay off
     for the *skip* logic so each refresh really walks all n rows — the
     quantity being measured is scan cost per row, not pages avoided
     (that is A13's subject).
@@ -253,9 +255,7 @@ def _scan_mode(n: int, batch_mode: bool):
     ]
     restriction = Restriction.parse("v < 1000000000", table.schema)
     projection = Projection(table.schema)
-    refresher = DifferentialRefresher(
-        table, use_page_summaries=False, batch_mode=batch_mode
-    )
+    refresher = refresher_class(table)
     first = refresher.refresh(0, restriction, projection, lambda m: None)
     snap_time = first.new_snap_time
 
@@ -280,10 +280,10 @@ def _scan_mode(n: int, batch_mode: bool):
 
 
 def _scan_throughput(n: int) -> dict:
-    t_row, r_row, s_row = _scan_mode(n, batch_mode=False)
-    t_batch, r_batch, s_batch = _scan_mode(n, batch_mode=True)
+    t_row, r_row, s_row = _scan_mode(n, RowRefresher)
+    t_batch, r_batch, s_batch = _scan_mode(n, DifferentialRefresher)
     # Same seed, same updates: the refresh streams must agree per round.
-    assert s_batch == s_row, "batch-mode stream diverged from row mode"
+    assert s_batch == s_row, "batch stream diverged from the per-row reference"
     rows_scanned = SCAN_ROUNDS * n
     return {
         "n": n,
@@ -295,7 +295,7 @@ def _scan_throughput(n: int) -> dict:
         "rows_per_sec_batch": rows_scanned / t_batch,
         "speedup": t_row / t_batch if t_batch else float("inf"),
         "floor_speedup": SCAN_FLOOR,
-        # Last-round counters: in batch mode every page is batch-served,
+        # Last-round counters: on the batch path every page is batch-served,
         # each one extracted whole (summaries are off).
         "pages_scanned": r_batch.pages_scanned,
         "pages_batch_decoded": r_batch.pages_batch_decoded,
@@ -315,7 +315,7 @@ class _WrittenWorld:
     compiled probe needs.
     """
 
-    def __init__(self, n: int, batch_mode: bool) -> None:
+    def __init__(self, n: int, refresher_class: type) -> None:
         db = Database("bench", buffer_capacity=1024)
         self.table = db.create_table("t", _schema(), annotations="lazy")
         self.rids = self.table.bulk_load(
@@ -325,12 +325,7 @@ class _WrittenWorld:
         self.projection = Projection(self.table.schema)
         # Both worlds send a qualifier the Deletion flag forces out as a
         # range delete, as the mirror always does.
-        self.refresher = DifferentialRefresher(
-            self.table,
-            use_page_summaries=True,
-            batch_mode=batch_mode,
-            optimize_deletes=True,
-        )
+        self.refresher = refresher_class(self.table, optimize_deletes=True)
         self.cache: dict = {}
         self.rng = random.Random(SEED)
         self.snap_time = 0
@@ -398,7 +393,8 @@ class _WrittenWorld:
 
 
 def _written_throughput(n: int) -> dict:
-    row, batch = _WrittenWorld(n, False), _WrittenWorld(n, True)
+    row = _WrittenWorld(n, RowRefresher)
+    batch = _WrittenWorld(n, DifferentialRefresher)
     # Rounds interleaved, so a slow system window penalizes both modes.
     for _ in range(WRITTEN_ROUNDS):
         row.round()
@@ -454,9 +450,7 @@ class _VisitWorld:
             self.pages.setdefault(rid.page_no, []).append(rid)
         self.restriction = Restriction.parse("branch < 4", self.table.schema)
         self.projection = Projection(self.table.schema)
-        self.refresher = DifferentialRefresher(
-            self.table, use_page_summaries=True, batch_mode=True
-        )
+        self.refresher = DifferentialRefresher(self.table)
         self.whole = whole
         self.cache: dict = {}
         self.rng = random.Random(SEED)

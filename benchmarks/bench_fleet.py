@@ -169,9 +169,7 @@ def _measure_solo(n: int) -> dict:
     refreshed = entries = pages = 0
     begin = timer()
     for i, member in enumerate(world.members):
-        refresher = DifferentialRefresher(
-            world.tables[member["base"]], use_page_summaries=True
-        )
+        refresher = DifferentialRefresher(world.tables[member["base"]])
         result = refresher.refresh(
             member["snap"],
             member["restriction"],

@@ -67,10 +67,7 @@ class _World:
             )
             for i in range(k)
         ]
-        self.refreshers = [
-            DifferentialRefresher(self.table, use_page_summaries=use_summaries)
-            for _ in range(k)
-        ]
+        self.refreshers = [DifferentialRefresher(self.table) for _ in range(k)]
         self.use_summaries = use_summaries
         self.caches: "list[dict]" = [{} for _ in range(k)]
         self.snap_times = [0] * k
@@ -88,7 +85,7 @@ class _World:
             self.restrictions[i],
             self.projection,
             lambda m: None,
-            cache=self.caches[i],
+            cache=self.caches[i] if self.use_summaries else None,
         )
         self.snap_times[i] = result.new_snap_time
         return result

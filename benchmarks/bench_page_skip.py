@@ -31,6 +31,7 @@ if __package__ in (None, ""):  # script mode: `python benchmarks/bench_page_skip
 from repro.core.differential import DifferentialRefresher
 from repro.database import Database
 from repro.expr.predicate import Projection, Restriction
+from repro.storage.summary import PageMirror
 
 from benchmarks._util import emit, emit_json
 
@@ -46,8 +47,9 @@ def _run_mode(n: int, fraction: float, use_summaries: bool, uniform: bool):
     rids = table.bulk_load([[i] for i in range(n)])
     restriction = Restriction.parse("v < 1000000000", table.schema)
     projection = Projection(table.schema)
-    refresher = DifferentialRefresher(table, use_page_summaries=use_summaries)
-    first = refresher.refresh(0, restriction, projection, lambda m: None)
+    refresher = DifferentialRefresher(table)
+    cache = PageMirror() if use_summaries else None
+    first = refresher.refresh(0, restriction, projection, lambda m: None, cache=cache)
     snap_time = first.new_snap_time
 
     rng = random.Random(SEED)
@@ -63,7 +65,7 @@ def _run_mode(n: int, fraction: float, use_summaries: bool, uniform: bool):
     messages: list = []
     begin = time.perf_counter()
     result = refresher.refresh(
-        snap_time, restriction, projection, messages.append
+        snap_time, restriction, projection, messages.append, cache=cache
     )
     elapsed = time.perf_counter() - begin
     return elapsed, result, [repr(m) for m in messages]

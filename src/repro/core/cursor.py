@@ -6,7 +6,7 @@ pass (:func:`~repro.core.differential.run_refresh_scan`).  Beyond the
 paper it has one arming rule, which only *omits* messages or sends a
 shorter one:
 
-*Address mirror* (``batch_mode``).  The snapshot's page cache of
+*Address mirror*.  The snapshot's page cache of
 :class:`~repro.storage.summary.PageQualInfo` records changes only when
 the receiver commits and every path that publishes to the snapshot
 writes it, so its ``qual_slots`` are the addresses the snapshot holds.
@@ -17,10 +17,10 @@ superfluous messages, and a qualifier the ``Deletion`` flag forces out
 :class:`~repro.core.messages.DeleteRangeMessage` of the interval before
 it, never read — one of the improvements the paper invites "which
 reduce the message traffic" (``docs/algorithm.md``).  An unqualified
-insert arms no flag there, as no held address left.  Without a record,
-and on the per-row path, the paper's rule runs over every entry: the
-baseline and the oracle.  DESIGN.md §3, "How a page is served", has the
-rule and its proof.
+insert arms no flag there, as no held address left.  Without a record
+the paper's rule runs over every entry: the baseline, and what the
+per-row reference (:mod:`~repro.core.per_row`) runs entry by entry.
+DESIGN.md §3, "How a page is served", has the rule and its proof.
 
 ``optimize_deletes`` applies the same range delete to the paper's rule.
 The manager turns it on; a directly built refresher and the baseline
@@ -70,8 +70,8 @@ class ValueCache:
     receiver's epoch commit is confirmed**, or a later delta would
     merge against values the receiver never applied: the
     :class:`~repro.core.manager.SnapshotManager` drives
-    :meth:`commit`/:meth:`abort` from the epoch outcome; direct
-    refresher use with an internal cache commits after the scan.
+    :meth:`commit`/:meth:`abort` from the epoch outcome, and a caller
+    driving a refresher directly does the same with the cache it passes.
     """
 
     __slots__ = ("pages", "staged")
@@ -186,11 +186,11 @@ class RefreshResult:
         self.deletions_detected = 0
         self.pages_scanned = 0
         self.pages_skipped = 0
-        #: Records this pass read from page bytes: per-row probes, every
-        #: entry of each :class:`~repro.storage.batch.PageBatch` it
-        #: extracted (scan and repair alike), the changed slots of a
-        #: visited page.  A qualifier a Deletion flag forces out there
-        #: goes as a range delete and is not read.
+        #: Records this pass read from page bytes: every entry of each
+        #: :class:`~repro.storage.batch.PageBatch` it extracted (scan and
+        #: repair alike), the changed slots of a visited page; on the
+        #: per-row reference, each entry it probes.  A qualifier a
+        #: Deletion flag forces out goes as a range delete and is not read.
         self.rows_decoded = 0
         self.buffer_hits = 0
         self.buffer_misses = 0
@@ -203,7 +203,7 @@ class RefreshResult:
         #: newer than its ``SnapTime`` where it crosses a page from a
         #: committed :class:`PageQualInfo` (visited or read whole),
         #: every entry of a page it holds no record of, every entry on
-        #: the per-row path.
+        #: the per-row reference.
         self.entries_evaluated = 0
         #: Pages this snapshot's cursor fast-forwarded from its
         #: :class:`~repro.storage.summary.PageQualInfo` cache instead of

@@ -20,9 +20,10 @@ which is exactly Figure 3 (:func:`base_refresh`).
 
 The refresh is split by role: :mod:`~repro.core.cursor` (per snapshot:
 Figure 3 and the sender's mirrors), :mod:`~repro.core.scanpass` (the
-pass: Figure 7 and how each page is served), :mod:`~repro.core.per_row`
-(the paper's loop entry by entry, the oracle) and this module, the
-driver (chunks, the write watermark, the solo refresher).
+pass: Figure 7 and how each page is served) and this module, the scan
+loop (chunks, the write watermark, the solo refresher).  There is one
+serving path; :mod:`~repro.core.per_row`, the paper's loop entry by
+entry, is the reference the tests run through the same loop.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.core.scanpass import _ScanPass
 from repro.errors import RefreshMethodError
 from repro.expr.predicate import Projection, Restriction
 from repro.storage.rid import Rid
-from repro.storage.summary import PageMirror, PageQualInfo
+from repro.storage.summary import PageQualInfo
 from repro.table import Table
 
 
@@ -84,7 +85,6 @@ def run_refresh_scan(
     table: Table,
     cursors: "Sequence[RefreshCursor]",
     fixup: Optional[bool] = None,
-    batch_mode: bool = False,
     plan: Optional[ScanPlan] = None,
 ) -> RefreshResult:
     """One combined fix-up + refresh pass serving every cursor.
@@ -98,10 +98,8 @@ def run_refresh_scan(
 
     Each page is served by one routine,
     :meth:`~repro.core.scanpass._ScanPass.page`, which returns what it
-    did with it (:class:`~repro.core.scanpass.PageOutcome`); ``batch_mode``
-    reads pages whole into columnar batches, else entry by entry (the
-    per-row oracle).  The pass reads the heap's page summaries iff some
-    cursor holds a page cache.
+    did with it (:class:`~repro.core.scanpass.PageOutcome`).  The pass
+    reads the heap's page summaries iff some cursor holds a page cache.
 
     A :class:`~repro.errors.ChannelError` on one cursor's output marks
     that cursor failed (``cursor.error``) and the pass continues for the
@@ -142,7 +140,18 @@ def run_refresh_scan(
     or moves the version of a page past its record, so the next pass
     reads it.
     """
-    heap = table.heap
+    return drive(_ScanPass(table, cursors, fixup), cursors, plan)
+
+
+def drive(
+    scan: _ScanPass,
+    cursors: "Sequence[RefreshCursor]",
+    plan: Optional[ScanPlan] = None,
+) -> RefreshResult:
+    """The loop of :func:`run_refresh_scan` over a constructed pass: the
+    chunks, the write watermark and the repairs, then the seal."""
+    table = scan.table
+    heap = scan.heap
     # The write watermark: one monotone sequence number per physical
     # record write; per page, the slots written since the pass read it.
     seq = 0
@@ -167,7 +176,6 @@ def run_refresh_scan(
         # can fail stands between here and the ``finally`` below.
         unsubscribe = heap.observe_writes(watch)
     try:
-        scan = _ScanPass(table, cursors, fixup, batch_mode)
         stats = scan.stats
         next_page = 0
         # The bound is re-read under the lock: pages appended by
@@ -222,41 +230,26 @@ def run_refresh_scan(
 class DifferentialRefresher:
     """Executes differential refreshes of one base table.
 
-    Stateless between calls except for the page-qualification cache: all
-    per-snapshot state (``SnapTime``) lives with the snapshot, all change
-    state lives in the base table's annotations — which is what lets any
-    number of snapshots share one set of annotations.  Every option
-    defaults off, so a directly constructed refresher is the paper's
-    full-scan baseline; the manager turns them on.
+    Stateless between calls: all per-snapshot state (``SnapTime``, the
+    page mirror and value cache the caller passes) lives with the
+    snapshot, all change state lives in the base table's annotations —
+    which is what lets any number of snapshots share one set of
+    annotations.  ``optimize_deletes`` defaults off, so a directly
+    constructed refresher given no mirrors runs the paper's rule; the
+    manager turns it on and hands each snapshot's mirrors in.
     """
 
-    def __init__(
-        self,
-        table: Table,
-        optimize_deletes: bool = False,
-        use_page_summaries: bool = False,
-        delta_updates: bool = False,
-        batch_mode: bool = False,
-    ) -> None:
+    #: The scan each refresh runs (the per-row reference's subclass
+    #: runs its own).
+    _scan = staticmethod(run_refresh_scan)
+
+    def __init__(self, table: Table, optimize_deletes: bool = False) -> None:
         if not table.has_annotations:
             raise RefreshMethodError(
                 f"differential refresh requires annotations on {table.name!r}"
             )
         self.table = table
         self.optimize_deletes = optimize_deletes
-        #: Hand the cursor a page cache, so the pass keeps page
-        #: summaries: skips, visits and the address mirror.
-        self.use_page_summaries = use_page_summaries
-        #: Send per-column UpdateDeltaMessages on value-cache hits.
-        self.delta_updates = delta_updates
-        #: Serve scanned pages (fix-up included) from columnar batches.
-        self.batch_mode = batch_mode
-        # Fallback caches for callers that do not thread per-snapshot
-        # caches through `refresh(cache=..., value_cache=...)`; valid
-        # only for one restriction (i.e. one snapshot) at a time.
-        self._page_cache = PageMirror()
-        self._value_cache = ValueCache()
-        self._cache_restriction: Optional[str] = None
 
     def refresh(
         self,
@@ -273,55 +266,30 @@ class DifferentialRefresher:
 
         ``fixup`` defaults by annotation mode: lazy tables repair as they
         scan; eager tables trust their annotations (pure Figure 3).
-        ``cache`` is the per-snapshot page-qualification cache (the
-        manager passes the snapshot's own); with summaries enabled and
-        none given, a refresher-local one keyed by the restriction text
-        is used, and with them disabled none is.  ``value_cache`` (with
-        ``delta_updates``) is the per-snapshot transmitted-values mirror;
-        a caller that passes one commits or aborts it from the epoch
-        outcome, the internal fallback is committed here, right after
-        the synchronous scan.
+        ``cache`` is the snapshot's page mirror (page summaries: skips,
+        visits and the address mirror's arming rule) and ``value_cache``
+        its transmitted-values mirror (per-column update deltas); the
+        caller keeps both, and commits or aborts ``value_cache`` from the
+        epoch outcome.  ``None`` is the paper's rule with no delta.
         ``plan`` makes the scan writer-concurrent (:class:`ScanPlan`),
         its window after the seal included, before the records commit.
         The caller holds the table-level lock.
         """
-        if self.use_page_summaries and cache is None or (
-            self.delta_updates and value_cache is None
-        ):
-            if self._cache_restriction != restriction.text:
-                self._page_cache.clear()
-                self._value_cache = ValueCache()
-                self._cache_restriction = restriction.text
-        if self.use_page_summaries and cache is None:
-            cache = self._page_cache
-        own_value_cache = False
-        if self.delta_updates and value_cache is None:
-            value_cache = self._value_cache
-            own_value_cache = True
-
         cursor = RefreshCursor(
             snap_time,
             restriction,
             projection,
             send,
-            cache=cache if self.use_page_summaries else None,
+            cache=cache,
             optimize_deletes=self.optimize_deletes,
-            value_cache=value_cache if self.delta_updates else None,
+            value_cache=value_cache,
         )
-        sealed = run_refresh_scan(
-            self.table,
-            (cursor,),
-            fixup=fixup,
-            batch_mode=self.batch_mode,
-            plan=plan,
-        )
+        sealed = self._scan(self.table, (cursor,), fixup=fixup, plan=plan)
         if plan is not None:
             plan.after_seal(sealed.chunks_scanned)
         if cursor.error is not None:
             raise cursor.error
         cursor.commit_pages()  # the synchronous stream completed
-        if own_value_cache:
-            value_cache.commit()
         return cursor.result
 
 

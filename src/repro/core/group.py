@@ -117,16 +117,17 @@ class GroupRefresher:
     summary-on and summary-off snapshots without changing any stream).
     """
 
-    def __init__(self, table: Table, batch_mode: bool = False) -> None:
+    #: The scan each pass runs (the per-row reference's subclass runs
+    #: its own).
+    _scan = staticmethod(run_refresh_scan)
+
+    def __init__(self, table: Table) -> None:
         if not table.has_annotations:
             raise RefreshMethodError(
                 f"group differential refresh requires annotations on "
                 f"{table.name!r}"
             )
         self.table = table
-        #: Serve scanned pages (fix-up included) from columnar page
-        #: batches (see :func:`~repro.core.differential.run_refresh_scan`).
-        self.batch_mode = batch_mode
 
     def refresh_group(
         self,
@@ -147,13 +148,7 @@ class GroupRefresher:
         outcome = GroupRefreshResult()
         if not cursors:
             return outcome
-        outcome.pass_result = run_refresh_scan(
-            self.table,
-            cursors,
-            fixup=fixup,
-            batch_mode=self.batch_mode,
-            plan=plan,
-        )
+        outcome.pass_result = self._scan(self.table, cursors, fixup=fixup, plan=plan)
         if plan is not None:
             plan.after_seal(outcome.pass_result.chunks_scanned)
         snap_times = [cursor.snap_time for cursor in cursors]

@@ -128,31 +128,16 @@ class Snapshot:
         self.info = info
         self.refresher = refresher
         self.channel = channel
-        #: Per-snapshot page-qualification cache (page_no -> PageQualInfo);
-        #: lets the differential refresher fast-forward over clean pages
-        #: and — the sender's mirror of the addresses the snapshot holds
-        #: — arm its ``Deletion`` flag only where one was lost.  A pass's
-        #: records, and its write-log mark, merge in when its epoch
-        #: commits, never before.
-        self.page_cache = PageMirror()
-        #: Per-snapshot mirror of transmitted values; lets the refresher
-        #: send per-column update deltas.  Staged during a refresh and
-        #: committed only once the receiver's epoch commit is confirmed.
-        self.value_cache = ValueCache()
+        #: Page-qualification cache (page_no -> PageQualInfo), if kept:
+        #: lets the pass fast-forward over clean pages and — the sender's
+        #: mirror of the addresses the snapshot holds — arm ``Deletion``
+        #: only where one was lost.  Merged in when an epoch commits.
+        self.page_mirror: Optional[PageMirror] = None
+        #: Mirror of transmitted values, if kept: per-column update
+        #: deltas.  Committed only once the receiver's commit is confirmed.
+        self.value_mirror: Optional[ValueCache] = None
         #: Failed attempts that were retried (across all refreshes).
         self.retries = 0
-
-    @property
-    def page_mirror(self) -> Optional[PageMirror]:
-        """:attr:`page_cache` if the refresher keeps it (page summaries)."""
-        keeps = getattr(self.refresher, "use_page_summaries", False)
-        return self.page_cache if keeps else None
-
-    @property
-    def value_mirror(self) -> Optional[ValueCache]:
-        """:attr:`value_cache` if the refresher keeps it (delta updates)."""
-        keeps = getattr(self.refresher, "delta_updates", False)
-        return self.value_cache if keeps else None
 
     @property
     def name(self) -> str:
@@ -229,18 +214,13 @@ class SnapshotManager:
         cost_model: Optional[CostModel] = None,
         use_page_summaries: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
-        batch_mode: bool = True,
     ) -> None:
         self.db = db
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        #: Default for differential refreshers created here; the paper's
-        #: full-scan baseline is reproduced by passing False (or by
-        #: constructing a DifferentialRefresher directly).
+        #: Give each differential snapshot created here a page mirror
+        #: (skips, visits, ``Deletion`` armed from the addresses it
+        #: holds); False reproduces the paper's full-scan baseline.
         self.use_page_summaries = use_page_summaries
-        #: Serve scanned pages (fix-up included) from columnar page
-        #: batches, arming ``Deletion`` from the page cache.  On by
-        #: default; pass False for the per-row baseline (the paper's rule).
-        self.batch_mode = batch_mode
         #: When set, every refresh retries link/epoch failures under this
         #: policy instead of raising them (overridable per call).
         self.retry_policy = retry_policy
@@ -331,11 +311,7 @@ class SnapshotManager:
                 # refresh is created."
                 table.enable_annotations("lazy")
             refresher: Any = DifferentialRefresher(
-                table,
-                optimize_deletes=optimize_deletes,
-                use_page_summaries=self.use_page_summaries,
-                delta_updates=delta_updates,
-                batch_mode=self.batch_mode,
+                table, optimize_deletes=optimize_deletes
             )
         elif plan.method is RefreshMethod.FULL:
             refresher = FullRefresher(table)
@@ -383,6 +359,10 @@ class SnapshotManager:
         info = SnapshotInfo(name, base_table, plan, snapshot_table)
         self.db.catalog.add_snapshot(info)
         handle = Snapshot(self, info, refresher, send_channel)
+        if isinstance(refresher, DifferentialRefresher) and self.use_page_summaries:
+            handle.page_mirror = PageMirror()
+        if delta_updates:
+            handle.value_mirror = ValueCache()
         self._handles[name] = handle
 
         if plan.method is RefreshMethod.LOG:
@@ -523,7 +503,8 @@ class SnapshotManager:
             )
         # The receiver applied the epoch: the values and the addresses
         # we staged this attempt are now truly its contents.
-        handle.value_cache.commit()
+        if handle.value_mirror is not None:
+            handle.value_mirror.commit()
         if cursor is not None:
             cursor.commit_pages()
         if sanitize.enabled():
@@ -547,7 +528,8 @@ class SnapshotManager:
         refresh's own RefreshBegin would do the same).
         """
         handle.channel.abort()
-        handle.value_cache.abort()
+        if handle.value_mirror is not None:
+            handle.value_mirror.abort()
         handle.info.snapshot_table.abort_epoch()
         if sanitize.enabled():  # both mirrors are still what the receiver has
             self._check_mirrors(handle)
@@ -556,7 +538,8 @@ class SnapshotManager:
     def _check_mirrors(handle: Snapshot) -> None:
         """Sanitizer: the sender's two mirrors describe the receiver, and
         no page written since the mirror's mark passes for settled."""
-        sanitize.check_value_cache(handle.value_cache, handle.table)
+        if handle.value_mirror is not None:
+            sanitize.check_value_cache(handle.value_mirror, handle.table)
         if handle.page_mirror is not None:
             sanitize.check_address_mirror(handle.page_mirror, handle.table)
             sanitize.check_sealed_mark(handle.page_mirror)
@@ -646,10 +629,7 @@ class SnapshotManager:
                 if not cursors:
                     return results, errors
                 sealed = run_refresh_scan(
-                    self.db.table(base_table),
-                    cursors,
-                    batch_mode=self.batch_mode,
-                    plan=plan,
+                    self.db.table(base_table), cursors, plan=plan
                 )
                 # The seal: each epoch's contents are its (repaired)
                 # stream, a cut at its new SnapTime and at this LSN.

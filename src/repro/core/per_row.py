@@ -1,24 +1,28 @@
-"""The per-row oracle: without ``batch_mode`` a pass serves each page it
-reads whole through :func:`serve_rows` — Figure 7 on each entry, then
-Figure 3 on it for every cursor (:func:`observe`).  The paper's
-baseline, and what the batch-vs-row properties compare against."""
+"""The per-row reference: the paper's loop entry by entry, kept only for
+the tests to compare the one serving path, the columnar batch
+(:mod:`~repro.core.scanpass`), against; no production module imports it
+(replint L307).  :class:`RowPass` serves each page it reads whole through
+:func:`serve_rows` — Figure 7 on each entry, then Figure 3 for every
+cursor (:func:`observe`) — and never visits."""
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.core.cursor import RefreshCursor, each_live
+from repro import sanitize
+from repro.core.cursor import RefreshCursor, RefreshResult, each_live
+from repro.core.differential import DifferentialRefresher, ScanPlan, drive
+from repro.core.group import GroupRefresher
 from repro.core.messages import DeleteRangeMessage
+from repro.core.scanpass import ROWS, PageOutcome, Reading, _ScanPass
 from repro.errors import RefreshMethodError
 from repro.relation.row import Row, decode_fields, decode_row
 from repro.relation.schema import Schema
 from repro.relation.types import NULL
 from repro.storage.rid import Rid
-from repro.table import PREVADDR, TIMESTAMP
-
-if TYPE_CHECKING:  # the pass calls in here
-    from repro.core.scanpass import _ScanPass
+from repro.storage.summary import PageQualInfo, PageSummary
+from repro.table import PREVADDR, TIMESTAMP, Table
 
 
 class _LazyEntry:
@@ -90,7 +94,7 @@ def observe(
 
 
 def serve_rows(
-    scan: "_ScanPass", page_no: int, scanning: "Sequence[RefreshCursor]"
+    scan: _ScanPass, page_no: int, scanning: "Sequence[RefreshCursor]"
 ) -> object:
     """Serve one page entry by entry: the paper's loop, verbatim.
 
@@ -189,3 +193,60 @@ def serve_rows(
     scan.expect_prev = expect_prev
     scan.last_addr = last_addr
     return page_first_prev
+
+
+class RowPass(_ScanPass):
+    """A pass that reads every page a cursor has work on whole, entry by
+    entry (:func:`serve_rows`): it never visits."""
+
+    __slots__ = ()
+
+    def _settled(
+        self, cursor: RefreshCursor, info: PageQualInfo, summary: PageSummary
+    ) -> bool:
+        named = summary.null_slots or summary.freed_slots
+        return not (named or cursor.deletion) and super()._settled(
+            cursor, info, summary
+        )
+
+    def _cross(
+        self, cursors: "Sequence[RefreshCursor]", start: int, end: int
+    ) -> int:
+        # A carried Deletion flag is answered by a whole read.
+        if any(cursor.deletion for cursor in cursors if not cursor.failed):
+            return start
+        return super()._cross(cursors, start, end)
+
+    def _whole(self, page_no: int, reading: Reading) -> PageOutcome:
+        first_prev = serve_rows(self, page_no, list(reading))
+        self.stats.pages_scanned += 1
+        for cursor in reading:
+            cursor.result.pages_scanned += 1
+        self._record(page_no, reading, first_prev)
+        if self.audit:
+            held = [(c, entry) for c, entry in reading.items() if entry is not None]
+            sanitize.check_value_mirror(self.table, page_no, held)
+        return ROWS
+
+
+def run_row_scan(
+    table: Table,
+    cursors: "Sequence[RefreshCursor]",
+    fixup: Optional[bool] = None,
+    plan: Optional[ScanPlan] = None,
+) -> RefreshResult:
+    """:func:`~repro.core.differential.run_refresh_scan` on a
+    :class:`RowPass`."""
+    return drive(RowPass(table, cursors, fixup), cursors, plan)
+
+
+class RowRefresher(DifferentialRefresher):
+    """A solo refresher on the per-row reference pass."""
+
+    _scan = staticmethod(run_row_scan)
+
+
+class RowGroupRefresher(GroupRefresher):
+    """A shared-scan refresher on the per-row reference pass."""
+
+    _scan = staticmethod(run_row_scan)

@@ -9,6 +9,8 @@ the paper, and changing no transmitted byte, a page whose
 crossed unread or visited for its changed slots, and a page read whole
 is probed for just the annotations and restriction columns; DESIGN.md
 §3, "How a page is served", has the outcome table and why each is safe.
+This is the one serving path, every page read served from a columnar
+batch; the paper's loop is the tests' reference, :mod:`~repro.core.per_row`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from enum import IntEnum
-from typing import Callable, Collection, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro import sanitize
 from repro.core.cursor import (
@@ -25,7 +27,6 @@ from repro.core.cursor import (
     RefreshCursor,
     RefreshResult,
 )
-from repro.core.per_row import serve_rows
 from repro.errors import ChannelError, RefreshMethodError
 from repro.relation.row import Row
 from repro.storage.batch import PREV_NULL_PAGE, TS_NULL, PageBatch
@@ -49,6 +50,9 @@ TS_INFINITY = 2**63 - 1
 #: ``PrevAddr`` as repaired.
 Fixed = Tuple["array[int]", List[int], Rid]
 
+#: The cursors a page is served to, each with its record of the page.
+Reading = Dict[RefreshCursor, Optional[PageQualInfo]]
+
 
 def _unread(slot_no: int) -> Row:
     """``row_at`` of a page crossed unread, or visited for a carried
@@ -70,7 +74,7 @@ class PageOutcome(IntEnum):
     VISITED = 1
     #: Read whole into a columnar batch; Figure 7 over its columns.
     BATCH = 2
-    #: Read whole entry by entry: the per-row oracle.
+    #: Read whole entry by entry: the per-row reference only.
     ROWS = 3
     #: Written behind an online pass in a window; repaired at the start
     #: of the next lock hold (once per window that wrote it).
@@ -90,8 +94,7 @@ def _tally(result: RefreshResult, outcome: PageOutcome) -> None:
         result.pages_repaired += 1
     else:
         result.pages_scanned += 1
-        if outcome is not ROWS:
-            result.pages_batch_decoded += 1
+        result.pages_batch_decoded += 1
 
 
 class _ScanPass:
@@ -106,7 +109,6 @@ class _ScanPass:
         "heap",
         "summaries",
         "fixup",
-        "batch_mode",
         "audit",
         "stats",
         "fixup_time",
@@ -125,14 +127,12 @@ class _ScanPass:
         table: Table,
         cursors: "Sequence[RefreshCursor]",
         fixup: Optional[bool],
-        batch_mode: bool,
     ) -> None:
         if fixup is None:
             fixup = table.annotation_mode == "lazy"
         self.table = table
         self.fixup = fixup
         self.schema = table.schema
-        self.batch_mode = batch_mode
         #: Run the sanitizer's page checks (read once: an environment
         #: lookup costs a visit's worth of work).
         self.audit = sanitize.enabled()
@@ -266,7 +266,7 @@ class _ScanPass:
                 break
         for cursor, infos in zip(live, records):
             if cursor.deletion:
-                if not (self.batch_mode and self.fixup):
+                if not self.fixup:
                     stop = start
                 for index in range(stop - start):
                     if infos[index].qual_slots:
@@ -306,11 +306,10 @@ class _ScanPass:
         runs before any cursor is served (:meth:`_serve`), so a channel
         failure never leaves a page half repaired.
         """
-        reading: "dict[RefreshCursor, Optional[PageQualInfo]]" = {}
+        reading: Reading = {}
         delta: "Optional[PageBatch]" = None
         whole: "Optional[PageBatch]" = None
         fixed: "Optional[Fixed]" = None
-        first_prev: object = None
         freed: "Collection[int]" = ()
         if changed is not None:
             reading = {c: c.page_info(page_no) for c in cursors if not c.failed}
@@ -350,13 +349,8 @@ class _ScanPass:
             cursor.result.pages_skipped += 1
         if reading:  # whoever has work on the page rides the whole read
             reading.update(visiting)
-            if self.batch_mode:
-                outcome = BATCH
-                _, whole, fixed = self._fix(page_no)
-            else:
-                outcome = ROWS
-                first_prev = serve_rows(self, page_no, list(reading))
-        elif summary is not None and (summary.null_slots or summary.freed_slots):
+            return self._whole(page_no, reading)
+        if summary is not None and (summary.null_slots or summary.freed_slots):
             reading.update(visiting)
             freed = summary.freed_slots  # emptied by replacement, not in place
             delta, whole, fixed = self._fix(
@@ -375,20 +369,23 @@ class _ScanPass:
                 return SKIPPED
             outcome = VISITED
             reading.update(visiting)
-        return self._serve(
-            page_no, outcome, reading, delta, whole, fixed, None, first_prev, freed
-        )
+        return self._serve(page_no, outcome, reading, delta, whole, fixed, None, freed)
+
+    def _whole(self, page_no: int, reading: Reading) -> PageOutcome:
+        """Serve the page read whole to ``reading``: one columnar batch,
+        Figure 7 over its columns (:meth:`_fix`)."""
+        _, whole, fixed = self._fix(page_no)
+        return self._serve(page_no, BATCH, reading, None, whole, fixed, None)
 
     def _serve(
         self,
         page_no: int,
         outcome: PageOutcome,
-        reading: "dict[RefreshCursor, Optional[PageQualInfo]]",
+        reading: Reading,
         delta: "Optional[PageBatch]",
         whole: "Optional[PageBatch]",
         fixed: "Optional[Fixed]",
         changed: "Optional[Sequence[int]]",
-        first_prev: object = None,
         freed: "Collection[int]" = (),
     ) -> PageOutcome:
         """Serve each cursor in ``reading`` (with its record of the page,
@@ -401,6 +398,7 @@ class _ScanPass:
         eff_ts: "Sequence[int]" = ()
         anomalies: "Sequence[int]" = ()
         newest = 0
+        first_prev: object = None
         if fixed is not None:
             eff_ts, anomalies, first_prev = fixed
             newest = max(eff_ts)
@@ -418,74 +416,53 @@ class _ScanPass:
         # Deletion flag forces out goes as a range delete, never read.
         row_at = delta.row_at if delta is not None else _unread
         stats = self.stats
-        if outcome is not ROWS:
-            # each_live's loop, written out: a step closure per page cost
-            # ≈ 2 % of a refresh that mostly visits.
-            for cursor, entry in reading.items():
-                if cursor.failed:
+        # each_live's loop, written out: a step closure per page cost
+        # ≈ 2 % of a refresh that mostly visits.
+        for cursor, entry in reading.items():
+            if cursor.failed:
+                continue
+            try:
+                if changed is not None:
+                    batch = whole if entry is None else delta
+                    if batch is not None:
+                        cursor.repair_page(page_no, entry, changed, batch)
                     continue
-                try:
-                    if changed is not None:
-                        batch = whole if entry is None else delta
-                        if batch is not None:
-                            cursor.repair_page(page_no, entry, changed, batch)
-                        continue
-                    if timed:
-                        since = cursor.snap_time
-                        if since not in newer:
-                            newer[since] = (
-                                [i for i, ts in enumerate(eff_ts) if ts > since]
-                                if newest > since
-                                else ()
-                            )
-                        indices = newer[since]
-                    else:
-                        indices = range(delta.count) if delta is not None else ()
-                    if whole is not None:
-                        if entry is None:
-                            cursor.paper_rule(whole, indices, anomalies)
-                        else:
-                            cursor.cross(
-                                page_no,
-                                entry,
-                                whole,
-                                indices,
-                                whole.live,
-                                whole.row_at,
-                            )
-                    elif entry is not None:
-                        cursor.cross(
-                            page_no, entry, delta, indices, None, row_at, freed
+                if timed:
+                    since = cursor.snap_time
+                    if since not in newer:
+                        newer[since] = (
+                            [i for i, ts in enumerate(eff_ts) if ts > since]
+                            if newest > since
+                            else ()
                         )
-                except ChannelError as error:
-                    cursor.fail(error)
-            decoded = delta.materializations if delta is not None else 0
-            if whole is not None:
-                decoded += whole.materializations
-            stats.rows_materialized += decoded
-        # Entries served from a batch (the per-row oracle counts its own).
+                    indices = newer[since]
+                else:
+                    indices = range(delta.count) if delta is not None else ()
+                if whole is not None:
+                    if entry is None:
+                        cursor.paper_rule(whole, indices, anomalies)
+                    else:
+                        cursor.cross(
+                            page_no, entry, whole, indices, whole.live, whole.row_at
+                        )
+                elif entry is not None:
+                    cursor.cross(page_no, entry, delta, indices, None, row_at, freed)
+            except ChannelError as error:
+                cursor.fail(error)
+        decoded = delta.materializations if delta is not None else 0
+        if whole is not None:
+            decoded += whole.materializations
+        stats.rows_materialized += decoded
         served = whole if whole is not None else delta
         scanned = served.count if served is not None and changed is None else 0
         stats.scanned += scanned
         _tally(stats, outcome)
-        # Read after Figure 7, so a record describes the page as this
-        # pass left it (staged: a failed cursor never commits).  A visit
-        # for a Deletion flag alone read nothing: the record stands.
-        read = delta is not None or outcome is not VISITED
-        summary = (
-            self.summaries.get_or_create(page_no)
-            if self.summaries is not None and read
-            else None
-        )
         for cursor in reading:
             cursor.result.scanned += scanned
             _tally(cursor.result, outcome)
-            if summary is not None and cursor.cache is not None and not cursor.failed:
-                cursor.record_page(summary, first_prev, cursor.page_quals)
-        if read and self.heap.summaries is not None:
-            # Figure 7 has passed the page: the deletes it detects here
-            # are no longer the freed set's to name.
-            self.heap.summaries.chained(page_no, self.fixup_time)
+        # A visit for a Deletion flag alone read nothing: the record stands.
+        if delta is not None or outcome is not VISITED:
+            self._record(page_no, reading, first_prev)
         if self.audit:
             if outcome is BATCH and whole is not None:
                 sanitize.check_whole_page_read(self.table, whole, list(reading))
@@ -504,12 +481,24 @@ class _ScanPass:
                     else "a changed-slot visit",
                     self.fixup,
                 )
-            sanitize.check_value_mirror(
-                self.table,
-                page_no,
-                [(c, entry) for c, entry in reading.items() if entry is not None],
-            )
+            held = [(c, entry) for c, entry in reading.items() if entry is not None]
+            sanitize.check_value_mirror(self.table, page_no, held)
         return outcome
+
+    def _record(self, page_no: int, reading: Reading, first_prev: object) -> None:
+        """Record the page for each live cursor in ``reading`` that keeps
+        a page cache, and mark it chained.  Called after Figure 7, so a
+        record describes the page as this pass left it (staged: a failed
+        cursor never commits)."""
+        if self.summaries is not None:
+            summary = self.summaries.get_or_create(page_no)
+            for cursor in reading:
+                if cursor.cache is not None and not cursor.failed:
+                    cursor.record_page(summary, first_prev, cursor.page_quals)
+        if self.heap.summaries is not None:
+            # Figure 7 has passed the page: the deletes it detects here
+            # are no longer the freed set's to name.
+            self.heap.summaries.chained(page_no, self.fixup_time)
 
     def _settled(
         self, cursor: RefreshCursor, info: PageQualInfo, summary: PageSummary
@@ -523,17 +512,14 @@ class _ScanPass:
         it moved by definition and the summary alone is the proof
         ("summary completeness", ``docs/invariants.md``).  Work on the
         page — changed or freed slots, a ``Deletion`` flag carried in —
-        takes a visit, which the per-row oracle and a scan without
-        fix-up never do.  And the boundary must be clean (:meth:`_clean`).
+        takes a visit, which a scan without fix-up never does.  And the
+        boundary must be clean (:meth:`_clean`).
         """
         named = bool(summary.null_slots or summary.freed_slots)
         return (
             info.page_version is not None  # holdings only: no layout
             and summary.settled(cursor.snap_time)
-            and (
-                not (named or cursor.deletion)
-                or (self.batch_mode and self.fixup)
-            )
+            and (self.fixup or not (named or cursor.deletion))
             and (named or info.page_version == summary.page_version)
             and self._clean(info.first_prev)
         )

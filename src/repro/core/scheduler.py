@@ -42,6 +42,7 @@ from typing import Dict
 from repro.core.cursor import RefreshResult
 from repro.core.manager import Snapshot, SnapshotManager
 from repro.core.registry import RegisteredSnapshot, SnapshotRegistry
+from repro.core.snapshot import STORAGE_PREFIX
 from repro.errors import ChannelError, RetryExhaustedError, SnapshotError
 from repro.txn.transactions import Transaction
 
@@ -139,10 +140,18 @@ class RefreshScheduler:
         self.manager.db.txns.remove_commit_listener(self._listener)
 
     def schedule(self, snapshot_name: str, every_ops: int) -> ScheduleEntry:
-        """Refresh ``snapshot_name`` every ``every_ops`` base operations."""
+        """Refresh ``snapshot_name`` every ``every_ops`` base operations.
+        A snapshot over another snapshot is refused: nothing commits on
+        its base, so it would never come due."""
         if every_ops < 1:
             raise SnapshotError("refresh period must be at least 1 operation")
         handle = self.manager.snapshot(snapshot_name)
+        if handle.info.base_table.startswith(STORAGE_PREFIX):
+            raise SnapshotError(
+                f"snapshot {snapshot_name!r} reads another snapshot, whose "
+                f"writes reach no commit listener: refresh it by hand after "
+                f"its base"
+            )
         record = self.registry.register(
             snapshot_name,
             handle.info.base_table,

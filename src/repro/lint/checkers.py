@@ -44,8 +44,15 @@ sections behind them):
               ``core/cursor.py``: that is the interpreter, one closure
               walk per record; the scan asks the restriction's rendered
               qualifier through ``PageBatch.qualifying``.  The per-row
-              oracle (``core/per_row.py``) and the sanitizer are the
+              reference (``core/per_row.py``) and the sanitizer are the
               interpreter's callers by design, and outside the rule.
+    ``L307``  The per-row reference (``repro.core.per_row``) imported by
+              a production refresh module — ``core/scanpass.py``,
+              ``core/cursor.py``, ``core/differential.py``,
+              ``core/group.py``, ``core/manager.py``.  The refresh has
+              one serving path; the reference is what the tests compare
+              it against, and a production import of it is a second
+              path on the way back in.
 
 **L4 — lock and layering discipline**
     ``L401``  Locks acquired against the global table-before-row order.
@@ -87,7 +94,7 @@ ANNOTATION_WRITES = {"set_annotations", "write_annotations", "fix_batch"}
 #: Modules allowed to write the hidden annotation fields: the table
 #: (``set_annotations`` itself), the eager maintenance hook and the
 #: Figure-7 fix-up passes — the standalone one, a refresh pass's and the
-#: per-row oracle's.
+#: per-row reference's.
 ANNOTATION_WRITERS = {
     "table.py",
     "core/eager.py",
@@ -185,6 +192,7 @@ RULES = {
     "L204": "thread or process machinery imported into single-threaded src/",
     "L305": "per-field codec call inside a designated batch-path module",
     "L306": "restriction interpreted per record on the scan path",
+    "L307": "per-row reference imported by a production refresh module",
     "L401": "lock acquired against the global table-before-row order",
     "L402": "lock resource with an unknown hierarchy level",
     "L404": "registry/cohort module references manager/scheduler internals",
@@ -494,6 +502,71 @@ class ScanPathChecker(Checker):
                 )
 
 
+#: The production refresh: modules that may not import the per-row
+#: reference.
+PRODUCTION_REFRESH_MODULES = {
+    "core/scanpass.py",
+    "core/cursor.py",
+    "core/differential.py",
+    "core/group.py",
+    "core/manager.py",
+}
+
+#: The per-row reference.
+REFERENCE_MODULE = "repro.core.per_row"
+
+
+class ReferenceImportChecker(Checker):
+    """L307: the production refresh does not import the per-row reference.
+
+    Every page a refresh reads is served from a columnar batch;
+    ``core/per_row.py`` keeps the paper's loop entry by entry only so the
+    tests have something to compare that path against.  An import of it
+    from a production refresh module — absolute, relative, or of the
+    module from its package — is how a second serving path would come
+    back, which no stream-identity test can catch.
+    """
+
+    rules = ("L307",)
+
+    def check(self, source: SourceFile) -> "Iterator[Violation]":
+        if source.logical not in PRODUCTION_REFRESH_MODULES:
+            return
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = _absolute(source.logical, node)
+                modules = [module] + [
+                    f"{module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(
+                module == REFERENCE_MODULE
+                or module.startswith(REFERENCE_MODULE + ".")
+                for module in modules
+            ):
+                yield Violation(
+                    "L307",
+                    source.path,
+                    node.lineno,
+                    node.col_offset,
+                    "the per-row reference imported by a production refresh "
+                    "module; it exists for the tests to compare against",
+                )
+
+
+def _absolute(logical: str, node: ast.ImportFrom) -> str:
+    """The dotted module an ``import from`` names, a relative one
+    resolved against the package of ``logical`` (a path under repro/)."""
+    if not node.level:
+        return node.module or ""
+    parts = ["repro"] + logical.split("/")[:-1]
+    base = parts[: len(parts) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
 class LockOrderChecker(Checker):
     """L4: within any function, locks are acquired in hierarchy order."""
 
@@ -660,6 +733,7 @@ ALL_CHECKERS: "List[Checker]" = [
     DeterminismChecker(),
     BatchPathChecker(),
     ScanPathChecker(),
+    ReferenceImportChecker(),
     LockOrderChecker(),
     RegistryIsolationChecker(),
     BareAssertChecker(),

@@ -17,7 +17,7 @@ from repro.core.messages import DeleteMessage
 from repro.database import Database
 from repro.errors import SnapshotError
 
-from tests.core.test_online_refresh import configs
+from tests.core.test_online_refresh import config  # noqa: F401 (fixture)
 
 
 def build(n_rows=2000, manager_kwargs=None, **snapshot_kwargs):
@@ -172,7 +172,6 @@ class TestResync:
 class TestResyncPublishes:
     """A repairing resync tells the page cache what it left behind."""
 
-    @pytest.mark.parametrize("config", configs())
     def test_resynced_insert_deleted_before_the_next_refresh(self, config):
         db, table, manager, snap = build(manager_kwargs=config)
         rids = list(table.heap.scan_rids())
@@ -189,7 +188,6 @@ class TestResyncPublishes:
         assert late not in contents(snap)
         assert contents(snap) == truth(table)
 
-    @pytest.mark.parametrize("config", configs())
     def test_resynced_qualifier_updated_out_before_the_next_refresh(
         self, config
     ):
@@ -212,7 +210,7 @@ class TestResyncPublishes:
         resync's entry for them says what the snapshot holds there and
         nothing else — it may arm the flag, it never fast-forwards."""
         db, table, manager, snap = build(n_rows=600)
-        cache = manager.snapshot("low").page_cache
+        cache = manager.snapshot("low").page_mirror
         recorded = table.heap.page_count
         assert sorted(cache) == list(range(recorded))
         grown = [table.insert([f"g{i}", i % 20]) for i in range(400)]

@@ -8,9 +8,13 @@ pass reports.  (The byte-identity property itself lives in
 ``tests/properties/test_group_props.py``.)
 """
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.core import manager as manager_module
 from repro.core.manager import SnapshotManager
+from repro.core.per_row import run_row_scan
 from repro.core.scheduler import RefreshScheduler
 from repro.database import Database
 from repro.errors import SnapshotError
@@ -43,6 +47,15 @@ def build_fleet(n=3, rows=60, link_for=None, page_size=None, **manager_kwargs):
             )
         )
     return hq, emp, rids, manager, snaps
+
+
+@contextmanager
+def on_the_reference():
+    """Within the block, the manager's passes run on the per-row
+    reference (``core/per_row.py``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manager_module, "run_refresh_scan", run_row_scan)
+        yield
 
 
 def truth(emp, snap):
@@ -162,12 +175,12 @@ class TestGroupStats:
         for result in manager1.refresh_all().values():
             assert result.entries_evaluated == 18
             assert result.scanned == 19 and result.rows_decoded == 19
-        # The per-row oracle decodes exactly once per entry.
-        _, emp2, rids2, manager2, _ = build_fleet(
-            n=3, use_page_summaries=False, batch_mode=False
-        )
+        # The per-row reference decodes exactly once per entry.
+        _, emp2, rids2, manager2, _ = build_fleet(n=3, use_page_summaries=False)
         churn(emp2, rids2)
-        for result in manager2.refresh_all().values():
+        with on_the_reference():
+            results2 = manager2.refresh_all()
+        for result in results2.values():
             assert result.rows_decoded == result.entries_evaluated
             assert result.pages_batch_decoded == 0
 
@@ -229,7 +242,7 @@ class TestWholePageFromTheMirror:
     def test_cursor_without_an_entry_runs_the_papers_rule_beside_one_with(self):
         def play(**manager_kwargs):
             emp, rids, manager, snaps = one_page_pair("v >= 30", **manager_kwargs)
-            snaps[1].page_cache.clear()  # b lost its record of the page
+            snaps[1].page_mirror.clear()  # b lost its record of the page
             emp.update(rids[10], {"v": 11})  # never qualified, still does not
             return emp, rids, manager, snaps, manager.refresh_all()
 
@@ -244,8 +257,9 @@ class TestWholePageFromTheMirror:
         assert results["b"].entries_sent == 1
         for snap in snaps:
             assert snap.as_map() == truth(emp, snap)
-        # b's stream is the per-row oracle's, to the byte count.
-        *_, paper = play(batch_mode=False)
+        # b's stream is the per-row reference's, to the byte count.
+        with on_the_reference():
+            *_, paper = play()
         for field in ("entries_sent", "messages_sent", "bytes_sent"):
             assert getattr(results["b"], field) == getattr(paper["b"], field)
             assert getattr(paper["a"], field) == getattr(paper["b"], field)

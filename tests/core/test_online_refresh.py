@@ -13,6 +13,7 @@ scan's.
 import pytest
 
 from repro import sanitize
+from repro.core import manager as manager_module
 from repro.core.manager import SnapshotManager
 from repro.core.messages import (
     DeleteMessage,
@@ -21,6 +22,7 @@ from repro.core.messages import (
     SnapTimeMessage,
     UpsertMessage,
 )
+from repro.core.per_row import run_row_scan
 from repro.database import Database
 from repro.errors import ChannelError, RefreshMethodError, SnapshotError
 from repro.relation.types import NULL
@@ -164,7 +166,6 @@ class TestRacingWriter:
         self, monkeypatch
     ):
         """Repair rows come from the page's batch, shared by the pass."""
-        import repro.core.per_row as per_row
         import repro.storage.batch as batch_module
         from repro.core.cursor import RefreshCursor
         from repro.core.differential import ScanPlan
@@ -199,14 +200,13 @@ class TestRacingWriter:
                 table.update(scanned_rids[0], {"salary": 3})
 
         decodes = []
-        for module in (per_row, batch_module):
-            original = module.decode_row
+        original = batch_module.decode_row
 
-            def counting(schema, body, _original=original):
-                decodes.append(body)
-                return _original(schema, body)
+        def counting(schema, body):
+            decodes.append(body)
+            return original(schema, body)
 
-            monkeypatch.setattr(module, "decode_row", counting)
+        monkeypatch.setattr(batch_module, "decode_row", counting)
 
         outcome = GroupRefresher(table).refresh_group(
             cursors, plan=ScanPlan(1, writer)
@@ -219,10 +219,10 @@ class TestRacingWriter:
         assert upserts[0] and upserts[2]
         assert [repr(m) for m in upserts[0]] == [repr(m) for m in upserts[1]]
         repaired = {m.addr for sent in upserts for m in sent}
-        # The scan itself runs per row here (batch_mode off) and decodes
-        # a full row per transmitted entry: one per qualifier of any
-        # cursor.  The repair adds one decode per *distinct* repaired
-        # row — not one per row of the dirty page per cursor.
+        # The scan decodes a full row once per transmitted entry, off
+        # the page's batch: one per qualifier of any cursor.  The repair
+        # adds one decode per *distinct* repaired row — not one per row
+        # of the dirty page per cursor.
         transmitted = {
             m.addr
             for sent in sents
@@ -264,15 +264,17 @@ class TestRacingWriter:
         assert_cut_at_seal(manager, snap, table, seals)
 
 
-def configs():
+@pytest.fixture(params=["mirrored", "no-summaries", "per-row"])
+def config(request, monkeypatch):
     """Manager kwargs: the defaults, and the two paper-rule twins — no
-    page cache to mirror the snapshot's addresses, or the per-row scan —
-    where Figure 3's own arming rule runs."""
-    return [
-        pytest.param({}, id="mirrored"),
-        pytest.param({"use_page_summaries": False}, id="no-summaries"),
-        pytest.param({"batch_mode": False}, id="per-row"),
-    ]
+    page cache to mirror the snapshot's addresses, or the manager's
+    passes run on the per-row reference (``core/per_row.py``) — where
+    Figure 3's own arming rule runs."""
+    if request.param == "per-row":
+        monkeypatch.setattr(manager_module, "run_refresh_scan", run_row_scan)
+    if request.param == "no-summaries":
+        return {"use_page_summaries": False}
+    return {}
 
 
 class TestRepairPublishes:
@@ -285,7 +287,6 @@ class TestRepairPublishes:
     arms its ``Deletion`` flag from that.
     """
 
-    @pytest.mark.parametrize("config", configs())
     def test_repaired_insert_deleted_before_the_next_refresh(self, config):
         db, table, manager, snap = build(**config)
         rids = list(table.heap.scan_rids())
@@ -307,7 +308,6 @@ class TestRepairPublishes:
         assert late[0] not in contents(snap)
         assert contents(snap) == truth(table)
 
-    @pytest.mark.parametrize("config", configs())
     def test_repaired_qualifier_updated_out_before_the_next_refresh(
         self, config
     ):
@@ -372,7 +372,6 @@ def assert_settled(manager, name="low"):
 class TestPassTime:
     """A pass's ``FixupTime`` is good for one lock hold, not for the pass."""
 
-    @pytest.mark.parametrize("config", configs())
     def test_sibling_refreshed_in_a_window_sees_a_later_windows_write(
         self, config
     ):
@@ -433,7 +432,6 @@ class TestRepairPerHold:
     next chunk: the hold a writer waits for never holds the whole pass's
     repairs."""
 
-    @pytest.mark.parametrize("config", configs())
     def test_each_window_is_repaired_by_the_next_hold(self, config):
         """The window after the seal writes too: the next refresh's."""
         db, table, manager, snap = build(**config)
@@ -513,7 +511,6 @@ class TestRepairClosure:
     def tail_of(rids, page_no):
         return max(rid for rid in rids if rid.page_no == page_no)
 
-    @pytest.mark.parametrize("config", configs())
     def test_tail_insert_followed_by_a_clean_page(self, config):
         db, table, manager, snap = build(n_rows=600, **config)
         rids = list(table.heap.scan_rids())
@@ -543,7 +540,6 @@ class TestRepairClosure:
             assert (upsert.addr, tuple(upsert.values)) == (tail, ("z", 3))
         assert_settled(manager)
 
-    @pytest.mark.parametrize("config", configs())
     def test_delete_of_a_pages_last_entry(self, config):
         db, table, manager, snap = build(n_rows=600, **config)
         rids = list(table.heap.scan_rids())
@@ -571,7 +567,6 @@ class TestRepairClosure:
             ]
         assert_settled(manager)
 
-    @pytest.mark.parametrize("config", configs())
     def test_adjacent_dirty_pages_with_a_tail_insert_on_the_first(
         self, config
     ):
@@ -601,7 +596,6 @@ class TestRepairClosure:
         assert contents(snap) == truth(table)
         assert_settled(manager)
 
-    @pytest.mark.parametrize("config", configs())
     def test_dirty_page_emptied_in_a_window(self, config):
         db, table, manager, snap = build(n_rows=600, **config)
         rids = list(table.heap.scan_rids())
@@ -627,11 +621,10 @@ class TestRepairClosure:
             assert [repr(m) for m in repair_section(sent)] == [
                 repr(DeleteMessage(rid)) for rid in held
             ]
-            entry = manager.snapshot("low").page_cache[1]
+            entry = manager.snapshot("low").page_mirror[1]
             assert not entry.qual_slots and entry.last_live is None
         assert_settled(manager)
 
-    @pytest.mark.parametrize("config", configs())
     def test_sibling_fixup_makes_a_tail_insert_read_as_an_update(
         self, config
     ):
@@ -823,8 +816,8 @@ class TestSeal:
         rids = list(table.heap.scan_rids())
         table.update(rids[40], {"salary": 1})
         before = contents(snap)
-        cache = dict(snap.page_cache)
-        mark = snap.page_cache.mark
+        cache = dict(snap.page_mirror)
+        mark = snap.page_mirror.mark
         snap_time = snap.snap_time
         hook, _ = after_the_seal(table, lambda: table.update(rids[3], {"salary": 14}))
         capture(snap, lose=RefreshCommitMessage)
@@ -834,7 +827,7 @@ class TestSeal:
             )
         # The epoch aborted: neither its mirror nor its mark committed.
         assert contents(snap) == before
-        assert snap.page_cache.mark == mark and dict(snap.page_cache) == cache
+        assert snap.page_mirror.mark == mark and dict(snap.page_mirror) == cache
         assert snap.snap_time == snap_time
         capture(snap)  # the link is back
         manager.refresh("low")

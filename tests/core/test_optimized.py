@@ -9,14 +9,15 @@ from repro.core.messages import DeleteRangeMessage, EntryMessage
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.expr.predicate import Projection, Restriction
+from repro.storage.summary import PageMirror
 
 
 #: What the manager builds: the address mirror, which sends a qualifier
 #: the Deletion flag forces out as a range delete.
-MIRROR = {"use_page_summaries": True, "batch_mode": True, "optimize_deletes": True}
+MIRROR = {"optimize_deletes": True, "mirror": True}
 
 
-def build(db, rows, where="v < 100", **flags):
+def build(db, rows, where="v < 100", optimize_deletes=False, mirror=False):
     table = db.create_table(
         "base", [("name", "string"), ("v", "int")], annotations="lazy"
     )
@@ -24,7 +25,8 @@ def build(db, rows, where="v < 100", **flags):
     restriction = Restriction.parse(where, table.schema)
     projection = Projection(table.schema)
     snapshot = SnapshotTable(Database("remote"), "snap", projection.schema)
-    refresher = DifferentialRefresher(table, **flags)
+    refresher = DifferentialRefresher(table, optimize_deletes=optimize_deletes)
+    cache = PageMirror() if mirror else None
     state = {"snap_time": 0}
 
     def refresh():
@@ -35,7 +37,7 @@ def build(db, rows, where="v < 100", **flags):
             snapshot.apply(message)
 
         result = refresher.refresh(
-            state["snap_time"], restriction, projection, deliver
+            state["snap_time"], restriction, projection, deliver, cache=cache
         )
         state["snap_time"] = result.new_snap_time
         return result, messages
@@ -165,7 +167,8 @@ class TestOptimizedEquivalence:
         restriction = Restriction.parse("v < 100", opt_table.schema)
         projection = Projection(opt_table.schema)
         opt_snapshot = SnapshotTable(Database("r2"), "s2", projection.schema)
-        opt_refresher = DifferentialRefresher(opt_table, **MIRROR)
+        opt_refresher = DifferentialRefresher(opt_table, optimize_deletes=True)
+        opt_cache = PageMirror()
         opt_time = [0]
 
         def refresh_b():
@@ -173,7 +176,7 @@ class TestOptimizedEquivalence:
                 opt_snapshot.apply(message)
 
             result = opt_refresher.refresh(
-                opt_time[0], restriction, projection, deliver
+                opt_time[0], restriction, projection, deliver, cache=opt_cache
             )
             opt_time[0] = result.new_snap_time
             return result

@@ -22,6 +22,7 @@ from repro.core.messages import (
     EntryMessage,
     SnapTimeMessage,
 )
+from repro.core.per_row import RowRefresher
 from repro.core.scanpass import PageOutcome, _ScanPass
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
@@ -31,6 +32,7 @@ from repro.net.faults import FaultyLink
 from repro.relation.row import encoded_size
 from repro.relation.types import NULL
 from repro.storage.heap import HeapFile
+from repro.storage.summary import PageMirror
 
 from tests.properties.test_wire_props import assert_mirror_subsequence
 
@@ -43,6 +45,17 @@ def build(db, rows=12, pad=900):
     rids = table.bulk_load([[i, "x" * pad] for i in range(rows)])
     assert table.heap.page_count >= 3
     return table, rids
+
+
+class Mirrored:
+    """One snapshot's refresher and the page mirror it keeps."""
+
+    def __init__(self, refresher):
+        self.refresher = refresher
+        self.cache = PageMirror()
+
+    def refresh(self, *args):
+        return self.refresher.refresh(*args, cache=self.cache)
 
 
 def refresh_into(refresher, snapshot, snap_time, restriction, projection):
@@ -70,7 +83,7 @@ def setup(db):
     restriction = Restriction.parse("v < 100", table.schema)
     projection = Projection(table.schema)
     snapshot = SnapshotTable(Database("remote"), "s", projection.schema)
-    refresher = DifferentialRefresher(table, use_page_summaries=True)
+    refresher = Mirrored(DifferentialRefresher(table))
     result, _ = refresh_into(refresher, snapshot, 0, restriction, projection)
     return table, rids, restriction, projection, snapshot, refresher, result
 
@@ -181,9 +194,11 @@ class TestBaselineEquivalence:
         restriction = Restriction.parse("v < 100", table.schema)
         projection = Projection(table.schema)
         snapshot = SnapshotTable(Database("remote"), "s", projection.schema)
-        refresher = DifferentialRefresher(
-            table, use_page_summaries=use_summaries
-        )
+        # The reference: on the batch path the page mirror is also the
+        # address mirror, whose arming rule leaves messages out.
+        refresher = RowRefresher(table)
+        if use_summaries:
+            refresher = Mirrored(refresher)
         snap_time = 0
         streams = []
         result, messages = refresh_into(
@@ -207,27 +222,12 @@ class TestBaselineEquivalence:
         assert map_on == map_off == truth_on == truth_off
 
 
-class TestCacheInvalidation:
-    def test_restriction_change_clears_default_cache(self, setup):
-        table, _, _, projection, _, refresher, first = setup
-        other = Restriction.parse("v < 5", table.schema)
-        snapshot = SnapshotTable(Database("remote2"), "s2", projection.schema)
-        result, _ = refresh_into(
-            refresher, snapshot, 0, other, projection
-        )
-        # New restriction: the qualified-address cache from the previous
-        # restriction must not be reused (it would fast-forward LastQual
-        # to addresses that do not qualify under this predicate).
-        assert result.pages_scanned == table.heap.page_count
-        assert snapshot.as_map() == truth_map(table, 5)
-
-
 # -- changed-slot visits -------------------------------------------------------
 #
-# With batch_mode a page whose summary names the slots that changed — and
-# proves the rest unchanged — is fast-forwarded from the cached layout,
-# reading only those slots.  Every case runs in a visiting (batch) world
-# and in the per-row oracle and requires the same heap bytes and the same
+# On the batch path a page whose summary names the slots that changed —
+# and proves the rest unchanged — is fast-forwarded from the cached
+# layout, reading only those slots.  Every case runs in a visiting
+# (batch) world and on the per-row reference and requires the same heap bytes and the same
 # snapshot; the visiting world arms its Deletion flag from its page cache,
 # so its stream is the oracle's with superfluous messages left out.
 
@@ -235,7 +235,7 @@ class TestCacheInvalidation:
 class _World:
     """A lazy table with one snapshot behind a summaries-on refresher."""
 
-    def __init__(self, batch_mode, cutoff=100):
+    def __init__(self, batch, cutoff=100):
         self.db = Database("hq")
         self.table, self.rids = build(self.db)
         self.pages = {}
@@ -246,16 +246,16 @@ class _World:
         )
         self.projection = Projection(self.table.schema)
         self.cutoff = cutoff
-        self.batch_mode = batch_mode
+        self.batch = batch
         self._new_snapshot("remote")
 
     def _new_snapshot(self, site):
         self.snapshot = SnapshotTable(
             Database(site), "s", self.projection.schema
         )
-        self.refresher = DifferentialRefresher(
-            self.table, use_page_summaries=True, batch_mode=self.batch_mode
-        )
+        refresher = DifferentialRefresher if self.batch else RowRefresher
+        self.refresher = refresher(self.table)
+        self.cache = PageMirror()
         self.snap_time = 0
         self.streams = []
 
@@ -275,7 +275,7 @@ class _World:
             self.snapshot.apply(message)
 
         result = self.refresher.refresh(
-            self.snap_time, self.restriction, self.projection, deliver
+            self.snap_time, self.restriction, self.projection, deliver, cache=self.cache
         )
         self.snap_time = result.new_snap_time
         self.streams.append((held, messages))
@@ -363,6 +363,7 @@ class TestFlagOnlyVisit:
             old.restriction,
             old.projection,
             lambda message: old.snapshot.apply(as_entry(message)),
+            cache=old.cache,
         )
         assert result.entries_sent == 1
         for snapshot in (w.snapshot, old.snapshot):
@@ -490,7 +491,7 @@ class TestChangedSlotVisit:
         assert result.rows_decoded == 1  # the new first entry
         assert result.pages_scanned == 1
         assert result.pages_skipped == w.table.heap.page_count - 1
-        first_prev = w.refresher._page_cache[1].first_prev
+        first_prev = w.cache[1].first_prev
         assert first_prev == w.pages[0][-1]
 
     def test_a_tail_delete_reads_nothing_on_its_page(self):
@@ -662,11 +663,9 @@ class TestChangedSlotVisit:
         assert result.entries_sent == 1
         assert result.pages_skipped == w.table.heap.page_count - 2
 
-    @pytest.mark.parametrize("batch_mode", [False, True])
-    def test_channel_failure_mid_visit_leaves_the_page_fully_stamped(
-        self, batch_mode
-    ):
-        w = _World(batch_mode)
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_channel_failure_mid_visit_leaves_the_page_fully_stamped(self, batch):
+        w = _World(batch)
         w.refresh()
         changed = [w.pages[1][0], w.pages[1][2], w.pages[2][1]]
         for rid in changed:
@@ -677,7 +676,7 @@ class TestChangedSlotVisit:
 
         with pytest.raises(ChannelError):
             w.refresher.refresh(
-                w.snap_time, w.restriction, w.projection, dying
+                w.snap_time, w.restriction, w.projection, dying, cache=w.cache
             )
         # The stream died on page 1's first changed entry; the page's
         # fix-up had already run to its last changed slot — and the
@@ -714,8 +713,8 @@ class TestChangedSlotVisit:
         assert table.annotations(rids[9])[1] is not NULL
         # SnapTime and the value mirror are where they were: the visit
         # staged its values, it did not patch the committed page dicts.
-        sanitize.check_value_cache(snap.value_cache, snap.table)
-        assert snap.value_cache.lookup(rids[1]) == (1, "x" * 900)
+        sanitize.check_value_cache(snap.value_mirror, snap.table)
+        assert snap.value_mirror.lookup(rids[1]) == (1, "x" * 900)
         # The torn attempt's stamps are newer than SnapTime, so the retry
         # reads both pages whole and resends both rows as deltas.
         result = snap.refresh()
@@ -724,7 +723,7 @@ class TestChangedSlotVisit:
         assert result.fixup_writes == 0 and result.bytes_sent < 900
         truth = {rid: row.values for rid, row in table.scan(visible=True)}
         assert snap.as_map() == truth
-        sanitize.check_value_cache(snap.value_cache, snap.table)
+        sanitize.check_value_cache(snap.value_mirror, snap.table)
         assert snap.refresh().entries_sent == 0
 
     def test_interleaved_write_to_a_visited_page_is_repaired_then_skipped(self):
@@ -823,10 +822,10 @@ class TestWholePageFromTheMirror:
         db, table, manager, snap, rids = managed()
         # The sender loses its page cache; a repairing resync hands it
         # back as holdings-only entries: addresses held, no layout.
-        snap.page_cache.clear()
+        snap.page_mirror.clear()
         snap.table._apply_now([DeleteMessage(rids[6])])
         assert manager.resync_snapshot("s").leaves_repaired == 1
-        assert all(info.page_version is None for info in snap.page_cache.values())
+        assert all(info.page_version is None for info in snap.page_mirror.values())
         table.update(rids[5], {"v": 50})
         table.delete(rids[6])
         result = snap.refresh()
@@ -837,7 +836,7 @@ class TestWholePageFromTheMirror:
         assert result.entries_evaluated == 1
         assert result.entries_sent == 2  # the update; rids[7], flag-forced
         assert snap.as_map() == truth_map(table, 100)
-        assert all(info.page_version is not None for info in snap.page_cache.values())
+        assert all(info.page_version is not None for info in snap.page_mirror.values())
         assert snap.refresh().entries_sent == 0
 
     def test_aborted_delete_leaves_the_row_held_and_unsent(self):
@@ -944,7 +943,7 @@ class TestWriteLogRuns:
         db, table, manager, snap, rids = managed(40)
         snap.table._apply_now([DeleteMessage(rids[6])])
         assert manager.resync_snapshot("s").leaves_repaired == 1
-        assert snap.page_cache.mark is None
+        assert snap.page_mirror.mark is None
         served.clear()
         snap.refresh()
         assert served == list(range(table.heap.page_count))

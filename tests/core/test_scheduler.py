@@ -77,6 +77,26 @@ class TestScheduling:
         with pytest.raises(SnapshotError):
             scheduler.schedule("ghost", every_ops=5)
 
+    def test_snapshot_over_a_snapshot_is_refused(self, world):
+        """The receiver's writes reach no commit listener, so a scheduled
+        snapshot-on-snapshot would never come due: it is refused, and
+        refreshed by hand after its base it is current."""
+        db, table, rids, manager, snapshot, scheduler = world
+        cascade = manager.create_snapshot(
+            "low", "s", where="v < 20", method="differential"
+        )
+        entry = scheduler.schedule("s", every_ops=1)
+        with pytest.raises(SnapshotError, match="by hand"):
+            scheduler.schedule("low", every_ops=1)
+        assert [e.snapshot.name for e in scheduler.entries()] == ["s"]
+        for rid in rids[15:20]:
+            table.update(rid, {"v": 25})
+        assert entry.refreshes == 5
+        manager.refresh("low")
+        assert sorted(row[0] for row in cascade.as_map().values()) == list(
+            range(15)
+        )
+
     def test_close_stops_observing(self, world):
         db, table, rids, manager, snapshot, scheduler = world
         entry = scheduler.schedule("s", every_ops=1)

@@ -46,7 +46,7 @@ class TestDeltaRefresh:
             "s", "items", where="v < 5", delta_updates=True
         )
         assert snap.table.applied_merges == 0
-        before = len(snap.value_cache)
+        before = len(snap.value_mirror)
         assert before == len(snap.table)  # initial refresh filled the mirror
 
         for i in range(10, 30):
@@ -117,7 +117,7 @@ class TestValueCacheLifecycle:
         snap = manager.create_snapshot(
             "s", "items", where="v < 5", channel=link, delta_updates=True
         )
-        committed = dict(snap.value_cache.pages)
+        committed = dict(snap.value_mirror.pages)
         before_map = snap.table.as_map()
         before_time = snap.table.snap_time
 
@@ -129,8 +129,8 @@ class TestValueCacheLifecycle:
         # Neither side moved: snapshot intact, mirror stage dropped.
         assert snap.table.as_map() == before_map
         assert snap.table.snap_time == before_time
-        assert snap.value_cache.pages == committed
-        assert snap.value_cache.staged is None
+        assert snap.value_mirror.pages == committed
+        assert snap.value_mirror.staged is None
 
         link.clear_faults()
         snap.refresh()
@@ -150,20 +150,30 @@ class TestValueCacheLifecycle:
         assert result.attempts == 2
         assert snap.table.as_map() == truth(table, lambda v: v[2] < 5)
 
-    def test_standalone_refresher_owns_its_cache(self):
+    def test_standalone_refresher_uses_the_callers_cache(self):
+        """A refresher keeps no cache: the caller passes the snapshot's
+        value mirror and commits it once the receiver has applied."""
         db, table, rids = build()
-        refresher = DifferentialRefresher(table, delta_updates=True)
+        refresher = DifferentialRefresher(table)
         from repro.expr.predicate import Projection, Restriction
 
         restriction = Restriction.parse("v < 5", table.schema)
         projection = Projection(table.schema)
         receiver = SnapshotTable(Database("remote"), "s", projection.schema)
+        mirror = ValueCache()
 
         first = []
         refresher.refresh(
-            0, restriction, projection, lambda m: (first.append(m), receiver.apply(m))
+            0,
+            restriction,
+            projection,
+            lambda m: (first.append(m), receiver.apply(m)),
+            value_cache=mirror,
         )
         assert all(not isinstance(m, UpdateDeltaMessage) for m in first)
+        assert len(mirror) == 0  # staged until the caller commits
+        mirror.commit()
+        assert len(mirror) > 0
 
         for i in range(10, 20):
             table.update(rids[i], {"v": 1})
@@ -173,27 +183,14 @@ class TestValueCacheLifecycle:
             restriction,
             projection,
             lambda m: (second.append(m), receiver.apply(m)),
+            value_cache=mirror,
         )
         assert any(isinstance(m, UpdateDeltaMessage) for m in second)
         assert receiver.as_map() == truth(table, lambda v: v[2] < 5)
-
-    def test_restriction_change_clears_internal_cache(self):
-        db, table, rids = build()
-        refresher = DifferentialRefresher(table, delta_updates=True)
-        from repro.expr.predicate import Projection, Restriction
-
-        projection = Projection(table.schema)
-        refresher.refresh(
-            0, Restriction.parse("v < 5", table.schema), projection, lambda m: None
-        )
-        assert len(refresher._value_cache) > 0
-        refresher.refresh(
-            0, Restriction.parse("v >= 5", table.schema), projection, lambda m: None
-        )
-        # The mirror never mixes two different snapshots' contents.
-        for page in refresher._value_cache.pages.values():
-            pass  # contents replaced wholesale by the new restriction
-        assert refresher._cache_restriction == "v >= 5"
+        # Without the mirror the same refresher runs the paper's rule.
+        third = []
+        refresher.refresh(0, restriction, projection, third.append)
+        assert all(not isinstance(m, UpdateDeltaMessage) for m in third)
 
 
 class TestReceiverMerge:

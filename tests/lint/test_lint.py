@@ -118,6 +118,32 @@ class TestScanPath:
             assert fired(violations) == [], logical
 
 
+class TestReferenceImport:
+    PRODUCTION = (
+        "core/scanpass.py",
+        "core/cursor.py",
+        "core/differential.py",
+        "core/group.py",
+        "core/manager.py",
+    )
+
+    def test_every_form_of_the_import_fires_in_production_modules(self):
+        for logical in self.PRODUCTION:
+            violations = lint_sources([fixture("refimport.py", logical)])
+            assert fired(violations) == [
+                ("L307", 3),
+                ("L307", 4),
+                ("L307", 5),
+                ("L307", 6),
+                ("L307", 7),
+            ], logical
+
+    def test_the_reference_and_its_tests_are_exempt(self):
+        for logical in ("core/per_row.py", "core/fixup.py", "sanitize.py"):
+            violations = lint_sources([fixture("refimport.py", logical)])
+            assert fired(violations) == [], logical
+
+
 class TestLockOrder:
     def test_inversion_and_unknown_level(self):
         violations = lint_sources([fixture("locks.py", "txn/rogue.py")])
@@ -177,7 +203,7 @@ class TestEngine:
         assert set(RULES) == {
             "L101", "L102", "L103",
             "L201", "L202", "L203", "L204",
-            "L305", "L306",
+            "L305", "L306", "L307",
             "L401", "L402", "L404",
             "L501", "L502", "L503",
         }

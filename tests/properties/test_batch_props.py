@@ -9,8 +9,10 @@ A17 experiment:
    byte-identical to the per-message reference paths for arbitrary
    message mixes, compression on and off.
 
-2. **Scan parity** — a refresh scan with ``batch_mode`` on emits
-   exactly the message stream of the per-row scan from the same
+2. **Scan parity** — the refresh, built directly as
+   ``DifferentialRefresher(table)`` / ``GroupRefresher(table)``, serves
+   every page it reads whole from a batch and emits exactly the message
+   stream of the per-row reference (``core/per_row.py``) from the same
    ``SnapTime``: same types, same addresses, same values, same modeled
    sizes — for arbitrary workloads over a multi-page table (emptied
    pages and address reuse included), lazy and eager annotations,
@@ -38,6 +40,7 @@ from hypothesis import strategies as st
 from repro.core.cursor import RefreshCursor, ValueCache
 from repro.core.differential import DifferentialRefresher
 from repro.core.group import GroupRefresher
+from repro.core.per_row import RowGroupRefresher, RowRefresher
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import ChannelError
@@ -121,7 +124,7 @@ class _ScanWorld:
 
     def __init__(
         self,
-        batch_mode,
+        batch,
         summaries,
         mode,
         group,
@@ -144,20 +147,18 @@ class _ScanWorld:
         ]
         assert self.table.heap.page_count >= 4
         self.summaries = summaries
+        #: The production refreshers, or the per-row reference's.
+        self.batch = batch
         #: A batch world with a page cache arms ``Deletion`` from it.
-        self.mirrored = batch_mode and summaries
+        self.mirrored = batch and summaries
         self.group = group
         self.delta = delta
-        self.refresher = DifferentialRefresher(
-            self.table,
-            use_page_summaries=summaries,
-            batch_mode=batch_mode,
-            delta_updates=delta,
-            optimize_deletes=opt,
-        )
-        self.group_refresher = GroupRefresher(
-            self.table, batch_mode=batch_mode
-        )
+        if batch:
+            self.refresher = DifferentialRefresher(self.table, optimize_deletes=opt)
+            self.group_refresher = GroupRefresher(self.table)
+        else:
+            self.refresher = RowRefresher(self.table, optimize_deletes=opt)
+            self.group_refresher = RowGroupRefresher(self.table)
         self.opt = opt
         self.snap_times = [0 for _ in PREDICATES]
         self.caches = [{} for _ in PREDICATES] if summaries else None
@@ -186,6 +187,15 @@ class _ScanWorld:
 
     def _note(self, result):
         self.visits += result.pages_fast_forwarded > result.pages_skipped
+
+    def _served(self, result):
+        """Every page the batch path reads is a batch (the reference's
+        never are), and without a page cache it reads them all."""
+        if not self.batch:
+            assert result.pages_batch_decoded == 0
+        else:
+            assert result.pages_batch_decoded == result.pages_scanned
+            assert self.summaries or result.pages_scanned > 0
 
     def _restriction(self, index):
         return Restriction.parse(PREDICATES[index], self.table.schema)
@@ -220,8 +230,8 @@ class _ScanWorld:
             cache=self.caches[index] if self.summaries else None,
             value_cache=self.value_caches[index] if self.delta else None,
         )
-        assert result.pages_batch_decoded in (0, result.pages_scanned)
         self._note(result)
+        self._served(result)
         if self.delta:
             self.value_caches[index].commit()
         self.snap_times[index] = result.new_snap_time
@@ -252,6 +262,7 @@ class _ScanWorld:
         outcome = self.group_refresher.refresh_group(cursors)
         assert not outcome.errors
         stats = outcome.pass_result
+        self._served(stats)
         self.fixups.append((stats.fixup_writes, stats.deletions_detected))
         for index, cursor in enumerate(cursors):
             if self.delta:
@@ -561,8 +572,8 @@ def _both():
     rule never touches, and that its stream is the per-row world's with
     nothing but superfluous messages missing."""
     return [
-        _ScanWorld(batch_mode, True, "lazy", False, False, False)
-        for batch_mode in (False, True)
+        _ScanWorld(batch, True, "lazy", False, False, False)
+        for batch in (False, True)
     ]
 
 
@@ -658,10 +669,8 @@ class TestWrittenPages:
         """
         passes = []
         images = []
-        for batch_mode in (False, True):
-            world = _ScanWorld(
-                batch_mode, True, "lazy", True, False, False
-            )
+        for batch in (False, True):
+            world = _ScanWorld(batch, True, "lazy", True, False, False)
             table = world.table
             schema = table.schema
             predicates = ("v < 50", "v >= 20", "v < 90")
@@ -710,7 +719,7 @@ class TestWrittenPages:
             assert stale_a.pages_scanned == stale_b.pages_scanned >= 2
             assert fresh.pages_scanned == 1
             assert outcome.pass_result.fixup_writes == 1
-            if batch_mode:
+            if batch:
                 stats = outcome.pass_result
                 assert stats.pages_batch_decoded == stats.pages_scanned
             passes.append(served)
@@ -724,11 +733,9 @@ class TestWrittenPages:
             assert index == same
             assert_mirror_subsequence(sent, paper, held)
 
-    @pytest.mark.parametrize("batch_mode", [False, True])
-    def test_channel_failure_mid_page_still_completes_its_fix_up(
-        self, batch_mode
-    ):
-        world = _ScanWorld(batch_mode, False, "lazy", False, False, False)
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_channel_failure_mid_page_still_completes_its_fix_up(self, batch):
+        world = _ScanWorld(batch, False, "lazy", False, False, False)
         reference = _ScanWorld(False, False, "lazy", False, False, False)
         budget = [3]
 

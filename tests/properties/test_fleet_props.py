@@ -8,12 +8,13 @@ stream **byte-identical** to a solo
 :class:`~repro.core.differential.DifferentialRefresher` run at the same
 ``SnapTime`` — across page summaries on/off and the columnar batch
 path.  Clustering and draining decide only *which* members ride
-*together*; never what any of them is sent.  (One configuration
-compares two arming rules rather than two schedules: a batch cohort
-pass *with* page caches arms the ``Deletion`` flag from what each
-snapshot holds, while the solo per-row twin runs the paper's rule — so
-there the cohort stream is the solo one with superfluous messages left
-out, and the snapshots are equal.)
+*together*; never what any of them is sent.  The solo twin is the
+per-row reference (``core/per_row.py``).  (One configuration compares
+two arming rules rather than two schedules: a batch cohort pass *with*
+page caches arms the ``Deletion`` flag from what each snapshot holds,
+while the solo per-row twin runs the paper's rule — so there the
+cohort stream is the solo one with superfluous messages left out, and
+the snapshots are equal.)
 
 Same twin-world shape as ``test_group_props``: replay one deterministic
 history twice, end world A with ``next_cohort`` + a cohort pass and each
@@ -24,8 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cursor import RefreshCursor
-from repro.core.differential import DifferentialRefresher
 from repro.core.group import GroupRefresher
+from repro.core.per_row import RowGroupRefresher, RowRefresher
 from repro.core.registry import SnapshotRegistry
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
@@ -80,15 +81,12 @@ class _FleetWorld:
             messages.append(message)
             self.receivers[index].apply(message)
 
-        refresher = DifferentialRefresher(
-            self.table, use_page_summaries=self.summaries
-        )
-        result = refresher.refresh(
+        result = RowRefresher(self.table).refresh(
             self.snap_times[index],
             self.restrictions[index],
             self.projection,
             deliver,
-            cache=self.caches[index],
+            cache=self.caches[index] if self.summaries else None,
         )
         self.snap_times[index] = result.new_snap_time
         self.registry.mark_refreshed(str(index), shipped=result.entries_sent)
@@ -128,9 +126,8 @@ class _FleetWorld:
                     name=str(i),
                 )
             )
-        outcome = GroupRefresher(self.table, batch_mode=batch).refresh_group(
-            cursors
-        )
+        group = GroupRefresher if batch else RowGroupRefresher
+        outcome = group(self.table).refresh_group(cursors)
         assert not outcome.errors
         for i in members:
             result = outcome.per_snapshot[str(i)]
@@ -165,7 +162,7 @@ def run_cohorts(script, summaries: bool, batch: bool, fleet_size: int):
 
     for i in sorted(cohort_streams):
         # World B_i: identical history, then member i refreshed solo by
-        # a plain unbatched DifferentialRefresher.
+        # the per-row reference.
         solo = _FleetWorld(summaries, fleet_size)
         solo.replay(script, fleet_size)
         solo_stream = solo.solo_refresh(i)

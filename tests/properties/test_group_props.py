@@ -7,10 +7,11 @@ one shared pass is **byte-identical** to a solo
 :class:`~repro.core.differential.DifferentialRefresher` run at the same
 ``SnapTime`` — messages and wire bytes, page summaries on and off,
 fix-up lazy and eager.  Both sides always run the *same* arming rule:
-per-row everywhere (the paper's rule, no cache consulted for it), or
-``batch_mode`` with page caches on both (the address mirror's rule on
-both), so nothing here compares a mirror-holding world with a
-paper-rule one and every comparison is byte for byte.
+the per-row reference (``core/per_row.py``) everywhere (the paper's
+rule, no cache consulted for it), or the production batch path with
+page caches on both (the address mirror's rule on both), so nothing
+here compares a mirror-holding world with a paper-rule one and every
+comparison is byte for byte.
 
 The check replays the same deterministic history twice: once ending in
 a group pass, and once per snapshot ending in that snapshot's solo
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.cursor import RefreshCursor
 from repro.core.differential import DifferentialRefresher
 from repro.core.group import GroupRefresher
+from repro.core.per_row import RowGroupRefresher, RowRefresher
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.expr.predicate import Projection, Restriction
@@ -61,12 +63,8 @@ class _Fleet:
             Restriction.parse(PREDICATES[i], self.table.schema)
             for i in range(fleet_size)
         ]
-        self.refreshers = [
-            DifferentialRefresher(
-                self.table, use_page_summaries=summaries, batch_mode=batch
-            )
-            for _ in range(fleet_size)
-        ]
+        solo = DifferentialRefresher if batch else RowRefresher
+        self.refreshers = [solo(self.table) for _ in range(fleet_size)]
         self.caches: "list[dict]" = [{} for _ in range(fleet_size)]
         self.snap_times = [0] * fleet_size
         self.receivers = [
@@ -124,9 +122,8 @@ class _Fleet:
                     name=str(i),
                 )
             )
-        outcome = GroupRefresher(self.table, batch_mode=self.batch).refresh_group(
-            cursors
-        )
+        group = GroupRefresher if self.batch else RowGroupRefresher
+        outcome = group(self.table).refresh_group(cursors)
         assert not outcome.errors
         for i in range(len(self.restrictions)):
             self.snap_times[i] = outcome.per_snapshot[str(i)].new_snap_time
@@ -189,7 +186,7 @@ class TestGroupByteIdentity:
     )
     @given(script=operations, fleet_size=st.integers(2, 5))
     def test_lazy_summaries_on_mirrored_both_sides(self, script, fleet_size):
-        """Batch mode and page caches in both worlds: the group pass
+        """The batch path and page caches in both worlds: the group pass
         arms each cursor's flag from its own mirror exactly as its solo
         pass would."""
         run_fleet(script, "lazy", True, fleet_size, batch=True)

@@ -5,8 +5,8 @@ under a :class:`~repro.core.differential.ScanPlan`:
 
 1. **Quiescent byte-identity** — with no writer at the boundaries, the
    chunked scan's output stream is byte-for-byte the monolithic scan's,
-   for ANY base history, page summaries on or off, batch mode on or
-   off, solo or group.
+   for ANY base history, page summaries on or off, the batch path or
+   the per-row reference, solo or group.
 2. **Racing-writer convergence** — with ANY committed writes applied at
    ANY chunk boundaries and in the window after the seal
    (:meth:`~repro.core.differential.ScanPlan.after_seal`), the committed
@@ -34,6 +34,7 @@ from repro.core.messages import (
     SnapTimeMessage,
     UpsertMessage,
 )
+from repro.core.per_row import RowRefresher
 from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import PageFullError
@@ -80,9 +81,8 @@ class _World:
         self.batch = batch
         self.projection = Projection(self.table.schema)
         self.restriction = Restriction.parse(PREDICATE, self.table.schema)
-        self.refresher = DifferentialRefresher(
-            self.table, use_page_summaries=summaries, batch_mode=batch
-        )
+        refresher = DifferentialRefresher if batch else RowRefresher
+        self.refresher = refresher(self.table)
         self.cache: dict = {}
         self.snap_time = 0
         self.receiver = SnapshotTable(
@@ -136,7 +136,7 @@ class _World:
             self.restriction,
             self.projection,
             deliver,
-            cache=self.cache,
+            cache=self.cache if self.summaries else None,
             plan=ScanPlan(chunk_pages, boundary) if chunked else None,
         )
         self.snap_time = result.new_snap_time

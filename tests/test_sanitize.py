@@ -349,8 +349,8 @@ class TestValueCacheMirror:
         snap = manager.create_snapshot(
             "s", "items", where="v >= 0", delta_updates=True
         )
-        assert len(snap.value_cache) > 0
-        page_values = snap.value_cache.pages[rids[0].page_no]
+        assert len(snap.value_mirror) > 0
+        page_values = snap.value_mirror.pages[rids[0].page_no]
         page_values[rids[0]] = ("corrupt", "corrupt", -1)
         with pytest.raises(SanitizerError, match="mirror"):
             snap.refresh()
@@ -366,7 +366,7 @@ class TestValueCacheMirror:
         )
         snap.table._apply_now([DeleteMessage(doomed)])
         with pytest.raises(SanitizerError, match="no such entry"):
-            sanitize.check_value_cache(snap.value_cache, snap.table)
+            sanitize.check_value_cache(snap.value_mirror, snap.table)
 
 
 class TestAddressMirror:
@@ -380,7 +380,7 @@ class TestAddressMirror:
 
     def test_forged_slot_fails_the_next_refresh(self):
         table, rids, manager, snap = self._mirrored()
-        info = snap.page_cache[0]
+        info = snap.page_mirror[0]
         unheld = next(
             rid.slot_no
             for rid in rids
@@ -392,9 +392,9 @@ class TestAddressMirror:
 
     def test_an_address_on_an_unknown_page_is_caught(self):
         table, rids, manager, snap = self._mirrored()
-        del snap.page_cache[snap.table.base_addrs()[-1].page_no]
+        del snap.page_mirror[snap.table.base_addrs()[-1].page_no]
         with pytest.raises(SanitizerError, match="address mirror"):
-            sanitize.check_address_mirror(snap.page_cache, snap.table)
+            sanitize.check_address_mirror(snap.page_mirror, snap.table)
 
     def test_aborted_attempt_leaves_the_committed_mirror(self):
         from repro.errors import ChannelError
@@ -408,7 +408,7 @@ class TestAddressMirror:
         )
         before = {
             page_no: (info.page_version, list(info.qual_slots))
-            for page_no, info in snap.page_cache.items()
+            for page_no, info in snap.page_mirror.items()
         }
         moved = next(rid for rid in rids if snap.table.lookup(rid) is None)
         table.update(moved, {"v": 1})  # now qualifies: staged into its page
@@ -417,17 +417,17 @@ class TestAddressMirror:
             snap.refresh()  # _abort_attempt audits the mirror itself
         assert before == {
             page_no: (info.page_version, list(info.qual_slots))
-            for page_no, info in snap.page_cache.items()
+            for page_no, info in snap.page_mirror.items()
         }
         link.clear_faults()
         snap.refresh()
-        assert moved.slot_no in snap.page_cache[moved.page_no].qual_slots
+        assert moved.slot_no in snap.page_mirror[moved.page_no].qual_slots
 
     def test_repairing_resync_is_audited(self):
         table, rids, manager, snap = self._mirrored()
         table.insert([99, "late", 1])
         assert manager.resync_snapshot("s").leaves_repaired
-        sanitize.check_address_mirror(snap.page_cache, snap.table)
+        sanitize.check_address_mirror(snap.page_mirror, snap.table)
 
 
 class TestChangedSlotVisit:
@@ -570,7 +570,7 @@ class TestMirrorCrossing:
         db, table, rids = build()
         manager = SnapshotManager(db)
         snap = manager.create_snapshot("s", "items", where="v < 5")
-        info = snap.page_cache[0]
+        info = snap.page_mirror[0]
         unheld = next(
             rid.slot_no
             for rid in rids
