@@ -11,6 +11,12 @@ sections behind them):
     ``L102``  :class:`~repro.storage.summary.PageSummary` change state
               mutated outside ``storage/summary.py``.
     ``L103``  Page-summary write hooks invoked outside the heap layer.
+    ``L104``  A page view built (``SlottedPage(...)``) or a heap page
+              pinned (``._pin(...)``) outside the heap layer,
+              ``storage/heap.py`` and ``storage/page.py``: the heap holds
+              each page's free space and moves it on every write, which
+              is exact only while no one else writes a page's layout.
+              The sanitizer's read-only pins are the one exemption.
 
 **L2 — determinism of the refresh core**
     ``L201``  Wall-clock read (``time.time`` & friends) outside the
@@ -109,6 +115,14 @@ SUMMARY_STATE_OWNER = {"storage/summary.py"}
 #: Modules allowed to call the page-summary write hooks.
 SUMMARY_HOOK_CALLERS = {"storage/heap.py", "storage/summary.py", "table.py"}
 
+#: The heap layer: the only modules that build page views or pin a
+#: heap's pages (L104), so every layout write keeps the heap's free
+#: spaces exact.
+PAGE_VIEW_OWNERS = {"storage/heap.py", "storage/page.py"}
+
+#: Read-only pins outside the heap layer: the sanitizer's audits.
+PAGE_PIN_READERS = {"sanitize.py"}
+
 #: PageSummary fields whose mutation is change-tracking state.
 SUMMARY_STATE_FIELDS = {
     "max_ts",
@@ -186,6 +200,7 @@ RULES = {
     "L101": "annotation write outside the annotation-writer whitelist",
     "L102": "PageSummary change state mutated outside storage/summary.py",
     "L103": "page-summary write hook called outside the heap layer",
+    "L104": "page view built or heap page pinned outside the heap layer",
     "L201": "wall-clock read outside txn/clock.py in a deterministic module",
     "L202": "datetime.now/utcnow/today in a deterministic module",
     "L203": "unseeded random use in a deterministic module",
@@ -216,13 +231,31 @@ def _is_deterministic_module(logical: str) -> bool:
 
 
 class MutationDisciplineChecker(Checker):
-    """L1: annotation and page-summary writes stay in their owners."""
+    """L1: annotation, page-summary and page-layout writes stay in their
+    owners."""
 
-    rules = ("L101", "L102", "L103")
+    rules = ("L101", "L102", "L103", "L104")
 
     def check(self, source: SourceFile) -> "Iterator[Violation]":
         logical = source.logical
         for node in ast.walk(source.tree):
+            if isinstance(node, ast.Call) and logical not in PAGE_VIEW_OWNERS:
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "SlottedPage" or (
+                    name == "_pin"
+                    and isinstance(func, ast.Attribute)
+                    and logical not in PAGE_PIN_READERS
+                ):
+                    yield Violation(
+                        "L104",
+                        source.path,
+                        node.lineno,
+                        node.col_offset,
+                        f"{name}() outside {sorted(PAGE_VIEW_OWNERS)}: the "
+                        "heap holds each page's free space, exact only "
+                        "while every layout write goes through it",
+                    )
             if isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
             ):

@@ -160,15 +160,20 @@ def check_page_summaries(table: Any) -> None:
 
 
 def check_free_map(heap: Any) -> None:
-    """The free-space map is exact, so first fit is.
+    """The free-space map and every held free space are exact, so first
+    fit and placement are.
 
     Every leaf of ``heap.free_map`` that stands for a page is that page's
     ``contiguous_free() + reclaimable()``, every leaf past the last page
     is ``-1``, and every node above is the larger of its children.  A
     leaf below its page's room sends an insert past the lowest page that
     holds it — another address, so another stream — and one above it
-    pins a page that cannot take the record.
+    pins a page that cannot take the record.  Every page space the heap
+    holds (``heap.spaces``) equals the one read afresh from the image — gaps, free slots and zero-length bodies: a stale one
+    writes a record over a live body, or takes another slot.
     """
+    from repro.storage.page import FreeSpace
+
     fsm = heap.free_map
     tree, capacity = fsm.tree, fsm.capacity
     if fsm.pages != heap.page_count or len(tree) != 2 * capacity:
@@ -178,9 +183,18 @@ def check_free_map(heap: Any) -> None:
         )
     with _pool_guard(heap):
         for page_no in range(heap.page_count):
+            held = heap.spaces.get(page_no)
             page = heap._pin(page_no)
             try:
                 free = page.contiguous_free() + page.reclaimable()
+                if held is not None:
+                    image = FreeSpace(page)
+                    if held != image:
+                        raise SanitizerError(
+                            f"heap {heap.name!r}: page {page_no} holds "
+                            f"{held!r}, but its image reads {image!r}; a "
+                            "write moved the page without its free space"
+                        )
             finally:
                 heap._unpin(page_no, dirty=False)
             if tree[capacity + page_no] != free:

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 from repro.errors import RecordNotFoundError, StorageError
 from repro.storage.batch import PageBatch, extract_page_batch
 from repro.storage.buffer import BufferPool
-from repro.storage.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
+from repro.storage.page import HEADER_SIZE, SLOT_SIZE, FreeSpace, SlottedPage
 from repro.storage.rid import Rid
 
 #: The annotation repairs a :meth:`HeapFile.fix_batch` caller decides:
@@ -200,6 +200,12 @@ class HeapFile:
         #: exactly: inserts and deletes adjust a page's by the bytes they
         #: used or freed, an update that changes the layout recounts.
         self.free_map = FreeSpaceMap()
+        #: The :class:`~repro.storage.page.FreeSpace` a write's view read
+        #: of its page, held per heap page so it outlives the frame:
+        #: every later write pins the page with it and keeps it exact,
+        #: and a re-pack drops it.  A page no placement asked about
+        #: holds none.
+        self.spaces: "dict[int, FreeSpace]" = {}
         self._record_count = 0
         #: Physical operation counters (benchmarks read these to compare
         #: the maintenance cost of the annotation schemes).
@@ -248,11 +254,24 @@ class HeapFile:
                 f"{self.name}: page {heap_page} out of range"
             ) from None
 
-    def _pin(self, heap_page: int) -> SlottedPage:
+    def _pin(self, heap_page: int, write: bool = False) -> SlottedPage:
+        """A view of ``heap_page``, pinned; one to write through carries
+        the free space the heap holds for the page, if any."""
         frame = self._pool.pin(self._physical(heap_page))
+        if write:
+            return SlottedPage(frame, space=self.spaces.get(heap_page))
         return SlottedPage(frame)
 
-    def _unpin(self, heap_page: int, dirty: bool) -> None:
+    def _unpin(
+        self, heap_page: int, dirty: bool, wrote: Optional[SlottedPage] = None
+    ) -> None:
+        """Release ``heap_page``; the view a write went through hands
+        back the free space it holds (none, after a re-pack)."""
+        if wrote is not None:
+            if wrote.space is not None:
+                self.spaces[heap_page] = wrote.space
+            else:
+                self.spaces.pop(heap_page, None)
         self._pool.unpin(self._physical(heap_page), dirty=dirty)
 
     def _grow(self) -> int:
@@ -332,7 +351,7 @@ class HeapFile:
     ) -> Rid:
         """Write ``record`` into ``heap_page`` (``slot_no=None``: lowest
         free slot, else a new one) and do an insert's bookkeeping."""
-        page = self._pin(heap_page)
+        page = self._pin(heap_page, write=True)
         try:
             slots_before = page.slot_count
             rid = Rid(heap_page, page.insert(record, slot_no))
@@ -345,7 +364,7 @@ class HeapFile:
                 )
         finally:
             self.writes.compactions += page.compactions
-            self._unpin(heap_page, dirty=True)
+            self._unpin(heap_page, dirty=True, wrote=page)
         self.free_map.add(heap_page, -used)
         self._record_count += 1
         self.writes.inserts += 1
@@ -376,11 +395,11 @@ class HeapFile:
         Raises :class:`~repro.errors.PageFullError` when the grown record
         cannot fit its page; callers may then delete+reinsert.
         """
-        page = self._pin(rid.page_no)
+        page = self._pin(rid.page_no, write=True)
         try:
             self._store(page, rid, record)
         finally:
-            self._unpin(rid.page_no, dirty=True)
+            self._unpin(rid.page_no, dirty=True, wrote=page)
 
     def rewrite(
         self, rid: Rid, decide: "Callable[[bytes], Optional[bytes]]"
@@ -391,14 +410,14 @@ class HeapFile:
         replacement, which is written and returned, or ``None``: then
         nothing is written and the frame is released clean.
         """
-        page = self._pin(rid.page_no)
+        page = self._pin(rid.page_no, write=True)
         record = None
         try:
             record = decide(page.read(rid.slot_no))
             if record is not None:
                 self._store(page, rid, record)
         finally:
-            self._unpin(rid.page_no, dirty=record is not None)
+            self._unpin(rid.page_no, dirty=record is not None, wrote=page)
         return record
 
     def _store(self, page: SlottedPage, rid: Rid, record: bytes) -> None:
@@ -406,10 +425,10 @@ class HeapFile:
         update's bookkeeping."""
         if page.update(rid.slot_no, record):
             # Only a layout change can move the hint: a same-length
-            # overwrite (most updates) skips the directory read.  Only
-            # writers come through here (annotation repairs are
+            # overwrite (most updates) reads nothing more.  Only writers
+            # come through here (annotation repairs are
             # write_annotations).
-            free = page.contiguous_free() + page.reclaimable()
+            free = page.contiguous_free() + page.holes()
             self.free_map.add(rid.page_no, free - self.free_map[rid.page_no])
             self.writes.compactions += page.compactions
         if self.summaries is not None:
@@ -439,13 +458,13 @@ class HeapFile:
 
     def delete(self, rid: Rid) -> None:
         """Free the address ``rid`` for reuse."""
-        page = self._pin(rid.page_no)
+        page = self._pin(rid.page_no, write=True)
         try:
             freed = page.delete(rid.slot_no)  # a hole compaction can reclaim
             if self.summaries is not None:
                 self.summaries.note_delete(rid, page)
         finally:
-            self._unpin(rid.page_no, dirty=True)
+            self._unpin(rid.page_no, dirty=True, wrote=page)
         self.free_map.add(rid.page_no, freed)
         self._record_count -= 1
         self.writes.deletes += 1
@@ -546,17 +565,3 @@ class HeapFile:
             if best is not None:
                 return Rid(heap_page, best)
         return None
-
-    def for_each_page(self, visit: Callable[[int, SlottedPage], bool]) -> None:
-        """Pin each page in order and call ``visit(heap_page, page)``.
-
-        ``visit`` returns True when it dirtied the page.  Used by bulk
-        maintenance passes that want page-at-a-time access.
-        """
-        for heap_page in range(len(self._pages)):
-            page = self._pin(heap_page)
-            dirty = False
-            try:
-                dirty = visit(heap_page, page)
-            finally:
-                self._unpin(heap_page, dirty=dirty)

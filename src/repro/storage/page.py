@@ -23,12 +23,21 @@ written as ``(0, 0)``; record bodies never start at offset 0 because the
 header occupies it.  A body may lie anywhere in the record area: a delete
 leaves a hole where it was, and a later record is written into the first
 hole that holds it (see :meth:`SlottedPage._place`).
+
+Where the holes are is a :class:`FreeSpace`: the free gaps between the
+frontier and the page end in address order, the free slot numbers, and
+the offsets of the zero-length bodies, which split the gap they sit in.
+A view reads it from the image the first time a placement needs it and
+moves it in O(gaps) on every write after (:attr:`SlottedPage.space`); a
+heap holds what its views read, per page, so a hole insert reads no
+directory and sorts nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
+from bisect import bisect_left, insort
 from operator import add
 from typing import Iterable, Iterator, Optional
 
@@ -55,17 +64,121 @@ def directory_struct(slot_count: int) -> struct.Struct:
     return struct.Struct(f"<{2 * slot_count}H")
 
 
+class FreeSpace:
+    """A page's free space, as :meth:`SlottedPage._place` searches it.
+
+    ``gaps`` are the free byte ranges ``(start, end)`` between the
+    frontier (``free_data_offset``) and the page end that no body
+    covers, in address order; a zero-length body is a boundary, so two
+    gaps may meet at its offset.  ``slots`` are the free slot numbers
+    and ``zeros`` the zero-length bodies' offsets, both ascending.  It
+    is read from ``page``'s image.
+    """
+
+    __slots__ = ("gaps", "slots", "zeros")
+
+    def __init__(self, page: "SlottedPage") -> None:
+        _, slot_count, frontier, live_count, _ = page._read_header()
+        directory = page._directory(slot_count)
+        offsets = directory[0::2]
+        lengths = directory[1::2]
+        # Live bodies' starts and ends, each sorted as ints: bodies do
+        # not overlap (a zero-length one sits at another's edge), so the
+        # i-th start and the i-th end are one body's, in the order of
+        # ``(offset, length)``.  The free entries, ``(0, 0)``, sort first.
+        free = slot_count - live_count
+        starts = sorted(offsets)[free:]
+        ends = sorted(map(add, offsets, lengths))[free:]
+        gaps = []
+        gap_start = frontier
+        for start, end in zip(starts, ends):
+            if start > gap_start:
+                gaps.append((gap_start, start))
+            gap_start = end
+        if page._size > gap_start:
+            gaps.append((gap_start, page._size))
+        self.gaps = gaps
+        self.slots = [slot for slot, offset in enumerate(offsets) if not offset]
+        self.zeros = sorted(
+            offset for offset, length in zip(offsets, lengths) if offset and not length
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FreeSpace):
+            return NotImplemented
+        return (self.gaps, self.slots, self.zeros) == (
+            other.gaps,
+            other.slots,
+            other.zeros,
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"FreeSpace(gaps={self.gaps}, slots={self.slots}, zeros={self.zeros})"
+
+    def holes(self) -> int:
+        """Bytes in the gaps: what a re-pack would add to the frontier."""
+        return sum(end - start for start, end in self.gaps)
+
+    def take(self, size: int) -> Optional[int]:
+        """Carve ``size`` (> 0) bytes off the top of the first gap that
+        holds them and return their offset, or ``None`` if none does."""
+        gaps = self.gaps
+        for i, (start, end) in enumerate(gaps):
+            if end - start >= size:
+                at = end - size
+                if at > start:
+                    gaps[i] = (start, at)
+                else:
+                    del gaps[i]
+                return at
+        return None
+
+    def release(self, start: int, end: int) -> None:
+        """A body's ``[start, end)`` (``end > start``) is free now: it
+        joins a gap it touches unless a zero-length body lies between."""
+        gaps = self.gaps
+        zeros = self.zeros
+        i = bisect_left(gaps, (start,))
+        if i < len(gaps) and gaps[i][0] == end and end not in zeros:
+            end = gaps.pop(i)[1]
+        if i and gaps[i - 1][1] == start and start not in zeros:
+            i -= 1
+            start = gaps.pop(i)[0]
+        gaps.insert(i, (start, end))
+
+    def drop_zero(self, at: int) -> None:
+        """A zero-length body at ``at`` is gone: the last one there
+        stops splitting the gaps it sat between."""
+        zeros = self.zeros
+        zeros.remove(at)
+        if at in zeros:
+            return
+        gaps = self.gaps
+        i = bisect_left(gaps, (at,))
+        if 0 < i < len(gaps) and gaps[i - 1][1] == at == gaps[i][0]:
+            gaps[i - 1 : i + 1] = [(gaps[i - 1][0], gaps[i][1])]
+
+
 class SlottedPage:
     """A mutable slotted page over a ``bytearray`` image.
 
     The page object is a *view*: mutating it mutates the underlying image,
     so a buffer pool can hand out ``SlottedPage(frame)`` wrappers without
-    copying.
+    copying.  ``space`` is the page's :class:`FreeSpace`: read from the
+    image the first time a placement needs it (or handed in by a heap
+    that holds it), then kept exact by every write through this view.
     """
 
-    __slots__ = ("_buf", "_size", "compactions")
+    __slots__ = ("_buf", "_size", "compactions", "space")
 
-    def __init__(self, buf: bytearray, initialize: bool = False) -> None:
+    def __init__(
+        self,
+        buf: bytearray,
+        initialize: bool = False,
+        space: "Optional[FreeSpace]" = None,
+    ) -> None:
         if initialize:
             if len(buf) < HEADER_SIZE + SLOT_SIZE:
                 raise PageFormatError("page buffer too small")
@@ -78,6 +191,7 @@ class SlottedPage:
         self._size = len(buf)
         #: Times this view re-packed the page (:meth:`compact`).
         self.compactions = 0
+        self.space = space
 
     @classmethod
     def empty(cls, size: int = PAGE_SIZE) -> "SlottedPage":
@@ -91,7 +205,7 @@ class SlottedPage:
 
     @property
     def slot_count(self) -> int:
-        return self._read_header()[1]
+        return _U16.unpack_from(self._buf, 2)[0]
 
     @property
     def live_count(self) -> int:
@@ -134,6 +248,18 @@ class SlottedPage:
         live_bytes = sum(self._directory(slot_count)[1::2])
         return (self._size - free_data_offset) - live_bytes
 
+    def holes(self) -> int:
+        """:meth:`reclaimable`, summed over the page's free gaps rather
+        than its directory."""
+        return self._free_space().holes()
+
+    def _free_space(self) -> FreeSpace:
+        """The page's free space, read from the image if not yet held."""
+        space = self.space
+        if space is None:
+            space = self.space = FreeSpace(self)
+        return space
+
     def free_for_insert(self, record_size: int, reuse_slot: bool) -> bool:
         """Whether a record of ``record_size`` fits (possibly after compaction)."""
         need = record_size + (0 if reuse_slot else SLOT_SIZE)
@@ -164,65 +290,64 @@ class SlottedPage:
         ``slot_no=None`` takes the lowest free slot, else a new entry; a
         named slot gives up whatever body it holds, and one past the
         directory's end extends it.  The body goes to the frontier (just
-        below ``free_data_offset``) when it fits there, else into the
-        first gap between live bodies that holds it, and the page is
-        re-packed only when no single gap does.  Which slot is taken,
-        and whether the record fits at all, depend on neither.
+        below ``free_data_offset``) when it fits there, else to the top
+        of the first gap that holds it, in address order, and the page
+        is re-packed only when no single gap does (or when the longer
+        directory leaves no room at all).  A zero-length body is a
+        boundary between gaps, never part of one.  Which slot is taken,
+        and whether the record fits at all, depend on neither.  The free
+        slot and the gaps come off the page's :class:`FreeSpace`, read
+        from the image only if the view holds none yet.
         """
         buf = self._buf
         size = len(record)
         _, slot_count, frontier, live_count, _ = _HEADER.unpack_from(buf, 0)
-        directory = None  # read once, and only if something asks
+        space = self.space
+        given_up = (0, 0)
         if slot_no is None:
             slot_no = slot_count
             if live_count < slot_count:  # else there is no entry to reuse
-                directory = self._directory(slot_count)
-                slot_no = directory[0::2].index(0)
-        given_up = self._slot(slot_no) if slot_no < slot_count else (0, 0)
+                if space is None:
+                    space = self._free_space()
+                slot_no = space.slots[0]
+        elif slot_no < slot_count:
+            given_up = self._slot(slot_no)
         fresh = not given_up[0]
         # Room at the frontier once the directory reaches the slot.
         new_count = max(slot_count, slot_no + 1)
         room = frontier - HEADER_SIZE - SLOT_SIZE * new_count
         at = frontier - size
         if room < size:
-            # Live bodies' starts and ends, each sorted as ints: bodies do
-            # not overlap (a zero-length one sits at another's edge), so
-            # the i-th start and the i-th end are one body's, in the order
-            # of ``(offset, length)``.  The free entries, ``(0, 0)``, sort
-            # first; the body this slot gives up is left out, and the
-            # page end closes the last gap.
-            if directory is None:
-                directory = self._directory(slot_count)
-            offsets = directory[0::2]
-            lengths = directory[1::2]
-            free = slot_count - live_count
-            starts = sorted(offsets)[free:]
-            ends = sorted(map(add, offsets, lengths))[free:]
-            if not fresh:
-                starts.remove(given_up[0])
-                ends.remove(given_up[0] + given_up[1])
-            starts.append(self._size)
-            ends.append(self._size)
-            holes = self._size - frontier - sum(lengths) + given_up[1]
+            if space is None:
+                space = self._free_space()
+            holes = space.holes() + given_up[1]
             if room + holes < size:
                 raise PageFullError(
                     f"record of {size} bytes does not fit ({room} at the "
                     f"frontier, {holes} in holes)"
                 )
-            at = 0
-            gap_start = frontier
-            if room >= 0:  # else the longer directory itself needs a re-pack
-                for start, end in zip(starts, ends):
-                    if start - gap_start >= size:
-                        at = start - size
-                        break
-                    gap_start = end
-            if not at:
+        # The record goes in: the page changes, and its space with it.
+        if space is not None:
+            if not fresh:  # the body this slot gives up is free space
+                if given_up[1]:
+                    space.release(given_up[0], given_up[0] + given_up[1])
+                else:
+                    space.drop_zero(given_up[0])
+            elif slot_no < slot_count:
+                space.slots.remove(slot_no)
+            else:  # the entries in between are born empty
+                space.slots.extend(range(slot_count, slot_no))
+        if room < size:
+            # A directory that grows past the frontier needs a re-pack.
+            at = space.take(size) if room >= 0 else None
+            if at is None:
                 if not fresh:
                     self._set_slot(slot_no, 0, 0)
                 self.compact()
                 frontier = _HEADER.unpack_from(buf, 0)[2]
                 at = frontier - size
+        elif space is not None and not size:
+            insort(space.zeros, at)
         buf[at : at + size] = record
         if slot_no > slot_count:  # the entries in between are born empty
             born = HEADER_SIZE + SLOT_SIZE * slot_count
@@ -284,12 +409,19 @@ class SlottedPage:
         Returns the freed body's length: the hole it leaves is exactly
         what :meth:`reclaimable` grows by.
         """
-        if not self.is_live(slot_no):
-            raise RecordNotFoundError(f"slot {slot_no} is empty")
-        _, length = self._slot(slot_no)
         _, slot_count, free_data_offset, live_count, _ = self._read_header()
+        offset, length = self._slot(slot_no) if slot_no < slot_count else (0, 0)
+        if not offset:
+            raise RecordNotFoundError(f"slot {slot_no} is empty")
         self._set_slot(slot_no, 0, 0)
         self._write_header(slot_count, free_data_offset, live_count - 1)
+        space = self.space
+        if space is not None:
+            insort(space.slots, slot_no)
+            if length:
+                space.release(offset, offset + length)
+            else:
+                space.drop_zero(offset)
         return length
 
     def update(self, slot_no: int, record: bytes) -> bool:
@@ -305,14 +437,20 @@ class SlottedPage:
         the old length is overwritten where it lies, so neither
         :meth:`contiguous_free` nor :meth:`reclaimable` can have moved.
         """
-        if not self.is_live(slot_no):
+        offset, length = self._slot(slot_no) if slot_no < self.slot_count else (0, 0)
+        if not offset:
             raise RecordNotFoundError(f"slot {slot_no} is empty")
-        offset, length = self._slot(slot_no)
-        if len(record) <= length:
-            self._buf[offset : offset + len(record)] = record
-            if len(record) == length:
+        size = len(record)
+        if size <= length:
+            self._buf[offset : offset + size] = record
+            if size == length:
                 return False
-            self._set_slot(slot_no, offset, len(record))
+            self._set_slot(slot_no, offset, size)
+            space = self.space
+            if space is not None:
+                if not size:  # a boundary now, left of the bytes it frees
+                    insort(space.zeros, offset)
+                space.release(offset + size, offset + length)
             return True
         self._place(record, slot_no)
         return True
@@ -335,6 +473,7 @@ class SlottedPage:
         directory_struct(slot_count).pack_into(buf, HEADER_SIZE, *directory)
         self._write_header(slot_count, write_at, live_count)
         self.compactions += 1
+        self.space = None  # read again when next asked for
 
     def records(self) -> "Iterator[tuple[int, bytes]]":
         """Yield ``(slot_no, body)`` for live slots in slot order."""

@@ -57,6 +57,26 @@ class TestMutationDiscipline:
             assert [v.rule for v in violations if v.rule == "L101"] == []
 
 
+class TestPageViews:
+    def test_views_and_pins_fire_outside_the_heap_layer(self):
+        for logical in ("core/rogue.py", "core/scanpass.py", "table.py"):
+            violations = lint_sources([fixture("pageview.py", logical)])
+            assert fired(violations) == [
+                ("L104", 8),
+                ("L104", 9),
+                ("L104", 10),
+            ], logical
+
+    def test_the_sanitizer_may_pin_but_builds_no_view(self):
+        violations = lint_sources([fixture("pageview.py", "sanitize.py")])
+        assert fired(violations) == [("L104", 8), ("L104", 9)]
+
+    def test_the_heap_layer_is_exempt(self):
+        for logical in ("storage/heap.py", "storage/page.py"):
+            violations = lint_sources([fixture("pageview.py", logical)])
+            assert fired(violations) == [], logical
+
+
 class TestDeterminism:
     # The wall-clock rules stop at the deterministic modules; the
     # one-thread rule (L204) holds in every module under src/repro.
@@ -201,7 +221,7 @@ class TestEngine:
 
     def test_every_rule_id_is_documented(self):
         assert set(RULES) == {
-            "L101", "L102", "L103",
+            "L101", "L102", "L103", "L104",
             "L201", "L202", "L203", "L204",
             "L305", "L306", "L307",
             "L401", "L402", "L404",

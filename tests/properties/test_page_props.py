@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageFullError
-from repro.storage.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
+from repro.storage.page import HEADER_SIZE, SLOT_SIZE, FreeSpace, SlottedPage
 
 bodies = st.binary(min_size=0, max_size=80)
 scripts = st.lists(
@@ -130,8 +130,7 @@ class TestPlacement:
         st.sampled_from([12, 20, 21, 33]), st.integers(min_value=0, max_value=70)
     )
 
-    @settings(max_examples=200, deadline=None)
-    @given(
+    scripts = dict(
         fill=st.lists(sizes, max_size=16),
         script=st.lists(
             st.tuples(
@@ -144,7 +143,21 @@ class TestPlacement:
             max_size=120,
         ),
     )
+
+    @settings(max_examples=200, deadline=None)
+    @given(**scripts)
     def test_layout_against_model(self, fill, script):
+        """One view for the whole script: it reads the page's free space
+        once and moves it on every write, and after every step the space
+        it holds is the one read afresh from the image."""
+        self._play(fill, script, reread=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**scripts)
+    def test_a_space_read_every_call_places_alike(self, fill, script):
+        self._play(fill, script, reread=True)
+
+    def _play(self, fill, script, reread):
         # A small page, loaded first: placement is decided on full pages.
         page = SlottedPage.empty(256)
         pending = [("insert", 0, length) for length in fill] + script
@@ -163,6 +176,8 @@ class TestPlacement:
                 pending.append(("insert", 0, max(0, hole + length % 3 - 1)))
                 pending.append(("delete", pick, 0))
                 continue
+            if reread:
+                page.space = None
             slot_count = page.slot_count
             free = page.contiguous_free() + page.reclaimable()
             image = bytes(page.buffer)  # a refused record leaves no trace
@@ -218,6 +233,8 @@ class TestPlacement:
                     assert at is None or page._slot(slot) == (at, length)
                     model[slot] = body
             check_layout(page, model)
+            if page.space is not None:
+                assert page.space == FreeSpace(page), (op, step)
         assert dict(page.records()) == model
         bounds = page.live_bounds()
         assert bounds == ((min(model), max(model)) if model else None)

@@ -1,7 +1,10 @@
 """Heap files: placement policy, ordered scans, address reuse."""
 
+import builtins
 import contextlib
+import hashlib
 import math
+import random
 import struct
 
 import pytest
@@ -13,6 +16,7 @@ from repro.errors import PageFullError, RecordNotFoundError, StorageError
 from repro.relation.types import RidType, TimestampType
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
+from repro.storage.page import SlottedPage
 from repro.storage.pager import InMemoryPager
 from repro.storage.rid import Rid
 
@@ -185,13 +189,15 @@ class TestFreeHint:
 
         rids = [heap.insert(b"a" * 20) for _ in range(5)]
         walks = []
-        original = SlottedPage.reclaimable
+        original = SlottedPage.holes
 
         def counting(page):
             walks.append(1)
             return original(page)
 
-        monkeypatch.setattr(SlottedPage, "reclaimable", counting)
+        # A layout change recounts off the page's free gaps, not its
+        # directory (the free-space audit still sums the directory).
+        monkeypatch.setattr(SlottedPage, "holes", counting)
         for rid in rids:
             heap.update(rid, b"b" * 20)
         assert not walks
@@ -358,3 +364,74 @@ class TestFixBatch:
         with pytest.raises(StorageError):
             heap.fix_batch(0, table.schema, lambda batch: called.append(batch))
         assert called == [] and not heap.pool.pinned_pages()
+
+
+class TestHeldSpace:
+    """The heap holds each written page's free space and moves it on
+    every write: placement is what reading the image decides."""
+
+    #: SHA-256 of the heap image :meth:`_churned_image` leaves, taken
+    #: where every hole placement read its page's directory afresh.
+    CHURN_DIGEST = (
+        "3f051dd776d2c3630c72f7851f3b614bfa35cbed1103297794d11eaa9069cdd7"
+    )
+
+    @staticmethod
+    def _churned_image():
+        """A lazy table of names of every length after a seeded churn of
+        inserts, deletes, grown and shrunk updates and aborted
+        transactions, over a pool of four frames: its heap image."""
+        rng = random.Random(44)
+        db = Database(page_size=1024, buffer_capacity=4)
+        table = db.create_table(
+            "t", [("id", "int"), ("name", "string")], annotations="lazy"
+        )
+        live = [table.insert([i, "n" * rng.randrange(40)]) for i in range(300)]
+        for step in range(1500):
+            draw = rng.random()
+            name = chr(97 + step % 26) * rng.randrange(40)
+            if draw < 0.35:
+                live.append(table.insert([step, name]))
+            elif draw < 0.7:
+                table.delete(live.pop(rng.randrange(len(live))))
+            elif draw < 0.95:
+                at = rng.randrange(len(live))
+                live[at] = table.update(live[at], {"name": name})
+            else:
+                txn = db.txns.begin()
+                table.delete(live[rng.randrange(len(live))], txn=txn)
+                table.insert([-step, name], txn=txn)
+                txn.abort()
+        digest = hashlib.sha256()
+        for page_no in range(table.heap.page_count):
+            page = table.heap._pin(page_no)
+            try:
+                digest.update(page.buffer)
+            finally:
+                table.heap._unpin(page_no, dirty=False)
+        return digest.hexdigest()
+
+    def test_placement_digest_is_pinned(self):
+        assert self._churned_image() == self.CHURN_DIGEST
+
+    def test_a_held_space_reads_no_directory_and_sorts_nothing(
+        self, heap, monkeypatch
+    ):
+        rids = [heap.insert(b"r" * 20) for _ in range(12)]
+        assert rids[9].page_no == 0 and rids[10].page_no == 1  # page 0 is full
+        heap.delete(rids[3])
+        assert heap.insert(b"h" * 20) == rids[3]  # reads the space once
+        page_no = rids[3].page_no
+        assert page_no in heap.spaces
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the held space was read again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SlottedPage, "_directory", refuse)
+            patch.setattr(builtins, "sorted", refuse)
+            heap.delete(rids[5])
+            assert heap.insert(b"i" * 20) == rids[5]  # a second hole insert
+            heap.delete(rids[7])
+        assert heap.read(rids[5]) == b"i" * 20
+        sanitize.check_free_map(heap)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PageFormatError, PageFullError, RecordNotFoundError
-from repro.storage.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
+from repro.storage.page import HEADER_SIZE, SLOT_SIZE, FreeSpace, SlottedPage
 
 
 @pytest.fixture
@@ -257,3 +257,37 @@ class TestFormat:
 
     def test_slot_size_constant(self):
         assert SLOT_SIZE == 4
+
+
+class TestHeldSpace:
+    """A view that holds its page's free space moves it on every write
+    exactly as reading the image afresh would find it."""
+
+    def test_a_zero_length_body_splits_the_gaps_either_side(self):
+        page = SlottedPage.empty(256)
+        c = page.insert(b"c" * 20)  # [236, 256)
+        z1 = page.insert(b"")  # at 236
+        b = page.insert(b"b" * 20)  # [216, 236)
+        z2 = page.insert(b"")  # at 216
+        d = page.insert(b"d" * 20)  # [196, 216)
+        assert page.holes() == 0  # reads the space, which is held now
+        for slot in (c, d, b):
+            page.delete(slot)
+            assert page.space == FreeSpace(page)
+        assert page.space.gaps == [(196, 216), (216, 236), (236, 256)]
+        page.delete(z1)
+        assert page.space.gaps == [(196, 216), (216, 256)]
+        page.delete(z2)
+        assert page.space.gaps == [(196, 256)]
+        assert page.space == FreeSpace(page)
+
+    def test_a_shrink_to_nothing_frees_its_bytes_past_its_boundary(self):
+        page = SlottedPage.empty(256)
+        a = page.insert(b"a" * 20)  # [236, 256)
+        b = page.insert(b"b" * 20)  # [216, 236)
+        assert page.holes() == 0
+        page.delete(a)
+        page.update(b, b"")  # a zero-length body at 216, freeing [216, 236)
+        assert page.space.gaps == [(216, 256)]
+        assert page.space.zeros == [216]
+        assert page.space == FreeSpace(page)
