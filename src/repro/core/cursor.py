@@ -3,29 +3,20 @@
 A :class:`RefreshCursor` holds what Figure 3 keeps for one snapshot and
 decides, page by page, what to transmit; any number of them ride one
 pass (:func:`~repro.core.differential.run_refresh_scan`).  Beyond the
-paper it has one arming rule, which only *omits* messages or sends a
-shorter one:
-
-*Address mirror*.  The snapshot's page cache of
-:class:`~repro.storage.summary.PageQualInfo` records changes only when
-the receiver commits and every path that publishes to the snapshot
-writes it, so its ``qual_slots`` are the addresses the snapshot holds.
-With a record of the page a cursor crosses it from the mirror
+paper it has one arming rule, which only omits messages or sends a
+shorter one, the *address mirror*: the snapshot's page cache of
+:class:`~repro.storage.summary.PageQualInfo`, whose ``qual_slots`` are
+the addresses the snapshot holds (it changes only when the receiver
+commits).  With a record of the page a cursor crosses it from the mirror
 (:meth:`RefreshCursor.cross`): the paper's stream less Figure 9's
 superfluous messages, and a qualifier the ``Deletion`` flag forces out
-(held, unchanged: the snapshot has its value) sent as a small
+(held, unchanged) sent as a small
 :class:`~repro.core.messages.DeleteRangeMessage` of the interval before
-it, never read — one of the improvements the paper invites "which
-reduce the message traffic" (``docs/algorithm.md``).  An unqualified
-insert arms no flag there, as no held address left.  Without a record
-the paper's rule runs over every entry: the baseline, and what the
-per-row reference (:mod:`~repro.core.per_row`) runs entry by entry.
-DESIGN.md §3, "How a page is served", has the rule and its proof.
-
-``optimize_deletes`` applies the same range delete to the paper's rule.
-The manager turns it on; a directly built refresher and the baseline
-cells of the A1 ablation and ``bench_fig8``/``9`` keep the paper's
-re-send.
+it, never read — an improvement the paper invites (``docs/algorithm.md``).
+Without a record the paper's rule runs over every entry.  DESIGN.md §3
+has the rule and its proof.  ``optimize_deletes`` applies the same range
+delete to the paper's rule; the manager turns it on, the baselines of
+the A1 ablation and ``bench_fig8``/``9`` keep the paper's re-send.
 """
 
 from __future__ import annotations
@@ -58,20 +49,15 @@ _QUAL_SLOTS = attrgetter("qual_slots")
 
 
 class ValueCache:
-    """Per-snapshot mirror of the values previously transmitted.
-
-    Keyed page → ``{rid: projected values}``, this is what lets the
-    refresher send :class:`~repro.core.messages.UpdateDeltaMessage`\\ s
-    (only the changed columns) instead of whole rows: a cache hit means
-    the receiver still holds exactly these values for the address, so a
-    column diff against them merges correctly at the other end.
-
-    The cache is **staged per refresh and committed only once the
-    receiver's epoch commit is confirmed**, or a later delta would
-    merge against values the receiver never applied: the
-    :class:`~repro.core.manager.SnapshotManager` drives
-    :meth:`commit`/:meth:`abort` from the epoch outcome, and a caller
-    driving a refresher directly does the same with the cache it passes.
+    """Per-snapshot mirror of the values previously transmitted, keyed
+    page → ``{rid: projected values}``: a hit means the receiver holds
+    exactly these values for the address, so an
+    :class:`~repro.core.messages.UpdateDeltaMessage` of the changed
+    columns merges correctly there.  It is **staged per refresh and
+    committed only once the receiver's epoch commit is confirmed** (the
+    manager drives :meth:`commit`/:meth:`abort`; a caller driving a
+    refresher directly does the same), or a later delta would merge
+    against values the receiver never applied.
     """
 
     __slots__ = ("pages", "staged")
@@ -136,16 +122,11 @@ def adopt_holdings(
 
 
 class RefreshResult:
-    """Counters from one refresh execution.
-
-    For a solo refresh every field describes that one scan.  For a
-    refresh served by a shared group pass (``group_cursors > 1``) the
-    per-snapshot fields — traffic, ``scanned``, ``entries_evaluated``,
-    ``pages_scanned``, ``pages_skipped`` / ``pages_fast_forwarded`` —
-    describe this snapshot's share, while the pass-level scan costs
-    (:data:`PASS_FIELDS`) were paid once for the whole group and read
-    the same on every member's result: take them once per pass, never
-    sum them over the members.
+    """Counters from one refresh execution.  On a shared group pass
+    (``group_cursors > 1``) the per-snapshot fields — traffic,
+    ``scanned``, ``entries_evaluated``, the page counts — are this
+    snapshot's share, while the pass-level costs (:data:`PASS_FIELDS`)
+    read the same on every member's result: take them once per pass.
     """
 
     __slots__ = (
@@ -277,14 +258,10 @@ CURSOR_TOTAL_FIELDS = (
 )
 
 class RefreshCursor:
-    """Per-snapshot refresh state riding an address-order scan.
-
-    Everything Figure 3 keeps per snapshot — the ``SnapTime`` it
-    refreshes from, ``LastQual``, the pending ``Deletion`` flag, the
-    compiled restriction/projection, the output channel — plus its
-    page cache.  Each cursor's stream is byte-identical to a solo
-    refresh's from the same ``SnapTime`` and cache, however many ride
-    the pass.
+    """Per-snapshot refresh state riding an address-order scan: what
+    Figure 3 keeps per snapshot (``SnapTime``, ``LastQual``, the
+    ``Deletion`` flag, restriction, projection, channel) plus its page
+    cache.  Its stream is a solo refresh's, however many ride the pass.
     """
 
     __slots__ = (
@@ -417,59 +394,45 @@ class RefreshCursor:
         walk.  ``changed`` indexes the entries of ``batch`` that did
         (effective timestamp newer than ``SnapTime``; every record of a
         visit's partial batch) and the restriction runs on those alone.
-        ``live`` are the page's live slots when ``batch`` is the whole
-        page — a held slot it lacks was deleted — and ``None`` when it
-        was not read whole: then a held slot is gone iff it is among
-        ``freed``, the slots the summary names as emptied since (and not
-        back in ``batch``).  What moved goes to :meth:`_send_events`; a
-        skip is the case where nothing did.
-        Leaves the page's qualifying slots, as they stand, in
-        :attr:`page_quals`.
+        A held slot is gone if it is among ``freed``, the slots the
+        summary names as emptied since, or — ``live`` being the page's
+        live slots when ``batch`` is the whole page — not among them.
+        What moved goes to :meth:`_send_events`; a skip is the case
+        where nothing did.  Leaves the page's qualifying slots, as they
+        stand, in :attr:`page_quals`.
 
-        A page not read whole costs what changed on it: the held slots
-        are a copy of the record's, each freed or changed slot bisected
-        out of it or in (the record's array is the mirror's, never
-        written).  A page read whole costs the page anyway, and is
-        crossed as sets.
+        It costs what changed on the page: the held slots are a copy of
+        the record's, each gone or changed slot bisected out of it or in
+        (the record's array is the mirror's, never written).
         """
         quals = info.qual_slots
         send: "Collection[int]" = ()
-        gone: "Collection[int]" = ()
+        gone: "set[int]" = set()
         if live is None:  # not read whole: crossed from the record
             self.result.pages_fast_forwarded += 1
-            if changed or freed:
-                quals = array("H", quals)
-                dropped: "set[int]" = set()
-                for slot_no in freed:
-                    at = bisect_left(quals, slot_no)
-                    if at < len(quals) and quals[at] == slot_no:
-                        del quals[at]
-                        dropped.add(slot_no)
-                if batch is not None and changed:
-                    send = self._changed_quals(batch, changed)
-                    slots = batch.slots
-                    for index in changed:
-                        slot_no = slots[index]
-                        at = bisect_left(quals, slot_no)
-                        held = at < len(quals) and quals[at] == slot_no
-                        if slot_no in send:
-                            if not held:
-                                quals.insert(at, slot_no)
-                                dropped.discard(slot_no)
-                        elif held:
-                            del quals[at]
-                            dropped.add(slot_no)
-                gone = dropped
-        elif changed or not live.issuperset(quals):
-            held_set = set(quals)
-            now = held_set & live
+        elif not live.issuperset(quals):
+            freed = [slot_no for slot_no in quals if slot_no not in live]
+        if changed or freed:
+            quals = array("H", quals)
+            for slot_no in freed:
+                at = bisect_left(quals, slot_no)
+                if at < len(quals) and quals[at] == slot_no:
+                    del quals[at]
+                    gone.add(slot_no)
             if batch is not None and changed:
                 send = self._changed_quals(batch, changed)
                 slots = batch.slots
-                now = now.difference([slots[index] for index in changed])
-                now.update(send)
-            gone = held_set - now
-            quals = array("H", sorted(now))
+                for index in changed:
+                    slot_no = slots[index]
+                    at = bisect_left(quals, slot_no)
+                    held = at < len(quals) and quals[at] == slot_no
+                    if slot_no in send:
+                        if not held:
+                            quals.insert(at, slot_no)
+                            gone.discard(slot_no)
+                    elif held:
+                        del quals[at]
+                        gone.add(slot_no)
         self.result.qualified += len(quals)
         self.page_quals = quals
         self._send_events(page_no, quals, send, gone, row_at)
@@ -485,12 +448,10 @@ class RefreshCursor:
         return {slots[index] for index in hits}
 
     def cross_run(self, start: int, infos: "Sequence[PageQualInfo]") -> None:
-        """Cross the pages from ``start`` on, one per committed record in
-        ``infos``, none of which the pass read and none with an event
-        for this cursor: :meth:`cross` of a skipped page, once for the
-        run.  The caller has checked that no carried ``Deletion`` flag
-        meets a qualifier here; ``LastQual`` moves to the run's last
-        one and the value mirror is carried page by page."""
+        """:meth:`cross` of each page from ``start`` on, one per
+        committed record in ``infos``, none read and none with an event
+        for this cursor (no carried ``Deletion`` flag meets a qualifier
+        here), once for the run."""
         count = len(infos)
         result = self.result
         result.pages_skipped += count
@@ -519,18 +480,13 @@ class RefreshCursor:
         anomalies: "Sequence[int]" = (),
     ) -> None:
         """Figure 3 over a page read whole, for a cursor that holds no
-        record of it: the paper's rule.
-
-        ``changed`` indexes the entries whose value changed for this
-        snapshot: effective timestamp — the entry's own, or
-        :data:`~repro.core.scanpass.TS_INFINITY` when it was found with a
-        NULL annotation (inserted or updated since the last fix-up) —
-        newer than ``SnapTime``.  Every live entry is taken in slot order, its
-        inputs handed over as columns — ``anomalies`` are the slots the
-        fix-up found preceded by a detected deletion, qualification
-        comes from the batch's memoized index over the whole page, and
-        full rows are materialized only for entries actually
-        transmitted.
+        record of it: the paper's rule.  ``changed`` indexes the entries
+        whose effective timestamp — their own, or
+        :data:`~repro.core.scanpass.TS_INFINITY` when found with a NULL
+        annotation — is newer than ``SnapTime``; ``anomalies`` are the
+        slots the fix-up found preceded by a detected deletion.
+        Qualification comes from the batch's memoized index over the
+        page, and rows are materialized only for entries transmitted.
         """
         result = self.result
         result.entries_evaluated += batch.count
@@ -574,14 +530,10 @@ class RefreshCursor:
     ) -> None:
         """Figure 3's transmit decision over one page, keyed by slot,
         for a cursor that holds no record of it: the paper's rule.
-
-        Only two kinds of entry can move the cursor: the qualifiers
-        (``now``), and entries not among them that arm the ``Deletion``
-        flag — ``arming``: changed for this snapshot ("may have
-        qualified before"), or preceded by a detected deletion
-        (``anomalies``).  ``row_at`` is called
-        only for entries transmitted.
-        """
+        Only the qualifiers (``now``) and the entries that arm the
+        ``Deletion`` flag (``arming``: changed for this snapshot, or
+        preceded by a detected deletion, ``anomalies``) move the
+        cursor; ``row_at`` is called only for entries transmitted."""
         for slot_no in sorted(now.union(arming)):
             if slot_no not in now:
                 self.deletion = True
@@ -616,21 +568,17 @@ class RefreshCursor:
         row_at: "Callable[[int], Row]",
     ) -> None:
         """Figure 3 over the events of one page, for a cursor that knows
-        what the snapshot held there: the mirror's rule.
-
-        ``quals`` are the page's qualifying slots, ascending; ``send``
-        those whose value changed for this snapshot or that are new to
-        it; ``gone`` the held slots that no longer qualify — exactly
-        where the ``Deletion`` flag arms, instead of at every changed
-        non-qualifier that "may have qualified before".  Only ``send``
-        and the first qualifier after each ``gone`` slot (or after a flag
-        carried in) are transmitted, each with its predecessor in
-        ``quals`` as ``prev_qual``; the receiver keeps every other one
-        and its mirrored values are carried in bulk.  A forced qualifier
+        what the snapshot held there: the mirror's rule.  ``quals`` are
+        the page's qualifying slots, ascending; ``send`` those changed
+        for this snapshot or new to it; ``gone`` the held slots that no
+        longer qualify — exactly where the ``Deletion`` flag arms.  Only
+        ``send`` and the first qualifier after each ``gone`` slot (or
+        after a flag carried in) are transmitted, each with its
+        predecessor in ``quals`` as ``prev_qual``; a forced qualifier
         not in ``send`` is held unchanged, so it goes as the
-        :class:`DeleteRangeMessage` of the interval before it and is
-        never read.  The stream is the paper's with messages omitted and
-        each forced re-send a range delete.
+        :class:`DeleteRangeMessage` of the interval before it, unread.
+        The stream is the paper's with messages omitted and each forced
+        re-send a range delete.
         """
         forced = [quals[0]] if self.deletion and quals else []
         for slot_no in gone:
@@ -733,25 +681,21 @@ class RefreshCursor:
         changed: "Sequence[int]",
         batch: PageBatch,
     ) -> None:
-        """Publish what writers did to a page after the scan read it.
-
-        Point messages — no ``prev_qual``, no ``Deletion`` flag to carry
-        — queued until :meth:`end_scan`, which sends them between the
-        ``EndOfScan`` and the new ``SnapTime``.
-        ``changed`` are the slots written since, emptied ones included.
-        With ``info`` — see :meth:`page_info` — the page is crossed as
-        :meth:`cross` crosses it: ``batch`` is the partial one of the
-        changed slots (and any successor Figure 7 read), the
-        restriction runs on the changed records only, the
-        ones that qualify are upserted, ``held - now`` deleted, and a
-        held unchanged qualifier costs nothing.  Without one (no page
-        cache) the paper-rule oracle: ``batch`` is the whole page, the
-        receiver's image of it is wiped (the open-interval delete
-        excludes both endpoints, so slot 0 gets its own delete) and
-        every qualifier upserted back.  Either way the committed page
-        equals the base restriction at commit time and the staged value
-        mirror follows.  Leaves the page's qualifying slots in
-        :attr:`page_quals`.
+        """Publish what writers did to a page after the scan read it:
+        point messages (no ``prev_qual``, no flag to carry) queued until
+        :meth:`end_scan` sends them between the ``EndOfScan`` and the new
+        ``SnapTime``.  ``changed`` are the slots written since, emptied
+        ones included.  With ``info`` (:meth:`page_info`) the page is
+        crossed as :meth:`cross` crosses it: ``batch`` is the partial
+        one of the changed slots (and any successor Figure 7 read), the
+        restriction runs on the changed records only, those that
+        qualify are upserted and ``held - now`` deleted.  Without one
+        (no page cache) ``batch`` is the whole page, the receiver's image
+        of it is wiped (slot 0 takes its own delete: the interval is
+        open) and every qualifier upserted back.  Either way the
+        committed page equals the base restriction at commit time, and
+        the staged value mirror follows.  Leaves the page's qualifying
+        slots in :attr:`page_quals`.
         """
         held: "Sequence[int]" = info.qual_slots if info is not None else ()
         kept = set(held).difference(changed)
@@ -816,9 +760,8 @@ def each_live(
 ) -> None:
     """``step(cursor)`` for every cursor still live: a
     :class:`~repro.errors.ChannelError` on one cursor's output marks it
-    failed (``cursor.error``) and the rest carry on.  The page loop of
-    :meth:`~repro.core.scanpass._ScanPass._serve` writes the same loop
-    out, without a step closure per page."""
+    failed (``cursor.error``) and the rest carry on.  The page loops of
+    :mod:`~repro.core.scanpass` write it out, with no closure per page."""
     for cursor in cursors:
         if cursor.failed:
             continue

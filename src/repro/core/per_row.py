@@ -118,8 +118,9 @@ def serve_rows(
     width = len(schema)
     stats = scan.stats
     fixup_time = scan.fixup_time
-    expect_prev = scan.expect_prev
-    last_addr = scan.last_addr
+    boundary = scan.boundary
+    expect_prev = Rid(*boundary.expect)
+    last_addr = Rid(*boundary.last)
     page_first_prev: object = None
     first_on_page = True
 
@@ -190,8 +191,8 @@ def serve_rows(
             ),
         )
 
-    scan.expect_prev = expect_prev
-    scan.last_addr = last_addr
+    boundary.expect = expect_prev.key()
+    boundary.last = last_addr.key()
     return page_first_prev
 
 

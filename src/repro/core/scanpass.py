@@ -1,16 +1,15 @@
 """Figure 7 and page serving: the shared half of a refresh pass.
 
 A :class:`_ScanPass` owns what one pass shares between its cursors —
-the fix-up's boundary state, the fix-up timestamp, the pass counters —
-and serves the heap one page at a time through :meth:`_ScanPass.page`,
-which returns what it did with the page (:class:`PageOutcome`).  Beyond
-the paper, and changing no transmitted byte, a page whose
+the fix-up's :class:`Boundary`, the fix-up timestamp, the pass counters
+— and serves the heap in address order (:meth:`_ScanPass.scan_pages`).
+Beyond the paper, and changing no transmitted byte, a page whose
 :class:`~repro.storage.summary.PageSummary` proves nothing changed is
-crossed unread or visited for its changed slots, and a page read whole
-is probed for just the annotations and restriction columns; DESIGN.md
-§3, "How a page is served", has the outcome table and why each is safe.
-This is the one serving path, every page read served from a columnar
-batch; the paper's loop is the tests' reference, :mod:`~repro.core.per_row`.
+crossed unread or visited for its changed slots — a run of visits that
+only stamp in one loop — and a page read whole is served from one
+columnar batch; DESIGN.md §3, "How a page is served", has the outcome
+table and why each is safe.  The paper's loop is the tests' reference,
+:mod:`~repro.core.per_row`.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ from repro.table import Table, annotation_columns
 #: than every ``SnapTime`` (the largest value the i64 column holds).
 TS_INFINITY = 2**63 - 1
 
-#: What Figure 7 found on a page read whole (:meth:`_ScanPass._fix_up`):
-#: each entry's effective timestamp, the anomaly slots, and the first
-#: ``PrevAddr`` as repaired.
+#: What Figure 7 found on a page (:meth:`_ScanPass._fix_up`): effective
+#: timestamps, anomaly slots, the first ``PrevAddr`` as repaired.
 Fixed = Tuple["array[int]", List[int], Rid]
 
 #: The cursors a page is served to, each with its record of the page.
@@ -86,20 +84,45 @@ class PageOutcome(IntEnum):
 SKIPPED, VISITED, BATCH, ROWS, REPAIRED = PageOutcome
 
 
-def _tally(result: RefreshResult, outcome: PageOutcome) -> None:
-    """The page counters a page read moves, on a pass's or a cursor's
-    (``SKIPPED`` moves ``pages_skipped`` alone, counted where it is
-    decided)."""
-    if outcome is REPAIRED:
-        result.pages_repaired += 1
-    else:
-        result.pages_scanned += 1
-        result.pages_batch_decoded += 1
+class Boundary:
+    """Figure 7's state between two entries of the scan, as ``(page,
+    slot)`` pairs: ``expect`` (``ExpectPrev``, the last entry that was
+    not a pure insert) and ``last`` (``LastAddr``, the last entry); the
+    paper's address 0 is ``(-1, 0)``.  A pass without fix-up keeps no
+    such state: every boundary is clean to it."""
+
+    __slots__ = ("fixup", "expect", "last")
+
+    def __init__(self, fixup: bool) -> None:
+        self.fixup = fixup
+        self.expect = self.last = Rid.BEGIN.key()
+
+    def clean(self, first_prev: object = None) -> bool:
+        """The closure rule: whether a page whose first ``PrevAddr``
+        reads ``first_prev`` (``None``: it is empty) continues the chain
+        from here.  A pending pure insert (``last != expect``) would
+        repoint that ``PrevAddr``, and a mismatch is precisely a
+        deletion anomaly hiding on the page."""
+        expect = self.expect
+        return not self.fixup or (
+            self.last == expect
+            and (
+                first_prev is None
+                or isinstance(first_prev, Rid)
+                and (first_prev.page_no, first_prev.slot_no) == expect
+            )
+        )
+
+    def advance(self, last_live: Optional[Rid]) -> None:
+        """Cross a page that needs no (further) fix-up, ending at
+        ``last_live`` (``None``: an empty page), as a scan would."""
+        if last_live is not None:
+            self.expect = self.last = (last_live.page_no, last_live.slot_no)
 
 
 class _ScanPass:
-    """One combined fix-up + refresh pass: its fix-up state
-    (``ExpectPrev`` / ``last_addr``, the fix-up timestamp) and counters.
+    """One combined fix-up + refresh pass: its fix-up state (the
+    :class:`Boundary`, the fix-up timestamp) and counters.
     :meth:`scan_pages` serves a half-open page range and leaves the
     state positioned for the next, so a scan can run chunk by chunk."""
 
@@ -112,8 +135,7 @@ class _ScanPass:
         "audit",
         "stats",
         "fixup_time",
-        "expect_prev",
-        "last_addr",
+        "boundary",
         "_encode_prev",
         "_encode_ts",
         "_hits_before",
@@ -150,8 +172,7 @@ class _ScanPass:
         self._hits_before = pool_stats.hits
         self._misses_before = pool_stats.misses
         self.fixup_time = table.db.clock.tick()
-        self.expect_prev = Rid.BEGIN
-        self.last_addr = Rid.BEGIN
+        self.boundary = Boundary(fixup)
         # Figure 7 hands the heap annotation bytes.  A stamp is encoded
         # from fixup_time where it is written: an online pass re-ticks it.
         prev_column, ts_column = annotation_columns()
@@ -214,9 +235,11 @@ class _ScanPass:
         """Serve every cursor over heap pages ``[start, stop)``; return
         the first page not served (earlier when every output failed).
 
-        Only the pages written since the oldest cursor's mark go through
-        :meth:`page`; each run of pages between them is crossed in one
-        step (:meth:`_cross`).  Without marks every page is served.
+        Only the pages written since the oldest cursor's mark are
+        served; each run of pages between them is crossed in one step
+        (:meth:`_cross`).  Without marks every page is served.  A run of
+        pages that take Figure 7's visit case is served in one loop
+        (:meth:`_visit_run`), any other page through :meth:`page`.
         """
         due = self._due_pages(start)
         page_no = start
@@ -233,35 +256,118 @@ class _ScanPass:
                     page_no = self._cross(cursors, page_no, end)
                     if page_no == end:
                         continue
-            self.page(page_no, cursors)
-            page_no += 1
+            after = self._visit_run(cursors, page_no, stop)
+            if after == page_no:
+                self.page(page_no, cursors)
+                after += 1
+            page_no = after
         return stop
+
+    def _visit_run(
+        self, cursors: "Sequence[RefreshCursor]", start: int, stop: int
+    ) -> int:
+        """Serve the pages from ``start`` on, short of ``stop``, while
+        each takes Figure 7's visit case; return the first page not
+        served.  The case: the summary names changed slots and no freed
+        one, every live cursor may cross the page from its record
+        (:meth:`_settled`), and the heap routine stamps the named
+        records (:meth:`_stamp`).  Then each cursor runs its restriction
+        on them and crosses the page from its record, which it re-records,
+        as :meth:`page` would.  A page the routine declines goes through
+        :meth:`page`, and ends the run."""
+        summaries = self.summaries
+        if summaries is None or not self.fixup:
+            return start
+        boundary = self.boundary
+        stats = self.stats
+        settled = self._settled
+        page_no = start
+        while page_no < stop:
+            summary = summaries.get(page_no)
+            if summary is None or summary.freed_slots or not summary.null_slots:
+                break
+            crossing: "list[tuple[RefreshCursor, PageQualInfo]]" = []
+            for cursor in cursors:
+                if not cursor.failed:
+                    info = cursor.cache.get(page_no) if cursor.cache else None
+                    if info is None or not settled(cursor, info, summary):
+                        return page_no
+                    crossing.append((cursor, info))
+            if not crossing:
+                break
+            batch = self._stamp(page_no, sorted(summary.null_slots))
+            if batch is None:
+                self.page(page_no, cursors)
+                return page_no + 1
+            last_slot = summary.last_live_slot
+            boundary.expect = boundary.last = (page_no, last_slot)
+            count, first_prev = batch.count, batch.first_prev
+            changed = range(count)
+            version, last_live = summary.page_version, Rid(page_no, last_slot)
+            for cursor, info in crossing:
+                try:
+                    cursor.cross(page_no, info, batch, changed, None, batch.row_at)
+                    cursor.staged_pages[page_no] = PageQualInfo(
+                        version, first_prev, cursor.page_quals, last_live
+                    )
+                except ChannelError as error:
+                    cursor.fail(error)
+            stats.rows_materialized += batch.materializations
+            for result in (stats, *(cursor.result for cursor, _ in crossing)):
+                result.scanned += count
+                result.pages_scanned += 1
+                result.pages_batch_decoded += 1
+            if self.audit:
+                held = [(c, info) for c, info in crossing if not c.failed]
+                sanitize.check_changed_slot_visit(
+                    self.table, page_no, held, (), "a changed-slot visit"
+                )
+                sanitize.check_value_mirror(self.table, page_no, crossing)
+            page_no += 1
+        return page_no
+
+    def _stamp(self, page_no: int, named: "Sequence[int]") -> Optional[PageBatch]:
+        """The partial batch of the ``named`` records, which the heap
+        routine stamped (:meth:`~repro.storage.heap.HeapFile.stamp_named`),
+        or ``None``, the page unwritten: some record chains or is
+        stamped, or the boundary is not clean."""
+        boundary = self.boundary
+        if boundary.last != boundary.expect:
+            return None
+        batch = self.heap.stamp_named(
+            page_no, self.schema, named, self.fixup_time, boundary.expect
+        )
+        if batch is not None:
+            self.stats.rows_decoded += batch.count
+            self.stats.fixup_writes += batch.count
+        return batch
 
     def _cross(
         self, cursors: "Sequence[RefreshCursor]", start: int, end: int
     ) -> int:
         """Cross pages ``[start, end)``, none written since any cursor's
         mark, from each live cursor's committed records; return the
-        first page not crossed (``end``, or one :meth:`page` must serve).
+        first page not crossed (``end``, or one that must be served).
 
         Log completeness (``docs/invariants.md``) proves every such page
         settled with a current record, which :meth:`page` would skip, so
-        only the tests on the pass's own state run here: the boundary
-        test (:meth:`_clean`) at the run's first live page — past it the
-        unwritten pages are chained as the marking pass left them — and
-        a carried ``Deletion`` flag at its first qualifying page (at its
-        first page, where a visit cannot answer it).  Either failing
-        stops the run at that page.
+        only the tests on the pass's own state run here: the boundary's
+        closure rule at the run's first live page — past it the unwritten
+        pages are chained as the marking pass left them — and a carried
+        ``Deletion`` flag at its first qualifying page (at its first
+        page, where a visit cannot answer it).  Either failing stops the
+        run at that page.
         """
         live = [cursor for cursor in cursors if not cursor.failed]
         pages = range(start, end)
         records = [list(map(cursor.cache.__getitem__, pages)) for cursor in live]
         first = records[0]
+        clean = self.boundary.clean
         # A pure insert pending at the boundary: the first page is read.
-        stop = end if self._clean(None) else start
+        stop = end if clean() else start
         for index in range(stop - start):
             if first[index].last_live is not None:
-                if not all(self._clean(infos[index].first_prev) for infos in records):
+                if not all(clean(infos[index].first_prev) for infos in records):
                     stop = start + index
                 break
         for cursor, infos in zip(live, records):
@@ -276,15 +382,14 @@ class _ScanPass:
         if not count:
             return start
         if self.audit:
-            sanitize.check_crossed_run(
-                self.table, live, start, stop, self.expect_prev if self.fixup else None
-            )
+            expect = Rid(*self.boundary.expect) if self.fixup else None
+            sanitize.check_crossed_run(self.table, live, start, stop, expect)
         for cursor, infos in zip(live, records):
             cursor.cross_run(start, infos[:count])
         self.stats.pages_skipped += count
         for info in reversed(first[:count]):
             if info.last_live is not None:
-                self._advance(info.last_live)
+                self.boundary.advance(info.last_live)
                 break
         return stop
 
@@ -304,7 +409,9 @@ class _ScanPass:
         of its qualifiers must answer.  Anyone else has the page read whole,
         and whoever has work rides that read.  Figure 7 (:meth:`_fix`)
         runs before any cursor is served (:meth:`_serve`), so a channel
-        failure never leaves a page half repaired.
+        failure never leaves a page half repaired.  A visit that only
+        stamps is :meth:`_visit_run`'s: one that comes here, which the
+        heap routine declined, is read whole.
         """
         reading: Reading = {}
         delta: "Optional[PageBatch]" = None
@@ -315,7 +422,11 @@ class _ScanPass:
             reading = {c: c.page_info(page_no) for c in cursors if not c.failed}
             if self.fixup:
                 last_live = self.heap.summaries.get_or_create(page_no).last_live_rid
-                delta, whole, fixed = self._fix(page_no, changed, last_live)
+                delta = self._stamp(page_no, changed)
+                if delta is not None:
+                    self.boundary.advance(last_live)
+                else:
+                    delta, whole, fixed = self._fix(page_no, changed, last_live)
             else:
                 delta = self._read(page_no, changed)
             if whole is None and None in reading.values():
@@ -323,17 +434,14 @@ class _ScanPass:
                 whole = self._read(page_no)
             return self._serve(page_no, REPAIRED, reading, delta, whole, fixed, changed)
         summary = self.summaries.get(page_no) if self.summaries is not None else None
+        settled = self._settled
         visiting: "dict[RefreshCursor, PageQualInfo]" = {}
         skipping: "list[tuple[RefreshCursor, PageQualInfo]]" = []
         for cursor in cursors:
             if cursor.failed:
                 continue
             entry = cursor.cache.get(page_no) if cursor.cache else None
-            if (
-                summary is None
-                or entry is None
-                or not self._settled(cursor, entry, summary)
-            ):
+            if entry is None or summary is None or not settled(cursor, entry, summary):
                 reading[cursor] = entry
             elif (
                 summary.null_slots
@@ -353,17 +461,14 @@ class _ScanPass:
         if summary is not None and (summary.null_slots or summary.freed_slots):
             reading.update(visiting)
             freed = summary.freed_slots  # emptied by replacement, not in place
-            delta, whole, fixed = self._fix(
-                page_no,
-                sorted(summary.null_slots.union(freed)),
-                summary.last_live_rid,
-            )
+            named = sorted(summary.null_slots.union(freed))
+            delta, whole, fixed = self._fix(page_no, named, summary.last_live_rid)
             outcome = VISITED if whole is None else BATCH
         else:
             # Nothing changed, so nothing is read: a carried Deletion
             # flag may still have a cursor visit its qualifiers.
             crossed = skipping[0][1] if skipping else next(iter(visiting.values()))
-            self._advance(crossed.last_live)
+            self.boundary.advance(crossed.last_live)
             if not visiting:
                 self.stats.pages_skipped += 1
                 return SKIPPED
@@ -372,8 +477,7 @@ class _ScanPass:
         return self._serve(page_no, outcome, reading, delta, whole, fixed, None, freed)
 
     def _whole(self, page_no: int, reading: Reading) -> PageOutcome:
-        """Serve the page read whole to ``reading``: one columnar batch,
-        Figure 7 over its columns (:meth:`_fix`)."""
+        """Serve the page read whole to ``reading`` (:meth:`_fix`)."""
         _, whole, fixed = self._fix(page_no)
         return self._serve(page_no, BATCH, reading, None, whole, fixed, None)
 
@@ -397,6 +501,7 @@ class _ScanPass:
         # found a NULL stamp or a pure insert) and what it detected.
         eff_ts: "Sequence[int]" = ()
         anomalies: "Sequence[int]" = ()
+        indices: "Sequence[int]" = ()
         newest = 0
         first_prev: object = None
         if fixed is not None:
@@ -408,8 +513,8 @@ class _ScanPass:
             newest = max(eff_ts) if whole.has_nulls else whole.max_live_ts
         elif delta is not None:
             first_prev = delta.first_prev
-        # Entries with a timestamp to test; a plain visit read only
-        # entries that changed (all NULL-stamped).
+        # Entries with a timestamp to test; a visit served without a fix
+        # read none (a Deletion flag alone, or every named slot empty).
         timed = fixed is not None or whole is not None
         newer: "dict[int, Sequence[int]]" = {}  # per SnapTime riding
         # A visit sends rows only of changed slots; a qualifier a
@@ -436,8 +541,6 @@ class _ScanPass:
                             else ()
                         )
                     indices = newer[since]
-                else:
-                    indices = range(delta.count) if delta is not None else ()
                 if whole is not None:
                     if entry is None:
                         cursor.paper_rule(whole, indices, anomalies)
@@ -455,11 +558,13 @@ class _ScanPass:
         stats.rows_materialized += decoded
         served = whole if whole is not None else delta
         scanned = served.count if served is not None and changed is None else 0
-        stats.scanned += scanned
-        _tally(stats, outcome)
-        for cursor in reading:
-            cursor.result.scanned += scanned
-            _tally(cursor.result, outcome)
+        for result in (stats, *(cursor.result for cursor in reading)):
+            result.scanned += scanned
+            if outcome is REPAIRED:
+                result.pages_repaired += 1
+            else:
+                result.pages_scanned += 1
+                result.pages_batch_decoded += 1
         # A visit for a Deletion flag alone read nothing: the record stands.
         if delta is not None or outcome is not VISITED:
             self._record(page_no, reading, first_prev)
@@ -467,19 +572,15 @@ class _ScanPass:
             if outcome is BATCH and whole is not None:
                 sanitize.check_whole_page_read(self.table, whole, list(reading))
             elif delta is not None:
+                crossed = [
+                    (c, e)
+                    for c, e in reading.items()
+                    if c.cache is not None and not c.failed
+                ]
+                what = "a changed-slot visit" if changed is None else "an online repair"
+                named = freed if changed is None else changed
                 sanitize.check_changed_slot_visit(
-                    self.table,
-                    page_no,
-                    [
-                        (c, entry)
-                        for c, entry in reading.items()
-                        if c.cache is not None and not c.failed
-                    ],
-                    changed if changed is not None else freed,
-                    "an online repair"
-                    if changed is not None
-                    else "a changed-slot visit",
-                    self.fixup,
+                    self.table, page_no, crossed, named, what, self.fixup
                 )
             held = [(c, entry) for c, entry in reading.items() if entry is not None]
             sanitize.check_value_mirror(self.table, page_no, held)
@@ -504,37 +605,19 @@ class _ScanPass:
         self, cursor: RefreshCursor, info: PageQualInfo, summary: PageSummary
     ) -> bool:
         """Whether ``cursor`` may cross the page from ``info``, its
-        committed record of it, without the page read whole.
-
-        Nothing outside the summary's ``null_slots`` and ``freed_slots``
-        may have changed after the cursor's ``SnapTime``.  With none
-        named the record's version must still be the page's; with some,
-        it moved by definition and the summary alone is the proof
-        ("summary completeness", ``docs/invariants.md``).  Work on the
-        page — changed or freed slots, a ``Deletion`` flag carried in —
-        takes a visit, which a scan without fix-up never does.  And the
-        boundary must be clean (:meth:`_clean`).
-        """
+        committed record of it, without the page read whole: nothing
+        outside the summary's ``null_slots`` and ``freed_slots`` changed
+        after its ``SnapTime`` ("summary completeness",
+        ``docs/invariants.md``), the record's version is the page's when
+        none is named, a scan without fix-up has no work there, and the
+        boundary is clean."""
         named = bool(summary.null_slots or summary.freed_slots)
         return (
             info.page_version is not None  # holdings only: no layout
             and summary.settled(cursor.snap_time)
             and (self.fixup or not (named or cursor.deletion))
             and (named or info.page_version == summary.page_version)
-            and self._clean(info.first_prev)
-        )
-
-    def _clean(self, first_prev: object) -> bool:
-        """The boundary test: the fix-up state at this page boundary is
-        what it was when the page's first ``PrevAddr`` read
-        ``first_prev`` (``None``: the page was empty).  A pending pure
-        insert (``last_addr != ExpectPrev``) would repoint that
-        ``PrevAddr``, and a mismatch is precisely a deletion anomaly
-        hiding on the page.  Without fix-up there is no such state."""
-        expect = self.expect_prev
-        return not self.fixup or (
-            self.last_addr == expect
-            and (first_prev is None or first_prev == expect)
+            and self.boundary.clean(info.first_prev)
         )
 
     def _read(
@@ -561,60 +644,53 @@ class _ScanPass:
         :meth:`_fix_up` found there if it ran.
 
         ``changed`` (a pass with fix-up) are the only slots that may
-        have changed.  When each one still there was written since
-        Figure 7 last passed — its ``TimeStamp`` NULL — Figure 7 runs on
-        what they touched, and moves on to ``last_live``, the page's
-        last live address: plain updates are only stamped; where a slot
-        was emptied or newly inserted the partial batch also holds the
-        next live record after it, and :meth:`_fix_up` walks the records
-        read, each set out from its live predecessor — every record
-        between is unchanged, chained to the one before.  Unless the
-        page's first live record is among them the boundary must be
-        clean (:meth:`_clean`).  Anything else reads the page whole:
-        with no NULL annotation, an intact chain and a clean boundary it
-        writes nothing (the no-flags case), else :meth:`_fix_up`
-        repairs what needs it.  Without fix-up a NULL stamp is an error.
-        Each read pins the page once: the writes are decided on its
-        batch, whole, before the first byte is written, then made in the
-        frame the read pinned.
+        have changed, which the heap routine did not take
+        (:meth:`_stamp`).  When one was emptied or newly inserted and
+        each one still there was written since Figure 7 last passed —
+        its ``TimeStamp`` NULL — the partial batch also holds the next
+        live record after each such slot, and :meth:`_fix_up` walks the
+        records read, each set out from its live predecessor (those
+        between are unchanged and chained), then moves on to
+        ``last_live``, the page's last live address; unless the page's
+        first live record is among them the boundary must be clean.
+        Anything else reads the page whole: with no NULL annotation, an
+        intact chain and a clean boundary it writes nothing, else
+        :meth:`_fix_up` repairs what needs it.  Without fix-up a NULL
+        stamp is an error.  Each read pins the page once, its writes
+        decided on its batch before the first byte is written.
         """
         fixed: "Optional[Fixed]" = None
         delta = None
         if changed is not None:
-            visited = False
+            chained = False
 
-            def visit(delta: PageBatch) -> "Optional[Writes]":
-                nonlocal visited, fixed
+            def chain(delta: PageBatch) -> "Optional[Writes]":
+                nonlocal chained, fixed
                 preds, count = delta.preds, delta.count
+                if preds is None:  # in place: the heap routine declined it
+                    return None
                 # The NULL stamps are exactly the named records still
                 # there: a successor read for Figure 7 has its stamp.
-                if preds is None:  # in-place updates only
-                    named = delta.ts.count(TS_NULL) == count
-                else:
-                    asked = set(changed)
-                    named = all(
-                        (slot_no in asked) == (stamp == TS_NULL)
-                        for slot_no, stamp in zip(delta.slots, delta.ts)
-                    )
-                head = preds is not None and count and preds[0] < 0
-                if not named or not (head or self._clean(delta.first_prev)):
+                asked = set(changed)
+                named = all(
+                    (slot_no in asked) == (stamp == TS_NULL)
+                    for slot_no, stamp in zip(delta.slots, delta.ts)
+                )
+                head = count and preds[0] < 0
+                if not named or not (head or self.boundary.clean(delta.first_prev)):
                     return None
-                visited = True
-                if preds is None:
-                    ts = self._encode_ts(self.fixup_time)
-                    self.stats.fixup_writes += count
-                    return [(slot_no, None, ts) for slot_no in changed]
+                chained = True
                 if not count:
                     return None
                 writes, fixed = self._fix_up(delta)
                 return writes
 
-            delta = self._read(page_no, changed, visit)
-            if visited:
+            delta = self._read(page_no, changed, chain)
+            if chained:
                 # The records after the last one read are chained as they
                 # were: the walk ends at the page's last live address.
                 if fixed is None or delta.slots[-1] != last_live.slot_no:
-                    self._advance(last_live)
+                    self.boundary.advance(last_live)
                 return delta, None, fixed
 
         def figure7(batch: PageBatch) -> "Optional[Writes]":
@@ -622,7 +698,7 @@ class _ScanPass:
             if self.fixup and batch.count and (
                 batch.has_nulls
                 or not batch.chain_ok
-                or not self._clean(batch.first_prev)
+                or not self.boundary.clean(batch.first_prev)
             ):
                 writes, fixed = self._fix_up(batch)
                 return writes
@@ -633,26 +709,22 @@ class _ScanPass:
                     f"is disabled; run base_fixup first or use a "
                     f"lazy table"
                 )
-            self._advance(batch.last_rid())
+            self.boundary.advance(batch.last_rid())
             return None
 
         whole = self._read(page_no, fix=figure7)
         return delta, whole, fixed
 
     def _fix_up(self, batch: PageBatch) -> "tuple[Writes, Fixed]":
-        """Figure 7 over one page's annotation columns.
-
-        Walks ``prev_pages/prev_slots/ts`` with exactly the per-row
-        loop's decisions and returns the writes for only the records
-        that need it, in slot order, with the effective-timestamp
-        column (NULL stamp or pure insert ⇒ :data:`TS_INFINITY`), the
-        pure-insert and anomaly slots, and the first entry's
-        ``PrevAddr`` as repaired; the batch holds at least one entry (an
-        empty page is write-free).  Of a partial batch with ``preds``
-        the walk takes up each record from its live predecessor when the
-        record before it was not read (those between are unchanged and
-        chained), and the page's first ``PrevAddr`` as read when the
-        first live record was not.
+        """Figure 7 over one page's annotation columns, with exactly the
+        per-row loop's decisions: the writes for only the records that
+        need it, in slot order, the effective-timestamp column (NULL
+        stamp or pure insert ⇒ :data:`TS_INFINITY`), the anomaly slots,
+        and the first entry's ``PrevAddr`` as repaired; the batch holds
+        an entry at least.  A partial batch's walk takes up each record
+        from its live predecessor (``preds``) when the record before it
+        was not read, and keeps the page's first ``PrevAddr`` as read
+        when the first live record was not.
         """
         stats = self.stats
         encode_prev = self._encode_prev
@@ -664,11 +736,12 @@ class _ScanPass:
         prev_slots = batch.prev_slots
         eff_ts = array("q", batch.ts)
         anomalies: "list[int]" = []
-        # ExpectPrev / last_addr as plain (page, slot) pairs: an address
-        # object is only built for the few records that get written.
-        expect = self.expect_prev.key()
-        last = self.last_addr.key()
-        first_prev = self.last_addr
+        # The boundary's (page, slot) pairs: an address object is only
+        # built for the few records that get written.
+        boundary = self.boundary
+        expect = boundary.expect
+        last = boundary.last
+        first_prev = Rid(*last)
         # Where a partial walk takes up again: index -> live predecessor.
         resume: "dict[int, tuple[int, int]]" = {}
         head = True  # the walk starts at the page's first live record
@@ -714,15 +787,9 @@ class _ScanPass:
                 expect = here
             last = here
         stats.fixup_writes += len(writes)
-        self.expect_prev = Rid(*expect)
-        self.last_addr = Rid(*last)
+        boundary.expect = expect
+        boundary.last = last
         return writes, (eff_ts, anomalies, first_prev)
-
-    def _advance(self, last_live: Optional[Rid]) -> None:
-        """Cross a page nobody scanned: it needs no (further) fix-up, so
-        the shared fix-up state moves exactly as a scan would leave it."""
-        if last_live is not None:
-            self.last_addr = self.expect_prev = last_live
 
     def repair_pages(
         self,
@@ -734,32 +801,29 @@ class _ScanPass:
         behind the scan front (``front``, the next page to scan) —
         ``dirty``, page → slots written since the pass read the page —
         to the state a scan at this moment leaves, in the base table and
-        in every live cursor's (queued) stream.
-
-        Per page, ascending, through :meth:`page`.  Figure 7 sets out
-        from the last live entry before the page (the whole prefix was
-        chained when the window opened) or, when no live entry
-        separates it from the previous dirty page, from what that page's
-        fix-up left; either way the walk goes one entry further, to the
-        page's successor (:meth:`_close_chain`).  When that successor is
-        on the scan front, the next chunk sets out from the state the
-        last page left; otherwise from the boundary state it had before,
-        which the window did not touch.  A table scanned without fix-up
-        takes only the publishing.
+        in every live cursor's (queued) stream.  Per page, ascending,
+        through :meth:`page`: Figure 7 sets out from the last live entry
+        before the page, or from what the previous dirty page's fix-up
+        left when no live entry separates them, and goes one entry past
+        the page (:meth:`_close_chain`).  The next chunk sets out from
+        the state the last page left if that entry is on the scan front,
+        else from the boundary as it was.  Without fix-up only the
+        publishing runs.
         """
         if self.heap.summaries is None:  # annotations attach them
             raise RefreshMethodError("page repair needs the heap's summaries")
-        boundary = self.expect_prev, self.last_addr
+        boundary = self.boundary
+        before = boundary.expect, boundary.last
         carried = False
         for page_no in sorted(dirty):
             if self.fixup and not carried:
-                self._advance(self._live_before(page_no))
+                boundary.advance(self._live_before(page_no))
             self.page(page_no, cursors, dirty[page_no])
             carried = self.fixup and self._close_chain(
                 page_no, dirty, cursors, front
             )
         if not carried:
-            self.expect_prev, self.last_addr = boundary
+            boundary.expect, boundary.last = before
         if self.audit and (self.fixup or self.table.eager is not None):
             sanitize.check_annotation_chain(self.table, front)
 
@@ -780,25 +844,17 @@ class _ScanPass:
         cursors: "Sequence[RefreshCursor]",
         front: int,
     ) -> bool:
-        """Take Figure 7 one entry past a repaired page.
-
-        An insert or a delete at the tail of a page is recorded on its
-        *successor* — the next live entry, wherever it is — so the
-        repair is not closed until that entry has been through
-        :meth:`_fix_up` with the state the page left.  That holds for a
-        page that only took updates too: a sibling's fix-up in the
-        window may have chained a tail insert the page's chunk never
-        saw, and the cause then reads as a plain update.  When the
-        entry is on a dirty page or at or past the scan ``front`` (or
-        there is none), it will go through: returns True, and that
-        page's fix-up or the next chunk starts from the carried state.
-        On a clean page behind the front just that record is read and
-        fixed — unless a cursor's record of the page, of its current
-        version, shows its first ``PrevAddr`` already chained to the
-        state (the boundary test): then the read would write nothing.
-        If it wrote, the record each cursor keeps of the page moves to
-        the new version and first ``PrevAddr`` (the page still skips at
-        the next refresh).
+        """Take Figure 7 one entry past a repaired page: an insert or a
+        delete at a page's tail is recorded on its *successor*, the next
+        live entry — also after mere updates, as a sibling's fix-up in
+        the window may have chained a tail insert the chunk never saw.
+        When that entry is on a dirty page or at or past the scan
+        ``front`` (or there is none) it will go through: returns True,
+        and the state is carried there.  On a clean page behind the
+        front just that record is read and fixed — unless a cursor's
+        record of the page, at its current version, shows it chained
+        (the boundary's closure rule) — and each record of the page
+        moves to the new version and first ``PrevAddr``.
         """
         for later in range(page_no + 1, front):
             summary = self.heap.summaries.get(later)
@@ -812,7 +868,7 @@ class _ScanPass:
         for cursor in cursors:
             info = cursor.page_info(later)
             if info is not None and info.page_version == version:
-                if self._clean(info.first_prev):
+                if self.boundary.clean(info.first_prev):
                     return False
                 break
         first_prev: Optional[Rid] = None
@@ -833,13 +889,10 @@ class _ScanPass:
     def seal(
         self, cursors: "Sequence[RefreshCursor]", completed: bool
     ) -> RefreshResult:
-        """Finalize the pass result, merge it into every cursor's own:
-        per-cursor traffic (:data:`CURSOR_TOTAL_FIELDS`) is totalled
-        onto the pass result, the costs paid once per pass
-        (:data:`PASS_FIELDS`) are copied onto each cursor's.
-        ``completed`` says the pass reached the heap's end, so the
-        sanitizer may hold the whole table to the fix-up postcondition.
-        """
+        """Finalize the pass result and merge it with every cursor's:
+        per-cursor traffic (:data:`CURSOR_TOTAL_FIELDS`) totalled onto
+        it, the pass costs (:data:`PASS_FIELDS`) copied onto each.
+        ``completed``: the pass reached the heap's end."""
         stats = self.stats
         stats.new_snap_time = self.fixup_time
         pool_stats = self.heap.pool.stats

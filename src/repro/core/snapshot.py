@@ -432,6 +432,7 @@ class SnapshotTable:
             self._flush_doomed()
         if sanitize.enabled():
             sanitize.check_storage_index(self, messages)
+            sanitize.check_free_map(self.storage.heap)
 
     def _on_entry(self, message: "msg.EntryMessage") -> None:
         addr = message.addr

@@ -6,8 +6,8 @@ sections behind them):
 
 **L1 — annotation/summary mutation discipline**
     ``L101``  ``set_annotations`` — or the heap primitives under it,
-              ``write_annotations`` and ``fix_batch`` — called outside
-              the fix-up machinery.
+              ``write_annotations``, ``fix_batch`` and ``stamp_named``
+              — called outside the fix-up machinery.
     ``L102``  :class:`~repro.storage.summary.PageSummary` change state
               mutated outside ``storage/summary.py``.
     ``L103``  Page-summary write hooks invoked outside the heap layer.
@@ -93,9 +93,15 @@ from typing import Iterator, List, Sequence
 from repro.lint.engine import SourceFile, Violation
 
 #: The calls that write the hidden annotation fields: the fix-up
-#: primitive, the in-place heap overwrite it is built on, and the heap
-#: routine a refresh pass reads a page through and repairs it with.
-ANNOTATION_WRITES = {"set_annotations", "write_annotations", "fix_batch"}
+#: primitive, the in-place heap overwrite it is built on, and the two
+#: heap routines a refresh pass reads a page through and repairs it
+#: with.
+ANNOTATION_WRITES = {
+    "set_annotations",
+    "write_annotations",
+    "fix_batch",
+    "stamp_named",
+}
 
 #: Modules allowed to write the hidden annotation fields: the table
 #: (``set_annotations`` itself), the eager maintenance hook and the
@@ -140,6 +146,7 @@ SUMMARY_HOOKS = {
     "note_insert",
     "note_update",
     "note_tails",
+    "note_stamps",
     "note_delete",
     "attach_summaries",
 }

@@ -60,11 +60,14 @@ shared by every cursor riding it:
 A page whose summary names every slot that changed is not extracted
 whole: the scan asks for a *partial* batch of just those slots
 (``only=``), which serves the same qualification and rows for those
-records.  Where one of them was emptied or newly inserted,
-the partial batch also holds the next live record after it — the one
-whose ``PrevAddr`` Figure 7 may have to repoint — and gives every
-record its live predecessor on the page (``preds``), so the fix-up can
-walk just these records.
+records.  When each of them is an update in place awaiting its stamp
+and the page continues the scan's chain, that read is
+:func:`read_visit`, which also names where the stamps go
+(:meth:`repro.storage.heap.HeapFile.stamp_named` writes them).  Where
+one of them was emptied or newly inserted, the partial batch also holds
+the next live record after it — the one whose ``PrevAddr`` Figure 7 may
+have to repoint — and gives every record its live predecessor on the
+page (``preds``), so the fix-up can walk just these records.
 
 Everything here is read-only with respect to the page: extraction runs
 under a single pin and copies what it keeps, so a batch never aliases
@@ -105,6 +108,9 @@ TS_NULL = -(2**63)
 #: The trailing 16 bytes of every annotated record: PrevAddr page (i32),
 #: PrevAddr slot (u32), timestamp (i64) — read in one call per record.
 ANNOTATION_TAIL = struct.Struct("<iIq")
+
+#: The tail's last 8 bytes alone, the ``TimeStamp``: what a stamp writes.
+TAIL_STAMP = struct.Struct("<q")
 
 _SLOT_COUNT = struct.Struct("<H")
 
@@ -289,7 +295,7 @@ def extract_page_batch(
     first_prev: object = None
     named = None if only is None else _read_named(page_no, buf, slot_count, only)
     if named is not None:
-        slots, ts, prev_pages, prev_slots, bodies, has_nulls, max_live_ts = named
+        slots, ts, prev_pages, prev_slots, bodies, has_nulls, max_live_ts, _ = named
     else:
         entries: "Iterable[Tuple[int, int, int]]"
         image: "bytes | bytearray"
@@ -335,12 +341,9 @@ def extract_page_batch(
     if only is not None:
         # The reads covered the extracted records alone.
         chain_ok = False
-        entry_at = _SLOT_ENTRY.unpack_from
-        for first in range(slot_count):
-            offset, length = entry_at(buf, HEADER_SIZE + SLOT_SIZE * first)
-            if offset:
-                first_prev = _prev_addr(*tail_read(buf, offset + length - 16)[:2])
-                break
+        first = _first_prev(buf, slot_count)
+        if first is not None:
+            first_prev = _prev_addr(*first)
     return PageBatch(
         page_no,
         schema,
@@ -357,6 +360,58 @@ def extract_page_batch(
     )
 
 
+def read_visit(
+    page_no: int,
+    buf: bytearray,
+    schema: Schema,
+    only: "Sequence[int]",
+    expect: "Tuple[int, int]",
+) -> "Optional[Tuple[PageBatch, List[int]]]":
+    """Figure 7's visit case, decided on a pinned page image before
+    anything is written: the partial batch of ``only`` (ascending slot
+    numbers) and where each record's 16-byte tail ends, or ``None``.
+
+    The case holds when every record named is there, in place (a
+    ``PrevAddr``: not a pure insert) and NULL-stamped, and the page's
+    first ``PrevAddr`` is ``expect``, the scan's ``ExpectPrev``: then
+    Figure 7 writes just the stamps, and reads none of the page's other
+    records.  Each named record's directory entry and tail are read
+    once (:func:`_read_named`); the bodies are copies, as read.
+    """
+    (slot_count,) = _SLOT_COUNT.unpack_from(buf, 2)
+    named = _read_named(page_no, buf, slot_count, only)
+    if named is None:
+        return None
+    slots, ts, prev_pages, prev_slots, bodies, _, _, ends = named
+    if ts.count(TS_NULL) != len(ts) or _first_prev(buf, slot_count) != expect:
+        return None
+    batch = PageBatch(
+        page_no,
+        schema,
+        slots,
+        ts,
+        prev_pages,
+        prev_slots,
+        bodies,
+        has_nulls=True,
+        chain_ok=False,
+        first_prev=Rid(*expect),
+        max_live_ts=0,
+    )
+    return batch, ends
+
+
+def _first_prev(buf: bytearray, slot_count: int) -> "Optional[Tuple[int, int]]":
+    """The page's first live record's ``PrevAddr``, as ``(page, slot)``
+    off its tail; ``None`` when the page is empty."""
+    entry_at = _SLOT_ENTRY.unpack_from
+    for first in range(slot_count):
+        offset, length = entry_at(buf, HEADER_SIZE + SLOT_SIZE * first)
+        if offset:
+            return ANNOTATION_TAIL.unpack_from(buf, offset + length - 16)[:2]
+    return None
+
+
 def _too_short(page_no: int, slot_no: int, length: int) -> NoReturn:
     raise StorageError(
         f"page {page_no} slot {slot_no}: record of {length} bytes "
@@ -365,9 +420,17 @@ def _too_short(page_no: int, slot_no: int, length: int) -> NoReturn:
 
 
 #: What :func:`_read_named` reads: slots, timestamps, ``PrevAddr`` pages
-#: and slots, bodies, whether a stamp is NULL, the largest stamp.
+#: and slots, bodies, whether a stamp is NULL, the largest stamp, and
+#: where each record's tail ends.
 _Named = Tuple[
-    "array[int]", "array[int]", "array[int]", "array[int]", List[bytes], bool, int
+    "array[int]",
+    "array[int]",
+    "array[int]",
+    "array[int]",
+    List[bytes],
+    bool,
+    int,
+    List[int],
 ]
 
 
@@ -375,15 +438,17 @@ def _read_named(
     page_no: int, buf: bytearray, slot_count: int, only: "Sequence[int]"
 ) -> "Optional[_Named]":
     """The records in ``only`` when none of them chains: for each, one
-    read of its directory entry and of its annotation tail and one copy
-    of its body.  ``None`` at the first slot that is empty or holds a
-    pure insert, which :func:`_chained` must take up."""
+    read of its directory entry and of its annotation tail, one copy of
+    its body, and where its tail ends.  ``None`` at the first slot that
+    is empty or holds a pure insert, which :func:`_chained` must take
+    up."""
     entry_at = _SLOT_ENTRY.unpack_from
     tail_read = ANNOTATION_TAIL.unpack_from
     ts: "array[int]" = array("q")
     prev_pages: "array[int]" = array("i")
     prev_slots: "array[int]" = array("I")
     bodies: "List[bytes]" = []
+    ends: "List[int]" = []
     has_nulls = False
     max_live_ts = 0
     for slot_no in only:
@@ -406,7 +471,9 @@ def _read_named(
         prev_pages.append(prev_page)
         prev_slots.append(prev_slot)
         bodies.append(buf[offset:end])
-    return array("H", only), ts, prev_pages, prev_slots, bodies, has_nulls, max_live_ts
+        ends.append(end)
+    slots = array("H", only)
+    return slots, ts, prev_pages, prev_slots, bodies, has_nulls, max_live_ts, ends
 
 
 def _chained(

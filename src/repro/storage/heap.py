@@ -28,7 +28,12 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import RecordNotFoundError, StorageError
-from repro.storage.batch import PageBatch, extract_page_batch
+from repro.storage.batch import (
+    TAIL_STAMP,
+    PageBatch,
+    extract_page_batch,
+    read_visit,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.page import HEADER_SIZE, SLOT_SIZE, FreeSpace, SlottedPage
 from repro.storage.rid import Rid
@@ -530,6 +535,48 @@ class HeapFile:
                 self._write_tails(SlottedPage(frame), heap_page, writes)
         finally:
             self._pool.unpin(physical, dirty=bool(writes))
+        return batch
+
+    def stamp_named(
+        self,
+        heap_page: int,
+        schema,
+        only: "Sequence[int]",
+        stamp: int,
+        expect: "Tuple[int, int]",
+    ) -> Optional[PageBatch]:
+        """Figure 7's visit case on one page, under one pin: the partial
+        :class:`~repro.storage.batch.PageBatch` of the records ``only``
+        names (ascending slot numbers), each stamped ``stamp`` where it
+        lies, or ``None`` with nothing written.
+
+        :func:`~repro.storage.batch.read_visit` decides the case off the
+        frame before any byte is written — every record named there, in
+        place and NULL-stamped, the page's first ``PrevAddr`` equal to
+        ``expect`` — reading each record's directory entry and tail
+        once.  The stamps are then folded into the page summary in one
+        update (``note_stamps``), counted and observed as the updates
+        they are, as :meth:`fix_batch` does its writes.  The batch's
+        bodies show the records as read.
+        """
+        physical = self._physical(heap_page)
+        frame = self._pool.pin(physical)
+        batch = None
+        try:
+            visit = read_visit(heap_page, frame, schema, only, expect)
+            if visit is not None:
+                batch, ends = visit
+                write = TAIL_STAMP.pack_into
+                for end in ends:
+                    write(frame, end - 8, stamp)
+                if self.summaries is not None:
+                    self.summaries.note_stamps(heap_page, only, stamp)
+                self.writes.updates += len(ends)
+                if self._write_observers:
+                    for slot_no in only:
+                        self._notify_write("update", Rid(heap_page, slot_no))
+        finally:
+            self._pool.unpin(physical, dirty=batch is not None)
         return batch
 
     def _write_tails(

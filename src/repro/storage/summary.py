@@ -45,7 +45,7 @@ structural change after ``snap_time`` is a delete ``freed_slots`` names:
 then only its ``null_slots`` and ``freed_slots`` can differ from what a
 snapshot with that ``SnapTime`` last saw, and a refresh may skip it (none
 named) or visit just those slots and their successors (see
-``_ScanPass._settled`` and ``_ScanPass._clean`` in
+``_ScanPass._settled`` and ``Boundary.clean`` in
 :mod:`repro.core.scanpass` for the additional scan-state conditions at
 page boundaries).
 
@@ -335,6 +335,17 @@ class PageSummaryMap:
         summary = self._written(page_no, len(tails))
         for slot_no, tail in tails:
             self._absorb(summary, slot_no, tail)
+
+    def note_stamps(self, page_no: int, slots: "Sequence[int]", stamp: int) -> None:
+        """Figure 7 stamped ``slots`` of one page in place, each record
+        there with a ``PrevAddr``: what :meth:`note_tails` folds of those
+        tails, in one update — one record write apiece, logged with one
+        move, the slots out of ``null_slots`` and ``max_ts`` up to
+        ``stamp``."""
+        summary = self._written(page_no, len(slots))
+        summary.null_slots.difference_update(slots)
+        if stamp > summary.max_ts:
+            summary.max_ts = stamp
 
     def note_delete(self, rid: Rid, page: "SlottedPage") -> None:
         summary = self._written(rid.page_no)

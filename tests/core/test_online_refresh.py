@@ -480,12 +480,16 @@ class TestRepairPerHold:
         db, table, manager, snap = build()
         rids = list(table.heap.scan_rids())
         heap = table.heap
-        original = heap.fix_batch
+        original, stamp = heap.fix_batch, heap.stamp_named
         reads = []
 
         def watching(page_no, schema, fix=None, only=None):
             reads.append(page_no)
             return original(page_no, schema, fix, only)
+
+        def stamping(page_no, *args):
+            reads.append(page_no)
+            return stamp(page_no, *args)
 
         def writer(chunk):
             if chunk == 3:
@@ -493,6 +497,7 @@ class TestRepairPerHold:
                 reads.clear()
 
         monkeypatch.setattr(heap, "fix_batch", watching)
+        monkeypatch.setattr(heap, "stamp_named", stamping)
         result = manager.refresh_online(
             "low", chunk_pages=1, on_chunk_boundary=writer
         )

@@ -410,21 +410,27 @@ class TestChangedSlotVisit:
             w.table.update(rid, {"v": 50})
         stats = w.table.heap.pool.stats
         pins = {}
-        serve = _ScanPass.page
+        stamp, serve = HeapFile.stamp_named, _ScanPass.page
+
+        def stamping(heap, page_no, *args):
+            before = stats.hits + stats.misses
+            batch = stamp(heap, page_no, *args)
+            pins[page_no] = (batch is not None, stats.hits + stats.misses - before)
+            return batch
 
         def counting(scan, page_no, cursors, changed=None):
-            before = stats.hits + stats.misses
-            outcome = serve(scan, page_no, cursors, changed)
-            pins[page_no] = (outcome, stats.hits + stats.misses - before)
-            return outcome
+            pins[page_no] = "served one by one"
+            return serve(scan, page_no, cursors, changed)
 
+        monkeypatch.setattr(HeapFile, "stamp_named", stamping)
         monkeypatch.setattr(_ScanPass, "page", counting)
         result = w.refresh()
         assert result.fixup_writes == len(changed)
         # The read and its three stamps share one pin (one per stamp on
-        # top of the read's would be four); the unwritten pages are
-        # crossed in runs, never served one by one, and take none.
-        assert pins == {1: (PageOutcome.VISITED, 1)}
+        # top of the read's would be four), in the run loop; the
+        # unwritten pages are crossed in runs, never served one by one,
+        # and take none.
+        assert pins == {1: (True, 1)}
         assert result.buffer_hits + result.buffer_misses == 1
 
     def test_an_insert_among_the_changed_slots_is_chained(self):
@@ -867,15 +873,23 @@ class TestWholePageFromTheMirror:
 
 @pytest.fixture
 def served(monkeypatch):
-    """The pages each refresh serves through ``_ScanPass.page``."""
+    """The pages each refresh serves: through ``_ScanPass.page``, or
+    stamped in the run loop (``HeapFile.stamp_named``)."""
     calls = []
-    serve = _ScanPass.page
+    serve, stamp = _ScanPass.page, HeapFile.stamp_named
 
     def counting(scan, page_no, cursors, changed=None):
         calls.append(page_no)
         return serve(scan, page_no, cursors, changed)
 
+    def stamping(heap, page_no, *args):
+        batch = stamp(heap, page_no, *args)
+        if batch is not None:
+            calls.append(page_no)
+        return batch
+
     monkeypatch.setattr(_ScanPass, "page", counting)
+    monkeypatch.setattr(HeapFile, "stamp_named", stamping)
     return calls
 
 

@@ -48,6 +48,7 @@ from repro.expr.predicate import Projection, Restriction
 from repro.net.wire import WireCodec
 from repro.relation.types import NULL
 from repro.storage.rid import Rid
+from repro.storage.summary import PageMirror
 
 from tests.properties.test_wire_props import (
     _STREAM_SCHEMA,
@@ -555,6 +556,184 @@ class TestChangedSlotVisits:
                     )
                 assert_worlds_agree(oracle, visiting)
         assert visiting.visits > 0
+
+
+#: Restrictions of the clustered-run worlds, one per cursor.
+RUN_PREDICATES = ("v < 50", "v >= 20", "v < 80")
+#: 48 seed rows fill six 256-byte pages of eight.
+RUN_ROWS = 48
+
+
+class _RunWorld:
+    """A table of six full pages and up to three snapshots with page
+    mirrors (and write-log marks), refreshed by group passes: the
+    production pass (``how="loop"``), the same with the heap routine
+    declining every page, so each is read whole (``"whole"``), or the
+    per-row reference (``"rows"``).  Records which pages the run loop
+    stamped."""
+
+    def __init__(self, how, cursors, delta):
+        self.db = Database(f"run-{how}", page_size=PAGE_SIZE)
+        self.table = self.db.create_table("t", [("v", "int")], annotations="lazy")
+        self.rids = [self.table.insert([(v * 7) % 100]) for v in range(RUN_ROWS)]
+        assert self.table.heap.page_count == RUN_ROWS // ROWS_PER_PAGE
+        self.stamped = []
+        heap, stamp = self.table.heap, self.table.heap.stamp_named
+
+        def stamping(page_no, *args):
+            batch = stamp(page_no, *args) if how == "loop" else None
+            if batch is not None:
+                self.stamped.append(page_no)
+            return batch
+
+        heap.stamp_named = stamping
+        refresher = RowGroupRefresher if how == "rows" else GroupRefresher
+        self.refresher = refresher(self.table)
+        self.count = cursors
+        self.snap_times = [0] * cursors
+        self.caches = [PageMirror() for _ in range(cursors)]
+        self.values = [ValueCache() for _ in range(cursors)] if delta else None
+        schema = Projection(self.table.schema).schema
+        self.receivers = [
+            SnapshotTable(Database(f"r{index}"), f"s{index}", schema)
+            for index in range(cursors)
+        ]
+        #: Per refresh: which snapshots it served, what each receiver
+        #: held before it, and what each was sent.
+        self.refreshes = []
+
+    def refresh(self, indices):
+        sents = {index: [] for index in indices}
+        cursors = [
+            RefreshCursor(
+                self.snap_times[index],
+                Restriction.parse(RUN_PREDICATES[index], self.table.schema),
+                Projection(self.table.schema),
+                sents[index].append,
+                cache=self.caches[index],
+                optimize_deletes=True,
+                name=f"s{index}",
+                value_cache=self.values[index] if self.values else None,
+            )
+            for index in indices
+        ]
+        outcome = self.refresher.refresh_group(cursors)
+        assert not outcome.errors
+        held = {}
+        for index, cursor in zip(indices, cursors):
+            if self.values:
+                self.values[index].commit()
+            self.snap_times[index] = cursor.result.new_snap_time
+            held[index] = self.receivers[index].as_map()
+            for message in sents[index]:
+                self.receivers[index].apply(message)
+        self.refreshes.append((held, sents, outcome.pass_result))
+
+    def records(self):
+        return [
+            {
+                page_no: (
+                    info.page_version,
+                    info.first_prev,
+                    list(info.qual_slots),
+                    info.last_live,
+                )
+                for page_no, info in cache.items()
+            }
+            for cache in self.caches
+        ]
+
+    def summaries(self):
+        summaries = self.table.heap.summaries
+        return [
+            [getattr(summary, name) for name in type(summary).__slots__]
+            for summary in map(summaries.get, range(self.table.heap.page_count))
+        ]
+
+
+class TestStampedRuns:
+    """Clustered updates in place — five or more on each of three
+    consecutive pages — are a run the loop serves (``_visit_run``),
+    stamping each page through the heap routine, with 1–3 cursors at
+    distinct SnapTimes riding one pass.  What it leaves equals the
+    same pass with every page read whole, byte for byte — stream,
+    stamps, page records, summaries — and the per-row reference's but
+    for Figure 9's superfluous messages; a delete just before the run
+    has the run's first page read whole, and the loop takes up after."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        first=st.integers(min_value=1, max_value=3),
+        picks=st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=ROWS_PER_PAGE - 1),
+                min_size=5,
+                max_size=ROWS_PER_PAGE,
+                unique=True,
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        values=st.lists(
+            st.integers(min_value=0, max_value=99),
+            min_size=3 * ROWS_PER_PAGE,
+            max_size=3 * ROWS_PER_PAGE,
+        ),
+        cursors=st.integers(min_value=1, max_value=len(RUN_PREDICATES)),
+        dirty=st.booleans(),
+        delta=st.booleans(),
+    )
+    def test_a_run_is_one_loop_and_leaves_what_whole_reads_leave(
+        self, first, picks, values, cursors, delta, dirty
+    ):
+        worlds = [_RunWorld(how, cursors, delta) for how in ("loop", "whole", "rows")]
+        loop, whole, rows = worlds
+        for world in worlds:
+            world.refresh(range(cursors))
+            # Stagger the SnapTimes, writing page 0: snapshot 0 newest.
+            for later in range(1, cursors):
+                world.table.update(world.rids[later], {"v": later})
+                world.refresh(range(cursors - later))
+            if dirty:  # the last row before the run leaves
+                world.table.delete(world.rids[first * ROWS_PER_PAGE - 1])
+            for offset, slots in enumerate(picks):
+                page_no = first + offset
+                for slot_no in slots:
+                    at = page_no * ROWS_PER_PAGE + slot_no
+                    value = values[offset * ROWS_PER_PAGE + slot_no]
+                    world.table.update(world.rids[at], {"v": value})
+            world.stamped.clear()
+            world.refresh(range(cursors))
+        assert len(set(loop.snap_times[:cursors])) == 1
+        run = range(first + dirty, first + 3)
+        assert loop.stamped == list(run) and whole.stamped == []
+        images = [list(world.table.heap.scan()) for world in worlds]
+        assert images[0] == images[1] == images[2]
+        assert loop.records() == whole.records() == rows.records()
+        assert loop.summaries() == whole.summaries() == rows.summaries()
+        for (held, sent, result), (_, same, other), (_, paper, reference) in zip(
+            loop.refreshes, whole.refreshes, rows.refreshes
+        ):
+            assert (result.fixup_writes, result.deletions_detected) == (
+                other.fixup_writes,
+                other.deletions_detected,
+            ) == (reference.fixup_writes, reference.deletions_detected)
+            for index in sent:
+                assert_streams_identical(sent[index], same[index])
+                assert_mirror_subsequence(sent[index], paper[index], held[index])
+        for index in range(cursors):
+            restriction = Restriction.parse(RUN_PREDICATES[index], loop.table.schema)
+            truth = {
+                rid: row.values
+                for rid, row in loop.table.scan(visible=True)
+                if restriction(row)
+            }
+            for world in worlds:
+                assert world.receivers[index].as_map() == truth
 
 
 # -- written pages: the fix-up cases the batch path must get right ------------

@@ -366,6 +366,74 @@ class TestFixBatch:
         assert called == [] and not heap.pool.pinned_pages()
 
 
+def _summary_fields(heap):
+    summary = heap.summaries.get(0)
+    fields = [getattr(summary, name) for name in type(summary).__slots__]
+    return fields, heap.summaries.writes, heap.summaries.changed_since(0)
+
+
+class TestStampNamed:
+    """``stamp_named`` is Figure 7's visit case under one pin: it decides
+    before it writes, and what it writes — bytes, summary, observer
+    events, counts — is what one ``write_annotations`` per stamp writes."""
+
+    named, begin = [2, 3, 4, 5], Rid.BEGIN.key()
+
+    def test_the_stamps_equal_the_per_record_writes(self):
+        per_record, routine = _annotated_twin("a"), _annotated_twin("b")
+        events = {}
+        for table in (per_record, routine):
+            seen = events[table.db.name] = []
+            table.heap.observe_writes(
+                lambda kind, rid, seen=seen: seen.append((kind, rid))
+            )
+        stamp = TimestampType().encode(4242)
+        before = routine.heap.page_entries(0)
+        for slot_no in self.named:
+            per_record.heap.write_annotations(Rid(0, slot_no), None, stamp)
+        stats = routine.heap.pool.stats
+        pins = stats.hits + stats.misses
+        batch = routine.heap.stamp_named(
+            0, routine.schema, self.named, 4242, self.begin
+        )
+        assert stats.hits + stats.misses == pins + 1
+        # The batch shows the named records as they were read.
+        assert list(zip(batch.slots, batch.bodies)) == before[2:6]
+        assert batch.first_prev == Rid.BEGIN and batch.preds is None
+        assert _page_image(per_record.heap) == _page_image(routine.heap)
+        # The summary note_tails leaves, from one update.
+        assert _summary_fields(per_record.heap) == _summary_fields(routine.heap)
+        assert _summary_state(routine.heap)[1:] == (set(), 4242)
+        assert events["a"] == events["b"] == [
+            ("update", Rid(0, slot_no)) for slot_no in self.named
+        ]
+        assert per_record.heap.writes.updates == routine.heap.writes.updates
+
+    @pytest.mark.parametrize("case", ["empty", "pure insert", "stamped", "dirty"])
+    def test_outside_the_visit_case_it_writes_nothing(self, case):
+        table = _annotated_twin(case)
+        heap, pool = table.heap, table.heap.pool
+        named, expect = list(self.named), self.begin
+        if case == "empty":
+            rids = list(heap.scan_rids())
+            table.delete(rids[6])
+            named.append(6)
+        elif case == "pure insert":
+            named.append(table.insert([8, "y"]).slot_no)
+        elif case == "stamped":
+            named.insert(0, 1)  # fixed up, its TimeStamp set
+        else:  # the page's first PrevAddr is not ExpectPrev
+            expect = (0, 0)
+        pool.flush_all()
+        writebacks, image = pool.stats.writebacks, _page_image(heap)
+        state, updates = _summary_fields(heap), heap.writes.updates
+        assert heap.stamp_named(0, table.schema, named, 4242, expect) is None
+        pool.flush_all()
+        assert pool.stats.writebacks == writebacks and not pool.pinned_pages()
+        assert _page_image(heap) == image and heap.writes.updates == updates
+        assert _summary_fields(heap) == state
+
+
 class TestHeldSpace:
     """The heap holds each written page's free space and moves it on
     every write: placement is what reading the image decides."""

@@ -21,6 +21,7 @@ from repro.relation.types import IntType, StringType
 from repro.storage.heap import FreeSpaceMap
 from repro.storage.page import FreeSpace
 from repro.storage.rid import Rid
+from repro.storage.summary import PageSummaryMap
 
 
 @pytest.fixture(autouse=True)
@@ -193,6 +194,25 @@ class TestPageSummaries:
         with pytest.raises(SanitizerError, match="wrongly skipped"):
             snap.refresh()
 
+    def test_a_visit_that_leaves_max_ts_below_its_stamp_fails(self, monkeypatch):
+        db, table, rids = build()
+        snap = SnapshotManager(db).create_snapshot("s", "items", where="v < 5")
+        note_stamps = PageSummaryMap.note_stamps
+        stamped = []
+
+        def below(summaries, page_no, slots, stamp):  # the bug: max_ts stays
+            summary = summaries.get(page_no)
+            max_ts = summary.max_ts
+            note_stamps(summaries, page_no, slots, stamp)
+            summary.max_ts = max_ts
+            stamped.append(stamp)
+
+        monkeypatch.setattr(PageSummaryMap, "note_stamps", below)
+        table.update(rids[3], {"v": 1})  # an update in place: the run loop's
+        with pytest.raises(SanitizerError, match="above the page summary's max_ts"):
+            snap.refresh()
+        assert stamped
+
 
 class TestFreeMap:
     def test_a_delete_the_map_missed_fails_the_next_refresh(self, monkeypatch):
@@ -231,6 +251,38 @@ class TestFreeMap:
             SanitizerError, match=f"page {page_no} holds FreeSpace.*image reads"
         ):
             snap.refresh()
+
+    def test_a_storage_held_space_that_missed_a_delete_fails_the_commit(
+        self, monkeypatch
+    ):
+        db, table, rids = build(400)
+        snap = SnapshotManager(db).create_snapshot("s", "items", where="v < 5")
+        heap = snap.table.storage.heap
+        # A row leaves the snapshot and an equal one arrives: the receiver
+        # deletes the stored row and first fit puts the new one in its
+        # hole, reading the page's space to find it.
+        table.update(rids[150], {"v": 6})
+        table.update(rids[157], {"v": 6})
+        snap.refresh()
+        table.update(rids[150], {"v": 4})
+        snap.refresh()
+        assert heap.spaces
+        sanitize.check_free_map(heap)
+        page_no = next(iter(heap.spaces))
+        storage = snap.table.storage
+        at = storage.schema.position("$BASEADDR$")
+        leaving = next(
+            row.values[at]
+            for rid, row in storage.scan_full()
+            if rid.page_no == page_no
+        )
+        with monkeypatch.context() as patch:  # the bytes free, the gap not
+            patch.setattr(FreeSpace, "release", lambda space, start, end: None)
+            table.update(leaving, {"v": 6})
+            with pytest.raises(
+                SanitizerError, match=f"page {page_no} holds FreeSpace.*image reads"
+            ):
+                snap.refresh()
 
     def test_a_node_below_its_children_is_caught(self):
         db, table, rids = build(400)
