@@ -512,6 +512,17 @@ class SnapshotManager:
         info.last_refresh_lsn = lsn
         info.snap_time = new_snap_time
         info.refresh_count += 1
+        self._truncate_log(lsn)
+
+    def _truncate_log(self, lsn: int) -> None:
+        """Drop the base log below what a refresh still reads: the least
+        ``last_refresh_lsn`` of the database's log-method snapshots, else
+        ``lsn``, the cut a refresh just committed at.  Only log-method
+        refresh reads the log (undo keeps each transaction's records)."""
+        for info in self.db.catalog.snapshots():
+            if info.plan.method is RefreshMethod.LOG:
+                lsn = min(lsn, info.last_refresh_lsn)
+        self.db.wal.truncate_before(lsn)
 
     def _abort_attempt(self, handle: Snapshot) -> None:
         """Roll back a failed refresh attempt on both sides of the link.

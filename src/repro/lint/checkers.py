@@ -17,6 +17,12 @@ sections behind them):
               each page's free space and moves it on every write, which
               is exact only while no one else writes a page's layout.
               The sanitizer's read-only pins are the one exemption.
+    ``L105``  Page I/O — ``read_page``, ``read_into`` or ``write_page``
+              called — outside the buffer pool, ``storage/buffer.py``, and
+              the pagers, ``storage/pager.py``: the pool recycles its
+              frames' buffers and holds the only copy of a dirty page,
+              so a read around it sees stale bytes and a write around it
+              is lost at the next write-back.
 
 **L2 — determinism of the refresh core**
     ``L201``  Wall-clock read (``time.time`` & friends) outside the
@@ -129,6 +135,11 @@ PAGE_VIEW_OWNERS = {"storage/heap.py", "storage/page.py"}
 #: Read-only pins outside the heap layer: the sanitizer's audits.
 PAGE_PIN_READERS = {"sanitize.py"}
 
+#: The pager calls that move page images (L105), and the only modules
+#: that may make them: the buffer pool and the pagers themselves.
+PAGE_IO_CALLS = {"read_page", "read_into", "write_page"}
+PAGE_IO_OWNERS = {"storage/buffer.py", "storage/pager.py"}
+
 #: PageSummary fields whose mutation is change-tracking state.
 SUMMARY_STATE_FIELDS = {
     "max_ts",
@@ -208,6 +219,7 @@ RULES = {
     "L102": "PageSummary change state mutated outside storage/summary.py",
     "L103": "page-summary write hook called outside the heap layer",
     "L104": "page view built or heap page pinned outside the heap layer",
+    "L105": "page read or written outside the buffer pool",
     "L201": "wall-clock read outside txn/clock.py in a deterministic module",
     "L202": "datetime.now/utcnow/today in a deterministic module",
     "L203": "unseeded random use in a deterministic module",
@@ -238,10 +250,10 @@ def _is_deterministic_module(logical: str) -> bool:
 
 
 class MutationDisciplineChecker(Checker):
-    """L1: annotation, page-summary and page-layout writes stay in their
-    owners."""
+    """L1: annotation, page-summary and page-layout writes, and page
+    I/O, stay in their owners."""
 
-    rules = ("L101", "L102", "L103", "L104")
+    rules = ("L101", "L102", "L103", "L104", "L105")
 
     def check(self, source: SourceFile) -> "Iterator[Violation]":
         logical = source.logical
@@ -267,7 +279,17 @@ class MutationDisciplineChecker(Checker):
                 node.func, ast.Attribute
             ):
                 attr = node.func.attr
-                if attr in ANNOTATION_WRITES and logical not in ANNOTATION_WRITERS:
+                if attr in PAGE_IO_CALLS and logical not in PAGE_IO_OWNERS:
+                    yield Violation(
+                        "L105",
+                        source.path,
+                        node.lineno,
+                        node.col_offset,
+                        f"{attr}() outside {sorted(PAGE_IO_OWNERS)}: the "
+                        "pool recycles its frames and holds the only copy "
+                        "of a dirty page",
+                    )
+                elif attr in ANNOTATION_WRITES and logical not in ANNOTATION_WRITERS:
                     yield Violation(
                         "L101",
                         source.path,

@@ -296,6 +296,102 @@ def _field_value(piece: PlanPiece, fields: "Sequence[str]", cls: str) -> str:
     return value
 
 
+#: What a compiled update patch looks like to callers: ``patch(stored,
+#: values)`` is the record ``stored`` with ``values[i]`` in column
+#: ``positions[i]``, or ``None`` where the plan does not apply.
+Patch = Callable[[bytes, Sequence[Any]], Optional[bytes]]
+
+_PATCH_SOURCE = """\
+def patch(stored, values):
+    if (
+        len(values) != {count}
+        or len(stored) < {least}
+        or stored[:{bitmap_size}] != {no_nulls!r}
+    ):
+        return None
+    {names}, = values
+{encodes}
+    return {spliced}
+"""
+
+
+def patch_plan(schema: Schema, positions: "Tuple[int, ...]") -> Optional[Patch]:
+    """The compiled plan of an update that sets the columns at
+    ``positions`` — decode the stored record, replace those values,
+    encode it again (:meth:`repro.table.Table._overlay`, the definition)
+    — or ``None`` where no record can take it; cached on the schema
+    (which is immutable, so a plan never goes stale).
+
+    A record with no bitmap NULL keeps each fixed-width column of its
+    *fixed-width suffix* (every column from it to the end is fixed-width,
+    the suffix :func:`decode_fields` walks backward) at a constant offset
+    from its end.  The plan covers one or more ``positions``, all in
+    that suffix, none twice: it encodes each value with its type's
+    ``checked_encode`` in schema order — the walk's checks, errors and
+    texts — and splices the bytes into the stored record.  It returns
+    ``None`` for a record with a bitmap NULL, too short for the suffix, a
+    count of values other than the positions', or a NULL value a bitmap
+    would hold (or a non-nullable column refuses): the decode and encode
+    decide those.
+    """
+    try:
+        return schema.patches[positions]
+    except KeyError:
+        plan = schema.patches[positions] = _render_patch(schema, positions)
+        return plan
+
+
+def _render_patch(schema: Schema, positions: "Tuple[int, ...]") -> Optional[Patch]:
+    columns = schema.columns
+    if not positions or len(set(positions)) != len(positions) or not all(
+        0 <= position < len(columns) for position in positions
+    ):
+        return None
+    # Each suffix column's start and end, as distances from the record's end.
+    span: "dict[int, tuple[int, int]]" = {}
+    distance = 0
+    for position in range(len(columns) - 1, min(positions) - 1, -1):
+        size = columns[position].ctype.fixed_size
+        if size is None:
+            return None
+        span[position] = (distance + size, distance)
+        distance += size
+    bitmap_size = _bitmap_size(len(columns))
+    namespace: "dict[str, Any]" = {"_NULL": NULL}
+    encodes: "list[str]" = []
+    spliced: "list[str]" = []
+    cut: "Optional[str]" = ""  # where the stored bytes resume ("": the start)
+    for position in sorted(positions):
+        column, v, e = columns[position], f"v{position}", f"e{position}"
+        namespace[f"_encode{position}"] = column.ctype.checked_encode
+        encoded = f"_encode{position}({v})"
+        if column.nullable and column.ctype.inline_null:
+            namespace[f"_null{position}"] = column.ctype.encode(NULL)
+            encodes.append(f"{e} = _null{position} if {v} is _NULL else {encoded}")
+        else:
+            encodes += [f"if {v} is _NULL:", "    return None", f"{e} = {encoded}"]
+        begin, end = span[position]
+        if cut != f"-{begin}":
+            spliced.append(f"stored[{cut}:-{begin}]")
+        spliced.append(e)
+        cut = f"-{end}" if end else None
+    if cut is not None:
+        spliced.append(f"stored[{cut}:]")
+    source = _PATCH_SOURCE.format(
+        count=len(positions),
+        least=bitmap_size + distance,
+        bitmap_size=bitmap_size,
+        no_nulls=bytes(bitmap_size),
+        names=", ".join(f"v{position}" for position in positions),
+        encodes=_indented(encodes, 1),
+        spliced=" + ".join(spliced),
+    )
+    code = compile(source, f"<update patch {positions!r} of {schema!r}>", "exec")
+    exec(code, namespace)  # noqa: S102 — source rendered from the column types
+    patch: Patch = namespace["patch"]
+    return patch
+
+
 #: What a rendered qualifier looks like to callers: the indices, among
 #: those given, of the records that satisfy its restriction, ascending
 #: as given.

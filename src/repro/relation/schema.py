@@ -15,7 +15,7 @@ from repro.errors import SchemaError
 from repro.relation.types import NULL, ColumnType, type_for_name
 
 if TYPE_CHECKING:
-    from repro.relation.row import Codec
+    from repro.relation.row import Codec, Patch
 
 
 class Column:
@@ -89,6 +89,8 @@ class Schema:
         self._hash = hash(self._columns)
         #: The rendered record codec, once ``relation.row`` has used it.
         self.codec: "Codec | None" = None
+        #: ``relation.row``'s compiled update patches, by positions.
+        self.patches: "dict[tuple[int, ...], Patch | None]" = {}
 
     @classmethod
     def of(cls, *specs: "tuple[str, str] | tuple[str, str, bool]") -> "Schema":

@@ -13,6 +13,13 @@ Usage is the classic discipline::
 
 Pinned pages are never evicted; unpinned dirty pages are written back on
 eviction or on :meth:`BufferPool.flush_all`.
+
+The frames' buffers are a fixed arena: the pool allocates a page-size
+``bytearray`` per frame until it holds ``capacity`` of them, and from
+then on a miss reuses its victim's buffer — the victim is written back
+from it (if dirty) and the wanted page read into it.  A buffer holds one
+page at a time; the frame that names it is made per admission, so a
+frame object that was evicted never again stands for live bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from repro.storage.pager import Pager
 
 
 class _Frame:
+    """One admission of a page: its arena buffer, pins and dirty flag."""
+
     __slots__ = ("data", "pin_count", "dirty")
 
     def __init__(self, data: bytearray) -> None:
@@ -94,6 +103,9 @@ class BufferPool:
         self._capacity = capacity
         # OrderedDict as LRU: most recently used at the end.
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
+        # Arena buffers that hold no page (given up by a discard or a
+        # restore); with the resident frames' never more than capacity.
+        self._spare: "list[bytearray]" = []
         self.stats = BufferStats()
 
     @property
@@ -109,16 +121,43 @@ class BufferPool:
         return self._pager.allocate()
 
     def pin(self, page_no: int) -> bytearray:
-        """Return the page's frame, loading and possibly evicting."""
-        frame = self._frames.get(page_no)
+        """Return the page's frame, loading and possibly evicting.
+
+        A miss takes a buffer — a spare one, a new one while the arena
+        is short of ``capacity``, else the least recently used unpinned
+        frame's, written back first if dirty — and reads the page into
+        it.
+        """
+        frames = self._frames
+        frame = frames.get(page_no)
         if frame is not None:
             self.stats.hits += 1
-            self._frames.move_to_end(page_no)
+            frames.move_to_end(page_no)
         else:
-            self.stats.misses += 1
-            self._make_room()
-            frame = _Frame(self._pager.read_page(page_no))
-            self._frames[page_no] = frame
+            stats = self.stats
+            stats.misses += 1
+            pager = self._pager
+            if len(frames) < self._capacity:
+                spare = self._spare
+                buf = spare.pop() if spare else bytearray(pager.page_size)
+            else:
+                for victim_no, victim in frames.items():  # LRU order
+                    if not victim.pin_count:
+                        break
+                else:
+                    raise BufferPoolError("all buffer frames are pinned")
+                buf = victim.data
+                if victim.dirty:
+                    pager.write_page(victim_no, buf)
+                    stats.writebacks += 1
+                del frames[victim_no]
+                stats.evictions += 1
+            try:
+                pager.read_into(page_no, buf)
+            except BaseException:
+                self._spare.append(buf)
+                raise
+            frame = frames[page_no] = _Frame(buf)
         frame.pin_count += 1
         return frame.data
 
@@ -130,27 +169,11 @@ class BufferPool:
         frame.pin_count -= 1
         frame.dirty = frame.dirty or dirty
 
-    def _make_room(self) -> None:
-        if len(self._frames) < self._capacity:
-            return
-        for page_no, frame in self._frames.items():  # LRU order
-            if frame.pin_count == 0:
-                self._evict(page_no, frame)
-                return
-        raise BufferPoolError("all buffer frames are pinned")
-
-    def _evict(self, page_no: int, frame: _Frame) -> None:
-        if frame.dirty:
-            self._pager.write_page(page_no, bytes(frame.data))
-            self.stats.writebacks += 1
-        del self._frames[page_no]
-        self.stats.evictions += 1
-
     def flush_all(self) -> None:
         """Write back every dirty frame (frames stay cached)."""
         for page_no, frame in self._frames.items():
             if frame.dirty:
-                self._pager.write_page(page_no, bytes(frame.data))
+                self._pager.write_page(page_no, frame.data)
                 frame.dirty = False
                 self.stats.writebacks += 1
 
@@ -163,18 +186,29 @@ class BufferPool:
 
     def restore_state(self, state: "PoolState") -> None:
         """Return to ``state`` after reads only: the counters, and the
-        frames resident then, in their LRU order.  A frame the reads
-        evicted comes back as it was (a dirty one was written back, so
-        the pager holds its bytes, and stays dirty); a frame they
-        admitted is dropped.  Anything else — a frame admitted dirty or
-        still pinned — means the reads wrote, and is an error."""
-        saved = state.frames
-        for page_no, frame in self._frames.items():
+        frames resident then, in their LRU order.  A frame resident
+        throughout is kept as it is; a frame the reads admitted is
+        dropped, its buffer spare.  A frame the reads evicted comes back
+        with its dirty flag and pins, but its buffer may hold another
+        page by now, so it takes a spare one and the page is read into
+        it afresh: a dirty one was written back, so the pager holds its
+        bytes.  Anything else — a frame admitted dirty or still pinned —
+        means the reads wrote, and is an error."""
+        saved, frames = state.frames, self._frames
+        for page_no, frame in frames.items():
             if saved.get(page_no) is not frame and (frame.dirty or frame.pin_count):
                 raise BufferPoolError(
                     f"page {page_no} was written or left pinned since the "
                     "pool state was saved"
                 )
+        spare = self._spare
+        for page_no, frame in frames.items():
+            if saved.get(page_no) is not frame:
+                spare.append(frame.data)
+        for page_no, frame in saved.items():
+            if frames.get(page_no) is not frame:
+                frame.data = spare.pop()
+                self._pager.read_into(page_no, frame.data)
         stats = self.stats
         stats.hits, stats.misses, stats.evictions, stats.writebacks = state.counts
         self._frames = OrderedDict(saved)
@@ -197,6 +231,7 @@ class BufferPool:
                         f"page {page_no} is pinned and cannot be discarded"
                     )
                 del self._frames[page_no]
+                self._spare.append(frame.data)
                 dropped += 1
         return dropped
 

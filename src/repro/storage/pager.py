@@ -2,13 +2,18 @@
 
 Two implementations share the :class:`Pager` interface:
 
-- :class:`InMemoryPager` keeps page images in a dict (the default for
-  simulations and tests — fast and deterministic);
+- :class:`InMemoryPager` keeps one page image per page, a ``bytearray``
+  it owns (the default for simulations and tests — fast and
+  deterministic);
 - :class:`FilePager` memory-maps nothing fancy, just seeks and reads a
   regular file, demonstrating that the engine's page discipline is real.
 
 The buffer pool sits on top of either and is the only component that
-should talk to a pager in normal operation.
+talks to a pager (replint L105): it reads a page into one of its own
+frames (:meth:`Pager.read_into`) and writes a dirty frame back from the
+same buffer (:meth:`Pager.write_page`).  Neither call keeps a reference
+to the caller's buffer, so the pool may recycle a frame the moment the
+call returns, and the pager's image stays distinct from a dirty frame.
 """
 
 from __future__ import annotations
@@ -35,11 +40,21 @@ class Pager:
         raise NotImplementedError
 
     def read_page(self, page_no: int) -> bytearray:
-        """Return a *copy* of the page image."""
+        """Return a new ``bytearray`` holding a copy of the page image;
+        the caller owns it."""
+        buf = bytearray(self.page_size)
+        self.read_into(page_no, buf)
+        return buf
+
+    def read_into(self, page_no: int, buf: bytearray) -> None:
+        """Copy the page image into ``buf``, a page-size buffer the
+        caller owns and keeps owning: the pager holds no reference to it
+        once this returns."""
         raise NotImplementedError
 
     def write_page(self, page_no: int, data: bytes) -> None:
-        """Persist a full page image."""
+        """Persist a full page image, copied out of ``data``: the caller
+        keeps owning ``data`` and may reuse it once this returns."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -51,7 +66,7 @@ class Pager:
                 f"page {page_no} out of range (have {self.page_count})"
             )
 
-    def _check_size(self, data: bytes) -> None:
+    def _check_size(self, data: "bytes | bytearray") -> None:
         if len(data) != self.page_size:
             raise StorageError(
                 f"page image must be {self.page_size} bytes, got {len(data)}"
@@ -59,29 +74,42 @@ class Pager:
 
 
 class InMemoryPager(Pager):
-    """Page store backed by a Python dict; the default substrate."""
+    """Page store backed by a list of page images; the default substrate.
+
+    Each image is a ``bytearray`` the pager owns for the page's life:
+    a write copies into it and a read copies out of it, in place.
+    """
 
     def __init__(self, page_size: int = PAGE_SIZE) -> None:
         super().__init__(page_size)
-        self._pages: "dict[int, bytes]" = {}
+        self._pages: "list[bytearray]" = []
 
     @property
     def page_count(self) -> int:
         return len(self._pages)
 
     def allocate(self) -> int:
-        page_no = len(self._pages)
-        self._pages[page_no] = bytes(self.page_size)
-        return page_no
+        self._pages.append(bytearray(self.page_size))
+        return len(self._pages) - 1
 
-    def read_page(self, page_no: int) -> bytearray:
-        self._check_page_no(page_no)
-        return bytearray(self._pages[page_no])
+    # Each call tests the page number and the size once; the checks
+    # raise their errors when the test fails.  A negative page number
+    # would index from the end, and a slice copy between buffers of
+    # different sizes would resize the target.
+
+    def read_into(self, page_no: int, buf: bytearray) -> None:
+        pages = self._pages
+        if not 0 <= page_no < len(pages) or len(buf) != self.page_size:
+            self._check_page_no(page_no)
+            self._check_size(buf)
+        buf[:] = pages[page_no]
 
     def write_page(self, page_no: int, data: bytes) -> None:
-        self._check_page_no(page_no)
-        self._check_size(data)
-        self._pages[page_no] = bytes(data)
+        pages = self._pages
+        if not 0 <= page_no < len(pages) or len(data) != self.page_size:
+            self._check_page_no(page_no)
+            self._check_size(data)
+        pages[page_no][:] = data
 
 
 class FilePager(Pager):
@@ -111,13 +139,12 @@ class FilePager(Pager):
         self._count += 1
         return page_no
 
-    def read_page(self, page_no: int) -> bytearray:
+    def read_into(self, page_no: int, buf: bytearray) -> None:
         self._check_page_no(page_no)
+        self._check_size(buf)
         self._file.seek(page_no * self.page_size)
-        data = self._file.read(self.page_size)
-        if len(data) != self.page_size:
+        if self._file.readinto(buf) != self.page_size:
             raise StorageError(f"short read on page {page_no}")
-        return bytearray(data)
 
     def write_page(self, page_no: int, data: bytes) -> None:
         self._check_page_no(page_no)

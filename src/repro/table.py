@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import CatalogError, LockTimeoutError, PageFullError, SchemaError
-from repro.relation.row import Row, decode_row, encode_row
+from repro.relation.row import Row, decode_row, encode_row, patch_plan
 from repro.relation.schema import Column, Schema
 from repro.relation.types import NULL, RidType, TimestampType
 from repro.storage.heap import HeapFile
@@ -272,17 +272,29 @@ class Table(UndoInterface):
         validates, so a rejected row raises here, before any write.
         """
         annotated = self.has_annotations
+        schema = self.schema
         if positions is None:
             if not annotated:
-                return encode_row(self.schema, Row(values))
-            fresh = encode_row(self.schema, Row([*values, NULL, NULL]))
+                return encode_row(schema, Row(values))
+            fresh = encode_row(schema, Row([*values, NULL, NULL]))
             return fresh[:-16] + stored[-16:-8] + fresh[-8:]
+        # The compiled plan of what follows, where it applies: the
+        # changed fixed-width columns (and the NULL TimeStamp) spliced in.
+        if annotated:
+            key, given = (*positions, len(schema) - 1), (*values, NULL)
+        else:
+            key, given = tuple(positions), values
+        patch = patch_plan(schema, key)
+        if patch is not None:
+            body = patch(stored, given)
+            if body is not None:
+                return body
         new = list(self._decode(stored).values)
         for position, value in zip(positions, values):
             new[position] = value
         if annotated:
             new[-1] = NULL
-        return encode_row(self.schema, Row(new))
+        return encode_row(schema, Row(new))
 
     def _as_inserted(self, body: bytes) -> bytes:
         """``body`` with the annotations an insert leaves (what a

@@ -24,7 +24,10 @@ that pushes past the cap silently drops the *oldest* records (advancing
 way, a later :meth:`~WriteAheadLog.scan` that needs an LSN below
 ``truncated_before`` raises :class:`~repro.errors.LogTruncatedError` —
 which is how a log-based snapshot whose history fell off the end learns
-it must degrade to a full refresh.
+it must degrade to a full refresh.  The snapshot manager truncates after
+every committed refresh, below what a log-method snapshot still reads,
+so the log holds only what some refresh will read (undo keeps each
+transaction's own records, :attr:`Transaction.data_records`).
 """
 
 from __future__ import annotations
@@ -171,14 +174,20 @@ class WriteAheadLog:
         yield from islice(self._records, from_lsn - self._truncated_before, None)
 
     def truncate_before(self, lsn: int) -> int:
-        """Drop records with LSN below ``lsn``; return how many dropped."""
+        """Drop records with LSN below ``lsn``; return how many dropped.
+
+        Dropping every record (``lsn`` at the head, as after a refresh
+        with no log reader behind it) is one ``clear``."""
         if lsn > self._next_lsn:
             raise WalError(f"cannot truncate past the log head ({lsn})")
         records = self._records
-        dropped = 0
-        while records and records[0].lsn < lsn:
-            self._bytes -= records.popleft().encoded_size()
-            dropped += 1
+        dropped = min(max(lsn - self._truncated_before, 0), len(records))
+        if dropped == len(records):
+            records.clear()
+            self._bytes = 0
+        else:
+            for _ in range(dropped):
+                self._bytes -= records.popleft().encoded_size()
         self._truncated_before = max(self._truncated_before, lsn)
         return dropped
 

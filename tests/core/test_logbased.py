@@ -143,3 +143,68 @@ class TestTruncationFallback:
             if row.values[0] < 15
         }
         assert snapshot.as_map() == truth
+
+
+class TestManagedTruncation:
+    """The manager truncates the log after every committed refresh,
+    below what a log-method snapshot still reads."""
+
+    def _world(self, page_size=4096):
+        from repro.core.manager import SnapshotManager
+
+        db = Database("bounded", page_size=page_size)
+        table = db.create_table("t", [("v", "int"), ("w", "int")])
+        rids = [table.insert([i, i]) for i in range(60)]
+        manager = SnapshotManager(db)
+        return db, table, rids, manager
+
+    def test_differential_refreshes_keep_the_log_bounded(self):
+        db, table, rids, manager = self._world()
+        diff = manager.create_snapshot("d", "t", where="v < 30")
+        log = manager.create_snapshot("l", "t", where="w < 30", method="log")
+        longest = 0
+        for round_no in range(500):
+            rid = rids[(round_no * 7) % len(rids)]
+            table.update(rid, {"v": round_no % 60, "w": (round_no * 3) % 60})
+            manager.refresh("d")
+            longest = max(longest, len(db.wal))
+            if round_no % 50 == 49:
+                result = manager.refresh("l")
+                assert not result.fell_back_full
+                truth = {
+                    r: row.values for r, row in table.scan() if row.values[1] < 30
+                }
+                assert log.as_map() == truth
+        # Between log refreshes the log holds what "l" has yet to read:
+        # 50 updates and their commits at most.
+        assert longest <= 100
+        manager.refresh("l")
+        assert len(db.wal) == 0
+        truth = {r: row.values for r, row in table.scan() if row.values[0] < 30}
+        assert diff.as_map() == truth
+
+    def test_without_a_log_snapshot_the_log_ends_at_the_seal(self):
+        db, table, rids, manager = self._world()
+        manager.create_snapshot("d", "t", where="v < 30")
+        for round_no in range(500):
+            table.update(rids[round_no % len(rids)], {"v": round_no % 60})
+            manager.refresh("d")
+            assert len(db.wal) == 0 and db.wal.size_bytes == 0
+
+    def test_an_online_pass_keeps_what_its_last_window_wrote(self):
+        db, table, _, manager = self._world(page_size=256)
+        manager.create_snapshot("d", "t", where="v < 30")
+        rids = [rid for rid, _ in table.scan()]  # annotating moved some
+        chunks = []
+
+        def writer(chunk):
+            chunks.append(chunk)
+            table.update(rids[len(chunks)], {"v": 1})
+
+        result = manager.refresh_online("d", chunk_pages=1, on_chunk_boundary=writer)
+        # The write after the seal is the next refresh's: still logged.
+        assert [r.rtype.value for r in db.wal.scan(db.wal.truncated_before)] == [
+            "update",
+            "commit",
+        ]
+        assert result.chunks_scanned == chunks[-1] > 1

@@ -77,6 +77,22 @@ class TestPageViews:
             assert fired(violations) == [], logical
 
 
+class TestPageIO:
+    def test_page_io_fires_outside_the_pool(self):
+        for logical in ("core/rogue.py", "storage/heap.py", "sanitize.py"):
+            violations = lint_sources([fixture("pageio.py", logical)])
+            assert fired(violations) == [
+                ("L105", 5),
+                ("L105", 6),
+                ("L105", 7),
+            ], logical
+
+    def test_the_pool_and_the_pagers_are_exempt(self):
+        for logical in ("storage/buffer.py", "storage/pager.py"):
+            violations = lint_sources([fixture("pageio.py", logical)])
+            assert fired(violations) == [], logical
+
+
 class TestDeterminism:
     # The wall-clock rules stop at the deterministic modules; the
     # one-thread rule (L204) holds in every module under src/repro.
@@ -221,7 +237,7 @@ class TestEngine:
 
     def test_every_rule_id_is_documented(self):
         assert set(RULES) == {
-            "L101", "L102", "L103", "L104",
+            "L101", "L102", "L103", "L104", "L105",
             "L201", "L202", "L203", "L204",
             "L305", "L306", "L307",
             "L401", "L402", "L404",

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import sanitize
+from repro.core import messages as msg
+from repro.core.snapshot import SnapshotTable
 from repro.database import Database
 from repro.errors import PageFullError
+from repro.relation.schema import Schema
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import FreeSpaceMap, HeapFile
 from repro.storage.page import SLOT_SIZE
@@ -255,6 +258,51 @@ held_sizes = st.one_of(
 )
 
 
+RECEIVER_ADDRS = [Rid(page, slot) for page in range(4) for slot in range(8)]
+#: Values of every length from a byte to a quarter page, so an arrival
+#: taking a departed row, or a merge, grows or shrinks it, and may move it.
+receiver_rows = st.tuples(
+    st.text(alphabet="ab", max_size=120),
+    st.integers(min_value=0, max_value=99),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+receiver_steps = st.one_of(
+    # A held address leaves and a free one arrives: the pair the commit
+    # serves with the departed row.
+    st.tuples(st.just("move"), st.integers(0, 99), st.integers(0, 99), receiver_rows),
+    st.tuples(st.just("delta"), st.integers(0, 99), st.integers(1, 7), receiver_rows),
+    st.tuples(st.just("upsert"), st.integers(0, 99), receiver_rows),
+    st.tuples(st.just("delete"), st.integers(0, 99)),
+)
+
+
+def receiver_messages(step, live, taken, free):
+    """The refresh messages of one step of an epoch: ``live`` are the
+    addresses held when it began and not yet written in it, ``taken``
+    those written in it, ``free`` those no one holds."""
+    kind = step[0]
+    if kind in ("move", "delete") and live:
+        gone = live.pop(step[1] % len(live))
+        taken.add(gone)
+        out = [msg.DeleteMessage(gone)]
+        if kind == "move" and free:
+            arrive = free.pop(step[2] % len(free))
+            taken.add(arrive)
+            out.append(msg.UpsertMessage(arrive, step[3], 10))
+        return out
+    if kind == "delta" and live:
+        _, pick, mask, row = step
+        addr = live.pop(pick % len(live))
+        taken.add(addr)
+        changed = tuple(row[i] for i in range(3) if mask >> i & 1)
+        return [msg.UpdateDeltaMessage(addr, addr, mask, changed, 8)]
+    if kind == "upsert" and free:
+        arrive = free.pop(step[1] % len(free))
+        taken.add(arrive)
+        return [msg.UpsertMessage(arrive, step[2], 10)]
+    return []
+
+
 class TestHeldSpace:
     """A heap that holds each page's free space places every record
     where one that reads the space afresh on every call does."""
@@ -377,3 +425,44 @@ class TestHeldSpace:
                 live = []
             assert images(held.heap) == images(twin.heap), (step, op)
         sanitize.check_free_map(held.heap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        initial=st.dictionaries(
+            st.sampled_from(RECEIVER_ADDRS), receiver_rows, max_size=20
+        ),
+        epochs=st.lists(st.lists(receiver_steps, max_size=8), max_size=10),
+    )
+    def test_snapshot_table_twin_is_byte_identical(self, initial, epochs):
+        """The same at the receiver, over four frames: paired epochs
+        (arrivals taking the rows departures left) and delta merges
+        (the fixed-width ones through the update patch) leave its
+        storage pages byte-identical to a twin that reads each page's
+        space afresh, after every commit."""
+        schema = Schema.of(("s", "string"), ("v", "int"), ("w", "int"))
+        snaps = []
+        for _ in range(2):
+            site = Database("site", page_size=512, buffer_capacity=4)
+            snaps.append(SnapshotTable(site, "s", schema))
+        held, twin = snaps
+        twin.storage.heap.spaces = Rereading()
+        for snap in snaps:
+            for addr, values in initial.items():
+                snap._upsert(addr, values)
+        for number, steps in enumerate(epochs, start=1):
+            live = sorted(held.base_addrs())
+            free = [addr for addr in RECEIVER_ADDRS if addr not in live]
+            taken = set()
+            stream = [
+                message
+                for step in steps
+                for message in receiver_messages(step, live, taken, free)
+            ]
+            for snap in snaps:
+                snap.apply(msg.RefreshBeginMessage(number))
+                for message in stream:
+                    snap.apply(message)
+                snap.apply(msg.RefreshCommitMessage(number, len(stream)))
+            assert held.as_map() == twin.as_map()
+            assert images(held.storage.heap) == images(twin.storage.heap), number
+            sanitize.check_free_map(held.storage.heap)

@@ -68,6 +68,23 @@ class TestTruncation:
         with pytest.raises(WalError):
             wal.truncate_before(10)
 
+    def test_truncating_to_the_head_empties_the_log(self, wal):
+        _txn_ops(wal, 1, "emp", 3)
+        assert wal.truncate_before(wal.next_lsn) == 4
+        assert len(wal) == 0 and wal.size_bytes == 0
+        assert list(wal.scan(wal.next_lsn)) == []
+        assert wal.truncate_before(wal.next_lsn) == 0
+
+    def test_size_stays_exact_through_truncations(self, wal):
+        for txn_id in range(1, 6):
+            _txn_ops(wal, txn_id, "emp", txn_id)
+            wal.truncate_before(wal.next_lsn - txn_id)  # keep a tail
+            assert wal.size_bytes == sum(
+                r.encoded_size() for r in wal.scan(wal.truncated_before)
+            )
+        wal.truncate_before(2)  # below what is gone: nothing to drop
+        assert len(wal) == 5
+
     def test_capacity_auto_truncates(self):
         wal = WriteAheadLog(capacity_bytes=200)
         for i in range(50):
